@@ -246,8 +246,8 @@ fn steal_single_root_case() -> (rlqvo_graph::Graph, rlqvo_graph::Graph) {
 /// Intra-query parallel enumeration over prebuilt spaces: the serial
 /// amortized kernels at 1/2/4 workers. Find-all is byte-identical across
 /// worker counts, so these measure pure wall-clock scaling of the
-/// work-stealing scheduler — and, at `threads = 1`, its bypass back to
-/// the deterministic sliced-serial path. The `steal-single-root` rows
+/// work-stealing scheduler — `threads = 1` is the same recursion run
+/// serially on the calling thread. The `steal-single-root` rows
 /// are the adversarial shape the retired root-partitioned pool could
 /// not parallelize at all. (On a single-core host the >1 worker rows
 /// measure scheduling overhead, not speedup — BENCH_enum.json records

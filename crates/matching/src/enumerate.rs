@@ -6,8 +6,11 @@
 //! enumeration time costs could directly reflect the qualities of the
 //! output matching orders").
 //!
-//! Two engines produce byte-identical results (`match_count`, `#enum`,
-//! and the match stream itself):
+//! There is one recursion (`recurse`: budget, cadence checks, match
+//! emission, extend-and-unwind, work donation), monomorphized over two
+//! engines that differ only in how they compute `LC(u, M)` and produce
+//! byte-identical results (`match_count`, `#enum`, and the match stream
+//! itself):
 //!
 //! * [`EnumEngine::CandidateSpace`] (default) — builds a
 //!   [`CandidateSpace`] and computes `LC(u, M)` as a multi-way
@@ -167,11 +170,12 @@ pub struct EnumConfig {
     /// Which enumeration implementation to run.
     pub engine: EnumEngine,
     /// Worker threads for intra-query parallel enumeration (1 = serial).
-    /// Values above 1 partition the root order-vertex's candidate set into
-    /// morsels evaluated by a scoped worker pool — see [`crate::parallel`]
+    /// Values above 1 let up to `threads - 1` helpers from the global pool
+    /// steal open subtrees of the one recursion — see [`crate::parallel`]
     /// for the exact semantics (find-all is byte-identical to serial;
     /// capped/budgeted runs keep exact match counts but trade
-    /// deterministic `#enum` for wall-clock).
+    /// deterministic `#enum` for wall-clock). A run granted no helper is
+    /// the serial run.
     pub threads: usize,
     /// Cooperative cancellation: an absolute wall-clock deadline checked
     /// at enumeration entry and on the same amortized 1024-call cadence
@@ -516,8 +520,8 @@ impl EnumResult {
 /// Runs Algorithm 2 with the engine selected in `config` (building the
 /// candidate space internally for [`EnumEngine::CandidateSpace`]; use
 /// [`enumerate_in_space`] to amortize one build over several orders).
-/// `config.threads > 1` runs the intra-query parallel path
-/// ([`crate::parallel`]) over the chosen engine.
+/// `config.threads > 1` asks the steal driver ([`crate::parallel`]) for
+/// helpers; the recursion is the same either way.
 ///
 /// `order` must be a permutation of the query vertices. Orders whose prefix
 /// is disconnected are legal (the local candidate set falls back to the
@@ -527,23 +531,12 @@ pub fn enumerate(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexId], co
     match config.engine {
         EnumEngine::Probe => enumerate_probe(q, g, cand, order, config),
         EnumEngine::CandidateSpace => {
-            assert_eq!(order.len(), q.num_vertices(), "order must cover all query vertices");
             let start = Instant::now();
-            if config.cancel_requested() {
-                // A pre-expired deadline does zero work — not even the
-                // space build; the caller gets a typed partial result.
-                return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-            }
-            if cand.any_empty() {
-                // Complete candidate sets: an empty set proves no match.
-                return EnumResult::empty(start.elapsed());
+            if let Some(res) = early_exit(q, order, cand.any_empty(), &config, start) {
+                return res;
             }
             let cs = CandidateSpace::build(q, g, cand);
-            if config.threads > 1 {
-                crate::parallel::enumerate_in_space_parallel_from(q, &cs, order, config, start)
-            } else {
-                enumerate_in_space_from(q, &cs, order, config, start)
-            }
+            space_from(q, &cs, order, config, start)
         }
         EnumEngine::Auto => {
             let decision = auto_decide(q, g, cand, &config);
@@ -553,26 +546,40 @@ pub fn enumerate(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexId], co
     }
 }
 
+/// The checks every public entry point runs before any engine work: the
+/// order must cover the query; a pre-expired deadline (or raised cancel
+/// flag) does zero work — not even a space build — and hands the caller a
+/// typed partial result; and, candidate sets being complete, an empty one
+/// proves there is no match.
+fn early_exit(
+    q: &Graph,
+    order: &[VertexId],
+    any_empty: bool,
+    config: &EnumConfig,
+    start: Instant,
+) -> Option<EnumResult> {
+    assert_eq!(order.len(), q.num_vertices(), "order must cover all query vertices");
+    if config.cancel_requested() {
+        return Some(EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) });
+    }
+    any_empty.then(|| EnumResult::empty(start.elapsed()))
+}
+
 /// The probe-based reference engine (the seed implementation). Scans a
 /// mapped backward neighbour's adjacency list and filters with candidate
 /// membership + `has_edge` tests. Kept as the differential oracle for the
 /// CandidateSpace engine.
 pub fn enumerate_probe(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexId], config: EnumConfig) -> EnumResult {
-    assert_eq!(order.len(), q.num_vertices(), "order must cover all query vertices");
     let start = Instant::now();
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
+    if let Some(res) = early_exit(q, order, cand.any_empty(), &config, start) {
+        return res;
     }
-    if cand.any_empty() {
-        // Complete candidate sets: an empty set proves there is no match.
-        return EnumResult::empty(start.elapsed());
-    }
-    let backward = order
+    let backward: Vec<Vec<VertexId>> = order
         .iter()
         .enumerate()
-        .map(|(i, &u)| order[..i].iter().copied().filter(|&p| q.has_edge(p, u)).collect::<Vec<_>>())
+        .map(|(i, &u)| order[..i].iter().copied().filter(|&p| q.has_edge(p, u)).collect())
         .collect();
-    probe_with_backward(g, cand, order, backward, config, start)
+    probe_from(g, cand, order, &backward, config, start)
 }
 
 /// [`enumerate_probe`] with the backward-neighbour sets derived from a
@@ -588,146 +595,53 @@ pub fn enumerate_probe_prepared(
     order: &[VertexId],
     config: EnumConfig,
 ) -> EnumResult {
-    assert_eq!(order.len(), q.num_vertices(), "order must cover all query vertices");
     assert_eq!(adj.num_query_vertices(), q.num_vertices(), "adjacency/query mismatch");
     let start = Instant::now();
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
+    if let Some(res) = early_exit(q, order, cand.any_empty(), &config, start) {
+        return res;
     }
-    if cand.any_empty() {
-        return EnumResult::empty(start.elapsed());
-    }
-    probe_with_backward(g, cand, order, adj.backward_sets(order), config, start)
+    probe_from(g, cand, order, &adj.backward_sets(order), config, start)
 }
 
-fn probe_with_backward(
+/// Enters the shared driver with a probe engine. `backward` are the
+/// per-position backward-neighbour sets of `order` (paper Definition II.4;
+/// the root's is empty by construction).
+pub(crate) fn probe_from(
     g: &Graph,
     cand: &Candidates,
     order: &[VertexId],
-    backward: Vec<Vec<VertexId>>,
+    backward: &[Vec<VertexId>],
     config: EnumConfig,
     start: Instant,
 ) -> EnumResult {
-    if config.threads > 1 {
-        return crate::parallel::enumerate_probe_parallel_from(g, cand, order, backward, config, start);
-    }
-    // Engine entry check: the deadline may have expired while the
-    // backward sets were derived above — match the parallel path's
-    // zero-work guarantee instead of burning a cadence window first.
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let mut ctx = new_probe_ctx(g, cand, order, backward, config, start, None);
-    probe_recurse(&mut ctx, 0);
-    EnumResult {
-        match_count: ctx.match_count,
-        enumerations: ctx.enumerations,
-        elapsed: start.elapsed(),
-        timed_out: ctx.deadline_hit,
-        budget_exhausted: ctx.budget_hit,
-        cancelled: ctx.cancel_hit,
-        matches: ctx.matches,
-    }
-}
-
-/// Builds a probe recursion context. `shared` couples the context to a
-/// parallel run's process-shared caps (see [`crate::parallel`]); `None`
-/// gives the exact serial semantics.
-pub(crate) fn new_probe_ctx<'a>(
-    g: &'a Graph,
-    cand: &'a Candidates,
-    order: &'a [VertexId],
-    backward: Vec<Vec<VertexId>>,
-    config: EnumConfig,
-    start: Instant,
-    shared: Option<&'a crate::parallel::SharedCaps>,
-) -> ProbeCtx<'a> {
-    debug_assert!(is_permutation(order));
-    let n = order.len();
-    ProbeCtx {
-        g,
-        cand,
-        order,
-        backward,
-        config,
-        start,
-        shared,
-        steal: None,
-        synced: 0,
-        deadline_hit: false,
-        budget_hit: false,
-        cancel_hit: false,
-        enumerations: 0,
-        match_count: 0,
-        mapping: vec![VertexId::MAX; n],
-        used: vec![false; g.num_vertices()],
-        matches: Vec::new(),
-        scratch: Vec::new(),
-    }
+    let root = || cand.of(order[0]).to_vec();
+    crate::parallel::drive(ProbeEngine { g, cand, backward }, g.num_vertices(), order, root, config, start)
 }
 
 /// Runs the CandidateSpace engine against a prebuilt space. The space
 /// depends only on `(q, G, C)` — not on the order — so harnesses that
 /// compare many orders on identical candidate sets (Fig. 5/6) build it
 /// once. `config.engine` is ignored (the space *is* the engine choice);
-/// `config.threads > 1` dispatches to the intra-query parallel path.
+/// `config.threads > 1` asks the steal driver for helpers.
 pub fn enumerate_in_space(q: &Graph, cs: &CandidateSpace, order: &[VertexId], config: EnumConfig) -> EnumResult {
     let start = Instant::now();
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
+    if let Some(res) = early_exit(q, order, cs.any_empty(), &config, start) {
+        return res;
     }
-    if cs.any_empty() {
-        return EnumResult::empty(start.elapsed());
-    }
-    if config.threads > 1 {
-        crate::parallel::enumerate_in_space_parallel_from(q, cs, order, config, start)
-    } else {
-        enumerate_in_space_from(q, cs, order, config, start)
-    }
+    space_from(q, cs, order, config, start)
 }
 
-fn enumerate_in_space_from(
+/// Enters the shared driver with a space engine. `start` is the caller's
+/// phase clock, so a space build the caller paid counts against
+/// `time_limit` and shows in `elapsed`.
+pub(crate) fn space_from(
     q: &Graph,
     cs: &CandidateSpace,
     order: &[VertexId],
     config: EnumConfig,
     start: Instant,
 ) -> EnumResult {
-    // Engine entry check: the candidate-space build between the public
-    // entry check and this dispatch takes real time — a deadline that
-    // expired during it must yield zero enumeration work, exactly as the
-    // parallel path guarantees.
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let mut ctx = new_space_ctx(q, cs, order, config, start, None);
-    space_recurse(&mut ctx, 0);
-    EnumResult {
-        match_count: ctx.match_count,
-        enumerations: ctx.enumerations,
-        elapsed: start.elapsed(),
-        timed_out: ctx.deadline_hit,
-        budget_exhausted: ctx.budget_hit,
-        cancelled: ctx.cancel_hit,
-        matches: ctx.matches,
-    }
-}
-
-/// Builds a CandidateSpace recursion context (backward edge ids, per-depth
-/// buffers, injectivity bitmap). `shared` couples the context to a
-/// parallel run's shared caps; `None` gives exact serial semantics.
-pub(crate) fn new_space_ctx<'a>(
-    q: &Graph,
-    cs: &'a CandidateSpace,
-    order: &'a [VertexId],
-    config: EnumConfig,
-    start: Instant,
-    shared: Option<&'a crate::parallel::SharedCaps>,
-) -> SpaceCtx<'a> {
-    assert_eq!(order.len(), q.num_vertices(), "order must cover all query vertices");
     assert_eq!(cs.num_query_vertices(), q.num_vertices(), "space/query mismatch");
-    debug_assert!(is_permutation(order));
-
     // Backward neighbours of order[i] among order[..i] (Definition II.4),
     // as (order position j, directed edge id of order[j] -> order[i]).
     let backward: Vec<Vec<(usize, u32)>> = order
@@ -735,32 +649,9 @@ pub(crate) fn new_space_ctx<'a>(
         .enumerate()
         .map(|(i, &u)| order[..i].iter().enumerate().filter_map(|(j, &p)| cs.edge_id(p, u).map(|e| (j, e))).collect())
         .collect();
-
-    let n = q.num_vertices();
-    SpaceCtx {
-        cs,
-        order,
-        backward,
-        config,
-        start,
-        shared,
-        steal: None,
-        synced: 0,
-        deadline_hit: false,
-        budget_hit: false,
-        cancel_hit: false,
-        enumerations: 0,
-        match_count: 0,
-        mapping: vec![VertexId::MAX; n],
-        chosen_pos: vec![0u32; n],
-        used: vec![false; cs.num_data_vertices()],
-        matches: Vec::new(),
-        // Per-depth buffers: steady-state recursion reuses these and
-        // performs no allocation (capacity grows to the high-water mark
-        // of |LC| during the first descents).
-        bufs: vec![Vec::new(); n],
-        lists: vec![Vec::new(); n],
-    }
+    let engine = SpaceEngine { cs, backward: &backward, chosen_pos: vec![0; order.len()], lists: Vec::new() };
+    let root = || (0..cs.cand_len(order[0]) as u32).collect();
+    crate::parallel::drive(engine, cs.num_data_vertices(), order, root, config, start)
 }
 
 fn is_permutation(order: &[VertexId]) -> bool {
@@ -772,50 +663,116 @@ fn is_permutation(order: &[VertexId]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// CandidateSpace engine
+// The one recursion (Algorithm 2) and what an engine plugs into it
 // ---------------------------------------------------------------------------
 
-pub(crate) struct SpaceCtx<'a> {
-    cs: &'a CandidateSpace,
-    order: &'a [VertexId],
-    /// Per depth: (mapped order position, directed edge id) of every
-    /// backward neighbour.
-    backward: Vec<Vec<(usize, u32)>>,
+/// What genuinely differs between the two engines: how `LC(u, M)` is
+/// computed and what a candidate *slot* is (space engine: a position
+/// inside `C(u)`; probe engine: the data vertex itself). Everything else
+/// — budget, cadence checks, match emission, extend-and-unwind, donation
+/// — is the shared [`recurse`], monomorphized per engine. `'a` is the
+/// lifetime of the precomputed data (space or candidate sets) the slot
+/// lists borrow from, independent of the `&mut` the recursion holds.
+pub(crate) trait Engine<'a> {
+    /// `LC(u, M)` for `u = order[depth]`, ascending: either a view of
+    /// precomputed data or, materialized, the contents of `buf`.
+    fn local_candidates(&mut self, depth: usize, u: VertexId, mapping: &[VertexId], buf: &mut Vec<u32>) -> Slots<'a>;
+    /// The data vertex `slot` of query vertex `u` stands for.
+    fn vertex(&self, u: VertexId, slot: u32) -> VertexId;
+    /// Records that `order[depth]` took `slot`.
+    fn choose(&mut self, depth: usize, slot: u32);
+    /// The slots chosen along `prefix = order[..depth]` — the frozen
+    /// partial embedding of a donated [`Task`][crate::parallel::Task].
+    fn freeze(&self, prefix: &[VertexId], mapping: &[VertexId]) -> Vec<u32>;
+}
+
+/// A local-candidate list as an engine hands it to the recursion.
+pub(crate) enum Slots<'a> {
+    /// Every slot `0..n` (the space engine's full candidate set).
+    All(u32),
+    /// A list borrowed from precomputed data — iterated in place.
+    List(&'a [u32]),
+    /// The list was written into the per-depth buffer.
+    Buf,
+}
+
+/// One worker's recursion state. A serial run has exactly one, with
+/// `steal: None`; a stealing run has one per participant.
+pub(crate) struct Ctx<'c, E> {
+    engine: E,
+    order: &'c [VertexId],
     config: EnumConfig,
     start: Instant,
-    /// Present in parallel runs only: the process-shared match/budget
-    /// caps every worker of one enumeration coordinates through.
-    shared: Option<&'a crate::parallel::SharedCaps>,
-    /// Present in work-stealing runs only: the run's deque set and this
-    /// worker's slot in it. When set, the recursion donates splittable
-    /// candidate lists as open-subtree [`crate::parallel::Task`]s.
-    pub(crate) steal: Option<(&'a crate::parallel::StealShared, usize)>,
-    /// `enumerations` value already pushed to `shared` (workers sync
-    /// deltas on the same 1024-call cadence as the deadline check).
+    /// Present in work-stealing runs only: the run's shared caps and
+    /// deque set, and this worker's slot in it. When set, the recursion
+    /// coordinates caps through it and donates splittable candidate lists
+    /// as open-subtree [`crate::parallel::Task`]s.
+    steal: Option<(&'c crate::parallel::StealShared, usize)>,
+    /// `enumerations` value already pushed to the shared caps (workers
+    /// sync deltas on the same 1024-call cadence as the deadline check).
     synced: u64,
-    pub(crate) deadline_hit: bool,
-    pub(crate) budget_hit: bool,
-    pub(crate) cancel_hit: bool,
-    pub(crate) enumerations: u64,
-    pub(crate) match_count: u64,
+    deadline_hit: bool,
+    budget_hit: bool,
+    cancel_hit: bool,
+    enumerations: u64,
+    match_count: u64,
     /// Query vertex id → mapped data vertex.
     mapping: Vec<VertexId>,
-    /// Order position → chosen position inside `C(order[pos])`. This is
-    /// the key that makes the engine allocation- and search-free: LC is
-    /// computed in position space, so the chosen element *is* the index
-    /// needed to look up the next depth's edge lists.
-    chosen_pos: Vec<u32>,
     used: Vec<bool>,
-    pub(crate) matches: Vec<Vec<VertexId>>,
-    /// Per-depth LC buffers (positions into `C(order[depth])`).
+    matches: Vec<Vec<VertexId>>,
+    /// Per-depth LC buffers: steady-state recursion reuses these and
+    /// performs no allocation (capacity grows to the high-water mark of
+    /// |LC| during the first descents).
     bufs: Vec<Vec<u32>>,
-    /// Per-depth scratch of `(edge id, chosen pos)` handles, sorted by
-    /// list length so the intersection starts from the smallest list.
-    lists: Vec<Vec<(u32, u32)>>,
+}
+
+impl<'c, E> Ctx<'c, E> {
+    pub(crate) fn new(
+        engine: E,
+        num_data_vertices: usize,
+        order: &'c [VertexId],
+        config: EnumConfig,
+        start: Instant,
+        steal: Option<(&'c crate::parallel::StealShared, usize)>,
+    ) -> Self {
+        debug_assert!(is_permutation(order));
+        let n = order.len();
+        Ctx {
+            engine,
+            order,
+            config,
+            start,
+            steal,
+            synced: 0,
+            deadline_hit: false,
+            budget_hit: false,
+            cancel_hit: false,
+            enumerations: 0,
+            match_count: 0,
+            mapping: vec![VertexId::MAX; n],
+            used: vec![false; num_data_vertices],
+            matches: Vec::new(),
+            bufs: vec![Vec::new(); n],
+        }
+    }
+
+    /// This worker's exact local counts as a result (a stealing run sums
+    /// its workers' in [`crate::parallel`]).
+    pub(crate) fn into_result(self) -> EnumResult {
+        EnumResult {
+            match_count: self.match_count,
+            enumerations: self.enumerations,
+            elapsed: self.start.elapsed(),
+            timed_out: self.deadline_hit,
+            budget_exhausted: self.budget_hit,
+            cancelled: self.cancel_hit,
+            matches: self.matches,
+        }
+    }
 }
 
 /// Returns true when enumeration should stop (caps reached).
-fn space_recurse(ctx: &mut SpaceCtx<'_>, depth: usize) -> bool {
+pub(crate) fn recurse<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize) -> bool {
     ctx.enumerations += 1;
     if ctx.enumerations >= ctx.config.max_enumerations {
         ctx.budget_hit = true;
@@ -847,18 +804,18 @@ fn space_recurse(ctx: &mut SpaceCtx<'_>, depth: usize) -> bool {
         if ctx.config.cancel_requested() {
             // One worker observing the deadline/flag stops the whole
             // parallel run: raising the shared stop makes peers exit at
-            // their next cadence sync or morsel claim.
+            // their next cadence sync or task claim.
             ctx.cancel_hit = true;
-            if let Some(shared) = ctx.shared {
-                shared.raise_stop();
+            if let Some((shared, _)) = ctx.steal {
+                shared.caps.raise_stop();
             }
             return true;
         }
-        if let Some(shared) = ctx.shared {
-            let stop = shared.sync_enumerations(ctx.enumerations - ctx.synced);
+        if let Some((shared, _)) = ctx.steal {
+            let stop = shared.caps.sync_enumerations(ctx.enumerations - ctx.synced);
             ctx.synced = ctx.enumerations;
             if stop {
-                ctx.budget_hit = shared.budget_exhausted();
+                ctx.budget_hit = shared.caps.budget_exhausted();
                 return true;
             }
         }
@@ -868,377 +825,228 @@ fn space_recurse(ctx: &mut SpaceCtx<'_>, depth: usize) -> bool {
         if ctx.config.store_matches {
             ctx.matches.push(ctx.mapping.clone());
         }
-        return match ctx.shared {
-            Some(shared) => shared.note_match(),
+        return match ctx.steal {
+            Some((shared, _)) => shared.caps.note_match(),
             None => ctx.match_count >= ctx.config.max_matches,
         };
     }
 
     let u = ctx.order[depth];
-    // `cs` is a copy of the shared reference, so slices borrowed from it
-    // are independent of the `&mut ctx` the recursion needs.
-    let cs = ctx.cs;
-    // LC(u, M) in position space. The 0- and 1-backward-edge cases (the
-    // first vertex and every tree-like extension) iterate precomputed
-    // data directly — no buffer copy at all; only genuine multi-way
-    // intersections materialize into this depth's reusable buffer.
-    match ctx.backward[depth].len() {
-        0 => {
-            // Disconnected prefix (or the first vertex): full candidate set.
-            let mut end = cs.cand_len(u);
-            if let Some(steal) = ctx.steal {
-                end = donate_tail(steal, depth, &ctx.chosen_pos[..depth], end, |k, l| (k as u32..l as u32).collect());
-            }
-            for pos in 0..end as u32 {
-                if try_extend(ctx, depth, u, pos) {
-                    return true;
-                }
-            }
+    match ctx.engine.local_candidates(depth, u, &ctx.mapping, &mut ctx.bufs[depth]) {
+        Slots::All(n) => {
+            let keep = donate_tail(ctx, depth, n as usize, |k, l| (k as u32..l as u32).collect());
+            (0..keep as u32).any(|slot| extend(ctx, depth, u, slot))
         }
-        1 => {
-            let (j, e) = ctx.backward[depth][0];
-            let list = cs.edge_list(e, ctx.chosen_pos[j]);
-            let mut keep = list.len();
-            if let Some(steal) = ctx.steal {
-                keep = donate_tail(steal, depth, &ctx.chosen_pos[..depth], keep, |k, l| list[k..l].to_vec());
-            }
-            for &pos in &list[..keep] {
-                if try_extend(ctx, depth, u, pos) {
-                    return true;
-                }
-            }
-        }
-        _ => {
-            let mut buf = std::mem::take(&mut ctx.bufs[depth]);
-            let mut lists = std::mem::take(&mut ctx.lists[depth]);
-            lists.clear();
-            for &(j, e) in &ctx.backward[depth] {
-                lists.push((e, ctx.chosen_pos[j]));
-            }
-            // Smallest lists first: the accumulator never grows past them.
-            lists.sort_unstable_by_key(|&(e, pos)| cs.edge_list(e, pos).len());
-            intersect_into(&mut buf, cs.edge_list(lists[0].0, lists[0].1), cs.edge_list(lists[1].0, lists[1].1));
-            for &(e, pos) in &lists[2..] {
-                if buf.is_empty() {
-                    break;
-                }
-                intersect_in_place(&mut buf, cs.edge_list(e, pos));
-            }
-            ctx.lists[depth] = lists;
-            let mut keep = buf.len();
-            if let Some(steal) = ctx.steal {
-                keep = donate_tail(steal, depth, &ctx.chosen_pos[..depth], keep, |k, l| buf[k..l].to_vec());
-            }
-            let mut stop = false;
-            for &pos in &buf[..keep] {
-                if try_extend(ctx, depth, u, pos) {
-                    stop = true;
-                    break;
-                }
-            }
+        Slots::List(list) => extend_each(ctx, depth, u, list),
+        Slots::Buf => {
+            // Taken out of ctx for the loop and restored after it, so the
+            // buffer's capacity survives for the next visit of this depth.
+            let buf = std::mem::take(&mut ctx.bufs[depth]);
+            let stop = extend_each(ctx, depth, u, &buf);
             ctx.bufs[depth] = buf;
-            return stop;
+            stop
         }
     }
-    false
 }
 
-/// Work-stealing donation: carves geometric tail chunks off this depth's
-/// remaining candidate list into open-subtree [`crate::parallel::Task`]s
-/// — each a frozen copy of the current prefix (`path`) plus the chunk —
-/// until the local share is down to the granularity threshold or the
-/// owner's deque is full. Returns how much of the list to keep locally
-/// (always the *head*, so the donor plus its thieves cover exactly the
-/// positions the serial loop would, each in ascending order).
+/// The depth-`depth` candidate loop over `slots`: donates splittable
+/// tails, then extends along what is kept. Returns true on stop.
 #[inline]
-fn donate_tail(
-    steal: (&crate::parallel::StealShared, usize),
-    depth: usize,
-    path: &[u32],
-    mut len: usize,
-    tail: impl Fn(usize, usize) -> Vec<u32>,
-) -> usize {
-    let (shared, slot) = steal;
-    while len > shared.granularity() && shared.has_room(slot) {
-        let keep = len.div_ceil(2);
-        shared.donate(slot, crate::parallel::Task { depth, path: path.to_vec(), slots: tail(keep, len) });
-        len = keep;
-    }
-    len
+fn extend_each<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize, u: VertexId, slots: &[u32]) -> bool {
+    let keep = donate_tail(ctx, depth, slots.len(), |k, l| slots[k..l].to_vec());
+    slots[..keep].iter().any(|&slot| extend(ctx, depth, u, slot))
 }
 
-/// Maps `u` to the candidate at `pos`, recurses, and unwinds. Returns
-/// true when enumeration should stop. The parallel path drives this
-/// directly for its root-slice loops (one call per root candidate in the
-/// worker's morsel).
+/// Maps `u = order[depth]` to the candidate at `slot`, recurses, and unwinds.
+/// Returns true when enumeration should stop.
 #[inline]
-pub(crate) fn try_extend(ctx: &mut SpaceCtx<'_>, depth: usize, u: VertexId, pos: u32) -> bool {
-    let v = ctx.cs.cand_vertex(u, pos);
+fn extend<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize, u: VertexId, slot: u32) -> bool {
+    let v = ctx.engine.vertex(u, slot);
     if ctx.used[v as usize] {
         return false;
     }
     ctx.mapping[u as usize] = v;
     ctx.used[v as usize] = true;
-    ctx.chosen_pos[depth] = pos;
-    let stop = space_recurse(ctx, depth + 1);
+    ctx.engine.choose(depth, slot);
+    let stop = recurse(ctx, depth + 1);
     ctx.used[v as usize] = false;
     ctx.mapping[u as usize] = VertexId::MAX;
     stop
 }
 
-/// Executes one open-subtree task on this worker's space context: loads
-/// the frozen prefix (position path → mapping/used/chosen_pos), re-donates
-/// splittable tails of the task's own candidate chunk, iterates what
-/// remains exactly as the donor's loop would have, and unwinds the
+/// Work-stealing donation: carves geometric tail chunks off this depth's
+/// `len`-long candidate list into open-subtree [`crate::parallel::Task`]s
+/// — each a frozen copy of the current prefix plus the chunk `tail(k, l)`
+/// — until the local share is down to the granularity threshold or the
+/// owner's deque is full. Returns how much of the list to keep locally
+/// (always the *head*, so the donor plus its thieves cover exactly the
+/// slots the serial loop would, each in ascending order). Outside a
+/// stealing run that is all of it.
+#[inline]
+fn donate_tail<'a, E: Engine<'a>>(
+    ctx: &Ctx<'_, E>,
+    depth: usize,
+    mut len: usize,
+    tail: impl Fn(usize, usize) -> Vec<u32>,
+) -> usize {
+    let Some((shared, slot)) = ctx.steal else { return len };
+    if len <= crate::parallel::STEAL_GRANULARITY || !shared.has_room(slot) {
+        return len;
+    }
+    // The prefix is frozen lazily — only when a donation is due.
+    let path = ctx.engine.freeze(&ctx.order[..depth], &ctx.mapping);
+    while len > crate::parallel::STEAL_GRANULARITY && shared.has_room(slot) {
+        let keep = len.div_ceil(2);
+        shared.donate(slot, crate::parallel::Task { depth, path: path.clone(), slots: tail(keep, len) });
+        len = keep;
+    }
+    len
+}
+
+/// Executes one open-subtree task on this worker's context: loads the
+/// frozen prefix, runs the task's candidate chunk exactly as the donor's
+/// loop would have (re-donating splittable tails of it), and unwinds the
 /// prefix. Returns true when this worker should stop (caps reached).
-pub(crate) fn run_space_task(ctx: &mut SpaceCtx<'_>, task: crate::parallel::Task) -> bool {
-    let crate::parallel::Task { depth, path, mut slots } = task;
+pub(crate) fn run_task<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, task: crate::parallel::Task) -> bool {
+    let crate::parallel::Task { depth, path, slots } = task;
     debug_assert_eq!(path.len(), depth, "frozen prefix covers order[..depth]");
-    let cs = ctx.cs;
     let order = ctx.order;
-    for (i, &pos) in path.iter().enumerate() {
-        let qu = order[i];
-        let v = cs.cand_vertex(qu, pos);
+    for (i, &slot) in path.iter().enumerate() {
+        let v = ctx.engine.vertex(order[i], slot);
         debug_assert!(!ctx.used[v as usize], "frozen prefix must be injective");
-        ctx.mapping[qu as usize] = v;
+        ctx.mapping[order[i] as usize] = v;
         ctx.used[v as usize] = true;
-        ctx.chosen_pos[i] = pos;
+        ctx.engine.choose(i, slot);
     }
-    if let Some((shared, slot)) = ctx.steal {
-        if slots.len() > shared.granularity() && shared.has_room(slot) {
-            let keep = donate_tail((shared, slot), depth, &path, slots.len(), |k, l| slots[k..l].to_vec());
-            slots.truncate(keep);
-        }
-    }
-    let u = order[depth];
-    let mut stop = false;
-    for &pos in &slots {
-        if try_extend(ctx, depth, u, pos) {
-            stop = true;
-            break;
-        }
-    }
-    for (i, &pos) in path.iter().enumerate() {
-        let qu = order[i];
-        let v = cs.cand_vertex(qu, pos);
+    let stop = extend_each(ctx, depth, order[depth], &slots);
+    for &u in &order[..depth] {
+        let v = std::mem::replace(&mut ctx.mapping[u as usize], VertexId::MAX);
         ctx.used[v as usize] = false;
-        ctx.mapping[qu as usize] = VertexId::MAX;
     }
     stop
+}
+
+// ---------------------------------------------------------------------------
+// CandidateSpace engine
+// ---------------------------------------------------------------------------
+
+#[derive(Clone)]
+struct SpaceEngine<'a> {
+    cs: &'a CandidateSpace,
+    /// Per depth: (mapped order position, directed edge id) of every
+    /// backward neighbour.
+    backward: &'a [Vec<(usize, u32)>],
+    /// Order position → chosen position inside `C(order[pos])`. This is
+    /// the key that makes the engine allocation- and search-free: LC is
+    /// computed in position space, so the chosen element *is* the index
+    /// needed to look up the next depth's edge lists.
+    chosen_pos: Vec<u32>,
+    /// Scratch of `(edge id, chosen pos)` handles, sorted by list length
+    /// so the intersection starts from the smallest list.
+    lists: Vec<(u32, u32)>,
+}
+
+impl<'a> Engine<'a> for SpaceEngine<'a> {
+    /// LC(u, M) in position space. The 0- and 1-backward-edge cases (the
+    /// first vertex and every tree-like extension) hand out precomputed
+    /// data directly — no buffer copy at all; only genuine multi-way
+    /// intersections materialize into this depth's reusable buffer.
+    #[inline]
+    fn local_candidates(&mut self, depth: usize, u: VertexId, _: &[VertexId], buf: &mut Vec<u32>) -> Slots<'a> {
+        let (cs, backward) = (self.cs, self.backward);
+        match backward[depth][..] {
+            // Disconnected prefix (or the first vertex): full candidate set.
+            [] => Slots::All(cs.cand_len(u) as u32),
+            [(j, e)] => Slots::List(cs.edge_list(e, self.chosen_pos[j])),
+            ref backward => {
+                let lists = &mut self.lists;
+                lists.clear();
+                lists.extend(backward.iter().map(|&(j, e)| (e, self.chosen_pos[j])));
+                // Smallest lists first: the accumulator never grows past them.
+                lists.sort_unstable_by_key(|&(e, pos)| cs.edge_list(e, pos).len());
+                intersect_into(buf, cs.edge_list(lists[0].0, lists[0].1), cs.edge_list(lists[1].0, lists[1].1));
+                for &(e, pos) in &lists[2..] {
+                    if buf.is_empty() {
+                        break;
+                    }
+                    intersect_in_place(buf, cs.edge_list(e, pos));
+                }
+                Slots::Buf
+            }
+        }
+    }
+
+    #[inline]
+    fn vertex(&self, u: VertexId, slot: u32) -> VertexId {
+        self.cs.cand_vertex(u, slot)
+    }
+
+    #[inline]
+    fn choose(&mut self, depth: usize, slot: u32) {
+        self.chosen_pos[depth] = slot;
+    }
+
+    fn freeze(&self, prefix: &[VertexId], _: &[VertexId]) -> Vec<u32> {
+        self.chosen_pos[..prefix.len()].to_vec()
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Probe engine (reference oracle — the seed implementation)
 // ---------------------------------------------------------------------------
 
-pub(crate) struct ProbeCtx<'a> {
+/// Slots are the data vertices themselves, so there is nothing to record
+/// per choice: the mapping is the whole state.
+#[derive(Clone, Copy)]
+struct ProbeEngine<'a> {
     g: &'a Graph,
     cand: &'a Candidates,
-    order: &'a [VertexId],
     /// Backward neighbours of `order[i]` among `order[..i]` (paper
     /// Definition II.4), precomputed per position.
-    backward: Vec<Vec<VertexId>>,
-    config: EnumConfig,
-    start: Instant,
-    /// Shared caps of a parallel run (see [`SpaceCtx::shared`]).
-    shared: Option<&'a crate::parallel::SharedCaps>,
-    /// Work-stealing hookup (see [`SpaceCtx::steal`]).
-    pub(crate) steal: Option<(&'a crate::parallel::StealShared, usize)>,
-    synced: u64,
-    pub(crate) deadline_hit: bool,
-    pub(crate) budget_hit: bool,
-    pub(crate) cancel_hit: bool,
-    pub(crate) enumerations: u64,
-    pub(crate) match_count: u64,
-    mapping: Vec<VertexId>,
-    used: Vec<bool>,
-    pub(crate) matches: Vec<Vec<VertexId>>,
-    scratch: Vec<VertexId>,
+    backward: &'a [Vec<VertexId>],
 }
 
-/// Returns true when enumeration should stop (caps reached).
-fn probe_recurse(ctx: &mut ProbeCtx<'_>, depth: usize) -> bool {
-    ctx.enumerations += 1;
-    if ctx.enumerations >= ctx.config.max_enumerations {
-        ctx.budget_hit = true;
-        return true;
-    }
-    if ctx.enumerations & 0x3FF == 0 {
-        // Liveness tick first — see the candidate-space engine's cadence
-        // block; both engines feed the same watchdog counter.
-        if let Some(hb) = ctx.config.heartbeat {
-            hb.fetch_add(1, Ordering::Relaxed);
-        }
-        // Same failpoint cadence as the candidate-space engine: both
-        // engines expose the identical fault surface.
-        if let Some(f) = rlqvo_fault::failpoint!("enum.delay") {
-            f.sleep();
-        }
-        if rlqvo_fault::failpoint!("enum.panic").is_some() {
-            panic!("failpoint enum.panic: dying mid-enumeration");
-        }
-        if ctx.start.elapsed() > ctx.config.time_limit {
-            ctx.deadline_hit = true;
-            return true;
-        }
-        if ctx.config.cancel_requested() {
-            // One worker observing the deadline/flag stops the whole
-            // parallel run: raising the shared stop makes peers exit at
-            // their next cadence sync or morsel claim.
-            ctx.cancel_hit = true;
-            if let Some(shared) = ctx.shared {
-                shared.raise_stop();
-            }
-            return true;
-        }
-        if let Some(shared) = ctx.shared {
-            let stop = shared.sync_enumerations(ctx.enumerations - ctx.synced);
-            ctx.synced = ctx.enumerations;
-            if stop {
-                ctx.budget_hit = shared.budget_exhausted();
-                return true;
-            }
-        }
-    }
-    if depth == ctx.order.len() {
-        ctx.match_count += 1;
-        if ctx.config.store_matches {
-            ctx.matches.push(ctx.mapping.clone());
-        }
-        return match ctx.shared {
-            Some(shared) => shared.note_match(),
-            None => ctx.match_count >= ctx.config.max_matches,
+impl<'a> Engine<'a> for ProbeEngine<'a> {
+    /// `LC(u, M)` — candidates of `u` adjacent to every already-mapped
+    /// backward neighbour (Algorithm 2 line 6). Strategy: scan the
+    /// adjacency list of the mapped backward neighbour with the smallest
+    /// degree and keep vertices that (a) are in `C(u)` and (b) are adjacent
+    /// to all remaining mapped backward neighbours.
+    fn local_candidates(&mut self, depth: usize, u: VertexId, mapping: &[VertexId], buf: &mut Vec<u32>) -> Slots<'a> {
+        let backward = &self.backward[depth];
+        // Pick the mapped image with the smallest adjacency list as the probe.
+        let Some(probe_img) = backward.iter().map(|&uq| mapping[uq as usize]).min_by_key(|&img| self.g.degree(img))
+        else {
+            // Disconnected prefix (or the first vertex): full candidate set.
+            return Slots::List(self.cand.of(u));
         };
+        buf.clear();
+        for &v in self.g.neighbors(probe_img) {
+            if !self.cand.contains(u, v) {
+                continue;
+            }
+            let ok = backward.iter().all(|&uq| {
+                let img = mapping[uq as usize];
+                img == probe_img || self.g.has_edge(img, v)
+            });
+            if ok {
+                buf.push(v);
+            }
+        }
+        Slots::Buf
     }
 
-    let u = ctx.order[depth];
-    // LC(u, M) goes into a workhorse buffer taken out of ctx and restored
-    // after the loop, so steady-state recursion does not allocate.
-    let mut local = compute_local_candidates(ctx, u, depth);
-    if let Some((shared, slot)) = ctx.steal {
-        if local.len() > shared.granularity() && shared.has_room(slot) {
-            // The probe engine's frozen prefix is the mapped data vertices
-            // along the order (built lazily — only when a donation is due).
-            let path: Vec<u32> = ctx.order[..depth].iter().map(|&qu| ctx.mapping[qu as usize]).collect();
-            let keep = donate_tail((shared, slot), depth, &path, local.len(), |k, l| local[k..l].to_vec());
-            local.truncate(keep);
-        }
+    #[inline]
+    fn vertex(&self, _: VertexId, slot: u32) -> VertexId {
+        slot
     }
-    for &v in &local {
-        if ctx.used[v as usize] {
-            continue;
-        }
-        ctx.mapping[u as usize] = v;
-        ctx.used[v as usize] = true;
-        let stop = probe_recurse(ctx, depth + 1);
-        ctx.used[v as usize] = false;
-        ctx.mapping[u as usize] = VertexId::MAX;
-        if stop {
-            // Return the buffer before unwinding.
-            ctx.scratch = local;
-            return true;
-        }
-    }
-    ctx.scratch = local;
-    false
-}
 
-/// Parallel-path root step for the probe engine: maps `order[0]` to `v`,
-/// recurses from depth 1, and unwinds — exactly the iteration the serial
-/// depth-0 loop performs per candidate (the root's backward set is empty,
-/// so its LC is the full `C(order[0])`). Returns true when the worker
-/// should stop.
-pub(crate) fn probe_try_root(ctx: &mut ProbeCtx<'_>, v: VertexId) -> bool {
-    probe_try_at(ctx, 0, v)
-}
+    #[inline]
+    fn choose(&mut self, _: usize, _: u32) {}
 
-/// One iteration of the serial depth-`depth` loop: maps `order[depth]`
-/// to `v`, recurses, and unwinds. The work-stealing path drives this for
-/// stolen open subtrees, whose candidate chunks can start at any depth.
-pub(crate) fn probe_try_at(ctx: &mut ProbeCtx<'_>, depth: usize, v: VertexId) -> bool {
-    let u = ctx.order[depth];
-    if ctx.used[v as usize] {
-        return false;
+    fn freeze(&self, prefix: &[VertexId], mapping: &[VertexId]) -> Vec<u32> {
+        prefix.iter().map(|&u| mapping[u as usize]).collect()
     }
-    ctx.mapping[u as usize] = v;
-    ctx.used[v as usize] = true;
-    let stop = probe_recurse(ctx, depth + 1);
-    ctx.used[v as usize] = false;
-    ctx.mapping[u as usize] = VertexId::MAX;
-    stop
-}
-
-/// Executes one open-subtree task on this worker's probe context: loads
-/// the frozen prefix, re-donates splittable tails of the task's own
-/// candidate chunk, iterates what remains exactly as the donor's loop
-/// would have, and unwinds the prefix. Returns true when this worker
-/// should stop (caps reached).
-pub(crate) fn run_probe_task(ctx: &mut ProbeCtx<'_>, task: crate::parallel::Task) -> bool {
-    let crate::parallel::Task { depth, path, mut slots } = task;
-    debug_assert_eq!(path.len(), depth, "frozen prefix covers order[..depth]");
-    for (i, &v) in path.iter().enumerate() {
-        let qu = ctx.order[i];
-        debug_assert!(!ctx.used[v as usize], "frozen prefix must be injective");
-        ctx.mapping[qu as usize] = v;
-        ctx.used[v as usize] = true;
-    }
-    if let Some((shared, slot)) = ctx.steal {
-        if slots.len() > shared.granularity() && shared.has_room(slot) {
-            let keep = donate_tail((shared, slot), depth, &path, slots.len(), |k, l| slots[k..l].to_vec());
-            slots.truncate(keep);
-        }
-    }
-    let mut stop = false;
-    for &v in &slots {
-        if probe_try_at(ctx, depth, v) {
-            stop = true;
-            break;
-        }
-    }
-    let order = ctx.order;
-    for &v in path.iter() {
-        ctx.used[v as usize] = false;
-    }
-    for &qu in &order[..depth] {
-        ctx.mapping[qu as usize] = VertexId::MAX;
-    }
-    stop
-}
-
-/// `LC(u, M)` — candidates of `u` adjacent to every already-mapped
-/// backward neighbour (Algorithm 2 line 6). Strategy: scan the adjacency
-/// list of the mapped backward neighbour with the smallest degree and keep
-/// vertices that (a) are in `C(u)` and (b) are adjacent to all remaining
-/// mapped backward neighbours.
-fn compute_local_candidates(ctx: &mut ProbeCtx<'_>, u: VertexId, depth: usize) -> Vec<VertexId> {
-    let mut out = std::mem::take(&mut ctx.scratch);
-    out.clear();
-    let depth_backward = &ctx.backward[depth];
-    if depth_backward.is_empty() {
-        // Disconnected prefix (or the first vertex): full candidate set.
-        out.extend_from_slice(ctx.cand.of(u));
-        return out;
-    }
-    // Pick the mapped image with the smallest adjacency list as the probe.
-    let (&probe_qu, probe_img) = depth_backward
-        .iter()
-        .map(|uq| (uq, ctx.mapping[*uq as usize]))
-        .min_by_key(|&(_, img)| ctx.g.degree(img))
-        .expect("backward neighbours are mapped");
-    let _ = probe_qu;
-    for &v in ctx.g.neighbors(probe_img) {
-        if !ctx.cand.contains(u, v) {
-            continue;
-        }
-        let ok = depth_backward.iter().all(|&uq| {
-            let img = ctx.mapping[uq as usize];
-            img == probe_img || ctx.g.has_edge(img, v)
-        });
-        if ok {
-            out.push(v);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1274,25 +1082,21 @@ mod tests {
         (q, gb.build())
     }
 
-    /// Regression: the serial engine bodies reject a deadline that
-    /// expired between the public entry check and engine dispatch (the
+    /// Regression: the engine bodies reject a deadline that expired
+    /// between the public entry check and engine dispatch (the
     /// candidate-space build / backward-set derivation take real time).
     #[test]
     fn serial_engine_entries_reject_pre_expired_deadlines() {
         let (q, g) = two_triangles();
         let cand = LdfFilter.filter(&q, &g);
         let order = [0, 1, 2];
-        let cfg = EnumConfig::find_all().with_deadline(Instant::now());
+        let cfg = EnumConfig::find_all().with_threads(1).with_deadline(Instant::now());
         let cs = CandidateSpace::build(&q, &g, &cand);
-        let res = enumerate_in_space_from(&q, &cs, &order, cfg, Instant::now());
+        let res = space_from(&q, &cs, &order, cfg, Instant::now());
         assert!(res.cancelled, "space engine");
         assert_eq!(res.enumerations, 0, "space engine must do zero work");
-        let backward: Vec<Vec<VertexId>> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| order[..i].iter().copied().filter(|&p| q.has_edge(p, u)).collect())
-            .collect();
-        let res = probe_with_backward(&g, &cand, &order, backward, cfg, Instant::now());
+        let backward = QueryAdjBits::build(&q).backward_sets(&order);
+        let res = probe_from(&g, &cand, &order, &backward, cfg, Instant::now());
         assert!(res.cancelled, "probe engine");
         assert_eq!(res.enumerations, 0, "probe engine must do zero work");
     }

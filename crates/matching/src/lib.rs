@@ -62,9 +62,7 @@ pub use enumerate::{
 pub use filter::{CandidateFilter, Candidates, GqlFilter, LdfFilter, NlfFilter};
 pub use order::{connected_prefix_ok, OrderingMethod};
 pub use ordercache::{CachedOrdering, OrderCache, OrderEntry};
-pub use parallel::{enumerate_in_space_sliced, peak_parallel_workers, reset_peak_parallel_workers};
-pub use pipeline::{
-    run_pipeline, run_with_candidates, run_with_entry, run_with_entry_ordered, run_with_space, Pipeline, PipelineResult,
-};
+pub use parallel::{peak_parallel_workers, reset_peak_parallel_workers};
+pub use pipeline::{run_pipeline, run_with_entry, run_with_entry_ordered, run_with_space, Pipeline, PipelineResult};
 pub use scheduler::{reset_scheduler_counters, run_on_pool, scheduler_stats, SchedulerStats, TokenBudget};
 pub use spacecache::{QueryKey, SpaceCache, SpaceEntry};

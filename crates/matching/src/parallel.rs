@@ -1,6 +1,6 @@
 //! Intra-query parallel enumeration: work-stealing over open subtrees.
 //!
-//! The serial engines explore one recursion tree. PR 4 parallelized only
+//! A serial run explores one recursion tree. PR 4 parallelized only
 //! its first level — contiguous morsels of `C(order[0])` claimed from a
 //! cursor — which serialized exactly the hard cases: a query whose root
 //! has one candidate, or one monster subtree, kept every other core idle
@@ -13,12 +13,12 @@
 //!   the biggest, shallowest subtrees move between workers).
 //! * While recursing, a worker **donates**: whenever the candidate list
 //!   at the current depth is longer than a granularity threshold
-//!   (`RLQVO_STEAL_GRANULARITY`, default 4 — the hook a learned
-//!   per-subtree cost estimate can later replace) and its deque has room,
-//!   it freezes geometric tail chunks of the list into tasks and keeps
-//!   the head. A worker whose deque drains **steals** from a random
-//!   victim, so one monster subtree fans out across all workers no matter
-//!   who first claimed it.
+//!   (`STEAL_GRANULARITY` — the hook a learned per-subtree cost
+//!   estimate can later replace) and its deque has room, it freezes
+//!   geometric tail chunks of the list into tasks and keeps the head. A
+//!   worker whose deque drains **steals** from a random victim, so one
+//!   monster subtree fans out across all workers no matter who first
+//!   claimed it.
 //! * The workers themselves come from the process-global scheduler
 //!   ([`crate::scheduler`]): the caller participates directly, and up to
 //!   `threads - 1` persistent pool helpers join — gated by the config's
@@ -26,12 +26,19 @@
 //!   intra-query parallelism compose under one cap (an exhausted budget
 //!   degrades the run towards serial instead of oversubscribing).
 //!
-//! Each worker still owns a full private recursion context
-//! ([`SpaceCtx`]/[`ProbeCtx`] — mapping, injectivity bitmap, per-depth LC
-//! buffers), so the steady-state hot path is the serial engines' code;
-//! shared state is touched only at donation points (an atomic room check,
-//! rarely a deque push), at the existing 1024-call cadence (budget sync),
-//! and per emitted match under a finite cap.
+//! Each worker owns a full private recursion context (`Ctx` — mapping,
+//! injectivity bitmap, per-depth LC buffers) and runs the one recursion
+//! in [`crate::enumerate`], so the steady-state hot path is the serial
+//! code; shared state is touched only at donation points (an atomic room
+//! check, rarely a deque push), at the existing 1024-call cadence (budget
+//! sync), and per emitted match under a finite cap.
+//!
+//! Both engines enter through the one driver here, `drive`, and "no
+//! helpers" is not a mechanism of its own: a `threads <= 1` request, a
+//! token budget with nothing to spare, and a budget the root call alone
+//! exhausts all run that same recursion from depth 0 on the calling
+//! thread with no shared state — which is the serial engine, exact caps
+//! and deterministic `#enum` included.
 //!
 //! ## Result semantics
 //!
@@ -61,31 +68,17 @@
 //! (a stalled claimant holds no task, so peers keep draining the deques),
 //! and one worker observing `deadline`/`cancel` raises the shared stop
 //! that peers see at their next cadence sync or task claim.
-//!
-//! For tests of the decomposition machinery there is a deterministic
-//! fallback: `threads == 1` (and a token-starved run) routes through a
-//! slice-sequential loop on the caller thread with no shared state, which
-//! is byte-identical to the serial engine under *every* configuration,
-//! caps included ([`enumerate_in_space_sliced`]).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-use rlqvo_graph::{Graph, VertexId};
+use rlqvo_graph::VertexId;
 
-use crate::candspace::CandidateSpace;
-use crate::enumerate::{
-    new_probe_ctx, new_space_ctx, probe_try_root, run_probe_task, run_space_task, try_extend, EnumConfig, EnumResult,
-};
-use crate::filter::Candidates;
+use crate::enumerate::{recurse, run_task, Ctx, Engine, EnumConfig, EnumResult};
 use crate::scheduler;
-
-/// Slices per worker in the deterministic slice-sequential fallback (the
-/// parallel path no longer slices — it steals).
-const MORSELS_PER_WORKER: usize = 8;
 
 /// Deque capacity per worker. Donations stop when the owner's deque is
 /// full, bounding queued (cloned-prefix) memory per worker; a full deque
@@ -94,24 +87,14 @@ const MORSELS_PER_WORKER: usize = 8;
 const DEQUE_CAP: usize = 8;
 
 /// Candidate lists at or below this length are not worth freezing into a
-/// task (`RLQVO_STEAL_GRANULARITY` overrides; ROADMAP item 3's learned
-/// per-subtree estimator is the intended future replacement for this
-/// scalar gate). The default is deliberately coarse: donation halves a
-/// list down to this floor, so a single fat level still fans out into
-/// plenty of tasks, while the short (≤ tens of candidates) inner lists
-/// that dominate deep recursion never pay the freeze-a-prefix cost —
-/// measured on the skewed single-root kernel, a floor of 4 spent ~70%
+/// task (ROADMAP's learned per-subtree estimator is the intended future
+/// replacement for this scalar gate). Deliberately coarse: donation
+/// halves a list down to this floor, so a single fat level still fans
+/// out into plenty of tasks, while the short (≤ tens of candidates) inner
+/// lists that dominate deep recursion never pay the freeze-a-prefix cost
+/// — measured on the skewed single-root kernel, a floor of 4 spent ~70%
 /// of the run donating and re-stealing depth-2 crumbs.
-fn steal_granularity() -> usize {
-    static G: OnceLock<usize> = OnceLock::new();
-    *G.get_or_init(|| {
-        std::env::var("RLQVO_STEAL_GRANULARITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&g| g >= 1)
-            .unwrap_or(64)
-    })
-}
+pub(crate) const STEAL_GRANULARITY: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Worker gauge (oversubscription guard)
@@ -253,29 +236,25 @@ struct TaskDeque {
     len: AtomicUsize,
 }
 
-/// The per-run stealing state: one bounded deque per participant plus
-/// the open-subtree count that detects termination (`open` counts tasks
-/// queued *or executing*, so `open == 0` means the whole tree has been
-/// explored).
+/// The per-run stealing state: the shared caps, one bounded deque per
+/// participant, and the open-subtree count that detects termination
+/// (`open` counts tasks queued *or executing*, so `open == 0` means the
+/// whole tree has been explored).
 pub(crate) struct StealShared {
+    pub(crate) caps: SharedCaps,
     deques: Vec<TaskDeque>,
     open: AtomicUsize,
-    granularity: usize,
 }
 
 impl StealShared {
-    fn new(participants: usize) -> Self {
+    fn new(participants: usize, config: &EnumConfig) -> Self {
         StealShared {
+            caps: SharedCaps::new(config),
             deques: (0..participants)
                 .map(|_| TaskDeque { q: Mutex::new(VecDeque::new()), len: AtomicUsize::new(0) })
                 .collect(),
             open: AtomicUsize::new(0),
-            granularity: steal_granularity(),
         }
-    }
-
-    pub(crate) fn granularity(&self) -> usize {
-        self.granularity
     }
 
     /// Cheap pre-check a donor runs before freezing a prefix: false once
@@ -350,10 +329,10 @@ impl StealShared {
     /// run is complete, or a stop is raised. The spin must re-check the
     /// stop flag: the only worker holding work may be unwinding a cancel
     /// — or dead, with its panic fence having raised the stop.
-    fn next_task(&self, slot: usize, caps: &SharedCaps, rng: &mut u32) -> Option<Task> {
+    fn next_task(&self, slot: usize, rng: &mut u32) -> Option<Task> {
         let mut fails = 0u32;
         loop {
-            if caps.should_stop() {
+            if self.caps.should_stop() {
                 return None;
             }
             if let Some(t) = self.pop_own(slot) {
@@ -391,44 +370,37 @@ fn xorshift(state: &mut u32) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Merging
+// The driver
 // ---------------------------------------------------------------------------
 
-/// What one steal worker recorded: exact local deltas plus its share of
-/// the stored matches (in the donor-order it produced them).
-struct StealOut {
-    enumerations: u64,
-    match_count: u64,
-    matches: Vec<Vec<VertexId>>,
-    deadline_hit: bool,
-    budget_hit: bool,
-    cancel_hit: bool,
-}
-
-/// Folds steal-worker outputs into an [`EnumResult`]. Counters are exact
-/// sums (+1 for the depth-0 root call the serial engines count before
-/// fanning out). The match stream is restored to the serial engine's
-/// emission order by sorting on the order-permuted mapping — the serial
-/// stream is lexicographic in that key because every candidate list the
-/// engines iterate is ascending — which makes find-all byte-identical
-/// without tracking where each stolen fragment came from.
-fn merge_steal(
-    outs: Vec<StealOut>,
+/// Folds the workers' exact local results into one [`EnumResult`].
+/// Counters are sums (+1 for the depth-0 root call, which no task
+/// executes but the serial recursion counts before fanning out). The
+/// match stream is restored to the serial emission order by sorting on
+/// the order-permuted mapping — the serial stream is lexicographic in
+/// that key because every candidate list the engines iterate is
+/// ascending — which makes find-all byte-identical without tracking
+/// where each stolen fragment came from.
+fn merge(
+    parts: Vec<EnumResult>,
     caps: &SharedCaps,
     config: &EnumConfig,
     order: &[VertexId],
     start: Instant,
 ) -> EnumResult {
-    let enumerations = 1 + outs.iter().map(|o| o.enumerations).sum::<u64>();
-    let found = outs.iter().map(|o| o.match_count).sum::<u64>();
-    let match_count = found.min(config.max_matches);
-    let mut matches = Vec::new();
+    let mut res =
+        EnumResult { enumerations: 1, budget_exhausted: caps.budget_exhausted(), ..EnumResult::empty(start.elapsed()) };
+    for mut part in parts {
+        res.enumerations += part.enumerations;
+        res.match_count += part.match_count;
+        res.timed_out |= part.timed_out;
+        res.budget_exhausted |= part.budget_exhausted;
+        res.cancelled |= part.cancelled;
+        res.matches.append(&mut part.matches);
+    }
+    res.match_count = res.match_count.min(config.max_matches);
     if config.store_matches {
-        let mut outs = outs;
-        for o in &mut outs {
-            matches.append(&mut o.matches);
-        }
-        matches.sort_unstable_by(|a, b| {
+        res.matches.sort_unstable_by(|a, b| {
             for &u in order {
                 match a[u as usize].cmp(&b[u as usize]) {
                     std::cmp::Ordering::Equal => continue,
@@ -437,106 +409,63 @@ fn merge_steal(
             }
             std::cmp::Ordering::Equal
         });
-        if (matches.len() as u64) > match_count {
-            matches.truncate(match_count as usize);
-        }
-        return finish(outs, caps, start, enumerations, match_count, matches);
+        res.matches.truncate(res.match_count as usize);
     }
-    finish(outs, caps, start, enumerations, match_count, matches)
+    res.elapsed = start.elapsed();
+    res
 }
 
-fn finish(
-    outs: Vec<StealOut>,
-    caps: &SharedCaps,
-    start: Instant,
-    enumerations: u64,
-    match_count: u64,
-    matches: Vec<Vec<VertexId>>,
-) -> EnumResult {
-    EnumResult {
-        match_count,
-        enumerations,
-        elapsed: start.elapsed(),
-        timed_out: outs.iter().any(|o| o.deadline_hit),
-        budget_exhausted: outs.iter().any(|o| o.budget_hit) || caps.budget_exhausted(),
-        cancelled: outs.iter().any(|o| o.cancel_hit),
-        matches,
-    }
-}
-
-/// Helper-token grant for one parallel run: `threads - 1` when no budget
-/// is attached, otherwise whatever the budget can spare right now (the
-/// caller's own token is its caller's business — see
-/// [`EnumConfig::pool_tokens`]).
-fn grant_helpers(config: &EnumConfig, threads: usize) -> usize {
-    let want = threads - 1;
-    match config.pool_tokens {
-        Some(budget) => budget.try_acquire(want),
-        None => want,
-    }
-}
-
-fn release_helpers(config: &EnumConfig, granted: usize) {
-    if let Some(budget) = config.pool_tokens {
-        budget.release(granted);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CandidateSpace engine
-// ---------------------------------------------------------------------------
-
-/// Parallel enumeration over a prebuilt [`CandidateSpace`]. `start` is
-/// the caller's phase clock (the public entry points pass their own
-/// `Instant::now()`), and `cs` must be non-empty — both exactly as
-/// [`enumerate_in_space`][crate::enumerate_in_space] guarantees before
-/// dispatching here.
-pub(crate) fn enumerate_in_space_parallel_from(
-    q: &Graph,
-    cs: &CandidateSpace,
+/// Runs one enumeration: `engine` over `order`, serially or — when the
+/// config asks for helpers and the scheduler grants some — as a
+/// work-stealing run in which every participant drives a clone of
+/// `engine` through the same recursion. `start` is the caller's phase
+/// clock, `num_data_vertices` sizes the injectivity bitmap, and
+/// `root_slots` yields the root's full candidate slot list (only called
+/// when a stealing run needs a root task). The public entry points have
+/// already run the order/empty-candidate checks.
+pub(crate) fn drive<'a, E: Engine<'a> + Clone + Sync>(
+    engine: E,
+    num_data_vertices: usize,
     order: &[VertexId],
+    root_slots: impl FnOnce() -> Vec<u32>,
     config: EnumConfig,
     start: Instant,
 ) -> EnumResult {
     // Engine entry check: the deadline may have expired (or the cancel
-    // flag risen) during the candidate-space build that ran between the
-    // public entry check and this dispatch — don't spin up workers that
+    // flag risen) during the candidate-space build or backward-set
+    // derivation that ran between the public entry check and this
+    // dispatch — do zero enumeration work, and don't spin up workers that
     // would each burn a cadence window before noticing.
     if config.cancel_requested() {
         return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
     }
-    let threads = config.threads.max(1);
-    let root = order[0];
-    let root_len = cs.cand_len(root);
-    if threads == 1 || root_len == 0 {
-        return space_slices_serial(q, cs, order, config, start, root_len.clamp(1, threads * MORSELS_PER_WORKER));
-    }
-    if config.max_enumerations <= 1 {
-        // The root call alone exhausts the budget — serial reports the
-        // same without descending.
-        return EnumResult { enumerations: 1, budget_exhausted: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let granted = grant_helpers(&config, threads);
+    // Helper tokens: `threads - 1` when no budget is attached, otherwise
+    // whatever the budget can spare right now (the caller's own token is
+    // its caller's business — see `EnumConfig::pool_tokens`). A budget
+    // the root call alone exhausts never asks: serial stops right there,
+    // whereas a stealing run books that call in the merge, unexecuted.
+    let want = if config.max_enumerations <= 1 { 0 } else { config.threads.saturating_sub(1) };
+    let granted = config.pool_tokens.map_or(want, |budget| budget.try_acquire(want));
     if granted == 0 {
-        // Token budget exhausted: the composed load already occupies the
-        // whole pool, so this request degrades to the deterministic
-        // serial fallback instead of oversubscribing.
-        return space_slices_serial(q, cs, order, config, start, root_len.clamp(1, threads * MORSELS_PER_WORKER));
+        // Alone on the calling thread — a serial request, or a composed
+        // load that already occupies the whole pool: the recursion from
+        // depth 0 with no shared state is the serial engine.
+        let mut ctx = Ctx::new(engine, num_data_vertices, order, config, start, None);
+        recurse(&mut ctx, 0);
+        return ctx.into_result();
     }
 
-    let caps = SharedCaps::new(&config);
-    let shared = StealShared::new(granted + 1);
-    shared.donate(0, Task { depth: 0, path: Vec::new(), slots: (0..root_len as u32).collect() });
-    let outs: Mutex<Vec<StealOut>> = Mutex::new(Vec::new());
+    let shared = StealShared::new(granted + 1, &config);
+    shared.donate(0, Task { depth: 0, path: Vec::new(), slots: root_slots() });
+    let parts: Mutex<Vec<EnumResult>> = Mutex::new(Vec::new());
     let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
     scheduler::run_on_pool(granted, |slot| {
         let r = catch_unwind(AssertUnwindSafe(|| {
             let _gauge = gauge_enter();
-            let mut ctx = new_space_ctx(q, cs, order, config, start, Some(&caps));
-            ctx.steal = Some((&shared, slot));
+            let mut ctx = Ctx::new(engine.clone(), num_data_vertices, order, config, start, Some((&shared, slot)));
             let mut rng = (slot as u32).wrapping_mul(0x9E37_79B9) | 1;
             loop {
-                if caps.should_stop() {
+                if shared.caps.should_stop() {
                     break;
                 }
                 // A stall here holds an idle claimant, never a claimed
@@ -546,273 +475,43 @@ pub(crate) fn enumerate_in_space_parallel_from(
                 if let Some(f) = rlqvo_fault::failpoint!("enum.morsel.stall") {
                     f.sleep();
                 }
-                let Some(task) = shared.next_task(slot, &caps, &mut rng) else {
+                let Some(task) = shared.next_task(slot, &mut rng) else {
                     break;
                 };
-                let stop = run_space_task(&mut ctx, task);
+                let stop = run_task(&mut ctx, task);
                 shared.finish_task();
                 if stop {
                     break;
                 }
             }
-            StealOut {
-                enumerations: ctx.enumerations,
-                match_count: ctx.match_count,
-                matches: std::mem::take(&mut ctx.matches),
-                deadline_hit: ctx.deadline_hit,
-                budget_hit: ctx.budget_hit,
-                cancel_hit: ctx.cancel_hit,
-            }
+            ctx.into_result()
         }));
         match r {
-            Ok(out) => outs.lock().unwrap_or_else(PoisonError::into_inner).push(out),
+            Ok(part) => parts.lock().unwrap_or_else(PoisonError::into_inner).push(part),
             Err(p) => {
                 // A dead worker's open subtrees would wedge its peers'
                 // steal spins; the stop flag drains everyone first, then
                 // the caller rethrows below.
-                caps.raise_stop();
-                let mut slot = panicked.lock().unwrap_or_else(PoisonError::into_inner);
-                if slot.is_none() {
-                    *slot = Some(p);
+                shared.caps.raise_stop();
+                let mut first = panicked.lock().unwrap_or_else(PoisonError::into_inner);
+                if first.is_none() {
+                    *first = Some(p);
                 }
             }
         }
     });
-    release_helpers(&config, granted);
+    if let Some(budget) = config.pool_tokens {
+        budget.release(granted);
+    }
     if let Some(p) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(p);
     }
-    merge_steal(outs.into_inner().unwrap_or_else(PoisonError::into_inner), &caps, &config, order, start)
-}
-
-/// The deterministic slice-sequential fallback: the PR-4 morsel
-/// decomposition executed on the calling thread with one context and the
-/// exact serial cap semantics. Byte-identical to the serial
-/// CandidateSpace engine under **every** configuration (caps and budgets
-/// included) — the property that proves the slice decomposition itself
-/// loses nothing; `tests/oracle.rs` checks it.
-pub fn enumerate_in_space_sliced(q: &Graph, cs: &CandidateSpace, order: &[VertexId], config: EnumConfig) -> EnumResult {
-    let start = Instant::now();
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    if cs.any_empty() {
-        return EnumResult::empty(start.elapsed());
-    }
-    let root_len = cs.cand_len(order[0]);
-    let num_slices = root_len.clamp(1, config.threads.max(1) * MORSELS_PER_WORKER);
-    space_slices_serial(q, cs, order, config, start, num_slices)
-}
-
-/// Single-context slice loop: replicates the serial engine's depth-0
-/// iteration (root call counted once, then ascending root positions)
-/// through the slice iterator.
-fn space_slices_serial(
-    q: &Graph,
-    cs: &CandidateSpace,
-    order: &[VertexId],
-    config: EnumConfig,
-    start: Instant,
-    num_slices: usize,
-) -> EnumResult {
-    // Same engine-entry check as the steal path: zero work on a
-    // pre-expired deadline (serial and parallel must agree on this).
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let root = order[0];
-    let root_len = cs.cand_len(root);
-    let mut ctx = new_space_ctx(q, cs, order, config, start, None);
-    // The serial depth-0 call: counts one enumeration and applies the
-    // budget/deadline checks before fanning out.
-    ctx.enumerations += 1;
-    if ctx.enumerations >= config.max_enumerations {
-        ctx.budget_hit = true;
-    } else {
-        'slices: for si in 0..num_slices {
-            let (lo, hi) = slice_bounds(root_len, num_slices, si);
-            for pos in lo..hi {
-                if try_extend(&mut ctx, 0, root, pos as u32) {
-                    break 'slices;
-                }
-            }
-        }
-    }
-    EnumResult {
-        match_count: ctx.match_count,
-        enumerations: ctx.enumerations,
-        elapsed: start.elapsed(),
-        timed_out: ctx.deadline_hit,
-        budget_exhausted: ctx.budget_hit,
-        cancelled: ctx.cancel_hit,
-        matches: ctx.matches,
-    }
-}
-
-/// Contiguous, disjoint, covering decomposition of `0..len` into
-/// `count` near-equal slices (the first `len % count` get one extra).
-fn slice_bounds(len: usize, count: usize, i: usize) -> (usize, usize) {
-    let base = len / count;
-    let extra = len % count;
-    let lo = i * base + i.min(extra);
-    let hi = lo + base + usize::from(i < extra);
-    (lo, hi)
-}
-
-// ---------------------------------------------------------------------------
-// Probe engine
-// ---------------------------------------------------------------------------
-
-/// Parallel probe enumeration. `backward` are the per-position backward
-/// neighbour sets of `order` (the root's is empty by construction), as
-/// computed by either `enumerate_probe` or the prepared
-/// [`QueryAdjBits`][crate::QueryAdjBits] path.
-pub(crate) fn enumerate_probe_parallel_from(
-    g: &Graph,
-    cand: &Candidates,
-    order: &[VertexId],
-    backward: Vec<Vec<VertexId>>,
-    config: EnumConfig,
-    start: Instant,
-) -> EnumResult {
-    // Engine entry check, mirroring the CandidateSpace path: the backward
-    // set derivation between the public check and this dispatch takes
-    // time too.
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let threads = config.threads.max(1);
-    let root_cands = cand.of(order[0]);
-    let root_len = root_cands.len();
-    if threads == 1 || root_len == 0 {
-        let slices = root_len.clamp(1, threads * MORSELS_PER_WORKER);
-        return probe_slices_serial(g, cand, order, backward, config, start, slices);
-    }
-    if config.max_enumerations <= 1 {
-        return EnumResult { enumerations: 1, budget_exhausted: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let granted = grant_helpers(&config, threads);
-    if granted == 0 {
-        let slices = root_len.clamp(1, threads * MORSELS_PER_WORKER);
-        return probe_slices_serial(g, cand, order, backward, config, start, slices);
-    }
-
-    let caps = SharedCaps::new(&config);
-    let shared = StealShared::new(granted + 1);
-    shared.donate(0, Task { depth: 0, path: Vec::new(), slots: root_cands.to_vec() });
-    let outs: Mutex<Vec<StealOut>> = Mutex::new(Vec::new());
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    let backward = &backward;
-    scheduler::run_on_pool(granted, |slot| {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            let _gauge = gauge_enter();
-            let mut ctx = new_probe_ctx(g, cand, order, backward.clone(), config, start, Some(&caps));
-            ctx.steal = Some((&shared, slot));
-            let mut rng = (slot as u32).wrapping_mul(0x9E37_79B9) | 1;
-            loop {
-                if caps.should_stop() {
-                    break;
-                }
-                // Same stall surface as the candidate-space steal loop.
-                if let Some(f) = rlqvo_fault::failpoint!("enum.morsel.stall") {
-                    f.sleep();
-                }
-                let Some(task) = shared.next_task(slot, &caps, &mut rng) else {
-                    break;
-                };
-                let stop = run_probe_task(&mut ctx, task);
-                shared.finish_task();
-                if stop {
-                    break;
-                }
-            }
-            StealOut {
-                enumerations: ctx.enumerations,
-                match_count: ctx.match_count,
-                matches: std::mem::take(&mut ctx.matches),
-                deadline_hit: ctx.deadline_hit,
-                budget_hit: ctx.budget_hit,
-                cancel_hit: ctx.cancel_hit,
-            }
-        }));
-        match r {
-            Ok(out) => outs.lock().unwrap_or_else(PoisonError::into_inner).push(out),
-            Err(p) => {
-                caps.raise_stop();
-                let mut slot = panicked.lock().unwrap_or_else(PoisonError::into_inner);
-                if slot.is_none() {
-                    *slot = Some(p);
-                }
-            }
-        }
-    });
-    release_helpers(&config, granted);
-    if let Some(p) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        resume_unwind(p);
-    }
-    merge_steal(outs.into_inner().unwrap_or_else(PoisonError::into_inner), &caps, &config, order, start)
-}
-
-/// Probe-engine face of the deterministic slice-sequential fallback.
-fn probe_slices_serial(
-    g: &Graph,
-    cand: &Candidates,
-    order: &[VertexId],
-    backward: Vec<Vec<VertexId>>,
-    config: EnumConfig,
-    start: Instant,
-    num_slices: usize,
-) -> EnumResult {
-    if config.cancel_requested() {
-        return EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) };
-    }
-    let root_cands = cand.of(order[0]);
-    let root_len = root_cands.len();
-    let mut ctx = new_probe_ctx(g, cand, order, backward, config, start, None);
-    ctx.enumerations += 1;
-    if ctx.enumerations >= config.max_enumerations {
-        ctx.budget_hit = true;
-    } else {
-        'slices: for si in 0..num_slices {
-            let (lo, hi) = slice_bounds(root_len, num_slices, si);
-            for &v in &root_cands[lo..hi] {
-                if probe_try_root(&mut ctx, v) {
-                    break 'slices;
-                }
-            }
-        }
-    }
-    EnumResult {
-        match_count: ctx.match_count,
-        enumerations: ctx.enumerations,
-        elapsed: start.elapsed(),
-        timed_out: ctx.deadline_hit,
-        budget_exhausted: ctx.budget_hit,
-        cancelled: ctx.cancel_hit,
-        matches: ctx.matches,
-    }
+    merge(parts.into_inner().unwrap_or_else(PoisonError::into_inner), &shared.caps, &config, order, start)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn slice_bounds_are_disjoint_and_covering() {
-        for len in [0usize, 1, 2, 7, 64, 1000] {
-            for count in [1usize, 2, 3, 8, 17] {
-                let count = count.min(len.max(1));
-                let mut next = 0;
-                for i in 0..count {
-                    let (lo, hi) = slice_bounds(len, count, i);
-                    assert_eq!(lo, next, "len {len} count {count} slice {i}");
-                    assert!(hi >= lo);
-                    next = hi;
-                }
-                assert_eq!(next, len, "slices must cover 0..{len} with {count} parts");
-            }
-        }
-    }
 
     #[test]
     fn shared_caps_budget_has_at_least_semantics() {
@@ -847,7 +546,7 @@ mod tests {
 
     #[test]
     fn steal_shared_owner_pops_newest_thief_takes_oldest() {
-        let s = StealShared::new(2);
+        let s = StealShared::new(2, &EnumConfig::find_all());
         for depth in 0..3usize {
             s.donate(0, Task { depth, path: vec![0; depth], slots: vec![1, 2, 3] });
         }
@@ -866,7 +565,7 @@ mod tests {
 
     #[test]
     fn steal_shared_room_check_respects_the_cap() {
-        let s = StealShared::new(1);
+        let s = StealShared::new(1, &EnumConfig::find_all());
         for _ in 0..DEQUE_CAP {
             assert!(s.has_room(0));
             s.donate(0, Task { depth: 0, path: Vec::new(), slots: vec![0] });
@@ -876,12 +575,13 @@ mod tests {
         assert!(s.has_room(0), "room returns as the deque drains");
     }
 
-    /// Regression: the engine entries themselves must reject a deadline
-    /// that expired *after* the public entry check (e.g. during the
-    /// candidate-space build) — previously each worker burned up to a
-    /// full cadence window of recursion before noticing.
+    /// Regression: the driver itself must reject a deadline that expired
+    /// *after* the public entry check (e.g. during the candidate-space
+    /// build) — previously each worker burned up to a full cadence window
+    /// of recursion before noticing.
     #[test]
     fn engine_entries_reject_pre_expired_deadlines() {
+        use crate::enumerate::{probe_from, space_from};
         use crate::filter::{CandidateFilter, LdfFilter};
         use rlqvo_graph::GraphBuilder;
         let mut qb = GraphBuilder::new(3);
@@ -899,28 +599,18 @@ mod tests {
         }
         let g = gb.build();
         let cand = LdfFilter.filter(&q, &g);
-        let cs = CandidateSpace::build(&q, &g, &cand);
+        let cs = crate::CandidateSpace::build(&q, &g, &cand);
         let order: Vec<VertexId> = vec![0, 1, 2];
-        let backward: Vec<Vec<VertexId>> = order
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| order[..i].iter().copied().filter(|&p| q.has_edge(p, u)).collect())
-            .collect();
+        let backward = crate::QueryAdjBits::build(&q).backward_sets(&order);
         for threads in [1usize, 4] {
             let cfg = EnumConfig::find_all().with_threads(threads).with_deadline(Instant::now());
-            let res = enumerate_in_space_parallel_from(&q, &cs, &order, cfg, Instant::now());
+            let res = space_from(&q, &cs, &order, cfg, Instant::now());
             assert!(res.cancelled, "space engine, {threads} threads");
             assert_eq!(res.enumerations, 0, "space engine must do zero work, {threads} threads");
-            let res = enumerate_probe_parallel_from(&g, &cand, &order, backward.clone(), cfg, Instant::now());
+            let res = probe_from(&g, &cand, &order, &backward, cfg, Instant::now());
             assert!(res.cancelled, "probe engine, {threads} threads");
             assert_eq!(res.enumerations, 0, "probe engine must do zero work, {threads} threads");
         }
-        // The slice-sequential faces carry the same contract.
-        let cfg = EnumConfig::find_all().with_deadline(Instant::now());
-        let res = space_slices_serial(&q, &cs, &order, cfg, Instant::now(), 2);
-        assert!(res.cancelled && res.enumerations == 0, "sliced space engine");
-        let res = probe_slices_serial(&g, &cand, &order, backward, cfg, Instant::now(), 2);
-        assert!(res.cancelled && res.enumerations == 0, "sliced probe engine");
     }
 
     #[test]

@@ -77,34 +77,6 @@ pub fn run_pipeline(q: &Graph, g: &Graph, pipeline: &Pipeline<'_>) -> PipelineRe
     PipelineResult { filter_time, order_time, enum_time, candidate_total: cand.total(), order, enum_result }
 }
 
-/// Convenience: filter once, reuse candidates across several orderings
-/// (Fig. 5/6 compare orderings on identical candidate sets). The
-/// CandidateSpace engine still rebuilds its auxiliary structure per call
-/// here — when comparing several orders, prebuild once and use
-/// [`run_with_space`] instead.
-pub fn run_with_candidates(
-    q: &Graph,
-    g: &Graph,
-    cand: &Candidates,
-    ordering: &dyn OrderingMethod,
-    config: EnumConfig,
-) -> PipelineResult {
-    let t1 = Instant::now();
-    let order = ordering.order(q, g, cand);
-    let order_time = t1.elapsed();
-    let t2 = Instant::now();
-    let enum_result = enumerate(q, g, cand, &order, config);
-    let enum_time = t2.elapsed();
-    PipelineResult {
-        filter_time: Duration::ZERO,
-        order_time,
-        enum_time,
-        candidate_total: cand.total(),
-        order,
-        enum_result,
-    }
-}
-
 /// The build-once/enumerate-many entry point: phases 2 and 3 against a
 /// `CandidateSpace` prebuilt from exactly `(q, g, cand)`. Never triggers a
 /// [`CandidateSpace::build`] of its own, so a harness comparing N orders
@@ -302,16 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_candidates_reuses_sets() {
-        let (q, g) = small_case();
-        let cand = crate::filter::CandidateFilter::filter(&LdfFilter, &q, &g);
-        let a = run_with_candidates(&q, &g, &cand, &RiOrdering, EnumConfig::find_all());
-        let b = run_with_candidates(&q, &g, &cand, &GqlOrdering, EnumConfig::find_all());
-        assert_eq!(a.enum_result.match_count, b.enum_result.match_count);
-        assert_eq!(a.filter_time, Duration::ZERO);
-    }
-
-    #[test]
     fn run_with_space_agrees_with_per_call_builds() {
         let (q, g) = small_case();
         let cand = crate::filter::CandidateFilter::filter(&LdfFilter, &q, &g);
@@ -320,10 +282,11 @@ mod tests {
             vec![Box::new(RiOrdering), Box::new(QsiOrdering), Box::new(Vf2ppOrdering), Box::new(GqlOrdering)];
         for o in &orderings {
             let shared = run_with_space(&q, &g, &cand, &space, o.as_ref(), EnumConfig::find_all());
-            let rebuilt = run_with_candidates(&q, &g, &cand, o.as_ref(), EnumConfig::find_all());
-            assert_eq!(shared.enum_result.match_count, rebuilt.enum_result.match_count, "{}", o.name());
-            assert_eq!(shared.enum_result.enumerations, rebuilt.enum_result.enumerations, "{}", o.name());
-            assert_eq!(shared.order, rebuilt.order, "{}", o.name());
+            let order = o.order(&q, &g, &cand);
+            let rebuilt = enumerate(&q, &g, &cand, &order, EnumConfig::find_all());
+            assert_eq!(shared.enum_result.match_count, rebuilt.match_count, "{}", o.name());
+            assert_eq!(shared.enum_result.enumerations, rebuilt.enumerations, "{}", o.name());
+            assert_eq!(shared.order, order, "{}", o.name());
             assert_eq!(shared.filter_time, Duration::ZERO);
         }
     }

@@ -9,7 +9,7 @@ use rlqvo_matching::order::{
 };
 use rlqvo_matching::{
     enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared, run_with_entry, CandidateFilter,
-    CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, QueryAdjBits, SpaceCache,
+    CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, QueryAdjBits, SpaceCache, TokenBudget,
 };
 
 /// Random connected-ish labeled graph.
@@ -380,37 +380,50 @@ proptest! {
         }
     }
 
-    /// The deterministic slice-sequential fallback is byte-identical to
-    /// the serial engine under *every* configuration — caps and budgets
-    /// included, where the truncation point must land on exactly the same
-    /// recursion step. This isolates the morsel decomposition from the
-    /// worker pool: if slicing lost or reordered anything, it would show
-    /// here first.
+    /// A token-starved parallel request — `threads > 1` against a budget
+    /// whose tokens are all held — is the serial run: byte-identical to
+    /// `threads = 1` under *every* configuration, caps and budgets
+    /// included (where the truncation point must land on exactly the same
+    /// recursion step), for both engines. It also leaves the budget as it
+    /// found it: once the held tokens are released, all of them can be
+    /// acquired again.
     #[test]
-    fn sliced_serial_is_exactly_the_serial_engine(
+    fn token_starved_parallel_is_exactly_the_serial_engine(
         g in arb_graph(9, 3),
         seed in 0u64..500,
         cap in 1u64..40,
-        threads in 1usize..5,
+        threads in 2usize..5,
     ) {
         let Some(q) = query_of(&g, seed, 4) else { return Ok(()) };
         let cand = NlfFilter.filter(&q, &g);
-        let cs = CandidateSpace::build(&q, &g, &cand);
+        let total = 3;
+        let budget = TokenBudget::leaked(total);
+        prop_assert_eq!(budget.try_acquire(total), total);
         for o in all_orderings() {
             let order = o.order(&q, &g, &cand);
-            let mut find_all = EnumConfig::find_all().with_threads(threads);
+            let mut find_all = EnumConfig::find_all();
             find_all.store_matches = true;
             let capped = EnumConfig { max_matches: cap, ..find_all };
             let budgeted = EnumConfig { max_enumerations: 4 * cap, ..find_all };
-            for cfg in [find_all, capped, budgeted] {
-                let serial = enumerate_in_space(&q, &cs, &order, cfg.with_threads(1));
-                let sliced = rlqvo_matching::enumerate_in_space_sliced(&q, &cs, &order, cfg);
-                prop_assert_eq!(sliced.match_count, serial.match_count, "ordering {}", o.name());
-                prop_assert_eq!(sliced.enumerations, serial.enumerations, "ordering {}", o.name());
-                prop_assert_eq!(sliced.budget_exhausted, serial.budget_exhausted, "ordering {}", o.name());
-                prop_assert_eq!(&sliced.matches, &serial.matches, "ordering {}", o.name());
+            for engine in [EnumEngine::CandidateSpace, EnumEngine::Probe] {
+                for cfg in [find_all, capped, budgeted] {
+                    let cfg = cfg.with_engine(engine);
+                    let serial = enumerate(&q, &g, &cand, &order, cfg.with_threads(1));
+                    let starved_cfg = cfg.with_threads(threads).with_pool_tokens(budget);
+                    let starved = enumerate(&q, &g, &cand, &order, starved_cfg);
+                    prop_assert_eq!(starved.match_count, serial.match_count, "{} ordering {}", engine.name(), o.name());
+                    prop_assert_eq!(starved.enumerations, serial.enumerations, "{} ordering {}", engine.name(), o.name());
+                    prop_assert_eq!(
+                        starved.budget_exhausted, serial.budget_exhausted,
+                        "{} ordering {}", engine.name(), o.name()
+                    );
+                    prop_assert_eq!(&starved.matches, &serial.matches, "{} ordering {}", engine.name(), o.name());
+                }
             }
         }
+        prop_assert_eq!(budget.try_acquire(1), 0, "a starved run must not mint tokens");
+        budget.release(total);
+        prop_assert_eq!(budget.try_acquire(total), total, "a starved run must not leak tokens");
     }
 
     /// Under a binding match cap the parallel engines still report the

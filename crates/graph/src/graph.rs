@@ -1,6 +1,7 @@
 //! The immutable CSR graph.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Dense vertex identifier. Kept at 32 bits: the largest paper dataset
 /// (Youtube) has 1.1 M vertices, and halving index width keeps adjacency
@@ -14,6 +15,12 @@ pub type VertexId = u32;
 /// * each adjacency slice `neighbors[offsets[v]..offsets[v+1]]` is strictly
 ///   sorted (no self-loops, no parallel edges);
 /// * the edge relation is symmetric: `u ∈ N(v) ⇔ v ∈ N(u)`.
+///
+/// Besides the CSR arrays a graph may hold one derived structure, the
+/// neighbour-label table behind [`Graph::neighbor_label_counts`]. It is
+/// built on first use, so a graph that is never asked (query graphs,
+/// induced training subgraphs, LDF-only runs) never pays for it, and it
+/// is not part of [`Graph::storage_bytes`].
 #[derive(Clone, Debug)]
 pub struct Graph {
     offsets: Vec<u32>,
@@ -28,6 +35,10 @@ pub struct Graph {
     /// vertices have degree > d" queries (feature h⁽⁰⁾(4) of the paper).
     sorted_degrees: Vec<u32>,
     max_degree: u32,
+    /// Row-major `|V| × |L|` saturating neighbour-label counts, or `None`
+    /// inside the cell when the size rule of
+    /// [`Graph::neighbor_label_counts`] says not to build it.
+    nlf_table: OnceLock<Option<Box<[u8]>>>,
 }
 
 impl Graph {
@@ -44,7 +55,8 @@ impl Graph {
         let mut sorted_degrees: Vec<u32> = (0..n).map(|v| offsets[v + 1] - offsets[v]).collect();
         sorted_degrees.sort_unstable();
         let max_degree = sorted_degrees.last().copied().unwrap_or(0);
-        let g = Graph { offsets, neighbors, labels, num_labels, label_index, sorted_degrees, max_degree };
+        let nlf_table = OnceLock::new();
+        let g = Graph { offsets, neighbors, labels, num_labels, label_index, sorted_degrees, max_degree, nlf_table };
         debug_assert!(g.check_invariants());
         g
     }
@@ -196,6 +208,42 @@ impl Graph {
         nlf
     }
 
+    /// `v`'s row of the neighbour-label table: `row[l]` is
+    /// `min(255, neighbor_label_frequency(v)[l])`, so `row[l] >= need`
+    /// answers "does `v` have at least `need` neighbours labeled `l`"
+    /// exactly for every `need <= 254`; a saturated 255 only says "at
+    /// least 255". The table depends on the graph alone — NLF filtering
+    /// used to re-count the same data vertices' neighbour labels for every
+    /// query vertex of every query — and is built once, by the first call,
+    /// in one pass over the adjacency array.
+    ///
+    /// It costs `|V|·|L|` bytes. When that exceeds twice
+    /// [`Graph::storage_bytes`] (a label universe much wider than the
+    /// average degree) no table is built and every call returns `None`;
+    /// callers then count `N(v)` themselves.
+    pub fn neighbor_label_counts(&self, v: VertexId) -> Option<&[u8]> {
+        let table = self.nlf_table.get_or_init(|| self.build_nlf_table());
+        let labels = self.num_labels as usize;
+        table.as_deref().map(|t| &t[v as usize * labels..(v as usize + 1) * labels])
+    }
+
+    fn build_nlf_table(&self) -> Option<Box<[u8]>> {
+        let labels = self.num_labels as usize;
+        let bytes = self.num_vertices().checked_mul(labels)?;
+        if bytes > 2 * self.storage_bytes() {
+            return None;
+        }
+        let mut table = vec![0u8; bytes].into_boxed_slice();
+        // (`max(1)`: a zero chunk size panics; the table is empty then.)
+        for (v, row) in table.chunks_exact_mut(labels.max(1)).enumerate() {
+            for &w in self.neighbors(v as VertexId) {
+                let count = &mut row[self.label(w) as usize];
+                *count = count.saturating_add(1);
+            }
+        }
+        Some(table)
+    }
+
     /// True if the graph is connected (trivially true for `n <= 1`).
     pub fn is_connected(&self) -> bool {
         let n = self.num_vertices();
@@ -219,6 +267,9 @@ impl Graph {
     }
 
     /// Bytes needed to store the CSR arrays (paper Table IV "Graph Space").
+    /// Excludes the lazily built neighbour-label table
+    /// ([`Graph::neighbor_label_counts`]), which adds `|V|·|L|` bytes once
+    /// a filter has asked for it.
     pub fn storage_bytes(&self) -> usize {
         self.offsets.len() * 4 + self.neighbors.len() * 4 + self.labels.len() * 4
     }

@@ -70,6 +70,19 @@ proptest! {
     }
 
     #[test]
+    fn neighbor_label_table_is_the_saturated_frequency(g in arb_graph(24)) {
+        for v in g.vertices() {
+            // 4 labels: |V|·|L| bytes is always under twice the CSR size.
+            let row = g.neighbor_label_counts(v).expect("table is built");
+            let nlf = g.neighbor_label_frequency(v);
+            prop_assert_eq!(row.len(), nlf.len());
+            for (l, &n) in nlf.iter().enumerate() {
+                prop_assert_eq!(row[l] as u32, n.min(255));
+            }
+        }
+    }
+
+    #[test]
     fn io_round_trip(g in arb_graph(24)) {
         let mut buf = Vec::new();
         rlqvo_graph::io::write_graph(&g, &mut buf).unwrap();
@@ -110,4 +123,46 @@ proptest! {
             }
         }
     }
+}
+
+/// One hub with 300 neighbours of label 1 and 7 of label 2: the first count
+/// saturates at 255, everything else is exact, and clones carry the table.
+#[test]
+fn neighbor_label_table_saturates_at_255() {
+    let mut b = GraphBuilder::new(3);
+    let hub = b.add_vertex(0);
+    for i in 0..307u32 {
+        let leaf = b.add_vertex(if i < 300 { 1 } else { 2 });
+        b.add_edge(hub, leaf);
+    }
+    let g = b.build();
+    assert_eq!(g.neighbor_label_frequency(hub), vec![0, 300, 7]);
+    for v in g.vertices() {
+        let row = g.neighbor_label_counts(v).expect("table is built");
+        let nlf = g.neighbor_label_frequency(v);
+        assert!(row.iter().zip(&nlf).all(|(&c, &n)| c as u32 == n.min(255)), "vertex {v}: {row:?} vs {nlf:?}");
+    }
+    assert_eq!(g.clone().neighbor_label_counts(hub), Some(&[0u8, 255, 7][..]));
+}
+
+/// `|V|·|L|` bytes over twice the CSR size: no table, for any vertex; one
+/// label fewer and it is built.
+#[test]
+fn neighbor_label_table_is_skipped_for_wide_label_universes() {
+    let path = |num_labels: u32| {
+        let mut b = GraphBuilder::new(num_labels);
+        for _ in 0..10 {
+            b.add_vertex(0);
+        }
+        for v in 0..9u32 {
+            b.add_edge(v, v + 1);
+        }
+        b.build()
+    };
+    let limit = (2 * path(1).storage_bytes() / 10) as u32;
+    let narrow = path(limit);
+    assert!(narrow.vertices().all(|v| narrow.neighbor_label_counts(v).is_some()));
+    let wide = path(limit + 1);
+    assert!(wide.vertices().all(|v| wide.neighbor_label_counts(v).is_none()));
+    assert_eq!(wide.neighbor_label_frequency(1)[0], 2, "the counting path is unaffected");
 }

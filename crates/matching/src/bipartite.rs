@@ -1,12 +1,18 @@
-//! Maximum bipartite matching via augmenting paths (Kuhn's algorithm).
-//!
-//! Used by GraphQL's global refinement: a data vertex `v` survives in
-//! `C(u)` only if the bipartite graph between `N(u)` and `N(v)` (edge when
-//! `v' ∈ C(u')`) has a matching saturating `N(u)` — the paper's
+//! Bipartite matching for GraphQL's global refinement: a data vertex `v`
+//! survives in `C(u)` only if the bipartite graph between `N(u)` and `N(v)`
+//! (edge when `v' ∈ C(u')`) has a matching saturating `N(u)` — the paper's
 //! "semi-perfect matching" check (§II-C).
 //!
-//! Sizes here are tiny (left side = a query vertex's degree), so Kuhn's
-//! O(V·E) beats the constant factors of Hopcroft–Karp.
+//! The filter runs that check once per (query vertex, candidate) pair per
+//! round through [`MaskMatcher`]: the left side is a set of bits, every
+//! right vertex is the bitmask of the lefts it can serve, and nearly all
+//! checks are decided while the rights stream by (a greedy matching
+//! completes, or some left was never seen). Only the rest runs
+//! augmenting paths (Kuhn's algorithm, driven from the free rights).
+//!
+//! [`max_bipartite_matching`] / [`has_left_saturating_matching`] are the
+//! plain adjacency-list version, kept as the oracle the mask kernel and
+//! `GqlFilter::filter_reference` are tested against.
 
 /// Maximum matching size in a bipartite graph given as adjacency lists of
 /// the left side (`adj[i]` = right vertices adjacent to left vertex `i`).
@@ -32,79 +38,125 @@ pub fn has_left_saturating_matching(adj: &[Vec<usize>], right_count: usize) -> b
     max_bipartite_matching(adj, right_count) == adj.len()
 }
 
-/// Reusable augmenting-path matcher over a flat CSR bipartite adjacency
-/// (left vertex `i`'s right-neighbours are `adj[offsets[i]..offsets[i+1]]`).
-///
-/// GraphQL's global refinement runs one saturating-matching query per
-/// (query vertex, candidate) pair — tens of thousands per filter call on
-/// realistic inputs — so the matcher state (`match_right`, stamped
-/// `visited`) lives here and is cleared, never reallocated, between
-/// queries. This is the Hopcroft–Karp-style scratch reuse the per-call
-/// `Vec<Option<usize>>` allocations of [`max_bipartite_matching`] pay for
-/// on every invocation.
+/// Reusable left-saturation check over bitmask rows. The left side is the
+/// set bits of `need` (`need.len()` words; any width, one code path); right
+/// vertex `r` is row `r` of a caller-owned table `rows` of the same width,
+/// whose bit `l` says `r` is adjacent to left `l`. The scratch is cleared,
+/// never reallocated, between checks, and may be reused across widths.
 #[derive(Clone, Debug, Default)]
-pub struct MatchingScratch {
-    /// Right vertex → matched left vertex (`u32::MAX` = free).
-    match_right: Vec<u32>,
-    /// Stamped visited marks: `visited[r] == stamp` ⇔ seen this phase.
-    visited: Vec<u32>,
-    stamp: u32,
+pub(crate) struct MaskMatcher {
+    /// `held[l]` is the right serving left `l`; meaningful only where
+    /// `matched` has bit `l`.
+    held: Vec<u32>,
+    /// Rights the greedy pass left without a left, in scan order.
+    spares: Vec<u32>,
+    /// `matched | seen | visited`, `need.len()` words each.
+    marks: Vec<u64>,
 }
 
-const FREE: u32 = u32::MAX;
-
-impl MatchingScratch {
-    /// True when a matching saturating the whole left side exists.
-    /// `offsets.len()` must be `left_count + 1`; entries of `adj` index
-    /// the right side (`0..right_count`).
-    pub fn has_left_saturating_matching(&mut self, offsets: &[u32], adj: &[u32], right_count: usize) -> bool {
-        debug_assert!(!offsets.is_empty());
-        let left_count = offsets.len() - 1;
-        // Hall-style quick reject: any isolated left vertex kills saturation.
-        for w in offsets.windows(2) {
-            if w[0] == w[1] {
-                return false;
-            }
+impl MaskMatcher {
+    /// True when the rights listed in `rights` can be matched onto every
+    /// set bit of `need`. Row bits outside `need` are ignored.
+    pub(crate) fn saturates(&mut self, need: &[u64], rows: &[u64], rights: &[u32]) -> bool {
+        let w = need.len();
+        if self.held.len() < 64 * w {
+            self.held.resize(64 * w, 0);
         }
-        if left_count > right_count {
-            return false; // pigeonhole
+        self.spares.clear();
+        // One kernel for every width. The one-word case (queries of up to
+        // 64 vertices: every query set of the paper) is instantiated with
+        // the width as a constant and its marks on the stack, so its word
+        // loops fold away and the marks stay in registers.
+        if w == 1 {
+            saturates_in(need, rows, rights, &mut self.held, &mut self.spares, &mut [0; 3], 1)
+        } else {
+            self.marks.clear();
+            self.marks.resize(3 * w, 0);
+            saturates_in(need, rows, rights, &mut self.held, &mut self.spares, &mut self.marks, w)
         }
-        self.match_right.clear();
-        self.match_right.resize(right_count, FREE);
-        if self.visited.len() < right_count {
-            self.visited.resize(right_count, 0);
-        }
-        for left in 0..left_count {
-            // One stamp per augmentation phase. Stamps live in
-            // `1..u32::MAX`: 0 is the never-stamped fill value and
-            // `u32::MAX` is never issued, so the wrap reset can never
-            // collide with a later stamp.
-            if self.stamp >= u32::MAX - 1 {
-                self.visited.fill(0);
-                self.stamp = 0;
-            }
-            self.stamp += 1;
-            if !self.augment(left as u32, offsets, adj) {
-                return false;
-            }
-        }
-        true
     }
+}
 
-    fn augment(&mut self, left: u32, offsets: &[u32], adj: &[u32]) -> bool {
-        for &r in &adj[offsets[left as usize] as usize..offsets[left as usize + 1] as usize] {
-            if self.visited[r as usize] == self.stamp {
-                continue;
+#[inline(always)]
+fn saturates_in(
+    need: &[u64],
+    rows: &[u64],
+    rights: &[u32],
+    held: &mut [u32],
+    spares: &mut Vec<u32>,
+    marks: &mut [u64],
+    w: usize,
+) -> bool {
+    let need = &need[..w];
+    let (matched, rest) = marks.split_at_mut(w);
+    let (seen, visited) = rest.split_at_mut(w);
+    if matched == need {
+        return true;
+    }
+    // One pass: every right hands itself to the lowest left it can
+    // serve that has none yet — a valid partial matching at each step.
+    for &r in rights {
+        let row = &rows[r as usize * w..][..w];
+        let (mut given, mut any) = (false, 0u64);
+        for i in 0..w {
+            let m = row[i] & need[i];
+            seen[i] |= m;
+            any |= m;
+            let free = m & !matched[i];
+            if !given && free != 0 {
+                given = true;
+                matched[i] |= free & free.wrapping_neg();
+                held[i * 64 + free.trailing_zeros() as usize] = r;
             }
-            self.visited[r as usize] = self.stamp;
-            let other = self.match_right[r as usize];
-            if other == FREE || self.augment(other, offsets, adj) {
-                self.match_right[r as usize] = left;
+        }
+        if given {
+            if matched == need {
+                return true;
+            }
+        } else if any != 0 {
+            spares.push(r);
+        }
+    }
+    // Hall-style reject: some left has no right at all.
+    if seen != need {
+        return false;
+    }
+    // Kuhn's algorithm from each spare in turn. `visited` survives a
+    // failed search (a left no path got through stays a dead end until
+    // the matching changes) and is cleared after a successful one, so
+    // no mark outlives the matching it was made under.
+    for &r in spares.iter() {
+        if augment(need, rows, held, matched, visited, r) {
+            if matched == need {
+                return true;
+            }
+            visited.fill(0);
+        }
+    }
+    false
+}
+
+/// Tries to serve one more left from right `r`, re-routing the rights of
+/// already served lefts along the way.
+fn augment(need: &[u64], rows: &[u64], held: &mut [u32], matched: &mut [u64], visited: &mut [u64], r: u32) -> bool {
+    let w = need.len();
+    for i in 0..w {
+        loop {
+            let open = rows[r as usize * w + i] & need[i] & !visited[i];
+            if open == 0 {
+                break;
+            }
+            let bit = open & open.wrapping_neg();
+            let left = i * 64 + open.trailing_zeros() as usize;
+            visited[i] |= bit;
+            if matched[i] & bit == 0 || augment(need, rows, held, matched, visited, held[left]) {
+                matched[i] |= bit;
+                held[left] = r;
                 return true;
             }
         }
-        false
     }
+    false
 }
 
 fn try_kuhn(
@@ -181,16 +233,23 @@ mod tests {
         assert_eq!(max_bipartite_matching(&adj, 4), 4);
     }
 
-    /// Flattens a `Vec<Vec<usize>>` adjacency into the CSR form
-    /// [`MatchingScratch`] consumes.
-    fn to_csr(adj: &[Vec<usize>]) -> (Vec<u32>, Vec<u32>) {
-        let mut offsets = vec![0u32];
-        let mut flat = Vec::new();
-        for row in adj {
-            flat.extend(row.iter().map(|&r| r as u32));
-            offsets.push(flat.len() as u32);
+    /// Transposes a left-adjacency-list instance into what [`MaskMatcher`]
+    /// consumes: the `need` mask of `words` words and the row table.
+    fn to_masks(adj: &[Vec<usize>], right_count: usize, words: usize) -> (Vec<u64>, Vec<u64>) {
+        let mut need = vec![0u64; words];
+        let mut rows = vec![0u64; right_count * words];
+        for (l, row) in adj.iter().enumerate() {
+            need[l / 64] |= 1 << (l % 64);
+            for &r in row {
+                rows[r * words + l / 64] |= 1 << (l % 64);
+            }
         }
-        (offsets, flat)
+        (need, rows)
+    }
+
+    fn saturates(m: &mut MaskMatcher, adj: &[Vec<usize>], right_count: usize, words: usize) -> bool {
+        let (need, rows) = to_masks(adj, right_count, words);
+        m.saturates(&need, &rows, &(0..right_count as u32).collect::<Vec<_>>())
     }
 
     #[test]
@@ -203,51 +262,64 @@ mod tests {
             (vec![], 5),
             ((0..4).map(|_| (0..4).collect()).collect(), 4),
             (vec![vec![1, 2], vec![0, 2], vec![0, 1], vec![2]], 3),
+            // 70 lefts (two words) on a cycle of 70 rights, then one right short.
+            ((0..70).map(|i| vec![i, (i + 1) % 70]).collect(), 70),
+            ((0..70).map(|i| vec![i % 69, (i + 1) % 69]).collect(), 69),
         ];
-        let mut scratch = MatchingScratch::default();
+        let mut m = MaskMatcher::default();
         for (adj, right) in cases {
-            let (offsets, flat) = to_csr(&adj);
-            assert_eq!(
-                scratch.has_left_saturating_matching(&offsets, &flat, right),
-                has_left_saturating_matching(&adj, right),
-                "{adj:?}"
-            );
+            let words = adj.len().div_ceil(64).max(1);
+            assert_eq!(saturates(&mut m, &adj, right, words), has_left_saturating_matching(&adj, right), "{adj:?}");
         }
+    }
+
+    #[test]
+    fn greedy_dead_end_is_repaired_by_augmentation() {
+        let mut m = MaskMatcher::default();
+        // r0 serves {l0, l1}, r1 serves {l0} only, scanned in that order:
+        // greedy hands l0 to r0 and leaves r1 spare; r1 must take l0 over.
+        assert!(m.saturates(&[0b11], &[0b11, 0b01], &[0, 1]));
+        // The unsaturable twin: without r1 every left has still been seen,
+        // so only the (empty) augmentation phase can say no.
+        assert!(!m.saturates(&[0b11], &[0b11, 0b01], &[0]));
+        // Same pair across a word boundary (l0 = bit 63, l1 = bit 64).
+        let (hi, lo) = (1u64 << 63, 1u64);
+        assert!(m.saturates(&[hi, lo], &[hi, lo, hi, 0], &[0, 1]));
+        assert!(!m.saturates(&[hi, lo], &[hi, lo, hi, 0], &[0]));
     }
 
     #[test]
     fn scratch_matcher_is_reusable_across_differently_sized_queries() {
-        let mut scratch = MatchingScratch::default();
-        // Big then small then big: buffers shrink/grow without stale state.
-        let big: Vec<Vec<usize>> = (0..6).map(|i| vec![i, (i + 1) % 6]).collect();
-        let (bo, bf) = to_csr(&big);
-        assert!(scratch.has_left_saturating_matching(&bo, &bf, 6));
-        let (so, sf) = to_csr(&[vec![0], vec![0]]);
-        assert!(!scratch.has_left_saturating_matching(&so, &sf, 1));
-        assert!(scratch.has_left_saturating_matching(&bo, &bf, 6));
-        // Pigeonhole reject: more lefts than rights.
-        let (po, pf) = to_csr(&[vec![0], vec![0], vec![0]]);
-        assert!(!scratch.has_left_saturating_matching(&po, &pf, 1));
+        let mut m = MaskMatcher::default();
+        // Big (two words, spares left behind) then small then big: `held`
+        // and `spares` of an earlier instance must not be read by a later one.
+        let big: Vec<Vec<usize>> = (0..70).map(|i| vec![i, (i + 1) % 70]).collect();
+        assert!(saturates(&mut m, &big, 70, 2));
+        assert!(!saturates(&mut m, &[vec![0], vec![0]], 1, 1));
+        assert!(saturates(&mut m, &big, 70, 2));
+        // Pigeonhole: more lefts than rights.
+        assert!(!saturates(&mut m, &[vec![0], vec![0], vec![0]], 1, 1));
+        assert!(saturates(&mut m, &[vec![0], vec![0, 1]], 2, 1));
     }
 
     #[test]
-    fn stamp_wrap_reset_cannot_collide_with_later_stamps() {
-        let mut scratch = MatchingScratch::default();
-        let (yes_o, yes_f) = to_csr(&[vec![0], vec![0, 1]]);
-        // Two lefts competing for one of two rights: fails only through a
-        // genuine failed augmentation (not a pre-matching quick reject).
-        let (no_o, no_f) = to_csr(&[vec![0], vec![0]]);
-        assert!(scratch.has_left_saturating_matching(&yes_o, &yes_f, 2));
-        // Park the counter just below the reset threshold and drive
-        // matching queries across it: answers must be stable through the
-        // wrap, and no visited mark from before the reset may leak into a
-        // post-reset phase.
-        scratch.stamp = u32::MAX - 3;
+    fn visited_marks_cannot_leak_across_phases_or_checks() {
+        // The kernel has no stamp counter to wrap: `visited` is a mask,
+        // cleared after every successful augmentation and at the start of
+        // every check, and both clears are load-bearing here. In `yes`
+        // greedy serves l0 and l1 and leaves two spares; the first
+        // augmentation walks l0 → l1 → l2, the second must walk l1 → l0
+        // (dead end) → l2 → l3 through those same marks. `no` ends on a
+        // failed search that leaves l0 marked, right before the next `yes`.
+        let yes = vec![vec![0, 1, 2], vec![0, 1, 3], vec![0, 1], vec![0, 1]];
+        let no = vec![vec![0, 1, 2], vec![0], vec![0]];
+        assert!(has_left_saturating_matching(&yes, 4) && !has_left_saturating_matching(&no, 3));
+        let (yes_need, yes_rows) = to_masks(&yes, 4, 1);
+        assert_eq!(yes_rows, [0b1111, 0b1111, 0b0001, 0b0010]);
+        let mut m = MaskMatcher::default();
         for _ in 0..8 {
-            assert!(scratch.has_left_saturating_matching(&yes_o, &yes_f, 2));
-            assert!(!scratch.has_left_saturating_matching(&no_o, &no_f, 2));
+            assert!(m.saturates(&yes_need, &yes_rows, &[0, 1, 2, 3]));
+            assert!(!saturates(&mut m, &no, 3, 1));
         }
-        assert!(scratch.stamp < u32::MAX - 1, "reset must have fired");
-        assert!(scratch.visited.iter().all(|&v| v < u32::MAX), "no sentinel stamps may remain");
     }
 }

@@ -5,10 +5,19 @@
 //! in `C(u)`. All filters here only remove vertices that provably cannot
 //! appear in any match, so completeness is preserved (property-tested
 //! against the brute-force oracle in `tests/oracle.rs`).
+//!
+//! Filtering is where a cold query spends most of its time, so the two
+//! expensive filters avoid re-deriving what does not depend on the query:
+//! [`NlfFilter`] reads the data graph's once-built neighbour-label table
+//! ([`Graph::neighbor_label_counts`]) instead of re-counting `N(v)` for
+//! every query vertex, and [`GqlFilter`] checks a candidate in one pass
+//! over `N(v)` against per-data-vertex membership masks
+//! ([`crate::bipartite`]). `GqlFilter::filter_reference` is the naive
+//! version both are tested against, sets and bitmap.
 
 use rlqvo_graph::{Graph, VertexId};
 
-use crate::bipartite::{has_left_saturating_matching, MatchingScratch};
+use crate::bipartite::{has_left_saturating_matching, MaskMatcher};
 
 /// Per-query-vertex candidate sets. Each set is sorted ascending (the
 /// enumeration engines rely on that for intersection), and membership is
@@ -175,22 +184,33 @@ impl CandidateFilter for NlfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        // One scratch counting buffer + touched list for the whole filter
-        // run: the dominance check is called once per (query vertex, data
-        // candidate) pair, and a fresh `Vec` per call used to dominate the
-        // filter's profile on label-skewed data graphs.
+        // Scratch for the scan path, shared by the whole run.
         let mut counts = vec![0u32; g.num_labels().max(q.num_labels()) as usize];
         let mut touched: Vec<u32> = Vec::new();
+        let mut demands: Vec<(usize, u32)> = Vec::new();
         let sets = q
             .vertices()
             .map(|u| {
                 let du = q.degree(u);
                 let nlf_u = q.neighbor_label_frequency(u);
-                let required = nlf_u.iter().filter(|&&need| need > 0).count();
+                demands.clear();
+                demands.extend(nlf_u.iter().copied().enumerate().filter(|&(_, need)| need > 0));
+                // A saturated table entry only says "at least 255": such a
+                // demand goes to the scan, as does a graph without a table.
+                let by_table = demands.iter().all(|&(_, need)| need < 255);
                 g.vertices_with_label(q.label(u))
                     .iter()
                     .copied()
-                    .filter(|&v| g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, required, &mut counts, &mut touched))
+                    .filter(|&v| {
+                        g.degree(v) >= du
+                            && match g.neighbor_label_counts(v) {
+                                // A label outside G's universe has no row entry and no bearer.
+                                Some(row) if by_table => {
+                                    demands.iter().all(|&(l, need)| row.get(l).is_some_and(|&c| c as u32 >= need))
+                                }
+                                _ => nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched),
+                            }
+                    })
                     .collect()
             })
             .collect();
@@ -198,13 +218,15 @@ impl CandidateFilter for NlfFilter {
     }
 }
 
-/// True when `v`'s neighbour-label counts dominate the query vector
-/// `nlf_u` (which has `required` non-zero entries). Scans `N(v)` into the
-/// caller's zeroed scratch `counts`, **stopping as soon as every demanded
-/// label has reached its quota** — on dominating candidates (the common
-/// case after the label/degree pre-filter) this touches only a prefix of
-/// the adjacency list. `counts` is re-zeroed through `touched` before
-/// returning, so the caller's buffer stays all-zero without a full clear.
+/// The exact scan [`NlfFilter`] falls back to where the data graph's table
+/// cannot answer. True when `v`'s neighbour-label counts dominate the query
+/// vector `nlf_u` (which has `required` non-zero entries). Scans `N(v)`
+/// into the caller's zeroed scratch `counts`, **stopping as soon as every
+/// demanded label has reached its quota** — on dominating candidates (the
+/// common case after the label/degree pre-filter) this touches only a
+/// prefix of the adjacency list. `counts` is re-zeroed through `touched`
+/// before returning, so the caller's buffer stays all-zero without a full
+/// clear.
 fn nlf_dominates(
     g: &Graph,
     v: VertexId,
@@ -263,20 +285,44 @@ impl CandidateFilter for GqlFilter {
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
         let mut cand = NlfFilter.filter(q, g);
-        let mut scratch = SemiPerfectScratch::new(q.num_labels().max(g.num_labels()) as usize);
+        if self.refinement_rounds == 0 {
+            return cand;
+        }
+        // The round's bipartite instances, as masks over query vertices
+        // (`w` words): `member` row `v` has bit `u` ⇔ `v ∈ C(u)`, `nbr`
+        // row `u` is `N(u)`. The instance for `(u, v)` is then left =
+        // `nbr[u]`, rights = `N(v)` with `member` as the row table — one
+        // load per data neighbour. (`v' ∈ C(u')` already implies equal
+        // labels, so no label routing is needed.)
+        let w = q.num_vertices().div_ceil(64);
+        // (word index, mask) of bit `u` in row `x`.
+        let bit = |x: VertexId, u: VertexId| (x as usize * w + u as usize / 64, 1u64 << (u % 64));
+        let mut member = vec![0u64; g.num_vertices() * w];
+        let mut nbr = vec![0u64; q.num_vertices() * w];
+        for u in q.vertices() {
+            for &v in cand.of(u) {
+                let (word, mask) = bit(v, u);
+                member[word] |= mask;
+            }
+            for &u2 in q.neighbors(u) {
+                let (word, mask) = bit(u, u2);
+                nbr[word] |= mask;
+            }
+        }
+        let mut matcher = MaskMatcher::default();
         // Removals are buffered and applied only at the end of each round
-        // ([`Candidates::shrink`]), so every check within a round sees the
-        // unmodified start-of-round sets — identical semantics to the
-        // retained rebuild reference, without the per-round bitmap and
-        // set-vector reallocation `Candidates::new` pays.
+        // ([`Candidates::shrink`], and the same bits cleared in `member`),
+        // so every check within a round sees the unmodified start-of-round
+        // sets — identical semantics to the retained rebuild reference,
+        // without the per-round bitmap and set-vector reallocation
+        // `Candidates::new` pays.
         let mut doomed: Vec<(VertexId, VertexId)> = Vec::new();
         for _ in 0..self.refinement_rounds {
             doomed.clear();
             for u in q.vertices() {
-                let qu_neighbors = q.neighbors(u);
-                scratch.prepare_query_vertex(q, qu_neighbors);
+                let need = &nbr[u as usize * w..][..w];
                 for &v in cand.of(u) {
-                    if !scratch.semi_perfect_ok(g, &cand, qu_neighbors, v) {
+                    if !matcher.saturates(need, &member, g.neighbors(v)) {
                         doomed.push((u, v));
                     }
                 }
@@ -285,6 +331,10 @@ impl CandidateFilter for GqlFilter {
                 break;
             }
             cand.shrink(&doomed);
+            for &(u, v) in &doomed {
+                let (word, mask) = bit(v, u);
+                member[word] &= !mask;
+            }
         }
         cand
     }
@@ -301,8 +351,8 @@ impl GqlFilter {
     /// each round (fresh `Candidates::new`) with per-candidate
     /// `Vec<Vec<_>>` bipartite reconstruction via
     /// [`semi_perfect_ok_reference`]. Kept solely as the differential
-    /// oracle for the scratch-based, in-place-shrinking fast path
-    /// (`tests/oracle.rs` checks byte-identical surviving sets).
+    /// oracle for the mask-based, in-place-shrinking fast path
+    /// (`tests/oracle.rs` checks byte-identical surviving sets and bitmap).
     #[doc(hidden)]
     pub fn filter_reference(&self, q: &Graph, g: &Graph) -> Candidates {
         let mut cand = NlfFilter.filter(q, g);
@@ -331,113 +381,9 @@ impl GqlFilter {
     }
 }
 
-/// Reusable state for GraphQL's semi-perfect matching check. The left side
-/// of every bipartite instance for a query vertex `u` is the fixed `N(u)`,
-/// so its label grouping is built **once per query vertex** and only the
-/// right side (`N(v)`) varies per candidate; the CSR rows and the
-/// augmenting-path matcher state are flat buffers cleared, not
-/// reallocated, between candidates.
-struct SemiPerfectScratch {
-    /// Label → slice of `group_left` (counting sort of left indices by
-    /// query-neighbour label), rebuilt per query vertex.
-    group_off: Vec<u32>,
-    group_left: Vec<u32>,
-    /// `(left index, right index)` edges found while scanning `N(v)`.
-    pairs: Vec<(u32, u32)>,
-    /// CSR bipartite adjacency assembled from `pairs` by counting sort.
-    row_off: Vec<u32>,
-    row_adj: Vec<u32>,
-    /// Scatter cursor for both counting sorts (reused, never reallocated).
-    cursor: Vec<u32>,
-    matcher: MatchingScratch,
-}
-
-impl SemiPerfectScratch {
-    fn new(num_labels: usize) -> Self {
-        SemiPerfectScratch {
-            group_off: vec![0; num_labels + 1],
-            group_left: Vec::new(),
-            pairs: Vec::new(),
-            row_off: Vec::new(),
-            row_adj: Vec::new(),
-            cursor: Vec::new(),
-            matcher: MatchingScratch::default(),
-        }
-    }
-
-    /// Groups the left side `N(u)` by label (counting sort). Amortized
-    /// over all of `u`'s candidates.
-    fn prepare_query_vertex(&mut self, q: &Graph, qu_neighbors: &[VertexId]) {
-        self.group_off.fill(0);
-        for &uq in qu_neighbors {
-            self.group_off[q.label(uq) as usize + 1] += 1;
-        }
-        for i in 1..self.group_off.len() {
-            self.group_off[i] += self.group_off[i - 1];
-        }
-        self.group_left.clear();
-        self.group_left.resize(qu_neighbors.len(), 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.group_off);
-        for (li, &uq) in qu_neighbors.iter().enumerate() {
-            let l = q.label(uq) as usize;
-            self.group_left[self.cursor[l] as usize] = li as u32;
-            self.cursor[l] += 1;
-        }
-    }
-
-    /// True when the bipartite graph between `N(u)` and `N(v)` has a
-    /// matching saturating `N(u)`. Must be preceded by
-    /// [`SemiPerfectScratch::prepare_query_vertex`] for the same `u`.
-    fn semi_perfect_ok(&mut self, g: &Graph, cand: &Candidates, qu_neighbors: &[VertexId], v: VertexId) -> bool {
-        let gv_neighbors = g.neighbors(v);
-        let left_count = qu_neighbors.len();
-        if left_count > gv_neighbors.len() {
-            return false; // pigeonhole: saturation is impossible
-        }
-        // Scan N(v) once; the label grouping routes each data neighbour to
-        // exactly the left vertices it can serve, so label-mismatched
-        // pairs are never even tested against the candidate bitmaps.
-        self.pairs.clear();
-        for (ri, &vg) in gv_neighbors.iter().enumerate() {
-            let l = g.label(vg) as usize;
-            for &li in &self.group_left[self.group_off[l] as usize..self.group_off[l + 1] as usize] {
-                if cand.contains(qu_neighbors[li as usize], vg) {
-                    self.pairs.push((li, ri as u32));
-                }
-            }
-        }
-        if self.pairs.len() < left_count {
-            return false; // some left vertex has no edge at all
-        }
-        // Counting-sort the edge list into CSR rows.
-        self.row_off.clear();
-        self.row_off.resize(left_count + 1, 0);
-        for &(li, _) in &self.pairs {
-            self.row_off[li as usize + 1] += 1;
-        }
-        for i in 1..self.row_off.len() {
-            // Hall-style quick reject without materializing the rows.
-            if self.row_off[i] == 0 {
-                return false;
-            }
-            self.row_off[i] += self.row_off[i - 1];
-        }
-        self.row_adj.clear();
-        self.row_adj.resize(self.pairs.len(), 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.row_off);
-        for &(li, ri) in &self.pairs {
-            self.row_adj[self.cursor[li as usize] as usize] = ri;
-            self.cursor[li as usize] += 1;
-        }
-        self.matcher.has_left_saturating_matching(&self.row_off, &self.row_adj, gv_neighbors.len())
-    }
-}
-
 /// The original per-candidate reconstruction (left = `N(u)`, right =
 /// `N(v)`, fresh `Vec<Vec<_>>` per call). Retained as the naive
-/// differential reference for [`SemiPerfectScratch::semi_perfect_ok`].
+/// differential reference for the mask check in [`GqlFilter::filter`].
 fn semi_perfect_ok_reference(q: &Graph, g: &Graph, cand: &Candidates, qu_neighbors: &[VertexId], v: VertexId) -> bool {
     let gv_neighbors = g.neighbors(v);
     // Build the bipartite graph: left = N(u) in q, right = N(v) in G.

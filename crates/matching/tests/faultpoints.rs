@@ -9,7 +9,10 @@
 //! tests against each other.
 //!
 //! Debug builds always verify cache hits (`verify_on_hit`), so the
-//! corruption fires are observed on the very next lookup.
+//! corruption fires are observed on the very next lookup. Release builds
+//! verify only under `RLQVO_CACHE_VERIFY=1`, which is latched on first
+//! read and so cannot be set from inside this multi-test binary: the two
+//! checksum tests are ignored there.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -37,6 +40,7 @@ fn case() -> (Graph, Graph) {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "hit-path verification is debug-only without RLQVO_CACHE_VERIFY=1")]
 fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
     let (q, g) = case();
     let cache = SpaceCache::new();
@@ -62,6 +66,7 @@ fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
 }
 
 #[test]
+#[cfg_attr(not(debug_assertions), ignore = "hit-path verification is debug-only without RLQVO_CACHE_VERIFY=1")]
 fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
     let (q, g) = case();
     let cand = LdfFilter.filter(&q, &g);

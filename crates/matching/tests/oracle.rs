@@ -561,3 +561,147 @@ proptest! {
         }
     }
 }
+
+// ---- Fast filters against their definitions, at the shapes the neighbour-
+// ---- label table and the mask kernel treat specially.
+
+/// NLF by its definition (same label, enough degree, per-label
+/// neighbour-count dominance), from `neighbor_label_frequency` on both
+/// sides — no table, no early-exit scan.
+fn nlf_by_definition(q: &Graph, g: &Graph) -> Vec<Vec<u32>> {
+    q.vertices()
+        .map(|u| {
+            let need = q.neighbor_label_frequency(u);
+            g.vertices()
+                .filter(|&v| {
+                    let have = g.neighbor_label_frequency(v);
+                    g.label(v) == q.label(u)
+                        && g.degree(v) >= q.degree(u)
+                        && need.iter().enumerate().all(|(l, &n)| n <= have.get(l).copied().unwrap_or(0))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `NlfFilter` equals the definition and `GqlFilter::filter` equals
+/// `filter_reference` at 0, 1, 2 and 4 rounds: sorted sets and the
+/// `contains` bitmap, probed past the last data vertex too.
+fn assert_filters_match_references(q: &Graph, g: &Graph) {
+    let same = |fast: &rlqvo_matching::Candidates, sets: &[Vec<u32>], what: &str| {
+        for u in q.vertices() {
+            assert_eq!(fast.of(u), sets[u as usize].as_slice(), "{what}: C({u})");
+            for v in 0..g.num_vertices() as u32 + 70 {
+                assert_eq!(
+                    fast.contains(u, v),
+                    sets[u as usize].binary_search(&v).is_ok(),
+                    "{what}: contains({u}, {v})"
+                );
+            }
+        }
+    };
+    same(&NlfFilter.filter(q, g), &nlf_by_definition(q, g), "NLF");
+    for rounds in [0usize, 1, 2, 4] {
+        let f = GqlFilter { refinement_rounds: rounds };
+        let reference = f.filter_reference(q, g);
+        let sets: Vec<Vec<u32>> = q.vertices().map(|u| reference.of(u).to_vec()).collect();
+        same(&f.filter(q, g), &sets, &format!("GQL/r{rounds}"));
+    }
+}
+
+/// A ring of `n` vertices with pseudo-random labels and chords.
+fn chorded_ring(n: u32, labels: u32, num_labels: u32) -> Graph {
+    let mut b = GraphBuilder::new(num_labels);
+    let mut x = 12345u32;
+    let mut next = move || {
+        x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+        x >> 16
+    };
+    for _ in 0..n {
+        b.add_vertex(next() % labels);
+    }
+    for v in 0..n {
+        b.add_edge(v, (v + 1) % n);
+        let chord = next() % n;
+        if chord != v {
+            b.add_edge(v, chord);
+        }
+    }
+    b.build()
+}
+
+/// A query of more than 64 vertices: two-word masks, with the query edge
+/// (63, 64) crossing the word boundary.
+#[test]
+fn filters_match_references_on_a_query_wider_than_one_mask_word() {
+    let g = chorded_ring(160, 3, 3);
+    let (q, _) = g.induced_subgraph(&(0..70).collect::<Vec<u32>>());
+    assert!(q.has_edge(63, 64));
+    let nlf = NlfFilter.filter(&q, &g);
+    let gql = GqlFilter::default().filter(&q, &g);
+    assert!(gql.total() < nlf.total() && !gql.any_empty(), "refinement must have work to do and leave the embedding");
+    assert_filters_match_references(&q, &g);
+}
+
+/// The table's saturation boundary: a star centre demanding 254, 255 and
+/// 256 same-label neighbours against hubs that have 254, 255 and 300.
+#[test]
+fn filters_match_references_at_the_255_saturation_boundary() {
+    let mut gb = GraphBuilder::new(2);
+    let hubs: Vec<u32> = [254u32, 255, 300]
+        .iter()
+        .map(|&leaves| {
+            let hub = gb.add_vertex(0);
+            for _ in 0..leaves {
+                let leaf = gb.add_vertex(1);
+                gb.add_edge(hub, leaf);
+            }
+            hub
+        })
+        .collect();
+    let g = gb.build();
+    assert_eq!(g.neighbor_label_counts(hubs[0]).unwrap()[1], 254);
+    assert_eq!(g.neighbor_label_counts(hubs[2]).unwrap()[1], 255, "300 saturates");
+    for (demand, expect) in [(254u32, &hubs[..]), (255, &hubs[1..]), (256, &hubs[2..])] {
+        let mut qb = GraphBuilder::new(2);
+        let centre = qb.add_vertex(0);
+        for _ in 0..demand {
+            let leaf = qb.add_vertex(1);
+            qb.add_edge(centre, leaf);
+        }
+        let q = qb.build();
+        assert_eq!(NlfFilter.filter(&q, &g).of(centre), expect, "demand {demand}");
+        assert_filters_match_references(&q, &g);
+    }
+}
+
+/// The query was built against a wider label universe than the data graph
+/// and demands a neighbour label the data graph does not have: empty
+/// candidate sets, and no read past the end of a table row.
+#[test]
+fn filters_match_references_when_the_query_demands_a_label_the_data_graph_lacks() {
+    let g = chorded_ring(40, 3, 3);
+    let mut qb = GraphBuilder::new(6);
+    let centre = qb.add_vertex(0);
+    let known = qb.add_vertex(1);
+    let alien = qb.add_vertex(5);
+    qb.add_edge(centre, known);
+    qb.add_edge(centre, alien);
+    let q = qb.build();
+    assert!(g.neighbor_label_counts(0).is_some_and(|row| row.len() == 3));
+    let nlf = NlfFilter.filter(&q, &g);
+    assert!(nlf.of(centre).is_empty() && nlf.of(alien).is_empty());
+    assert!(!nlf.of(known).is_empty(), "label 1 with a label-0 neighbour exists");
+    assert_filters_match_references(&q, &g);
+}
+
+/// A label universe so wide that the data graph builds no table: NLF runs
+/// on the scan alone and must not notice.
+#[test]
+fn filters_match_references_when_the_data_graph_has_no_label_table() {
+    let g = chorded_ring(60, 3, 1000);
+    assert!(g.neighbor_label_counts(0).is_none(), "60 x 1000 bytes is over twice the CSR size");
+    let (q, _) = g.induced_subgraph(&(0..6).collect::<Vec<u32>>());
+    assert!(!GqlFilter::default().filter(&q, &g).any_empty());
+    assert_filters_match_references(&q, &g);
+}

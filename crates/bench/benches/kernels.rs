@@ -4,7 +4,7 @@
 //! enumeration dominate end-to-end time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rlqvo_core::{InferMath, RlQvo, RlQvoConfig};
+use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_gnn::GraphTensors;
 use rlqvo_graph::{intersect_in_place, intersect_into, GraphBuilder};
@@ -453,50 +453,6 @@ fn bench_matmul_math(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR 8 batched inference path: one stacked policy forward over B
-/// lockstep episodes (`forward_batched`), and whole-query `order_many`,
-/// under both math modes. The per-query step cost is the reported time
-/// divided by B — the acceptance axis against the PR 5
-/// `infer/prepared-step` floor.
-fn bench_infer_batched(c: &mut Criterion) {
-    let g = Dataset::Yeast.load();
-    let n = 16usize;
-    let q = build_query_set(&g, n, 1, 11).queries.pop().unwrap();
-    let mut group = c.benchmark_group("ordering");
-    for d in [16usize, 64] {
-        let model = RlQvo::new(RlQvoConfig { hidden_dim: d, ..RlQvoConfig::default() });
-        let gt = GraphTensors::of(&q);
-        let mask = vec![true; n];
-        for batch in [1usize, 4, 8] {
-            let gts: Vec<&GraphTensors> = vec![&gt; batch];
-            let masks: Vec<&[bool]> = vec![&mask; batch];
-            let stacked = Matrix::from_fn(batch * n, 7, |r, c| ((r * 7 + c) as f32 * 0.1).sin());
-            for math in [InferMath::Bitwise, InferMath::Fast] {
-                let mname = if math.is_fast() { "fast" } else { "bitwise" };
-                let mut prepared = model.policy().prepare_with(math);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("infer/batched/step-{mname}-b{batch}"), d),
-                    &d,
-                    |b, _| {
-                        b.iter(|| {
-                            let step = prepared.forward_batched(&gts, &stacked, &masks);
-                            (step.greedy_argmax(0), step.probs(0)[0])
-                        })
-                    },
-                );
-                let queries: Vec<&rlqvo_graph::Graph> = vec![&q; batch];
-                let ordering = model.ordering().with_math(math);
-                group.bench_with_input(
-                    BenchmarkId::new(format!("infer/batched/order-many-{mname}-b{batch}"), d),
-                    &d,
-                    |b, _| b.iter(|| ordering.order_many(&queries, &g)),
-                );
-            }
-        }
-    }
-    group.finish();
-}
-
 fn bench_gcn_forward(c: &mut Criterion) {
     let g = Dataset::Yeast.load();
     let mut group = c.benchmark_group("policy");
@@ -573,6 +529,6 @@ fn bench_failpoints(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_filters, bench_orderings, bench_enumeration, bench_intersect_kernels, bench_candspace_build, bench_enum_engines, bench_parallel_enum, bench_space_cache, bench_cache_thrash, bench_ordering_infer, bench_matmul_math, bench_infer_batched, bench_gcn_forward, bench_autograd, bench_failpoints
+    targets = bench_filters, bench_orderings, bench_enumeration, bench_intersect_kernels, bench_candspace_build, bench_enum_engines, bench_parallel_enum, bench_space_cache, bench_cache_thrash, bench_ordering_infer, bench_matmul_math, bench_gcn_forward, bench_autograd, bench_failpoints
 }
 criterion_main!(benches);

@@ -54,7 +54,7 @@ pub use env::OrderingEnv;
 pub use features::FeatureExtractor;
 pub use model::{RlQvo, RlQvoConfig};
 pub use ordering::RlQvoOrdering;
-pub use policy::{raw_argmax_of, BatchEpisode, BatchedStep, PolicyNetwork, PolicyOutput, PolicyStep, PreparedPolicy};
+pub use policy::{raw_argmax_of, PolicyNetwork, PolicyOutput, PolicyStep, PreparedPolicy};
 pub use rewards::RewardConfig;
 pub use rlqvo_gnn::InferMath;
 pub use trainer::{TrainReport, Trainer};

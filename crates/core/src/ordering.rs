@@ -13,7 +13,7 @@ use rlqvo_rl::Categorical;
 
 use crate::env::OrderingEnv;
 use crate::features::{FeatureExtractor, FeatureScaling};
-use crate::policy::{BatchEpisode, PolicyNetwork};
+use crate::policy::{PolicyNetwork, PreparedPolicy};
 
 /// Inference-time ordering driven by a trained policy.
 ///
@@ -63,17 +63,33 @@ impl<'m> RlQvoOrdering<'m> {
     /// separately from the trait so the trainer can reuse it.
     ///
     /// Per-query work happens once up front ([`GraphTensors`], the
-    /// feature extractor, a [`PreparedPolicy`][crate::PreparedPolicy]
-    /// scratch); per step the loop performs zero tape construction, zero
-    /// parameter binding, and no heap allocation — the feature matrix is
-    /// updated incrementally ([`FeatureExtractor::apply_step`]) and the
-    /// mask buffer is reused. Output is bitwise identical to
+    /// feature extractor, a [`PreparedPolicy`] scratch); per step the loop
+    /// performs zero tape construction, zero parameter binding, and no
+    /// heap allocation — the feature matrix is updated incrementally
+    /// ([`FeatureExtractor::apply_step`]), the mask buffer is reused, and
+    /// only the action-space vertices are scored
+    /// ([`PreparedPolicy::action_probs`]). Output is bitwise identical to
     /// [`RlQvoOrdering::run_episode_reference`] (pinned in
     /// `tests/infer_parity.rs`).
     pub fn run_episode(&self, q: &Graph, g: &Graph) -> Vec<VertexId> {
+        self.episode(&mut self.policy.prepare_with(self.math), q, g)
+    }
+
+    /// Orders a batch of queries, one [`RlQvoOrdering::run_episode`] after
+    /// the other over one shared [`PreparedPolicy`] (one warm scratch for
+    /// the whole batch). Returns one order per query, in input position;
+    /// each is exactly what `run_episode` produces for that query alone.
+    /// Stacking the episodes into one tall forward was measured slower
+    /// than this loop once single-query inference stopped being
+    /// latency-bound, and is gone.
+    pub fn order_many(&self, queries: &[&Graph], g: &Graph) -> Vec<Vec<VertexId>> {
+        let mut prepared = self.policy.prepare_with(self.math);
+        queries.iter().map(|q| self.episode(&mut prepared, q, g)).collect()
+    }
+
+    fn episode(&self, prepared: &mut PreparedPolicy<'_>, q: &Graph, g: &Graph) -> Vec<VertexId> {
         let fx = self.extractor(q, g);
         let gt = GraphTensors::of(q);
-        let mut prepared = self.policy.prepare_with(self.math);
         let mut rng = self.sample_seed.map(StdRng::seed_from_u64);
         let mut env = OrderingEnv::new(q);
         let mut feats = rlqvo_tensor::Matrix::zeros(1, 1);
@@ -85,13 +101,13 @@ impl<'m> RlQvoOrdering<'m> {
             let action = match OrderingEnv::forced_in(&mask) {
                 Some(forced) => forced,
                 None => {
-                    let step = prepared.forward(&gt, &feats, &mask);
+                    let probs = prepared.action_probs(&gt, &feats, &mask);
                     match &mut rng {
                         // Sampling (training-style exploration) allocates
                         // a Categorical; greedy inference stays on the
                         // allocation-free argmax.
-                        Some(r) => Categorical::new(step.probs.to_vec()).sample(r) as VertexId,
-                        None => greedy_argmax(step.probs) as VertexId,
+                        Some(r) => Categorical::new(probs.to_vec()).sample(r) as VertexId,
+                        None => greedy_argmax(probs) as VertexId,
                     }
                 }
             };
@@ -99,21 +115,6 @@ impl<'m> RlQvoOrdering<'m> {
             fx.apply_step(env.step_number(), action, &mut feats);
         }
         env.into_order()
-    }
-
-    /// Orders a batch of queries with one shared
-    /// [`PreparedPolicy`][crate::PreparedPolicy], packing the pending
-    /// step-features of every episode into one stacked forward per round
-    /// ([`PreparedPolicy::run_episodes_batched`][crate::PreparedPolicy::run_episodes_batched]).
-    /// Returns one order per query, in input position; each equals what
-    /// [`RlQvoOrdering::run_episode`] produces for that query alone
-    /// (exactly under `Bitwise`, property-tested in
-    /// `tests/infer_batched.rs`).
-    pub fn order_many(&self, queries: &[&Graph], g: &Graph) -> Vec<Vec<VertexId>> {
-        let mut prepared = self.policy.prepare_with(self.math);
-        let episodes: Vec<BatchEpisode<'_>> =
-            queries.iter().map(|q| BatchEpisode::new(q, self.extractor(q, g), self.sample_seed)).collect();
-        prepared.run_episodes_batched(episodes)
     }
 
     /// The original tape-based episode — one throwaway [`Tape`] and a

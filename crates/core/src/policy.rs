@@ -3,17 +3,13 @@
 //! vertex, scores outside the action space are masked out, and a softmax
 //! yields the selection distribution.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rlqvo_gnn::{build_layer, GnnKind, GnnLayer, GraphTensors, InferMath, InferScratch, MlpHead};
-use rlqvo_graph::{Graph, VertexId};
-use rlqvo_rl::Categorical;
 use rlqvo_tensor::{Matrix, Tape, Var};
-
-use crate::env::OrderingEnv;
-use crate::features::FeatureExtractor;
 
 /// Inference output for one ordering step.
 #[derive(Clone, Debug)]
@@ -188,14 +184,7 @@ impl PolicyNetwork {
     /// on realistic logit gaps — see `rlqvo-tensor`'s
     /// `fastmath_tolerance` suite for the documented bound).
     pub fn prepare_with(&self, math: InferMath) -> PreparedPolicy<'_> {
-        PreparedPolicy {
-            policy: self,
-            scratch: InferScratch::with_math(math),
-            probs: Vec::new(),
-            batch_probs: Vec::new(),
-            batch_offsets: Vec::new(),
-            batch_argmax: Vec::new(),
-        }
+        PreparedPolicy { policy: self, scratch: InferScratch::with_math(math), probs: Vec::new(), rows: Vec::new() }
     }
 }
 
@@ -222,14 +211,8 @@ pub struct PreparedPolicy<'p> {
     policy: &'p PolicyNetwork,
     scratch: InferScratch,
     probs: Vec<f32>,
-    /// Concatenated per-episode probability slices of the last
-    /// [`PreparedPolicy::forward_batched`] call.
-    batch_probs: Vec<f32>,
-    /// Row offsets of each episode's block in the stacked batch
-    /// (`len = episodes + 1`, last entry = total rows).
-    batch_offsets: Vec<usize>,
-    /// Per-episode greedy argmax over the masked probabilities.
-    batch_argmax: Vec<usize>,
+    /// The action-space rows of the last [`PreparedPolicy::action_probs`].
+    rows: Vec<usize>,
 }
 
 impl PreparedPolicy<'_> {
@@ -243,128 +226,62 @@ impl PreparedPolicy<'_> {
         self.scratch.math()
     }
 
-    /// Tape-free forward pass for one ordering step.
+    /// Tape-free forward pass for one ordering step: every vertex is
+    /// scored, so [`PolicyStep::raw_argmax`] (the trainer's
+    /// validate-reward probe) is available.
     pub fn forward(&mut self, gt: &GraphTensors, features: &Matrix, mask: &[bool]) -> PolicyStep<'_> {
-        let layers = &self.policy.layers;
-        let mut h = layers[0].infer(gt, &mut self.scratch, features);
-        for layer in &layers[1..] {
-            let next = layer.infer(gt, &mut self.scratch, &h);
-            self.scratch.put(h);
-            h = next;
-        }
-        let scores = self.policy.head.infer(&mut self.scratch, &h);
-        self.scratch.put(h);
-        self.scratch.math().masked_softmax_col_into(&scores, mask, &mut self.probs);
+        let scores = self.score(gt, features, mask, false);
         let raw_argmax = raw_argmax_of(&scores);
         self.scratch.put(scores);
         PolicyStep { probs: &self.probs, raw_argmax }
     }
 
-    /// Multi-query forward: one stacked network pass over several pending
-    /// ordering steps. `features` holds every episode's current feature
-    /// matrix stacked vertically; episode `i` spans the `gts[i]`-sized row
-    /// block starting where the previous one ended, with `masks[i]` its
-    /// action mask. Shared-weight matmuls run once on the stacked matrix;
-    /// graph-structured operators run block-diagonally, so each episode's
-    /// block is identical to what [`PreparedPolicy::forward`] would
-    /// produce alone — bitwise under `Bitwise`, within the documented
-    /// tolerance under `Fast` (pinned in `tests/infer_batched.rs`).
-    pub fn forward_batched(&mut self, gts: &[&GraphTensors], features: &Matrix, masks: &[&[bool]]) -> BatchedStep<'_> {
-        assert_eq!(gts.len(), masks.len(), "one action mask per episode");
-        self.batch_offsets.clear();
-        let mut off = 0;
-        for gt in gts {
-            self.batch_offsets.push(off);
-            off += gt.num_vertices();
-        }
-        self.batch_offsets.push(off);
-        assert_eq!(off, features.rows(), "stacked features must tile the batch");
-
-        let layers = &self.policy.layers;
-        let offsets = &self.batch_offsets[..gts.len()];
-        let mut h = layers[0].infer_batched(gts, offsets, &mut self.scratch, features);
-        for layer in &layers[1..] {
-            let next = layer.infer_batched(gts, offsets, &mut self.scratch, &h);
-            self.scratch.put(h);
-            h = next;
-        }
-        let scores = self.policy.head.infer(&mut self.scratch, &h);
-        self.scratch.put(h);
-        let math = self.scratch.math();
-        self.batch_probs.clear();
-        self.batch_argmax.clear();
-        for (i, mask) in masks.iter().enumerate() {
-            let (lo, hi) = (self.batch_offsets[i], self.batch_offsets[i + 1]);
-            math.masked_softmax_slice_into(&scores.data()[lo..hi], mask, &mut self.probs);
-            self.batch_argmax.push(rlqvo_rl::argmax_lowest_index(&self.probs));
-            self.batch_probs.extend_from_slice(&self.probs);
-        }
+    /// The masked probabilities of [`PreparedPolicy::forward`], bit for
+    /// bit, scoring only the vertices inside `mask` — what greedy and
+    /// sampled inference consume. The masked softmax never reads an
+    /// off-mask score, so the last GNN layer and the head run on the
+    /// action-space rows alone (`|AS|` of `n`; pinned against the full
+    /// forward in `tests/infer_parity.rs`).
+    pub fn action_probs(&mut self, gt: &GraphTensors, features: &Matrix, mask: &[bool]) -> &[f32] {
+        let scores = self.score(gt, features, mask, true);
         self.scratch.put(scores);
-        BatchedStep { probs: &self.batch_probs, offsets: &self.batch_offsets, argmax: &self.batch_argmax }
+        &self.probs
     }
 
-    /// Runs a batch of ordering episodes in lockstep, sharing one stacked
-    /// network forward per round across every episode that needs one.
-    ///
-    /// Each episode individually advances exactly as
-    /// [`RlQvoOrdering::run_episode`][crate::RlQvoOrdering] would advance
-    /// it: forced (`|AS| = 1`) steps skip the network, greedy episodes
-    /// take the masked argmax, sampling episodes draw from the masked
-    /// distribution with their own rng. Episodes finish at their own pace;
-    /// the stacked batch shrinks as they complete. Orders are returned in
-    /// input position.
-    pub fn run_episodes_batched(&mut self, mut episodes: Vec<BatchEpisode<'_>>) -> Vec<Vec<VertexId>> {
-        let feature_dim = self.policy.feature_dim;
-        let mut stacked = Matrix::zeros(1, 1);
-        let mut pending: Vec<usize> = Vec::new();
-        let mut choices: Vec<(usize, Choice)> = Vec::new();
-        loop {
-            for ep in episodes.iter_mut() {
-                ep.advance_forced();
-            }
-            pending.clear();
-            pending.extend(episodes.iter().enumerate().filter(|(_, ep)| !ep.env.done()).map(|(i, _)| i));
-            if pending.is_empty() {
-                break;
-            }
-            let total: usize = pending.iter().map(|&i| episodes[i].gt.num_vertices()).sum();
-            stacked.resize_for_overwrite(total, feature_dim);
-            let mut off = 0;
-            for &i in &pending {
-                stacked.write_rows(off, &episodes[i].feats);
-                off += episodes[i].gt.num_vertices();
-            }
-            choices.clear();
-            {
-                let gts: Vec<&GraphTensors> = pending.iter().map(|&i| &episodes[i].gt).collect();
-                let masks: Vec<&[bool]> = pending.iter().map(|&i| episodes[i].mask.as_slice()).collect();
-                let step = self.forward_batched(&gts, &stacked, &masks);
-                for (bi, &ei) in pending.iter().enumerate() {
-                    // Sampling clones its slice (it feeds a Categorical,
-                    // exactly as the unbatched loop does); greedy stays
-                    // allocation-free.
-                    choices.push((
-                        ei,
-                        if episodes[ei].rng.is_some() {
-                            Choice::Sample(step.probs(bi).to_vec())
-                        } else {
-                            Choice::Greedy(step.greedy_argmax(bi))
-                        },
-                    ));
-                }
-            }
-            for (ei, choice) in choices.drain(..) {
-                let ep = &mut episodes[ei];
-                let action = match choice {
-                    Choice::Greedy(a) => a as VertexId,
-                    Choice::Sample(p) => {
-                        Categorical::new(p).sample(ep.rng.as_mut().expect("sampling episode has an rng")) as VertexId
-                    }
-                };
-                ep.apply(action);
-            }
+    /// The one scoring routine behind both entry points: the GNN stack and
+    /// the head, then the masked softmax into `self.probs`. Returns the
+    /// pooled `n×1` score column. With `action_rows_only` the last GNN
+    /// layer ([`GnnLayer::infer_rows`]) and the head see the mask's rows
+    /// only and the column's off-mask entries are unspecified; layers in
+    /// front of the last stay full width (their outputs feed every row's
+    /// aggregation).
+    fn score(&mut self, gt: &GraphTensors, features: &Matrix, mask: &[bool], action_rows_only: bool) -> Matrix {
+        let PreparedPolicy { policy, scratch, probs, rows } = self;
+        let rows = action_rows_only.then(|| {
+            rows.clear();
+            rows.extend(mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i));
+            &rows[..]
+        });
+        let (last, front) = policy.layers.split_last().expect("at least one layer");
+        let mut h = Cow::Borrowed(features);
+        for layer in front {
+            let next = layer.infer(gt, scratch, &h);
+            scratch.put_rows(std::mem::replace(&mut h, Cow::Owned(next)));
         }
-        episodes.into_iter().map(|ep| ep.env.into_order()).collect()
+        let embedded = last.infer_rows(gt, scratch, &h, rows);
+        scratch.put_rows(h);
+        let mut scores = policy.head.infer(scratch, &embedded);
+        scratch.put(embedded);
+        if let Some(rows) = rows {
+            // Back to vertex positions for the masked softmax.
+            let mut column = scratch.take(mask.len(), 1);
+            for (&v, &s) in rows.iter().zip(scores.data()) {
+                column.data_mut()[v] = s;
+            }
+            scratch.put(std::mem::replace(&mut scores, column));
+        }
+        scratch.math().masked_softmax_col_into(&scores, mask, probs);
+        scores
     }
 
     /// [`PreparedPolicy::forward`] materialized as an owned
@@ -373,99 +290,6 @@ impl PreparedPolicy<'_> {
     pub fn forward_owned(&mut self, gt: &GraphTensors, features: &Matrix, mask: &[bool]) -> PolicyOutput {
         let step = self.forward(gt, features, mask);
         PolicyOutput { probs: step.probs.to_vec(), raw_argmax: step.raw_argmax }
-    }
-}
-
-/// The per-episode action decided during a batched round, staged so the
-/// episode mutation (rng draw + env apply) can run after the borrow of the
-/// stacked forward's inputs ends.
-enum Choice {
-    Greedy(usize),
-    Sample(Vec<f32>),
-}
-
-/// One batched forward result, borrowing [`PreparedPolicy`]'s reusable
-/// batch buffers. Episode `i`'s masked probabilities are `probs(i)`;
-/// `greedy_argmax(i)` is their lowest-index argmax (the same semantics as
-/// the unbatched greedy step, *not* [`PolicyStep::raw_argmax`]'s unmasked
-/// probe).
-#[derive(Debug)]
-pub struct BatchedStep<'a> {
-    probs: &'a [f32],
-    offsets: &'a [usize],
-    argmax: &'a [usize],
-}
-
-impl BatchedStep<'_> {
-    /// Number of episodes in the batch.
-    pub fn len(&self) -> usize {
-        self.argmax.len()
-    }
-
-    /// True when the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.argmax.is_empty()
-    }
-
-    /// Masked softmax probabilities for episode `i` (zeros off-mask).
-    pub fn probs(&self, i: usize) -> &[f32] {
-        &self.probs[self.offsets[i]..self.offsets[i + 1]]
-    }
-
-    /// Lowest-index argmax of episode `i`'s masked probabilities.
-    pub fn greedy_argmax(&self, i: usize) -> usize {
-        self.argmax[i]
-    }
-}
-
-/// One in-flight ordering episode for
-/// [`PreparedPolicy::run_episodes_batched`]: the query's graph tensors,
-/// its feature extractor, the MDP state, and the incrementally maintained
-/// feature/mask buffers.
-pub struct BatchEpisode<'q> {
-    gt: GraphTensors,
-    fx: FeatureExtractor,
-    env: OrderingEnv<'q>,
-    feats: Matrix,
-    mask: Vec<bool>,
-    rng: Option<StdRng>,
-}
-
-impl<'q> BatchEpisode<'q> {
-    /// Fresh episode over `q`. `sample_seed` switches from greedy argmax
-    /// to seeded sampling, matching
-    /// [`RlQvoOrdering::sampling`][crate::RlQvoOrdering::sampling].
-    pub fn new(q: &'q Graph, fx: FeatureExtractor, sample_seed: Option<u64>) -> Self {
-        let env = OrderingEnv::new(q);
-        let mut feats = Matrix::zeros(1, 1);
-        fx.write_features_at(1, env.ordered_flags(), &mut feats);
-        BatchEpisode {
-            gt: GraphTensors::of(q),
-            fx,
-            env,
-            feats,
-            mask: Vec::new(),
-            rng: sample_seed.map(StdRng::seed_from_u64),
-        }
-    }
-
-    /// Takes every forced (`|AS| = 1`) step, leaving the episode either
-    /// done or with a current mask that needs a network decision.
-    fn advance_forced(&mut self) {
-        while !self.env.done() {
-            self.env.action_mask_into(&mut self.mask);
-            match OrderingEnv::forced_in(&self.mask) {
-                Some(forced) => self.apply(forced),
-                None => break,
-            }
-        }
-    }
-
-    /// Applies `action` against the currently held mask and updates the
-    /// feature buffer incrementally.
-    fn apply(&mut self, action: VertexId) {
-        self.env.apply_with_mask(action, &self.mask);
-        self.fx.apply_step(self.env.step_number(), action, &mut self.feats);
     }
 }
 
@@ -605,6 +429,57 @@ mod tests {
         assert_eq!(out.raw_argmax, 0, "plateau tie must resolve to the lowest index");
         let mut prepared = net.prepare();
         assert_eq!(prepared.forward(&gt, &f, &[true; 4]).raw_argmax, 0);
+    }
+
+    /// "No heap allocation after the first forward" with a row count that
+    /// changes every step: the first forward of an episode scores all 16
+    /// vertices, so it sizes every buffer the episode will ever need; from
+    /// the second on the pool must neither grow a buffer nor gain one.
+    #[test]
+    fn scratch_pool_is_settled_after_the_second_forward_of_a_q16_episode() {
+        use crate::{FeatureExtractor, OrderingEnv};
+        let mut b = GraphBuilder::new(1);
+        for _ in 0..36 {
+            b.add_vertex(0);
+        }
+        for v in 0..36u32 {
+            if v % 6 + 1 < 6 {
+                b.add_edge(v, v + 1);
+            }
+            if v + 6 < 36 {
+                b.add_edge(v, v + 6);
+            }
+        }
+        let (q, _) = rlqvo_graph::extract_connected_subgraph(&b.build(), 16, &mut StdRng::seed_from_u64(16)).unwrap();
+        let gt = GraphTensors::of(&q);
+        let fx = FeatureExtractor::new_random(&q, 1);
+        for kind in
+            [GnnKind::Gcn, GnnKind::Gat, GnnKind::GraphSage, GnnKind::GraphConv, GnnKind::LeConv, GnnKind::Dense]
+        {
+            let net = PolicyNetwork::new(kind, 2, 7, 64, 3);
+            let mut prepared = net.prepare();
+            let mut env = OrderingEnv::new(&q);
+            let mut pool = Vec::new(); // (buffers, capacity) after each forward
+            let mut sizes = Vec::new();
+            while !env.done() {
+                let mask = env.action_mask();
+                let action = OrderingEnv::forced_in(&mask).unwrap_or_else(|| {
+                    let feats = fx.features_at(env.step_number(), env.ordered_flags());
+                    let best = rlqvo_rl::argmax_lowest_index(prepared.action_probs(&gt, &feats, &mask)) as u32;
+                    pool.push((prepared.scratch.pooled(), prepared.scratch.pooled_capacity()));
+                    sizes.push(mask.iter().filter(|&&m| m).count());
+                    best
+                });
+                env.apply(action);
+            }
+            assert!(sizes.len() > 4 && sizes[1..].windows(2).any(|w| w[0] < w[1]), "|AS| must vary: {sizes:?}");
+            assert_eq!(
+                pool[1],
+                pool[pool.len() - 1],
+                "{}: pool kept changing, |AS| = {sizes:?}: {pool:?}",
+                kind.name()
+            );
+        }
     }
 
     #[test]

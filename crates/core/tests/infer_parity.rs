@@ -1,11 +1,14 @@
 //! Differential pin: the tape-free inference path is *bitwise identical*
 //! to the tape-based reference, per GNN layer kind and end to end.
 //!
-//! Three layers of the refactor are covered, each against its retained
+//! Four layers of the refactor are covered, each against its retained
 //! reference implementation:
 //! * `PreparedPolicy::forward` (scratch-arena kernels) vs
 //!   `PolicyNetwork::forward` (throwaway tape) — probabilities and the
 //!   raw argmax, for every GNN family, exact `f32` equality;
+//! * `PreparedPolicy::action_probs` (last GNN layer and head on the
+//!   action-space rows only) vs `PreparedPolicy::forward` (every row) —
+//!   exact equality in both math modes, every GNN family and depth;
 //! * `FeatureExtractor::write_features_at` + `apply_step` (incremental
 //!   step-column updates) vs `features_at` (full rebuild) — at every step
 //!   of real episodes;
@@ -20,7 +23,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rlqvo_core::features::FeatureScaling;
 use rlqvo_core::ordering::RlQvoOrdering;
-use rlqvo_core::{FeatureExtractor, OrderingEnv, PolicyNetwork};
+use rlqvo_core::{FeatureExtractor, InferMath, OrderingEnv, PolicyNetwork};
 use rlqvo_gnn::{GnnKind, GraphTensors};
 use rlqvo_graph::{extract_connected_subgraph, GraphBuilder};
 use rlqvo_tensor::Matrix;
@@ -133,5 +136,45 @@ proptest! {
         let policy = PolicyNetwork::new(KINDS[kind_ix], 2, 7, 8, seed ^ 0x5A);
         let ordering = RlQvoOrdering::new(&policy, FeatureScaling::default(), false, 0).sampling(seed ^ 0xBEEF);
         prop_assert_eq!(ordering.run_episode(&q, &g), ordering.run_episode_reference(&q, &g));
+    }
+}
+
+proptest! {
+    // 6 kinds × 3 depths × 3 widths × 2 maths: more cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Scoring only the action-space rows changes no probability: for
+    /// every GNN kind, depth (1 layer: the restricted layer reads the
+    /// features; 3: two full-width layers in front of it) and math mode
+    /// (the same kernels run on the same rows, so `Fast` is exact too),
+    /// on every mask a greedy episode visits — forced single-vertex masks
+    /// included — plus the all-true mask and a two-vertex one. The hidden
+    /// widths cross the matmul kernel's paths (`ikj`, 16-block + tail,
+    /// 64-block).
+    #[test]
+    fn action_row_probs_equal_full_forward_probs(seed in 0u64..300, size in 4usize..10, kind_ix in 0usize..6, layers in 1usize..4, hidden_ix in 0usize..3, fast in any::<bool>()) {
+        let q = random_query(seed, size);
+        let g = random_query(seed ^ 5, 10.min(size + 2));
+        let policy = PolicyNetwork::new(KINDS[kind_ix], layers, 7, [8, 24, 64][hidden_ix], seed ^ 0x16);
+        let math = if fast { InferMath::Fast } else { InferMath::Bitwise };
+        let (mut full, mut restricted) = (policy.prepare_with(math), policy.prepare_with(math));
+        let fx = FeatureExtractor::new(&q, &g, FeatureScaling::default());
+        let gt = GraphTensors::of(&q);
+        let mut env = OrderingEnv::new(&q);
+
+        let first = fx.features_at(1, env.ordered_flags());
+        let mut two = vec![false; size];
+        (two[0], two[size - 1]) = (true, true);
+        for mask in [vec![true; size], two] {
+            let want = full.forward(&gt, &first, &mask).probs.to_vec();
+            prop_assert_eq!(restricted.action_probs(&gt, &first, &mask), &want[..], "mask {:?}", mask);
+        }
+        while !env.done() {
+            let feats = fx.features_at(env.step_number(), env.ordered_flags());
+            let mask = env.action_mask();
+            let want = full.forward(&gt, &feats, &mask).probs.to_vec();
+            prop_assert_eq!(restricted.action_probs(&gt, &feats, &mask), &want[..], "step {}", env.step_number());
+            env.apply(rlqvo_rl::argmax_lowest_index(&want) as u32);
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! [`rlqvo_tensor::GradStore`] by position.
 
 use rand::Rng;
-use rlqvo_tensor::infer::{broadcast_add_col_row_into, broadcast_add_slices_into};
+use rlqvo_tensor::infer::broadcast_add_col_row_into;
 use rlqvo_tensor::{InferScratch, Matrix, Tape, Var};
 
 use crate::adj::GraphTensors;
@@ -65,40 +65,18 @@ pub trait GnnLayer: Send + Sync {
     /// zero parameter binding, and no heap allocation beyond `scratch`'s
     /// reusable buffers. Returns a buffer owned by the pool — `put` it
     /// back when finished with it.
-    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix;
-    /// Multi-query batched inference: `h` vertically stacks the feature
-    /// rows of several query graphs (graph `i`'s block starts at row
-    /// `offsets[i]` and spans `gts[i].num_vertices()` rows), and the
-    /// returned matrix stacks the per-graph outputs at the same offsets.
-    ///
-    /// Because every layer treats a row block independently given its own
-    /// graph tensors, block `i` of the result equals `self.infer(gts[i],
-    /// …, block_i)` — bitwise under `InferMath::Bitwise`, within the
-    /// fast-math tolerance under `InferMath::Fast` (property-pinned in
-    /// `crates/core/tests/infer_batched.rs`). The default implementation
-    /// runs block by block; layer impls override it to run the
-    /// shared-weight matmuls on the full stacked matrix, which is where
-    /// batching pays (wide register-blocked kernels, one pass per weight
-    /// instead of one per query).
-    fn infer_batched(
-        &self,
-        gts: &[&GraphTensors],
-        offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        let mut out = scratch.take(h.rows(), self.out_dim());
-        for (gt, &off) in gts.iter().zip(offsets) {
-            let n = gt.num_vertices();
-            let mut block = scratch.take(n, h.cols());
-            block.data_mut().copy_from_slice(&h.data()[off * h.cols()..(off + n) * h.cols()]);
-            let res = self.infer(gt, scratch, &block);
-            out.write_rows(off, &res);
-            scratch.put(res);
-            scratch.put(block);
-        }
-        out
+    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
+        self.infer_rows(gt, scratch, h, None)
     }
+    /// [`Self::infer`] for the output rows in `rows` only (`None`: every
+    /// row): row `r` of the `rows.len() × out_dim` result is row `rows[r]`
+    /// of the full forward, bit for bit in either math mode. `h` is always
+    /// the full `n`-row input. Every layer kind's output row `i` is a
+    /// function of row `i` of its `M·h` products, so the left operands are
+    /// cut down to the selected rows ([`InferScratch::rows_of`]) and the
+    /// same kernels run on fewer rows; what a kind needs of *all* vertices
+    /// (GAT's `H W`, LEConv's `H W₃`) stays full width.
+    fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix;
     /// Output feature dimension.
     fn out_dim(&self) -> usize;
     /// Which ablation family this layer belongs to.
@@ -143,30 +121,13 @@ impl GnnLayer for GcnLayer {
         let lin = t.add_bias_row(t.matmul(agg, bound[0]), bound[1]);
         t.relu(lin)
     }
-    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
+    fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         let math = scratch.math();
-        let mut agg = scratch.take(h.rows(), h.cols());
-        math.matmul_into(&gt.norm_adj, h, &mut agg);
-        let mut out = scratch.take(h.rows(), self.w.cols());
-        math.matmul_into(&agg, &self.w, &mut out);
-        scratch.put(agg);
-        out.add_bias_row_assign(&self.b);
-        out.relu_in_place();
-        out
-    }
-    fn infer_batched(
-        &self,
-        gts: &[&GraphTensors],
-        offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        let math = scratch.math();
-        let mut agg = scratch.take(h.rows(), h.cols());
-        for (gt, &off) in gts.iter().zip(offsets) {
-            math.matmul_block_into(&gt.norm_adj, h, off, &mut agg, off);
-        }
-        let mut out = scratch.take(h.rows(), self.w.cols());
+        let adj = scratch.rows_of(&gt.norm_adj, rows);
+        let mut agg = scratch.take(adj.rows(), h.cols());
+        math.matmul_into(&adj, h, &mut agg);
+        scratch.put_rows(adj);
+        let mut out = scratch.take(agg.rows(), self.w.cols());
         math.matmul_into(&agg, &self.w, &mut out);
         scratch.put(agg);
         out.add_bias_row_assign(&self.b);
@@ -216,62 +177,31 @@ impl GnnLayer for GatLayer {
         let att = t.masked_softmax_rows(scores, &gt.mask_self);
         t.relu(t.matmul(att, z))
     }
-    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
+    fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         let math = scratch.math();
         let n = h.rows();
+        // Every selected vertex attends over all of its neighbours' `z`.
         let mut z = scratch.take(n, self.w.cols());
         math.matmul_into(h, &self.w, &mut z);
         let mut s_src = scratch.take(n, 1);
         math.matmul_into(&z, &self.a_src, &mut s_src);
         let mut s_dst = scratch.take(n, 1);
         math.matmul_into(&z, &self.a_dst, &mut s_dst);
-        let mut scores = scratch.take(n, n);
-        broadcast_add_col_row_into(&s_src, &s_dst, &mut scores);
+        let src_rows = scratch.rows_of(&s_src, rows);
+        let mut scores = scratch.take(src_rows.rows(), n);
+        broadcast_add_col_row_into(&src_rows, &s_dst, &mut scores);
+        scratch.put_rows(src_rows);
         scratch.put(s_src);
         scratch.put(s_dst);
         scores.leaky_relu_in_place(0.2);
-        let mut att = scratch.take(n, n);
-        math.masked_softmax_rows_into(&scores, &gt.mask_self, &mut att);
+        let mask = scratch.rows_of(&gt.mask_self, rows);
+        let mut att = scratch.take(scores.rows(), n);
+        math.masked_softmax_rows_into(&scores, &mask, &mut att);
+        scratch.put_rows(mask);
         scratch.put(scores);
-        let mut out = scratch.take(n, z.cols());
+        let mut out = scratch.take(att.rows(), z.cols());
         math.matmul_into(&att, &z, &mut out);
         scratch.put(att);
-        scratch.put(z);
-        out.relu_in_place();
-        out
-    }
-    fn infer_batched(
-        &self,
-        gts: &[&GraphTensors],
-        offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        // The linear projections are shared-weight and row-independent, so
-        // they run once on the stacked matrix; attention is inherently
-        // per-graph (an `n_i×n_i` score matrix each), so it loops blocks.
-        let math = scratch.math();
-        let total = h.rows();
-        let mut z = scratch.take(total, self.w.cols());
-        math.matmul_into(h, &self.w, &mut z);
-        let mut s_src = scratch.take(total, 1);
-        math.matmul_into(&z, &self.a_src, &mut s_src);
-        let mut s_dst = scratch.take(total, 1);
-        math.matmul_into(&z, &self.a_dst, &mut s_dst);
-        let mut out = scratch.take(total, z.cols());
-        for (gt, &off) in gts.iter().zip(offsets) {
-            let n = gt.num_vertices();
-            let mut scores = scratch.take(n, n);
-            broadcast_add_slices_into(&s_src.data()[off..off + n], &s_dst.data()[off..off + n], &mut scores);
-            scores.leaky_relu_in_place(0.2);
-            let mut att = scratch.take(n, n);
-            math.masked_softmax_rows_into(&scores, &gt.mask_self, &mut att);
-            scratch.put(scores);
-            math.matmul_block_into(&att, &z, off, &mut out, off);
-            scratch.put(att);
-        }
-        scratch.put(s_src);
-        scratch.put(s_dst);
         scratch.put(z);
         out.relu_in_place();
         out
@@ -282,6 +212,37 @@ impl GnnLayer for GatLayer {
     fn kind(&self) -> GnnKind {
         GnnKind::Gat
     }
+}
+
+/// `ReLU(H W_own + (M H) W_neigh + b)` on the output rows `rows` — the
+/// tape-free body GraphSAGE (`M` = mean adjacency) and GraphConv (`M` =
+/// adjacency) share; see [`GnnLayer::infer_rows`].
+fn infer_own_plus_neighbours(
+    adj: &Matrix,
+    w_own: &Matrix,
+    w_neigh: &Matrix,
+    b: &Matrix,
+    scratch: &mut InferScratch,
+    h: &Matrix,
+    rows: Option<&[usize]>,
+) -> Matrix {
+    let math = scratch.math();
+    let h_rows = scratch.rows_of(h, rows);
+    let mut own = scratch.take(h_rows.rows(), w_own.cols());
+    math.matmul_into(&h_rows, w_own, &mut own);
+    scratch.put_rows(h_rows);
+    let adj = scratch.rows_of(adj, rows);
+    let mut agg = scratch.take(adj.rows(), h.cols());
+    math.matmul_into(&adj, h, &mut agg);
+    scratch.put_rows(adj);
+    let mut neigh = scratch.take(agg.rows(), w_neigh.cols());
+    math.matmul_into(&agg, w_neigh, &mut neigh);
+    scratch.put(agg);
+    own.add_assign(&neigh);
+    scratch.put(neigh);
+    own.add_bias_row_assign(b);
+    own.relu_in_place();
+    own
 }
 
 /// GraphSAGE mean aggregator: `H' = ReLU(H W_self + (A_mean H) W_neigh + b)`.
@@ -315,43 +276,8 @@ impl GnnLayer for SageLayer {
         let neigh = t.matmul(t.matmul(mean, h), bound[1]);
         t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
     }
-    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
-        let math = scratch.math();
-        let mut own = scratch.take(h.rows(), self.w_self.cols());
-        math.matmul_into(h, &self.w_self, &mut own);
-        let mut agg = scratch.take(h.rows(), h.cols());
-        math.matmul_into(&gt.mean_adj, h, &mut agg);
-        let mut neigh = scratch.take(h.rows(), self.w_neigh.cols());
-        math.matmul_into(&agg, &self.w_neigh, &mut neigh);
-        scratch.put(agg);
-        own.add_assign(&neigh);
-        scratch.put(neigh);
-        own.add_bias_row_assign(&self.b);
-        own.relu_in_place();
-        own
-    }
-    fn infer_batched(
-        &self,
-        gts: &[&GraphTensors],
-        offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        let math = scratch.math();
-        let mut own = scratch.take(h.rows(), self.w_self.cols());
-        math.matmul_into(h, &self.w_self, &mut own);
-        let mut agg = scratch.take(h.rows(), h.cols());
-        for (gt, &off) in gts.iter().zip(offsets) {
-            math.matmul_block_into(&gt.mean_adj, h, off, &mut agg, off);
-        }
-        let mut neigh = scratch.take(h.rows(), self.w_neigh.cols());
-        math.matmul_into(&agg, &self.w_neigh, &mut neigh);
-        scratch.put(agg);
-        own.add_assign(&neigh);
-        scratch.put(neigh);
-        own.add_bias_row_assign(&self.b);
-        own.relu_in_place();
-        own
+    fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
+        infer_own_plus_neighbours(&gt.mean_adj, &self.w_self, &self.w_neigh, &self.b, scratch, h, rows)
     }
     fn out_dim(&self) -> usize {
         self.w_self.cols()
@@ -393,43 +319,8 @@ impl GnnLayer for GraphConvLayer {
         let neigh = t.matmul(t.matmul(adj, h), bound[1]);
         t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
     }
-    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
-        let math = scratch.math();
-        let mut own = scratch.take(h.rows(), self.w1.cols());
-        math.matmul_into(h, &self.w1, &mut own);
-        let mut agg = scratch.take(h.rows(), h.cols());
-        math.matmul_into(&gt.adj, h, &mut agg);
-        let mut neigh = scratch.take(h.rows(), self.w2.cols());
-        math.matmul_into(&agg, &self.w2, &mut neigh);
-        scratch.put(agg);
-        own.add_assign(&neigh);
-        scratch.put(neigh);
-        own.add_bias_row_assign(&self.b);
-        own.relu_in_place();
-        own
-    }
-    fn infer_batched(
-        &self,
-        gts: &[&GraphTensors],
-        offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        let math = scratch.math();
-        let mut own = scratch.take(h.rows(), self.w1.cols());
-        math.matmul_into(h, &self.w1, &mut own);
-        let mut agg = scratch.take(h.rows(), h.cols());
-        for (gt, &off) in gts.iter().zip(offsets) {
-            math.matmul_block_into(&gt.adj, h, off, &mut agg, off);
-        }
-        let mut neigh = scratch.take(h.rows(), self.w2.cols());
-        math.matmul_into(&agg, &self.w2, &mut neigh);
-        scratch.put(agg);
-        own.add_assign(&neigh);
-        scratch.put(neigh);
-        own.add_bias_row_assign(&self.b);
-        own.relu_in_place();
-        own
+    fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
+        infer_own_plus_neighbours(&gt.adj, &self.w1, &self.w2, &self.b, scratch, h, rows)
     }
     fn out_dim(&self) -> usize {
         self.w1.cols()
@@ -477,47 +368,24 @@ impl GnnLayer for LeConvLayer {
         let combined = t.sub(t.add(own, scaled), neigh);
         t.relu(t.add_bias_row(combined, bound[3]))
     }
-    fn infer(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
+    fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         let math = scratch.math();
-        let mut own = scratch.take(h.rows(), self.w1.cols());
-        math.matmul_into(h, &self.w1, &mut own);
-        let mut scaled = scratch.take(h.rows(), self.w2.cols());
-        math.matmul_into(h, &self.w2, &mut scaled);
-        scaled.mul_col_broadcast_assign(&gt.degree);
+        let h_rows = scratch.rows_of(h, rows);
+        let mut own = scratch.take(h_rows.rows(), self.w1.cols());
+        math.matmul_into(&h_rows, &self.w1, &mut own);
+        let mut scaled = scratch.take(h_rows.rows(), self.w2.cols());
+        math.matmul_into(&h_rows, &self.w2, &mut scaled);
+        scratch.put_rows(h_rows);
+        let degree = scratch.rows_of(&gt.degree, rows);
+        scaled.mul_col_broadcast_assign(&degree);
+        scratch.put_rows(degree);
+        // `A (H W₃)` in the tape's association: `H W₃` of every vertex.
         let mut tmp = scratch.take(h.rows(), self.w3.cols());
         math.matmul_into(h, &self.w3, &mut tmp);
-        let mut neigh = scratch.take(h.rows(), self.w3.cols());
-        math.matmul_into(&gt.adj, &tmp, &mut neigh);
-        scratch.put(tmp);
-        own.add_assign(&scaled);
-        own.sub_assign(&neigh);
-        scratch.put(scaled);
-        scratch.put(neigh);
-        own.add_bias_row_assign(&self.b);
-        own.relu_in_place();
-        own
-    }
-    fn infer_batched(
-        &self,
-        gts: &[&GraphTensors],
-        offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        let math = scratch.math();
-        let mut own = scratch.take(h.rows(), self.w1.cols());
-        math.matmul_into(h, &self.w1, &mut own);
-        let mut scaled = scratch.take(h.rows(), self.w2.cols());
-        math.matmul_into(h, &self.w2, &mut scaled);
-        for (gt, &off) in gts.iter().zip(offsets) {
-            scaled.mul_col_broadcast_rows_assign(off, &gt.degree);
-        }
-        let mut tmp = scratch.take(h.rows(), self.w3.cols());
-        math.matmul_into(h, &self.w3, &mut tmp);
-        let mut neigh = scratch.take(h.rows(), self.w3.cols());
-        for (gt, &off) in gts.iter().zip(offsets) {
-            math.matmul_block_into(&gt.adj, &tmp, off, &mut neigh, off);
-        }
+        let adj = scratch.rows_of(&gt.adj, rows);
+        let mut neigh = scratch.take(adj.rows(), self.w3.cols());
+        math.matmul_into(&adj, &tmp, &mut neigh);
+        scratch.put_rows(adj);
         scratch.put(tmp);
         own.add_assign(&scaled);
         own.sub_assign(&neigh);
@@ -559,26 +427,12 @@ impl GnnLayer for DenseLayer {
     fn forward(&self, t: &Tape, _gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
         t.relu(t.add_bias_row(t.matmul(h, bound[0]), bound[1]))
     }
-    fn infer(&self, _gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
+    fn infer_rows(&self, _gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         let math = scratch.math();
-        let mut out = scratch.take(h.rows(), self.w.cols());
-        math.matmul_into(h, &self.w, &mut out);
-        out.add_bias_row_assign(&self.b);
-        out.relu_in_place();
-        out
-    }
-    fn infer_batched(
-        &self,
-        _gts: &[&GraphTensors],
-        _offsets: &[usize],
-        scratch: &mut InferScratch,
-        h: &Matrix,
-    ) -> Matrix {
-        // Structure-blind: the batched forward is literally the stacked
-        // single forward.
-        let math = scratch.math();
-        let mut out = scratch.take(h.rows(), self.w.cols());
-        math.matmul_into(h, &self.w, &mut out);
+        let h_rows = scratch.rows_of(h, rows);
+        let mut out = scratch.take(h_rows.rows(), self.w.cols());
+        math.matmul_into(&h_rows, &self.w, &mut out);
+        scratch.put_rows(h_rows);
         out.add_bias_row_assign(&self.b);
         out.relu_in_place();
         out
@@ -597,6 +451,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rlqvo_graph::GraphBuilder;
+    use rlqvo_tensor::InferMath;
 
     fn path4_tensors() -> GraphTensors {
         let mut b = GraphBuilder::new(1);
@@ -723,38 +578,22 @@ mod tests {
     }
 
     #[test]
-    fn infer_batched_blocks_match_single_graph_infer_for_every_kind() {
-        // Two graphs of different sizes stacked: each block of the batched
-        // output must be bitwise identical to running that graph alone.
-        let gt_a = path4_tensors();
-        let mut b = GraphBuilder::new(1);
-        for _ in 0..3 {
-            b.add_vertex(0);
-        }
-        b.add_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_edge(0, 2);
-        let gt_b = GraphTensors::of(&b.build());
-
+    fn infer_rows_are_the_full_forwards_rows_for_every_kind() {
+        let gt = path4_tensors();
         let mut rng = StdRng::seed_from_u64(7);
-        let h_a = Matrix::from_fn(4, 5, |r, c| ((r * 5 + c) as f32 * 0.31).sin());
-        let h_b = Matrix::from_fn(3, 5, |r, c| ((r * 7 + c) as f32 * 0.17).cos());
-        let stacked = h_a.vstack(&h_b);
+        let h = Matrix::from_fn(4, 5, |r, c| ((r * 5 + c) as f32 * 0.31).sin());
         for kind in ALL_KINDS {
             let layer = build_layer(kind, 5, 8, &mut rng);
-            let mut scratch = InferScratch::new();
-            let one_a = layer.infer(&gt_a, &mut scratch, &h_a);
-            let one_b = layer.infer(&gt_b, &mut scratch, &h_b);
-            let batched = layer.infer_batched(&[&gt_a, &gt_b], &[0, 4], &mut scratch, &stacked);
-            assert_eq!(batched.shape(), (7, 8), "{}", kind.name());
-            for r in 0..4 {
-                for c in 0..8 {
-                    assert_eq!(batched.get(r, c), one_a.get(r, c), "{}: block a ({r},{c})", kind.name());
-                }
-            }
-            for r in 0..3 {
-                for c in 0..8 {
-                    assert_eq!(batched.get(4 + r, c), one_b.get(r, c), "{}: block b ({r},{c})", kind.name());
+            for math in [InferMath::Bitwise, InferMath::Fast] {
+                let mut scratch = InferScratch::with_math(math);
+                let full = layer.infer(&gt, &mut scratch, &h);
+                for rows in [&[0usize, 1, 2, 3][..], &[3, 1], &[2]] {
+                    let some = layer.infer_rows(&gt, &mut scratch, &h, Some(rows));
+                    assert_eq!(some.shape(), (rows.len(), 8), "{}", kind.name());
+                    for (r, &v) in rows.iter().enumerate() {
+                        assert_eq!(some.row(r), full.row(v), "{} {math:?}: row {v}", kind.name());
+                    }
+                    scratch.put(some);
                 }
             }
         }

@@ -52,9 +52,9 @@ impl MlpHead {
     /// fast-math kernels). Returns an `n×1` score buffer owned by the
     /// scratch pool.
     ///
-    /// Both layers are row-independent, so batched forwards call this
-    /// directly on a vertically stacked embedding matrix — each block of
-    /// the stacked score column equals the per-query result.
+    /// Both layers are row-independent: on a row subset of the embeddings
+    /// (the action-space rows of `GnnLayer::infer_rows`) each score is bit
+    /// for bit the full forward's score of that vertex.
     pub fn infer(&self, scratch: &mut InferScratch, h: &Matrix) -> Matrix {
         let math = scratch.math();
         let mut hidden = scratch.take(h.rows(), self.w1.cols());

@@ -810,7 +810,7 @@ fn worker_loop(
     }
 }
 
-/// The micro-batch pre-stage: one stacked policy forward
+/// The micro-batch pre-stage: one pass over the gathered queries
 /// ([`RlQvoOrdering::order_many`][rlqvo_core::RlQvoOrdering]) warms the
 /// [`OrderCache`] for every gathered `method=rlqvo` job that would
 /// otherwise run its ordering episode alone, so the per-job

@@ -6,8 +6,10 @@
 //!
 //! * [`InferScratch`] — a pool of reusable [`Matrix`] buffers. Kernels
 //!   `take` a buffer (recycling a previous one when its capacity fits) and
-//!   `put` it back when done; after the first pass over a given shape, no
-//!   further heap allocation happens.
+//!   `put` it back when done; after the first pass of an inference stream
+//!   no further heap allocation happens, also when later passes ask for
+//!   fewer rows ([`InferScratch::rows_of`]: a forward restricted to the
+//!   rows its consumer reads).
 //! * `_into` kernels — the forward halves of the tape ops, writing into
 //!   caller-provided buffers. Each mirrors its tape counterpart's
 //!   floating-point operations *exactly* (same kernels, same accumulation
@@ -16,9 +18,18 @@
 //!   kind and end to end through `order_query`.
 //!
 //! Matrix-shaped kernels (`matmul_into`, `relu_in_place`,
-//! `add_bias_row_assign`, …) live on [`Matrix`] itself; this module holds
-//! the arena plus the softmax/broadcast kernels whose tape versions build
-//! fresh output matrices.
+//! `add_bias_row_assign`, …) live on [`Matrix`] itself — see the
+//! `matrix` module header for which matmul arms exist and why the bitwise
+//! one never fuses a multiply-add; this module holds the arena plus the
+//! softmax/broadcast kernels whose tape versions build fresh output
+//! matrices.
+//!
+//! [`InferMath`] selects between the bitwise kernels and the
+//! tolerance-tested fast-math ones per stream. `Fast` is no longer the
+//! faster of the two on AVX2 hosts; it stays because the benchmark ledger
+//! measures it.
+
+use std::borrow::Cow;
 
 use crate::matrix::Matrix;
 
@@ -59,29 +70,13 @@ impl InferMath {
         }
     }
 
-    /// Block matmul ([`Matrix::matmul_block_into`]) under this contract.
-    pub fn matmul_block_into(self, a: &Matrix, rhs: &Matrix, rhs_row: usize, out: &mut Matrix, out_row: usize) {
-        match self {
-            InferMath::Bitwise => a.matmul_block_into(rhs, rhs_row, out, out_row),
-            InferMath::Fast => a.matmul_block_into_fast(rhs, rhs_row, out, out_row),
-        }
-    }
-
     /// Masked column softmax ([`masked_softmax_col_into`]) under this
     /// contract.
     pub fn masked_softmax_col_into(self, scores: &Matrix, mask: &[bool], out: &mut Vec<f32>) {
         assert_eq!(scores.cols(), 1, "masked_softmax_col expects an n×1 score vector");
-        assert_eq!(scores.rows(), mask.len(), "mask length mismatch");
-        self.masked_softmax_slice_into(scores.data(), mask, out);
-    }
-
-    /// Masked softmax over a raw score slice (the batched form: one
-    /// episode's contiguous block of a stacked score column) under this
-    /// contract.
-    pub fn masked_softmax_slice_into(self, scores: &[f32], mask: &[bool], out: &mut Vec<f32>) {
         match self {
-            InferMath::Bitwise => masked_softmax_slice_into(scores, mask, out),
-            InferMath::Fast => masked_softmax_slice_into_fast(scores, mask, out),
+            InferMath::Bitwise => masked_softmax_slice_into(scores.data(), mask, out),
+            InferMath::Fast => masked_softmax_slice_into_fast(scores.data(), mask, out),
         }
     }
 
@@ -153,9 +148,37 @@ impl InferScratch {
         self.pool.push(m);
     }
 
+    /// The rows of `m` a row-restricted pass reads: `m` itself for `None`
+    /// (every row), otherwise a pooled `rows.len() × m.cols()` copy whose
+    /// row `r` is `m`'s row `rows[r]`. Every kernel computes an output row
+    /// from the same row of its left operand alone, so a product over the
+    /// copy is bit for bit the selected rows of the product over `m`.
+    /// Hand the result to [`InferScratch::put_rows`] when done.
+    pub fn rows_of<'m>(&mut self, m: &'m Matrix, rows: Option<&[usize]>) -> Cow<'m, Matrix> {
+        let Some(rows) = rows else { return Cow::Borrowed(m) };
+        let mut out = self.take(rows.len(), m.cols());
+        for (dst, &r) in out.data_mut().chunks_exact_mut(m.cols()).zip(rows) {
+            dst.copy_from_slice(m.row(r));
+        }
+        Cow::Owned(out)
+    }
+
+    /// Returns a [`InferScratch::rows_of`] copy to the pool (a borrowed
+    /// full matrix has nothing to return).
+    pub fn put_rows(&mut self, m: Cow<'_, Matrix>) {
+        if let Cow::Owned(m) = m {
+            self.put(m);
+        }
+    }
+
     /// Number of idle buffers currently pooled (tests/diagnostics).
     pub fn pooled(&self) -> usize {
         self.pool.len()
+    }
+
+    /// Summed element capacity of the idle buffers (tests/diagnostics).
+    pub fn pooled_capacity(&self) -> usize {
+        self.pool.iter().map(Matrix::capacity).sum()
     }
 }
 
@@ -174,8 +197,7 @@ pub fn masked_softmax_col_into(scores: &Matrix, mask: &[bool], out: &mut Vec<f32
 
 /// [`masked_softmax_col_into`] over a raw score slice — the shared body
 /// (an `n×1` column's data *is* its flat slice, so this is the same
-/// computation bit for bit), and the form batched forwards use on one
-/// episode's contiguous block of a stacked score column.
+/// computation bit for bit). Scores where `mask` is false are never read.
 pub fn masked_softmax_slice_into(scores: &[f32], mask: &[bool], out: &mut Vec<f32>) {
     assert_eq!(scores.len(), mask.len(), "mask length mismatch");
     let max = scores.iter().zip(mask).filter(|(_, &m)| m).map(|(&x, _)| x).fold(f32::NEG_INFINITY, f32::max);
@@ -283,17 +305,9 @@ pub fn masked_softmax_rows_into_fast(scores: &Matrix, mask: &Matrix, out: &mut M
 pub fn broadcast_add_col_row_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols(), 1, "a must be n×1");
     assert_eq!(b.cols(), 1, "b must be n×1");
-    broadcast_add_slices_into(a.data(), b.data(), out);
-}
-
-/// [`broadcast_add_col_row_into`] over raw column slices — the shared
-/// body, and the form batched forwards use on one episode's contiguous
-/// block of a stacked score column (same additions, bit for bit).
-pub fn broadcast_add_slices_into(a: &[f32], b: &[f32], out: &mut Matrix) {
-    let (n, m) = (a.len(), b.len());
-    out.resize_for_overwrite(n, m); // every cell written below
-    for (i, &ai) in a.iter().enumerate() {
-        for (j, &bj) in b.iter().enumerate() {
+    out.resize_for_overwrite(a.rows(), b.rows()); // every cell written below
+    for (i, &ai) in a.data().iter().enumerate() {
+        for (j, &bj) in b.data().iter().enumerate() {
             out.set(i, j, ai + bj);
         }
     }

@@ -1,4 +1,27 @@
-//! Dense row-major `f32` matrices.
+//! Dense row-major `f32` matrices, and the two matmul kernels.
+//!
+//! **Bitwise** ([`Matrix::matmul_into`], the tape's `matmul`, every
+//! `InferMath::Bitwise` forward): each output element is one rounded
+//! multiply and one rounded add per non-zero `a[i][k]`, in ascending `k` —
+//! the naive [`Matrix::matmul_reference`] sequence, so tape, tape-free and
+//! reference results are equal bit for bit. Two arms compute it, selected
+//! once per process from the CPU: portable 16-column register blocks, and
+//! under AVX2 64-column blocks for outputs at least 64 wide (eight
+//! independent accumulator chains instead of one add latency per `k`).
+//! The AVX2 arm is compiled without the `fma` target feature and nothing
+//! on the path calls `mul_add`: a fused multiply-add rounds once where the
+//! contract rounds twice. Both arms, and every split of a row into
+//! 64-blocks, 16-blocks and tail, are pinned against the reference in this
+//! module's tests and in `tests/matmul_kernels.rs` (CI runs them in debug
+//! and `--release`).
+//!
+//! **Fast** ([`Matrix::matmul_into_fast`], `InferMath::Fast`): FMA and
+//! blocked reductions, within a tolerance of the reference
+//! (`tests/fastmath_tolerance.rs`), AVX-512F / AVX2+FMA / portable arms.
+//! Since the bitwise kernel stopped being latency-bound, `Fast` is *not*
+//! the faster mode on an AVX2 host (a Q16 order: 76 µs bitwise, 85 µs
+//! fast); it is kept because the benchmark ledger measures it
+//! (`core.ordering.infer_fast_us`), and removing it is a benchmark change.
 
 use rand::Rng;
 
@@ -147,21 +170,12 @@ impl Matrix {
     /// Matrix product `self @ rhs` written into `out` (resized in place,
     /// reusing its allocation).
     ///
-    /// Three shapes, one contract: every output element accumulates over
-    /// ascending `k` with the same zero-skip, so all paths are bitwise
-    /// identical to the naive [`Matrix::matmul_reference`] kernel for
-    /// finite inputs (property-checked in `tests/matmul_kernels.rs`).
-    ///
-    /// * `rhs` is a column (`n×1` — score/attention vectors): a plain
-    ///   sequential dot product per row, contiguous on both operands, no
-    ///   per-`k` slice overhead;
-    /// * wide outputs (≥ 16 columns — hidden-layer weights): 16-column
-    ///   register blocks whose accumulators survive the whole `k` loop
-    ///   (one contiguous load of `rhs`'s row chunk per `k`, one store per
-    ///   block), instead of the textbook `ikj` reload-and-store of the
-    ///   output row on every `k`;
-    /// * otherwise the textbook `ikj` loop, which wins on narrow/sparse
-    ///   operands (adjacency propagation).
+    /// Every output element accumulates over ascending `k` with the same
+    /// zero-skip, one rounded multiply and one rounded add per step, so
+    /// the result is bitwise identical to the naive
+    /// [`Matrix::matmul_reference`] kernel for finite inputs on every
+    /// shape path and dispatch arm (see `kernel_bitwise`;
+    /// property-checked in `tests/matmul_kernels.rs`).
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.rows, "matmul {:?} @ {:?}", self.shape(), rhs.shape());
         // Every path below overwrites (or explicitly zeroes) each output
@@ -206,53 +220,6 @@ impl Matrix {
         assert_eq!(self.cols, rhs.rows, "matmul {:?} @ {:?}", self.shape(), rhs.shape());
         out.resize_for_overwrite(self.rows, rhs.cols);
         kernel_fast::<PlainMac>(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
-    }
-
-    /// Block matmul for batched forwards: `self @ rhs[rhs_row..rhs_row+k]`
-    /// written into rows `out_row..out_row+m` of `out` (which must already
-    /// have `rhs.cols` columns and enough rows). Row-major blocks are
-    /// contiguous, so this runs the *same* kernel body as
-    /// [`Matrix::matmul_into`] on sub-slices — the written block is
-    /// bitwise identical to a standalone `self.matmul(block)`.
-    pub fn matmul_block_into(&self, rhs: &Matrix, rhs_row: usize, out: &mut Matrix, out_row: usize) {
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        assert_eq!(n, out.cols, "block matmul column mismatch");
-        assert!(rhs_row + k <= rhs.rows, "rhs block out of range");
-        assert!(out_row + m <= out.rows, "out block out of range");
-        kernel_bitwise(
-            &self.data,
-            m,
-            k,
-            &rhs.data[rhs_row * n..(rhs_row + k) * n],
-            n,
-            &mut out.data[out_row * n..(out_row + m) * n],
-        );
-    }
-
-    /// [`Matrix::matmul_block_into`] through the fast-math kernel (same
-    /// tolerance contract as [`Matrix::matmul_into_fast`]).
-    pub fn matmul_block_into_fast(&self, rhs: &Matrix, rhs_row: usize, out: &mut Matrix, out_row: usize) {
-        let (m, k, n) = (self.rows, self.cols, rhs.cols);
-        assert_eq!(n, out.cols, "block matmul column mismatch");
-        assert!(rhs_row + k <= rhs.rows, "rhs block out of range");
-        assert!(out_row + m <= out.rows, "out block out of range");
-        kernel_fast_dispatch(
-            &self.data,
-            m,
-            k,
-            &rhs.data[rhs_row * n..(rhs_row + k) * n],
-            n,
-            &mut out.data[out_row * n..(out_row + m) * n],
-        );
-    }
-
-    /// Copies all rows of `src` into `self` starting at row `row_off` —
-    /// the packing primitive batched forwards use to stack per-query
-    /// feature matrices into one tall input.
-    pub fn write_rows(&mut self, row_off: usize, src: &Matrix) {
-        assert_eq!(self.cols, src.cols, "write_rows column mismatch");
-        assert!(row_off + src.rows <= self.rows, "write_rows out of range");
-        self.data[row_off * self.cols..(row_off + src.rows) * self.cols].copy_from_slice(&src.data);
     }
 
     /// The naive `i-j-k` triple loop over the row-major `rhs` — the
@@ -395,22 +362,6 @@ impl Matrix {
         }
     }
 
-    /// [`Matrix::mul_col_broadcast_assign`] restricted to the row block
-    /// starting at `row_off` (`col.rows()` rows) — the batched-forward
-    /// form, where each query's degree column scales only its own rows of
-    /// the stacked matrix. Bitwise identical to running the full-matrix
-    /// op on the extracted block.
-    pub fn mul_col_broadcast_rows_assign(&mut self, row_off: usize, col: &Matrix) {
-        assert_eq!(col.cols, 1, "col must be n×1");
-        assert!(row_off + col.rows <= self.rows, "row block out of range");
-        let block = &mut self.data[row_off * self.cols..(row_off + col.rows) * self.cols];
-        for (row, &c) in block.chunks_exact_mut(self.cols).zip(&col.data) {
-            for x in row {
-                *x *= c;
-            }
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -453,25 +404,49 @@ impl Matrix {
     }
 }
 
-/// The bitwise kernel body shared by [`Matrix::matmul_into`] and
-/// [`Matrix::matmul_block_into`], over raw row-major slices
-/// (`a` is `m×k`, `rhs` is `k×n`, `out` is `m×n`).
+/// The bitwise kernel behind [`Matrix::matmul_into`] (and so the tape's
+/// `matmul`), over raw row-major slices (`a` is `m×k`, `rhs` is `k×n`,
+/// `out` is `m×n`): [`kernel_bitwise_body`] at the block width the CPU
+/// can keep in registers. Two arms, same bits:
+///
+/// * portable — 16-column blocks (four `xmm` accumulators);
+/// * AVX2, when `n ≥ 64` — 64-column blocks: eight independent `ymm`
+///   accumulator chains per `k` step, so the loop is bound by multiply and
+///   add throughput instead of one add latency per step.
+///
+/// Neither arm may fuse a multiply-add (module header). A 512-bit arm
+/// measured no faster than the AVX2 one; there is none.
+fn kernel_bitwise(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if n >= 64 && cpu().avx2 {
+            // SAFETY: the detection above proves avx2 is available.
+            unsafe { kernel_bitwise_avx2(a, m, k, rhs, n, out) };
+            return;
+        }
+    }
+    kernel_bitwise_body::<16>(a, m, k, rhs, n, out);
+}
+
+/// The bitwise kernel body, generic over the widest column block `W`.
 ///
 /// Three shapes, one contract: every output element accumulates over
 /// ascending `k` with the same zero-skip, so all paths are bitwise
 /// identical to the naive [`Matrix::matmul_reference`] kernel for finite
-/// inputs (property-checked in `tests/matmul_kernels.rs`).
+/// inputs (property-checked in `tests/matmul_kernels.rs`, per arm in this
+/// module's tests).
 ///
 /// * `n == 1` (score/attention columns): a plain sequential dot product
 ///   per row, contiguous on both operands, no per-`k` slice overhead;
-/// * wide outputs (≥ 16 columns — hidden-layer weights): 16-column
-///   register blocks whose accumulators survive the whole `k` loop (one
-///   contiguous load of `rhs`'s row chunk per `k`, one store per block),
-///   instead of the textbook `ikj` reload-and-store of the output row on
-///   every `k`;
-/// * otherwise the textbook `ikj` loop, which wins on narrow/sparse
-///   operands (adjacency propagation).
-fn kernel_bitwise(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+/// * wide outputs (≥ 16 columns — hidden-layer weights): `W`-column, then
+///   16-column register blocks whose accumulators survive the whole `k`
+///   loop (one contiguous load of `rhs`'s row chunk per `k`, one store per
+///   block), instead of the textbook `ikj` reload-and-store of the output
+///   row on every `k`;
+/// * otherwise, and for the columns left over, the textbook `ikj` loop,
+///   which wins on narrow/sparse operands (adjacency propagation).
+#[inline(always)]
+fn kernel_bitwise_body<const W: usize>(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     if n == 1 {
         for (o, i) in out.iter_mut().zip(0..m) {
             let mut acc = 0.0f32;
@@ -484,26 +459,11 @@ fn kernel_bitwise(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mu
         }
         return;
     }
-    const B: usize = 16;
-    let chunks = if n >= B { n - n % B } else { 0 };
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
-        let mut j = 0;
-        while j < chunks {
-            let mut acc = [0.0f32; B];
-            for (kk, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue; // adjacency matrices are sparse in practice
-                }
-                let b = &rhs[kk * n + j..kk * n + j + B];
-                for (acc_t, &b_t) in acc.iter_mut().zip(b) {
-                    *acc_t += av * b_t;
-                }
-            }
-            out_row[j..j + B].copy_from_slice(&acc);
-            j += B;
-        }
+        let j = bitwise_blocks::<W>(a_row, rhs, n, out_row, 0);
+        let j = bitwise_blocks::<16>(a_row, rhs, n, out_row, j);
         if j < n {
             let tail = &mut out_row[j..];
             tail.fill(0.0); // the tail accumulates in place
@@ -518,6 +478,57 @@ fn kernel_bitwise(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mu
             }
         }
     }
+}
+
+/// `B`-column register blocks of one output row, from column `j` for as
+/// long as a whole block fits; returns the first column left uncovered.
+#[inline(always)]
+fn bitwise_blocks<const B: usize>(a_row: &[f32], rhs: &[f32], n: usize, out_row: &mut [f32], mut j: usize) -> usize {
+    while j + B <= n {
+        let mut acc = [0.0f32; B];
+        for (kk, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue; // adjacency matrices are sparse in practice
+            }
+            let b = &rhs[kk * n + j..kk * n + j + B];
+            for (acc_t, &b_t) in acc.iter_mut().zip(b) {
+                *acc_t += av * b_t;
+            }
+        }
+        out_row[j..j + B].copy_from_slice(&acc);
+        j += B;
+    }
+    j
+}
+
+/// [`kernel_bitwise_body`] at 64-column blocks, compiled with AVX2 — and
+/// deliberately not `fma` — enabled.
+///
+/// # Safety
+/// The CPU must support AVX2 (checked by the dispatcher).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn kernel_bitwise_avx2(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
+    kernel_bitwise_body::<64>(a, m, k, rhs, n, out);
+}
+
+/// The vector extensions the matmul dispatchers select on, detected once.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Cpu {
+    avx2: bool,
+    fma: bool,
+    avx512f: bool,
+}
+
+#[cfg(target_arch = "x86_64")]
+fn cpu() -> Cpu {
+    static CPU: std::sync::OnceLock<Cpu> = std::sync::OnceLock::new();
+    *CPU.get_or_init(|| Cpu {
+        avx2: std::is_x86_feature_detected!("avx2"),
+        fma: std::is_x86_feature_detected!("fma"),
+        avx512f: std::is_x86_feature_detected!("avx512f"),
+    })
 }
 
 /// One multiply-accumulate step, abstracted so the fast kernel body can
@@ -645,7 +656,7 @@ fn kernel_fast<M: MulAcc>(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, 
 /// register blocks (16 zmm accumulators under AVX-512). Output-identical
 /// to [`kernel_fast`] for the same `M` — the row/column blocking never
 /// changes any single output's `k`-accumulation order — so dispatch
-/// width is invisible to the tolerance and batched-parity contracts.
+/// width is invisible to the tolerance and row-restriction contracts.
 #[inline(always)]
 fn kernel_fast_wide<M: MulAcc>(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     if n < 32 {
@@ -693,23 +704,20 @@ unsafe fn kernel_fast_avx512(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usiz
 }
 
 /// Runtime-dispatched fast kernel: AVX-512F when the CPU has it, then
-/// AVX2+FMA, portable blocked-reduction otherwise (each checked once,
-/// cached). All three arms of one `MulAcc` flavour produce identical
-/// outputs; only FMA-vs-separate rounding distinguishes the portable arm.
+/// AVX2+FMA, portable blocked-reduction otherwise (detected once, shared
+/// with [`kernel_bitwise`]). All three arms of one `MulAcc` flavour
+/// produce identical outputs; only FMA-vs-separate rounding distinguishes
+/// the portable arm.
 fn kernel_fast_dispatch(a: &[f32], m: usize, k: usize, rhs: &[f32], n: usize, out: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::sync::OnceLock;
-        static HAS_AVX512: OnceLock<bool> = OnceLock::new();
-        static HAS_AVX2_FMA: OnceLock<bool> = OnceLock::new();
-        if *HAS_AVX512.get_or_init(|| std::is_x86_feature_detected!("avx512f")) {
+        let cpu = cpu();
+        if cpu.avx512f {
             // SAFETY: the detection above proves avx512f is available.
             unsafe { kernel_fast_avx512(a, m, k, rhs, n, out) };
             return;
         }
-        let has =
-            *HAS_AVX2_FMA.get_or_init(|| std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma"));
-        if has {
+        if cpu.avx2 && cpu.fma {
             // SAFETY: the detection above proves avx2+fma are available.
             unsafe { kernel_fast_avx2(a, m, k, rhs, n, out) };
             return;
@@ -822,6 +830,39 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
         assert_eq!(out, a.matmul_reference(&b));
+    }
+
+    /// Every bitwise arm this host can run — the portable 16-column body,
+    /// the AVX2 64-column body when detected, and the dispatcher — against
+    /// the naive reference, bit for bit. The widths cross every split of a
+    /// row into 64-blocks, 16-blocks and tail (87 = 64 + 16 + 7); `a`
+    /// carries exact zeros (the skip) and negative values.
+    #[test]
+    fn every_bitwise_arm_matches_reference_bit_for_bit() {
+        type Kernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+        let mut arms: Vec<(&str, Kernel)> =
+            vec![("portable-16", kernel_bitwise_body::<16>), ("dispatch", kernel_bitwise)];
+        #[cfg(target_arch = "x86_64")]
+        if cpu().avx2 {
+            // SAFETY: avx2 was just detected.
+            arms.push(("avx2-64", |a, m, k, rhs, n, out| unsafe { kernel_bitwise_avx2(a, m, k, rhs, n, out) }));
+        }
+        let mut rng = StdRng::seed_from_u64(16);
+        for n in [1usize, 7, 15, 16, 17, 63, 64, 65, 80, 87, 128, 256] {
+            for m in [1usize, 5, 16] {
+                for k in [1usize, 7, 64] {
+                    let a =
+                        Matrix::from_fn(m, k, |_, _| if rng.gen_bool(0.3) { 0.0 } else { rng.gen_range(-2.0f32..2.0) });
+                    let b = Matrix::from_fn(k, n, |_, _| rng.gen_range(-2.0f32..2.0));
+                    let naive = a.matmul_reference(&b);
+                    for (name, kernel) in &arms {
+                        let mut out = vec![7.5f32; m * n]; // dirty: every cell must be overwritten
+                        kernel(a.data(), m, k, b.data(), n, &mut out);
+                        assert_eq!(out, naive.data(), "{name}: {m}x{k} @ {k}x{n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

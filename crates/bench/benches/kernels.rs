@@ -10,8 +10,8 @@ use rlqvo_gnn::GraphTensors;
 use rlqvo_graph::{intersect_in_place, intersect_into, GraphBuilder};
 use rlqvo_matching::order::{GqlOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering};
 use rlqvo_matching::{
-    enumerate, enumerate_in_space, run_with_entry, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter,
-    LdfFilter, NlfFilter, SpaceCache,
+    enumerate, enumerate_in_space, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter,
+    NlfFilter,
 };
 use rlqvo_tensor::{Matrix, Tape};
 
@@ -293,51 +293,6 @@ fn bench_parallel_enum(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cross-round amortization contract: what one round of a repeated
-/// query costs uncached (filter + build + enumerate, a fresh `SpaceCache`
-/// per iteration = every round is round 1) versus served from a warm
-/// cache (rounds 2+ of a sweep: lookup + enumerate only). The gap is the
-/// per-round saving of Fig. 11-style cap sweeps and repeated-query
-/// serving.
-fn bench_space_cache(c: &mut Criterion) {
-    let g = Dataset::Yeast.load();
-    let q = build_query_set(&g, 12, 1, 3).queries.pop().unwrap();
-    let filter = GqlFilter::default();
-    let cfg = EnumConfig { max_matches: 1_000, ..EnumConfig::default() };
-    let mut group = c.benchmark_group("spacecache");
-    group.bench_function("yeast-first-1k/round1-uncached", |b| {
-        b.iter(|| {
-            let cache = SpaceCache::new();
-            let (entry, _) = cache.entry_for(&q, &g, &filter);
-            run_with_entry(&q, &g, &entry, &RiOrdering, cfg)
-        })
-    });
-    let warm = SpaceCache::new();
-    warm.entry_for(&q, &g, &filter).0.space(&q, &g); // pay round 1 once
-    group.bench_function("yeast-first-1k/round2-cached", |b| {
-        b.iter(|| {
-            let (entry, _) = warm.entry_for(&q, &g, &filter);
-            run_with_entry(&q, &g, &entry, &RiOrdering, cfg)
-        })
-    });
-    // The lookup hot path alone (fingerprint + one shard lock + Arc
-    // clone), against a populated index: the cost PR 3's ROADMAP flagged
-    // at ~4.6 µs under the single-Mutex map. Populating 64 sibling keys
-    // keeps the shard maps realistic.
-    let populated = SpaceCache::new();
-    populated.entry_for(&q, &g, &filter);
-    for i in 0..64u64 {
-        // Distinct synthetic ids sharing the real entry's filter key.
-        populated.entry(0xF00D + i, &q, &g, &filter);
-    }
-    group.bench_function("hit-lookup", |b| b.iter(|| populated.entry_for(&q, &g, &filter)));
-    // The fingerprint-memoizing handle: same warm hit with the query
-    // hashed once up front (QueryKey) instead of per lookup.
-    let key = rlqvo_matching::QueryKey::of(&q);
-    group.bench_function("hit-lookup-keyed", |b| b.iter(|| populated.entry_keyed(&key, &q, &g, &filter)));
-    group.finish();
-}
-
 /// The ISSUE-7 thrash regime: cold-miss cost *at capacity*, where every
 /// distinct lookup must evict a victim before (well, after) inserting.
 /// Measured through `OrderCache` with a trivial fixed-size compute so the
@@ -347,8 +302,11 @@ fn bench_space_cache(c: &mut Criterion) {
 /// pre-PR-7 global LRU scan) cost grows ~8x with residents; under the
 /// default `Sampled` policy it must stay flat.
 fn bench_cache_thrash(c: &mut Criterion) {
-    use rlqvo_matching::{CacheConfig, EvictPolicy, OrderCache};
+    use rlqvo_matching::{CacheConfig, EvictPolicy, OrderCache, QueryKey};
     let q = build_query_set(&Dataset::Yeast.load(), 6, 1, 3).queries.pop().unwrap();
+    // One query, distinct variants: eviction cost depends on keys and
+    // weights only.
+    let key = QueryKey::of(&q);
     let mut group = c.benchmark_group("cache-thrash");
     for policy in [EvictPolicy::Sampled, EvictPolicy::ScanReference] {
         for residents in [128usize, 1024] {
@@ -357,7 +315,7 @@ fn bench_cache_thrash(c: &mut Criterion) {
             // Fill to capacity so every benchmarked lookup is a cold miss
             // that must evict.
             for i in 0..residents as u64 {
-                cache.get_or_compute(i, "V", &q, || vec![0; 16]);
+                cache.get_or_compute_keyed(&key, &format!("V{i}"), &q, || vec![0; 16]);
             }
             let mut next = residents as u64;
             let name = match policy {
@@ -367,7 +325,7 @@ fn bench_cache_thrash(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(name, residents), &residents, |b, _| {
                 b.iter(|| {
                     next += 1;
-                    cache.get_or_compute(next, "V", &q, || vec![0; 16])
+                    cache.get_or_compute_keyed(&key, &format!("V{next}"), &q, || vec![0; 16])
                 })
             });
         }
@@ -376,8 +334,9 @@ fn bench_cache_thrash(c: &mut Criterion) {
 }
 
 /// The PR 5 inference-path contract: tape-based vs tape-free policy
-/// forward (one ordering step) and full order inference, plus the
-/// OrderCache hit that replaces ordering entirely for repeated queries.
+/// forward (one ordering step) and full order inference. (The cache hits
+/// that replace both for repeated queries are the ledger's
+/// `matching.spacecache.hit_ns` / `matching.ordercache.hit_ns`.)
 /// `infer/tape-step` spins up a throwaway autodiff tape and re-binds
 /// every parameter per call — what every ordering step paid before;
 /// `infer/prepared-step` is the PreparedPolicy path (no tape, no
@@ -418,18 +377,6 @@ fn bench_ordering_infer(c: &mut Criterion) {
             b.iter(|| ordering.run_episode(&q, &g))
         });
     }
-    // The serving layer above both: a warm OrderCache hit with a
-    // memoized QueryKey — what a repeated query actually pays for
-    // "ordering" once the caches are hot.
-    let model = RlQvo::new(RlQvoConfig::default());
-    let ordering = model.ordering();
-    let ocache = rlqvo_matching::OrderCache::new();
-    let key = rlqvo_matching::QueryKey::of(&q);
-    let cand = GqlFilter::default().filter(&q, &g);
-    ocache.get_or_compute_keyed(&key, "RL-QVO@GQL/r2", &q, || ordering.order(&q, &g, &cand));
-    group.bench_function("infer/order-cache-hit", |b| {
-        b.iter(|| ocache.get_or_compute_keyed(&key, "RL-QVO@GQL/r2", &q, || unreachable!("warm")))
-    });
     group.finish();
 }
 
@@ -529,6 +476,6 @@ fn bench_failpoints(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_filters, bench_orderings, bench_enumeration, bench_intersect_kernels, bench_candspace_build, bench_enum_engines, bench_parallel_enum, bench_space_cache, bench_cache_thrash, bench_ordering_infer, bench_matmul_math, bench_gcn_forward, bench_autograd, bench_failpoints
+    targets = bench_filters, bench_orderings, bench_enumeration, bench_intersect_kernels, bench_candspace_build, bench_enum_engines, bench_parallel_enum, bench_cache_thrash, bench_ordering_infer, bench_matmul_math, bench_gcn_forward, bench_autograd, bench_failpoints
 }
 criterion_main!(benches);

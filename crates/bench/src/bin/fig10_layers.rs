@@ -6,7 +6,7 @@
 //! and 2–3 layers tie, with 4 layers drifting up again.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{rlqvo_method, run_method, train_model_for, Scale};
+use rlqvo_bench::{rlqvo_method, run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
 
@@ -26,7 +26,9 @@ fn main() {
             let mut config = RlQvoConfig::harness();
             config.num_layers = layers;
             let (model, _) = train_model_for(&g, dataset, size, &scale, config, true);
-            let stats = run_method(&g, &split.eval, &rlqvo_method(&model), scale.enum_config(), scale.threads);
+            let learned = model.ordering();
+            let methods = [rlqvo_method(&learned)];
+            let stats = &run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)[0];
             println!(
                 "{:<10} {:>7} | {:>10.5} {:>12.6} {:>12.5}",
                 dataset.name(),

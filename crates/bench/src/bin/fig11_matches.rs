@@ -5,7 +5,7 @@
 //! advantage appears and grows beyond ~10⁶ matches (large search spaces).
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{hybrid_method, rlqvo_method, run_methods_cached, run_methods_shared, train_model_for, Scale};
+use rlqvo_bench::{hybrid_method, rlqvo_method, run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
 use rlqvo_matching::{EnumConfig, SpaceCache};
@@ -30,17 +30,14 @@ fn main() {
     // build per (query, filter) key instead of one per cap
     // (RLQVO_SPACE_CACHE=0 restores per-round filtering).
     let cache = SpaceCache::new();
+    let caches = if scale.space_cache { Caches::Shared { spaces: &cache, orders: None } } else { Caches::Local };
+    let learned = model.ordering();
     println!("{:<8} {:>12} {:>12} {:>10} {:>10}", "matches", "RL-QVO(s)", "Hybrid(s)", "unsRL", "unsHY");
     for (label, cap) in caps {
         let config = EnumConfig { max_matches: cap, ..scale.enum_config() };
         // RL-QVO and Hybrid share the GQL filter: one build per query.
-        let methods = vec![rlqvo_method(&model), hybrid_method()];
-        let mut stats = if scale.space_cache {
-            run_methods_cached(&g, &split.eval, &methods, config, scale.threads, &cache)
-        } else {
-            run_methods_shared(&g, &split.eval, &methods, config, scale.threads)
-        }
-        .into_iter();
+        let methods = [rlqvo_method(&learned), hybrid_method()];
+        let mut stats = run_methods(&g, &split.eval, &methods, config, scale.threads, caches).into_iter();
         let (rl, hy) = (stats.next().expect("RL-QVO stats"), stats.next().expect("Hybrid stats"));
         println!(
             "{:<8} {:>12.5} {:>12.5} {:>10} {:>10}",

@@ -5,7 +5,7 @@
 //! magnitude over VEQ/Hybrid on citeseer/dblp.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods_shared, train_model_for, Scale};
+use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::ALL_DATASETS;
 
@@ -29,10 +29,11 @@ fn main() {
 
         // One filtering pass + one CandidateSpace build per (query, filter
         // group), shared by all eight compared orders.
-        let mut methods = vec![rlqvo_method(&model)];
+        let learned = model.ordering();
+        let mut methods = vec![rlqvo_method(&learned)];
         methods.extend(baseline_methods());
         let row: Vec<(String, f64, usize)> =
-            run_methods_shared(&g, &split.eval, &methods, scale.enum_config(), scale.threads)
+            run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)
                 .into_iter()
                 .map(|s| (s.name.clone(), s.mean_total_secs(), s.unsolved))
                 .collect();

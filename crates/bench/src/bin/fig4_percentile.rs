@@ -6,7 +6,7 @@
 //! queries on youtube/wordnet/eu2005.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods_shared, train_model_for, Scale};
+use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::ALL_DATASETS;
 use rlqvo_matching::EnumConfig;
@@ -37,9 +37,10 @@ fn main() {
         }
         println!(" {:>9}", "unsolved");
 
-        let mut methods = vec![rlqvo_method(&model)];
+        let learned = model.ordering();
+        let mut methods = vec![rlqvo_method(&learned)];
         methods.extend(baseline_methods());
-        let all = run_methods_shared(&g, &split.eval, &methods, config, scale.threads);
+        let all = run_methods(&g, &split.eval, &methods, config, scale.threads, Caches::Local);
         for name in shown {
             let Some(stats) = all.iter().find(|s| s.name == name) else { continue };
             print!("{:<8}", stats.name);

@@ -6,7 +6,7 @@
 //! size (larger search spaces reward better orders).
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods_shared, train_model_for, Scale};
+use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::ALL_DATASETS;
 
@@ -32,9 +32,10 @@ fn main() {
             // Build-once/enumerate-many: all seven orders per filter group
             // share one filtering pass and one CandidateSpace build per
             // (query, data) pair.
-            let mut methods = vec![rlqvo_method(&model)];
+            let learned = model.ordering();
+            let mut methods = vec![rlqvo_method(&learned)];
             methods.extend(baseline_methods());
-            let stats = run_methods_shared(&g, &split.eval, &methods, scale.enum_config(), scale.threads);
+            let stats = run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local);
             print!("{:<6}", format!("Q{size}"));
             for name in order {
                 let s = stats.iter().find(|s| s.name == name).expect("method present");

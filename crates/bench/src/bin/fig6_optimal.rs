@@ -31,10 +31,11 @@ fn main() {
         let split = split_queries(&g, dataset, 8, &scale);
         let (model, _) = train_model_for(&g, dataset, 8, &scale, RlQvoConfig::harness(), true);
         let filter = GqlFilter::default();
-        let engine = EnumEngine::from_env();
+        let engine = config.engine;
         let opt = OptimalOrdering { per_order_config: EnumConfig::budgeted(opt_budget).with_engine(engine) };
         let hybrid = hybrid_method();
-        let rlqvo = rlqvo_method(&model);
+        let learned = model.ordering();
+        let rlqvo = rlqvo_method(&learned);
 
         println!("--- {} (Q8, {} queries) — #enum per query ---", dataset.name(), num_queries);
         println!("{:<6} {:>12} {:>12} {:>12} {:>10} {:>10}", "query", "Opt", "RL-QVO", "Hybrid", "RL/Opt", "Hyb/Opt");

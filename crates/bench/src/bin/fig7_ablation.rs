@@ -14,11 +14,11 @@
 //! sizes. Override with RLQVO_ABLATION_TRAIN_SIZE.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{run_methods_cached, run_methods_shared, BenchMethod, Scale};
+use rlqvo_bench::{run_methods, BenchMethod, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
 use rlqvo_gnn::GnnKind;
-use rlqvo_matching::{GqlFilter, SpaceCache};
+use rlqvo_matching::SpaceCache;
 
 struct Variant {
     name: &'static str,
@@ -116,24 +116,18 @@ fn main() {
     // cache is cleared between sizes — peak memory stays one size's
     // worth of candidate spaces instead of the whole sweep's.
     let cache = SpaceCache::new();
+    let caches = if scale.space_cache { Caches::Shared { spaces: &cache, orders: None } } else { Caches::Local };
+    let orderings: Vec<_> = models.iter().map(|(_, model)| model.ordering()).collect();
     println!("{:<10} {:>6} {:>12} {:>12} {:>10}", "variant", "Qset", "query(s)", "enum(s)", "unsolved");
     for &size in dataset.query_sizes() {
         let split = split_queries(&g, dataset, size, &scale);
         let methods: Vec<BenchMethod<'_>> = models
             .iter()
-            .map(|(name, model)| BenchMethod {
-                name,
-                filter: Box::new(GqlFilter::default()),
-                ordering: Box::new(model.ordering()),
-            })
+            .zip(&orderings)
+            .map(|((name, _), o)| BenchMethod { name, ..BenchMethod::learned(o) })
             .collect();
-        let all_stats = if scale.space_cache {
-            let stats = run_methods_cached(&g, &split.eval, &methods, scale.enum_config(), scale.threads, &cache);
-            cache.clear();
-            stats
-        } else {
-            run_methods_shared(&g, &split.eval, &methods, scale.enum_config(), scale.threads)
-        };
+        let all_stats = run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, caches);
+        cache.clear();
         for stats in &all_stats {
             println!(
                 "{:<10} {:>6} {:>12.5} {:>12.5} {:>10}",

@@ -13,7 +13,7 @@
 //! clearly worse on query time.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{rlqvo_method, run_method, Scale};
+use rlqvo_bench::{rlqvo_method, run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
 
@@ -55,7 +55,9 @@ fn main() {
             ("Incr", &incr, pre_report.elapsed.as_secs_f64() + incr_report.elapsed.as_secs_f64()),
             ("Pretrained", &pre_only, pre_only_report.elapsed.as_secs_f64()),
         ] {
-            let stats = run_method(&g, &split.eval, &rlqvo_method(model), scale.enum_config(), scale.threads);
+            let learned = model.ordering();
+            let methods = [rlqvo_method(&learned)];
+            let stats = &run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)[0];
             println!(
                 "{:<10} {:<12} {:>12.5} {:>12.5} {:>12.2}",
                 dataset.name(),

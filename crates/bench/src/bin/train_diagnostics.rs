@@ -5,7 +5,7 @@
 //! actually happens before running the figure harnesses.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{hybrid_method, rlqvo_method, run_method, Scale};
+use rlqvo_bench::{hybrid_method, rlqvo_method, run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
 
@@ -38,10 +38,15 @@ fn main() {
         println!("{:>5} {:>12.4} {:>12.4} {:>10.4}", i + 1, e.mean_return, e.mean_enum_advantage, e.mean_entropy);
     }
 
-    let rl = rlqvo_method(&model);
-    let hy = hybrid_method();
-    let rl_train = run_method(&g, &split.train, &rl, scale.enum_config(), scale.threads);
-    let hy_train = run_method(&g, &split.train, &hy, scale.enum_config(), scale.threads);
+    let learned = model.ordering();
+    // One method per run, so neither shares the other's filter pass or
+    // space build and the totals are what each pays alone.
+    let run = |queries, method| {
+        run_methods(&g, queries, &[method], scale.enum_config(), scale.threads, Caches::Local).remove(0)
+    };
+    let (rl, hy) = (rlqvo_method(&learned), hybrid_method());
+    let rl_train = run(&split.train, rl);
+    let hy_train = run(&split.train, hy);
     println!();
     println!(
         "train(greedy): RL-QVO #enum {:.0} vs Hybrid #enum {:.0} | totals {:.4}s vs {:.4}s",
@@ -50,8 +55,8 @@ fn main() {
         rl_train.mean_total_secs(),
         hy_train.mean_total_secs()
     );
-    let rl_stats = run_method(&g, &split.eval, &rl, scale.enum_config(), scale.threads);
-    let hy_stats = run_method(&g, &split.eval, &hy, scale.enum_config(), scale.threads);
+    let rl_stats = run(&split.eval, rl);
+    let hy_stats = run(&split.eval, hy);
     println!(
         "eval: RL-QVO mean total {:.4}s (enum {:.4}s, order {:.4}s, #enum {:.0}, unsolved {})",
         rl_stats.mean_total_secs(),

@@ -1,15 +1,16 @@
 //! Query-parallel method evaluation with paper-style aggregates.
 //!
-//! Three entry points: [`run_method`] evaluates one method with the
-//! classic per-call pipeline; [`run_methods_shared`] evaluates a whole
-//! roster with the build-once/enumerate-many contract — per (query,
+//! One entry point, [`run_methods`]: a roster (one method or many) over a
+//! query set with the build-once/enumerate-many contract — per (query,
 //! filter group) the candidates are filtered once and the
-//! `CandidateSpace` is built exactly once, then every method's order
-//! enumerates in it; and [`run_methods_cached`] extends that contract
-//! *across rounds* through a caller-owned [`SpaceCache`] — a sweep that
-//! replays the same query set (Fig. 11 caps, repeated variant runs) pays
-//! one filter pass and one build per (query, filter) key total, not per
-//! round.
+//! `CandidateSpace` is built at most once, then every method of the group
+//! orders and enumerates in that entry through the library's shared
+//! [`run_in_entry`]. Its [`Caches`] argument says where that state lives,
+//! which is also how served work is booked: a call-local cache books what
+//! each query would have paid alone; caller-owned caches extend the
+//! contract *across rounds* — a sweep that replays the same query set
+//! (Fig. 11 caps, repeated variant runs) pays one filter pass and one
+//! build per (query, filter) key total — and book served work as zero.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -17,8 +18,8 @@ use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 use rlqvo_matching::{
-    auto_decide, enumerate_in_space, enumerate_probe_prepared, run_on_pool, run_pipeline, EnumConfig, EnumEngine,
-    OrderCache, Pipeline, PipelineResult, SpaceCache, TokenBudget,
+    resolve_in_entry, run_in_entry, run_on_pool, EnumConfig, EnumEngine, OrderCache, Pipeline, PipelineResult,
+    QueryKey, SpaceCache, TokenBudget,
 };
 
 use crate::methods::BenchMethod;
@@ -44,9 +45,7 @@ pub struct RunStats {
     pub unsolved: usize,
     /// This method's amortized share of the per-(query, filter)
     /// `CandidateSpace` build, one entry per query (already included in
-    /// `enum_times`, recorded separately for diagnostics). Empty for
-    /// [`run_method`] runs, where the per-call build is booked inside the
-    /// engine's enumeration time.
+    /// `enum_times`, recorded separately for diagnostics).
     pub space_build_times: Vec<Duration>,
 }
 
@@ -80,7 +79,7 @@ impl RunStats {
         percentile_secs(&self.total_times, p)
     }
 
-    /// Mean amortized space-build share in seconds (0 outside shared runs).
+    /// Mean amortized space-build share in seconds.
     pub fn mean_build_secs(&self) -> f64 {
         mean_secs(&self.space_build_times)
     }
@@ -121,26 +120,6 @@ fn budgeted_config(threads: usize, config: EnumConfig) -> (usize, &'static Token
     (total, budget, config.with_threads(config.threads.clamp(1, total)).with_pool_tokens(budget))
 }
 
-/// Runs `method` over every query (in parallel across `threads` workers)
-/// and aggregates. Unsolved queries are clamped to the time limit, as the
-/// paper does. `threads` is the *total* budget: intra-query enumeration
-/// workers requested via `config.threads` compose under it through the
-/// shared token budget (see [`budgeted_config`]).
-pub fn run_method(
-    g: &Graph,
-    queries: &[Graph],
-    method: &BenchMethod<'_>,
-    config: EnumConfig,
-    threads: usize,
-) -> RunStats {
-    let (total, budget, config) = budgeted_config(threads, config);
-    let results = parallel_map(queries.len(), total, budget, |i| {
-        let pipeline = Pipeline { filter: method.filter.as_ref(), ordering: method.ordering.as_ref(), config };
-        run_pipeline(&queries[i], g, &pipeline)
-    });
-    collect_stats(method.name, &results, config, None)
-}
-
 /// Index-parallel map over `0..n` on the global scheduler: the caller
 /// participates, up to `threads - 1` pool helpers join, and each
 /// participant holds one token from `budget` while it runs — the same
@@ -176,12 +155,7 @@ fn parallel_map<T: Send>(n: usize, threads: usize, budget: &TokenBudget, f: impl
 }
 
 /// Folds per-query pipeline results into the paper-style aggregate.
-fn collect_stats(
-    name: &str,
-    results: &[PipelineResult],
-    config: EnumConfig,
-    build_shares: Option<&[Duration]>,
-) -> RunStats {
+fn collect_stats(name: &str, results: &[PipelineResult], config: EnumConfig, build_shares: Vec<Duration>) -> RunStats {
     let mut stats = RunStats {
         name: name.to_string(),
         total_times: Vec::with_capacity(results.len()),
@@ -190,7 +164,7 @@ fn collect_stats(
         enumerations: Vec::with_capacity(results.len()),
         matches: Vec::with_capacity(results.len()),
         unsolved: 0,
-        space_build_times: build_shares.map(<[Duration]>::to_vec).unwrap_or_default(),
+        space_build_times: build_shares,
     };
     for r in results {
         let unsolved = r.unsolved();
@@ -217,154 +191,108 @@ struct SharedOutcome {
     build_share: Vec<Duration>,
 }
 
-/// Evaluates the whole roster over every query with the
-/// build-once/enumerate-many contract: per (query, distinct filter) the
-/// candidates are computed once and the `CandidateSpace` is built
-/// **exactly once**, shared by every method in that filter group — the
-/// amortization Fig. 5/6 need when comparing many orders on identical
-/// candidate sets.
+/// Where a [`run_methods`] call keeps filtered candidates, built spaces
+/// and orders — and therefore how work it was *served* is booked.
+#[derive(Clone, Copy)]
+pub enum Caches<'a> {
+    /// A cache private to the call: one filter pass and one build per
+    /// (query, filter group) within it. Accounting is per-call:
+    /// structurally identical queries share one entry but each *books* the
+    /// stored filter/build time ("each would have paid it alone" — the
+    /// same convention as methods within a group), so per-query time
+    /// distributions stay comparable with a run that shares nothing.
+    Local,
+    /// Caller-owned caches: the first round over a query set populates
+    /// them; every later round over the same queries, whatever its caps,
+    /// reuses the entries (and, with `orders`, each method's order) and
+    /// pays enumeration only. Accounting is amortized: served filter
+    /// passes, builds and orders book zero (an order hit books its
+    /// lookup) — the saving a sweep is measuring. Both caches must be
+    /// cleared if the data graph (or a learned method's model) changes.
+    Shared { spaces: &'a SpaceCache, orders: Option<&'a OrderCache> },
+}
+
+/// Evaluates `methods` (a roster, or a one-element slice) over every query
+/// — in parallel across `threads`, the *total* budget under which
+/// intra-query enumeration workers also compose (see [`budgeted_config`])
+/// — and aggregates per method. Unsolved queries are clamped to the time
+/// limit, as the paper does.
 ///
 /// Methods are grouped by
 /// [`filter.cache_key()`][rlqvo_matching::CandidateFilter::cache_key];
-/// methods sharing a key must produce identical candidate sets (the
-/// key's contract — true for the paper roster, where e.g. Hybrid, GQL
-/// and RL-QVO all run the default `GqlFilter`).
+/// methods sharing a key must produce identical candidate sets (the key's
+/// contract — true for the paper roster, where e.g. Hybrid, GQL and RL-QVO
+/// all run the default `GqlFilter`). Per (query, group) the candidates are
+/// computed once and the `CandidateSpace` built **at most once** for the
+/// lifetime of the cache `caches` names.
 ///
 /// Accounting: each method's `filter_time` is the group's single
 /// filtering pass (each would have paid it alone); the one space build is
 /// split equally across the group's methods and booked into their
 /// `enum_times` (and reported in [`RunStats::space_build_times`]), so
-/// per-method totals stay comparable with [`run_method`] while the
-/// *fleet* pays the build once. [`EnumEngine::Auto`] resolves per
-/// (query, filter) via the cost model, with the estimated enumeration
-/// work scaled by the group size — the exact amortization argument.
-pub fn run_methods_shared(
+/// per-method totals stay comparable across roster sizes while the *fleet*
+/// pays the build once. [`EnumEngine::Auto`] resolves once per
+/// (query, group), the build weighed against the group's combined
+/// enumeration estimate.
+pub fn run_methods(
     g: &Graph,
     queries: &[Graph],
     methods: &[BenchMethod<'_>],
     config: EnumConfig,
     threads: usize,
-) -> Vec<RunStats> {
-    // A call-local cache gives the old within-round contract (one filter
-    // pass + one build per (query, filter group)) plus the shared probe
-    // precomputation, on the same code path sweeps exercise through
-    // [`run_methods_cached`]. Accounting is per-call: structurally
-    // identical queries in `queries` share one entry but each *books* the
-    // stored filter/build time ("each would have paid it alone" — the
-    // same convention as methods within a group), so per-query time
-    // distributions stay comparable with pre-cache harness runs.
-    let cache = SpaceCache::new();
-    run_roster(g, queries, methods, config, threads, &cache, None, true)
-}
-
-/// [`run_methods_shared`] against a caller-owned [`SpaceCache`]: the
-/// cross-round amortization entry point. The first round over a query set
-/// populates the cache (one filter pass and — for the CandidateSpace
-/// engine — one build per (query, filter) key); every later round over
-/// the same queries, whatever its `config` caps, reuses the entries and
-/// pays enumeration only. Keys derive from
-/// [`SpaceCache::query_fingerprint`] and
-/// [`CandidateFilter::cache_key`][rlqvo_matching::CandidateFilter::cache_key],
-/// so distinct queries and distinct filter semantics never collide.
-///
-/// Accounting is amortized: a method's `filter_time` is the group's
-/// filter pass when this call performed it, and zero on a cache hit (the
-/// work genuinely did not happen this round — the saving the sweep is
-/// measuring); likewise the build share. The cache must be
-/// [`clear`][SpaceCache::clear]ed if the data graph changes.
-pub fn run_methods_cached(
-    g: &Graph,
-    queries: &[Graph],
-    methods: &[BenchMethod<'_>],
-    config: EnumConfig,
-    threads: usize,
-    cache: &SpaceCache,
-) -> Vec<RunStats> {
-    run_roster(g, queries, methods, config, threads, cache, None, false)
-}
-
-/// [`run_methods_cached`] plus ordering amortization through a
-/// caller-owned [`OrderCache`]: rounds 2+ of a sweep skip phase 2 as
-/// well — each method's order per (query, filter group) is computed once
-/// for the lifetime of `order_cache` and served afterwards (entries are
-/// keyed by the method's
-/// [`cache_key`][rlqvo_matching::OrderingMethod::cache_key] composed
-/// with the group's filter key, so methods and filter groups never
-/// alias). Order hits book only the lookup time in `order_times` — the
-/// saving the sweep is measuring. The order cache shares the space
-/// cache's scope contract: clear it if the data graph (or a learned
-/// method's model) changes.
-pub fn run_methods_cached_ordered(
-    g: &Graph,
-    queries: &[Graph],
-    methods: &[BenchMethod<'_>],
-    config: EnumConfig,
-    threads: usize,
-    cache: &SpaceCache,
-    order_cache: &OrderCache,
-) -> Vec<RunStats> {
-    run_roster(g, queries, methods, config, threads, cache, Some(order_cache), false)
-}
-
-/// Shared implementation of the two roster entry points. `charge_hits`
-/// selects the accounting policy for cache-served entries: `true` books
-/// the entry's stored filter/build times (per-call parity — what the
-/// query would have paid alone), `false` books zero (amortized — the
-/// cross-round saving stays visible in the aggregates).
-#[allow(clippy::too_many_arguments)] // internal fan-in point for the three public roster entry points
-fn run_roster(
-    g: &Graph,
-    queries: &[Graph],
-    methods: &[BenchMethod<'_>],
-    config: EnumConfig,
-    threads: usize,
-    cache: &SpaceCache,
-    order_cache: Option<&OrderCache>,
-    charge_hits: bool,
+    caches: Caches<'_>,
 ) -> Vec<RunStats> {
     assert!(!methods.is_empty(), "need at least one method");
+    let local = SpaceCache::new();
+    let (spaces, orders, charge_hits) = match caches {
+        Caches::Local => (&local, None, true),
+        Caches::Shared { spaces, orders } => (spaces, orders, false),
+    };
     let (total, budget, config) = budgeted_config(threads, config);
     let outcomes = parallel_map(queries.len(), total, budget, |i| {
-        eval_query_shared(g, &queries[i], methods, config, cache, order_cache, charge_hits)
+        eval_query(g, &queries[i], methods, config, spaces, orders, charge_hits)
     });
 
     (0..methods.len())
         .map(|mi| {
             let results: Vec<PipelineResult> = outcomes.iter().map(|o| o.per_method[mi].clone()).collect();
             let shares: Vec<Duration> = outcomes.iter().map(|o| o.build_share[mi]).collect();
-            collect_stats(methods[mi].name, &results, config, Some(&shares))
+            collect_stats(methods[mi].name, &results, config, shares)
         })
         .collect()
 }
 
 /// One query through every method, filtering and building at most once
-/// per (query, filter) key for the lifetime of `cache`.
-fn eval_query_shared(
+/// per (query, filter) key for the lifetime of `spaces`. `charge_hits`
+/// selects the accounting for cache-served entries: `true` books the
+/// entry's stored filter/build times (per-call parity), `false` books
+/// zero (amortized).
+fn eval_query(
     g: &Graph,
     q: &Graph,
     methods: &[BenchMethod<'_>],
     config: EnumConfig,
-    cache: &SpaceCache,
-    order_cache: Option<&OrderCache>,
+    spaces: &SpaceCache,
+    orders: Option<&OrderCache>,
     charge_hits: bool,
 ) -> SharedOutcome {
     let mut per_method: Vec<Option<PipelineResult>> = (0..methods.len()).map(|_| None).collect();
     let mut build_share = vec![Duration::ZERO; methods.len()];
-    let query_id = SpaceCache::query_fingerprint(q);
+    let key = QueryKey::of(q);
 
     // Group method indices by filter cache key, preserving roster order.
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
     for (mi, m) in methods.iter().enumerate() {
-        let key = m.filter.cache_key();
-        match groups.iter_mut().find(|(n, _)| *n == key) {
+        let filter_key = m.filter.cache_key();
+        match groups.iter_mut().find(|(k, _)| *k == filter_key) {
             Some((_, v)) => v.push(mi),
-            None => groups.push((key, vec![mi])),
+            None => groups.push((filter_key, vec![mi])),
         }
     }
 
-    for (group_key, idxs) in &groups {
+    for (_, idxs) in &groups {
         let t0 = Instant::now();
-        let (entry, fresh) = cache.entry(query_id, q, g, methods[idxs[0]].filter.as_ref());
+        let (entry, fresh) = spaces.entry_keyed(&key, q, g, methods[idxs[0]].filter);
         // On a hit the filter did not run this round: book the stored
         // pass under per-call accounting, zero under amortized (the
         // elapsed lock-and-lookup time is noise either way).
@@ -373,80 +301,31 @@ fn eval_query_shared(
             (false, true) => entry.filter_time(),
             (false, false) => Duration::ZERO,
         };
-        let cand = entry.cand();
 
-        let (engine, config) = match config.engine {
-            // A build already paid (this round or a previous one) always
-            // amortizes; otherwise the cost model decides, with the
-            // enumeration estimate scaled by the group size — the build
-            // must beat the group's *combined* enumeration budget. Either
-            // way the cost model also gates the intra-query worker count:
-            // tiny per-order workloads stay serial (the per-order
-            // estimate, unscaled — each order enumerates separately).
-            EnumEngine::Auto => {
-                let engine = if entry.space_ready() {
-                    EnumEngine::CandidateSpace
-                } else {
-                    auto_decide(q, g, cand, &config).with_enum_scale(idxs.len() as u64).engine
-                };
-                let threads =
-                    rlqvo_matching::effective_threads(rlqvo_matching::estimate_enum_work(q, &config), config.threads);
-                (engine, config.with_threads(threads))
-            }
-            e => (e, config),
-        };
-        let (use_space, build_time) = if engine == EnumEngine::CandidateSpace && !cand.any_empty() {
+        // One engine decision and at most one build per group.
+        let config = resolve_in_entry(q, g, &entry, config, idxs.len() as u64);
+        let build_time = if config.engine == EnumEngine::CandidateSpace {
             let tb = Instant::now();
-            // Builds at most once per key, ever; `built` is true only for
-            // the worker whose closure ran — a worker that blocked on a
-            // concurrent builder was *served* and must not book its wait.
-            let (_, built) = entry.force_space(q, g);
-            let t = if built {
-                tb.elapsed()
-            } else if charge_hits {
-                entry.build_time()
-            } else {
-                Duration::ZERO
-            };
-            (true, t)
+            // `built` is true only for the worker whose closure ran — a
+            // worker that blocked on a concurrent builder was *served*
+            // and must not book its wait.
+            match (entry.force_space(q, g).1, charge_hits) {
+                (true, _) => tb.elapsed(),
+                (false, true) => entry.build_time(),
+                (false, false) => Duration::ZERO,
+            }
         } else {
-            (false, Duration::ZERO)
+            Duration::ZERO
         };
         let share = build_time / idxs.len() as u32;
 
         for &mi in idxs {
-            // With an order cache, each method's order per (query, filter
-            // group) is computed once across every round; a hit books the
-            // lookup time only (phase 2 genuinely did not run).
-            let t1 = Instant::now();
-            let order = match order_cache {
-                Some(oc) => {
-                    let variant = format!("{}@{group_key}", methods[mi].ordering.cache_key());
-                    let (e, _) = oc.get_or_compute(query_id, &variant, q, || methods[mi].ordering.order(q, g, cand));
-                    e.order().to_vec()
-                }
-                None => methods[mi].ordering.order(q, g, cand),
-            };
-            let order_time = t1.elapsed();
-            let t2 = Instant::now();
-            let enum_result = if use_space {
-                enumerate_in_space(q, entry.space(q, g), &order, config)
-            } else {
-                // Probe path (explicit, cost-model, or empty candidates):
-                // backward sets come from the entry's shared adjacency
-                // bits — one precomputation per query, not one per order.
-                enumerate_probe_prepared(q, g, cand, entry.adj(q), &order, config)
-            };
-            let enum_time = t2.elapsed() + share;
+            let pipeline = Pipeline { filter: methods[mi].filter, ordering: methods[mi].ordering, config };
+            let (mut r, _) = run_in_entry(q, g, &entry, &pipeline, orders.map(|cache| (cache, &key)));
+            r.filter_time = filter_time;
+            r.enum_time += share;
             build_share[mi] = share;
-            per_method[mi] = Some(PipelineResult {
-                filter_time,
-                order_time,
-                enum_time,
-                candidate_total: cand.total(),
-                order,
-                enum_result,
-            });
+            per_method[mi] = Some(r);
         }
     }
 
@@ -461,6 +340,11 @@ mod tests {
     use super::*;
     use crate::methods::{baseline_methods, hybrid_method};
     use rlqvo_datasets::{build_query_set, Dataset};
+
+    /// The one-method roster.
+    fn run_method(g: &Graph, queries: &[Graph], m: &BenchMethod<'_>, config: EnumConfig, threads: usize) -> RunStats {
+        run_methods(g, queries, std::slice::from_ref(m), config, threads, Caches::Local).remove(0)
+    }
 
     #[test]
     fn run_method_covers_all_queries() {
@@ -504,13 +388,20 @@ mod tests {
         let g = Dataset::Citeseer.load_scaled(700);
         let set = build_query_set(&g, 5, 5, 13);
         let methods = baseline_methods();
-        let shared = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all(), 3);
+        let shared = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 3, Caches::Local);
         assert_eq!(shared.len(), methods.len());
         for (m, s) in methods.iter().zip(&shared) {
             assert_eq!(s.name, m.name);
+            // The roster run, the one-method roster and the cold
+            // per-query pipeline all report the same numbers.
             let solo = run_method(&g, &set.queries, m, EnumConfig::find_all(), 3);
+            let p = Pipeline { filter: m.filter, ordering: m.ordering, config: EnumConfig::find_all() };
+            let cold: Vec<_> =
+                set.queries.iter().map(|q| rlqvo_matching::run_pipeline(q, &g, &p).enum_result).collect();
             assert_eq!(s.matches, solo.matches, "{} match counts diverge", m.name);
             assert_eq!(s.enumerations, solo.enumerations, "{} #enum diverges", m.name);
+            assert_eq!(s.matches, cold.iter().map(|r| r.match_count).collect::<Vec<_>>(), "{} vs cold", m.name);
+            assert_eq!(s.enumerations, cold.iter().map(|r| r.enumerations).collect::<Vec<_>>(), "{} vs cold", m.name);
             assert_eq!(s.space_build_times.len(), set.queries.len());
         }
     }
@@ -520,9 +411,10 @@ mod tests {
         let g = Dataset::Yeast.load_scaled(400);
         let set = build_query_set(&g, 5, 4, 21);
         let methods = baseline_methods();
-        let baseline = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all(), 2);
+        let baseline = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
         for engine in [rlqvo_matching::EnumEngine::Probe, rlqvo_matching::EnumEngine::Auto] {
-            let stats = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all().with_engine(engine), 2);
+            let stats =
+                run_methods(&g, &set.queries, &methods, EnumConfig::find_all().with_engine(engine), 2, Caches::Local);
             for (b, s) in baseline.iter().zip(&stats) {
                 assert_eq!(b.matches, s.matches, "{} under {}", s.name, engine.name());
                 assert_eq!(b.enumerations, s.enumerations, "{} under {}", s.name, engine.name());
@@ -539,8 +431,9 @@ mod tests {
         // A Fig. 11-style cap sweep: same queries, rising caps, one cache.
         for cap in [5u64, 50, u64::MAX] {
             let config = EnumConfig { max_matches: cap, ..EnumConfig::find_all() };
-            let cached = run_methods_cached(&g, &set.queries, &methods, config, 2, &cache);
-            let fresh = run_methods_shared(&g, &set.queries, &methods, config, 2);
+            let cached =
+                run_methods(&g, &set.queries, &methods, config, 2, Caches::Shared { spaces: &cache, orders: None });
+            let fresh = run_methods(&g, &set.queries, &methods, config, 2, Caches::Local);
             for (c, f) in cached.iter().zip(&fresh) {
                 assert_eq!(c.matches, f.matches, "{} match counts diverge at cap {cap}", c.name);
                 assert_eq!(c.enumerations, f.enumerations, "{} #enum diverges at cap {cap}", c.name);
@@ -559,10 +452,16 @@ mod tests {
         let methods = baseline_methods();
         let cache = SpaceCache::new();
         let order_cache = OrderCache::new();
-        let fresh = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all(), 2);
+        let fresh = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
         for round in 0..3 {
-            let cached =
-                run_methods_cached_ordered(&g, &set.queries, &methods, EnumConfig::find_all(), 2, &cache, &order_cache);
+            let cached = run_methods(
+                &g,
+                &set.queries,
+                &methods,
+                EnumConfig::find_all(),
+                2,
+                Caches::Shared { spaces: &cache, orders: Some(&order_cache) },
+            );
             for (c, f) in cached.iter().zip(&fresh) {
                 assert_eq!(c.matches, f.matches, "{} match counts diverge in round {round}", c.name);
                 assert_eq!(c.enumerations, f.enumerations, "{} #enum diverges in round {round}", c.name);
@@ -581,9 +480,9 @@ mod tests {
         let methods = baseline_methods();
         let cache = SpaceCache::new();
         let probe_cfg = EnumConfig::find_all().with_engine(rlqvo_matching::EnumEngine::Probe);
-        let a = run_methods_cached(&g, &set.queries, &methods, probe_cfg, 2, &cache);
-        let b = run_methods_cached(&g, &set.queries, &methods, probe_cfg, 2, &cache);
-        let fresh = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all(), 2);
+        let a = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache, orders: None });
+        let b = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache, orders: None });
+        let fresh = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
         for ((x, y), f) in a.iter().zip(&b).zip(&fresh) {
             assert_eq!(x.matches, y.matches, "{} diverges across cached probe rounds", x.name);
             assert_eq!(x.matches, f.matches, "{} probe diverges from candspace", x.name);
@@ -602,17 +501,24 @@ mod tests {
         let queries = vec![q1, q2];
         let methods = vec![hybrid_method()];
 
-        // Per-call accounting (run_methods_shared): the duplicate books
+        // Per-call accounting (`Caches::Local`): the duplicate books
         // the stored build time — distributions match a dedup-free run.
-        let shared = run_methods_shared(&g, &queries, &methods, EnumConfig::find_all(), 1);
+        let shared = run_methods(&g, &queries, &methods, EnumConfig::find_all(), 1, Caches::Local);
         assert!(shared[0].space_build_times.iter().all(|d| *d > Duration::ZERO), "both instances must book the build");
 
-        // Amortized accounting (run_methods_cached): only the instance
+        // Amortized accounting (`Caches::Shared`): only the instance
         // whose worker actually built pays; the served one books zero —
         // even with both duplicates evaluated concurrently (a worker
         // blocked on the OnceLock build must not book its wait).
         let cache = SpaceCache::new();
-        let cached = run_methods_cached(&g, &queries, &methods, EnumConfig::find_all(), 2, &cache);
+        let cached = run_methods(
+            &g,
+            &queries,
+            &methods,
+            EnumConfig::find_all(),
+            2,
+            Caches::Shared { spaces: &cache, orders: None },
+        );
         let paid = cached[0].space_build_times.iter().filter(|d| **d > Duration::ZERO).count();
         assert_eq!(paid, 1, "exactly one instance pays the build under amortized accounting");
         // Either way, results are identical per instance.

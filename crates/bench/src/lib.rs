@@ -7,15 +7,18 @@
 //! ([`scale`]).
 //!
 //! Run e.g. `cargo run --release -p rlqvo-bench --bin fig3_query_time`.
-//! Knobs (all optional): `RLQVO_QUERIES`, `RLQVO_EPOCHS`,
-//! `RLQVO_TIME_LIMIT_MS`, `RLQVO_MAX_MATCHES`, `RLQVO_THREADS`.
+//! Scale knobs (all optional, all read in [`scale`]): `RLQVO_QUERIES`,
+//! `RLQVO_EPOCHS`, `RLQVO_TIME_LIMIT_MS`, `RLQVO_MAX_MATCHES`,
+//! `RLQVO_THREADS`, `RLQVO_ENGINE` (probe|candspace|auto),
+//! `RLQVO_SPACE_CACHE` (0 re-filters every round of a sweep) and
+//! `RLQVO_ENUM_THREADS` (intra-query enumeration workers).
 
 pub mod harness;
 pub mod methods;
 pub mod models;
 pub mod scale;
 
-pub use harness::{run_method, run_methods_cached, run_methods_cached_ordered, run_methods_shared, RunStats};
+pub use harness::{run_methods, Caches, RunStats};
 pub use methods::{baseline_methods, hybrid_method, rlqvo_method, BenchMethod};
 pub use models::train_model_for;
 pub use scale::Scale;

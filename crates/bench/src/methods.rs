@@ -13,55 +13,59 @@
 //! | VEQ    | NLF | VEQ     | ordering rule only; see DESIGN.md §2 |
 //! | Hybrid | GQL | RI      | the SIGMOD'20 study's recommended stack |
 //! | RL-QVO | GQL | learned | same filter + enumeration as Hybrid |
+//!
+//! The pairs themselves live once, in [`rlqvo_matching::methods`] — the
+//! same table the CLI's `--method` and the server's `method=` resolve.
 
-use rlqvo_core::RlQvo;
-use rlqvo_matching::order::{CflOrdering, GqlOrdering, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering};
-use rlqvo_matching::{CandidateFilter, GqlFilter, LdfFilter, NlfFilter, OrderingMethod};
+use rlqvo_core::RlQvoOrdering;
+use rlqvo_matching::{Method, ROSTER};
 
 /// One compared method: a named (filter, ordering) pair.
-pub struct BenchMethod<'a> {
-    /// Paper display name.
-    pub name: &'static str,
-    /// Phase-1 strategy.
-    pub filter: Box<dyn CandidateFilter + 'a>,
-    /// Phase-2 strategy.
-    pub ordering: Box<dyn OrderingMethod + 'a>,
-}
+pub type BenchMethod<'a> = Method<'a>;
 
 /// The seven heuristic baselines of Figure 3, in the paper's order.
 pub fn baseline_methods() -> Vec<BenchMethod<'static>> {
-    vec![
-        BenchMethod { name: "VEQ", filter: Box::new(NlfFilter), ordering: Box::new(VeqOrdering) },
-        hybrid_method(),
-        BenchMethod { name: "RI", filter: Box::new(LdfFilter), ordering: Box::new(RiOrdering) },
-        BenchMethod { name: "QSI", filter: Box::new(LdfFilter), ordering: Box::new(QsiOrdering) },
-        BenchMethod { name: "VF2++", filter: Box::new(LdfFilter), ordering: Box::new(Vf2ppOrdering) },
-        BenchMethod { name: "GQL", filter: Box::new(GqlFilter::default()), ordering: Box::new(GqlOrdering) },
-        BenchMethod { name: "CFL", filter: Box::new(NlfFilter), ordering: Box::new(CflOrdering) },
-    ]
+    ROSTER.to_vec()
 }
 
 /// `Hybrid` — GQL filtering + RI ordering + the shared enumerator (the
 /// stack the in-memory study recommends and the paper's main baseline).
 pub fn hybrid_method() -> BenchMethod<'static> {
-    BenchMethod { name: "Hybrid", filter: Box::new(GqlFilter::default()), ordering: Box::new(RiOrdering) }
+    Method::hybrid()
 }
 
-/// RL-QVO: identical filter + enumeration to Hybrid, learned ordering.
-pub fn rlqvo_method(model: &RlQvo) -> BenchMethod<'_> {
-    BenchMethod { name: "RL-QVO", filter: Box::new(GqlFilter::default()), ordering: Box::new(model.ordering()) }
+/// RL-QVO: identical filter + enumeration to Hybrid, learned ordering
+/// (`model.ordering()`, held by the caller).
+pub fn rlqvo_method<'a>(ordering: &'a RlQvoOrdering<'a>) -> BenchMethod<'a> {
+    Method::learned(ordering)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The header table, row by row: every CLI name resolves through the
+    /// one roster to the documented pair, and `baseline_methods()` is that
+    /// roster in the paper's order.
     #[test]
     fn roster_matches_paper() {
-        let names: Vec<&str> = baseline_methods().iter().map(|m| m.name).collect();
-        for expected in ["VEQ", "Hybrid", "RI", "QSI", "VF2++", "GQL", "CFL"] {
-            assert!(names.contains(&expected), "{expected} missing");
+        let documented = [
+            ("veq", "VEQ", "NLF", "VEQ"),
+            ("hybrid", "Hybrid", "GQL", "RI"),
+            ("ri", "RI", "LDF", "RI"),
+            ("qsi", "QSI", "LDF", "QSI"),
+            ("vf2pp", "VF2++", "LDF", "VF2++"),
+            ("gql", "GQL", "GQL", "GQL"),
+            ("cfl", "CFL", "NLF", "CFL"),
+        ];
+        let roster = baseline_methods();
+        assert_eq!(roster.len(), documented.len());
+        for (m, (cli, name, filter, ordering)) in roster.iter().zip(documented) {
+            assert_eq!((m.cli, m.name), (cli, name), "paper order");
+            let by_name = Method::by_cli_name(cli).expect("every CLI name resolves");
+            assert_eq!((by_name.name, by_name.filter.name(), by_name.ordering.name()), (name, filter, ordering));
         }
+        assert!(Method::by_cli_name("quicksi").is_none(), "unknown names do not resolve");
     }
 
     #[test]
@@ -73,9 +77,10 @@ mod tests {
 
     #[test]
     fn rlqvo_shares_hybrids_filter() {
-        let model = RlQvo::new(rlqvo_core::RlQvoConfig::fast());
-        let m = rlqvo_method(&model);
-        assert_eq!(m.filter.name(), "GQL");
-        assert_eq!(m.ordering.name(), "RL-QVO");
+        let model = rlqvo_core::RlQvo::new(rlqvo_core::RlQvoConfig::fast());
+        let learned = model.ordering();
+        let m = rlqvo_method(&learned);
+        assert_eq!(m.filter.cache_key(), hybrid_method().filter.cache_key());
+        assert_eq!((m.name, m.ordering.name()), ("RL-QVO", "RL-QVO"));
     }
 }

@@ -2,7 +2,9 @@
 //! caps, 500 s limits, 100 epochs) are impractical for a figure harness
 //! that must regenerate everything in minutes, so every binary reads the
 //! knobs below, defaults to a scaled configuration, and *prints what it
-//! used* next to the paper's setting.
+//! used* next to the paper's setting. This is the harness's edge: the
+//! matching library itself reads no environment beyond
+//! `RLQVO_ENUM_THREADS`.
 
 use std::time::Duration;
 
@@ -29,9 +31,8 @@ pub struct Scale {
     /// by this so the two levels of parallelism never oversubscribe.
     pub enum_threads: usize,
     /// Reuse filtered candidates + built spaces across rounds of a sweep
-    /// through a `SpaceCache` (`RLQVO_SPACE_CACHE=0|off` to disable and
-    /// re-filter per round, e.g. to time the unamortized baseline; parsed
-    /// by `SpaceCache::env_enabled`, same vocabulary as the CLI flag).
+    /// through a `SpaceCache` (`RLQVO_SPACE_CACHE=0|off|false` to disable
+    /// and re-filter per round, e.g. to time the unamortized baseline).
     pub space_cache: bool,
 }
 
@@ -53,7 +54,8 @@ impl Default for Scale {
             max_matches: env_u64("RLQVO_MAX_MATCHES", 100_000),
             threads: env_usize("RLQVO_THREADS", num_threads_default()),
             enum_threads: rlqvo_matching::default_threads(),
-            space_cache: rlqvo_matching::SpaceCache::env_enabled(true),
+            space_cache: !std::env::var("RLQVO_SPACE_CACHE")
+                .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false")),
         }
     }
 }
@@ -72,7 +74,10 @@ impl Scale {
             store_matches: false,
             // `RLQVO_ENGINE=probe|candspace|auto` flips the enumeration
             // engine for every figure binary without recompiling.
-            engine: rlqvo_matching::EnumEngine::from_env(),
+            engine: std::env::var("RLQVO_ENGINE")
+                .ok()
+                .and_then(|v| rlqvo_matching::EnumEngine::parse(&v))
+                .unwrap_or_default(),
             threads: self.enum_threads,
             ..rlqvo_matching::EnumConfig::default()
         }

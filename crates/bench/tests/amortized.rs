@@ -6,7 +6,7 @@
 //! process-global and concurrent tests would make exact-delta assertions
 //! flaky. Keep this file to a single `#[test]`.
 
-use rlqvo_bench::{baseline_methods, run_methods_shared};
+use rlqvo_bench::{baseline_methods, run_methods, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_matching::{CandidateSpace, EnumConfig};
 
@@ -27,7 +27,7 @@ fn fig_harness_builds_each_space_exactly_once() {
     assert!(methods.len() > distinct_filters, "some group must share a space");
 
     let before = CandidateSpace::build_count();
-    let stats = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all(), 1);
+    let stats = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 1, Caches::Local);
     let builds = CandidateSpace::build_count() - before;
     assert_eq!(
         builds,

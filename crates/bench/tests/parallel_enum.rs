@@ -16,13 +16,13 @@
 //!    once, and serves every *resident* key with exactly one filter pass
 //!    and one `CandidateSpace::build` however many rounds replay it.
 
-use rlqvo_bench::{run_methods_shared, BenchMethod};
+use rlqvo_bench::{run_methods, BenchMethod, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_graph::GraphBuilder;
-use rlqvo_matching::order::{GqlOrdering, RiOrdering};
+use rlqvo_matching::order::RiOrdering;
 use rlqvo_matching::{
     auto_decide, peak_parallel_workers, reset_peak_parallel_workers, CandidateSpace, EnumConfig, EnumEngine, GqlFilter,
-    LdfFilter, SpaceCache,
+    LdfFilter, QueryKey, SpaceCache,
 };
 
 /// Structurally distinct label-shifted paths (see the fingerprint: labels
@@ -55,16 +55,13 @@ fn flood_host() -> rlqvo_graph::Graph {
 fn parallel_budget_and_bounded_cache_hold() {
     let g = Dataset::Yeast.load_scaled(500);
     let set = build_query_set(&g, 6, 4, 11);
-    let methods: Vec<BenchMethod<'_>> = vec![
-        BenchMethod { name: "Hybrid", filter: Box::new(GqlFilter::default()), ordering: Box::new(RiOrdering) },
-        BenchMethod { name: "GQL", filter: Box::new(GqlFilter::default()), ordering: Box::new(GqlOrdering) },
-    ];
+    let methods = ["hybrid", "gql"].map(|name| BenchMethod::by_cli_name(name).expect("a roster name"));
 
     // --- 1a. config.threads above the budget is clamped to it. ---------
     reset_peak_parallel_workers();
     let base = peak_parallel_workers();
     let cfg8 = EnumConfig::find_all().with_threads(8);
-    let clamped = run_methods_shared(&g, &set.queries, &methods, cfg8, 2);
+    let clamped = run_methods(&g, &set.queries, &methods, cfg8, 2, Caches::Local);
     assert!(
         peak_parallel_workers() <= base.max(2),
         "budget 2 with 8 requested enum workers oversubscribed: peak {}",
@@ -75,12 +72,12 @@ fn parallel_budget_and_bounded_cache_hold() {
     reset_peak_parallel_workers();
     let base = peak_parallel_workers();
     let cfg2 = EnumConfig::find_all().with_threads(2);
-    let composed = run_methods_shared(&g, &set.queries, &methods, cfg2, 4);
+    let composed = run_methods(&g, &set.queries, &methods, cfg2, 4, Caches::Local);
     let peak = peak_parallel_workers();
     assert!(peak <= base.max(4), "budget 4 (2 query workers x 2 enum workers) oversubscribed: peak {peak}");
 
     // Parallel find-all must not change any reported number.
-    let serial = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all().with_threads(1), 1);
+    let serial = run_methods(&g, &set.queries, &methods, EnumConfig::find_all().with_threads(1), 1, Caches::Local);
     for ((c, p), s) in clamped.iter().zip(&composed).zip(&serial) {
         assert_eq!(c.matches, s.matches, "{} match counts diverge under clamped parallelism", s.name);
         assert_eq!(p.matches, s.matches, "{} match counts diverge under composed parallelism", s.name);
@@ -114,14 +111,14 @@ fn parallel_budget_and_bounded_cache_hold() {
     // Size the bound from a real built entry: room for ~12 of them.
     let probe_cache = SpaceCache::new();
     let q0 = distinct_query(0);
-    let (e0, _) = probe_cache.entry_for(&q0, &host, &LdfFilter);
+    let (e0, _) = probe_cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
     e0.space(&q0, &host);
     let bound = e0.resident_bytes() * 12;
 
     let cache = SpaceCache::with_capacity_bytes(bound);
     for i in 0..200 {
         let q = distinct_query(i);
-        let (e, fresh) = cache.entry_for(&q, &host, &LdfFilter);
+        let (e, fresh) = cache.entry_keyed(&QueryKey::of(&q), &q, &host, &LdfFilter);
         assert!(fresh, "distinct queries must never alias (i = {i})");
         e.space(&q, &host); // force the lazy build; the bound must hold through it
         assert!(
@@ -136,7 +133,7 @@ fn parallel_budget_and_bounded_cache_hold() {
     // resident again.
     let misses = cache.misses();
     let builds = CandidateSpace::build_count();
-    let (e, fresh) = cache.entry_for(&q0, &host, &LdfFilter);
+    let (e, fresh) = cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
     assert!(fresh, "q0 was evicted by the flood and must refilter");
     e.space(&q0, &host);
     assert_eq!(cache.misses(), misses + 1);
@@ -147,7 +144,7 @@ fn parallel_budget_and_bounded_cache_hold() {
     let builds = CandidateSpace::build_count();
     let misses = cache.misses();
     for _ in 0..5 {
-        let (e2, fresh) = cache.entry_for(&q0, &host, &LdfFilter);
+        let (e2, fresh) = cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
         assert!(!fresh, "resident key must hit");
         e2.space(&q0, &host);
     }

@@ -8,7 +8,7 @@
 //! counter is process-global and concurrent tests would make exact-delta
 //! assertions flaky. Keep this file to a single `#[test]`.
 
-use rlqvo_bench::{baseline_methods, run_methods_cached, run_methods_shared};
+use rlqvo_bench::{baseline_methods, run_methods, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_matching::{EnumConfig, EnumEngine, QueryAdjBits, SpaceCache};
 
@@ -22,7 +22,7 @@ fn probe_fallback_builds_the_backward_precomputation_once_per_query() {
     let probe_cfg = EnumConfig::find_all().with_engine(EnumEngine::Probe);
     let cache = SpaceCache::new();
     let before = QueryAdjBits::build_count();
-    let round1 = run_methods_cached(&g, &set.queries, &methods, probe_cfg, 2, &cache);
+    let round1 = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache, orders: None });
     let after_round1 = QueryAdjBits::build_count() - before;
     assert_eq!(
         after_round1,
@@ -33,7 +33,7 @@ fn probe_fallback_builds_the_backward_precomputation_once_per_query() {
     );
 
     // A replay round reuses the cached cells: zero additional builds.
-    let round2 = run_methods_cached(&g, &set.queries, &methods, probe_cfg, 2, &cache);
+    let round2 = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache, orders: None });
     assert_eq!(
         QueryAdjBits::build_count() - before,
         set.queries.len() as u64,
@@ -42,7 +42,7 @@ fn probe_fallback_builds_the_backward_precomputation_once_per_query() {
 
     // The shared precomputation changes nothing observable: both probe
     // rounds agree with each other and with the candspace engine.
-    let reference = run_methods_shared(&g, &set.queries, &methods, EnumConfig::find_all(), 2);
+    let reference = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
     for ((a, b), r) in round1.iter().zip(&round2).zip(&reference) {
         assert_eq!(a.matches, b.matches, "{} diverges between probe rounds", a.name);
         assert_eq!(a.matches, r.matches, "{} probe diverges from candspace", a.name);

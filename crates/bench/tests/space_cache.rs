@@ -1,5 +1,5 @@
 //! Acceptance guard for cross-round amortization: a Fig. 11-style cap
-//! sweep through [`run_methods_cached`] performs exactly **one filter
+//! sweep through [`run_methods`] on caller-owned caches performs exactly **one filter
 //! pass and one `CandidateSpace::build` per (query, filter) key across
 //! all caps** — and distinct filter semantics (`GQL/r1` vs `GQL/r2`)
 //! never collide in the cache.
@@ -8,9 +8,8 @@
 //! process-global and concurrent tests would make exact-delta assertions
 //! flaky. Keep this file to a single `#[test]`.
 
-use rlqvo_bench::{run_methods_cached, BenchMethod};
+use rlqvo_bench::{run_methods, BenchMethod, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
-use rlqvo_matching::order::{GqlOrdering, QsiOrdering, RiOrdering};
 use rlqvo_matching::{CandidateFilter, CandidateSpace, EnumConfig, GqlFilter, LdfFilter, SpaceCache};
 
 #[test]
@@ -21,16 +20,10 @@ fn cap_sweep_filters_and_builds_once_per_query_filter_key() {
     // Four methods over three distinct filter *semantics*: two GQL
     // configurations that must not share entries, one of them also shared
     // by a second method (Hybrid's stack), plus LDF.
-    let methods: Vec<BenchMethod<'_>> = vec![
-        BenchMethod {
-            name: "GQL-r1",
-            filter: Box::new(GqlFilter { refinement_rounds: 1 }),
-            ordering: Box::new(GqlOrdering),
-        },
-        BenchMethod { name: "Hybrid", filter: Box::new(GqlFilter::default()), ordering: Box::new(RiOrdering) },
-        BenchMethod { name: "GQL", filter: Box::new(GqlFilter::default()), ordering: Box::new(GqlOrdering) },
-        BenchMethod { name: "QSI", filter: Box::new(LdfFilter), ordering: Box::new(QsiOrdering) },
-    ];
+    let [hybrid, gql, qsi] =
+        ["hybrid", "gql", "qsi"].map(|name| BenchMethod::by_cli_name(name).expect("a roster name"));
+    let methods =
+        [BenchMethod { name: "GQL-r1", filter: &GqlFilter { refinement_rounds: 1 }, ..gql }, hybrid, gql, qsi];
     let filters: [&dyn CandidateFilter; 3] = [&GqlFilter { refinement_rounds: 1 }, &GqlFilter::default(), &LdfFilter];
     let distinct_keys = filters.len();
 
@@ -46,7 +39,7 @@ fn cap_sweep_filters_and_builds_once_per_query_filter_key() {
     let mut final_matches: Option<Vec<u64>> = None;
     for cap in caps {
         let config = EnumConfig { max_matches: cap, ..EnumConfig::find_all() };
-        let stats = run_methods_cached(&g, &set.queries, &methods, config, 2, &cache);
+        let stats = run_methods(&g, &set.queries, &methods, config, 2, Caches::Shared { spaces: &cache, orders: None });
         // Methods sharing a filter key agree on candidates, and at
         // find-all every method agrees on match counts.
         if cap == u64::MAX {

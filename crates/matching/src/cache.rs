@@ -40,10 +40,10 @@
 //!   evicting every other resident per lookup and then being evicted
 //!   themselves — the thrash-to-empty failure mode
 //!   ([`ShardedCache::oversize_serves`] counts these);
-//! * hits verify the entry's stored structural checksum under
-//!   [`verify_on_hit`] (debug builds always; `RLQVO_CACHE_VERIFY=1` in
-//!   release); a mismatch degrades to an evict-and-recompute miss,
-//!   counted, never a panic;
+//! * every lookup carries its [`QueryKey`], so **every hit verifies** the
+//!   entry's stored structural checksum — one relaxed load and a compare,
+//!   in every build profile; a mismatch degrades to an evict-and-recompute
+//!   miss, counted, never a panic;
 //! * a poisoned shard mutex recovers by dropping the shard's contents
 //!   (its keys refilter on their next lookup — the eviction contract),
 //!   refunding the charged bytes, and clearing the poison flag.
@@ -51,6 +51,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+use crate::spacecache::QueryKey;
 
 /// Cache key: `(query id, variant)` — the query's structural fingerprint
 /// (or a caller-supplied id) plus a string naming the semantics of the
@@ -111,17 +113,6 @@ pub struct CacheConfig {
     pub max_entries: Option<usize>,
     /// Victim selection; [`EvictPolicy::Sampled`] unless stated.
     pub policy: EvictPolicy,
-}
-
-/// True when hits must verify the stored checksum: always in debug
-/// builds, and in release when `RLQVO_CACHE_VERIFY=1` (paranoid serving
-/// deployments). Parsed once per process; shared by every instantiation.
-pub fn verify_on_hit() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    cfg!(debug_assertions)
-        || *FORCED.get_or_init(|| {
-            std::env::var("RLQVO_CACHE_VERIFY").map(|v| matches!(v.trim(), "1" | "on" | "true")).unwrap_or(false)
-        })
 }
 
 /// Map slot: the `OnceLock` serializes per-key construction outside the
@@ -509,34 +500,32 @@ impl<E: CacheWeight> ShardedCache<E> {
 
     /// The `Arc`-shared core — what lazily built entries hold weakly so
     /// they can [`recharge`][Shared::recharge] their key later.
-    pub fn shared(&self) -> &Arc<Shared<E>> {
+    pub(crate) fn shared(&self) -> &Arc<Shared<E>> {
         &self.shared
     }
 
-    /// The entry for `(query_id, variant)`, building it on first use.
-    /// Returns the shared entry and whether this call built it (`true` =
-    /// a compute pass just ran). Exactly one compute pass happens per
-    /// *residency* of a key, however many threads race; an evicted key
-    /// recomputes once on its next lookup. Oversize-quarantined keys
-    /// recompute per lookup (each counted as a miss + oversize serve).
+    /// The entry for `(key.fingerprint(), variant)`, building it on first
+    /// use. Returns the shared entry and whether this call built it
+    /// (`true` = a compute pass just ran). Exactly one compute pass
+    /// happens per *residency* of a key, however many threads race; an
+    /// evicted key recomputes once on its next lookup.
+    /// Oversize-quarantined keys recompute per lookup (each counted as a
+    /// miss + oversize serve).
     ///
-    /// `expected_checksum` carries the caller's precomputed collision
-    /// guard; `checksum_of` derives it on demand otherwise. `build` must
-    /// store that same checksum in the entry it constructs (hits verify
-    /// it under [`verify_on_hit`]). `build` receives the composed key so
+    /// `build` must store `key.checksum()` in the entry it constructs:
+    /// every hit compares the two. It receives the composed cache key so
     /// lazily sized entries can keep an origin handle for recharging.
     ///
-    /// Hot path: one shard lock (find + LRU re-head + `Arc` clone), then
-    /// a lock-free `OnceLock` read.
-    pub fn get_or_insert(
+    /// Hot path: one shard lock (find + LRU re-head + `Arc` clone), a
+    /// lock-free `OnceLock` read, one relaxed load and a compare.
+    pub(crate) fn get_or_insert(
         &self,
-        query_id: u64,
+        key: &QueryKey,
         variant: &str,
-        expected_checksum: Option<u64>,
-        checksum_of: impl Fn() -> u64,
         build: impl FnOnce(&CacheKey) -> Arc<E>,
     ) -> (Arc<E>, bool) {
-        let key: CacheKey = (query_id, variant.to_string());
+        let expect = key.checksum();
+        let key: CacheKey = (key.fingerprint(), variant.to_string());
         // A known-oversize key skips residency entirely: build and serve
         // standalone, leaving every resident untouched (admit-uncached).
         // The failpoint forces the same admit-uncached path for an
@@ -589,36 +578,33 @@ impl<E: CacheWeight> ShardedCache<E> {
                 self.shared.recharge(&key, entry.weight(), &**entry);
                 return (Arc::clone(entry), true);
             }
-            if verify_on_hit() {
-                // A fire flips the resident's stored checksum *before*
-                // the comparison below, so the corruption is observed by
-                // the same machinery real bit-rot would hit: one fire =
-                // one counted checksum failure = one degrade eviction.
-                if rlqvo_fault::failpoint!("cache.checksum_corrupt").is_some() {
-                    entry.checksum_cell().fetch_xor(u64::MAX, Ordering::Relaxed);
-                }
-                let expect = expected_checksum.unwrap_or_else(&checksum_of);
-                if entry.checksum_cell().load(Ordering::Relaxed) != expect {
-                    // Degrade, don't panic: count it, evict exactly this
-                    // resident, and retry as a recompute miss.
-                    self.shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                    self.shared.evict_exact(&key, &**entry);
-                    continue;
-                }
+            // A fire flips the resident's stored checksum *before* the
+            // comparison below, so the corruption is observed by the same
+            // machinery real bit-rot would hit: one fire = one counted
+            // checksum failure = one degrade eviction.
+            if rlqvo_fault::failpoint!("cache.checksum_corrupt").is_some() {
+                entry.checksum_cell().fetch_xor(u64::MAX, Ordering::Relaxed);
+            }
+            if entry.checksum_cell().load(Ordering::Relaxed) != expect {
+                // Degrade, don't panic: count it, evict exactly this
+                // resident, and retry as a recompute miss.
+                self.shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
+                self.shared.evict_exact(&key, &**entry);
+                continue;
             }
             self.shared.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(entry), false);
         }
     }
 
-    /// Pure residency probe: true when `(query_id, variant)` holds a
-    /// *built* entry right now. No LRU touch, no hit/miss accounting, no
-    /// compute. Callers (the serving micro-batcher) use it to decide what
-    /// a batched pre-compute pass still needs; the answer may be stale by
-    /// the time they act on it, which [`ShardedCache::get_or_insert`]
+    /// Pure residency probe: true when `(key.fingerprint(), variant)`
+    /// holds a *built* entry right now. No LRU touch, no hit/miss
+    /// accounting, no compute. Callers (the serving micro-batcher) use it
+    /// to decide what a batched pre-compute pass still needs; the answer
+    /// may be stale by the time they act on it, which a later lookup
     /// tolerates by construction.
-    pub fn contains(&self, query_id: u64, variant: &str) -> bool {
-        let key: CacheKey = (query_id, variant.to_string());
+    pub fn contains(&self, key: &QueryKey, variant: &str) -> bool {
+        let key: CacheKey = (key.fingerprint(), variant.to_string());
         let si = self.shared.shard_index(&key);
         let inner = self.shared.lock(si);
         inner.map.get(&key).is_some_and(|&i| inner.node(i).slot.cell.get().is_some())

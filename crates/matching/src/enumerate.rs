@@ -145,12 +145,6 @@ impl EnumEngine {
             _ => None,
         }
     }
-
-    /// Engine selected by the `RLQVO_ENGINE` environment variable, or the
-    /// default. Lets the bench harness flip engines without recompiling.
-    pub fn from_env() -> Self {
-        std::env::var("RLQVO_ENGINE").ok().and_then(|v| EnumEngine::parse(&v)).unwrap_or_default()
-    }
 }
 
 /// Knobs of an enumeration run. The paper's defaults are

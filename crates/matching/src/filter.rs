@@ -272,9 +272,15 @@ pub struct GqlFilter {
     pub refinement_rounds: usize,
 }
 
+impl GqlFilter {
+    /// Two refinement sweeps: what `Hybrid`, `GQL` and RL-QVO run. A
+    /// `const`, so the method roster can hand it out as `&'static`.
+    pub const DEFAULT: GqlFilter = GqlFilter { refinement_rounds: 2 };
+}
+
 impl Default for GqlFilter {
     fn default() -> Self {
-        GqlFilter { refinement_rounds: 2 }
+        GqlFilter::DEFAULT
     }
 }
 

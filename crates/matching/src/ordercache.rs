@@ -15,27 +15,25 @@
 //! the sharding, O(1) eviction, hit-verification, degradation, and poison
 //! recovery contracts). The module adds only the order-specific pieces:
 //!
-//! * keys are `(query id, variant)` where the query id is the structural
-//!   fingerprint (or a caller-memoized [`QueryKey`], which also skips the
-//!   per-hit checksum re-hash) and the *variant* string names the
-//!   ordering semantics ([`OrderingMethod::cache_key`]) plus whatever
-//!   context the caller folds in (typically the filter's `cache_key`,
-//!   since candidate-driven methods order differently on different
-//!   candidate sets);
-//! * capacity can bound the *entry count*
-//!   ([`OrderCache::with_capacity`] — orders are small, so counting is a
-//!   reasonable granularity for fixed-shape workloads) **and/or the
-//!   resident bytes** ([`OrderCache::with_capacity_bytes`]): entry sizes
-//!   scale with `|V(q)|`, so a stream of distinct large-query orders
-//!   under a count-only bound would grow memory by whatever the largest
-//!   queries weigh. Byte accounting charges each entry's actual heap
-//!   footprint; the serving layer sets both.
+//! * the one lookup, [`OrderCache::get_or_compute_keyed`], keys entries by
+//!   `(query fingerprint, variant)`: the caller's [`QueryKey`] (whose
+//!   checksum every hit is verified against) plus a *variant* string
+//!   naming the ordering semantics and the candidates they ran on —
+//!   [`order_variant`], the one place that composes it, since
+//!   candidate-driven methods order differently on different candidate
+//!   sets;
+//! * capacity can bound the *resident bytes*
+//!   ([`OrderCache::with_capacity_bytes`]) and/or the *entry count*
+//!   ([`CacheConfig::max_entries`] through [`OrderCache::with_config`]):
+//!   entry sizes scale with `|V(q)|`, so a stream of distinct large-query
+//!   orders under a count-only bound would grow memory by whatever the
+//!   largest queries weigh. Byte accounting charges each entry's actual
+//!   heap footprint.
 //!
 //! **Scope contract**: an `OrderCache` is valid for one `(data graph,
-//! candidate-filter configuration, model weights)` combination — anything
-//! that changes the order an uncached call would produce requires
-//! [`OrderCache::clear`] (or a fresh cache). The `RLQVO_ORDER_CACHE` env
-//! knob ([`OrderCache::env_enabled`]) gates it at every surface.
+//! model weights)` combination — anything that changes the order an
+//! uncached call would produce requires [`OrderCache::clear`] (or a fresh
+//! cache).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -44,7 +42,7 @@ use std::time::{Duration, Instant};
 use rlqvo_graph::{Graph, VertexId};
 
 use crate::cache::{CacheConfig, CacheWeight, ShardedCache};
-use crate::filter::Candidates;
+use crate::filter::CandidateFilter;
 use crate::order::OrderingMethod;
 use crate::spacecache::{QueryKey, SpaceCache};
 
@@ -100,18 +98,29 @@ impl Default for OrderCache {
     }
 }
 
+/// Counters and residency (`hits`, `misses`, `evictions`,
+/// `checksum_failures`, `contains`, `len`, `storage_bytes`, `invalidate`,
+/// `clear`, …) are the generic cache's.
+impl std::ops::Deref for OrderCache {
+    type Target = ShardedCache<OrderEntry>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.cache
+    }
+}
+
+/// The order-cache variant of `ordering` run on `filter`'s candidates —
+/// the only composer of that key, so every surface that fills or reads an
+/// [`OrderCache`] (CLI, server, its pre-stage, harness) agrees on it.
+pub fn order_variant(ordering: &dyn OrderingMethod, filter: &dyn CandidateFilter) -> String {
+    format!("{}@{}", ordering.cache_key(), filter.cache_key())
+}
+
 impl OrderCache {
     /// An unbounded cache (harness scale: the working set is the query
     /// set).
     pub fn new() -> Self {
         OrderCache::default()
-    }
-
-    /// A cache holding at most `max_entries` orders, evicting
-    /// least-recently-used entries beyond that. The key being served is
-    /// never evicted.
-    pub fn with_capacity(max_entries: usize) -> Self {
-        OrderCache::with_config(CacheConfig { max_entries: Some(max_entries), ..CacheConfig::default() })
     }
 
     /// A cache bounding the *bytes* charged for resident orders — the
@@ -130,202 +139,33 @@ impl OrderCache {
         OrderCache { cache: ShardedCache::new(config) }
     }
 
-    /// The `RLQVO_ORDER_CACHE` knob, same grammar as
-    /// [`SpaceCache::env_enabled`]: `0`/`off`/`false` disable,
-    /// `1`/`on`/`true` enable, anything else falls back to `default`.
-    pub fn env_enabled(default: bool) -> bool {
-        match std::env::var("RLQVO_ORDER_CACHE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "0" | "off" | "false" => false,
-                "1" | "on" | "true" => true,
-                _ => default,
-            },
-            Err(_) => default,
-        }
-    }
-
-    /// The order for `(query_id, variant)`, computing it on first use via
-    /// `compute`. Returns the shared entry and whether this call ran the
-    /// ordering pass (`true` = miss). Exactly one ordering pass happens
-    /// per residency of a key, however many threads race.
-    ///
-    /// `checksum` is the caller's precomputed collision guard
-    /// ([`QueryKey::checksum`]), or `None` to derive it from `q` on
-    /// demand (insert always stores it; hits verify it under
-    /// [`crate::cache::verify_on_hit`]).
-    pub fn get_or_compute(
-        &self,
-        query_id: u64,
-        variant: &str,
-        q: &Graph,
-        compute: impl FnOnce() -> Vec<VertexId>,
-    ) -> (Arc<OrderEntry>, bool) {
-        self.get_impl(query_id, None, variant, q, compute)
-    }
-
-    /// [`OrderCache::get_or_compute`] with a memoized [`QueryKey`]: the
-    /// serving hot path — no per-lookup query hashing at all.
+    /// The order for `(key.fingerprint(), variant)`, computing it on first
+    /// use via `compute`. Returns the shared entry and whether this call
+    /// ran the ordering pass (`true` = miss). Exactly one ordering pass
+    /// happens per residency of a key, however many threads race; a hit
+    /// whose stored checksum disagrees with `key` evicts the liar and
+    /// recomputes (counted in `checksum_failures`). `_q` is the graph
+    /// `key` was hashed from; nothing reads it now that the key carries
+    /// the checksum, but the benchmark ledger pins this signature.
     pub fn get_or_compute_keyed(
         &self,
         key: &QueryKey,
         variant: &str,
-        q: &Graph,
+        _q: &Graph,
         compute: impl FnOnce() -> Vec<VertexId>,
     ) -> (Arc<OrderEntry>, bool) {
-        self.get_impl(key.fingerprint(), Some(key.checksum()), variant, q, compute)
-    }
-
-    fn get_impl(
-        &self,
-        query_id: u64,
-        checksum: Option<u64>,
-        variant: &str,
-        q: &Graph,
-        compute: impl FnOnce() -> Vec<VertexId>,
-    ) -> (Arc<OrderEntry>, bool) {
-        self.cache.get_or_insert(
-            query_id,
-            variant,
-            checksum,
-            || SpaceCache::query_checksum(q),
-            |_key| {
-                let t = Instant::now();
-                let order = compute();
-                Arc::new(OrderEntry {
-                    order,
-                    checksum: AtomicU64::new(checksum.unwrap_or_else(|| SpaceCache::query_checksum(q))),
-                    order_time: t.elapsed(),
-                })
-            },
-        )
-    }
-
-    /// Pure residency probe for `(key, variant)`: no LRU touch, no
-    /// hit/miss accounting, no compute. The serving micro-batcher uses
-    /// this to pick which queued queries still need the batched ordering
-    /// pass; a stale answer only costs one redundant (idempotent)
-    /// compute.
-    pub fn contains_keyed(&self, key: &QueryKey, variant: &str) -> bool {
-        self.cache.contains(key.fingerprint(), variant)
-    }
-
-    /// Lookups served from an existing entry.
-    pub fn hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Lookups that ran the ordering pass.
-    pub fn misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Entries dropped by the capacity bounds so far.
-    pub fn evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Verified hits whose stored checksum disagreed with the query —
-    /// each one degraded to an evict-and-recompute miss instead of
-    /// panicking (the serving layer's `degraded` metric).
-    pub fn checksum_failures(&self) -> u64 {
-        self.cache.checksum_failures()
-    }
-
-    /// Poisoned shards recovered (cleared and reused) so far.
-    pub fn poison_recoveries(&self) -> u64 {
-        self.cache.poison_recoveries()
-    }
-
-    /// Lookups served standalone because the entry exceeds the whole
-    /// byte budget (admitted uncached — each also counts as a miss).
-    pub fn oversize_serves(&self) -> u64 {
-        self.cache.oversize_serves()
-    }
-
-    /// Cumulative residents examined during eviction victim selection —
-    /// O([`EVICT_SAMPLE`][crate::cache::EVICT_SAMPLE]) per victim under
-    /// the default policy (see [`crate::cache`]).
-    pub fn evict_scan_steps(&self) -> u64 {
-        self.cache.evict_scan_steps()
-    }
-
-    /// Number of distinct `(query id, variant)` keys resident.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// Bytes charged for resident orders. With
-    /// [`OrderCache::with_capacity_bytes`] this never exceeds the bound,
-    /// up to concurrent charge/evict transients.
-    pub fn storage_bytes(&self) -> usize {
-        self.cache.storage_bytes()
-    }
-
-    /// Drops every variant of one query id.
-    pub fn invalidate(&self, query_id: u64) {
-        self.cache.invalidate(query_id);
-    }
-
-    /// Drops everything (the data graph, filter configuration, or model
-    /// changed — see the scope contract in the module docs).
-    pub fn clear(&self) {
-        self.cache.clear();
-    }
-}
-
-/// An [`OrderingMethod`] decorator that serves orders through an
-/// [`OrderCache`]: drop-in for `run_with_entry`, the harness, or any
-/// other `&dyn OrderingMethod` consumer. The variant key combines the
-/// inner method's [`OrderingMethod::cache_key`] with a caller-supplied
-/// context string (fold in the candidate filter's `cache_key` whenever
-/// methods run on filtered candidates — candidate-driven orderings
-/// produce different orders on different candidate sets).
-pub struct CachedOrdering<'a> {
-    inner: &'a dyn OrderingMethod,
-    cache: &'a OrderCache,
-    variant: String,
-}
-
-impl<'a> CachedOrdering<'a> {
-    /// Wraps `inner`, scoping entries by `context` (e.g. the filter's
-    /// `cache_key`; empty string when the method ignores candidates).
-    pub fn new(inner: &'a dyn OrderingMethod, cache: &'a OrderCache, context: &str) -> Self {
-        let variant = if context.is_empty() { inner.cache_key() } else { format!("{}@{}", inner.cache_key(), context) };
-        CachedOrdering { inner, cache, variant }
-    }
-
-    /// The composed `(method, context)` variant key entries use.
-    pub fn variant(&self) -> &str {
-        &self.variant
-    }
-}
-
-impl OrderingMethod for CachedOrdering<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn order(&self, q: &Graph, g: &Graph, cand: &Candidates) -> Vec<VertexId> {
-        let (entry, _) = self
-            .cache
-            .get_or_compute(SpaceCache::query_fingerprint(q), &self.variant, q, || self.inner.order(q, g, cand));
-        entry.order().to_vec()
-    }
-
-    fn cache_key(&self) -> String {
-        self.variant.clone()
+        self.cache.get_or_insert(key, variant, |_| {
+            let t = Instant::now();
+            let order = compute();
+            Arc::new(OrderEntry { order, checksum: AtomicU64::new(key.checksum()), order_time: t.elapsed() })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{CandidateFilter, LdfFilter};
+    use crate::filter::LdfFilter;
     use crate::order::{GqlOrdering, RiOrdering};
     use rlqvo_graph::GraphBuilder;
 
@@ -359,18 +199,25 @@ mod tests {
         qb.build()
     }
 
+    /// One RI lookup of `q` under variant "RI"; returns the entry and
+    /// whether the ordering pass ran.
+    fn ri_lookup(cache: &OrderCache, q: &Graph, g: &Graph) -> (Arc<OrderEntry>, bool) {
+        let cand = LdfFilter.filter(q, g);
+        cache.get_or_compute_keyed(&QueryKey::of(q), "RI", q, || RiOrdering.order(q, g, &cand))
+    }
+
     #[test]
     fn orders_once_and_serves_hits() {
         let (q, g) = case();
         let cand = LdfFilter.filter(&q, &g);
         let cache = OrderCache::new();
-        let qid = SpaceCache::query_fingerprint(&q);
+        let key = QueryKey::of(&q);
         let mut passes = 0;
-        let (e1, fresh1) = cache.get_or_compute(qid, "RI", &q, || {
+        let (e1, fresh1) = cache.get_or_compute_keyed(&key, "RI", &q, || {
             passes += 1;
             RiOrdering.order(&q, &g, &cand)
         });
-        let (e2, fresh2) = cache.get_or_compute(qid, "RI", &q, || {
+        let (e2, fresh2) = cache.get_or_compute_keyed(&key, "RI", &q, || {
             passes += 1;
             RiOrdering.order(&q, &g, &cand)
         });
@@ -388,50 +235,49 @@ mod tests {
         let (q, g) = case();
         let cand = LdfFilter.filter(&q, &g);
         let cache = OrderCache::new();
-        let qid = SpaceCache::query_fingerprint(&q);
-        let (ri, f1) = cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
-        let (gql, f2) = cache.get_or_compute(qid, "GQL", &q, || GqlOrdering.order(&q, &g, &cand));
+        let key = QueryKey::of(&q);
+        let (ri, f1) = cache.get_or_compute_keyed(&key, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+        let (gql, f2) = cache.get_or_compute_keyed(&key, "GQL", &q, || GqlOrdering.order(&q, &g, &cand));
         assert!(f1 && f2, "distinct variants are distinct keys");
         assert_eq!(cache.len(), 2);
         assert_eq!(ri.order(), &RiOrdering.order(&q, &g, &cand)[..]);
         assert_eq!(gql.order(), &GqlOrdering.order(&q, &g, &cand)[..]);
+        assert_eq!(order_variant(&RiOrdering, &LdfFilter), "RI@LDF", "the one composer of (method, candidates) keys");
     }
 
     #[test]
     fn keyed_lookup_agrees_with_fingerprinting() {
         let (q, g) = case();
-        let cand = LdfFilter.filter(&q, &g);
         let cache = OrderCache::new();
         let key = QueryKey::of(&q);
-        let (a, fresh) = cache.get_or_compute_keyed(&key, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+        assert_eq!(key.fingerprint(), SpaceCache::query_fingerprint(&q));
+        assert_eq!(key.checksum(), SpaceCache::query_checksum(&q));
+        let (a, fresh) = ri_lookup(&cache, &q, &g);
         assert!(fresh);
-        // The plain-fingerprint path must land on the same entry.
-        let (b, fresh2) =
-            cache.get_or_compute(SpaceCache::query_fingerprint(&q), "RI", &q, || unreachable!("must hit"));
+        // A key hashed from a separately built, structurally identical
+        // graph must land on the same entry, and that entry verify.
+        let (twin, _) = case();
+        let (b, fresh2) = cache.get_or_compute_keyed(&QueryKey::of(&twin), "RI", &twin, || unreachable!("must hit"));
         assert!(!fresh2);
         assert!(Arc::ptr_eq(&a, &b));
         assert!(a.verify_checksum(&q));
+        assert!(cache.contains(&key, "RI") && !cache.contains(&key, "GQL"));
     }
 
     #[test]
     fn capacity_bound_evicts_lru() {
         let g = case().1;
-        let cache = OrderCache::with_capacity(8);
+        let cache = OrderCache::with_config(CacheConfig { max_entries: Some(8), ..CacheConfig::default() });
         for i in 0..40 {
-            let q = distinct_query(i);
-            let cand = LdfFilter.filter(&q, &g);
-            let (_, fresh) =
-                cache.get_or_compute(SpaceCache::query_fingerprint(&q), "RI", &q, || RiOrdering.order(&q, &g, &cand));
+            let (_, fresh) = ri_lookup(&cache, &distinct_query(i), &g);
             assert!(fresh, "distinct queries never alias");
             assert!(cache.len() <= 8, "iteration {i}: {} entries exceed the bound", cache.len());
         }
         assert!(cache.evictions() > 0);
         // An evicted key recomputes exactly once, then hits again.
         let q0 = distinct_query(0);
-        let cand = LdfFilter.filter(&q0, &g);
-        let qid = SpaceCache::query_fingerprint(&q0);
-        let (_, fresh1) = cache.get_or_compute(qid, "RI", &q0, || RiOrdering.order(&q0, &g, &cand));
-        let (_, fresh2) = cache.get_or_compute(qid, "RI", &q0, || unreachable!("resident again"));
+        let (_, fresh1) = ri_lookup(&cache, &q0, &g);
+        let (_, fresh2) = ri_lookup(&cache, &q0, &g);
         assert!(fresh1 && !fresh2);
     }
 
@@ -458,10 +304,7 @@ mod tests {
         let bound = probe * 12;
         let cache = OrderCache::with_capacity_bytes(bound);
         for i in 192..392 {
-            let q = distinct_query(i);
-            let cand = LdfFilter.filter(&q, &g);
-            let (_, fresh) =
-                cache.get_or_compute(SpaceCache::query_fingerprint(&q), "RI", &q, || RiOrdering.order(&q, &g, &cand));
+            let (_, fresh) = ri_lookup(&cache, &distinct_query(i), &g);
             assert!(fresh, "distinct queries never alias");
             assert!(
                 cache.storage_bytes() <= bound,
@@ -473,23 +316,19 @@ mod tests {
         assert!(cache.len() < 200);
         // An evicted key recomputes exactly once, then hits again.
         let q0 = distinct_query(192);
-        let cand = LdfFilter.filter(&q0, &g);
-        let qid = SpaceCache::query_fingerprint(&q0);
-        let (_, fresh1) = cache.get_or_compute(qid, "RI", &q0, || RiOrdering.order(&q0, &g, &cand));
-        let (_, fresh2) = cache.get_or_compute(qid, "RI", &q0, || unreachable!("resident again"));
+        let (_, fresh1) = ri_lookup(&cache, &q0, &g);
+        let (_, fresh2) = ri_lookup(&cache, &q0, &g);
         assert!(fresh1 && !fresh2);
     }
 
     #[test]
     fn racing_workers_order_exactly_once_per_key() {
         let (q, g) = case();
-        let cand = LdfFilter.filter(&q, &g);
         let cache = OrderCache::new();
-        let qid = SpaceCache::query_fingerprint(&q);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let (e, _) = cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+                    let (e, _) = ri_lookup(&cache, &q, &g);
                     assert_eq!(e.order().len(), 3);
                 });
             }
@@ -503,14 +342,14 @@ mod tests {
         let (q, g) = case();
         let cand = LdfFilter.filter(&q, &g);
         let cache = OrderCache::new();
-        let qid = SpaceCache::query_fingerprint(&q);
-        cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
-        cache.get_or_compute(qid, "GQL", &q, || GqlOrdering.order(&q, &g, &cand));
+        let key = QueryKey::of(&q);
+        cache.get_or_compute_keyed(&key, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+        cache.get_or_compute_keyed(&key, "GQL", &q, || GqlOrdering.order(&q, &g, &cand));
         assert_eq!(cache.len(), 2);
-        cache.invalidate(qid);
+        cache.invalidate(key.fingerprint());
         assert!(cache.is_empty());
         assert_eq!(cache.storage_bytes(), 0);
-        cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+        ri_lookup(&cache, &q, &g);
         cache.clear();
         assert!(cache.is_empty());
     }
@@ -518,20 +357,4 @@ mod tests {
     // The corruption-degrade and poison-recovery contracts are exercised
     // through the failpoint registry in `tests/faultpoints.rs` (its own
     // binary: the registry is process-global).
-
-    #[test]
-    fn cached_ordering_decorator_is_transparent() {
-        let (q, g) = case();
-        let cand = LdfFilter.filter(&q, &g);
-        let cache = OrderCache::new();
-        let cached = CachedOrdering::new(&RiOrdering, &cache, &LdfFilter.cache_key());
-        assert_eq!(cached.name(), "RI");
-        assert_eq!(cached.variant(), "RI@LDF");
-        let a = cached.order(&q, &g, &cand);
-        let b = cached.order(&q, &g, &cand);
-        assert_eq!(a, RiOrdering.order(&q, &g, &cand));
-        assert_eq!(a, b);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1);
-    }
 }

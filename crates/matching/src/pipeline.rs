@@ -1,22 +1,35 @@
 //! The three-phase pipeline (paper Algorithm 1) with per-phase timing.
 //!
 //! The paper reports `t = t_filter + t_order + t_enum` (§IV-B); this module
-//! measures each term so every figure harness reads them off directly.
+//! measures each term so every figure harness reads them off directly, and
+//! books the `CandidateSpace` build in `enum_time`, where the paper books
+//! all phase-3 work.
 //!
-//! The enumeration engine (probe oracle vs. CandidateSpace intersection)
-//! is selected by [`EnumConfig::engine`][crate::EnumConfig]; for the
-//! CandidateSpace engine, the build cost of the auxiliary structure is
-//! accounted in `enum_time`, where the paper books all phase-3 work.
+//! Three ways to run one query, and no others:
+//!
+//! * [`run_pipeline`] — cold: filter, order, enumerate, nothing kept;
+//! * [`run_cached`] — warm: the entry from a [`SpaceCache`], the order from
+//!   an [`OrderCache`] if one is given, enumeration in the entry. The CLI's
+//!   `--repeat` loop and the server's `match` handler are calls to it;
+//! * [`run_in_entry`] — phases 2–3 in an entry the caller already holds
+//!   (what `run_cached` does after its lookup; the figure harness calls it
+//!   once per method of a filter group).
+//!
+//! [`resolve_in_entry`] is the one statement of how an [`EnumConfig`]
+//! resolves against an entry (empty candidates, `Auto`, the thread gate).
 
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::{Graph, VertexId};
 
-use crate::candspace::CandidateSpace;
-use crate::enumerate::{enumerate, enumerate_in_space, enumerate_probe_prepared, EnumConfig, EnumEngine, EnumResult};
-use crate::filter::{CandidateFilter, Candidates};
+use crate::enumerate::{
+    auto_decide, effective_threads, enumerate, enumerate_in_space, enumerate_probe_prepared, estimate_enum_work,
+    EnumConfig, EnumEngine, EnumResult,
+};
+use crate::filter::CandidateFilter;
 use crate::order::OrderingMethod;
-use crate::spacecache::SpaceEntry;
+use crate::ordercache::{order_variant, OrderCache};
+use crate::spacecache::{QueryKey, SpaceCache, SpaceEntry};
 
 /// A configured matching algorithm: filter + ordering + enumeration knobs.
 /// `Hybrid` of the paper = `Pipeline::hybrid()`; RL-QVO = the same filter
@@ -77,134 +90,106 @@ pub fn run_pipeline(q: &Graph, g: &Graph, pipeline: &Pipeline<'_>) -> PipelineRe
     PipelineResult { filter_time, order_time, enum_time, candidate_total: cand.total(), order, enum_result }
 }
 
-/// The build-once/enumerate-many entry point: phases 2 and 3 against a
-/// `CandidateSpace` prebuilt from exactly `(q, g, cand)`. Never triggers a
-/// [`CandidateSpace::build`] of its own, so a harness comparing N orders
-/// on one (query, data) pair pays the build once, not N times.
+/// What `config` resolves to for runs in `entry`: a concrete engine
+/// (never [`EnumEngine::Auto`]) and the worker count the cost model
+/// endorses. This is the only statement of the rules every warm run
+/// shares:
 ///
-/// Engine handling: [`EnumEngine::Probe`] is honoured (the oracle path
-/// ignores the space); `CandidateSpace` and `Auto` both enumerate in the
-/// prebuilt space — with the build already paid, the Auto cost model has
-/// nothing left to trade off on the engine side, but it still gates the
-/// intra-query worker count (tiny workloads never pay a thread spawn).
-pub fn run_with_space(
+/// * an empty candidate set proves there is no match, so the run probes
+///   and the space is never built;
+/// * [`EnumEngine::Auto`] uses an already-built space unconditionally (a
+///   sunk, cached cost); on a cold entry it consults [`auto_decide`] with
+///   the enumeration estimate scaled by `sharers`, the number of orders
+///   that will enumerate in this entry — a build must beat their
+///   *combined* work, and a build-dominated single-shot query probes
+///   rather than force a build it can never win back;
+/// * `Auto` also gates the worker count (per order, unscaled): workloads
+///   too small to amortize a helper stay serial.
+///
+/// Idempotent, so a caller that resolves once per group of orders (the
+/// figure harness, which also times the one build) can hand the result to
+/// [`run_in_entry`].
+pub fn resolve_in_entry(q: &Graph, g: &Graph, entry: &SpaceEntry, config: EnumConfig, sharers: u64) -> EnumConfig {
+    let cand = entry.cand();
+    let engine = match config.engine {
+        _ if cand.any_empty() => EnumEngine::Probe,
+        EnumEngine::Auto if entry.space_ready() => EnumEngine::CandidateSpace,
+        EnumEngine::Auto => auto_decide(q, g, cand, &config).with_enum_scale(sharers).engine,
+        e => e,
+    };
+    let threads = match config.engine {
+        EnumEngine::Auto => effective_threads(estimate_enum_work(q, &config), config.threads),
+        _ => config.threads,
+    };
+    config.with_engine(engine).with_threads(threads)
+}
+
+/// Phases 2–3 in a [`SpaceEntry`]: the order comes from `orders` when one
+/// is given (a hit books the lookup only — phase 2 genuinely did not run)
+/// or from `pipeline.ordering`, then enumerates under
+/// [`resolve_in_entry`]'s engine — in the entry's lazily built space, or
+/// through its shared [`QueryAdjBits`][crate::QueryAdjBits] for the probe
+/// oracle. Never filters; builds at most once per residency of the entry.
+/// `filter_time` is zero: whoever looked the entry up knows whether a
+/// filter pass ran. Returns the result and whether the order was a cache
+/// hit.
+pub fn run_in_entry(
     q: &Graph,
     g: &Graph,
-    cand: &Candidates,
-    space: &CandidateSpace,
-    ordering: &dyn OrderingMethod,
-    config: EnumConfig,
-) -> PipelineResult {
+    entry: &SpaceEntry,
+    pipeline: &Pipeline<'_>,
+    orders: Option<(&OrderCache, &QueryKey)>,
+) -> (PipelineResult, bool) {
+    let cand = entry.cand();
     let t1 = Instant::now();
-    let order = ordering.order(q, g, cand);
+    let compute = || pipeline.ordering.order(q, g, cand);
+    let (order, hit_order) = match orders {
+        Some((cache, key)) => {
+            let variant = order_variant(pipeline.ordering, pipeline.filter);
+            let (cached, fresh) = cache.get_or_compute_keyed(key, &variant, q, compute);
+            (cached.order().to_vec(), !fresh)
+        }
+        None => (compute(), false),
+    };
     let order_time = t1.elapsed();
+
+    let config = resolve_in_entry(q, g, entry, pipeline.config, 1);
     let t2 = Instant::now();
     let enum_result = match config.engine {
-        EnumEngine::Probe => enumerate(q, g, cand, &order, config),
-        EnumEngine::CandidateSpace => enumerate_in_space(q, space, &order, config),
-        EnumEngine::Auto => {
-            let threads =
-                crate::enumerate::effective_threads(crate::enumerate::estimate_enum_work(q, &config), config.threads);
-            enumerate_in_space(q, space, &order, config.with_threads(threads))
-        }
+        EnumEngine::CandidateSpace => enumerate_in_space(q, entry.space(q, g), &order, config),
+        _ => enumerate_probe_prepared(q, g, cand, entry.adj(q), &order, config),
     };
     let enum_time = t2.elapsed();
-    PipelineResult {
+    let result = PipelineResult {
         filter_time: Duration::ZERO,
         order_time,
         enum_time,
         candidate_total: cand.total(),
         order,
         enum_result,
-    }
+    };
+    (result, hit_order)
 }
 
-/// Phases 2–3 against a [`SpaceEntry`] served by a
-/// [`SpaceCache`][crate::SpaceCache]: the cross-round analogue of
-/// [`run_with_space`]. Never filters and never rebuilds — the entry's
-/// candidates, candidate space, and probe adjacency bits are each
-/// computed at most once per residency of its key (once ever in an
-/// unbounded cache; a byte-bounded cache may evict the key, whose next
-/// lookup refilters — see [`crate::cache`]), however many rounds replay
-/// the query.
-///
-/// Engine handling mirrors [`run_with_space`]: [`EnumEngine::Probe`]
-/// enumerates through the entry's shared [`QueryAdjBits`]
-/// precomputation (no per-order `has_edge` backward scans);
-/// `CandidateSpace` enumerates in the entry's space. `Auto` uses an
-/// already-built space unconditionally (the build is a sunk, cached
-/// cost), but on a cold entry it still consults the cost model — a
-/// build-dominated single-shot query probes instead of forcing a build
-/// the enumeration can never win back. `filter_time` is reported as
-/// zero: the caller that created the entry decides how to account the
-/// one-time filter pass.
-pub fn run_with_entry(
+/// The warm run of one query — what `rlqvo match --repeat`, a served
+/// `match` request and every cached surface execute: look the entry up
+/// (filtering on a miss), then [`run_in_entry`]. `filter_time` is the
+/// lookup-and-filter time on a miss and exactly zero on a hit. Returns the
+/// result plus (space hit, order hit).
+pub fn run_cached(
     q: &Graph,
     g: &Graph,
-    entry: &SpaceEntry,
-    ordering: &dyn OrderingMethod,
-    config: EnumConfig,
-) -> PipelineResult {
-    let t1 = Instant::now();
-    let order = ordering.order(q, g, entry.cand());
-    let order_time = t1.elapsed();
-    let mut r = run_with_entry_ordered(q, g, entry, order, config);
-    r.order_time = order_time;
-    r
-}
-
-/// Phase 3 only, against a [`SpaceEntry`] and an already-known matching
-/// order — the serving-loop shape where the order came out of an
-/// [`OrderCache`][crate::OrderCache] hit and phase 2 genuinely did not
-/// run. Engine handling is identical to [`run_with_entry`];
-/// `order_time` (like `filter_time`) is reported as zero, the caller
-/// accounting for whatever its order lookup cost.
-pub fn run_with_entry_ordered(
-    q: &Graph,
-    g: &Graph,
-    entry: &SpaceEntry,
-    order: Vec<VertexId>,
-    config: EnumConfig,
-) -> PipelineResult {
-    let cand = entry.cand();
-    let order_time = Duration::ZERO;
-    let (engine, config) = match config.engine {
-        // Warm or cold, Auto also gates the worker count: the cheap
-        // work-estimate side of the cost model refuses to parallelize
-        // workloads whose per-worker share can't amortize a spawn.
-        EnumEngine::Auto => {
-            let engine = if entry.space_ready() {
-                EnumEngine::CandidateSpace
-            } else {
-                crate::enumerate::auto_decide(q, g, cand, &config).engine
-            };
-            let threads =
-                crate::enumerate::effective_threads(crate::enumerate::estimate_enum_work(q, &config), config.threads);
-            (engine, config.with_threads(threads))
-        }
-        e => (e, config),
-    };
-    let t2 = Instant::now();
-    let enum_result = match engine {
-        EnumEngine::Probe | EnumEngine::Auto => enumerate_probe_prepared(q, g, cand, entry.adj(q), &order, config),
-        EnumEngine::CandidateSpace => {
-            if cand.any_empty() {
-                // Complete candidate sets: no match exists, skip the build.
-                enumerate_probe_prepared(q, g, cand, entry.adj(q), &order, config)
-            } else {
-                enumerate_in_space(q, entry.space(q, g), &order, config)
-            }
-        }
-    };
-    let enum_time = t2.elapsed();
-    PipelineResult {
-        filter_time: Duration::ZERO,
-        order_time,
-        enum_time,
-        candidate_total: cand.total(),
-        order,
-        enum_result,
-    }
+    pipeline: &Pipeline<'_>,
+    key: &QueryKey,
+    spaces: &SpaceCache,
+    orders: Option<&OrderCache>,
+) -> (PipelineResult, bool, bool) {
+    let t0 = Instant::now();
+    let (entry, fresh) = spaces.entry_keyed(key, q, g, pipeline.filter);
+    let filter_time = if fresh { t0.elapsed() } else { Duration::ZERO };
+    let (mut result, hit_order) = run_in_entry(q, g, &entry, pipeline, orders.map(|cache| (cache, key)));
+    result.filter_time = filter_time;
+    (result, !fresh, hit_order)
 }
 
 #[cfg(test)]
@@ -274,68 +259,49 @@ mod tests {
     }
 
     #[test]
-    fn run_with_space_agrees_with_per_call_builds() {
+    fn run_in_entry_agrees_with_fresh_pipeline_for_all_engines() {
         let (q, g) = small_case();
-        let cand = crate::filter::CandidateFilter::filter(&LdfFilter, &q, &g);
-        let space = CandidateSpace::build(&q, &g, &cand);
-        let orderings: Vec<Box<dyn OrderingMethod>> =
-            vec![Box::new(RiOrdering), Box::new(QsiOrdering), Box::new(Vf2ppOrdering), Box::new(GqlOrdering)];
-        for o in &orderings {
-            let shared = run_with_space(&q, &g, &cand, &space, o.as_ref(), EnumConfig::find_all());
-            let order = o.order(&q, &g, &cand);
-            let rebuilt = enumerate(&q, &g, &cand, &order, EnumConfig::find_all());
-            assert_eq!(shared.enum_result.match_count, rebuilt.match_count, "{}", o.name());
-            assert_eq!(shared.enum_result.enumerations, rebuilt.enumerations, "{}", o.name());
-            assert_eq!(shared.order, order, "{}", o.name());
-            assert_eq!(shared.filter_time, Duration::ZERO);
-        }
-    }
-
-    #[test]
-    fn run_with_entry_agrees_with_fresh_pipeline_for_all_engines() {
-        let (q, g) = small_case();
-        let cache = crate::SpaceCache::new();
+        let cache = SpaceCache::new();
         let filter = LdfFilter;
-        let (entry, fresh) = cache.entry_for(&q, &g, &filter);
+        let (entry, fresh) = cache.entry_keyed(&QueryKey::of(&q), &q, &g, &filter);
         assert!(fresh);
         for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-            let cfg = EnumConfig::find_all().with_engine(engine);
-            let cached = run_with_entry(&q, &g, &entry, &RiOrdering, cfg);
-            let p = Pipeline { filter: &filter, ordering: &RiOrdering, config: cfg };
+            let p =
+                Pipeline { filter: &filter, ordering: &RiOrdering, config: EnumConfig::find_all().with_engine(engine) };
+            let (cached, hit_order) = run_in_entry(&q, &g, &entry, &p, None);
             let fresh_run = run_pipeline(&q, &g, &p);
             assert_eq!(cached.enum_result.match_count, fresh_run.enum_result.match_count, "{}", engine.name());
             assert_eq!(cached.enum_result.enumerations, fresh_run.enum_result.enumerations, "{}", engine.name());
             assert_eq!(cached.order, fresh_run.order, "{}", engine.name());
             assert_eq!(cached.filter_time, Duration::ZERO);
+            assert!(!hit_order, "no order cache, no order hit");
         }
     }
 
     #[test]
     fn entry_ordered_agrees_with_entry_for_all_engines() {
         let (q, g) = small_case();
-        let cache = crate::SpaceCache::new();
-        let (entry, _) = cache.entry_for(&q, &g, &LdfFilter);
-        let ocache = crate::OrderCache::new();
-        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-            let cfg = EnumConfig::find_all().with_engine(engine);
-            let direct = run_with_entry(&q, &g, &entry, &RiOrdering, cfg);
-            // Serving shape: order served by the OrderCache, enumeration
-            // via run_with_entry_ordered.
-            let key = crate::QueryKey::of(&q);
-            let (oe, _) = ocache.get_or_compute_keyed(&key, "RI@LDF", &q, || RiOrdering.order(&q, &g, entry.cand()));
-            let served = run_with_entry_ordered(&q, &g, &entry, oe.order().to_vec(), cfg);
+        let cache = SpaceCache::new();
+        let ocache = OrderCache::new();
+        let key = QueryKey::of(&q);
+        let filter = LdfFilter;
+        let (entry, _) = cache.entry_keyed(&key, &q, &g, &filter);
+        for (round, engine) in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto].into_iter().enumerate()
+        {
+            let p =
+                Pipeline { filter: &filter, ordering: &RiOrdering, config: EnumConfig::find_all().with_engine(engine) };
+            let (direct, _) = run_in_entry(&q, &g, &entry, &p, None);
+            // Serving shape: entry and order both through their caches.
+            let (served, hit_space, hit_order) = run_cached(&q, &g, &p, &key, &cache, Some(&ocache));
             assert_eq!(served.enum_result.match_count, direct.enum_result.match_count, "{}", engine.name());
             assert_eq!(served.enum_result.enumerations, direct.enum_result.enumerations, "{}", engine.name());
             assert_eq!(served.order, direct.order, "{}", engine.name());
-            assert_eq!(served.order_time, Duration::ZERO);
-            // The decorator path (CachedOrdering through run_with_entry)
-            // must agree too.
-            let cached_method = crate::CachedOrdering::new(&RiOrdering, &ocache, "LDF");
-            let decorated = run_with_entry(&q, &g, &entry, &cached_method, cfg);
-            assert_eq!(decorated.order, direct.order, "{}", engine.name());
-            assert_eq!(decorated.enum_result.match_count, direct.enum_result.match_count, "{}", engine.name());
+            assert!(hit_space, "the entry was resident before the first round");
+            assert_eq!(served.filter_time, Duration::ZERO, "a space hit books no filter time");
+            assert_eq!(hit_order, round > 0, "the order is computed in round 0 and served afterwards");
         }
-        assert!(ocache.hits() > 0, "rounds 2+ must be served");
+        assert_eq!((ocache.misses(), ocache.hits()), (1, 2));
+        assert!(ocache.contains(&key, &order_variant(&RiOrdering, &filter)), "filled under the one variant key");
     }
 
     #[test]
@@ -362,32 +328,22 @@ mod tests {
         qb.add_edge(b, c);
         let q = qb.build();
 
-        let cache = crate::SpaceCache::new();
-        let (entry, _) = cache.entry_for(&q, &g, &LdfFilter);
-        let capped = EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(crate::EnumEngine::Auto);
-        let cold = run_with_entry(&q, &g, &entry, &RiOrdering, capped);
+        let cache = SpaceCache::new();
+        let (entry, _) = cache.entry_keyed(&QueryKey::of(&q), &q, &g, &LdfFilter);
+        let capped = EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto);
+        let p = Pipeline { filter: &LdfFilter, ordering: &RiOrdering, config: capped };
+        let (cold, _) = run_in_entry(&q, &g, &entry, &p, None);
         assert!(!entry.space_ready(), "build-dominated cold Auto must not force a space build");
         assert_eq!(cold.enum_result.match_count, 1);
+        // The build must beat the *combined* work of the orders sharing
+        // it: enough sharers tip the same cold entry to the space engine.
+        assert_eq!(resolve_in_entry(&q, &g, &entry, capped, 1).engine, EnumEngine::Probe);
+        assert_eq!(resolve_in_entry(&q, &g, &entry, capped, 1 << 20).engine, EnumEngine::CandidateSpace);
         // Once some round has paid the build, Auto uses it unconditionally.
         entry.space(&q, &g);
-        let warm = run_with_entry(&q, &g, &entry, &RiOrdering, capped);
+        assert_eq!(resolve_in_entry(&q, &g, &entry, capped, 1).engine, EnumEngine::CandidateSpace);
+        let (warm, _) = run_in_entry(&q, &g, &entry, &p, None);
         assert_eq!(warm.enum_result.match_count, cold.enum_result.match_count);
         assert_eq!(warm.enum_result.enumerations, cold.enum_result.enumerations);
-    }
-
-    #[test]
-    fn run_with_space_honours_the_probe_oracle_and_auto() {
-        let (q, g) = small_case();
-        let cand = crate::filter::CandidateFilter::filter(&LdfFilter, &q, &g);
-        let space = CandidateSpace::build(&q, &g, &cand);
-        let mut results = Vec::new();
-        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-            let r = run_with_space(&q, &g, &cand, &space, &RiOrdering, EnumConfig::find_all().with_engine(engine));
-            results.push((engine, r));
-        }
-        for (engine, r) in &results[1..] {
-            assert_eq!(r.enum_result.match_count, results[0].1.enum_result.match_count, "{}", engine.name());
-            assert_eq!(r.enum_result.enumerations, results[0].1.enum_result.enumerations, "{}", engine.name());
-        }
     }
 }

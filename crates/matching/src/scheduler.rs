@@ -210,16 +210,11 @@ struct Pool {
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let cap = std::env::var("RLQVO_POOL_MAX")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            // On a small host the floor of 8 still lets a `threads = 4`
-            // request demonstrate 4-wide scheduling (overhead-bounded, as
-            // BENCH_enum.json records) — parallelism is capped by tokens
-            // and grants, not by the hardware guess.
-            .unwrap_or_else(|| hw.max(8));
+        // On a small host the floor of 8 still lets a `threads = 4`
+        // request demonstrate 4-wide scheduling (overhead-bounded, as
+        // BENCH_enum.json records) — parallelism is capped by tokens
+        // and grants, not by the hardware guess.
+        let cap = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(8);
         Pool { state: Mutex::new(PoolState { jobs: Vec::new(), idle: 0, threads: 0 }), work: Condvar::new(), cap }
     })
 }
@@ -228,7 +223,7 @@ fn pool() -> &'static Pool {
 /// helpers (slots `1..=extra`), returning once every participant has
 /// exited `f`. Helpers are granted opportunistically: idle threads wake
 /// immediately, new threads spawn while the pool is below its cap
-/// (`RLQVO_POOL_MAX`, default `max(hardware, 8)`), and a helper that
+/// (`max(hardware, 8)`), and a helper that
 /// frees up later can still claim an open slot and join the run in
 /// progress. The caller is never blocked waiting for a grant, and a
 /// panic on any participant is rethrown here after the others finish.

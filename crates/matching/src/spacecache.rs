@@ -20,14 +20,14 @@
 //! that contract — `SpaceCache` is a thin instantiation of it over
 //! [`SpaceEntry`]). What this module adds on top:
 //!
-//! * the *query id* defaults to a structural fingerprint
-//!   ([`SpaceCache::query_fingerprint`]: labels + edge list), so harnesses
-//!   need no id bookkeeping and distinct queries never alias; callers with
-//!   stable external ids can pass their own. Entries additionally store an
-//!   independent structural **checksum** ([`SpaceCache::query_checksum`])
-//!   verified on every hit in debug builds (`RLQVO_CACHE_VERIFY=1` forces
-//!   it on in release), so a 64-bit fingerprint collision is detected
-//!   instead of silently serving another query's candidates;
+//! * the one lookup, [`SpaceCache::entry_keyed`], takes a [`QueryKey`]:
+//!   the query's structural fingerprint
+//!   ([`SpaceCache::query_fingerprint`]: labels + edge list) is the cache
+//!   id, so callers need no id bookkeeping and distinct queries never
+//!   alias, and its independent structural **checksum**
+//!   ([`SpaceCache::query_checksum`]) is stored in the entry and compared
+//!   on every hit, so a 64-bit fingerprint collision is detected instead
+//!   of silently serving another query's candidates;
 //! * the *filter semantics* come from [`CandidateFilter::cache_key`],
 //!   which parameterized filters specialize (`"GQL/r2"` vs `"GQL/r1"`) —
 //!   two configurations that could disagree on candidates never share an
@@ -173,13 +173,12 @@ impl SpaceEntry {
     }
 }
 
-/// Both structural hashes of a query, computed once — the
-/// fingerprint-memoizing handle for hot serving loops. A caller that
-/// replays one query many times builds the `QueryKey` once and passes it
-/// to [`SpaceCache::entry_keyed`] (and
-/// [`OrderCache`][crate::OrderCache]'s keyed lookups), so each lookup
-/// skips both `O(|V|+|E|)` walks: the fingerprint hash *and* the
-/// checksum re-hash that verified hits would otherwise pay.
+/// Both structural hashes of a query, computed once — what every cache
+/// lookup takes ([`SpaceCache::entry_keyed`],
+/// [`OrderCache::get_or_compute_keyed`][crate::OrderCache::get_or_compute_keyed]).
+/// A caller that replays one query many times builds the `QueryKey` once,
+/// so no lookup pays either `O(|V|+|E|)` walk: not the fingerprint hash,
+/// and not the checksum hash every hit is verified against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QueryKey {
     fingerprint: u64,
@@ -222,6 +221,16 @@ impl Default for SpaceCache {
     }
 }
 
+/// Counters and residency (`hits`, `misses`, `evictions`,
+/// `checksum_failures`, `len`, `storage_bytes`, …) are the generic cache's.
+impl std::ops::Deref for SpaceCache {
+    type Target = ShardedCache<SpaceEntry>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.cache
+    }
+}
+
 impl SpaceCache {
     /// An unbounded cache (figure harnesses: the working set is the query
     /// set, which the caller already holds in memory).
@@ -250,9 +259,9 @@ impl SpaceCache {
     }
 
     /// Structural fingerprint of a query graph (FNV-1a over vertex count,
-    /// labels, and the directed edge list): the default query id for
-    /// callers without external ids. Identical structures — and only
-    /// those, up to 64-bit collisions — map to the same id.
+    /// labels, and the directed edge list): the cache id. Identical
+    /// structures — and only those, up to 64-bit collisions — map to the
+    /// same id.
     pub fn query_fingerprint(q: &Graph) -> u64 {
         const OFFSET: u64 = 0xcbf29ce484222325;
         const PRIME: u64 = 0x100000001b3;
@@ -300,22 +309,17 @@ impl SpaceCache {
         h
     }
 
-    /// The entry for `(query_id, filter.cache_key())`, filtering on first
-    /// use. Returns the shared entry and whether this call created it
-    /// (`true` = a filter pass just ran). Exactly one filter pass happens
-    /// per *residency* of a key, however many threads race; a key evicted
-    /// by the byte bound refilters once on its next lookup.
+    /// The entry for `(key.fingerprint(), filter.cache_key())`, filtering
+    /// on first use. Returns the shared entry and whether this call
+    /// created it (`true` = a filter pass just ran). Exactly one filter
+    /// pass happens per *residency* of a key, however many threads race; a
+    /// key evicted by the byte bound refilters once on its next lookup,
+    /// and a hit whose stored checksum disagrees with `key` evicts the
+    /// liar and refilters (the generic cache's retry loop).
     ///
-    /// Hot path: one shard lock (find + LRU re-head + `Arc` clone), then
-    /// a lock-free `OnceLock` read.
-    pub fn entry(&self, query_id: u64, q: &Graph, g: &Graph, filter: &dyn CandidateFilter) -> (Arc<SpaceEntry>, bool) {
-        self.entry_impl(query_id, None, q, g, filter)
-    }
-
-    /// [`SpaceCache::entry`] with a precomputed [`QueryKey`]: the serving
-    /// hot path. The query is hashed exactly once (when the caller built
-    /// the key); lookups neither fingerprint nor — when hit verification
-    /// is on — re-checksum the graph.
+    /// Hot path: one shard lock (find + LRU re-head + `Arc` clone), a
+    /// lock-free `OnceLock` read and the checksum compare — the query is
+    /// hashed exactly once, when the caller built the key.
     pub fn entry_keyed(
         &self,
         key: &QueryKey,
@@ -323,42 +327,20 @@ impl SpaceCache {
         g: &Graph,
         filter: &dyn CandidateFilter,
     ) -> (Arc<SpaceEntry>, bool) {
-        self.entry_impl(key.fingerprint, Some(key.checksum), q, g, filter)
-    }
-
-    /// Shared lookup: `checksum` carries the caller's precomputed
-    /// collision-guard hash, or `None` to derive it from `q` on demand.
-    /// Degradation (checksum-mismatch hits evict the liar and refilter)
-    /// lives in the generic cache's retry loop.
-    fn entry_impl(
-        &self,
-        query_id: u64,
-        checksum: Option<u64>,
-        q: &Graph,
-        g: &Graph,
-        filter: &dyn CandidateFilter,
-    ) -> (Arc<SpaceEntry>, bool) {
-        let variant = filter.cache_key();
         let origin = Arc::downgrade(self.cache.shared());
-        self.cache.get_or_insert(
-            query_id,
-            &variant,
-            checksum,
-            || Self::query_checksum(q),
-            |key| {
-                let adj = self.adj_cell(query_id);
-                let t = Instant::now();
-                let cand = filter.filter(q, g);
-                Arc::new(SpaceEntry {
-                    cand,
-                    filter_time: t.elapsed(),
-                    checksum: AtomicU64::new(checksum.unwrap_or_else(|| Self::query_checksum(q))),
-                    adj,
-                    space: OnceLock::new(),
-                    origin: Some((origin, key.clone())),
-                })
-            },
-        )
+        self.cache.get_or_insert(key, &filter.cache_key(), |cache_key| {
+            let adj = self.adj_cell(key.fingerprint);
+            let t = Instant::now();
+            let cand = filter.filter(q, g);
+            Arc::new(SpaceEntry {
+                cand,
+                filter_time: t.elapsed(),
+                checksum: AtomicU64::new(key.checksum),
+                adj,
+                space: OnceLock::new(),
+                origin: Some((origin, cache_key.clone())),
+            })
+        })
     }
 
     /// The shared adjacency-bits cell of `query_id`, reviving a live one
@@ -381,77 +363,6 @@ impl SpaceCache {
         cell
     }
 
-    /// [`SpaceCache::entry`] with the query id derived from the query's
-    /// structural fingerprint — the harness-facing convenience.
-    pub fn entry_for(&self, q: &Graph, g: &Graph, filter: &dyn CandidateFilter) -> (Arc<SpaceEntry>, bool) {
-        self.entry(Self::query_fingerprint(q), q, g, filter)
-    }
-
-    /// The `RLQVO_SPACE_CACHE` knob, parsed once for every surface (CLI
-    /// and figure harness share this): `0`/`off`/`false` disable,
-    /// `1`/`on`/`true` enable, anything else (including unset) falls back
-    /// to `default`. Case-insensitive.
-    pub fn env_enabled(default: bool) -> bool {
-        match std::env::var("RLQVO_SPACE_CACHE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "0" | "off" | "false" => false,
-                "1" | "on" | "true" => true,
-                _ => default,
-            },
-            Err(_) => default,
-        }
-    }
-
-    /// Cache lookups that were served from an existing entry.
-    pub fn hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Cache lookups that performed the filter pass.
-    pub fn misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Entries dropped by the byte-bound eviction policy so far.
-    pub fn evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Verified hits whose stored checksum disagreed with the query being
-    /// served. Each one degraded to an evict-and-refilter miss instead of
-    /// panicking — the serving layer's `degraded` metric.
-    pub fn checksum_failures(&self) -> u64 {
-        self.cache.checksum_failures()
-    }
-
-    /// Poisoned shards recovered (cleared and reused) so far.
-    pub fn poison_recoveries(&self) -> u64 {
-        self.cache.poison_recoveries()
-    }
-
-    /// Lookups served standalone because the entry exceeds the whole
-    /// byte budget (admitted uncached — each also counts as a miss).
-    pub fn oversize_serves(&self) -> u64 {
-        self.cache.oversize_serves()
-    }
-
-    /// Cumulative residents examined during eviction victim selection —
-    /// O([`EVICT_SAMPLE`][crate::cache::EVICT_SAMPLE]) per victim under
-    /// the default policy (see [`crate::cache`]).
-    pub fn evict_scan_steps(&self) -> u64 {
-        self.cache.evict_scan_steps()
-    }
-
-    /// Number of distinct `(query id, filter semantics)` keys resident.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
     /// Drops every filter variant of `query_id` (the query changed or
     /// should be refreshed). Outstanding [`Arc`] entries stay usable.
     pub fn invalidate(&self, query_id: u64) {
@@ -465,14 +376,6 @@ impl SpaceCache {
         self.cache.clear();
         self.adjs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
     }
-
-    /// Bytes charged for resident entries (candidates + adjacency bits +
-    /// built candidate spaces). With [`SpaceCache::with_capacity_bytes`]
-    /// this never exceeds the configured bound, up to concurrent
-    /// charge/evict transients.
-    pub fn storage_bytes(&self) -> usize {
-        self.cache.storage_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -482,6 +385,10 @@ mod tests {
     use crate::filter::{GqlFilter, LdfFilter, NlfFilter};
     use rlqvo_graph::GraphBuilder;
     use std::sync::atomic::AtomicUsize;
+
+    fn entry_for(cache: &SpaceCache, q: &Graph, g: &Graph, filter: &dyn CandidateFilter) -> (Arc<SpaceEntry>, bool) {
+        cache.entry_keyed(&QueryKey::of(q), q, g, filter)
+    }
 
     fn case() -> (Graph, Graph) {
         let mut qb = GraphBuilder::new(2);
@@ -505,9 +412,9 @@ mod tests {
     fn entry_is_filtered_once_and_shared() {
         let (q, g) = case();
         let cache = SpaceCache::new();
-        let (e1, fresh1) = cache.entry_for(&q, &g, &LdfFilter);
+        let (e1, fresh1) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(fresh1);
-        let (e2, fresh2) = cache.entry_for(&q, &g, &LdfFilter);
+        let (e2, fresh2) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(!fresh2, "second lookup must hit");
         assert!(Arc::ptr_eq(&e1, &e2), "hits share the same entry");
         assert_eq!(cache.misses(), 1);
@@ -525,9 +432,9 @@ mod tests {
     fn distinct_filter_semantics_do_not_collide() {
         let (q, g) = case();
         let cache = SpaceCache::new();
-        let (_, f1) = cache.entry_for(&q, &g, &GqlFilter { refinement_rounds: 1 });
-        let (_, f2) = cache.entry_for(&q, &g, &GqlFilter { refinement_rounds: 2 });
-        let (_, f3) = cache.entry_for(&q, &g, &NlfFilter);
+        let (_, f1) = entry_for(&cache, &q, &g, &GqlFilter { refinement_rounds: 1 });
+        let (_, f2) = entry_for(&cache, &q, &g, &GqlFilter { refinement_rounds: 2 });
+        let (_, f3) = entry_for(&cache, &q, &g, &NlfFilter);
         assert!(f1 && f2 && f3, "three semantics, three filter passes");
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.misses(), 3);
@@ -546,8 +453,8 @@ mod tests {
         assert_ne!(SpaceCache::query_fingerprint(&q), SpaceCache::query_fingerprint(&q2));
         assert_ne!(SpaceCache::query_checksum(&q), SpaceCache::query_checksum(&q2));
         let cache = SpaceCache::new();
-        let (_, f1) = cache.entry_for(&q, &g, &LdfFilter);
-        let (_, f2) = cache.entry_for(&q2, &g, &LdfFilter);
+        let (_, f1) = entry_for(&cache, &q, &g, &LdfFilter);
+        let (_, f2) = entry_for(&cache, &q2, &g, &LdfFilter);
         assert!(f1 && f2);
         assert_eq!(cache.len(), 2);
     }
@@ -556,7 +463,7 @@ mod tests {
     fn checksum_guards_against_fingerprint_collisions() {
         let (q, g) = case();
         let cache = SpaceCache::new();
-        let (entry, _) = cache.entry_for(&q, &g, &LdfFilter);
+        let (entry, _) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(entry.verify_checksum(&q), "honest hit must verify");
         // A different structure must fail verification — this is what a
         // fingerprint collision would look like to the hit path.
@@ -572,7 +479,7 @@ mod tests {
     fn space_is_lazy_and_built_once() {
         let (q, g) = case();
         let cache = SpaceCache::new();
-        let (e, _) = cache.entry_for(&q, &g, &LdfFilter);
+        let (e, _) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(!e.space_ready());
         assert_eq!(e.build_time(), Duration::ZERO);
         let before_build = cache.storage_bytes();
@@ -592,8 +499,8 @@ mod tests {
     fn adjacency_bits_are_shared_across_filter_variants() {
         let (q, g) = case();
         let cache = SpaceCache::new();
-        let (e1, _) = cache.entry_for(&q, &g, &LdfFilter);
-        let (e2, _) = cache.entry_for(&q, &g, &NlfFilter);
+        let (e1, _) = entry_for(&cache, &q, &g, &LdfFilter);
+        let (e2, _) = entry_for(&cache, &q, &g, &NlfFilter);
         let a1 = e1.adj(&q) as *const QueryAdjBits;
         let a2 = e2.adj(&q) as *const QueryAdjBits;
         assert_eq!(a1, a2, "one QueryAdjBits per query, shared by all filter variants");
@@ -604,14 +511,14 @@ mod tests {
         let (q, g) = case();
         let cache = SpaceCache::new();
         let qid = SpaceCache::query_fingerprint(&q);
-        cache.entry(qid, &q, &g, &LdfFilter);
-        cache.entry(qid, &q, &g, &NlfFilter);
+        entry_for(&cache, &q, &g, &LdfFilter);
+        entry_for(&cache, &q, &g, &NlfFilter);
         assert_eq!(cache.len(), 2);
         cache.invalidate(qid);
         assert!(cache.is_empty());
         assert_eq!(cache.storage_bytes(), 0);
         // The next lookup re-filters.
-        let (_, fresh) = cache.entry(qid, &q, &g, &LdfFilter);
+        let (_, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(fresh);
         cache.clear();
         assert!(cache.is_empty());
@@ -624,7 +531,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let (e, _) = cache.entry_for(&q, &g, &GqlFilter::default());
+                    let (e, _) = entry_for(&cache, &q, &g, &GqlFilter::default());
                     assert!(!e.cand().any_empty());
                 });
             }
@@ -667,7 +574,7 @@ mod tests {
         // changes: room for roughly a dozen entries across 16 shards.
         let probe_cache = SpaceCache::new();
         let q0 = distinct_query(0);
-        let (e0, _) = probe_cache.entry_for(&q0, &g, &LdfFilter);
+        let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
         e0.space(&q0, &g);
         let entry_bytes = e0.resident_bytes();
         let bound = entry_bytes * 12;
@@ -675,7 +582,7 @@ mod tests {
         let cache = SpaceCache::with_capacity_bytes(bound);
         for i in 0..200 {
             let q = distinct_query(i);
-            let (e, fresh) = cache.entry_for(&q, &g, &LdfFilter);
+            let (e, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
             assert!(fresh, "distinct queries never alias");
             e.space(&q, &g); // force the lazy build: the bound must hold through it
             assert!(
@@ -695,18 +602,18 @@ mod tests {
         // A bound small enough that every shard holds ~1 entry: inserting
         // enough distinct queries evicts q0 from its shard.
         let probe_cache = SpaceCache::new();
-        let (e0, _) = probe_cache.entry_for(&q0, &g, &LdfFilter);
+        let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
         let cache = SpaceCache::with_capacity_bytes(e0.resident_bytes() * SHARD_COUNT);
-        cache.entry_for(&q0, &g, &LdfFilter);
+        entry_for(&cache, &q0, &g, &LdfFilter);
         for i in 1..100 {
-            cache.entry_for(&distinct_query(i), &g, &LdfFilter);
+            entry_for(&cache, &distinct_query(i), &g, &LdfFilter);
         }
         assert!(cache.evictions() > 0);
         let misses_before = cache.misses();
         // q0 was evicted: the next lookup refilters (miss) exactly once,
         // then hits again.
-        let (_, fresh1) = cache.entry_for(&q0, &g, &LdfFilter);
-        let (_, fresh2) = cache.entry_for(&q0, &g, &LdfFilter);
+        let (_, fresh1) = entry_for(&cache, &q0, &g, &LdfFilter);
+        let (_, fresh2) = entry_for(&cache, &q0, &g, &LdfFilter);
         assert!(fresh1, "evicted key must rebuild");
         assert!(!fresh2, "and then be resident again");
         assert_eq!(cache.misses(), misses_before + 1);
@@ -717,16 +624,16 @@ mod tests {
         let g = flood_host();
         let q0 = distinct_query(0);
         let probe_cache = SpaceCache::new();
-        let (e0, _) = probe_cache.entry_for(&q0, &g, &LdfFilter);
+        let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
         e0.space(&q0, &g);
         let cache = SpaceCache::with_capacity_bytes(e0.resident_bytes() * 3);
         // Hold the first residency of q0, evict it with a flood, then let
         // q0 refilter into a *new* resident entry.
-        let (stale, _) = cache.entry_for(&q0, &g, &LdfFilter);
+        let (stale, _) = entry_for(&cache, &q0, &g, &LdfFilter);
         for i in 1..60 {
-            cache.entry_for(&distinct_query(i), &g, &LdfFilter);
+            entry_for(&cache, &distinct_query(i), &g, &LdfFilter);
         }
-        let (new_entry, fresh) = cache.entry_for(&q0, &g, &LdfFilter);
+        let (new_entry, fresh) = entry_for(&cache, &q0, &g, &LdfFilter);
         assert!(fresh, "q0 must have been evicted and refiltered");
         assert!(!Arc::ptr_eq(&stale, &new_entry));
         // The stale handle's lazy build must not touch the accounting of
@@ -744,7 +651,7 @@ mod tests {
         let g = flood_host();
         let cache = SpaceCache::new();
         for i in 0..100 {
-            cache.entry_for(&distinct_query(i), &g, &LdfFilter);
+            entry_for(&cache, &distinct_query(i), &g, &LdfFilter);
         }
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 100);
@@ -767,7 +674,7 @@ mod tests {
         let g = flood_host();
         let probe_cache = SpaceCache::new();
         let q0 = distinct_query(0);
-        let (e0, _) = probe_cache.entry_for(&q0, &g, &LdfFilter);
+        let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
         e0.space(&q0, &g);
         let entry_bytes = e0.resident_bytes();
         let bound = entry_bytes * 6;
@@ -783,7 +690,7 @@ mod tests {
                     s.spawn(move || {
                         for i in 0..300u32 {
                             let q = distinct_query((i + r as u32) % HOT);
-                            let (e, _) = cache.entry_for(&q, g, &LdfFilter);
+                            let (e, _) = entry_for(cache, &q, g, &LdfFilter);
                             assert!(!e.cand().any_empty());
                             high_water.fetch_max(cache.storage_bytes(), Ordering::Relaxed);
                         }
@@ -794,7 +701,7 @@ mod tests {
                     // set) that keep the cache over its bound continuously.
                     for i in HOT..(HOT + 150) {
                         let q = distinct_query(i);
-                        let (e, fresh) = cache.entry_for(&q, g, &LdfFilter);
+                        let (e, fresh) = entry_for(cache, &q, g, &LdfFilter);
                         assert!(fresh, "flood queries are distinct");
                         e.space(&q, g);
                         high_water.fetch_max(cache.storage_bytes(), Ordering::Relaxed);
@@ -821,12 +728,12 @@ mod tests {
         // the evicted-key contract: exactly one refilter, then resident.
         for i in (HOT + 150)..(HOT + 190) {
             let q = distinct_query(i);
-            let (e, _) = cache.entry_for(&q, &g, &LdfFilter);
+            let (e, _) = entry_for(&cache, &q, &g, &LdfFilter);
             e.space(&q, &g);
         }
-        let (_, fresh1) = cache.entry_for(&distinct_query(0), &g, &LdfFilter);
+        let (_, fresh1) = entry_for(&cache, &distinct_query(0), &g, &LdfFilter);
         assert!(fresh1, "hot key must have been evicted by the post-flood push");
-        let (_, fresh2) = cache.entry_for(&distinct_query(0), &g, &LdfFilter);
+        let (_, fresh2) = entry_for(&cache, &distinct_query(0), &g, &LdfFilter);
         assert!(!fresh2, "exactly one refilter per eviction");
     }
 
@@ -839,7 +746,7 @@ mod tests {
         let g = flood_host();
         let cache = SpaceCache::with_capacity_bytes(1);
         let q = distinct_query(3);
-        let (e, fresh) = cache.entry_for(&q, &g, &LdfFilter);
+        let (e, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(fresh);
         assert!(!e.cand().any_empty(), "the oversize entry still serves");
         assert_eq!(cache.len(), 0, "never resident");
@@ -848,7 +755,7 @@ mod tests {
         assert!(cache.oversize_serves() >= 1);
         // Every further lookup is a standalone miss — the documented
         // admit-uncached cost — and still never touches residency.
-        let (e2, fresh2) = cache.entry_for(&q, &g, &LdfFilter);
+        let (e2, fresh2) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(fresh2, "quarantined keys refilter per lookup");
         assert!(!Arc::ptr_eq(&e, &e2));
         assert_eq!(cache.len(), 0);

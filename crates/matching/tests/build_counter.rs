@@ -1,6 +1,6 @@
 //! Amortization regression guard: the build-once/enumerate-many contract
-//! of `run_with_space` must never trigger a second `CandidateSpace::build`
-//! for the same (query, data) pair.
+//! of `run_in_entry` / `run_cached` must never trigger a second
+//! `CandidateSpace::build` for the same (query, data) pair.
 //!
 //! This lives in its own integration-test binary on purpose: the build
 //! counter is process-global, and any other test building spaces
@@ -9,8 +9,8 @@
 
 use rlqvo_matching::order::{GqlOrdering, QsiOrdering, RiOrdering, Vf2ppOrdering};
 use rlqvo_matching::{
-    enumerate_in_space, run_with_space, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter,
-    OrderingMethod,
+    enumerate_in_space, run_cached, run_in_entry, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, OrderCache,
+    OrderingMethod, Pipeline, QueryKey, SpaceCache,
 };
 
 #[test]
@@ -36,37 +36,46 @@ fn prebuilt_space_is_built_exactly_once_across_all_orders() {
     }
     let g = gb.build();
 
-    let cand = GqlFilter::default().filter(&q, &g);
-    assert!(!cand.any_empty(), "fixture must have candidates");
+    let filter = GqlFilter::default();
+    let cache = SpaceCache::new();
+    let key = QueryKey::of(&q);
+    let (entry, _) = cache.entry_keyed(&key, &q, &g, &filter);
+    assert!(!entry.cand().any_empty(), "fixture must have candidates");
 
-    // One explicit build…
+    // One build, by the first run that needs the space…
     let before = CandidateSpace::build_count();
-    let space = CandidateSpace::build(&q, &g, &cand);
+    let pipeline =
+        |ordering, engine| Pipeline { filter: &filter, ordering, config: EnumConfig::find_all().with_engine(engine) };
+    let first = run_in_entry(&q, &g, &entry, &pipeline(&RiOrdering, EnumEngine::CandidateSpace), None).0;
     assert_eq!(CandidateSpace::build_count(), before + 1);
 
     // …then every compared order enumerates in it without rebuilding:
     // the Fig. 5/6 pattern (N orderings, one (query, data) pair).
     let orderings: Vec<Box<dyn OrderingMethod>> =
         vec![Box::new(RiOrdering), Box::new(QsiOrdering), Box::new(Vf2ppOrdering), Box::new(GqlOrdering)];
-    let mut counts = Vec::new();
+    let mut counts = vec![first.enum_result.match_count];
     for o in &orderings {
-        let r = run_with_space(&q, &g, &cand, &space, o.as_ref(), EnumConfig::find_all());
+        let r = run_in_entry(&q, &g, &entry, &pipeline(o.as_ref(), EnumEngine::CandidateSpace), None).0;
         counts.push(r.enum_result.match_count);
     }
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "orders must agree: {counts:?}");
-    assert_eq!(CandidateSpace::build_count(), before + 1, "run_with_space must never rebuild");
+    assert_eq!(CandidateSpace::build_count(), before + 1, "run_in_entry must never rebuild");
 
     // The raw entry point is equally clean…
-    let direct = enumerate_in_space(&q, &space, &[0, 1, 2, 3], EnumConfig::find_all());
+    let direct = enumerate_in_space(&q, entry.space(&q, &g), &[0, 1, 2, 3], EnumConfig::find_all());
     assert_eq!(direct.match_count, counts[0]);
     assert_eq!(CandidateSpace::build_count(), before + 1);
 
-    // …and the Auto engine against a prebuilt space has nothing to build.
-    let auto = run_with_space(&q, &g, &cand, &space, &RiOrdering, EnumConfig::find_all().with_engine(EnumEngine::Auto));
-    assert_eq!(auto.enum_result.match_count, counts[0]);
-    // The probe oracle never builds either.
-    let probe =
-        run_with_space(&q, &g, &cand, &space, &RiOrdering, EnumConfig::find_all().with_engine(EnumEngine::Probe));
-    assert_eq!(probe.enum_result.match_count, counts[0]);
-    assert_eq!(CandidateSpace::build_count(), before + 1, "no engine may rebuild behind run_with_space");
+    // …and so is the whole warm path, lookups included: the Auto engine
+    // against a built space has nothing to build, the probe oracle never
+    // builds, and replayed rounds are served the resident entry.
+    let orders = OrderCache::new();
+    for engine in [EnumEngine::Auto, EnumEngine::Probe, EnumEngine::CandidateSpace] {
+        for _round in 0..2 {
+            let (r, hit_space, _) = run_cached(&q, &g, &pipeline(&RiOrdering, engine), &key, &cache, Some(&orders));
+            assert!(hit_space, "{}", engine.name());
+            assert_eq!(r.enum_result.match_count, counts[0], "{}", engine.name());
+        }
+    }
+    assert_eq!(CandidateSpace::build_count(), before + 1, "no engine may rebuild behind run_cached");
 }

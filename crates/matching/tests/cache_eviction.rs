@@ -28,11 +28,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rlqvo_graph::{Graph, GraphBuilder};
 use rlqvo_matching::cache::{CacheConfig, EvictPolicy, EVICT_SAMPLE};
-use rlqvo_matching::OrderCache;
+use rlqvo_matching::{OrderCache, QueryKey};
 
 /// The one tiny query every entry checksums against — eviction behavior
 /// depends only on keys and weights, so the graph is a fixture, not a
-/// variable.
+/// variable: distinct keys are distinct *variants* of it.
 fn tiny_query() -> Graph {
     let mut qb = GraphBuilder::new(2);
     let a = qb.add_vertex(0);
@@ -47,13 +47,14 @@ fn tiny_query() -> Graph {
 const ORDER_LEN: usize = 16;
 
 fn entry_weight(cache_probe: &OrderCache, q: &Graph) -> usize {
-    cache_probe.get_or_compute(u64::MAX, "probe", q, || vec![0; ORDER_LEN]);
+    cache_probe.get_or_compute_keyed(&QueryKey::of(q), "probe", q, || vec![0; ORDER_LEN]);
     cache_probe.storage_bytes()
 }
 
-/// One lookup with the trivial fixed-size compute; returns `fresh`.
+/// One lookup of key `id` with the trivial fixed-size compute; returns
+/// `fresh`.
 fn lookup(cache: &OrderCache, id: u64, q: &Graph) -> bool {
-    let (e, fresh) = cache.get_or_compute(id, "V", q, || vec![0; ORDER_LEN]);
+    let (e, fresh) = cache.get_or_compute_keyed(&QueryKey::of(q), &format!("V{id}"), q, || vec![0; ORDER_LEN]);
     assert_eq!(e.order().len(), ORDER_LEN);
     fresh
 }
@@ -210,14 +211,15 @@ fn oversize_entries_never_thrash_residents_under_either_policy() {
         let resident_before = cache.len();
         let bytes_before = cache.storage_bytes();
         // An order 100x the whole budget: must be served standalone.
-        let (big, fresh) = cache.get_or_compute(1000, "V", &q, || vec![0; ORDER_LEN * 1600]);
+        let key = QueryKey::of(&q);
+        let (big, fresh) = cache.get_or_compute_keyed(&key, "big", &q, || vec![0; ORDER_LEN * 1600]);
         assert!(fresh && big.order().len() == ORDER_LEN * 1600);
         assert_eq!(cache.len(), resident_before, "{policy:?}: oversize must not evict residents");
         assert_eq!(cache.storage_bytes(), bytes_before, "{policy:?}: oversize is never charged");
         assert!(cache.oversize_serves() >= 1);
         assert_eq!(cache.evictions(), 0, "{policy:?}: nothing was thrashed");
         // The quarantined key recomputes per lookup, still standalone.
-        let (big2, fresh2) = cache.get_or_compute(1000, "V", &q, || vec![0; ORDER_LEN * 1600]);
+        let (big2, fresh2) = cache.get_or_compute_keyed(&key, "big", &q, || vec![0; ORDER_LEN * 1600]);
         assert!(fresh2 && !Arc::ptr_eq(&big, &big2));
         assert_eq!(cache.len(), resident_before);
     }

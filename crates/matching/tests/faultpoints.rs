@@ -8,18 +8,25 @@
 //! unrelated tests. Within this binary, `arm_scoped` serializes the
 //! tests against each other.
 //!
-//! Debug builds always verify cache hits (`verify_on_hit`), so the
-//! corruption fires are observed on the very next lookup. Release builds
-//! verify only under `RLQVO_CACHE_VERIFY=1`, which is latched on first
-//! read and so cannot be set from inside this multi-test binary: the two
-//! checksum tests are ignored there.
+//! Every cache hit is verified, in every build profile, so the corruption
+//! fires are observed on the very next lookup — CI runs this binary under
+//! `--release` too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use rlqvo_graph::{Graph, GraphBuilder};
 use rlqvo_matching::order::{OrderingMethod, RiOrdering};
-use rlqvo_matching::{CandidateFilter, LdfFilter, OrderCache, SpaceCache};
+use rlqvo_matching::{CandidateFilter, LdfFilter, OrderCache, OrderEntry, QueryKey, SpaceCache, SpaceEntry};
+
+fn space_lookup(cache: &SpaceCache, q: &Graph, g: &Graph) -> (Arc<SpaceEntry>, bool) {
+    cache.entry_keyed(&QueryKey::of(q), q, g, &LdfFilter)
+}
+
+fn order_lookup(cache: &OrderCache, q: &Graph, g: &Graph) -> (Arc<OrderEntry>, bool) {
+    let cand = LdfFilter.filter(q, g);
+    cache.get_or_compute_keyed(&QueryKey::of(q), "RI", q, || RiOrdering.order(q, g, &cand))
+}
 
 fn case() -> (Graph, Graph) {
     let mut qb = GraphBuilder::new(2);
@@ -40,16 +47,15 @@ fn case() -> (Graph, Graph) {
 }
 
 #[test]
-#[cfg_attr(not(debug_assertions), ignore = "hit-path verification is debug-only without RLQVO_CACHE_VERIFY=1")]
 fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
     let (q, g) = case();
     let cache = SpaceCache::new();
-    let (bad, fresh) = cache.entry_for(&q, &g, &LdfFilter);
+    let (bad, fresh) = space_lookup(&cache, &q, &g);
     assert!(fresh);
     // Armed *after* the fill: the first verified hit fires once,
     // flipping the resident's checksum right before the comparison.
     let guard = rlqvo_fault::arm_scoped("cache.checksum_corrupt=once", 1).unwrap();
-    let (good, fresh) = cache.entry_for(&q, &g, &LdfFilter);
+    let (good, fresh) = space_lookup(&cache, &q, &g);
     assert_eq!(rlqvo_fault::fired("cache.checksum_corrupt"), 1);
     assert!(fresh, "the corrupted resident must be replaced, not served");
     assert!(!Arc::ptr_eq(&bad, &good), "degrade produces a new entry");
@@ -58,7 +64,7 @@ fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
     assert_eq!(cache.evictions(), 1, "the corrupted entry was evicted, not leaked");
     // Steady state again: the replacement serves hits (the `once`
     // trigger is spent, so the verify passes).
-    let (again, fresh) = cache.entry_for(&q, &g, &LdfFilter);
+    let (again, fresh) = space_lookup(&cache, &q, &g);
     assert!(!fresh);
     assert!(Arc::ptr_eq(&good, &again));
     assert_eq!(cache.checksum_failures(), 1, "one fire, one degrade");
@@ -66,16 +72,14 @@ fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
 }
 
 #[test]
-#[cfg_attr(not(debug_assertions), ignore = "hit-path verification is debug-only without RLQVO_CACHE_VERIFY=1")]
 fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
     let (q, g) = case();
     let cand = LdfFilter.filter(&q, &g);
     let cache = OrderCache::new();
-    let qid = SpaceCache::query_fingerprint(&q);
-    let (bad, _) = cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+    let (bad, _) = order_lookup(&cache, &q, &g);
     let guard = rlqvo_fault::arm_scoped("cache.checksum_corrupt=once", 1).unwrap();
     let mut recomputed = false;
-    let (good, fresh) = cache.get_or_compute(qid, "RI", &q, || {
+    let (good, fresh) = cache.get_or_compute_keyed(&QueryKey::of(&q), "RI", &q, || {
         recomputed = true;
         RiOrdering.order(&q, &g, &cand)
     });
@@ -85,53 +89,49 @@ fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
     assert_eq!(cache.checksum_failures(), 1);
     assert_eq!(cache.evictions(), 1);
     drop(guard);
-    let (_, fresh2) = cache.get_or_compute(qid, "RI", &q, || unreachable!("resident again"));
-    assert!(!fresh2);
+    let (_, fresh2) = order_lookup(&cache, &q, &g);
+    assert!(!fresh2, "resident again");
 }
 
 #[test]
 fn poisoned_space_shard_recovers_and_refilters() {
     let (q, g) = case();
     let cache = SpaceCache::new();
-    let qid = SpaceCache::query_fingerprint(&q);
-    cache.entry(qid, &q, &g, &LdfFilter);
+    space_lookup(&cache, &q, &g);
     assert_eq!(cache.len(), 1);
     // The fire dies while holding the resident's shard lock — the
     // worker-died-mid-operation scenario the old hook simulated, now
     // reached through the real lookup path.
     let guard = rlqvo_fault::arm_scoped("cache.shard.poison=once", 1).unwrap();
-    let poisoned = catch_unwind(AssertUnwindSafe(|| cache.entry(qid, &q, &g, &LdfFilter)));
+    let poisoned = catch_unwind(AssertUnwindSafe(|| space_lookup(&cache, &q, &g)));
     assert!(poisoned.is_err(), "the armed lookup must die holding the shard lock");
     drop(guard);
     // The next touch of the poisoned shard recovers it: the shard is
     // cleared (as if evicted) and the lookup refilters.
-    let (e, fresh) = cache.entry(qid, &q, &g, &LdfFilter);
+    let (e, fresh) = space_lookup(&cache, &q, &g);
     assert!(fresh, "recovered shard starts empty");
     assert!(!e.cand().any_empty());
     assert_eq!(cache.poison_recoveries(), 1);
     assert_eq!(cache.storage_bytes(), e.resident_bytes(), "byte accounting survives the recovery");
     // And the cache keeps serving afterwards.
-    let (_, fresh2) = cache.entry(qid, &q, &g, &LdfFilter);
+    let (_, fresh2) = space_lookup(&cache, &q, &g);
     assert!(!fresh2);
 }
 
 #[test]
 fn poisoned_order_shard_recovers_and_recomputes() {
     let (q, g) = case();
-    let cand = LdfFilter.filter(&q, &g);
     let cache = OrderCache::new();
-    let qid = SpaceCache::query_fingerprint(&q);
-    cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+    order_lookup(&cache, &q, &g);
     let guard = rlqvo_fault::arm_scoped("cache.shard.poison=once", 1).unwrap();
-    let poisoned =
-        catch_unwind(AssertUnwindSafe(|| cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand))));
+    let poisoned = catch_unwind(AssertUnwindSafe(|| order_lookup(&cache, &q, &g)));
     assert!(poisoned.is_err());
     drop(guard);
-    let (e, fresh) = cache.get_or_compute(qid, "RI", &q, || RiOrdering.order(&q, &g, &cand));
+    let (e, fresh) = order_lookup(&cache, &q, &g);
     assert!(fresh, "recovered shard starts empty");
     assert_eq!(e.order().len(), 3);
     assert_eq!(cache.poison_recoveries(), 1);
-    let (_, fresh2) = cache.get_or_compute(qid, "RI", &q, || unreachable!("resident again"));
+    let (_, fresh2) = order_lookup(&cache, &q, &g);
     assert!(!fresh2, "the cache keeps serving after recovery");
 }
 
@@ -142,8 +142,8 @@ fn oversize_failpoint_forces_admit_uncached_on_an_unbounded_cache() {
     let guard = rlqvo_fault::arm_scoped("cache.oversize=times(2)", 1).unwrap();
     // Both fires serve standalone: never resident, no bytes charged —
     // the admit-uncached contract without needing a byte bound.
-    let (e1, f1) = cache.entry_for(&q, &g, &LdfFilter);
-    let (e2, f2) = cache.entry_for(&q, &g, &LdfFilter);
+    let (e1, f1) = space_lookup(&cache, &q, &g);
+    let (e2, f2) = space_lookup(&cache, &q, &g);
     assert!(f1 && f2, "oversize serves are standalone misses");
     assert!(!Arc::ptr_eq(&e1, &e2));
     assert_eq!(cache.len(), 0, "never resident");
@@ -151,7 +151,7 @@ fn oversize_failpoint_forces_admit_uncached_on_an_unbounded_cache() {
     assert_eq!(cache.oversize_serves(), 2);
     drop(guard);
     // Trigger spent: the next lookup is an ordinary resident fill.
-    let (_, f3) = cache.entry_for(&q, &g, &LdfFilter);
+    let (_, f3) = space_lookup(&cache, &q, &g);
     assert!(f3);
     assert_eq!(cache.len(), 1);
 }

@@ -8,8 +8,9 @@ use rlqvo_matching::order::{
     CflOrdering, GqlOrdering, OptimalOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering,
 };
 use rlqvo_matching::{
-    enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared, run_with_entry, CandidateFilter,
-    CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, QueryAdjBits, SpaceCache, TokenBudget,
+    enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared, run_cached, run_pipeline,
+    CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, OrderCache, Pipeline,
+    QueryAdjBits, QueryKey, SpaceCache, TokenBudget,
 };
 
 /// Random connected-ish labeled graph.
@@ -219,49 +220,57 @@ proptest! {
         }
     }
 
-    /// Cross-round amortization must be invisible to results: for every
-    /// engine (probe, candspace, auto), enumeration through a
-    /// cache-served entry is byte-identical (match count, `#enum`, match
-    /// stream) to a fresh per-call filter + build, for random
-    /// (query, data) pairs and every filter.
+    /// The warm path must be invisible to results: `run_cached` is
+    /// byte-identical to the cold `run_pipeline` (match count, `#enum`,
+    /// order, match stream) for every filter and engine (probe,
+    /// candspace, auto), at 1, 2 and 4 workers, with and without an order
+    /// cache, on the cold entry (round 0: filter pass, order fill) and the
+    /// warm one (round 1: space hit, order hit) — and a space hit books
+    /// exactly zero filter time.
     #[test]
     fn cache_served_space_is_differentially_identical(g in arb_graph(9, 3), seed in 0u64..500) {
         let Some(q) = query_of(&g, seed, 4) else { return Ok(()) };
-        let cache = SpaceCache::new();
+        let key = QueryKey::of(&q);
         let filters: Vec<Box<dyn CandidateFilter>> =
             vec![Box::new(LdfFilter), Box::new(NlfFilter), Box::new(GqlFilter::default())];
         for f in &filters {
-            let cand = f.filter(&q, &g);
-            let (entry, fresh) = cache.entry_for(&q, &g, f.as_ref());
-            prop_assert!(fresh, "first lookup of ({}, query) must filter", f.name());
-            // The cached candidates are byte-identical to the fresh pass.
-            for u in q.vertices() {
-                prop_assert_eq!(entry.cand().of(u), cand.of(u), "cached C({}) diverges: {}", u, f.name());
-            }
-            // A replay round is served the same entry without filtering.
-            let (entry2, fresh2) = cache.entry_for(&q, &g, f.as_ref());
-            prop_assert!(!fresh2, "replay must hit: {}", f.name());
-            prop_assert!(std::sync::Arc::ptr_eq(&entry, &entry2));
             for o in [&RiOrdering as &dyn OrderingMethod, &GqlOrdering as &dyn OrderingMethod] {
-                let order = o.order(&q, &g, &cand);
                 for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-                    let mut cfg = EnumConfig::find_all().with_engine(engine);
-                    cfg.store_matches = true;
-                    let fresh_run = enumerate(&q, &g, &cand, &order, cfg);
-                    let cached_run = run_with_entry(&q, &g, &entry2, o, cfg);
-                    prop_assert_eq!(
-                        cached_run.enum_result.match_count, fresh_run.match_count,
-                        "match_count diverges: {} {} {}", f.name(), o.name(), engine.name()
-                    );
-                    prop_assert_eq!(
-                        cached_run.enum_result.enumerations, fresh_run.enumerations,
-                        "#enum diverges: {} {} {}", f.name(), o.name(), engine.name()
-                    );
-                    prop_assert_eq!(
-                        &cached_run.enum_result.matches, &fresh_run.matches,
-                        "match stream diverges: {} {} {}", f.name(), o.name(), engine.name()
-                    );
-                    prop_assert_eq!(&cached_run.order, &order, "order diverges: {} {}", f.name(), o.name());
+                    for threads in [1usize, 2, 4] {
+                        let mut cfg = EnumConfig::find_all().with_engine(engine).with_threads(threads);
+                        cfg.store_matches = true;
+                        let p = Pipeline { filter: f.as_ref(), ordering: o, config: cfg };
+                        let cold = run_pipeline(&q, &g, &p);
+                        for with_orders in [false, true] {
+                            let (spaces, orders) = (SpaceCache::new(), OrderCache::new());
+                            for round in 0..2 {
+                                let (warm, hit_space, hit_order) =
+                                    run_cached(&q, &g, &p, &key, &spaces, with_orders.then_some(&orders));
+                                let cell = format!(
+                                    "{} {} {} x{} orders={} round {}",
+                                    f.name(), o.name(), engine.name(), threads, with_orders, round
+                                );
+                                prop_assert_eq!(hit_space, round == 1, "space hit: {}", &cell);
+                                prop_assert_eq!(hit_order, with_orders && round == 1, "order hit: {}", &cell);
+                                if hit_space {
+                                    prop_assert_eq!(warm.filter_time, std::time::Duration::ZERO, "{}", &cell);
+                                }
+                                prop_assert_eq!(
+                                    warm.enum_result.match_count, cold.enum_result.match_count,
+                                    "match_count diverges: {}", &cell
+                                );
+                                prop_assert_eq!(
+                                    warm.enum_result.enumerations, cold.enum_result.enumerations,
+                                    "#enum diverges: {}", &cell
+                                );
+                                prop_assert_eq!(&warm.order, &cold.order, "order diverges: {}", &cell);
+                                prop_assert_eq!(
+                                    &warm.enum_result.matches, &cold.enum_result.matches,
+                                    "match stream diverges: {}", &cell
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -18,8 +18,9 @@
 //!   hostile point);
 //! * `replay.oversize` — sacrificial connections declare frames beyond
 //!   the server's limit, expecting the typed reject;
-//! * `cache.checksum_corrupt` — a verified cache hit finds its resident
-//!   checksum flipped and must degrade (evict + recompute, counted).
+//! * `cache.checksum_corrupt` — a cache hit (all are verified) finds its
+//!   resident checksum flipped and must degrade (evict + recompute,
+//!   counted).
 //!
 //! A mid-run cache `flush` at 70% stays unconditional — it is workload,
 //! not fault. Pass `--faults` to run any other schedule (server-side
@@ -115,11 +116,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    // First thing, before any thread exists: force cache hit
-    // verification on so the corruption injection actually exercises the
-    // degrade path in release builds.
-    std::env::set_var("RLQVO_CACHE_VERIFY", "1");
-
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let no_cache = args.iter().any(|a| a == "--no-cache");

@@ -29,10 +29,11 @@
 //!    recover from lock poisoning (they rebuild the poisoned shard), so
 //!    even a panic inside a cache fill is survivable.
 //! 4. **Graceful degradation.** A cache miss falls back to on-the-fly
-//!    filtering/ordering; a checksum mismatch on a hit evicts the liar
-//!    and recomputes (counted in the `degraded` metric). `use_cache =
-//!    false` serves every request down the fully cold path — the flag
-//!    that *proves* the degraded path works end to end.
+//!    filtering/ordering; every hit is checksum-verified, in every build
+//!    profile, and a mismatch evicts the liar and recomputes (counted in
+//!    the `degraded` metric). `use_cache = false` serves every request
+//!    down the fully cold path — the flag that *proves* the degraded path
+//!    works end to end.
 //! 5. **Self-healing.** A supervisor thread watches per-worker
 //!    heartbeats: a dead worker (a panic that escaped the fence, e.g.
 //!    one injected at queue pickup) is joined and replaced; a wedged one
@@ -62,13 +63,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rlqvo_core::{InferMath, RlQvo, RlQvoConfig};
-use rlqvo_graph::{io::read_graph, Graph};
-use rlqvo_matching::order::{
-    CflOrdering, GqlOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering,
-};
+use rlqvo_graph::{io::read_graph, Graph, VertexId};
 use rlqvo_matching::{
-    run_pipeline, run_with_entry_ordered, scheduler_stats, CandidateFilter, EnumConfig, EnumEngine, GqlFilter,
-    LdfFilter, NlfFilter, OrderCache, Pipeline, PipelineResult, QueryKey, SpaceCache, TokenBudget,
+    order_variant, run_cached, run_pipeline, scheduler_stats, Candidates, EnumConfig, EnumEngine, Method, OrderCache,
+    OrderingMethod, Pipeline, QueryKey, SpaceCache, TokenBudget,
 };
 
 use crate::protocol::{read_frame, write_frame, Frame, Request, Response};
@@ -830,9 +828,9 @@ fn prestage_orders(state: &ServerState, jobs: &[Job]) {
     if state.fast_math {
         ordering = ordering.with_math(InferMath::Fast);
     }
-    // The rlqvo path always filters with GqlFilter (see handle_match), so
-    // the variant key is fixed for the whole batch.
-    let variant = format!("{}@{}", ordering.cache_key(), GqlFilter::default().cache_key());
+    // The rlqvo path always filters with Hybrid's filter (see
+    // handle_match), so the variant key is fixed for the whole batch.
+    let variant = order_variant(&ordering, Method::hybrid().filter);
     let now = Instant::now();
     let mut targets: Vec<(Graph, QueryKey)> = Vec::new();
     for job in jobs {
@@ -846,9 +844,7 @@ fn prestage_orders(state: &ServerState, jobs: &[Job]) {
             continue;
         };
         let key = QueryKey::of(&q);
-        if state.orders.contains_keyed(&key, &variant)
-            || targets.iter().any(|(_, k)| k.fingerprint() == key.fingerprint())
-        {
+        if state.orders.contains(&key, &variant) || targets.iter().any(|(_, k)| k.fingerprint() == key.fingerprint()) {
             continue; // resident, or a duplicate within this batch
         }
         targets.push((q, key));
@@ -880,38 +876,25 @@ fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -
         }
     }
 
+    let reject = |reason: String| {
+        state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
+        Response::Rejected { reason }
+    };
     let q = match read_graph(job.query_text.as_bytes(), Some(state.g.num_labels())) {
         Ok(q) => q,
-        Err(e) => {
-            state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::Rejected { reason: format!("bad query graph: {e}") };
-        }
+        Err(e) => return reject(format!("bad query graph: {e}")),
     };
 
-    let method = job.method.as_deref().unwrap_or("hybrid");
+    let name = job.method.as_deref().unwrap_or("hybrid");
     let learned;
-    let (filter, ordering): (Box<dyn CandidateFilter>, &dyn OrderingMethod) = match method {
-        "hybrid" => (Box::new(GqlFilter::default()), &RiOrdering),
-        "ri" => (Box::new(LdfFilter), &RiOrdering),
-        "qsi" => (Box::new(LdfFilter), &QsiOrdering),
-        "vf2pp" => (Box::new(LdfFilter), &Vf2ppOrdering),
-        "gql" => (Box::new(GqlFilter::default()), &GqlOrdering),
-        "cfl" => (Box::new(NlfFilter), &CflOrdering),
-        "veq" => (Box::new(NlfFilter), &VeqOrdering),
-        "rlqvo" => match &state.model {
-            Some(m) => {
-                learned = if state.fast_math { m.ordering().with_math(InferMath::Fast) } else { m.ordering() };
-                (Box::new(GqlFilter::default()), &learned)
-            }
-            None => {
-                state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return Response::Rejected { reason: "no model loaded (start with --model)".into() };
-            }
-        },
-        other => {
-            state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-            return Response::Rejected { reason: format!("unknown method {other:?}") };
+    let method = match (Method::by_cli_name(name), name, &state.model) {
+        (Some(m), _, _) => m,
+        (None, "rlqvo", Some(model)) => {
+            learned = if state.fast_math { model.ordering().with_math(InferMath::Fast) } else { model.ordering() };
+            Method::learned(&learned)
         }
+        (None, "rlqvo", None) => return reject("no model loaded (start with --model)".into()),
+        (None, other, _) => return reject(format!("unknown method {other:?}")),
     };
 
     let mut config = state.base_config;
@@ -922,10 +905,7 @@ fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -
     if let Some(e) = &job.engine {
         match EnumEngine::parse(e) {
             Some(eng) => config.engine = eng,
-            None => {
-                state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                return Response::Rejected { reason: format!("unknown engine {e:?}") };
-            }
+            None => return reject(format!("unknown engine {e:?}")),
         }
     }
     if let Some(d) = job.deadline {
@@ -933,22 +913,31 @@ fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -
     }
     config = config.with_cancel_flag(state.cancel).with_heartbeat(heartbeat);
 
+    // `inject=panic` swaps in an ordering that dies when asked to order:
+    // inside the order-cache fill on the warm path, the most hostile point
+    // (see [`InjectedPanic`]).
     let inject_panic = state.fault_injection && job.inject.as_deref() == Some("panic");
+    let injected = InjectedPanic(method.ordering);
+    let ordering = if inject_panic { &injected } else { method.ordering };
+    let pipeline = Pipeline { filter: method.filter, ordering, config };
 
     // The engine fence. `AssertUnwindSafe` is justified: the only shared
     // structures a panic can abandon mid-write are the caches, and those
     // recover from lock poisoning by design (counted, tested).
     let t0 = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if state.use_cache {
-            run_cached(state, &q, filter.as_ref(), ordering, config, inject_panic)
+        let run = if state.use_cache {
+            run_cached(&q, &state.g, &pipeline, &QueryKey::of(&q), &state.space, Some(&state.orders))
         } else {
-            if inject_panic {
-                panic!("injected fault (cold path)");
-            }
-            let r = run_pipeline(&q, &state.g, &Pipeline { filter: filter.as_ref(), ordering, config });
-            (r, false, false)
+            (run_pipeline(&q, &state.g, &pipeline), false, false)
+        };
+        if inject_panic {
+            // The order was already cached, so nothing asked the ordering:
+            // still honor the directive so injected requests fail
+            // deterministically.
+            panic!("injected fault (warm hit)");
         }
+        run
     }));
     let micros = t0.elapsed().as_micros() as u64;
 
@@ -979,42 +968,25 @@ fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -
     }
 }
 
-/// The warm path: same shape as `rlqvo match` with both caches on.
-/// Returns the pipeline result plus (space hit, order hit).
-fn run_cached(
-    state: &ServerState,
-    q: &Graph,
-    filter: &dyn CandidateFilter,
-    ordering: &dyn OrderingMethod,
-    config: EnumConfig,
-    inject_panic: bool,
-) -> (PipelineResult, bool, bool) {
-    let key = QueryKey::of(q);
-    let t0 = Instant::now();
-    let (entry, fresh_space) = state.space.entry_keyed(&key, q, &state.g, filter);
-    let filter_time = if fresh_space { t0.elapsed() } else { Duration::ZERO };
-    let variant = format!("{}@{}", ordering.cache_key(), filter.cache_key());
-    let t1 = Instant::now();
-    let (oe, fresh_order) = state.orders.get_or_compute_keyed(&key, &variant, q, || {
-        // Injection point chosen to be maximally hostile: mid-fill, with
-        // a cache residency open. The `OnceLock` cell stays uninitialized
-        // (the next lookup retries) and no shard lock is held here, so
-        // nothing poisons — the panic costs exactly one request.
-        if inject_panic {
-            panic!("injected fault (order fill)");
-        }
-        ordering.order(q, &state.g, entry.cand())
-    });
-    if inject_panic {
-        // The fill closure never ran (order was already cached): still
-        // honor the directive so injected requests fail deterministically.
-        panic!("injected fault (warm hit)");
+/// The `inject=panic` ordering: same cache identity as the method it
+/// stands in for, but asking it for an order panics. On the warm path that
+/// is mid-fill, with a cache residency open — the `OnceLock` cell stays
+/// uninitialized (the next lookup retries) and no shard lock is held, so
+/// nothing poisons and the panic costs exactly one request.
+struct InjectedPanic<'a>(&'a dyn OrderingMethod);
+
+impl OrderingMethod for InjectedPanic<'_> {
+    fn name(&self) -> &str {
+        self.0.name()
     }
-    let order_time = t1.elapsed();
-    let mut r = run_with_entry_ordered(q, &state.g, &entry, oe.order().to_vec(), config);
-    r.filter_time = filter_time;
-    r.order_time = order_time;
-    (r, !fresh_space, !fresh_order)
+
+    fn order(&self, _: &Graph, _: &Graph, _: &Candidates) -> Vec<VertexId> {
+        panic!("injected fault (order fill)");
+    }
+
+    fn cache_key(&self) -> String {
+        self.0.cache_key()
+    }
 }
 
 /// Blocking client helper: one request frame out, one response frame

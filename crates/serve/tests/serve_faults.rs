@@ -233,6 +233,38 @@ fn deadlines_cancel_cooperatively_through_the_server() {
     handle.shutdown();
 }
 
+/// `method=` resolves through the library's one roster: every roster
+/// name is served (and, candidate sets being complete, finds the same
+/// matches); anything else is a typed reject, not an error.
+#[test]
+fn method_names_resolve_through_the_roster_and_unknown_ones_are_rejected() {
+    let handle = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, Arc::new(small_host())).unwrap();
+    let mut s = handle.connect().unwrap();
+    let with_method = |name: &str| Request::Match {
+        deadline_ms: None,
+        max_matches: None,
+        method: Some(name.into()),
+        engine: None,
+        inject: None,
+        query_text: text(&small_query()),
+    };
+    let mut counts = Vec::new();
+    for m in &rlqvo_matching::ROSTER {
+        let r = roundtrip(&mut s, &with_method(m.cli)).unwrap();
+        let Response::Ok { matches, .. } = r else { panic!("{}: {r:?}", m.cli) };
+        counts.push(matches);
+    }
+    assert!(counts[0] > 0 && counts.iter().all(|&c| c == counts[0]), "{counts:?}");
+    // (The wire form of a reason has `_` for spaces.)
+    for (name, why) in [("quicksi", "unknown_method"), ("Hybrid", "unknown_method"), ("rlqvo", "no_model_loaded")] {
+        let r = roundtrip(&mut s, &with_method(name)).unwrap();
+        assert!(matches!(&r, Response::Rejected { reason } if reason.contains(why)), "{name}: {r:?}");
+    }
+    let Response::Metrics(m) = roundtrip(&mut s, &Request::Metrics).unwrap() else { panic!("metrics") };
+    assert_eq!((m["served"], m["rejected"], m["errors"]), (rlqvo_matching::ROSTER.len() as u64, 3, 0));
+    handle.shutdown();
+}
+
 #[test]
 fn no_cache_serves_cold_and_flush_resets_the_warm_path() {
     // `use_cache: false` is the degradation proof: every request walks

@@ -12,25 +12,24 @@
 //! Graphs use the `t/v/e` text format of the in-memory study
 //! (`rlqvo_graph::io`). `match` prints per-phase timings, `#enum` and the
 //! match count — the numbers the paper reports. `--repeat N` replays the
-//! query N rounds; with the space cache on (the default, also settable
-//! via `RLQVO_SPACE_CACHE=0|1`), rounds 2+ reuse the round-1 filtered
-//! candidates and built `CandidateSpace`; with the order cache on too
-//! (`--order-cache`, `RLQVO_ORDER_CACHE=0|1`), they also reuse the
-//! round-1 matching order — the serving-layer shape where repeated
-//! queries pay phases 1 and 2 once and enumeration only afterwards.
+//! query N rounds through the same warm path a served request takes
+//! (`rlqvo_matching::run_cached`): with the space cache on (the default),
+//! rounds 2+ reuse the round-1 filtered candidates and built
+//! `CandidateSpace`; with the order cache on too (the default), they also
+//! reuse the round-1 matching order, so repeated queries pay phases 1 and
+//! 2 once and enumeration only afterwards. Every option is a flag; a
+//! malformed value is an error, never a silent default.
 
 use std::io::BufReader;
-use std::time::{Duration, Instant};
+use std::num::NonZeroUsize;
+use std::str::FromStr;
+use std::time::Duration;
 
 use rlqvo_suite::core::{RlQvo, RlQvoConfig};
 use rlqvo_suite::datasets::{build_query_set, SplitQuerySet};
 use rlqvo_suite::graph::{io::read_graph, Graph, GraphStats};
-use rlqvo_suite::matching::order::{
-    CflOrdering, GqlOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering,
-};
 use rlqvo_suite::matching::{
-    run_pipeline, run_with_entry, run_with_entry_ordered, CandidateFilter, EnumConfig, EnumEngine, GqlFilter,
-    LdfFilter, NlfFilter, OrderCache, Pipeline, QueryKey, SpaceCache,
+    run_cached, run_pipeline, EnumConfig, EnumEngine, Method, OrderCache, Pipeline, QueryKey, SpaceCache,
 };
 
 fn main() {
@@ -65,6 +64,22 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
+/// The parsed value of `--name`, `None` when the flag is absent, and
+/// `bad --name "x"` when the value does not parse — on every subcommand.
+fn parsed<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag(args, name).map(|v| v.parse().map_err(|_| format!("bad {name} {v:?}"))).transpose()
+}
+
+/// An `on|off` flag, `default` when absent.
+fn switch(args: &[String], name: &str, default: bool) -> Result<bool, String> {
+    match flag(args, name).as_deref() {
+        None => Ok(default),
+        Some("on") => Ok(true),
+        Some("off") => Ok(false),
+        Some(other) => Err(format!("bad {name} {other:?} (want on|off)")),
+    }
+}
+
 fn load(path: &str, universe: Option<u32>) -> Result<Graph, Box<dyn std::error::Error>> {
     let file = std::fs::File::open(path)?;
     Ok(read_graph(BufReader::new(file), universe)?)
@@ -89,17 +104,13 @@ fn cmd_match(args: &[String]) -> CliResult {
         Some(v) => EnumEngine::parse(&v).ok_or_else(|| format!("unknown engine {v:?} (probe|candspace|auto)"))?,
     };
     let config = EnumConfig {
-        max_matches: flag(args, "--max-matches").and_then(|v| v.parse().ok()).unwrap_or(100_000),
-        time_limit: Duration::from_millis(
-            flag(args, "--time-limit-ms").and_then(|v| v.parse().ok()).unwrap_or(500_000),
-        ),
+        max_matches: parsed(args, "--max-matches")?.unwrap_or(100_000),
+        time_limit: Duration::from_millis(parsed(args, "--time-limit-ms")?.unwrap_or(500_000)),
         engine,
         // `--enum-threads N` > `RLQVO_ENUM_THREADS` > 1 (the default
         // EnumConfig already folds the env knob in).
-        threads: match flag(args, "--enum-threads") {
-            Some(v) => {
-                v.parse::<usize>().ok().filter(|&t| t >= 1).ok_or_else(|| format!("bad --enum-threads {v:?}"))?
-            }
+        threads: match parsed::<NonZeroUsize>(args, "--enum-threads")? {
+            Some(t) => t.get(),
             None => EnumConfig::default().threads,
         },
         ..EnumConfig::default()
@@ -107,47 +118,28 @@ fn cmd_match(args: &[String]) -> CliResult {
 
     // The learned model must outlive the borrowed ordering.
     let model;
-    let learned_ordering;
-    let (filter, ordering): (Box<dyn CandidateFilter>, &dyn OrderingMethod) = match method.as_str() {
-        "hybrid" => (Box::new(GqlFilter::default()), &RiOrdering),
-        "ri" => (Box::new(LdfFilter), &RiOrdering),
-        "qsi" => (Box::new(LdfFilter), &QsiOrdering),
-        "vf2pp" => (Box::new(LdfFilter), &Vf2ppOrdering),
-        "gql" => (Box::new(GqlFilter::default()), &GqlOrdering),
-        "cfl" => (Box::new(NlfFilter), &CflOrdering),
-        "veq" => (Box::new(NlfFilter), &VeqOrdering),
-        "rlqvo" => {
+    let learned;
+    let method = match Method::by_cli_name(&method) {
+        Some(m) => m,
+        None if method == "rlqvo" => {
             let path = flag(args, "--model").ok_or("--method rlqvo needs --model")?;
             model = RlQvo::load(&path, RlQvoConfig::harness())?;
-            learned_ordering = model.ordering();
-            (Box::new(GqlFilter::default()), &learned_ordering)
+            learned = model.ordering();
+            Method::learned(&learned)
         }
-        other => return Err(format!("unknown method {other:?}").into()),
+        None => return Err(format!("unknown method {method:?}").into()),
     };
+    let pipeline = Pipeline { filter: method.filter, ordering: method.ordering, config };
 
-    let repeat: usize = flag(args, "--repeat").and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-    let use_cache = match flag(args, "--space-cache").as_deref() {
-        Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("unknown --space-cache value {other:?} (on|off)").into()),
-        // Shared parse with the figure harness (`Scale`): the env knob
-        // means one thing everywhere.
-        None => SpaceCache::env_enabled(true),
-    };
+    let repeat: usize = parsed(args, "--repeat")?.unwrap_or(1).max(1);
+    let use_cache = switch(args, "--space-cache", true)?;
     // The ordering cache rides on the space cache (it serves orders
-    // computed against the cached candidates); `--order-cache off` (or
-    // `RLQVO_ORDER_CACHE=0`) recomputes the order every round. Parse
-    // unconditionally so a bad value errors even with the space cache
-    // off, then gate on it.
-    let order_cache_flag = match flag(args, "--order-cache").as_deref() {
-        Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("unknown --order-cache value {other:?} (on|off)").into()),
-        None => OrderCache::env_enabled(true),
-    };
-    let use_order_cache = use_cache && order_cache_flag;
+    // computed against the cached candidates); `--order-cache off`
+    // recomputes the order every round. Parsed unconditionally so a bad
+    // value errors even with the space cache off.
+    let use_order_cache = switch(args, "--order-cache", true)? && use_cache;
 
-    println!("method      : {} ({} filter + {} ordering)", method, filter.name(), ordering.name());
+    println!("method      : {} ({} filter + {} ordering)", method.cli, method.filter.name(), method.ordering.name());
     println!("engine      : {}", config.engine.name());
     println!("enum threads: {}", config.threads);
     println!("space cache : {}", if use_cache { "on" } else { "off" });
@@ -160,28 +152,12 @@ fn cmd_match(args: &[String]) -> CliResult {
     let cache = SpaceCache::new();
     let order_cache = OrderCache::new();
     let query_key = QueryKey::of(&q);
-    let order_variant = format!("{}@{}", ordering.cache_key(), filter.cache_key());
     let mut last = None;
     for round in 1..=repeat {
         let r = if use_cache {
-            let t0 = Instant::now();
-            let (entry, fresh) = cache.entry_keyed(&query_key, &q, &g, filter.as_ref());
-            let filter_time = if fresh { t0.elapsed() } else { Duration::ZERO };
-            let mut r = if use_order_cache {
-                let t1 = Instant::now();
-                let (oe, _) = order_cache
-                    .get_or_compute_keyed(&query_key, &order_variant, &q, || ordering.order(&q, &g, entry.cand()));
-                let order_time = t1.elapsed(); // a hit books the lookup only
-                let mut r = run_with_entry_ordered(&q, &g, &entry, oe.order().to_vec(), config);
-                r.order_time = order_time;
-                r
-            } else {
-                run_with_entry(&q, &g, &entry, ordering, config)
-            };
-            r.filter_time = filter_time;
-            r
+            run_cached(&q, &g, &pipeline, &query_key, &cache, use_order_cache.then_some(&order_cache)).0
         } else {
-            run_pipeline(&q, &g, &Pipeline { filter: filter.as_ref(), ordering, config })
+            run_pipeline(&q, &g, &pipeline)
         };
         if repeat > 1 {
             println!(
@@ -222,53 +198,36 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let data = flag(args, "--data").ok_or("--data is required")?;
     let g = std::sync::Arc::new(load(&data, None)?);
     let mut config = rlqvo_suite::serve::ServeConfig {
-        queue_depth: flag(args, "--queue-depth").and_then(|v| v.parse().ok()).unwrap_or(64),
+        queue_depth: parsed(args, "--queue-depth")?.unwrap_or(64),
         use_cache: !args.iter().any(|a| a == "--no-cache"),
         fault_injection: args.iter().any(|a| a == "--fault-injection"),
         model_path: flag(args, "--model"),
         ..rlqvo_suite::serve::ServeConfig::default()
     };
-    if let Some(t) = flag(args, "--threads") {
-        config.threads = t.parse::<usize>().map_err(|_| format!("bad --threads {t:?}"))?.max(1);
+    if let Some(t) = parsed::<usize>(args, "--threads")? {
+        config.threads = t.max(1);
     }
-    if let Some(m) = flag(args, "--max-matches") {
-        config.enum_config.max_matches = m.parse().map_err(|_| format!("bad --max-matches {m:?}"))?;
+    if let Some(m) = parsed(args, "--max-matches")? {
+        config.enum_config.max_matches = m;
     }
-    if let Some(t) = flag(args, "--time-limit-ms") {
-        config.enum_config.time_limit =
-            Duration::from_millis(t.parse().map_err(|_| format!("bad --time-limit-ms {t:?}"))?);
+    if let Some(t) = parsed(args, "--time-limit-ms")? {
+        config.enum_config.time_limit = Duration::from_millis(t);
     }
-    // Inference knobs, flag first, env fallback: `--batch`/`RLQVO_SERVE_BATCH`
-    // sets the micro-batch gather size, `--fast-math`/`RLQVO_FAST_MATH`
-    // opts the RL-QVO ordering path into the fast-math kernels.
-    if let Some(b) = flag(args, "--batch").or_else(|| std::env::var("RLQVO_SERVE_BATCH").ok()) {
-        config.batch = b.parse::<usize>().map_err(|_| format!("bad --batch {b:?}"))?.max(1);
+    // Inference knobs: `--batch` sets the micro-batch gather size,
+    // `--fast-math` opts the RL-QVO ordering path into the fast-math
+    // kernels.
+    if let Some(b) = parsed::<usize>(args, "--batch")? {
+        config.batch = b.max(1);
     }
-    if let Some(f) = flag(args, "--fast-math").or_else(|| std::env::var("RLQVO_FAST_MATH").ok()) {
-        config.fast_math = match f.trim().to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => true,
-            "off" | "0" | "false" => false,
-            _ => return Err(format!("bad --fast-math {f:?} (want on|off)").into()),
-        };
-    }
+    config.fast_math = switch(args, "--fast-math", config.fast_math)?;
     // Resilience knobs: bounded cache tiers, the wedged-worker watchdog,
     // and the failpoint registry (`--faults`/`RLQVO_FAULTS`).
-    if let Some(b) = flag(args, "--space-cache-bytes") {
-        config.space_cache_bytes = Some(b.parse().map_err(|_| format!("bad --space-cache-bytes {b:?}"))?);
-    }
-    if let Some(b) = flag(args, "--order-cache-bytes") {
-        config.order_cache_bytes = Some(b.parse().map_err(|_| format!("bad --order-cache-bytes {b:?}"))?);
-    }
-    if let Some(t) = flag(args, "--stall-timeout-ms") {
-        config.stall_timeout =
-            Some(Duration::from_millis(t.parse().map_err(|_| format!("bad --stall-timeout-ms {t:?}"))?));
-    }
+    config.space_cache_bytes = parsed(args, "--space-cache-bytes")?;
+    config.order_cache_bytes = parsed(args, "--order-cache-bytes")?;
+    config.stall_timeout = parsed(args, "--stall-timeout-ms")?.map(Duration::from_millis);
     let faults = flag(args, "--faults");
     if let Some(spec) = &faults {
-        let seed = match flag(args, "--fault-seed") {
-            Some(s) => s.parse().map_err(|_| format!("bad --fault-seed {s:?}"))?,
-            None => 0,
-        };
+        let seed = parsed(args, "--fault-seed")?.unwrap_or(0);
         rlqvo_suite::fault::arm(spec, seed).map_err(|e| format!("bad --faults spec: {e}"))?;
     } else {
         // No flag: honour RLQVO_FAULTS / RLQVO_FAULT_SEED if set.
@@ -293,9 +252,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
 fn cmd_train(args: &[String]) -> CliResult {
     let data = flag(args, "--data").ok_or("--data is required")?;
     let out = flag(args, "--out").ok_or("--out is required")?;
-    let size: usize = flag(args, "--size").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let count: usize = flag(args, "--queries").and_then(|v| v.parse().ok()).unwrap_or(32);
-    let epochs: usize = flag(args, "--epochs").and_then(|v| v.parse().ok()).unwrap_or(40);
+    let size: usize = parsed(args, "--size")?.unwrap_or(8);
+    let count: usize = parsed(args, "--queries")?.unwrap_or(32);
+    let epochs: usize = parsed(args, "--epochs")?.unwrap_or(40);
 
     let g = load(&data, None)?;
     let split = SplitQuerySet::from(build_query_set(&g, size, count, 0xC11));

@@ -1,0 +1,112 @@
+//! The `rlqvo` binary's argument handling, one test per subcommand: a
+//! malformed value is `error: bad --flag "x"` and exit 1 — never a silent
+//! default — and `--method` resolves through the library's one roster.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use rlqvo_suite::matching::ROSTER;
+
+/// A triangle query and a host of three chained labeled triangles, in a
+/// directory of the test's own.
+fn fixtures(test: &str) -> (PathBuf, String, String) {
+    let dir = std::env::temp_dir().join(format!("rlqvo-cli-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (g, q) = (dir.join("G.graph"), dir.join("q.graph"));
+    std::fs::write(&q, "t 3 3\nv 0 0 2\nv 1 1 2\nv 2 2 2\ne 0 1\ne 1 2\ne 0 2\n").unwrap();
+    let mut host = String::from("t 9 11\n");
+    for v in 0..9 {
+        host.push_str(&format!("v {v} {} 0\n", v % 3));
+    }
+    for t in 0..3 {
+        let b = 3 * t;
+        host.push_str(&format!("e {} {}\ne {} {}\ne {} {}\n", b, b + 1, b + 1, b + 2, b, b + 2));
+    }
+    host.push_str("e 2 3\ne 5 6\n");
+    std::fs::write(&g, host).unwrap();
+    (dir, g.to_string_lossy().into_owned(), q.to_string_lossy().into_owned())
+}
+
+fn rlqvo(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_rlqvo")).args(args).output().expect("run rlqvo")
+}
+
+/// `base` plus each `(flag, value)` in turn must exit 1 naming the flag
+/// and the value.
+fn assert_each_is_rejected(base: &[&str], bad: &[(&str, &str)]) {
+    for (flag, value) in bad {
+        let out = rlqvo(&[base, &[flag, value]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("error: bad {flag} {value:?}")), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
+fn match_rejects_malformed_values_and_resolves_methods_through_the_roster() {
+    let (dir, g, q) = fixtures("match");
+    let base = ["match", "--data", &g, "--query", &q];
+    assert_each_is_rejected(
+        &base,
+        &[
+            ("--max-matches", "1e5"),
+            ("--time-limit-ms", "soon"),
+            ("--repeat", "twice"),
+            ("--enum-threads", "0"),
+            ("--space-cache", "maybe"),
+            ("--order-cache", "1"),
+        ],
+    );
+
+    // A well-formed value is honoured, cold and through the warm path.
+    for extra in [&["--max-matches", "2"][..], &["--max-matches", "2", "--repeat", "3"]] {
+        let out = rlqvo(&[&base, extra].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && stdout.contains("matches     : 2\n"), "{stdout}");
+    }
+
+    // Every roster name is a method, with the pair the roster says.
+    for m in &ROSTER {
+        let out = rlqvo(&[&base, &["--method", m.cli][..]].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let banner = format!("method      : {} ({} filter + {} ordering)", m.cli, m.filter.name(), m.ordering.name());
+        assert!(out.status.success() && stdout.contains(&banner), "{}: {stdout}", m.cli);
+        assert!(stdout.contains("matches     : 3\n"), "{}: {stdout}", m.cli);
+    }
+    let out = rlqvo(&[&base, &["--method", "quicksi"][..]].concat());
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error: unknown method \"quicksi\""));
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn serve_rejects_malformed_values() {
+    let (dir, g, _) = fixtures("serve");
+    // Every value is parsed before the server binds, so each run exits.
+    assert_each_is_rejected(
+        &["serve", "--data", &g],
+        &[
+            ("--queue-depth", "deep"),
+            ("--threads", "-1"),
+            ("--max-matches", "1e5"),
+            ("--time-limit-ms", "1s"),
+            ("--batch", "eight"),
+            ("--fast-math", "maybe"),
+            ("--space-cache-bytes", "1MB"),
+            ("--stall-timeout-ms", "x"),
+        ],
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn train_rejects_malformed_values() {
+    let (dir, g, _) = fixtures("train");
+    let out_path = dir.join("m.model").to_string_lossy().into_owned();
+    assert_each_is_rejected(
+        &["train", "--data", &g, "--out", &out_path],
+        &[("--size", "big"), ("--queries", "4.5"), ("--epochs", "1e2")],
+    );
+    assert!(!dir.join("m.model").exists(), "a rejected run trains nothing");
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -6,8 +6,8 @@ use rlqvo_suite::core::{RlQvo, RlQvoConfig};
 use rlqvo_suite::datasets::{build_query_set, Dataset, SplitQuerySet};
 use rlqvo_suite::matching::order::{GqlOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering};
 use rlqvo_suite::matching::{
-    connected_prefix_ok, run_pipeline, run_with_space, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine,
-    GqlFilter, LdfFilter, NlfFilter, Pipeline,
+    connected_prefix_ok, run_cached, run_pipeline, CandidateFilter, EnumConfig, EnumEngine, GqlFilter, LdfFilter,
+    NlfFilter, Pipeline, QueryKey, SpaceCache,
 };
 
 /// The full Hybrid pipeline over a real(istic) workload returns consistent
@@ -36,10 +36,10 @@ fn pipelines_agree_across_orderings_on_dataset_analog() {
     }
 }
 
-/// The amortized entry point and the Auto engine, driven through the
-/// umbrella crate exactly as a downstream harness would: one space per
-/// (query, data) pair, every ordering and every engine agreeing on
-/// `match_count` and `#enum`.
+/// The warm entry point and the Auto engine, driven through the umbrella
+/// crate exactly as a downstream harness would: one cache entry — one
+/// filter pass, one space build — per (query, data) pair, every ordering
+/// and every engine agreeing on `match_count` and `#enum`.
 #[test]
 fn amortized_space_and_auto_engine_agree_end_to_end() {
     let g = Dataset::Citeseer.load_scaled(800);
@@ -47,17 +47,21 @@ fn amortized_space_and_auto_engine_agree_end_to_end() {
     let filter = GqlFilter::default();
     let orderings: Vec<Box<dyn OrderingMethod>> =
         vec![Box::new(RiOrdering), Box::new(QsiOrdering), Box::new(GqlOrdering)];
+    let cache = SpaceCache::new();
     for q in &set.queries {
-        let cand = filter.filter(q, &g);
-        if cand.any_empty() {
+        if filter.filter(q, &g).any_empty() {
             continue;
         }
-        let space = CandidateSpace::try_build(q, &g, &cand).expect("analog workloads fit u32 arenas");
+        let key = QueryKey::of(q);
         for o in &orderings {
             let mut per_engine = Vec::new();
             for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-                let r = run_with_space(q, &g, &cand, &space, o.as_ref(), EnumConfig::find_all().with_engine(engine));
-                per_engine.push((engine, r));
+                let p = Pipeline {
+                    filter: &filter,
+                    ordering: o.as_ref(),
+                    config: EnumConfig::find_all().with_engine(engine),
+                };
+                per_engine.push((engine, run_cached(q, &g, &p, &key, &cache, None).0));
             }
             let (_, first) = &per_engine[0];
             for (engine, r) in &per_engine[1..] {
@@ -65,7 +69,10 @@ fn amortized_space_and_auto_engine_agree_end_to_end() {
                 assert_eq!(r.enum_result.enumerations, first.enum_result.enumerations, "{}", engine.name());
             }
         }
+        let (entry, fresh) = cache.entry_keyed(&key, q, &g, &filter);
+        assert!(!fresh && entry.space_ready(), "nine runs, one resident entry with its one space");
     }
+    assert_eq!(cache.misses() as usize, cache.len(), "one filter pass per query, however many runs");
 }
 
 /// Filters only shrink candidate sets, never grow them, and stronger

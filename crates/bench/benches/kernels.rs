@@ -1,29 +1,18 @@
-//! Criterion micro-benchmarks for the hot kernels, backing the paper's
-//! complexity claims (§III-G): order inference is
-//! `O(|V(q)|·(|E(q)|+d²))` and completes well under 100 ms; filtering and
-//! enumeration dominate end-to-end time.
+//! Criterion micro-benchmarks for the kernels the benchmark ledger has no
+//! row for: sorted intersection, cache eviction at capacity, the matmul
+//! and autograd kernels, the tape against the tape-free policy step, the
+//! heuristic orderings and the disarmed failpoint. Filtering, the space
+//! build, enumeration (serial and stolen) and whole-query inference are
+//! per-layer ledger metrics (`BENCHMARK.json`) and are measured there.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_gnn::GraphTensors;
-use rlqvo_graph::{intersect_in_place, intersect_into, GraphBuilder};
+use rlqvo_graph::{intersect_in_place, intersect_into};
 use rlqvo_matching::order::{GqlOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering};
-use rlqvo_matching::{
-    enumerate, enumerate_in_space, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter,
-    NlfFilter,
-};
+use rlqvo_matching::{CandidateFilter, GqlFilter};
 use rlqvo_tensor::{Matrix, Tape};
-
-fn bench_filters(c: &mut Criterion) {
-    let g = Dataset::Yeast.load();
-    let q = build_query_set(&g, 16, 1, 7).queries.pop().unwrap();
-    let mut group = c.benchmark_group("filter");
-    group.bench_function("LDF", |b| b.iter(|| LdfFilter.filter(&q, &g)));
-    group.bench_function("NLF", |b| b.iter(|| NlfFilter.filter(&q, &g)));
-    group.bench_function("GQL", |b| b.iter(|| GqlFilter::default().filter(&q, &g)));
-    group.finish();
-}
 
 fn bench_orderings(c: &mut Criterion) {
     let g = Dataset::Yeast.load();
@@ -43,15 +32,6 @@ fn bench_orderings(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_enumeration(c: &mut Criterion) {
-    let g = Dataset::Yeast.load();
-    let q = build_query_set(&g, 12, 1, 3).queries.pop().unwrap();
-    let cand = GqlFilter::default().filter(&q, &g);
-    let order = RiOrdering.order(&q, &g, &cand);
-    let config = EnumConfig { max_matches: 1_000, ..EnumConfig::default() };
-    c.bench_function("enumerate/first-1k-matches", |b| b.iter(|| enumerate(&q, &g, &cand, &order, config)));
-}
-
 fn bench_intersect_kernels(c: &mut Criterion) {
     // Similar sizes → linear merge regime.
     let a: Vec<u32> = (0..40_000).filter(|x| x % 3 != 0).collect();
@@ -69,227 +49,6 @@ fn bench_intersect_kernels(c: &mut Criterion) {
             intersect_in_place(&mut out, &b);
         })
     });
-    group.finish();
-}
-
-/// A dense banded host with few labels: candidate sets are large and the
-/// probe path pays a membership test plus `has_edge` binary searches per
-/// scanned neighbour — the regime the CandidateSpace engine exists for.
-fn dense_case() -> (rlqvo_graph::Graph, rlqvo_graph::Graph) {
-    let labels = 3u32;
-    let n = 500u32;
-    let mut gb = GraphBuilder::new(labels);
-    for i in 0..n {
-        gb.add_vertex(i % labels);
-    }
-    for i in 0..n {
-        for j in (i + 1)..n.min(i + 20) {
-            gb.add_edge(i, j);
-        }
-    }
-    let g = gb.build();
-    // K4 query: every extension after the first two has 2–3 mapped
-    // backward neighbours, the multi-way-intersection regime.
-    let mut qb = GraphBuilder::new(labels);
-    let a = qb.add_vertex(0);
-    let b = qb.add_vertex(1);
-    let c = qb.add_vertex(2);
-    let d = qb.add_vertex(0);
-    qb.add_edge(a, b);
-    qb.add_edge(b, c);
-    qb.add_edge(c, d);
-    qb.add_edge(a, c);
-    qb.add_edge(a, d);
-    qb.add_edge(b, d);
-    (qb.build(), g)
-}
-
-/// Skewed-candidate case: a rare hub label (|C| ≈ 50, degree ≈ 200) and a
-/// common label (|C| ≈ 2950, low degree). Extending onto a vertex whose
-/// mapped backward neighbours are hubs forces the probe engine to scan a
-/// ~200-entry adjacency list with an O(log d) `has_edge` per entry, while
-/// the CandidateSpace engine merges two precomputed position lists.
-fn skewed_case() -> (rlqvo_graph::Graph, rlqvo_graph::Graph) {
-    let n = 3000u32;
-    let hub_every = 60u32;
-    let mut gb = GraphBuilder::new(2);
-    for i in 0..n {
-        gb.add_vertex(if i % hub_every == 0 { 0 } else { 1 });
-    }
-    for i in 0..n {
-        for j in (i + 1)..n.min(i + 8) {
-            gb.add_edge(i, j);
-        }
-    }
-    for h in (0..n).step_by(hub_every as usize) {
-        for j in (h + 1)..n.min(h + 200) {
-            gb.add_edge(h, j);
-        }
-    }
-    let g = gb.build();
-    // 4-cycle hub-common-hub-common.
-    let mut qb = GraphBuilder::new(2);
-    let a = qb.add_vertex(0);
-    let b = qb.add_vertex(1);
-    let c = qb.add_vertex(0);
-    let d = qb.add_vertex(1);
-    qb.add_edge(a, b);
-    qb.add_edge(b, c);
-    qb.add_edge(c, d);
-    qb.add_edge(a, d);
-    (qb.build(), g)
-}
-
-fn bench_candspace_build(c: &mut Criterion) {
-    let g = Dataset::Yeast.load();
-    let q = build_query_set(&g, 12, 1, 3).queries.pop().unwrap();
-    let cand = GqlFilter::default().filter(&q, &g);
-    let mut group = c.benchmark_group("candspace");
-    group.bench_function("build/yeast-q12", |b| b.iter(|| CandidateSpace::build(&q, &g, &cand)));
-    let (dq, dg) = dense_case();
-    let dcand = LdfFilter.filter(&dq, &dg);
-    group.bench_function("build/dense-band", |b| b.iter(|| CandidateSpace::build(&dq, &dg, &dcand)));
-    let (sq, sg) = skewed_case();
-    let scand = LdfFilter.filter(&sq, &sg);
-    group.bench_function("build/skewed-hub", |b| b.iter(|| CandidateSpace::build(&sq, &sg, &scand)));
-    group.finish();
-}
-
-/// Probe vs. CandidateSpace on the dense/skewed-candidate cases — the
-/// before/after numbers recorded in BENCH_enum.json.
-fn bench_enum_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine");
-    {
-        let (q, g) = dense_case();
-        let cand = LdfFilter.filter(&q, &g);
-        let order = RiOrdering.order(&q, &g, &cand);
-        let cfg = EnumConfig::find_all();
-        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace] {
-            group.bench_with_input(BenchmarkId::new("dense-band-all", engine.name()), &engine, |b, &e| {
-                b.iter(|| enumerate(&q, &g, &cand, &order, cfg.with_engine(e)))
-            });
-        }
-    }
-    {
-        let (q, g) = skewed_case();
-        let cand = LdfFilter.filter(&q, &g);
-        let order = RiOrdering.order(&q, &g, &cand);
-        let cfg = EnumConfig { max_matches: 200_000, ..EnumConfig::find_all() };
-        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace] {
-            group.bench_with_input(BenchmarkId::new("skewed-hub-200k", engine.name()), &engine, |b, &e| {
-                b.iter(|| enumerate(&q, &g, &cand, &order, cfg.with_engine(e)))
-            });
-        }
-    }
-    {
-        let g = Dataset::Yeast.load();
-        let q = build_query_set(&g, 12, 1, 3).queries.pop().unwrap();
-        let cand = GqlFilter::default().filter(&q, &g);
-        let order = RiOrdering.order(&q, &g, &cand);
-        let cfg = EnumConfig { max_matches: 1_000, ..EnumConfig::default() };
-        // `auto` is the cost model's headline case: this small workload is
-        // build-dominated, so Auto should track whichever side wins.
-        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-            group.bench_with_input(BenchmarkId::new("yeast-first-1k", engine.name()), &engine, |b, &e| {
-                b.iter(|| enumerate(&q, &g, &cand, &order, cfg.with_engine(e)))
-            });
-        }
-        // The build-once/enumerate-many contract: what each *additional*
-        // order costs once the space is amortized across the harness.
-        let space = CandidateSpace::build(&q, &g, &cand);
-        group.bench_function("yeast-first-1k/amortized", |b| b.iter(|| enumerate_in_space(&q, &space, &order, cfg)));
-    }
-    {
-        let (q, g) = dense_case();
-        let cand = LdfFilter.filter(&q, &g);
-        let order = RiOrdering.order(&q, &g, &cand);
-        let space = CandidateSpace::build(&q, &g, &cand);
-        let cfg = EnumConfig::find_all();
-        group.bench_function("dense-band-all/amortized", |b| b.iter(|| enumerate_in_space(&q, &space, &order, cfg)));
-    }
-    group.finish();
-}
-
-/// The work-stealing scheduler's worst case for the old root-partitioned
-/// pool: one unique-labeled mega-hub is the query root's ONLY candidate,
-/// so root partitioning degenerates to one busy worker. Stealing splits
-/// the subtree below the root instead.
-fn steal_single_root_case() -> (rlqvo_graph::Graph, rlqvo_graph::Graph) {
-    let n = 20_000u32;
-    let mut gb = GraphBuilder::new(2);
-    gb.add_vertex(0); // the hub: the unique label-0 vertex
-    for _ in 0..n {
-        gb.add_vertex(1);
-    }
-    for v in 1..=n {
-        gb.add_edge(0, v);
-    }
-    for v in 1..n {
-        for step in 1..=8u32 {
-            if v + step <= n {
-                gb.add_edge(v, v + step);
-            }
-        }
-    }
-    let g = gb.build();
-    // Triangle rooted at the hub label: all the fan-out is at depth 1.
-    let mut qb = GraphBuilder::new(2);
-    let a = qb.add_vertex(0);
-    let b = qb.add_vertex(1);
-    let c = qb.add_vertex(1);
-    qb.add_edge(a, b);
-    qb.add_edge(a, c);
-    qb.add_edge(b, c);
-    (qb.build(), g)
-}
-
-/// Intra-query parallel enumeration over prebuilt spaces: the serial
-/// amortized kernels at 1/2/4 workers. Find-all is byte-identical across
-/// worker counts, so these measure pure wall-clock scaling of the
-/// work-stealing scheduler — `threads = 1` is the same recursion run
-/// serially on the calling thread. The `steal-single-root` rows
-/// are the adversarial shape the retired root-partitioned pool could
-/// not parallelize at all. (On a single-core host the >1 worker rows
-/// measure scheduling overhead, not speedup — BENCH_enum.json records
-/// which kind of host produced each entry.)
-fn bench_parallel_enum(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel");
-    {
-        let (q, g) = dense_case();
-        let cand = LdfFilter.filter(&q, &g);
-        let order = RiOrdering.order(&q, &g, &cand);
-        let space = CandidateSpace::build(&q, &g, &cand);
-        for threads in [1usize, 2, 4] {
-            let cfg = EnumConfig::find_all().with_threads(threads);
-            group.bench_with_input(BenchmarkId::new("steal-dense-band-all", threads), &threads, |b, _| {
-                b.iter(|| enumerate_in_space(&q, &space, &order, cfg))
-            });
-        }
-    }
-    {
-        let (q, g) = skewed_case();
-        let cand = LdfFilter.filter(&q, &g);
-        let order = RiOrdering.order(&q, &g, &cand);
-        let space = CandidateSpace::build(&q, &g, &cand);
-        for threads in [1usize, 2, 4] {
-            let cfg = EnumConfig::find_all().with_threads(threads);
-            group.bench_with_input(BenchmarkId::new("steal-skewed-hub-all", threads), &threads, |b, _| {
-                b.iter(|| enumerate_in_space(&q, &space, &order, cfg))
-            });
-        }
-    }
-    {
-        let (q, g) = steal_single_root_case();
-        let cand = LdfFilter.filter(&q, &g);
-        let order = vec![0u32, 1, 2]; // rooted at the single-candidate hub
-        let space = CandidateSpace::build(&q, &g, &cand);
-        for threads in [1usize, 2, 4] {
-            let cfg = EnumConfig::find_all().with_threads(threads);
-            group.bench_with_input(BenchmarkId::new("steal-single-root", threads), &threads, |b, _| {
-                b.iter(|| enumerate_in_space(&q, &space, &order, cfg))
-            });
-        }
-    }
     group.finish();
 }
 
@@ -334,9 +93,10 @@ fn bench_cache_thrash(c: &mut Criterion) {
 }
 
 /// The PR 5 inference-path contract: tape-based vs tape-free policy
-/// forward (one ordering step) and full order inference. (The cache hits
-/// that replace both for repeated queries are the ledger's
-/// `matching.spacecache.hit_ns` / `matching.ordercache.hit_ns`.)
+/// forward (one ordering step), and whole-query inference on the retained
+/// tape path (the tape-free one is the ledger's `core.ordering.infer_us`;
+/// the cache hits that replace both for repeated queries are its
+/// `matching.spacecache.hit_ns` / `matching.ordercache.hit_ns`).
 /// `infer/tape-step` spins up a throwaway autodiff tape and re-binds
 /// every parameter per call — what every ordering step paid before;
 /// `infer/prepared-step` is the PreparedPolicy path (no tape, no
@@ -366,15 +126,12 @@ fn bench_ordering_infer(c: &mut Criterion) {
                 (step.raw_argmax, step.probs[0])
             })
         });
-        // Whole-query inference, both paths (includes GraphTensors/
-        // extractor setup and the |AS|=1 short-circuits real episodes
-        // hit).
+        // Whole-query inference on the tape reference (includes
+        // GraphTensors/extractor setup and the |AS|=1 short-circuits real
+        // episodes hit).
         let ordering = model.ordering();
         group.bench_with_input(BenchmarkId::new("infer/order-query-tape", d), &d, |b, _| {
             b.iter(|| ordering.run_episode_reference(&q, &g))
-        });
-        group.bench_with_input(BenchmarkId::new("infer/order-query-prepared", d), &d, |b, _| {
-            b.iter(|| ordering.run_episode(&q, &g))
         });
     }
     group.finish();
@@ -412,8 +169,6 @@ fn bench_gcn_forward(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("forward", n), &n, |b, _| {
             b.iter(|| model.policy().forward(&gt, &feats, &mask))
         });
-        // Full order inference (the paper's ≤100 ms claim).
-        group.bench_with_input(BenchmarkId::new("order-inference", n), &n, |b, _| b.iter(|| model.order_query(&q, &g)));
     }
     group.finish();
 }
@@ -439,9 +194,8 @@ fn bench_autograd(c: &mut Criterion) {
 
 /// The disarmed-failpoint floor: PR 9 threads `failpoint!` sites through
 /// the cache lookup and enumeration hot paths, and the acceptance bar is
-/// that a *disarmed* site is free to within noise (≤1% on the
-/// `spacecache/hit-lookup` and `enumerate/` kernels above, which now
-/// contain real sites). This kernel isolates the per-site cost itself:
+/// that a *disarmed* site is free to within noise. This kernel isolates
+/// the per-site cost itself:
 /// 1024 disarmed evaluations against an empty counting loop of the same
 /// shape. Disarmed, each site is one relaxed atomic load — the two bars
 /// should be indistinguishable.
@@ -476,6 +230,6 @@ fn bench_failpoints(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_filters, bench_orderings, bench_enumeration, bench_intersect_kernels, bench_candspace_build, bench_enum_engines, bench_parallel_enum, bench_cache_thrash, bench_ordering_infer, bench_matmul_math, bench_gcn_forward, bench_autograd, bench_failpoints
+    targets = bench_orderings, bench_intersect_kernels, bench_cache_thrash, bench_ordering_infer, bench_matmul_math, bench_gcn_forward, bench_autograd, bench_failpoints
 }
 criterion_main!(benches);

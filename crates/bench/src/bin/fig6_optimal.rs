@@ -5,6 +5,7 @@
 //! Paper expectation: RL-QVO sits much closer to Opt than Hybrid does.
 
 use rlqvo_bench::models::split_queries;
+use rlqvo_bench::scale::env_or;
 use rlqvo_bench::{hybrid_method, rlqvo_method, train_model_for, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
@@ -24,7 +25,7 @@ fn main() {
     // Per-permutation budget of the exhaustive sweep. Heavy dblp-analog
     // queries make the default expensive; RLQVO_OPT_BUDGET trades optimum
     // tightness for sweep time.
-    let opt_budget: u64 = std::env::var("RLQVO_OPT_BUDGET").ok().and_then(|v| v.parse().ok()).unwrap_or(2_000_000);
+    let opt_budget: u64 = env_or("RLQVO_OPT_BUDGET", 2_000_000);
 
     for dataset in [Dataset::Citeseer, Dataset::Yeast, Dataset::Dblp] {
         let g = dataset.load();

@@ -14,6 +14,7 @@
 //! sizes. Override with RLQVO_ABLATION_TRAIN_SIZE.
 
 use rlqvo_bench::models::split_queries;
+use rlqvo_bench::scale::env_or;
 use rlqvo_bench::{run_methods, BenchMethod, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
@@ -93,7 +94,7 @@ fn main() {
     );
     let dataset = Dataset::Eu2005;
     let g = dataset.load();
-    let train_size: usize = std::env::var("RLQVO_ABLATION_TRAIN_SIZE").ok().and_then(|v| v.parse().ok()).unwrap_or(16);
+    let train_size: usize = env_or("RLQVO_ABLATION_TRAIN_SIZE", 16);
     let train_split = split_queries(&g, dataset, train_size, &scale);
 
     // Train every variant up front so evaluation can batch all nine

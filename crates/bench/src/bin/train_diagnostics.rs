@@ -5,6 +5,7 @@
 //! actually happens before running the figure harnesses.
 
 use rlqvo_bench::models::split_queries;
+use rlqvo_bench::scale::env_or;
 use rlqvo_bench::{hybrid_method, rlqvo_method, run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
@@ -21,11 +22,10 @@ fn main() {
 
     let mut config = RlQvoConfig::harness();
     config.epochs = scale.train_epochs;
-    let envf = |k: &str, d: f32| std::env::var(k).ok().and_then(|v| v.parse().ok()).unwrap_or(d);
-    config.learning_rate = envf("RLQVO_LR", config.learning_rate);
-    config.dropout = envf("RLQVO_DROPOUT", config.dropout);
-    config.rollouts_per_query = envf("RLQVO_ROLLOUTS", config.rollouts_per_query as f32) as usize;
-    config.update_epochs = envf("RLQVO_UPDATE_EPOCHS", config.update_epochs as f32) as usize;
+    config.learning_rate = env_or("RLQVO_LR", config.learning_rate);
+    config.dropout = env_or("RLQVO_DROPOUT", config.dropout);
+    config.rollouts_per_query = env_or("RLQVO_ROLLOUTS", config.rollouts_per_query);
+    config.update_epochs = env_or("RLQVO_UPDATE_EPOCHS", config.update_epochs);
     println!(
         "lr {} dropout {} rollouts {} update_epochs {}",
         config.learning_rate, config.dropout, config.rollouts_per_query, config.update_epochs

@@ -11,6 +11,8 @@
 //! contract *across rounds* — a sweep that replays the same query set
 //! (Fig. 11 caps, repeated variant runs) pays one filter pass and one
 //! build per (query, filter) key total — and book served work as zero.
+//! Engine and worker count are `EnumConfig::resolved`'s, once per query;
+//! under the probe oracle nothing is built and no build is booked.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -18,8 +20,8 @@ use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 use rlqvo_matching::{
-    resolve_in_entry, run_in_entry, run_on_pool, EnumConfig, EnumEngine, OrderCache, Pipeline, PipelineResult,
-    QueryKey, SpaceCache, TokenBudget,
+    run_in_entry, run_on_pool, EnumConfig, EnumEngine, OrderCache, Pipeline, PipelineResult, QueryKey, SpaceCache,
+    TokenBudget,
 };
 
 use crate::methods::BenchMethod;
@@ -231,9 +233,8 @@ pub enum Caches<'a> {
 /// split equally across the group's methods and booked into their
 /// `enum_times` (and reported in [`RunStats::space_build_times`]), so
 /// per-method totals stay comparable across roster sizes while the *fleet*
-/// pays the build once. [`EnumEngine::Auto`] resolves once per
-/// (query, group), the build weighed against the group's combined
-/// enumeration estimate.
+/// pays the build once. The probe oracle (`RLQVO_ENGINE=probe`) builds
+/// nothing and books no share.
 pub fn run_methods(
     g: &Graph,
     queries: &[Graph],
@@ -279,6 +280,7 @@ fn eval_query(
     let mut per_method: Vec<Option<PipelineResult>> = (0..methods.len()).map(|_| None).collect();
     let mut build_share = vec![Duration::ZERO; methods.len()];
     let key = QueryKey::of(q);
+    let config = config.resolved(q);
 
     // Group method indices by filter cache key, preserving roster order.
     let mut groups: Vec<(String, Vec<usize>)> = Vec::new();
@@ -302,9 +304,9 @@ fn eval_query(
             (false, false) => Duration::ZERO,
         };
 
-        // One engine decision and at most one build per group.
-        let config = resolve_in_entry(q, g, &entry, config, idxs.len() as u64);
-        let build_time = if config.engine == EnumEngine::CandidateSpace {
+        // At most one build per group, timed here so it can be shared
+        // out — under exactly the condition `run_in_entry` would build.
+        let build_time = if config.engine != EnumEngine::Probe && !entry.cand().any_empty() {
             let tb = Instant::now();
             // `built` is true only for the worker whose closure ran — a
             // worker that blocked on a concurrent builder was *served*

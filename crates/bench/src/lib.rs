@@ -11,7 +11,8 @@
 //! `RLQVO_EPOCHS`, `RLQVO_TIME_LIMIT_MS`, `RLQVO_MAX_MATCHES`,
 //! `RLQVO_THREADS`, `RLQVO_ENGINE` (probe|candspace|auto),
 //! `RLQVO_SPACE_CACHE` (0 re-filters every round of a sweep) and
-//! `RLQVO_ENUM_THREADS` (intra-query enumeration workers).
+//! `RLQVO_ENUM_THREADS` (intra-query enumeration workers). A value that
+//! does not parse is an error, not a default.
 
 pub mod harness;
 pub mod methods;

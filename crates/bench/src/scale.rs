@@ -4,9 +4,14 @@
 //! knobs below, defaults to a scaled configuration, and *prints what it
 //! used* next to the paper's setting. This is the harness's edge: the
 //! matching library itself reads no environment beyond
-//! `RLQVO_ENUM_THREADS`.
+//! `RLQVO_ENUM_THREADS`. A variable that is set but does not parse stops
+//! the binary ([`env_or`]) — a figure run never silently measures another
+//! configuration than the one asked for.
 
+use std::str::FromStr;
 use std::time::Duration;
+
+use rlqvo_matching::EnumEngine;
 
 /// Harness scale configuration (environment-variable driven).
 #[derive(Clone, Copy, Debug)]
@@ -36,23 +41,47 @@ pub struct Scale {
     pub space_cache: bool,
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// What scale variable `name` says: `default` when it is unset, its
+/// parsed value when it is set, and `bad NAME "value"` when it is set to
+/// something that does not parse.
+fn parse_var<T: FromStr>(name: &str, value: Option<&str>, default: T) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v.trim().parse().map_err(|_| format!("bad {name} {v:?}")),
+    }
 }
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// `parse_var` on the process environment — the one way a harness
+/// binary reads a variable. A malformed value is reported and the process
+/// exits with status 1, as the CLI does for a malformed flag.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    let value = std::env::var(name).ok();
+    parse_var(name, value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// `RLQVO_ENGINE`'s value, so it goes through [`env_or`] like the numbers.
+struct EngineVar(EnumEngine);
+
+impl FromStr for EngineVar {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        EnumEngine::parse(s).map(EngineVar).ok_or(())
+    }
 }
 
 impl Default for Scale {
     fn default() -> Self {
         Scale {
-            queries_per_set: env_usize("RLQVO_QUERIES", 32),
-            train_epochs: env_usize("RLQVO_EPOCHS", 40),
-            incremental_epochs: env_usize("RLQVO_INCR_EPOCHS", 5),
-            time_limit: Duration::from_millis(env_u64("RLQVO_TIME_LIMIT_MS", 1_000)),
-            max_matches: env_u64("RLQVO_MAX_MATCHES", 100_000),
-            threads: env_usize("RLQVO_THREADS", num_threads_default()),
+            queries_per_set: env_or("RLQVO_QUERIES", 32),
+            train_epochs: env_or("RLQVO_EPOCHS", 40),
+            incremental_epochs: env_or("RLQVO_INCR_EPOCHS", 5),
+            time_limit: Duration::from_millis(env_or("RLQVO_TIME_LIMIT_MS", 1_000)),
+            max_matches: env_or("RLQVO_MAX_MATCHES", 100_000),
+            threads: env_or("RLQVO_THREADS", num_threads_default()),
             enum_threads: rlqvo_matching::default_threads(),
             space_cache: !std::env::var("RLQVO_SPACE_CACHE")
                 .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false")),
@@ -74,10 +103,7 @@ impl Scale {
             store_matches: false,
             // `RLQVO_ENGINE=probe|candspace|auto` flips the enumeration
             // engine for every figure binary without recompiling.
-            engine: std::env::var("RLQVO_ENGINE")
-                .ok()
-                .and_then(|v| rlqvo_matching::EnumEngine::parse(&v))
-                .unwrap_or_default(),
+            engine: env_or("RLQVO_ENGINE", EngineVar(EnumEngine::default())).0,
             threads: self.enum_threads,
             ..rlqvo_matching::EnumConfig::default()
         }
@@ -88,14 +114,17 @@ impl Scale {
         println!("== {experiment} ==");
         println!("paper setting : {paper_setting}");
         println!(
-            "harness scale : {} queries/set (50% train), {} epochs, {:?} limit, {} match cap, {} tokens ({} enum threads/query max), space cache {}",
+            "harness scale : {} queries/set (50% train), {} epochs, {:?} limit, {} match cap, {} tokens ({} enum threads/query max), space cache {}, engine {}",
             self.queries_per_set,
             self.train_epochs,
             self.time_limit,
             self.max_matches,
             self.threads,
             self.enum_threads,
-            if self.space_cache { "on" } else { "off" }
+            if self.space_cache { "on" } else { "off" },
+            // Read here too so a malformed RLQVO_ENGINE stops the binary
+            // at its first line, not after the models are trained.
+            self.enum_config().engine.name()
         );
         println!();
     }
@@ -112,5 +141,21 @@ mod tests {
         assert!(s.train_epochs >= 1);
         assert!(s.threads >= 1);
         assert!(s.enum_config().max_matches > 0);
+    }
+
+    #[test]
+    fn a_malformed_variable_is_an_error_naming_it() {
+        assert_eq!(parse_var("RLQVO_QUERIES", None, 32usize), Ok(32));
+        assert_eq!(parse_var("RLQVO_QUERIES", Some("4"), 32usize), Ok(4));
+        assert_eq!(parse_var("RLQVO_QUERIES", Some(" 4 "), 32usize), Ok(4));
+        assert_eq!(parse_var("RLQVO_QUERIES", Some("abc"), 32usize), Err("bad RLQVO_QUERIES \"abc\"".to_string()));
+        assert_eq!(parse_var("RLQVO_QUERIES", Some("-1"), 32usize), Err("bad RLQVO_QUERIES \"-1\"".to_string()));
+        assert_eq!(parse_var("RLQVO_QUERIES", Some(""), 32usize), Err("bad RLQVO_QUERIES \"\"".to_string()));
+        assert_eq!(parse_var("RLQVO_LR", Some("3e-4"), 0.1f32), Ok(3e-4));
+        let engine = |v| parse_var("RLQVO_ENGINE", v, EngineVar(EnumEngine::default())).map(|e| e.0);
+        assert_eq!(engine(None), Ok(EnumEngine::CandidateSpace));
+        assert_eq!(engine(Some("probe")), Ok(EnumEngine::Probe));
+        assert_eq!(engine(Some("AUTO")), Ok(EnumEngine::Auto));
+        assert_eq!(engine(Some("prob")), Err("bad RLQVO_ENGINE \"prob\"".to_string()));
     }
 }

@@ -7,9 +7,9 @@
 //!    intra-query enumeration workers never exceeds the configured total
 //!    thread budget — including when `config.threads` alone exceeds the
 //!    budget (the harness clamps it).
-//! 2. **Auto gating**: a tiny yeast-style capped workload keeps its
-//!    effective worker count at 1 however many threads are requested, and
-//!    running it through the Auto engine spawns no workers at all.
+//! 2. **Auto gating**: a tiny yeast-style capped workload resolves to one
+//!    worker however many threads are requested, and running it through
+//!    the Auto engine spawns no workers at all.
 //! 3. **Bounded cache**: a distinct-query flood through a
 //!    byte-bounded [`SpaceCache`] never exceeds the bound (including
 //!    through lazy space builds), evicts, rebuilds an evicted key exactly
@@ -21,8 +21,8 @@ use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_graph::GraphBuilder;
 use rlqvo_matching::order::RiOrdering;
 use rlqvo_matching::{
-    auto_decide, peak_parallel_workers, reset_peak_parallel_workers, CandidateSpace, EnumConfig, EnumEngine, GqlFilter,
-    LdfFilter, QueryKey, SpaceCache,
+    peak_parallel_workers, reset_peak_parallel_workers, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter,
+    QueryKey, SpaceCache,
 };
 
 /// Structurally distinct label-shifted paths (see the fingerprint: labels
@@ -91,13 +91,11 @@ fn parallel_budget_and_bounded_cache_hold() {
     // The yeast-first-1k shape: a 1000-match cap over a small query.
     let tiny =
         EnumConfig { max_matches: 1_000, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto).with_threads(4);
-    let decision = auto_decide(q, &g, &cand, &tiny);
+    let resolved = tiny.resolved(q);
     assert_eq!(
-        decision.effective_threads(4),
-        1,
-        "tiny capped workload must stay serial (est {} units, {} per slice)",
-        decision.est_enum_work,
-        decision.est_slice_work
+        (resolved.engine, resolved.threads),
+        (EnumEngine::CandidateSpace, 1),
+        "tiny capped workload must stay serial"
     );
     reset_peak_parallel_workers();
     let before = peak_parallel_workers();

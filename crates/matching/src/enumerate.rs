@@ -18,14 +18,19 @@
 //!   per-depth preallocated buffers (zero allocation and zero `has_edge`
 //!   calls in steady-state recursion).
 //! * [`EnumEngine::Probe`] — the original adjacency-probing path, kept as
-//!   a differential oracle: it scans the data adjacency list of the
-//!   smallest-degree mapped backward neighbour and filters by candidate
-//!   membership and edge tests.
+//!   the differential oracle and run only when asked for by name: it scans
+//!   the data adjacency list of the smallest-degree mapped backward
+//!   neighbour and filters by candidate membership and edge tests.
 //!
 //! Because both engines enumerate `LC(u, M)` in ascending vertex order,
 //! their recursion trees — and therefore `#enum` (Definition II.6), the
 //! paper's order-quality metric — are identical; `tests/oracle.rs`
 //! property-checks that equivalence.
+//!
+//! [`EnumEngine::Auto`] does not choose between them: it is the
+//! CandidateSpace engine with the worker count gated by the estimated
+//! enumeration work, and [`EnumConfig::resolved`] is the one place that
+//! says so.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -35,18 +40,13 @@ use rlqvo_graph::{intersect_in_place, intersect_into, Graph, VertexId};
 use crate::candspace::CandidateSpace;
 use crate::filter::Candidates;
 
-/// Process-wide count of completed [`QueryAdjBits`] builds — the probe
-/// engine's analogue of [`CandidateSpace::build_count`]. Harness
-/// regressions (rebuilding the precomputation per order instead of per
-/// query) are caught by asserting on deltas in single-test binaries.
-static ADJ_BUILD_COUNT: AtomicU64 = AtomicU64::new(0);
-
 /// Order-independent query-adjacency precomputation for the probe engine:
 /// one dense bitmap row per query vertex. Computing a matching order's
 /// backward-neighbour sets (paper Definition II.4) through it is `O(n²)`
 /// bit tests instead of `O(n²)` binary-searched [`Graph::has_edge`]
-/// probes, and — because the bitmap depends only on the query, never on
-/// the order — one build serves every order of a 30+-method fleet.
+/// probes. The saving is under a microsecond per order, so nothing in the
+/// workspace caches one; the benchmark ledger times the probe recursion
+/// through [`enumerate_probe_prepared`] with the build outside the clock.
 #[derive(Clone, Debug)]
 pub struct QueryAdjBits {
     n: usize,
@@ -66,7 +66,6 @@ impl QueryAdjBits {
                 row[v as usize / 64] |= 1u64 << (v % 64);
             }
         }
-        ADJ_BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
         QueryAdjBits { n, words_per_row, bits }
     }
 
@@ -85,11 +84,6 @@ impl QueryAdjBits {
         self.n
     }
 
-    /// Bytes held by the bitmap (byte-bounded cache accounting).
-    pub fn storage_bytes(&self) -> usize {
-        8 * self.bits.len()
-    }
-
     /// Backward-neighbour sets of `order` (backward\[i\] = neighbours of
     /// `order[i]` among `order[..i]`), the per-order input of the probe
     /// recursion.
@@ -99,14 +93,6 @@ impl QueryAdjBits {
             .enumerate()
             .map(|(i, &u)| order[..i].iter().copied().filter(|&p| self.has_edge(p, u)).collect())
             .collect()
-    }
-
-    /// Completed builds in this process so far. Monotone (other threads
-    /// may also build); tests assert on deltas around single-threaded
-    /// sections to prove a harness shares one precomputation per query
-    /// rather than rebuilding per order.
-    pub fn build_count() -> u64 {
-        ADJ_BUILD_COUNT.load(Ordering::Relaxed)
     }
 }
 
@@ -119,10 +105,8 @@ pub enum EnumEngine {
     /// Intersection over a prebuilt edge-indexed candidate space.
     #[default]
     CandidateSpace,
-    /// Cost-modeled choice between the two: pays the `CandidateSpace`
-    /// build only when the estimated enumeration work can amortize it,
-    /// falling back to [`EnumEngine::Probe`] on build-dominated workloads
-    /// (small match caps over large candidate sets). See [`auto_decide`].
+    /// [`EnumEngine::CandidateSpace`] with the worker count the estimated
+    /// enumeration work endorses — see [`EnumConfig::resolved`].
     Auto,
 }
 
@@ -308,6 +292,22 @@ impl EnumConfig {
         EnumConfig { heartbeat: Some(heartbeat), ..self }
     }
 
+    /// What this configuration runs as on `q` — the one statement of the
+    /// [`EnumEngine::Auto`] rule, which [`enumerate`], the warm path
+    /// ([`run_in_entry`][crate::run_in_entry]) and the figure harness all
+    /// call: `Auto` is the CandidateSpace engine with at most the workers
+    /// [`effective_threads`] endorses for [`estimate_enum_work`] (a
+    /// [`deterministic`](Self::deterministic) configuration stays at 1).
+    /// An explicit engine is returned unchanged — the probe oracle runs
+    /// only when asked for by name — so the call is idempotent.
+    pub fn resolved(self, q: &Graph) -> EnumConfig {
+        if self.engine != EnumEngine::Auto {
+            return self;
+        }
+        let threads = effective_threads(estimate_enum_work(q, &self), self.threads);
+        self.with_engine(EnumEngine::CandidateSpace).with_threads(threads)
+    }
+
     /// True when the cooperative-cancel hook asks this run to stop now:
     /// the external `cancel` flag is raised or the absolute `deadline`
     /// has passed. Checked at enumeration entry (a pre-expired deadline
@@ -321,73 +321,35 @@ impl EnumConfig {
     }
 }
 
-/// Outcome of the [`EnumEngine::Auto`] cost model: the concrete engine
-/// plus the two work estimates that produced the choice (reported so
-/// harnesses and tests can audit the decision).
+/// What [`EnumEngine::Auto`] resolves to for one query, in the shape the
+/// benchmark ledger reads it: the engine and the enumeration-work estimate
+/// behind the worker gate.
 #[derive(Clone, Copy, Debug)]
 pub struct AutoDecision {
-    /// The chosen engine — always [`EnumEngine::Probe`] or
-    /// [`EnumEngine::CandidateSpace`], never `Auto`.
+    /// The resolved engine — [`EnumEngine::CandidateSpace`].
     pub engine: EnumEngine,
-    /// Estimated `CandidateSpace` build cost, in adjacency-entries-scanned
-    /// units: `Σ_(u,u')∈E_d(q) (|C(u')| + min(Σ_{v∈C(u)} d(v), |C(u)|·|C(u')|))`
-    /// — the exact shape of the build's inner loops.
-    pub est_build_work: u64,
-    /// Estimated enumeration work in the same units: the recursion-call
-    /// ceiling implied by `max_matches` / `max_enumerations`, times the
-    /// per-call work the probe engine would pay *over* the intersection
-    /// engine. `u64::MAX` when both caps are effectively unbounded.
+    /// Estimated enumeration work — see [`estimate_enum_work`]. `u64::MAX`
+    /// when both caps are effectively unbounded.
     pub est_enum_work: u64,
-    /// `est_enum_work` divided across the worker slices the requested
-    /// `config.threads` would create — the per-worker share the parallel
-    /// gate compares against [`AUTO_PARALLEL_WORK_PER_WORKER`]. Reported
-    /// so harnesses and tests can audit *why* a workload stayed serial.
-    pub est_slice_work: u64,
 }
 
 impl AutoDecision {
-    /// Re-applies the decision rule with the enumeration estimate scaled
-    /// by `factor` — harnesses amortizing one build across `n` compared
-    /// orders pass `n`, since the build must beat their combined work.
-    pub fn with_enum_scale(mut self, factor: u64) -> AutoDecision {
-        self.est_enum_work = self.est_enum_work.saturating_mul(factor);
-        self.est_slice_work = self.est_slice_work.saturating_mul(factor);
-        self.engine = if self.est_build_work > self.est_enum_work.saturating_mul(AUTO_PROBE_MARGIN) {
-            EnumEngine::Probe
-        } else {
-            EnumEngine::CandidateSpace
-        };
-        self
-    }
-
-    /// The intra-query worker count the cost model endorses for this
+    /// The intra-query worker count the estimate endorses for this
     /// workload, at most `requested`. See [`effective_threads`].
     pub fn effective_threads(&self, requested: usize) -> usize {
         effective_threads(self.est_enum_work, requested)
     }
 }
 
-/// Per-recursion-call work margin of the probe engine over the
-/// intersection engine, in the same adjacency-entry units as the build
-/// estimate. Probe pays a candidate-bitmap test plus an `O(log d)`
-/// `has_edge` per scanned neighbour where the intersection engine streams
-/// precomputed lists; 16 entries/call matches the measured gap on the
-/// bench kernels within a factor of two, which is all the decision needs.
+/// Work units the enumeration estimate charges per recursion call —
+/// roughly the adjacency entries one call scans (~1–2 ns each). Only the
+/// parallel gate reads the estimate, so what is calibrated is this
+/// constant's product with [`AUTO_PARALLEL_WORK_PER_WORKER`].
 const AUTO_WORK_PER_CALL: u64 = 16;
 
-/// Caps at or above this are treated as "find everything": the search is
-/// enumeration-dominated and the build always amortizes.
+/// Caps at or above this are treated as "find everything": the estimate
+/// is unbounded and the gate grants the full worker request.
 const AUTO_UNBOUNDED: u64 = u64::MAX / 4;
-
-/// Probe is only chosen when the build exceeds the enumeration estimate
-/// by this margin. The two mispredictions are asymmetric: a wrong
-/// candspace pick wastes at most one build, but a wrong probe pick pays
-/// the per-call margin over an *unbounded* dead-end search —
-/// `max_matches` caps emitted matches, not the dead-end recursion a
-/// selective query explores before giving up. The margin keeps probe for
-/// clearly build-dominated cases and absorbs moderate dead-end
-/// mis-estimates everywhere else.
-const AUTO_PROBE_MARGIN: u64 = 8;
 
 /// Minimum estimated enumeration work (in [`AUTO_WORK_PER_CALL`] units)
 /// that must land on *each additional worker* before the Auto path
@@ -399,18 +361,16 @@ const AUTO_PROBE_MARGIN: u64 = 8;
 /// plus per-worker scratch (single-digit microseconds), not a thread
 /// spawn — and stealing amortizes far smaller work units than root
 /// morsels did, so the old 1M-unit bar left real speedups on the table.
-/// The recalibrated bar still clears the whole yeast-first-1k kernel
+/// The recalibrated bar still clears a yeast first-1k-matches query
 /// (1000 matches × 12 calls × 16 units ≈ 192k units, measured serial at
 /// ~4 µs) with a ~35% margin, so tiny workloads keep paying zero
-/// scheduling cost. Shares units with the build estimate, so
-/// recalibrating [`AUTO_WORK_PER_CALL`] recalibrates this gate
-/// consistently.
+/// scheduling cost.
 pub const AUTO_PARALLEL_WORK_PER_WORKER: u64 = 262_144;
 
 /// Caps `requested` intra-query workers to what `est_enum_work` (in
-/// [`AUTO_WORK_PER_CALL`] units — see [`AutoDecision::est_enum_work`])
-/// can keep busy: one worker per [`AUTO_PARALLEL_WORK_PER_WORKER`] units,
-/// at least 1. Unbounded estimates (`u64::MAX`, the find-all regime)
+/// [`AUTO_WORK_PER_CALL`] units — see [`estimate_enum_work`]) can keep
+/// busy: one worker per [`AUTO_PARALLEL_WORK_PER_WORKER`] units, never
+/// fewer than one. Unbounded estimates (`u64::MAX`, the find-all regime)
 /// grant the full request. This is the gate that keeps tiny yeast-style
 /// workloads serial however many threads the config asks for.
 pub fn effective_threads(est_enum_work: u64, requested: usize) -> usize {
@@ -422,9 +382,11 @@ pub fn effective_threads(est_enum_work: u64, requested: usize) -> usize {
     }
 }
 
-/// The enumeration-work estimate alone (the `est_enum_work` a full
-/// [`auto_decide`] would report): cheap enough — `O(1)` — for warm-cache
-/// paths that already know the engine but still need the parallel gate.
+/// The enumeration-work estimate — `O(1)`: the recursion-call ceiling
+/// implied by `max_matches` / `max_enumerations`, in
+/// [`AUTO_WORK_PER_CALL`] units. A hopeful estimate, not a ceiling: a
+/// capped query with few or no embeddings still explores its dead-end
+/// tree in full.
 pub fn estimate_enum_work(q: &Graph, config: &EnumConfig) -> u64 {
     let call_cap = config.max_enumerations.min(config.max_matches.saturating_mul(q.num_vertices() as u64));
     if call_cap >= AUTO_UNBOUNDED {
@@ -434,43 +396,14 @@ pub fn estimate_enum_work(q: &Graph, config: &EnumConfig) -> u64 {
     }
 }
 
-/// The [`EnumEngine::Auto`] cost model. Chooses [`EnumEngine::Probe`]
-/// when the candidate-space build would cost several times more than the
-/// entire capped enumeration can win back — the build-dominated regime
-/// (e.g. a first-k-matches workload over large candidate sets).
-/// Deterministic and `O(total candidates + |E(q)|)`, orders of magnitude
-/// below the build itself.
-///
-/// Known bias: the match-cap term is a hopeful estimate, not a ceiling —
-/// a capped query with few or no embeddings still explores its dead-end
-/// tree in full. [`AUTO_PROBE_MARGIN`] hedges that asymmetry toward the
-/// engine whose worst case (one wasted build) is bounded.
-pub fn auto_decide(q: &Graph, g: &Graph, cand: &Candidates, config: &EnumConfig) -> AutoDecision {
-    if cand.any_empty() {
-        // No enumeration will happen; never pay a build.
-        return AutoDecision { engine: EnumEngine::Probe, est_build_work: 0, est_enum_work: 0, est_slice_work: 0 };
+/// [`EnumConfig::resolved`] for `config` read as [`EnumEngine::Auto`],
+/// reported as an [`AutoDecision`]. The data graph and the candidates play
+/// no part; the signature is the one `ledger/src/library.rs` calls.
+pub fn auto_decide(q: &Graph, _g: &Graph, _cand: &Candidates, config: &EnumConfig) -> AutoDecision {
+    AutoDecision {
+        engine: config.with_engine(EnumEngine::Auto).resolved(q).engine,
+        est_enum_work: estimate_enum_work(q, config),
     }
-    // Σ_{v∈C(u)} d(v) per query vertex — one pass over all candidates.
-    let deg_sum: Vec<u64> = q.vertices().map(|u| cand.of(u).iter().map(|&v| g.degree(v) as u64).sum()).collect();
-    let mut est_build_work = 0u64;
-    for u in q.vertices() {
-        let c_u = cand.len_of(u) as u64;
-        for &up in q.neighbors(u) {
-            let c_up = cand.len_of(up) as u64;
-            est_build_work =
-                est_build_work.saturating_add(c_up).saturating_add(deg_sum[u as usize].min(c_u.saturating_mul(c_up)));
-        }
-    }
-
-    let est_enum_work = estimate_enum_work(q, config);
-    // Per-worker share at the *requested* thread count. The build, by
-    // contrast, is paid once and serially whatever the worker count — the
-    // per-slice amortization argument: more slices never add build work,
-    // they only spread the enumeration side of the trade.
-    let est_slice_work =
-        if est_enum_work == u64::MAX { u64::MAX } else { est_enum_work / config.threads.max(1) as u64 };
-    AutoDecision { engine: EnumEngine::CandidateSpace, est_build_work, est_enum_work, est_slice_work }
-        .with_enum_scale(1)
 }
 
 /// Outcome of an enumeration run.
@@ -511,8 +444,9 @@ impl EnumResult {
     }
 }
 
-/// Runs Algorithm 2 with the engine selected in `config` (building the
-/// candidate space internally for [`EnumEngine::CandidateSpace`]; use
+/// Runs Algorithm 2 with the engine `config`
+/// [resolves to](EnumConfig::resolved) (building the candidate space
+/// internally for [`EnumEngine::CandidateSpace`]; use
 /// [`enumerate_in_space`] to amortize one build over several orders).
 /// `config.threads > 1` asks the steal driver ([`crate::parallel`]) for
 /// helpers; the recursion is the same either way.
@@ -522,22 +456,16 @@ impl EnumResult {
 /// full `C(u)` — the Cartesian-product case the paper's connectivity
 /// constraint exists to avoid).
 pub fn enumerate(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexId], config: EnumConfig) -> EnumResult {
-    match config.engine {
-        EnumEngine::Probe => enumerate_probe(q, g, cand, order, config),
-        EnumEngine::CandidateSpace => {
-            let start = Instant::now();
-            if let Some(res) = early_exit(q, order, cand.any_empty(), &config, start) {
-                return res;
-            }
-            let cs = CandidateSpace::build(q, g, cand);
-            space_from(q, &cs, order, config, start)
-        }
-        EnumEngine::Auto => {
-            let decision = auto_decide(q, g, cand, &config);
-            let threads = decision.effective_threads(config.threads);
-            enumerate(q, g, cand, order, config.with_engine(decision.engine).with_threads(threads))
-        }
+    let config = config.resolved(q);
+    if config.engine == EnumEngine::Probe {
+        return enumerate_probe(q, g, cand, order, config);
     }
+    let start = Instant::now();
+    if let Some(res) = early_exit(q, order, cand.any_empty(), &config, start) {
+        return res;
+    }
+    let cs = CandidateSpace::build(q, g, cand);
+    space_from(q, &cs, order, config, start)
 }
 
 /// The checks every public entry point runs before any engine work: the
@@ -577,10 +505,9 @@ pub fn enumerate_probe(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexI
 }
 
 /// [`enumerate_probe`] with the backward-neighbour sets derived from a
-/// prebuilt [`QueryAdjBits`] — the probe-engine face of the
-/// build-once/enumerate-many contract. `adj` depends only on the query,
-/// so one precomputation serves every order a harness compares; nothing
-/// here touches [`Graph::has_edge`] before recursion starts.
+/// prebuilt [`QueryAdjBits`]: nothing here touches [`Graph::has_edge`]
+/// before recursion starts. Byte-identical to [`enumerate_probe`]; its one
+/// caller outside tests is the benchmark ledger's probe-recursion timing.
 pub fn enumerate_probe_prepared(
     q: &Graph,
     g: &Graph,
@@ -1289,34 +1216,59 @@ mod tests {
     }
 
     #[test]
-    fn auto_picks_probe_when_build_dominates() {
-        let (q, g, cand) = build_dominated_case();
-        // First-match-only: 3 recursion calls can never amortize a build
-        // that scans thousands of adjacency entries.
-        let cfg = EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto);
-        let d = auto_decide(&q, &g, &cand, &cfg);
-        assert_eq!(d.engine, EnumEngine::Probe, "build {} vs enum {}", d.est_build_work, d.est_enum_work);
-        assert!(d.est_build_work > d.est_enum_work);
-    }
-
-    #[test]
     fn auto_picks_candspace_when_enumeration_dominates() {
         let (q, g, cand) = build_dominated_case();
         // Find-all on a dense one-label host: the search space dwarfs the
-        // build, so the intersection engine wins.
+        // build, and the estimate is unbounded.
         let cfg = EnumConfig::find_all().with_engine(EnumEngine::Auto);
         let d = auto_decide(&q, &g, &cand, &cfg);
         assert_eq!(d.engine, EnumEngine::CandidateSpace);
         assert_eq!(d.est_enum_work, u64::MAX);
+        // First-match-only on the same host — the build-dominated regime
+        // — resolves the same way; only the estimate differs.
+        let capped = EnumConfig { max_matches: 1, ..cfg };
+        let d = auto_decide(&q, &g, &cand, &capped);
+        assert_eq!(d.engine, EnumEngine::CandidateSpace);
+        assert_eq!(d.est_enum_work, 3 * AUTO_WORK_PER_CALL);
     }
 
     #[test]
     fn auto_decision_never_returns_auto_and_skips_build_on_empty() {
         let (q, g) = two_triangles();
         let cand = Candidates::new(vec![vec![], vec![1], vec![2]]);
-        let d = auto_decide(&q, &g, &cand, &EnumConfig::find_all());
-        assert_eq!(d.engine, EnumEngine::Probe);
-        assert_eq!(d.est_build_work, 0);
+        let cfg = EnumConfig::find_all().with_engine(EnumEngine::Auto);
+        assert_eq!(auto_decide(&q, &g, &cand, &cfg).engine, EnumEngine::CandidateSpace);
+        // No recursion, and `early_exit` returns ahead of the build
+        // (`pipeline::tests` pins that on an entry, where it shows).
+        let res = enumerate(&q, &g, &cand, &[0, 1, 2], cfg);
+        assert_eq!((res.match_count, res.enumerations), (0, 0));
+    }
+
+    #[test]
+    fn resolved_is_the_whole_auto_rule() {
+        let (q, g, cand) = build_dominated_case();
+        // An explicit engine comes back unchanged, worker count included.
+        for engine in engines() {
+            let cfg = EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(engine).with_threads(4);
+            let r = cfg.resolved(&q);
+            assert_eq!((r.engine, r.threads, r.max_matches), (engine, 4, 1), "{}", engine.name());
+        }
+        // Auto is candspace with exactly the gated worker count, on both
+        // sides of the gate, and resolving twice changes nothing.
+        for (cap, workers) in [(1, 1), (50, 1), (100_000, 4), (u64::MAX, 4)] {
+            let cfg =
+                EnumConfig { max_matches: cap, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto).with_threads(4);
+            let r = cfg.resolved(&q);
+            assert_eq!(r.engine, EnumEngine::CandidateSpace, "cap {cap}");
+            assert_eq!(r.threads, auto_decide(&q, &g, &cand, &cfg).effective_threads(4), "cap {cap}");
+            assert_eq!(r.threads, workers, "cap {cap}");
+            assert_eq!((r.resolved(&q).engine, r.resolved(&q).threads), (r.engine, r.threads), "cap {cap}");
+        }
+        // A deterministic (training) configuration stays serial even when
+        // built literally with more workers and an unbounded estimate.
+        let literal = EnumConfig { threads: 4, ..EnumConfig::budgeted(u64::MAX) }.with_engine(EnumEngine::Auto);
+        let r = literal.resolved(&q);
+        assert_eq!((r.engine, r.threads), (EnumEngine::CandidateSpace, 1));
     }
 
     #[test]
@@ -1367,16 +1319,6 @@ mod tests {
         let res = enumerate_probe_prepared(&q, &g, &cand, &adj, &[0, 1, 2], EnumConfig::find_all());
         assert_eq!(res.match_count, 0);
         assert_eq!(res.enumerations, 0);
-    }
-
-    #[test]
-    fn adj_build_count_increments_per_build() {
-        let (q, _) = two_triangles();
-        let before = QueryAdjBits::build_count();
-        let _a = QueryAdjBits::build(&q);
-        let _b = QueryAdjBits::build(&q);
-        // Other tests run concurrently in this binary: delta is a lower bound.
-        assert!(QueryAdjBits::build_count() >= before + 2);
     }
 
     #[test]
@@ -1470,17 +1412,5 @@ mod tests {
         assert_eq!(effective_threads(AUTO_PARALLEL_WORK_PER_WORKER * 3, 8), 3);
         assert_eq!(effective_threads(AUTO_PARALLEL_WORK_PER_WORKER * 100, 4), 4);
         assert_eq!(effective_threads(0, 4), 1);
-    }
-
-    #[test]
-    fn auto_decision_reports_per_slice_work() {
-        let (q, g, cand) = build_dominated_case();
-        let cfg =
-            EnumConfig { max_matches: 50, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto).with_threads(4);
-        let d = auto_decide(&q, &g, &cand, &cfg);
-        assert_eq!(d.est_slice_work, d.est_enum_work / 4);
-        assert_eq!(d.effective_threads(4), effective_threads(d.est_enum_work, 4));
-        // Tiny capped workload on the small fixture: must refuse to spawn.
-        assert_eq!(d.effective_threads(4), 1, "est {} units is below the per-worker floor", d.est_enum_work);
     }
 }

@@ -19,8 +19,9 @@
 //!    semantics (selected by [`enumerate::EnumEngine`]): the default
 //!    intersection-based engine over an edge-indexed [`CandidateSpace`]
 //!    ([`candspace`]), and the original adjacency-probing path kept as a
-//!    differential oracle. Every ordering method is evaluated through the
-//!    same engine, exactly as the paper requires for a fair comparison.
+//!    differential oracle, run only when asked for by name. Every ordering
+//!    method is evaluated through the same engine, exactly as the paper
+//!    requires for a fair comparison.
 //!
 //! [`pipeline`] wires the three phases together and times each one, so the
 //! harness can report `t = t_filter + t_order + t_enum` (paper §IV-B): one
@@ -29,17 +30,16 @@
 //! paper's roster of (filter, ordering) pairs, once.
 //! [`spacecache`] adds the cross-round amortization layer: a [`SpaceCache`]
 //! keyed by `(query fingerprint, filter semantics)` owns filtered
-//! [`Candidates`], the lazily built [`CandidateSpace`], and the probe
-//! engine's [`QueryAdjBits`] precomputation, so sweeps replaying the same
-//! queries (cap sweeps, repeated CLI invocations) filter and build exactly
-//! once per key. [`ordercache`] is its phase-2 sibling: an [`OrderCache`]
-//! of matching orders keyed by `(query fingerprint, ordering semantics)`,
-//! so a serving loop replaying a query skips the ordering phase —
-//! including a learned policy's whole GNN inference — entirely. Both are
-//! thin instantiations of [`cache`], the one generic sharded, bounded
-//! cache whose every hit is checksum-verified (O(1) sampled eviction,
-//! degradation, poison recovery). [`naive`] holds a brute-force enumerator
-//! used as a correctness oracle in tests.
+//! [`Candidates`] and the lazily built [`CandidateSpace`], so sweeps
+//! replaying the same queries (cap sweeps, repeated CLI invocations) filter
+//! and build exactly once per key. [`ordercache`] is its phase-2 sibling:
+//! an [`OrderCache`] of matching orders keyed by `(query fingerprint,
+//! ordering semantics)`, so a serving loop replaying a query skips the
+//! ordering phase — including a learned policy's whole GNN inference —
+//! entirely. Both are thin instantiations of [`cache`], the one generic
+//! sharded, bounded cache whose every hit is checksum-verified (O(1)
+//! sampled eviction, degradation, poison recovery). [`naive`] holds a
+//! brute-force enumerator used as a correctness oracle in tests.
 
 pub mod bipartite;
 pub mod cache;
@@ -68,6 +68,6 @@ pub use methods::{Method, ROSTER};
 pub use order::{connected_prefix_ok, OrderingMethod};
 pub use ordercache::{order_variant, OrderCache, OrderEntry};
 pub use parallel::{peak_parallel_workers, reset_peak_parallel_workers};
-pub use pipeline::{resolve_in_entry, run_cached, run_in_entry, run_pipeline, Pipeline, PipelineResult};
+pub use pipeline::{run_cached, run_in_entry, run_pipeline, Pipeline, PipelineResult};
 pub use scheduler::{reset_scheduler_counters, run_on_pool, scheduler_stats, SchedulerStats, TokenBudget};
 pub use spacecache::{QueryKey, SpaceCache, SpaceEntry};

@@ -32,13 +32,9 @@ impl OptimalOrdering {
         // The candidate space is order-independent, so the O(n!) sweep
         // builds it exactly once and reuses it for every permutation
         // (rebuilding per permutation would dwarf the enumeration cost on
-        // build-dominated workloads). `Auto` resolves to the space here:
-        // across every permutation of the sweep the build always
-        // amortizes.
-        let space = match self.per_order_config.engine {
-            EnumEngine::CandidateSpace | EnumEngine::Auto if !cand.any_empty() => {
-                Some(CandidateSpace::build(q, g, cand))
-            }
+        // build-dominated workloads).
+        let space = match self.per_order_config.resolved(q).engine {
+            EnumEngine::CandidateSpace if !cand.any_empty() => Some(CandidateSpace::build(q, g, cand)),
             _ => None,
         };
         self.order_with_cost_in_space(q, g, cand, space.as_ref())

@@ -15,17 +15,16 @@
 //!   (what `run_cached` does after its lookup; the figure harness calls it
 //!   once per method of a filter group).
 //!
-//! [`resolve_in_entry`] is the one statement of how an [`EnumConfig`]
-//! resolves against an entry (empty candidates, `Auto`, the thread gate).
+//! What engine and worker count a configuration means is
+//! [`EnumConfig::resolved`]'s to say, here as in [`enumerate`]; the one
+//! rule that is about the entry — an empty candidate set is never built —
+//! is in [`run_in_entry`].
 
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::{Graph, VertexId};
 
-use crate::enumerate::{
-    auto_decide, effective_threads, enumerate, enumerate_in_space, enumerate_probe_prepared, estimate_enum_work,
-    EnumConfig, EnumEngine, EnumResult,
-};
+use crate::enumerate::{enumerate, enumerate_in_space, enumerate_probe, EnumConfig, EnumEngine, EnumResult};
 use crate::filter::CandidateFilter;
 use crate::order::OrderingMethod;
 use crate::ordercache::{order_variant, OrderCache};
@@ -90,49 +89,17 @@ pub fn run_pipeline(q: &Graph, g: &Graph, pipeline: &Pipeline<'_>) -> PipelineRe
     PipelineResult { filter_time, order_time, enum_time, candidate_total: cand.total(), order, enum_result }
 }
 
-/// What `config` resolves to for runs in `entry`: a concrete engine
-/// (never [`EnumEngine::Auto`]) and the worker count the cost model
-/// endorses. This is the only statement of the rules every warm run
-/// shares:
-///
-/// * an empty candidate set proves there is no match, so the run probes
-///   and the space is never built;
-/// * [`EnumEngine::Auto`] uses an already-built space unconditionally (a
-///   sunk, cached cost); on a cold entry it consults [`auto_decide`] with
-///   the enumeration estimate scaled by `sharers`, the number of orders
-///   that will enumerate in this entry — a build must beat their
-///   *combined* work, and a build-dominated single-shot query probes
-///   rather than force a build it can never win back;
-/// * `Auto` also gates the worker count (per order, unscaled): workloads
-///   too small to amortize a helper stay serial.
-///
-/// Idempotent, so a caller that resolves once per group of orders (the
-/// figure harness, which also times the one build) can hand the result to
-/// [`run_in_entry`].
-pub fn resolve_in_entry(q: &Graph, g: &Graph, entry: &SpaceEntry, config: EnumConfig, sharers: u64) -> EnumConfig {
-    let cand = entry.cand();
-    let engine = match config.engine {
-        _ if cand.any_empty() => EnumEngine::Probe,
-        EnumEngine::Auto if entry.space_ready() => EnumEngine::CandidateSpace,
-        EnumEngine::Auto => auto_decide(q, g, cand, &config).with_enum_scale(sharers).engine,
-        e => e,
-    };
-    let threads = match config.engine {
-        EnumEngine::Auto => effective_threads(estimate_enum_work(q, &config), config.threads),
-        _ => config.threads,
-    };
-    config.with_engine(engine).with_threads(threads)
-}
-
 /// Phases 2–3 in a [`SpaceEntry`]: the order comes from `orders` when one
 /// is given (a hit books the lookup only — phase 2 genuinely did not run)
-/// or from `pipeline.ordering`, then enumerates under
-/// [`resolve_in_entry`]'s engine — in the entry's lazily built space, or
-/// through its shared [`QueryAdjBits`][crate::QueryAdjBits] for the probe
-/// oracle. Never filters; builds at most once per residency of the entry.
-/// `filter_time` is zero: whoever looked the entry up knows whether a
-/// filter pass ran. Returns the result and whether the order was a cache
-/// hit.
+/// or from `pipeline.ordering`, then enumerates under the
+/// [resolved](EnumConfig::resolved) configuration — in the entry's lazily
+/// built space, or, when the probe oracle was asked for by name, by
+/// [`enumerate_probe`] on the entry's candidates. An empty candidate set
+/// proves there is no match, so whatever the engine the space is not
+/// built for it. Never filters; builds at most once per residency of the
+/// entry. `filter_time` is zero: whoever looked the entry up knows whether
+/// a filter pass ran. Returns the result and whether the order was a
+/// cache hit.
 pub fn run_in_entry(
     q: &Graph,
     g: &Graph,
@@ -153,11 +120,14 @@ pub fn run_in_entry(
     };
     let order_time = t1.elapsed();
 
-    let config = resolve_in_entry(q, g, entry, pipeline.config, 1);
+    let config = pipeline.config.resolved(q);
     let t2 = Instant::now();
-    let enum_result = match config.engine {
-        EnumEngine::CandidateSpace => enumerate_in_space(q, entry.space(q, g), &order, config),
-        _ => enumerate_probe_prepared(q, g, cand, entry.adj(q), &order, config),
+    // `enumerate_probe` answers an empty candidate set at entry, with no
+    // work — which is what keeps such an entry's space unbuilt.
+    let enum_result = if config.engine == EnumEngine::Probe || cand.any_empty() {
+        enumerate_probe(q, g, cand, &order, config)
+    } else {
+        enumerate_in_space(q, entry.space(q, g), &order, config)
     };
     let enum_time = t2.elapsed();
     let result = PipelineResult {
@@ -261,20 +231,39 @@ mod tests {
     #[test]
     fn run_in_entry_agrees_with_fresh_pipeline_for_all_engines() {
         let (q, g) = small_case();
-        let cache = SpaceCache::new();
+        // A star whose centre needs degree 3 on a path host: LDF leaves
+        // the centre no candidate.
+        let mut qb = GraphBuilder::new(2);
+        let centre = qb.add_vertex(1);
+        for _ in 0..3 {
+            let leaf = qb.add_vertex(0);
+            qb.add_edge(centre, leaf);
+        }
+        let starved = qb.build();
         let filter = LdfFilter;
-        let (entry, fresh) = cache.entry_keyed(&QueryKey::of(&q), &q, &g, &filter);
-        assert!(fresh);
-        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
-            let p =
-                Pipeline { filter: &filter, ordering: &RiOrdering, config: EnumConfig::find_all().with_engine(engine) };
-            let (cached, hit_order) = run_in_entry(&q, &g, &entry, &p, None);
-            let fresh_run = run_pipeline(&q, &g, &p);
-            assert_eq!(cached.enum_result.match_count, fresh_run.enum_result.match_count, "{}", engine.name());
-            assert_eq!(cached.enum_result.enumerations, fresh_run.enum_result.enumerations, "{}", engine.name());
-            assert_eq!(cached.order, fresh_run.order, "{}", engine.name());
-            assert_eq!(cached.filter_time, Duration::ZERO);
-            assert!(!hit_order, "no order cache, no order hit");
+        for (q, empty) in [(&q, false), (&starved, true)] {
+            let cache = SpaceCache::new();
+            let (entry, fresh) = cache.entry_keyed(&QueryKey::of(q), q, &g, &filter);
+            assert!(fresh);
+            assert_eq!(entry.cand().any_empty(), empty);
+            for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace, EnumEngine::Auto] {
+                let p = Pipeline {
+                    filter: &filter,
+                    ordering: &RiOrdering,
+                    config: EnumConfig::find_all().with_engine(engine),
+                };
+                let (cached, hit_order) = run_in_entry(q, &g, &entry, &p, None);
+                let fresh_run = run_pipeline(q, &g, &p);
+                assert_eq!(cached.enum_result.match_count, fresh_run.enum_result.match_count, "{}", engine.name());
+                assert_eq!(cached.enum_result.enumerations, fresh_run.enum_result.enumerations, "{}", engine.name());
+                assert_eq!(cached.order, fresh_run.order, "{}", engine.name());
+                assert_eq!(cached.filter_time, Duration::ZERO);
+                assert!(!hit_order, "no order cache, no order hit");
+                // The probe oracle never builds; no engine builds for an
+                // empty candidate set.
+                let built = !empty && engine != EnumEngine::Probe;
+                assert_eq!(entry.space_ready(), built, "{} empty={empty}", engine.name());
+            }
         }
     }
 
@@ -306,10 +295,11 @@ mod tests {
 
     #[test]
     fn cold_auto_entry_respects_the_cost_model() {
-        // Dense one-label host: every vertex is everyone's candidate, so
-        // the space build scans the whole adjacency structure — with a
-        // 1-match cap this is the build-dominated regime where Auto must
-        // probe, not force a build onto the cold cache entry.
+        // Dense one-label host under a 1-match cap: the build-dominated
+        // regime. What is left of the cost model is the worker gate, so
+        // Auto builds the cold entry's space like the engine it resolves
+        // to, and the cold round, the warm round and the cold pipeline
+        // agree.
         let mut gb = GraphBuilder::new(1);
         for _ in 0..80u32 {
             gb.add_vertex(0);
@@ -330,20 +320,18 @@ mod tests {
 
         let cache = SpaceCache::new();
         let (entry, _) = cache.entry_keyed(&QueryKey::of(&q), &q, &g, &LdfFilter);
-        let capped = EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto);
+        let capped =
+            EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto).with_threads(4);
+        assert_eq!(capped.resolved(&q).threads, 1, "three calls cannot keep a helper busy");
         let p = Pipeline { filter: &LdfFilter, ordering: &RiOrdering, config: capped };
         let (cold, _) = run_in_entry(&q, &g, &entry, &p, None);
-        assert!(!entry.space_ready(), "build-dominated cold Auto must not force a space build");
+        assert!(entry.space_ready(), "Auto is the space engine, on a cold entry too");
         assert_eq!(cold.enum_result.match_count, 1);
-        // The build must beat the *combined* work of the orders sharing
-        // it: enough sharers tip the same cold entry to the space engine.
-        assert_eq!(resolve_in_entry(&q, &g, &entry, capped, 1).engine, EnumEngine::Probe);
-        assert_eq!(resolve_in_entry(&q, &g, &entry, capped, 1 << 20).engine, EnumEngine::CandidateSpace);
-        // Once some round has paid the build, Auto uses it unconditionally.
-        entry.space(&q, &g);
-        assert_eq!(resolve_in_entry(&q, &g, &entry, capped, 1).engine, EnumEngine::CandidateSpace);
         let (warm, _) = run_in_entry(&q, &g, &entry, &p, None);
-        assert_eq!(warm.enum_result.match_count, cold.enum_result.match_count);
-        assert_eq!(warm.enum_result.enumerations, cold.enum_result.enumerations);
+        let fresh_run = run_pipeline(&q, &g, &p);
+        for other in [&warm, &fresh_run] {
+            assert_eq!(other.enum_result.match_count, cold.enum_result.match_count);
+            assert_eq!(other.enum_result.enumerations, cold.enum_result.enumerations);
+        }
     }
 }

@@ -8,11 +8,11 @@
 //! across rounds** — Fig. 11's cap sweep re-filters every query once per
 //! cap, and a CLI answering a repeated query set re-filters per
 //! invocation. [`SpaceCache`] closes that gap: entries are keyed by
-//! `(query id, filter semantics)` and own the filtered [`Candidates`],
-//! the lazily built [`CandidateSpace`], and the probe engine's
-//! order-independent [`QueryAdjBits`] precomputation, handing out shared
-//! [`Arc`] references so any number of rounds performs exactly **one
-//! filter pass and one build per resident key**.
+//! `(query id, filter semantics)` and own the filtered [`Candidates`] and
+//! the lazily built [`CandidateSpace`], handing out shared [`Arc`]
+//! references so any number of rounds performs exactly **one filter pass
+//! and one build per resident key**. The probe oracle keeps nothing here:
+//! it runs on the entry's candidates.
 //!
 //! The sharding, byte-bounded O(1) eviction, checksum-verified hits,
 //! degradation, and poison recovery all come from the generic
@@ -39,29 +39,26 @@
 //!   lookup. An entry bigger than the whole budget is admitted
 //!   *uncached* — served standalone and quarantined, never thrashing the
 //!   other residents (the generic cache's documented contract);
-//! * the probe engine's [`QueryAdjBits`] are shared across all filter
-//!   variants of one query through a weak side index;
-//! * invalidation is explicit: [`SpaceCache::invalidate`] drops every
-//!   filter variant of one query, [`SpaceCache::clear`] drops everything
-//!   (the data graph changed). Evicted entries already handed out stay
-//!   valid — they are immutable snapshots — and an evicted key simply
-//!   refilters on its next lookup (counted as a miss).
+//! * invalidation is explicit and the generic cache's:
+//!   [`invalidate`][ShardedCache::invalidate] drops every filter variant
+//!   of one query, [`clear`][ShardedCache::clear] drops everything (the
+//!   data graph changed). Evicted entries already handed out stay valid —
+//!   they are immutable snapshots — and an evicted key simply refilters on
+//!   its next lookup (counted as a miss).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 
 use crate::cache::{self, CacheConfig, CacheKey, CacheWeight, ShardedCache};
 use crate::candspace::CandidateSpace;
-use crate::enumerate::QueryAdjBits;
 use crate::filter::{CandidateFilter, Candidates};
 
 /// One cached unit of filtered state: the candidates of a
-/// `(query, filter semantics)` key plus the two engine precomputations
-/// derived from them, built lazily and at most once.
+/// `(query, filter semantics)` key plus the candidate space derived from
+/// them, built lazily and at most once.
 pub struct SpaceEntry {
     cand: Candidates,
     filter_time: Duration,
@@ -70,9 +67,6 @@ pub struct SpaceEntry {
     /// `cache.checksum_corrupt` failpoint can flip it in place on a
     /// shared entry; the cache itself writes it once at insert.
     checksum: AtomicU64,
-    /// Shared across all filter variants of the same query (order- and
-    /// filter-independent).
-    adj: Arc<OnceLock<QueryAdjBits>>,
     space: OnceLock<(CandidateSpace, Duration)>,
     /// Where this entry is resident, so a lazy space build can report its
     /// bytes back for eviction accounting. `None` for entries that
@@ -101,12 +95,6 @@ impl SpaceEntry {
     /// Wall time of the single filter pass that created this entry.
     pub fn filter_time(&self) -> Duration {
         self.filter_time
-    }
-
-    /// The probe engine's query-adjacency precomputation, built on first
-    /// use and shared with every other entry of the same query id.
-    pub fn adj(&self, q: &Graph) -> &QueryAdjBits {
-        self.adj.get_or_init(|| QueryAdjBits::build(q))
     }
 
     /// The edge-indexed candidate space, built on first use. `q`/`g` must
@@ -144,9 +132,7 @@ impl SpaceEntry {
         (&s.0, built)
     }
 
-    /// True once [`SpaceEntry::space`] has been forced — lets an Auto
-    /// caller use an already-paid build instead of re-running the cost
-    /// model against it.
+    /// True once [`SpaceEntry::space`] has been forced.
     pub fn space_ready(&self) -> bool {
         self.space.get().is_some()
     }
@@ -164,12 +150,10 @@ impl SpaceEntry {
         self.checksum.load(Ordering::Relaxed) == SpaceCache::query_checksum(q)
     }
 
-    /// Bytes this entry pins: candidates + adjacency bitmap (if built) +
-    /// candidate space (if built) — what a bounded cache charges.
+    /// Bytes this entry pins: candidates + candidate space (if built) —
+    /// what a bounded cache charges.
     pub fn resident_bytes(&self) -> usize {
-        self.cand.storage_bytes()
-            + self.adj.get().map(QueryAdjBits::storage_bytes).unwrap_or(0)
-            + self.space.get().map(|(s, _)| s.storage_bytes()).unwrap_or(0)
+        self.cand.storage_bytes() + self.space.get().map(|(s, _)| s.storage_bytes()).unwrap_or(0)
     }
 }
 
@@ -204,15 +188,9 @@ impl QueryKey {
 
 /// Keyed, sharded, invalidation-aware store of filtered candidate state
 /// (see the module docs) — an instantiation of
-/// [`ShardedCache`][crate::cache::ShardedCache] over [`SpaceEntry`] plus
-/// the query-adjacency side index.
+/// [`ShardedCache`][crate::cache::ShardedCache] over [`SpaceEntry`].
 pub struct SpaceCache {
     cache: ShardedCache<SpaceEntry>,
-    /// Query id → the adjacency-bits cell shared by that query's entries.
-    /// Weak: the strong references live in the entries, so evicting every
-    /// variant of a query lets its adjacency bits drop too (dead cells
-    /// are pruned opportunistically).
-    adjs: Mutex<HashMap<u64, Weak<OnceLock<QueryAdjBits>>>>,
 }
 
 impl Default for SpaceCache {
@@ -221,8 +199,9 @@ impl Default for SpaceCache {
     }
 }
 
-/// Counters and residency (`hits`, `misses`, `evictions`,
-/// `checksum_failures`, `len`, `storage_bytes`, …) are the generic cache's.
+/// Counters, residency and invalidation (`hits`, `misses`, `evictions`,
+/// `checksum_failures`, `len`, `storage_bytes`, `invalidate`, `clear`, …)
+/// are the generic cache's.
 impl std::ops::Deref for SpaceCache {
     type Target = ShardedCache<SpaceEntry>;
 
@@ -239,7 +218,7 @@ impl SpaceCache {
     }
 
     /// A cache that evicts least-recently-used entries once the bytes
-    /// charged for resident candidates/adjacency/spaces exceed
+    /// charged for resident candidates and spaces exceed
     /// `capacity_bytes` — the serving-layer configuration, where millions
     /// of distinct queries must not grow memory without bound. A single
     /// entry larger than the whole budget is admitted uncached (served
@@ -255,7 +234,7 @@ impl SpaceCache {
     /// [`ScanReference`][crate::cache::EvictPolicy::ScanReference] policy
     /// through this.
     pub fn with_config(config: CacheConfig) -> Self {
-        SpaceCache { cache: ShardedCache::new(config), adjs: Mutex::new(HashMap::new()) }
+        SpaceCache { cache: ShardedCache::new(config) }
     }
 
     /// Structural fingerprint of a query graph (FNV-1a over vertex count,
@@ -329,52 +308,16 @@ impl SpaceCache {
     ) -> (Arc<SpaceEntry>, bool) {
         let origin = Arc::downgrade(self.cache.shared());
         self.cache.get_or_insert(key, &filter.cache_key(), |cache_key| {
-            let adj = self.adj_cell(key.fingerprint);
             let t = Instant::now();
             let cand = filter.filter(q, g);
             Arc::new(SpaceEntry {
                 cand,
                 filter_time: t.elapsed(),
                 checksum: AtomicU64::new(key.checksum),
-                adj,
                 space: OnceLock::new(),
                 origin: Some((origin, cache_key.clone())),
             })
         })
-    }
-
-    /// The shared adjacency-bits cell of `query_id`, reviving a live one
-    /// when any of the query's entries still holds it. Dead weak cells are
-    /// pruned once the map outgrows the resident entry count, so a
-    /// bounded cache's adjacency index cannot grow without bound either.
-    fn adj_cell(&self, query_id: u64) -> Arc<OnceLock<QueryAdjBits>> {
-        // The adjacency index holds only weak cells, so a panic mid-update
-        // cannot leave it inconsistent in any way that matters — recover
-        // the guard and keep going.
-        let mut adjs = self.adjs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(cell) = adjs.get(&query_id).and_then(Weak::upgrade) {
-            return cell;
-        }
-        let cell = Arc::new(OnceLock::new());
-        adjs.insert(query_id, Arc::downgrade(&cell));
-        if adjs.len() > 64 && adjs.len() > 2 * self.len() {
-            adjs.retain(|_, w| w.strong_count() > 0);
-        }
-        cell
-    }
-
-    /// Drops every filter variant of `query_id` (the query changed or
-    /// should be refreshed). Outstanding [`Arc`] entries stay usable.
-    pub fn invalidate(&self, query_id: u64) {
-        self.cache.invalidate(query_id);
-        self.adjs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(&query_id);
-    }
-
-    /// Drops everything — required when the *data graph* changes, since
-    /// entries snapshot candidates against it.
-    pub fn clear(&self) {
-        self.cache.clear();
-        self.adjs.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
     }
 }
 
@@ -493,17 +436,6 @@ mod tests {
         assert_eq!(s1, e.space(&q, &g) as *const CandidateSpace);
         assert!(e.space_ready());
         assert!(cache.storage_bytes() > before_build, "the lazy build self-reports its bytes");
-    }
-
-    #[test]
-    fn adjacency_bits_are_shared_across_filter_variants() {
-        let (q, g) = case();
-        let cache = SpaceCache::new();
-        let (e1, _) = entry_for(&cache, &q, &g, &LdfFilter);
-        let (e2, _) = entry_for(&cache, &q, &g, &NlfFilter);
-        let a1 = e1.adj(&q) as *const QueryAdjBits;
-        let a2 = e2.adj(&q) as *const QueryAdjBits;
-        assert_eq!(a1, a2, "one QueryAdjBits per query, shared by all filter variants");
     }
 
     #[test]

@@ -9,8 +9,8 @@ use rlqvo_matching::order::{
 };
 use rlqvo_matching::{
     enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared, run_cached, run_pipeline,
-    CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, OrderCache, Pipeline,
-    QueryAdjBits, QueryKey, SpaceCache, TokenBudget,
+    CandidateFilter, CandidateSpace, Candidates, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, OrderCache,
+    Pipeline, QueryAdjBits, QueryKey, SpaceCache, TokenBudget,
 };
 
 /// Random connected-ish labeled graph.
@@ -226,7 +226,9 @@ proptest! {
     /// candspace, auto), at 1, 2 and 4 workers, with and without an order
     /// cache, on the cold entry (round 0: filter pass, order fill) and the
     /// warm one (round 1: space hit, order hit) — and a space hit books
-    /// exactly zero filter time.
+    /// exactly zero filter time. The probe rows pin that `engine=probe` in
+    /// a warm entry is the cold `enumerate_probe` on the entry's
+    /// candidates.
     #[test]
     fn cache_served_space_is_differentially_identical(g in arb_graph(9, 3), seed in 0u64..500) {
         let Some(q) = query_of(&g, seed, 4) else { return Ok(()) };
@@ -304,37 +306,43 @@ proptest! {
         }
     }
 
-    /// `EnumEngine::Auto` must be indistinguishable from both concrete
-    /// engines: same `match_count`, same `#enum`, same match stream, for
-    /// every filter and ordering — whichever side of the cost model the
-    /// case lands on.
+    /// `EnumEngine::Auto` is the CandidateSpace engine — same
+    /// `match_count`, same `#enum`, same match stream at every cap from 1
+    /// to find-all, on both sides of its worker gate — and, like it,
+    /// indistinguishable from the probe oracle, for every filter and
+    /// ordering and for a query a candidate set of which is empty.
     #[test]
     fn auto_engine_is_differentially_identical(g in arb_graph(9, 3), seed in 0u64..500) {
         let Some(q) = query_of(&g, seed, 4) else { return Ok(()) };
         let filters: Vec<Box<dyn CandidateFilter>> =
             vec![Box::new(LdfFilter), Box::new(GqlFilter::default())];
-        for f in &filters {
-            let cand = f.filter(&q, &g);
+        let mut cands: Vec<(&str, Candidates)> = filters.iter().map(|f| (f.name(), f.filter(&q, &g))).collect();
+        // The same query with its first vertex starved of candidates.
+        let mut starved: Vec<Vec<u32>> = q.vertices().map(|u| cands[0].1.of(u).to_vec()).collect();
+        starved[0].clear();
+        cands.push(("starved", Candidates::new(starved)));
+        for (f, cand) in &cands {
             for o in all_orderings() {
-                let order = o.order(&q, &g, &cand);
-                // Both a capped config (the build-dominated side of the
-                // model) and find-all (the enumeration-dominated side).
-                // Serial pin on the capped one: truncation points are only
-                // deterministic serially.
-                let capped =
-                    EnumConfig { max_matches: 3, store_matches: true, ..EnumConfig::find_all() }.with_threads(1);
-                let mut find_all = EnumConfig::find_all();
-                find_all.store_matches = true;
-                for cfg in [capped, find_all] {
-                    let auto = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::Auto));
-                    let probe = enumerate_probe(&q, &g, &cand, &order, cfg);
-                    let space = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
-                    prop_assert_eq!(auto.match_count, probe.match_count, "vs probe: {} {}", f.name(), o.name());
-                    prop_assert_eq!(auto.enumerations, probe.enumerations, "vs probe: {} {}", f.name(), o.name());
-                    prop_assert_eq!(&auto.matches, &probe.matches, "stream vs probe: {} {}", f.name(), o.name());
-                    prop_assert_eq!(auto.match_count, space.match_count, "vs space: {} {}", f.name(), o.name());
-                    prop_assert_eq!(auto.enumerations, space.enumerations, "vs space: {} {}", f.name(), o.name());
-                    prop_assert_eq!(&auto.matches, &space.matches, "stream vs space: {} {}", f.name(), o.name());
+                let order = o.order(&q, &g, cand);
+                for cap in [1u64, 10, 100_000, u64::MAX] {
+                    let mut cfg = EnumConfig { max_matches: cap, store_matches: true, ..EnumConfig::find_all() };
+                    // Serial pin on the capped ones: truncation points are
+                    // only deterministic serially.
+                    if cap != u64::MAX {
+                        cfg = cfg.with_threads(1);
+                    }
+                    let auto = enumerate(&q, &g, cand, &order, cfg.with_engine(EnumEngine::Auto));
+                    let probe = enumerate_probe(&q, &g, cand, &order, cfg);
+                    let space = enumerate(&q, &g, cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
+                    prop_assert_eq!(auto.match_count, probe.match_count, "vs probe: {} {} cap {}", f, o.name(), cap);
+                    prop_assert_eq!(auto.enumerations, probe.enumerations, "vs probe: {} {} cap {}", f, o.name(), cap);
+                    prop_assert_eq!(&auto.matches, &probe.matches, "stream vs probe: {} {} cap {}", f, o.name(), cap);
+                    prop_assert_eq!(auto.match_count, space.match_count, "vs space: {} {} cap {}", f, o.name(), cap);
+                    prop_assert_eq!(auto.enumerations, space.enumerations, "vs space: {} {} cap {}", f, o.name(), cap);
+                    prop_assert_eq!(&auto.matches, &space.matches, "stream vs space: {} {} cap {}", f, o.name(), cap);
+                    if cand.any_empty() {
+                        prop_assert_eq!((auto.match_count, auto.enumerations), (0, 0), "{} {} cap {}", f, o.name(), cap);
+                    }
                 }
             }
         }

@@ -22,9 +22,10 @@
 //!   resident checksum flipped and must degrade (evict + recompute,
 //!   counted).
 //!
-//! A mid-run cache `flush` at 70% stays unconditional — it is workload,
-//! not fault. Pass `--faults` to run any other schedule (server-side
-//! sites like `serve.worker.panic` included); the invariant set then
+//! A mid-run cache `flush` — client 0's, at 70% of its own requests —
+//! stays unconditional: it is workload, not fault. Pass `--faults` to run
+//! any other schedule (server-side sites like `serve.worker.panic`
+//! included); the invariant set then
 //! drops the default-mix-specific counts and keeps the universal ones:
 //! zero lost replies, exactly-one typed reply per request, `degraded`
 //! equal to the sum of its per-cache parts, and a live server at the
@@ -201,11 +202,11 @@ fn main() {
     let addr = handle.addr();
 
     let total = clients * requests_per_client;
-    // The flush stays anchored at 70% of the run — late enough that the
-    // caches are warm, early enough that the cold-refill path runs
-    // mid-stream too.
-    let flush_at = (7 * total / 10) as u64;
-    let sent = AtomicU64::new(0);
+    // The flush is anchored at 70% of client 0's *own* requests — late
+    // enough that the caches are warm, early enough that the cold-refill
+    // path runs mid-stream too, and certain to land: a share of the
+    // global count is one client 0 can finish without ever seeing.
+    let flush_at = 7 * requests_per_client / 10;
     // Outcome tally (client side, ground truth for "no lost replies").
     let ok = AtomicU64::new(0);
     let deadline = AtomicU64::new(0);
@@ -222,17 +223,14 @@ fn main() {
             let texts = &texts;
             let zipf = &zipf;
             let method = &method;
-            let (sent, ok, deadline, overloaded, rejected, errored, injected_panics, lost) =
-                (&sent, &ok, &deadline, &overloaded, &rejected, &errored, &injected_panics, &lost);
+            let (ok, deadline, overloaded, rejected, errored, injected_panics, lost) =
+                (&ok, &deadline, &overloaded, &rejected, &errored, &injected_panics, &lost);
             joins.push(s.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (0xA5A5_0000 + c as u64));
                 let mut stream = TcpStream::connect(addr).expect("connect");
                 let mut lat = Vec::with_capacity(requests_per_client);
-                let mut flushed = false;
-                for _ in 0..requests_per_client {
-                    let n = sent.fetch_add(1, Ordering::Relaxed);
-                    if c == 0 && !flushed && n >= flush_at {
-                        flushed = true;
+                for i in 0..requests_per_client {
+                    if c == 0 && i == flush_at {
                         roundtrip(&mut stream, &Request::Flush).expect("flush reply");
                     }
                     // The panic-query fault rides the registry: each
@@ -427,9 +425,11 @@ fn main() {
                 "each corruption fire must be observed: {failures} failures < {corrupt_fires} fires"
             );
             assert!(metric("degraded") >= 1, "corruption must force at least one counted degrade");
-            // Every degrade evicts the lying entry.
-            assert!(metric("space_evictions") >= metric("space_checksum_failures"), "each degrade evicts");
-            assert!(metric("order_evictions") >= metric("order_checksum_failures"), "each degrade evicts");
+            // Every fire evicts the entry it made a liar — once, however
+            // many concurrent hits counted its failure (the caches are
+            // unbounded here, so nothing else evicts).
+            let evictions = metric("space_evictions") + metric("order_evictions");
+            assert!(evictions >= corrupt_fires, "each degrade evicts: {evictions} evictions < {corrupt_fires} fires");
         }
     }
 

@@ -17,8 +17,12 @@
 //! rounds 2+ reuse the round-1 filtered candidates and built
 //! `CandidateSpace`; with the order cache on too (the default), they also
 //! reuse the round-1 matching order, so repeated queries pay phases 1 and
-//! 2 once and enumeration only afterwards. Every option is a flag; a
-//! malformed value is an error, never a silent default.
+//! 2 once and enumeration only afterwards. `--engine` names phase 3's
+//! implementation: `candspace` (the default), `auto` (candspace, with
+//! `--enum-threads` capped at what the estimated enumeration work can keep
+//! busy) or `probe` (the differential oracle: same matches, same `#enum`,
+//! never run unless named). Every option is a flag; a malformed value is
+//! an error, never a silent default.
 
 use std::io::BufReader;
 use std::num::NonZeroUsize;
@@ -43,6 +47,9 @@ fn main() {
             eprintln!("usage: rlqvo <match|train|stats|serve> [--flag value]...");
             eprintln!(
                 "  match --data G --query q [--method hybrid] [--model m] [--max-matches N] [--time-limit-ms T] [--engine candspace|probe|auto] [--enum-threads N] [--repeat N] [--space-cache on|off] [--order-cache on|off]"
+            );
+            eprintln!(
+                "    --engine: candspace (default) | auto (candspace, workers capped by estimated work) | probe (the differential oracle)"
             );
             eprintln!("  train --data G [--size 8] [--queries 32] [--epochs 40] --out m.model");
             eprintln!("  stats --data G");

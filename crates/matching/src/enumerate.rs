@@ -25,7 +25,10 @@
 //! Because both engines enumerate `LC(u, M)` in ascending vertex order,
 //! their recursion trees — and therefore `#enum` (Definition II.6), the
 //! paper's order-quality metric — are identical; `tests/oracle.rs`
-//! property-checks that equivalence.
+//! property-checks that equivalence. The last level is counted, not
+//! recursed (`count_leaves`): a leaf call that can fire nothing is one call
+//! and one match, booked without being made, so `#enum` is exactly what the
+//! per-call recursion reports (`tests/limits.rs` sweeps every budget and cap).
 //!
 //! [`EnumEngine::Auto`] does not choose between them: it is the
 //! CandidateSpace engine with the worker count gated by the estimated
@@ -472,7 +475,7 @@ pub fn enumerate(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexId], co
 /// order must cover the query; a pre-expired deadline (or raised cancel
 /// flag) does zero work — not even a space build — and hands the caller a
 /// typed partial result; and, candidate sets being complete, an empty one
-/// proves there is no match.
+/// proves there is no match — as a cap of zero asks for none.
 fn early_exit(
     q: &Graph,
     order: &[VertexId],
@@ -484,7 +487,7 @@ fn early_exit(
     if config.cancel_requested() {
         return Some(EnumResult { cancelled: true, ..EnumResult::empty(start.elapsed()) });
     }
-    any_empty.then(|| EnumResult::empty(start.elapsed()))
+    (any_empty || config.max_matches == 0).then(|| EnumResult::empty(start.elapsed()))
 }
 
 /// The probe-based reference engine (the seed implementation). Scans a
@@ -677,6 +680,18 @@ impl<'c, E> Ctx<'c, E> {
         }
     }
 
+    /// How many leaf calls from here provably fire nothing — no 1024-call
+    /// cadence boundary, `#enum` budget or match cap among them; zero where
+    /// a leaf does more than count (a stored match, a shared match counter).
+    fn quiet_run(&self) -> u64 {
+        if self.config.store_matches || (self.steal.is_some() && self.config.max_matches != u64::MAX) {
+            return 0;
+        }
+        (0x3FF - (self.enumerations & 0x3FF))
+            .min(self.config.max_enumerations.saturating_sub(self.enumerations + 1))
+            .min(self.config.max_matches.saturating_sub(self.match_count + 1))
+    }
+
     /// This worker's exact local counts as a result (a stealing run sums
     /// its workers' in [`crate::parallel`]).
     pub(crate) fn into_result(self) -> EnumResult {
@@ -754,6 +769,7 @@ pub(crate) fn recurse<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize) -> 
 
     let u = ctx.order[depth];
     match ctx.engine.local_candidates(depth, u, &ctx.mapping, &mut ctx.bufs[depth]) {
+        Slots::All(n) if depth + 1 == ctx.order.len() => count_leaves(ctx, 0..n),
         Slots::All(n) => {
             let keep = donate_tail(ctx, depth, n as usize, |k, l| (k as u32..l as u32).collect());
             (0..keep as u32).any(|slot| extend(ctx, depth, u, slot))
@@ -770,12 +786,42 @@ pub(crate) fn recurse<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize) -> 
     }
 }
 
-/// The depth-`depth` candidate loop over `slots`: donates splittable
-/// tails, then extends along what is kept. Returns true on stop.
+/// The depth-`depth` candidate loop over `slots`: at the last depth
+/// [`count_leaves`]; above it, donates splittable tails, then extends along
+/// what is kept. Returns true on stop.
 #[inline]
 fn extend_each<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize, u: VertexId, slots: &[u32]) -> bool {
+    if depth + 1 == ctx.order.len() {
+        return count_leaves(ctx, slots.iter().copied());
+    }
     let keep = donate_tail(ctx, depth, slots.len(), |k, l| slots[k..l].to_vec());
     slots[..keep].iter().any(|&slot| extend(ctx, depth, u, slot))
+}
+
+/// The last level's candidate loop, for every [`Slots`] shape and both
+/// engines. A leaf call on which nothing can fire adds one to `#enum` and
+/// one to the match count, so a [quiet run](Ctx::quiet_run) of them is
+/// booked by addition, one per candidate not `used`; the call on which
+/// something can fire is made — [`extend`] into [`recurse`], which stays the
+/// definition of a call. Never donates: a leaf costs less than a task.
+fn count_leaves<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, mut slots: impl Iterator<Item = u32>) -> bool {
+    let depth = ctx.order.len() - 1;
+    let u = ctx.order[depth];
+    loop {
+        let (quiet, mut run) = (ctx.quiet_run(), 0);
+        let event = slots.find(|&slot| {
+            let due = run == quiet;
+            run += u64::from(!due && !ctx.used[ctx.engine.vertex(u, slot) as usize]);
+            due
+        });
+        ctx.enumerations += run;
+        ctx.match_count += run;
+        match event {
+            Some(slot) if extend(ctx, depth, u, slot) => return true,
+            Some(_) => {}
+            None => return false,
+        }
+    }
 }
 
 /// Maps `u = order[depth]` to the candidate at `slot`, recurses, and unwinds.
@@ -862,8 +908,8 @@ struct SpaceEngine<'a> {
     /// computed in position space, so the chosen element *is* the index
     /// needed to look up the next depth's edge lists.
     chosen_pos: Vec<u32>,
-    /// Scratch of `(edge id, chosen pos)` handles, sorted by list length
-    /// so the intersection starts from the smallest list.
+    /// Scratch of `(edge id, chosen pos)` handles for three lists and more,
+    /// sorted by length (`intersect_into` orders two operands by itself).
     lists: Vec<(u32, u32)>,
 }
 
@@ -879,6 +925,10 @@ impl<'a> Engine<'a> for SpaceEngine<'a> {
             // Disconnected prefix (or the first vertex): full candidate set.
             [] => Slots::All(cs.cand_len(u) as u32),
             [(j, e)] => Slots::List(cs.edge_list(e, self.chosen_pos[j])),
+            [(j, e), (k, f)] => {
+                intersect_into(buf, cs.edge_list(e, self.chosen_pos[j]), cs.edge_list(f, self.chosen_pos[k]));
+                Slots::Buf
+            }
             ref backward => {
                 let lists = &mut self.lists;
                 lists.clear();

@@ -2,6 +2,8 @@
 //! paper's `Hybrid` baseline uses, reproduced from the paper's §II-C
 //! description including both tie-breakers.
 
+use std::cmp::Reverse;
+
 use rlqvo_graph::{Graph, VertexId};
 
 use crate::filter::Candidates;
@@ -35,13 +37,12 @@ impl OrderingMethod for RiOrdering {
         in_order[first as usize] = true;
 
         while order.len() < n {
+            // One score per candidate per step. `Reverse(u)`: the lower id
+            // wins the final tie, and no two keys are equal.
             let next = q
                 .vertices()
                 .filter(|&u| !in_order[u as usize])
-                .max_by(|&a, &b| {
-                    score(q, &order, &in_order, a).cmp(&score(q, &order, &in_order, b)).then(b.cmp(&a))
-                    // lower id wins the final tie
-                })
+                .max_by_key(|&u| (score(q, &order, &in_order, u), Reverse(u)))
                 .expect("unordered vertex exists");
             order.push(next);
             in_order[next as usize] = true;
@@ -91,10 +92,8 @@ mod tests {
         assert_eq!(order[0], 1);
     }
 
-    #[test]
-    fn prefers_most_backward_neighbors() {
-        // Path 0-1-2-3 plus chord 0-2: after [0], vertex 2 has... both 1
-        // and 2 have one backward neighbour; tie-breaks decide.
+    /// Path 0-1-2-3 plus chord 0-2, one label.
+    fn chorded_path() -> Graph {
         let mut b = GraphBuilder::new(1);
         for _ in 0..4 {
             b.add_vertex(0);
@@ -103,7 +102,14 @@ mod tests {
         b.add_edge(1, 2);
         b.add_edge(2, 3);
         b.add_edge(0, 2);
-        let q = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn prefers_most_backward_neighbors() {
+        // Path 0-1-2-3 plus chord 0-2: after [0], vertex 2 has... both 1
+        // and 2 have one backward neighbour; tie-breaks decide.
+        let q = chorded_path();
         let g = q.clone();
         let cand = LdfFilter.filter(&q, &g);
         let order = RiOrdering.order(&q, &g, &cand);
@@ -119,6 +125,58 @@ mod tests {
         assert_eq!(order[0], 2);
         assert_eq!(order[1], 0);
         assert!(crate::order::connected_prefix_ok(&q, &order));
+    }
+
+    /// The selection step as it was written before `max_by_key`: a
+    /// comparator that scores both sides of every comparison.
+    fn order_by_old_comparator(q: &Graph) -> Vec<VertexId> {
+        let n = q.num_vertices();
+        let first = q.vertices().max_by(|&a, &b| q.degree(a).cmp(&q.degree(b)).then(b.cmp(&a))).unwrap();
+        let mut order = vec![first];
+        let mut in_order = vec![false; n];
+        in_order[first as usize] = true;
+        while order.len() < n {
+            let next = q
+                .vertices()
+                .filter(|&u| !in_order[u as usize])
+                .max_by(|&a, &b| score(q, &order, &in_order, a).cmp(&score(q, &order, &in_order, b)).then(b.cmp(&a)))
+                .unwrap();
+            order.push(next);
+            in_order[next as usize] = true;
+        }
+        order
+    }
+
+    #[test]
+    fn orders_equal_the_old_comparators() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        // One label and a regular band: ties everywhere, so the tie-breaks
+        // and the final lowest-id rule decide most steps.
+        let mut b = GraphBuilder::new(1);
+        for _ in 0..200 {
+            b.add_vertex(0);
+        }
+        for i in 0..200u32 {
+            for j in (i + 1)..200.min(i + 5) {
+                b.add_edge(i, j);
+            }
+            b.add_edge(i, (i + rng.gen_range(1..200u32)) % 200);
+        }
+        let g = b.build();
+        let cand = Candidates::new(Vec::new());
+        let mut sampled = 0;
+        for size in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32] {
+            for _ in 0..40 {
+                let Ok((q, _)) = rlqvo_graph::extract_connected_subgraph(&g, size, &mut rng) else { continue };
+                assert_eq!(RiOrdering.order(&q, &g, &cand), order_by_old_comparator(&q), "|V(q)| = {size}");
+                sampled += 1;
+            }
+        }
+        assert!(sampled >= 300, "only {sampled} queries sampled");
+        for q in [fig1_query(), chorded_path()] {
+            assert_eq!(RiOrdering.order(&q, &g, &cand), order_by_old_comparator(&q));
+        }
     }
 
     #[test]

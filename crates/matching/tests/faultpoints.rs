@@ -195,3 +195,51 @@ fn enum_panic_failpoint_kills_a_run_on_the_cadence() {
     assert_eq!(again.match_count, clean.match_count);
     assert_eq!(again.enumerations, clean.enumerations);
 }
+
+/// Leaf calls are counted by addition, never across a cadence boundary:
+/// the failpoints of a leaf-dominated run are evaluated where they always
+/// were, once per 1024 calls, so a chaos schedule replays unchanged.
+#[test]
+fn enum_delay_failpoint_fires_once_per_1024_calls_of_a_leaf_dominated_run() {
+    // `fired` counts the whole process, and the test above enumerates
+    // unarmed, outside the lock: count in a process that runs nothing else.
+    const ALONE: &str = "RLQVO_FAULTPOINTS_ALONE";
+    if std::env::var_os(ALONE).is_none() {
+        let name = "enum_delay_failpoint_fires_once_per_1024_calls_of_a_leaf_dominated_run";
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--test-threads=1"])
+            .env(ALONE, "1")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success() && stdout.contains("1 passed"), "{stdout}");
+        return;
+    }
+    // A 3-path in K24, one label: 1 + 24 + 24·23 + 24·23·22 calls, of
+    // which the last term are leaves.
+    let mut qb = GraphBuilder::new(1);
+    let path = [qb.add_vertex(0), qb.add_vertex(0), qb.add_vertex(0)];
+    qb.add_edge(path[0], path[1]);
+    qb.add_edge(path[1], path[2]);
+    let q = qb.build();
+    let mut gb = GraphBuilder::new(1);
+    for _ in 0..24u32 {
+        gb.add_vertex(0);
+    }
+    for i in 0..24u32 {
+        for j in (i + 1)..24u32 {
+            gb.add_edge(i, j);
+        }
+    }
+    let g = gb.build();
+    let cand = LdfFilter.filter(&q, &g);
+    for engine in [rlqvo_matching::EnumEngine::Probe, rlqvo_matching::EnumEngine::CandidateSpace] {
+        let config = rlqvo_matching::EnumConfig::find_all().with_engine(engine).with_threads(1);
+        let guard = rlqvo_fault::arm_scoped("enum.delay=1us@always", 1).unwrap();
+        let res = rlqvo_matching::enumerate(&q, &g, &cand, &path, config);
+        assert_eq!(res.enumerations, 1 + 24 + 24 * 23 + 24 * 23 * 22, "{engine:?}");
+        assert_eq!(res.match_count, 24 * 23 * 22, "{engine:?}");
+        assert_eq!(rlqvo_fault::fired("enum.delay"), res.enumerations >> 10, "{engine:?}");
+        drop(guard);
+    }
+}

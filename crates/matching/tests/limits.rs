@@ -2,13 +2,18 @@
 //! the paper's evaluation protocol (match caps, time limits, unsolved
 //! accounting) depends on these behaviours being exact.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use rlqvo_graph::GraphBuilder;
+use rlqvo_graph::{Graph, GraphBuilder, VertexId};
 use rlqvo_matching::order::{OrderingMethod, RiOrdering};
-use rlqvo_matching::{enumerate, CandidateFilter, EnumConfig, EnumEngine, GqlFilter, LdfFilter};
+use rlqvo_matching::{
+    enumerate, enumerate_in_space, enumerate_probe, CandidateFilter, CandidateSpace, Candidates, EnumConfig,
+    EnumEngine, EnumResult, GqlFilter, LdfFilter,
+};
+
+const ENGINES: [EnumEngine; 2] = [EnumEngine::Probe, EnumEngine::CandidateSpace];
 
 /// A dense labeled host graph with plenty of matches.
 fn host(n: u32, labels: u32) -> rlqvo_graph::Graph {
@@ -254,6 +259,224 @@ fn cancel_flag_raised_mid_run_stops_within_a_cadence_window() {
     killer.join().unwrap();
     assert!(res.cancelled);
     assert!(res.enumerations > 0 && res.enumerations.is_multiple_of(1024));
+}
+
+#[test]
+fn zero_match_cap_asks_for_nothing() {
+    let g = host(40, 3);
+    let q = query(3);
+    let cand = LdfFilter.filter(&q, &g);
+    let order = RiOrdering.order(&q, &g, &cand);
+    for engine in ENGINES {
+        for threads in [1usize, 2, 4] {
+            for store_matches in [false, true] {
+                let cfg = EnumConfig { max_matches: 0, store_matches, ..EnumConfig::find_all() }
+                    .with_engine(engine)
+                    .with_threads(threads);
+                let res = enumerate(&q, &g, &cand, &order, cfg);
+                let what = format!("{engine:?} x{threads} store={store_matches}");
+                assert_eq!((res.match_count, res.enumerations), (0, 0), "{what}");
+                assert!(res.matches.is_empty(), "{what}");
+                assert!(!res.budget_exhausted && !res.timed_out && !res.cancelled, "{what}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Budgets and caps land exactly: a sweep against Algorithm 2 written out
+// ---------------------------------------------------------------------------
+
+/// Algorithm 2 as the paper prints it, sharing no code with the engines'
+/// recursion: `LC(u, M)` by probing a mapped neighbour's adjacency, one
+/// count per call (Definition II.6), the budget tested on entry and the
+/// cap after a match.
+struct Reference<'a> {
+    g: &'a Graph,
+    cand: &'a Candidates,
+    order: &'a [VertexId],
+    /// Per depth, the vertices of `order[..depth]` adjacent to `order[depth]`.
+    backward: &'a [Vec<VertexId>],
+    max_enumerations: u64,
+    max_matches: u64,
+    calls: u64,
+    matches: u64,
+    exhausted: bool,
+    mapping: Vec<VertexId>,
+    used: Vec<bool>,
+    /// The matches themselves, for the runs that compare streams.
+    stream: Option<Vec<Vec<VertexId>>>,
+}
+
+impl Reference<'_> {
+    fn call(&mut self, depth: usize) -> bool {
+        self.calls += 1;
+        if self.calls >= self.max_enumerations {
+            self.exhausted = true;
+            return true;
+        }
+        if depth == self.order.len() {
+            self.matches += 1;
+            if let Some(stream) = &mut self.stream {
+                stream.push(self.mapping.clone());
+            }
+            return self.matches >= self.max_matches;
+        }
+        let (g, u, backward) = (self.g, self.order[depth], &self.backward[depth]);
+        let pool = backward.first().map_or(self.cand.of(u), |&p| g.neighbors(self.mapping[p as usize]));
+        for &v in pool {
+            let joined = || backward.iter().all(|&p| g.has_edge(self.mapping[p as usize], v));
+            if self.used[v as usize] || !self.cand.contains(u, v) || !joined() {
+                continue;
+            }
+            (self.mapping[u as usize], self.used[v as usize]) = (v, true);
+            let stop = self.call(depth + 1);
+            self.used[v as usize] = false;
+            if stop {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+fn one_label(n: u32, edges: impl IntoIterator<Item = (u32, u32)>) -> Graph {
+    let mut b = GraphBuilder::new(1);
+    for _ in 0..n {
+        b.add_vertex(0);
+    }
+    for (u, v) in edges {
+        b.add_edge(u, v);
+    }
+    b.build()
+}
+
+/// `n` vertices of one label, each joined to its next `k`.
+fn band(n: u32, k: u32) -> Graph {
+    one_label(n, (0..n).flat_map(|i| (i + 1..n.min(i + k + 1)).map(move |j| (i, j))))
+}
+
+/// Every budget and every cap in `1..=3000` and around the run's own
+/// totals, serial, on both engines: counts and flag equal the reference's,
+/// and a storing run returns exactly the counted prefix of find-all — which
+/// is byte-identical at 1, 2 and 4 workers.
+fn sweep(q: &Graph, g: &Graph, order: &[VertexId]) {
+    let cand = LdfFilter.filter(q, g);
+    let backward: Vec<Vec<VertexId>> =
+        (0..order.len()).map(|i| order[..i].iter().copied().filter(|&p| q.has_edge(p, order[i])).collect()).collect();
+    let reference = |max_enumerations, max_matches, stream| {
+        let mut r = Reference {
+            g,
+            cand: &cand,
+            order,
+            backward: &backward,
+            max_enumerations,
+            max_matches,
+            calls: 0,
+            matches: 0,
+            exhausted: false,
+            mapping: vec![VertexId::MAX; order.len()],
+            used: vec![false; g.num_vertices()],
+            stream,
+        };
+        r.call(0);
+        ((r.matches, r.calls, r.exhausted), r.stream)
+    };
+    let ((matches, calls, _), stream) = reference(u64::MAX, u64::MAX, Some(Vec::new()));
+    // Every limit of the sweep binds, across three cadence boundaries.
+    assert!(calls > 3 * 1024 && matches > 3000, "fixture too small: {calls} calls, {matches} matches");
+    let around = |total: u64| (1..=3000).chain([total - 1, total, total + 1]);
+    let limits: Vec<(u64, u64)> =
+        around(calls).map(|b| (b, u64::MAX)).chain(around(matches).map(|c| (u64::MAX, c))).collect();
+    let expected: Vec<_> = limits.iter().map(|&(b, c)| reference(b, c, None).0).collect();
+
+    let cs = CandidateSpace::build(q, g, &cand);
+    let triple = |r: &EnumResult| (r.match_count, r.enumerations, r.budget_exhausted);
+    let serial = EnumConfig::find_all().with_threads(1);
+    let storing = EnumConfig { store_matches: true, ..serial };
+    for engine in ENGINES {
+        let run = |cfg: EnumConfig| match engine {
+            EnumEngine::Probe => enumerate_probe(q, g, &cand, order, cfg),
+            _ => enumerate_in_space(q, &cs, order, cfg),
+        };
+        let all = run(storing);
+        assert_eq!(triple(&all), (matches, calls, false), "{engine:?} find-all");
+        assert_eq!(Some(&all.matches), stream.as_ref(), "{engine:?} find-all stream");
+        for threads in [2usize, 4] {
+            let par = run(storing.with_threads(threads));
+            assert_eq!(triple(&par), triple(&all), "{engine:?} x{threads}");
+            assert_eq!(par.matches, all.matches, "{engine:?} x{threads} stream");
+        }
+        for (&(max_enumerations, max_matches), &expected) in limits.iter().zip(&expected) {
+            let what = format!("{engine:?} budget {max_enumerations} cap {max_matches}");
+            let counted = run(EnumConfig { max_enumerations, max_matches, ..serial });
+            assert_eq!(triple(&counted), expected, "{what}");
+            let stored = run(EnumConfig { max_enumerations, max_matches, ..storing });
+            assert_eq!(triple(&stored), expected, "{what} (storing)");
+            assert_eq!(stored.matches[..], all.matches[..expected.0 as usize], "{what} (stream)");
+        }
+    }
+}
+
+// One fixture per shape in which the last level's list reaches the
+// recursion. All labels are equal, so that list holds mapped vertices
+// wherever the query allows it, and hosts are sized to a little over 3072
+// calls and 3000 matches.
+
+/// Space engine `All`, probe engine `List`, at depth 0.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_one_vertex_query() {
+    sweep(&one_label(1, []), &one_label(3100, []), &[0]);
+}
+
+/// The same two shapes below a prefix: the last vertex is isolated.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_disconnected_last_vertex() {
+    sweep(&one_label(3, [(0, 1)]), &band(42, 1), &[0, 1, 2]);
+}
+
+/// Space engine `List`: one backward neighbour, whose own predecessor
+/// sits in the last list.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_pendant_last_vertex() {
+    let (q, g) = pendant();
+    sweep(&q, &g, &[0, 1, 2]);
+}
+
+/// A 3-path and its host: 91 % of a run's calls are leaf calls.
+fn pendant() -> (Graph, Graph) {
+    (one_label(3, [(0, 1), (1, 2)]), band(24, 7))
+}
+
+/// `Buf` of two lists: the 4-cycle's last list holds vertex 1's image.
+#[test]
+fn budgets_and_caps_land_exactly_on_two_backward_neighbours() {
+    sweep(&one_label(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), &band(14, 5), &[0, 1, 2, 3]);
+}
+
+/// `Buf` of three lists, sorted first: K_{2,3}, whose last list holds the
+/// image of the other degree-3 vertex.
+#[test]
+fn budgets_and_caps_land_exactly_on_three_backward_neighbours() {
+    sweep(&one_label(5, [(0, 1), (1, 2), (1, 3), (4, 0), (4, 2), (4, 3)]), &band(8, 5), &[0, 1, 2, 3, 4]);
+}
+
+static LEAF_RUN_HEARTBEAT: AtomicU64 = AtomicU64::new(0);
+
+/// The cadence is counted in calls, leaf calls included: a serial run
+/// ticks once per 1024 of them, wherever its calls are made.
+#[test]
+fn heartbeat_ticks_once_per_1024_calls_of_a_leaf_dominated_run() {
+    let (q, g) = pendant();
+    let cand = LdfFilter.filter(&q, &g);
+    for engine in ENGINES {
+        let before = LEAF_RUN_HEARTBEAT.load(Ordering::Relaxed);
+        let cfg = EnumConfig::find_all().with_engine(engine).with_threads(1).with_heartbeat(&LEAF_RUN_HEARTBEAT);
+        let res = enumerate(&q, &g, &cand, &[0, 1, 2], cfg);
+        assert!(res.match_count * 10 > res.enumerations * 9, "{engine:?}: leaf calls must dominate");
+        assert!(res.enumerations >> 10 >= 3, "{engine:?}");
+        assert_eq!(LEAF_RUN_HEARTBEAT.load(Ordering::Relaxed) - before, res.enumerations >> 10, "{engine:?}");
+    }
 }
 
 proptest! {

@@ -17,10 +17,18 @@ pub type VertexId = u32;
 /// * the edge relation is symmetric: `u ∈ N(v) ⇔ v ∈ N(u)`.
 ///
 /// Besides the CSR arrays a graph may hold one derived structure, the
-/// neighbour-label table behind [`Graph::neighbor_label_counts`]. It is
+/// neighbour-label table behind [`Graph::neighbor_label_column`]. It is
 /// built on first use, so a graph that is never asked (query graphs,
 /// induced training subgraphs, LDF-only runs) never pays for it, and it
 /// is not part of [`Graph::storage_bytes`].
+///
+/// The table is laid out for its one reader, the NLF filter, which asks
+/// the same question — "at least `need` neighbours labeled `l2`?" — of
+/// every vertex of one label class in turn: class-major (the vertices of
+/// `vertices_with_label(l)`, in that order, are stored together) and
+/// column-major within a class (one contiguous byte per class vertex for
+/// each neighbour label), so the question is a sequential pass over
+/// `|class|` bytes instead of one row fetch per vertex.
 #[derive(Clone, Debug)]
 pub struct Graph {
     offsets: Vec<u32>,
@@ -35,10 +43,20 @@ pub struct Graph {
     /// vertices have degree > d" queries (feature h⁽⁰⁾(4) of the paper).
     sorted_degrees: Vec<u32>,
     max_degree: u32,
-    /// Row-major `|V| × |L|` saturating neighbour-label counts, or `None`
-    /// inside the cell when the size rule of
-    /// [`Graph::neighbor_label_counts`] says not to build it.
-    nlf_table: OnceLock<Option<Box<[u8]>>>,
+    /// The `|V|·|L|` saturating neighbour-label counts, or `None` inside
+    /// the cell when the size rule of [`Graph::neighbor_label_column`]
+    /// says not to build them.
+    nlf_table: OnceLock<Option<NlfTable>>,
+}
+
+/// Saturating neighbour-label counts, class-major and column-major: the
+/// column of class `l` and neighbour label `l2` is the `label_index[l].len()`
+/// bytes at `class_offset[l] + l2 · label_index[l].len()`.
+#[derive(Clone, Debug)]
+struct NlfTable {
+    counts: Box<[u8]>,
+    /// `class_offset[l]` = `|L|` × the number of vertices in classes before `l`.
+    class_offset: Box<[usize]>,
 }
 
 impl Graph {
@@ -208,40 +226,54 @@ impl Graph {
         nlf
     }
 
-    /// `v`'s row of the neighbour-label table: `row[l]` is
-    /// `min(255, neighbor_label_frequency(v)[l])`, so `row[l] >= need`
-    /// answers "does `v` have at least `need` neighbours labeled `l`"
-    /// exactly for every `need <= 254`; a saturated 255 only says "at
-    /// least 255". The table depends on the graph alone — NLF filtering
-    /// used to re-count the same data vertices' neighbour labels for every
-    /// query vertex of every query — and is built once, by the first call,
-    /// in one pass over the adjacency array.
+    /// One column of the neighbour-label table: byte `i` is
+    /// `min(255, neighbor_label_frequency(v)[l2])` for
+    /// `v = vertices_with_label(l)[i]`, so `column[i] >= need` answers
+    /// "does `v` have at least `need` neighbours labeled `l2`" exactly for
+    /// every `need <= 254`; a saturated 255 only says "at least 255". The
+    /// column is as long as the class (empty for an empty class or a label
+    /// `l` outside the universe). The table depends on the graph alone —
+    /// NLF filtering used to re-count the same data vertices' neighbour
+    /// labels for every query vertex of every query — and is built once,
+    /// by the first call, in one pass over the adjacency array.
     ///
     /// It costs `|V|·|L|` bytes. When that exceeds twice
     /// [`Graph::storage_bytes`] (a label universe much wider than the
-    /// average degree) no table is built and every call returns `None`;
-    /// callers then count `N(v)` themselves.
-    pub fn neighbor_label_counts(&self, v: VertexId) -> Option<&[u8]> {
-        let table = self.nlf_table.get_or_init(|| self.build_nlf_table());
-        let labels = self.num_labels as usize;
-        table.as_deref().map(|t| &t[v as usize * labels..(v as usize + 1) * labels])
+    /// average degree) no table is built and every call returns `None`,
+    /// as does a neighbour label `l2` outside the universe; callers then
+    /// count `N(v)` themselves.
+    pub fn neighbor_label_column(&self, l: u32, l2: u32) -> Option<&[u8]> {
+        let table = self.nlf_table.get_or_init(|| self.build_nlf_table()).as_ref()?;
+        if l2 >= self.num_labels {
+            return None;
+        }
+        // A label `l` outside the universe is an empty class like any other.
+        let class = self.vertices_with_label(l).len();
+        let start = table.class_offset.get(l as usize).copied().unwrap_or(0) + l2 as usize * class;
+        Some(&table.counts[start..start + class])
     }
 
-    fn build_nlf_table(&self) -> Option<Box<[u8]>> {
+    fn build_nlf_table(&self) -> Option<NlfTable> {
         let labels = self.num_labels as usize;
         let bytes = self.num_vertices().checked_mul(labels)?;
         if bytes > 2 * self.storage_bytes() {
             return None;
         }
-        let mut table = vec![0u8; bytes].into_boxed_slice();
-        // (`max(1)`: a zero chunk size panics; the table is empty then.)
-        for (v, row) in table.chunks_exact_mut(labels.max(1)).enumerate() {
-            for &w in self.neighbors(v as VertexId) {
-                let count = &mut row[self.label(w) as usize];
-                *count = count.saturating_add(1);
+        let mut counts = vec![0u8; bytes].into_boxed_slice();
+        let mut class_offset = Vec::with_capacity(labels);
+        let mut offset = 0usize;
+        for class in &self.label_index {
+            class_offset.push(offset);
+            let columns = &mut counts[offset..offset + class.len() * labels];
+            for (i, &v) in class.iter().enumerate() {
+                for &w in self.neighbors(v) {
+                    let count = &mut columns[self.label(w) as usize * class.len() + i];
+                    *count = count.saturating_add(1);
+                }
             }
+            offset += columns.len();
         }
-        Some(table)
+        Some(NlfTable { counts, class_offset: class_offset.into_boxed_slice() })
     }
 
     /// True if the graph is connected (trivially true for `n <= 1`).
@@ -268,7 +300,7 @@ impl Graph {
 
     /// Bytes needed to store the CSR arrays (paper Table IV "Graph Space").
     /// Excludes the lazily built neighbour-label table
-    /// ([`Graph::neighbor_label_counts`]), which adds `|V|·|L|` bytes once
+    /// ([`Graph::neighbor_label_column`]), which adds `|V|·|L|` bytes once
     /// a filter has asked for it.
     pub fn storage_bytes(&self) -> usize {
         self.offsets.len() * 4 + self.neighbors.len() * 4 + self.labels.len() * 4

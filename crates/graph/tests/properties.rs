@@ -71,15 +71,7 @@ proptest! {
 
     #[test]
     fn neighbor_label_table_is_the_saturated_frequency(g in arb_graph(24)) {
-        for v in g.vertices() {
-            // 4 labels: |V|·|L| bytes is always under twice the CSR size.
-            let row = g.neighbor_label_counts(v).expect("table is built");
-            let nlf = g.neighbor_label_frequency(v);
-            prop_assert_eq!(row.len(), nlf.len());
-            for (l, &n) in nlf.iter().enumerate() {
-                prop_assert_eq!(row[l] as u32, n.min(255));
-            }
-        }
+        assert_columns_are_saturated_frequencies(&g);
     }
 
     #[test]
@@ -125,27 +117,47 @@ proptest! {
     }
 }
 
+/// Every column of the table is as long as its class and holds, at each
+/// class vertex's position, `min(255, neighbor_label_frequency(v)[l2])`;
+/// empty classes and labels outside the universe give empty columns, a
+/// neighbour label outside it gives none.
+fn assert_columns_are_saturated_frequencies(g: &Graph) {
+    let labels = g.num_labels();
+    for l in 0..labels + 2 {
+        let class = g.vertices_with_label(l);
+        for l2 in 0..labels {
+            let column = g.neighbor_label_column(l, l2).expect("table is built");
+            assert_eq!(column.len(), class.len(), "column ({l}, {l2})");
+            for (&v, &count) in class.iter().zip(column) {
+                assert_eq!(count as u32, g.neighbor_label_frequency(v)[l2 as usize].min(255), "vertex {v}, label {l2}");
+            }
+        }
+        assert_eq!(g.neighbor_label_column(l, labels), None, "neighbour label outside the universe");
+    }
+}
+
 /// One hub with 300 neighbours of label 1 and 7 of label 2: the first count
-/// saturates at 255, everything else is exact, and clones carry the table.
+/// saturates at 255, everything else is exact, label 3 is an empty class,
+/// and clones carry the table.
 #[test]
 fn neighbor_label_table_saturates_at_255() {
-    let mut b = GraphBuilder::new(3);
+    let mut b = GraphBuilder::new(4);
     let hub = b.add_vertex(0);
     for i in 0..307u32 {
         let leaf = b.add_vertex(if i < 300 { 1 } else { 2 });
         b.add_edge(hub, leaf);
     }
     let g = b.build();
-    assert_eq!(g.neighbor_label_frequency(hub), vec![0, 300, 7]);
-    for v in g.vertices() {
-        let row = g.neighbor_label_counts(v).expect("table is built");
-        let nlf = g.neighbor_label_frequency(v);
-        assert!(row.iter().zip(&nlf).all(|(&c, &n)| c as u32 == n.min(255)), "vertex {v}: {row:?} vs {nlf:?}");
-    }
-    assert_eq!(g.clone().neighbor_label_counts(hub), Some(&[0u8, 255, 7][..]));
+    assert_eq!(g.neighbor_label_frequency(hub), vec![0, 300, 7, 0]);
+    assert_columns_are_saturated_frequencies(&g);
+    let copy = g.clone();
+    let hub_counts: Vec<_> = (0..4).map(|l2| copy.neighbor_label_column(0, l2)).collect();
+    assert_eq!(hub_counts, [Some(&[0u8][..]), Some(&[255][..]), Some(&[7][..]), Some(&[0][..])]);
+    assert_eq!(copy.neighbor_label_column(2, 0), Some(&[1u8; 7][..]));
+    assert_eq!(copy.neighbor_label_column(3, 0), Some(&[][..]), "an unused label is an empty class");
 }
 
-/// `|V|·|L|` bytes over twice the CSR size: no table, for any vertex; one
+/// `|V|·|L|` bytes over twice the CSR size: no table, for any class; one
 /// label fewer and it is built.
 #[test]
 fn neighbor_label_table_is_skipped_for_wide_label_universes() {
@@ -161,8 +173,8 @@ fn neighbor_label_table_is_skipped_for_wide_label_universes() {
     };
     let limit = (2 * path(1).storage_bytes() / 10) as u32;
     let narrow = path(limit);
-    assert!(narrow.vertices().all(|v| narrow.neighbor_label_counts(v).is_some()));
+    assert_columns_are_saturated_frequencies(&narrow);
     let wide = path(limit + 1);
-    assert!(wide.vertices().all(|v| wide.neighbor_label_counts(v).is_none()));
+    assert!((0..=limit).all(|l| (0..=limit).all(|l2| wide.neighbor_label_column(l, l2).is_none())));
     assert_eq!(wide.neighbor_label_frequency(1)[0], 2, "the counting path is unaffected");
 }

@@ -7,13 +7,19 @@
 //! against the brute-force oracle in `tests/oracle.rs`).
 //!
 //! Filtering is where a cold query spends most of its time, so the two
-//! expensive filters avoid re-deriving what does not depend on the query:
-//! [`NlfFilter`] reads the data graph's once-built neighbour-label table
-//! ([`Graph::neighbor_label_counts`]) instead of re-counting `N(v)` for
-//! every query vertex, and [`GqlFilter`] checks a candidate in one pass
-//! over `N(v)` against per-data-vertex membership masks
-//! ([`crate::bipartite`]). `GqlFilter::filter_reference` is the naive
-//! version both are tested against, sets and bitmap.
+//! expensive filters avoid re-deriving what does not depend on the query.
+//! [`NlfFilter`] never counts `N(v)`: the data graph keeps its saturating
+//! neighbour-label counts class-major and column-major
+//! ([`Graph::neighbor_label_column`]), so a query vertex's dominance test
+//! is one sequential pass per demanded label over the bytes of its label
+//! class, ANDed into a byte mask the class is then compacted by. That
+//! path reads no degree either — dominance implies it. The exact scan
+//! (degree test, then `N(v)` counted with an early exit) still runs where
+//! the table cannot answer: a demand of 255 or more, a neighbour label
+//! outside `G`'s universe, a graph that built no table. [`GqlFilter`]
+//! checks a candidate in one pass over `N(v)` against per-data-vertex
+//! membership masks ([`crate::bipartite`]). `GqlFilter::filter_reference`
+//! is the naive version both are tested against, sets and bitmap.
 
 use rlqvo_graph::{Graph, VertexId};
 
@@ -105,23 +111,28 @@ impl Candidates {
     pub fn shrink(&mut self, doomed: &[(VertexId, VertexId)]) {
         let Candidates { sets, bits, words_per_row } = self;
         let wpr = *words_per_row;
+        // One flag per query vertex: which rows `doomed` names.
+        let mut touched = vec![false; sets.len()];
         for &(u, v) in doomed {
             let word = v as usize / 64;
             if word < wpr {
                 bits[u as usize * wpr + word] &= !(1u64 << (v % 64));
             }
+            touched[u as usize] = true;
         }
         // Compact each touched row by its own (just-cleared) bitmap; rows
         // not named in `doomed` are left untouched.
-        let mut touched: Vec<VertexId> = doomed.iter().map(|&(u, _)| u).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        for u in touched {
-            let row = &bits[u as usize * wpr..(u as usize + 1) * wpr];
-            sets[u as usize].retain(|&v| {
-                let word = v as usize / 64;
-                word < wpr && row[word] & (1u64 << (v % 64)) != 0
-            });
+        for (u, set) in sets.iter_mut().enumerate().filter(|&(u, _)| touched[u]) {
+            let row = &bits[u * wpr..(u + 1) * wpr];
+            // Branch-free: every vertex is written back, only a survivor
+            // advances the cursor (removals are too many to predict).
+            let mut len = 0;
+            for i in 0..set.len() {
+                let v = set[i];
+                set[len] = v;
+                len += row.get(v as usize / 64).map_or(0, |word| (word >> (v % 64)) as usize & 1);
+            }
+            set.truncate(len);
         }
     }
 }
@@ -184,34 +195,68 @@ impl CandidateFilter for NlfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        // Scratch for the scan path, shared by the whole run.
-        let mut counts = vec![0u32; g.num_labels().max(q.num_labels()) as usize];
+        // Scratch shared by the whole run: the current query vertex's
+        // demands as (neighbour label, count), their table columns, the
+        // class-wide survivor mask and the compacted survivors.
+        let mut demands: Vec<(u32, u32)> = Vec::new();
+        let mut columns: Vec<(&[u8], u8)> = Vec::new();
+        let mut mask: Vec<u8> = Vec::new();
+        let mut kept: Vec<VertexId> = Vec::new();
+        // Scan path only.
+        let mut counts: Vec<u32> = Vec::new();
         let mut touched: Vec<u32> = Vec::new();
-        let mut demands: Vec<(usize, u32)> = Vec::new();
         let sets = q
             .vertices()
             .map(|u| {
-                let du = q.degree(u);
-                let nlf_u = q.neighbor_label_frequency(u);
                 demands.clear();
-                demands.extend(nlf_u.iter().copied().enumerate().filter(|&(_, need)| need > 0));
-                // A saturated table entry only says "at least 255": such a
-                // demand goes to the scan, as does a graph without a table.
-                let by_table = demands.iter().all(|&(_, need)| need < 255);
-                g.vertices_with_label(q.label(u))
-                    .iter()
-                    .copied()
-                    .filter(|&v| {
-                        g.degree(v) >= du
-                            && match g.neighbor_label_counts(v) {
-                                // A label outside G's universe has no row entry and no bearer.
-                                Some(row) if by_table => {
-                                    demands.iter().all(|&(l, need)| row.get(l).is_some_and(|&c| c as u32 >= need))
-                                }
-                                _ => nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched),
-                            }
-                    })
-                    .collect()
+                for &w in q.neighbors(u) {
+                    let l = q.label(w);
+                    match demands.iter_mut().find(|d| d.0 == l) {
+                        Some(d) => d.1 += 1,
+                        None => demands.push((l, 1)),
+                    }
+                }
+                let lu = q.label(u);
+                let class = g.vertices_with_label(lu);
+                // A saturated byte only says "at least 255": such a demand
+                // goes to the scan, as does a graph without a table and a
+                // label outside G's universe (which has no column).
+                columns.clear();
+                columns.extend(demands.iter().map_while(|&(l, need)| {
+                    let need = u8::try_from(need).ok().filter(|&n| n < u8::MAX)?;
+                    Some((g.neighbor_label_column(lu, l)?, need))
+                }));
+                if columns.len() < demands.len() {
+                    let du = q.degree(u);
+                    let nlf_u = q.neighbor_label_frequency(u);
+                    counts.resize(g.num_labels().max(q.num_labels()) as usize, 0);
+                    return class
+                        .iter()
+                        .copied()
+                        .filter(|&v| {
+                            g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched)
+                        })
+                        .collect();
+                }
+                // No degree test here: dominance implies it, since
+                // d(u) = Σ need ≤ Σ min(255, count) ≤ d(v).
+                mask.clear();
+                mask.resize(class.len(), 1);
+                for &(column, need) in &columns {
+                    for (m, &count) in mask.iter_mut().zip(column) {
+                        *m &= (count >= need) as u8;
+                    }
+                }
+                // Branch-free compaction: every vertex is written, only a
+                // survivor advances the cursor.
+                kept.clear();
+                kept.resize(class.len(), 0);
+                let mut len = 0;
+                for (&v, &m) in class.iter().zip(&mask) {
+                    kept[len] = v;
+                    len += m as usize;
+                }
+                kept[..len].to_vec()
             })
             .collect();
         Candidates::new(sets)

@@ -24,52 +24,82 @@ impl OrderingMethod for RiOrdering {
     }
 
     fn order(&self, q: &Graph, _g: &Graph, _cand: &Candidates) -> Vec<VertexId> {
-        let n = q.num_vertices();
-        if n == 0 {
-            return Vec::new();
+        // Vertex sets are bitmasks of `w` words: any query width, one code
+        // path. Up to 64 vertices (every query set of the paper) it is
+        // instantiated with the width as a constant, so the word loops
+        // fold away — as `MaskMatcher::saturates` does.
+        match q.num_vertices().div_ceil(64) {
+            0 => Vec::new(),
+            1 => order_in(q, 1),
+            w => order_in(q, w),
         }
-        let mut order: Vec<VertexId> = Vec::with_capacity(n);
-        let mut in_order = vec![false; n];
+    }
+}
 
-        let first =
-            q.vertices().max_by(|&a, &b| q.degree(a).cmp(&q.degree(b)).then(b.cmp(&a))).expect("non-empty query");
-        order.push(first);
-        in_order[first as usize] = true;
-
-        while order.len() < n {
-            // One score per candidate per step. `Reverse(u)`: the lower id
-            // wins the final tie, and no two keys are equal.
-            let next = q
-                .vertices()
-                .filter(|&u| !in_order[u as usize])
-                .max_by_key(|&u| (score(q, &order, &in_order, u), Reverse(u)))
-                .expect("unordered vertex exists");
-            order.push(next);
-            in_order[next as usize] = true;
+#[inline(always)]
+fn order_in(q: &Graph, w: usize) -> Vec<VertexId> {
+    let n = q.num_vertices();
+    // `adj` row `u` is `N(u)`, `ordered` the order so far, `touched` the
+    // union of its members' neighbourhoods.
+    let mut adj = vec![0u64; n * w];
+    for u in q.vertices() {
+        for &nb in q.neighbors(u) {
+            adj[u as usize * w + nb as usize / 64] |= 1u64 << (nb % 64);
         }
-        order
+    }
+    let mut order: Vec<VertexId> = Vec::with_capacity(n);
+    let mut ordered = vec![0u64; w];
+    let mut touched = vec![0u64; w];
+
+    let mut next =
+        q.vertices().max_by(|&a, &b| q.degree(a).cmp(&q.degree(b)).then(b.cmp(&a))).expect("non-empty query");
+    loop {
+        order.push(next);
+        ordered[next as usize / 64] |= 1u64 << (next % 64);
+        for i in 0..w {
+            touched[i] |= adj[next as usize * w + i];
+        }
+        if order.len() == n {
+            return order;
+        }
+        // One score per candidate per step. `Reverse(u)`: the lower id
+        // wins the final tie, and no two keys are equal.
+        next = q
+            .vertices()
+            .filter(|&u| ordered[u as usize / 64] & (1u64 << (u % 64)) == 0)
+            .max_by_key(|&u| (score(&adj, &ordered, &touched, u, w), Reverse(u)))
+            .expect("unordered vertex exists");
     }
 }
 
 /// Lexicographic RI score of appending `u`: (backward-neighbour count,
-/// |u_neig|, |u_unv|).
-fn score(q: &Graph, order: &[VertexId], in_order: &[bool], u: VertexId) -> (usize, usize, usize) {
-    let backward = q.neighbors(u).iter().filter(|&&nb| in_order[nb as usize]).count();
+/// |u_neig|, |u_unv|), over the masks of [`order_in`].
+#[inline(always)]
+fn score(adj: &[u64], ordered: &[u64], touched: &[u64], u: VertexId, w: usize) -> (u32, u32, u32) {
+    let row = |x: VertexId| &adj[x as usize * w..][..w];
+    let (nu, ordered, touched) = (row(u), &ordered[..w], &touched[..w]);
+    let backward = (0..w).map(|i| (nu[i] & ordered[i]).count_ones()).sum();
 
     // |u_neig| = ordered vertices u' such that some unordered u'' is a
-    // neighbour of both u' and u (paper §II-C tie-break (1)).
-    let uneig = order
-        .iter()
-        .filter(|&&prev| q.neighbors(prev).iter().any(|&mid| !in_order[mid as usize] && q.has_edge(u, mid)))
-        .count();
+    // neighbour of both u' and u (paper §II-C tie-break (1)): the ordered
+    // part of the union of `N(u'')` over u's unordered neighbours u''.
+    let uneig = (0..w)
+        .map(|j| {
+            let mut reach = 0u64;
+            for i in 0..w {
+                let mut open = nu[i] & !ordered[i];
+                while open != 0 {
+                    reach |= adj[(i * 64 + open.trailing_zeros() as usize) * w + j];
+                    open &= open - 1;
+                }
+            }
+            (reach & ordered[j]).count_ones()
+        })
+        .sum();
 
     // |u_unv| = neighbours of u that are unordered and not adjacent to any
     // ordered vertex (tie-break (2)).
-    let uunv = q
-        .neighbors(u)
-        .iter()
-        .filter(|&&nb| !in_order[nb as usize] && !q.neighbors(nb).iter().any(|&x| in_order[x as usize]))
-        .count();
+    let uunv = (0..w).map(|i| (nu[i] & !ordered[i] & !touched[i]).count_ones()).sum();
 
     (backward, uneig, uunv)
 }
@@ -127,6 +157,22 @@ mod tests {
         assert!(crate::order::connected_prefix_ok(&q, &order));
     }
 
+    /// The score as it was written before the adjacency masks: the three
+    /// definitions walked over `N(·)` and `has_edge`.
+    fn old_score(q: &Graph, order: &[VertexId], in_order: &[bool], u: VertexId) -> (usize, usize, usize) {
+        let backward = q.neighbors(u).iter().filter(|&&nb| in_order[nb as usize]).count();
+        let uneig = order
+            .iter()
+            .filter(|&&prev| q.neighbors(prev).iter().any(|&mid| !in_order[mid as usize] && q.has_edge(u, mid)))
+            .count();
+        let uunv = q
+            .neighbors(u)
+            .iter()
+            .filter(|&&nb| !in_order[nb as usize] && !q.neighbors(nb).iter().any(|&x| in_order[x as usize]))
+            .count();
+        (backward, uneig, uunv)
+    }
+
     /// The selection step as it was written before `max_by_key`: a
     /// comparator that scores both sides of every comparison.
     fn order_by_old_comparator(q: &Graph) -> Vec<VertexId> {
@@ -139,7 +185,9 @@ mod tests {
             let next = q
                 .vertices()
                 .filter(|&u| !in_order[u as usize])
-                .max_by(|&a, &b| score(q, &order, &in_order, a).cmp(&score(q, &order, &in_order, b)).then(b.cmp(&a)))
+                .max_by(|&a, &b| {
+                    old_score(q, &order, &in_order, a).cmp(&old_score(q, &order, &in_order, b)).then(b.cmp(&a))
+                })
                 .unwrap();
             order.push(next);
             in_order[next as usize] = true;
@@ -165,15 +213,17 @@ mod tests {
         }
         let g = b.build();
         let cand = Candidates::new(Vec::new());
-        let mut sampled = 0;
-        for size in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32] {
-            for _ in 0..40 {
+        let (mut sampled, mut wide) = (0, 0);
+        // From 65 up the masks are two and three words wide.
+        for size in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64, 65, 70, 130] {
+            for _ in 0..if size < 64 { 40 } else { 4 } {
                 let Ok((q, _)) = rlqvo_graph::extract_connected_subgraph(&g, size, &mut rng) else { continue };
                 assert_eq!(RiOrdering.order(&q, &g, &cand), order_by_old_comparator(&q), "|V(q)| = {size}");
                 sampled += 1;
+                wide += usize::from(size > 64);
             }
         }
-        assert!(sampled >= 300, "only {sampled} queries sampled");
+        assert!(sampled >= 300 && wide >= 6, "only {sampled} queries sampled, {wide} wider than a word");
         for q in [fig1_query(), chorded_path()] {
             assert_eq!(RiOrdering.order(&q, &g, &cand), order_by_old_comparator(&q));
         }

@@ -601,28 +601,26 @@ fn nlf_by_definition(q: &Graph, g: &Graph) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// `NlfFilter` equals the definition and `GqlFilter::filter` equals
-/// `filter_reference` at 0, 1, 2 and 4 rounds: sorted sets and the
-/// `contains` bitmap, probed past the last data vertex too.
-fn assert_filters_match_references(q: &Graph, g: &Graph) {
-    let same = |fast: &rlqvo_matching::Candidates, sets: &[Vec<u32>], what: &str| {
-        for u in q.vertices() {
-            assert_eq!(fast.of(u), sets[u as usize].as_slice(), "{what}: C({u})");
-            for v in 0..g.num_vertices() as u32 + 70 {
-                assert_eq!(
-                    fast.contains(u, v),
-                    sets[u as usize].binary_search(&v).is_ok(),
-                    "{what}: contains({u}, {v})"
-                );
-            }
+/// `fast` holds exactly `sets`: the sorted sets and the `contains` bitmap,
+/// probed past the last data vertex too.
+fn assert_same_candidates(q: &Graph, g: &Graph, fast: &Candidates, sets: &[Vec<u32>], what: &str) {
+    for u in q.vertices() {
+        assert_eq!(fast.of(u), sets[u as usize].as_slice(), "{what}: C({u})");
+        for v in 0..g.num_vertices() as u32 + 70 {
+            assert_eq!(fast.contains(u, v), sets[u as usize].binary_search(&v).is_ok(), "{what}: contains({u}, {v})");
         }
-    };
-    same(&NlfFilter.filter(q, g), &nlf_by_definition(q, g), "NLF");
+    }
+}
+
+/// `NlfFilter` equals the definition and `GqlFilter::filter` equals
+/// `filter_reference` at 0, 1, 2 and 4 rounds.
+fn assert_filters_match_references(q: &Graph, g: &Graph) {
+    assert_same_candidates(q, g, &NlfFilter.filter(q, g), &nlf_by_definition(q, g), "NLF");
     for rounds in [0usize, 1, 2, 4] {
         let f = GqlFilter { refinement_rounds: rounds };
         let reference = f.filter_reference(q, g);
         let sets: Vec<Vec<u32>> = q.vertices().map(|u| reference.of(u).to_vec()).collect();
-        same(&f.filter(q, g), &sets, &format!("GQL/r{rounds}"));
+        assert_same_candidates(q, g, &f.filter(q, g), &sets, &format!("GQL/r{rounds}"));
     }
 }
 
@@ -677,8 +675,8 @@ fn filters_match_references_at_the_255_saturation_boundary() {
         })
         .collect();
     let g = gb.build();
-    assert_eq!(g.neighbor_label_counts(hubs[0]).unwrap()[1], 254);
-    assert_eq!(g.neighbor_label_counts(hubs[2]).unwrap()[1], 255, "300 saturates");
+    assert_eq!(g.vertices_with_label(0), &hubs[..]);
+    assert_eq!(g.neighbor_label_column(0, 1), Some(&[254u8, 255, 255][..]), "300 saturates");
     for (demand, expect) in [(254u32, &hubs[..]), (255, &hubs[1..]), (256, &hubs[2..])] {
         let mut qb = GraphBuilder::new(2);
         let centre = qb.add_vertex(0);
@@ -705,7 +703,7 @@ fn filters_match_references_when_the_query_demands_a_label_the_data_graph_lacks(
     qb.add_edge(centre, known);
     qb.add_edge(centre, alien);
     let q = qb.build();
-    assert!(g.neighbor_label_counts(0).is_some_and(|row| row.len() == 3));
+    assert!((0..3).all(|l2| g.neighbor_label_column(0, l2).is_some()) && g.neighbor_label_column(0, 5).is_none());
     let nlf = NlfFilter.filter(&q, &g);
     assert!(nlf.of(centre).is_empty() && nlf.of(alien).is_empty());
     assert!(!nlf.of(known).is_empty(), "label 1 with a label-0 neighbour exists");
@@ -717,8 +715,98 @@ fn filters_match_references_when_the_query_demands_a_label_the_data_graph_lacks(
 #[test]
 fn filters_match_references_when_the_data_graph_has_no_label_table() {
     let g = chorded_ring(60, 3, 1000);
-    assert!(g.neighbor_label_counts(0).is_none(), "60 x 1000 bytes is over twice the CSR size");
+    assert!(g.neighbor_label_column(0, 0).is_none(), "60 x 1000 bytes is over twice the CSR size");
     let (q, _) = g.induced_subgraph(&(0..6).collect::<Vec<u32>>());
     assert!(!GqlFilter::default().filter(&q, &g).any_empty());
     assert_filters_match_references(&q, &g);
+}
+
+/// The column path against the retained scan, with no reference shipped
+/// for it: the same edges built against a narrow label universe (table,
+/// columns) and against 1000 labels (no table, scan) must filter alike.
+#[test]
+fn filters_agree_between_the_column_table_and_the_scan() {
+    for (n, labels) in [(40u32, 2u32), (60, 3), (97, 5), (160, 3)] {
+        let narrow = chorded_ring(n, labels, labels);
+        let wide = chorded_ring(n, labels, 1000);
+        assert!(narrow.neighbor_label_column(0, 0).is_some() && wide.neighbor_label_column(0, 0).is_none());
+        for (start, size) in [(0u32, 1u32), (3, 4), (10, 8), (n - 20, 16)] {
+            let window: Vec<u32> = (start..start + size).collect();
+            let (q_narrow, _) = narrow.induced_subgraph(&window);
+            let (q_wide, _) = wide.induced_subgraph(&window);
+            for (what, filter) in [("NLF", &NlfFilter as &dyn CandidateFilter), ("GQL", &GqlFilter::DEFAULT)] {
+                let scanned = filter.filter(&q_wide, &wide);
+                let sets: Vec<Vec<u32>> = q_wide.vertices().map(|u| scanned.of(u).to_vec()).collect();
+                assert!(sets.iter().all(|set| !set.is_empty()), "{what}: the window embeds in the ring");
+                assert_same_candidates(&q_narrow, &narrow, &filter.filter(&q_narrow, &narrow), &sets, what);
+            }
+        }
+    }
+}
+
+/// A data graph of ten label classes whose sizes straddle the vector
+/// widths the column loops are compiled to, each class vertex adjacent to
+/// a random number of label-10 and label-11 leaves (a few per class at the
+/// table's saturation boundary), and a query of star centres — one per
+/// class and demand — sharing one pool of leaves.
+fn straddling_classes_case(seed: u64) -> (Graph, Graph) {
+    use rand::{Rng, SeedableRng};
+    const SIZES: [usize; 10] = [0, 1, 15, 16, 17, 31, 32, 33, 64, 300];
+    const DEMANDS: [(u32, u32); 9] = [(0, 0), (1, 0), (2, 0), (254, 0), (255, 0), (1, 1), (2, 2), (254, 2), (255, 1)];
+    let (leaf_a, leaf_b, num_labels) = (10u32, 11u32, 12u32);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+
+    let mut gb = GraphBuilder::new(num_labels);
+    let a_pool: Vec<u32> = (0..300).map(|_| gb.add_vertex(leaf_a)).collect();
+    let b_pool: Vec<u32> = (0..4).map(|_| gb.add_vertex(leaf_b)).collect();
+    for (class, &size) in SIZES.iter().enumerate() {
+        let members: Vec<u32> = (0..size).map(|_| gb.add_vertex(class as u32)).collect();
+        let hubs: Vec<usize> = (0..4).map(|_| rng.gen_range(0..size.max(1))).collect();
+        for (i, &v) in members.iter().enumerate() {
+            let a_count: usize = if hubs.contains(&i) {
+                [253, 254, 255, 256, 300][rng.gen_range(0..5usize)]
+            } else {
+                rng.gen_range(0..4)
+            };
+            let first = rng.gen_range(0..=a_pool.len() - a_count);
+            for &leaf in &a_pool[first..first + a_count] {
+                gb.add_edge(v, leaf);
+            }
+            for &leaf in &b_pool[..rng.gen_range(0..=b_pool.len())] {
+                gb.add_edge(v, leaf);
+            }
+        }
+    }
+
+    let mut qb = GraphBuilder::new(num_labels);
+    let a_pool: Vec<u32> = (0..255).map(|_| qb.add_vertex(leaf_a)).collect();
+    let b_pool: Vec<u32> = (0..2).map(|_| qb.add_vertex(leaf_b)).collect();
+    for class in 0..SIZES.len() as u32 {
+        for (a_count, b_count) in DEMANDS {
+            let centre = qb.add_vertex(class);
+            for &leaf in a_pool[..a_count as usize].iter().chain(&b_pool[..b_count as usize]) {
+                qb.add_edge(centre, leaf);
+            }
+        }
+    }
+    (qb.build(), gb.build())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The column scan at every class size around a vector width, with
+    /// demands 1, 2, 254 (the last the table answers), 255 (the scan) and
+    /// none (a degree-0 query vertex keeps its whole class: no column is
+    /// read, and the degree test the column path dropped is vacuous).
+    #[test]
+    fn nlf_columns_match_the_definition_at_every_class_size(seed in 0u64..1000) {
+        let (q, g) = straddling_classes_case(seed);
+        assert_filters_match_references(&q, &g);
+        let nlf = NlfFilter.filter(&q, &g);
+        for class in 0..10u32 {
+            let lone = q.vertices().find(|&u| q.label(u) == class && q.degree(u) == 0).expect("demand (0, 0)");
+            prop_assert_eq!(nlf.of(lone), g.vertices_with_label(class));
+        }
+    }
 }

@@ -6,9 +6,10 @@
 //! and 2–3 layers tie, with 4 layers drifting up again.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{rlqvo_method, run_methods, train_model_for, Caches, Scale};
+use rlqvo_bench::{run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
+use rlqvo_matching::Method;
 
 fn main() {
     let scale = Scale::default();
@@ -27,7 +28,7 @@ fn main() {
             config.num_layers = layers;
             let (model, _) = train_model_for(&g, dataset, size, &scale, config, true);
             let learned = model.ordering();
-            let methods = [rlqvo_method(&learned)];
+            let methods = [Method::learned(&learned)];
             let stats = &run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)[0];
             println!(
                 "{:<10} {:>7} | {:>10.5} {:>12.6} {:>12.5}",

@@ -5,10 +5,10 @@
 //! advantage appears and grows beyond ~10⁶ matches (large search spaces).
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{hybrid_method, rlqvo_method, run_methods, train_model_for, Caches, Scale};
+use rlqvo_bench::{run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
-use rlqvo_matching::{EnumConfig, SpaceCache};
+use rlqvo_matching::{EnumConfig, Method, SpaceCache};
 
 fn main() {
     let scale = Scale::default();
@@ -30,13 +30,13 @@ fn main() {
     // build per (query, filter) key instead of one per cap
     // (RLQVO_SPACE_CACHE=0 restores per-round filtering).
     let cache = SpaceCache::new();
-    let caches = if scale.space_cache { Caches::Shared { spaces: &cache, orders: None } } else { Caches::Local };
+    let caches = if scale.space_cache { Caches::Shared { spaces: &cache } } else { Caches::Local };
     let learned = model.ordering();
     println!("{:<8} {:>12} {:>12} {:>10} {:>10}", "matches", "RL-QVO(s)", "Hybrid(s)", "unsRL", "unsHY");
     for (label, cap) in caps {
         let config = EnumConfig { max_matches: cap, ..scale.enum_config() };
         // RL-QVO and Hybrid share the GQL filter: one build per query.
-        let methods = [rlqvo_method(&learned), hybrid_method()];
+        let methods = [Method::learned(&learned), Method::hybrid()];
         let mut stats = run_methods(&g, &split.eval, &methods, config, scale.threads, caches).into_iter();
         let (rl, hy) = (stats.next().expect("RL-QVO stats"), stats.next().expect("Hybrid stats"));
         println!(

@@ -5,9 +5,10 @@
 //! magnitude over VEQ/Hybrid on citeseer/dblp.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods, train_model_for, Caches, Scale};
+use rlqvo_bench::{run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::ALL_DATASETS;
+use rlqvo_matching::{Method, ROSTER};
 
 fn main() {
     let scale = Scale::default();
@@ -30,8 +31,8 @@ fn main() {
         // One filtering pass + one CandidateSpace build per (query, filter
         // group), shared by all eight compared orders.
         let learned = model.ordering();
-        let mut methods = vec![rlqvo_method(&learned)];
-        methods.extend(baseline_methods());
+        let mut methods = vec![Method::learned(&learned)];
+        methods.extend(ROSTER);
         let row: Vec<(String, f64, usize)> =
             run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)
                 .into_iter()

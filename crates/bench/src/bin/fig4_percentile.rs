@@ -6,10 +6,10 @@
 //! queries on youtube/wordnet/eu2005.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods, train_model_for, Caches, Scale};
+use rlqvo_bench::{run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::ALL_DATASETS;
-use rlqvo_matching::EnumConfig;
+use rlqvo_matching::{EnumConfig, Method, ROSTER};
 
 fn main() {
     let scale = Scale::default();
@@ -38,8 +38,8 @@ fn main() {
         println!(" {:>9}", "unsolved");
 
         let learned = model.ordering();
-        let mut methods = vec![rlqvo_method(&learned)];
-        methods.extend(baseline_methods());
+        let mut methods = vec![Method::learned(&learned)];
+        methods.extend(ROSTER);
         let all = run_methods(&g, &split.eval, &methods, config, scale.threads, Caches::Local);
         for name in shown {
             let Some(stats) = all.iter().find(|s| s.name == name) else { continue };

@@ -6,9 +6,10 @@
 //! size (larger search spaces reward better orders).
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{baseline_methods, rlqvo_method, run_methods, train_model_for, Caches, Scale};
+use rlqvo_bench::{run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::ALL_DATASETS;
+use rlqvo_matching::{Method, ROSTER};
 
 fn main() {
     let scale = Scale::default();
@@ -33,8 +34,8 @@ fn main() {
             // share one filtering pass and one CandidateSpace build per
             // (query, data) pair.
             let learned = model.ordering();
-            let mut methods = vec![rlqvo_method(&learned)];
-            methods.extend(baseline_methods());
+            let mut methods = vec![Method::learned(&learned)];
+            methods.extend(ROSTER);
             let stats = run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local);
             print!("{:<6}", format!("Q{size}"));
             for name in order {

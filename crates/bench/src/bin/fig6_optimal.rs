@@ -6,12 +6,12 @@
 
 use rlqvo_bench::models::split_queries;
 use rlqvo_bench::scale::env_or;
-use rlqvo_bench::{hybrid_method, rlqvo_method, train_model_for, Scale};
+use rlqvo_bench::{train_model_for, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
 use rlqvo_matching::order::OptimalOrdering;
 use rlqvo_matching::{
-    enumerate, enumerate_in_space, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter,
+    enumerate, enumerate_in_space, CandidateFilter, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, Method,
 };
 
 fn main() {
@@ -34,9 +34,9 @@ fn main() {
         let filter = GqlFilter::default();
         let engine = config.engine;
         let opt = OptimalOrdering { per_order_config: EnumConfig::budgeted(opt_budget).with_engine(engine) };
-        let hybrid = hybrid_method();
+        let hybrid = Method::hybrid();
         let learned = model.ordering();
-        let rlqvo = rlqvo_method(&learned);
+        let rlqvo = Method::learned(&learned);
 
         println!("--- {} (Q8, {} queries) — #enum per query ---", dataset.name(), num_queries);
         println!("{:<6} {:>12} {:>12} {:>12} {:>10} {:>10}", "query", "Opt", "RL-QVO", "Hybrid", "RL/Opt", "Hyb/Opt");

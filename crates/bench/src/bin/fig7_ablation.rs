@@ -15,11 +15,11 @@
 
 use rlqvo_bench::models::split_queries;
 use rlqvo_bench::scale::env_or;
-use rlqvo_bench::{run_methods, BenchMethod, Caches, Scale};
+use rlqvo_bench::{run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
 use rlqvo_gnn::GnnKind;
-use rlqvo_matching::SpaceCache;
+use rlqvo_matching::{Method, SpaceCache};
 
 struct Variant {
     name: &'static str,
@@ -117,16 +117,13 @@ fn main() {
     // cache is cleared between sizes — peak memory stays one size's
     // worth of candidate spaces instead of the whole sweep's.
     let cache = SpaceCache::new();
-    let caches = if scale.space_cache { Caches::Shared { spaces: &cache, orders: None } } else { Caches::Local };
+    let caches = if scale.space_cache { Caches::Shared { spaces: &cache } } else { Caches::Local };
     let orderings: Vec<_> = models.iter().map(|(_, model)| model.ordering()).collect();
     println!("{:<10} {:>6} {:>12} {:>12} {:>10}", "variant", "Qset", "query(s)", "enum(s)", "unsolved");
     for &size in dataset.query_sizes() {
         let split = split_queries(&g, dataset, size, &scale);
-        let methods: Vec<BenchMethod<'_>> = models
-            .iter()
-            .zip(&orderings)
-            .map(|((name, _), o)| BenchMethod { name, ..BenchMethod::learned(o) })
-            .collect();
+        let methods: Vec<Method<'_>> =
+            models.iter().zip(&orderings).map(|((name, _), o)| Method { name, ..Method::learned(o) }).collect();
         let all_stats = run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, caches);
         cache.clear();
         for stats in &all_stats {

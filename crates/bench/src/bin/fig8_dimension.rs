@@ -6,9 +6,10 @@
 //! because ordering-time (inference) grows with d².
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{rlqvo_method, run_methods, train_model_for, Caches, Scale};
+use rlqvo_bench::{run_methods, train_model_for, Caches, Scale};
 use rlqvo_core::RlQvoConfig;
 use rlqvo_datasets::Dataset;
+use rlqvo_matching::Method;
 
 fn main() {
     let scale = Scale::default();
@@ -28,7 +29,7 @@ fn main() {
             config.hidden_dim = dim;
             let (model, _) = train_model_for(&g, dataset, size, &scale, config, true);
             let learned = model.ordering();
-            let methods = [rlqvo_method(&learned)];
+            let methods = [Method::learned(&learned)];
             let stats = &run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)[0];
             println!(
                 "{:<10} {:>6} | {:>10.5} {:>12.6} {:>12.5}",

@@ -13,9 +13,10 @@
 //! clearly worse on query time.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::{rlqvo_method, run_methods, Caches, Scale};
+use rlqvo_bench::{run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
+use rlqvo_matching::Method;
 
 fn main() {
     let scale = Scale::default();
@@ -56,7 +57,7 @@ fn main() {
             ("Pretrained", &pre_only, pre_only_report.elapsed.as_secs_f64()),
         ] {
             let learned = model.ordering();
-            let methods = [rlqvo_method(&learned)];
+            let methods = [Method::learned(&learned)];
             let stats = &run_methods(&g, &split.eval, &methods, scale.enum_config(), scale.threads, Caches::Local)[0];
             println!(
                 "{:<10} {:<12} {:>12.5} {:>12.5} {:>12.2}",

@@ -6,9 +6,10 @@
 
 use rlqvo_bench::models::split_queries;
 use rlqvo_bench::scale::env_or;
-use rlqvo_bench::{hybrid_method, rlqvo_method, run_methods, Caches, Scale};
+use rlqvo_bench::{run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
+use rlqvo_matching::Method;
 
 fn main() {
     let scale = Scale::default();
@@ -44,7 +45,7 @@ fn main() {
     let run = |queries, method| {
         run_methods(&g, queries, &[method], scale.enum_config(), scale.threads, Caches::Local).remove(0)
     };
-    let (rl, hy) = (rlqvo_method(&learned), hybrid_method());
+    let (rl, hy) = (Method::learned(&learned), Method::hybrid());
     let rl_train = run(&split.train, rl);
     let hy_train = run(&split.train, hy);
     println!();

@@ -20,11 +20,9 @@ use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 use rlqvo_matching::{
-    run_in_entry, run_on_pool, EnumConfig, EnumEngine, OrderCache, Pipeline, PipelineResult, QueryKey, SpaceCache,
+    run_in_entry, run_on_pool, EnumConfig, EnumEngine, Method, Pipeline, PipelineResult, QueryKey, SpaceCache,
     TokenBudget,
 };
-
-use crate::methods::BenchMethod;
 
 /// Per-method evaluation outcome over a query set.
 #[derive(Clone, Debug)]
@@ -80,11 +78,6 @@ impl RunStats {
     pub fn percentile_total_secs(&self, p: f64) -> f64 {
         percentile_secs(&self.total_times, p)
     }
-
-    /// Mean amortized space-build share in seconds.
-    pub fn mean_build_secs(&self) -> f64 {
-        mean_secs(&self.space_build_times)
-    }
 }
 
 fn mean_secs(times: &[Duration]) -> f64 {
@@ -108,12 +101,11 @@ fn percentile_secs(times: &[Duration], p: f64) -> f64 {
 /// Wires one total thread budget through both levels of parallelism: a
 /// leaked [`TokenBudget`] of `threads` tokens is attached to the config,
 /// and every concurrently-running participant — query-level worker or
-/// intra-query enumeration helper — holds exactly one token. The old
-/// static `worker_split` quotient is gone: a roster with more queries
-/// than tokens runs query-parallel with serial enumerations, a single
-/// monster query soaks the whole budget into its work-stealing
-/// enumeration, and everything in between composes dynamically (checked
-/// against the process-wide
+/// intra-query enumeration helper — holds exactly one token. A roster
+/// with more queries than tokens runs query-parallel with serial
+/// enumerations, a single monster query soaks the whole budget into its
+/// work-stealing enumeration, and everything in between composes
+/// dynamically (checked against the process-wide
 /// [`peak_parallel_workers`][rlqvo_matching::peak_parallel_workers] gauge
 /// in `tests/parallel_enum.rs`).
 fn budgeted_config(threads: usize, config: EnumConfig) -> (usize, &'static TokenBudget, EnumConfig) {
@@ -204,14 +196,13 @@ pub enum Caches<'a> {
     /// same convention as methods within a group), so per-query time
     /// distributions stay comparable with a run that shares nothing.
     Local,
-    /// Caller-owned caches: the first round over a query set populates
-    /// them; every later round over the same queries, whatever its caps,
-    /// reuses the entries (and, with `orders`, each method's order) and
-    /// pays enumeration only. Accounting is amortized: served filter
-    /// passes, builds and orders book zero (an order hit books its
-    /// lookup) — the saving a sweep is measuring. Both caches must be
-    /// cleared if the data graph (or a learned method's model) changes.
-    Shared { spaces: &'a SpaceCache, orders: Option<&'a OrderCache> },
+    /// A caller-owned cache: the first round over a query set populates
+    /// it; every later round over the same queries, whatever its caps,
+    /// reuses the entries and pays ordering and enumeration only.
+    /// Accounting is amortized: served filter passes and builds book zero
+    /// — the saving a sweep is measuring. The cache must be cleared if
+    /// the data graph changes.
+    Shared { spaces: &'a SpaceCache },
 }
 
 /// Evaluates `methods` (a roster, or a one-element slice) over every query
@@ -238,20 +229,20 @@ pub enum Caches<'a> {
 pub fn run_methods(
     g: &Graph,
     queries: &[Graph],
-    methods: &[BenchMethod<'_>],
+    methods: &[Method<'_>],
     config: EnumConfig,
     threads: usize,
     caches: Caches<'_>,
 ) -> Vec<RunStats> {
     assert!(!methods.is_empty(), "need at least one method");
     let local = SpaceCache::new();
-    let (spaces, orders, charge_hits) = match caches {
-        Caches::Local => (&local, None, true),
-        Caches::Shared { spaces, orders } => (spaces, orders, false),
+    let (spaces, charge_hits) = match caches {
+        Caches::Local => (&local, true),
+        Caches::Shared { spaces } => (spaces, false),
     };
     let (total, budget, config) = budgeted_config(threads, config);
     let outcomes = parallel_map(queries.len(), total, budget, |i| {
-        eval_query(g, &queries[i], methods, config, spaces, orders, charge_hits)
+        eval_query(g, &queries[i], methods, config, spaces, charge_hits)
     });
 
     (0..methods.len())
@@ -271,10 +262,9 @@ pub fn run_methods(
 fn eval_query(
     g: &Graph,
     q: &Graph,
-    methods: &[BenchMethod<'_>],
+    methods: &[Method<'_>],
     config: EnumConfig,
     spaces: &SpaceCache,
-    orders: Option<&OrderCache>,
     charge_hits: bool,
 ) -> SharedOutcome {
     let mut per_method: Vec<Option<PipelineResult>> = (0..methods.len()).map(|_| None).collect();
@@ -323,7 +313,7 @@ fn eval_query(
 
         for &mi in idxs {
             let pipeline = Pipeline { filter: methods[mi].filter, ordering: methods[mi].ordering, config };
-            let (mut r, _) = run_in_entry(q, g, &entry, &pipeline, orders.map(|cache| (cache, &key)));
+            let (mut r, _) = run_in_entry(q, g, &entry, &pipeline, None);
             r.filter_time = filter_time;
             r.enum_time += share;
             build_share[mi] = share;
@@ -340,11 +330,11 @@ fn eval_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{baseline_methods, hybrid_method};
     use rlqvo_datasets::{build_query_set, Dataset};
+    use rlqvo_matching::ROSTER;
 
     /// The one-method roster.
-    fn run_method(g: &Graph, queries: &[Graph], m: &BenchMethod<'_>, config: EnumConfig, threads: usize) -> RunStats {
+    fn run_method(g: &Graph, queries: &[Graph], m: &Method<'_>, config: EnumConfig, threads: usize) -> RunStats {
         run_methods(g, queries, std::slice::from_ref(m), config, threads, Caches::Local).remove(0)
     }
 
@@ -352,7 +342,7 @@ mod tests {
     fn run_method_covers_all_queries() {
         let g = Dataset::Yeast.load_scaled(600);
         let set = build_query_set(&g, 6, 6, 5);
-        let m = hybrid_method();
+        let m = Method::hybrid();
         let stats = run_method(&g, &set.queries, &m, EnumConfig::default(), 4);
         assert_eq!(stats.total_times.len(), 6);
         assert_eq!(stats.name, "Hybrid");
@@ -364,7 +354,7 @@ mod tests {
     fn parallel_and_serial_agree_on_match_counts() {
         let g = Dataset::Yeast.load_scaled(400);
         let set = build_query_set(&g, 5, 4, 9);
-        let m = hybrid_method();
+        let m = Method::hybrid();
         let a = run_method(&g, &set.queries, &m, EnumConfig::default(), 1);
         let b = run_method(&g, &set.queries, &m, EnumConfig::default(), 4);
         assert_eq!(a.matches, b.matches);
@@ -376,7 +366,7 @@ mod tests {
         let g = Dataset::Citeseer.load_scaled(800);
         let set = build_query_set(&g, 4, 4, 2);
         let mut counts: Option<Vec<u64>> = None;
-        for m in baseline_methods() {
+        for m in ROSTER {
             let stats = run_method(&g, &set.queries, &m, EnumConfig::find_all(), 2);
             match &counts {
                 None => counts = Some(stats.matches.clone()),
@@ -389,22 +379,26 @@ mod tests {
     fn shared_run_agrees_with_per_method_runs() {
         let g = Dataset::Citeseer.load_scaled(700);
         let set = build_query_set(&g, 5, 5, 13);
-        let methods = baseline_methods();
-        let shared = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 3, Caches::Local);
-        assert_eq!(shared.len(), methods.len());
-        for (m, s) in methods.iter().zip(&shared) {
-            assert_eq!(s.name, m.name);
-            // The roster run, the one-method roster and the cold
-            // per-query pipeline all report the same numbers.
-            let solo = run_method(&g, &set.queries, m, EnumConfig::find_all(), 3);
-            let p = Pipeline { filter: m.filter, ordering: m.ordering, config: EnumConfig::find_all() };
-            let cold: Vec<_> =
-                set.queries.iter().map(|q| rlqvo_matching::run_pipeline(q, &g, &p).enum_result).collect();
-            assert_eq!(s.matches, solo.matches, "{} match counts diverge", m.name);
-            assert_eq!(s.enumerations, solo.enumerations, "{} #enum diverges", m.name);
-            assert_eq!(s.matches, cold.iter().map(|r| r.match_count).collect::<Vec<_>>(), "{} vs cold", m.name);
-            assert_eq!(s.enumerations, cold.iter().map(|r| r.enumerations).collect::<Vec<_>>(), "{} vs cold", m.name);
-            assert_eq!(s.space_build_times.len(), set.queries.len());
+        let methods = ROSTER;
+        for threads in [1, 2, 4] {
+            let config = EnumConfig::find_all().with_threads(threads);
+            let shared = run_methods(&g, &set.queries, &methods, config, 3, Caches::Local);
+            assert_eq!(shared.len(), methods.len());
+            for (m, s) in methods.iter().zip(&shared) {
+                assert_eq!(s.name, m.name);
+                // The roster run, the one-method roster and the cold
+                // per-query pipeline all report the same numbers.
+                let solo = run_method(&g, &set.queries, m, config, 3);
+                let p = Pipeline { filter: m.filter, ordering: m.ordering, config };
+                let cold: Vec<_> =
+                    set.queries.iter().map(|q| rlqvo_matching::run_pipeline(q, &g, &p).enum_result).collect();
+                let what = format!("{} x{threads}", m.name);
+                assert_eq!(s.matches, solo.matches, "{what} match counts diverge");
+                assert_eq!(s.enumerations, solo.enumerations, "{what} #enum diverges");
+                assert_eq!(s.matches, cold.iter().map(|r| r.match_count).collect::<Vec<_>>(), "{what} vs cold");
+                assert_eq!(s.enumerations, cold.iter().map(|r| r.enumerations).collect::<Vec<_>>(), "{what} vs cold");
+                assert_eq!(s.space_build_times.len(), set.queries.len());
+            }
         }
     }
 
@@ -412,7 +406,7 @@ mod tests {
     fn shared_run_handles_probe_and_auto_engines() {
         let g = Dataset::Yeast.load_scaled(400);
         let set = build_query_set(&g, 5, 4, 21);
-        let methods = baseline_methods();
+        let methods = ROSTER;
         let baseline = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
         for engine in [rlqvo_matching::EnumEngine::Probe, rlqvo_matching::EnumEngine::Auto] {
             let stats =
@@ -428,13 +422,12 @@ mod tests {
     fn cached_rounds_agree_with_fresh_rounds() {
         let g = Dataset::Citeseer.load_scaled(600);
         let set = build_query_set(&g, 5, 4, 17);
-        let methods = baseline_methods();
+        let methods = ROSTER;
         let cache = SpaceCache::new();
         // A Fig. 11-style cap sweep: same queries, rising caps, one cache.
         for cap in [5u64, 50, u64::MAX] {
             let config = EnumConfig { max_matches: cap, ..EnumConfig::find_all() };
-            let cached =
-                run_methods(&g, &set.queries, &methods, config, 2, Caches::Shared { spaces: &cache, orders: None });
+            let cached = run_methods(&g, &set.queries, &methods, config, 2, Caches::Shared { spaces: &cache });
             let fresh = run_methods(&g, &set.queries, &methods, config, 2, Caches::Local);
             for (c, f) in cached.iter().zip(&fresh) {
                 assert_eq!(c.matches, f.matches, "{} match counts diverge at cap {cap}", c.name);
@@ -448,42 +441,14 @@ mod tests {
     }
 
     #[test]
-    fn order_cached_rounds_agree_and_skip_reordering() {
-        let g = Dataset::Citeseer.load_scaled(600);
-        let set = build_query_set(&g, 5, 4, 33);
-        let methods = baseline_methods();
-        let cache = SpaceCache::new();
-        let order_cache = OrderCache::new();
-        let fresh = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
-        for round in 0..3 {
-            let cached = run_methods(
-                &g,
-                &set.queries,
-                &methods,
-                EnumConfig::find_all(),
-                2,
-                Caches::Shared { spaces: &cache, orders: Some(&order_cache) },
-            );
-            for (c, f) in cached.iter().zip(&fresh) {
-                assert_eq!(c.matches, f.matches, "{} match counts diverge in round {round}", c.name);
-                assert_eq!(c.enumerations, f.enumerations, "{} #enum diverges in round {round}", c.name);
-            }
-        }
-        // One order per (query, method-in-its-filter-group) across all
-        // three rounds: every method × query key missed exactly once.
-        assert_eq!(order_cache.misses() as usize, methods.len() * set.queries.len());
-        assert_eq!(order_cache.hits() as usize, 2 * methods.len() * set.queries.len());
-    }
-
-    #[test]
     fn cached_probe_rounds_agree_too() {
         let g = Dataset::Yeast.load_scaled(400);
         let set = build_query_set(&g, 5, 3, 29);
-        let methods = baseline_methods();
+        let methods = ROSTER;
         let cache = SpaceCache::new();
         let probe_cfg = EnumConfig::find_all().with_engine(rlqvo_matching::EnumEngine::Probe);
-        let a = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache, orders: None });
-        let b = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache, orders: None });
+        let a = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache });
+        let b = run_methods(&g, &set.queries, &methods, probe_cfg, 2, Caches::Shared { spaces: &cache });
         let fresh = run_methods(&g, &set.queries, &methods, EnumConfig::find_all(), 2, Caches::Local);
         for ((x, y), f) in a.iter().zip(&b).zip(&fresh) {
             assert_eq!(x.matches, y.matches, "{} diverges across cached probe rounds", x.name);
@@ -501,7 +466,7 @@ mod tests {
         let q2 = build_query_set(&g, 5, 1, 7).queries.pop().expect("one query");
         assert_eq!(SpaceCache::query_fingerprint(&q1), SpaceCache::query_fingerprint(&q2));
         let queries = vec![q1, q2];
-        let methods = vec![hybrid_method()];
+        let methods = [Method::hybrid()];
 
         // Per-call accounting (`Caches::Local`): the duplicate books
         // the stored build time — distributions match a dedup-free run.
@@ -513,14 +478,7 @@ mod tests {
         // even with both duplicates evaluated concurrently (a worker
         // blocked on the OnceLock build must not book its wait).
         let cache = SpaceCache::new();
-        let cached = run_methods(
-            &g,
-            &queries,
-            &methods,
-            EnumConfig::find_all(),
-            2,
-            Caches::Shared { spaces: &cache, orders: None },
-        );
+        let cached = run_methods(&g, &queries, &methods, EnumConfig::find_all(), 2, Caches::Shared { spaces: &cache });
         let paid = cached[0].space_build_times.iter().filter(|d| **d > Duration::ZERO).count();
         assert_eq!(paid, 1, "exactly one instance pays the build under amortized accounting");
         // Either way, results are identical per instance.
@@ -532,7 +490,7 @@ mod tests {
     fn percentile_is_monotone() {
         let g = Dataset::Yeast.load_scaled(400);
         let set = build_query_set(&g, 5, 5, 4);
-        let m = hybrid_method();
+        let m = Method::hybrid();
         let stats = run_method(&g, &set.queries, &m, EnumConfig::default(), 2);
         assert!(stats.percentile_total_secs(50.0) <= stats.percentile_total_secs(100.0));
     }

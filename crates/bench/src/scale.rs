@@ -3,11 +3,11 @@
 //! that must regenerate everything in minutes, so every binary reads the
 //! knobs below, defaults to a scaled configuration, and *prints what it
 //! used* next to the paper's setting. This is the harness's edge: the
-//! matching library itself reads no environment beyond
-//! `RLQVO_ENUM_THREADS`. A variable that is set but does not parse stops
-//! the binary ([`env_or`]) — a figure run never silently measures another
-//! configuration than the one asked for.
+//! matching library itself reads no environment. A variable that is set
+//! but does not parse stops the binary ([`env_or`]) — a figure run never
+//! silently measures another configuration than the one asked for.
 
+use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -30,14 +30,15 @@ pub struct Scale {
     /// *total* thread budget: intra-query enumeration workers compose
     /// under it (query workers × enum threads ≤ this).
     pub threads: usize,
-    /// Intra-query enumeration workers per query (`RLQVO_ENUM_THREADS`,
-    /// default 1 = serial). Values above 1 split each query's root
-    /// candidate set across a worker pool; the harness divides `threads`
-    /// by this so the two levels of parallelism never oversubscribe.
+    /// Intra-query enumeration workers per query at most
+    /// (`RLQVO_ENUM_THREADS`, default 1 = serial) — the one place the
+    /// worker count comes from the environment. Helpers draw on the
+    /// `threads` token budget, so the two levels of parallelism never
+    /// oversubscribe.
     pub enum_threads: usize,
     /// Reuse filtered candidates + built spaces across rounds of a sweep
-    /// through a `SpaceCache` (`RLQVO_SPACE_CACHE=0|off|false` to disable
-    /// and re-filter per round, e.g. to time the unamortized baseline).
+    /// through a `SpaceCache` (`RLQVO_SPACE_CACHE=off` to disable and
+    /// re-filter per round, e.g. to time the unamortized baseline).
     pub space_cache: bool,
 }
 
@@ -62,7 +63,24 @@ pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
     })
 }
 
-/// `RLQVO_ENGINE`'s value, so it goes through [`env_or`] like the numbers.
+/// `RLQVO_SPACE_CACHE`'s value: an `on|off` switch (`1|true` and
+/// `0|false` mean the same), so it goes through [`env_or`] like the
+/// numbers.
+struct Switch(bool);
+
+impl FromStr for Switch {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s.to_ascii_lowercase().as_str() {
+            "on" | "1" | "true" => Ok(Switch(true)),
+            "off" | "0" | "false" => Ok(Switch(false)),
+            _ => Err(()),
+        }
+    }
+}
+
+/// `RLQVO_ENGINE`'s value, likewise.
 struct EngineVar(EnumEngine);
 
 impl FromStr for EngineVar {
@@ -82,9 +100,8 @@ impl Default for Scale {
             time_limit: Duration::from_millis(env_or("RLQVO_TIME_LIMIT_MS", 1_000)),
             max_matches: env_or("RLQVO_MAX_MATCHES", 100_000),
             threads: env_or("RLQVO_THREADS", num_threads_default()),
-            enum_threads: rlqvo_matching::default_threads(),
-            space_cache: !std::env::var("RLQVO_SPACE_CACHE")
-                .is_ok_and(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "off" | "false")),
+            enum_threads: env_or("RLQVO_ENUM_THREADS", NonZeroUsize::MIN).get(),
+            space_cache: env_or("RLQVO_SPACE_CACHE", Switch(true)).0,
         }
     }
 }
@@ -157,5 +174,21 @@ mod tests {
         assert_eq!(engine(Some("probe")), Ok(EnumEngine::Probe));
         assert_eq!(engine(Some("AUTO")), Ok(EnumEngine::Auto));
         assert_eq!(engine(Some("prob")), Err("bad RLQVO_ENGINE \"prob\"".to_string()));
+        let workers = |v| parse_var("RLQVO_ENUM_THREADS", v, NonZeroUsize::MIN).map(NonZeroUsize::get);
+        assert_eq!(workers(None), Ok(1));
+        assert_eq!(workers(Some("2")), Ok(2));
+        assert_eq!(workers(Some("0")), Err("bad RLQVO_ENUM_THREADS \"0\"".to_string()));
+        assert_eq!(workers(Some("abc")), Err("bad RLQVO_ENUM_THREADS \"abc\"".to_string()));
+        let cache = |v| parse_var("RLQVO_SPACE_CACHE", v, Switch(true)).map(|s| s.0);
+        assert_eq!(cache(None), Ok(true));
+        for on in ["on", "1", "true", "ON"] {
+            assert_eq!(cache(Some(on)), Ok(true), "{on}");
+        }
+        for off in ["off", "0", "false", " Off "] {
+            assert_eq!(cache(Some(off)), Ok(false), "{off}");
+        }
+        for bad in ["of", "no", ""] {
+            assert_eq!(cache(Some(bad)), Err(format!("bad RLQVO_SPACE_CACHE {bad:?}")), "{bad:?}");
+        }
     }
 }

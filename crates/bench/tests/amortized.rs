@@ -6,15 +6,15 @@
 //! process-global and concurrent tests would make exact-delta assertions
 //! flaky. Keep this file to a single `#[test]`.
 
-use rlqvo_bench::{baseline_methods, run_methods, Caches};
+use rlqvo_bench::{run_methods, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
-use rlqvo_matching::{CandidateSpace, EnumConfig};
+use rlqvo_matching::{CandidateSpace, EnumConfig, ROSTER};
 
 #[test]
 fn fig_harness_builds_each_space_exactly_once() {
     let g = Dataset::Yeast.load_scaled(500);
     let set = build_query_set(&g, 6, 4, 7);
-    let methods = baseline_methods();
+    let methods = ROSTER;
     // The paper roster spans three distinct filters (GQL, LDF, NLF); the
     // seven methods would pay seven builds per query unamortized.
     let distinct_filters = {

@@ -16,13 +16,13 @@
 //!    once, and serves every *resident* key with exactly one filter pass
 //!    and one `CandidateSpace::build` however many rounds replay it.
 
-use rlqvo_bench::{run_methods, BenchMethod, Caches};
+use rlqvo_bench::{run_methods, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
 use rlqvo_graph::GraphBuilder;
 use rlqvo_matching::order::RiOrdering;
 use rlqvo_matching::{
     peak_parallel_workers, reset_peak_parallel_workers, CandidateSpace, EnumConfig, EnumEngine, GqlFilter, LdfFilter,
-    QueryKey, SpaceCache,
+    Method, QueryKey, SpaceCache,
 };
 
 /// Structurally distinct label-shifted paths (see the fingerprint: labels
@@ -55,7 +55,7 @@ fn flood_host() -> rlqvo_graph::Graph {
 fn parallel_budget_and_bounded_cache_hold() {
     let g = Dataset::Yeast.load_scaled(500);
     let set = build_query_set(&g, 6, 4, 11);
-    let methods = ["hybrid", "gql"].map(|name| BenchMethod::by_cli_name(name).expect("a roster name"));
+    let methods = ["hybrid", "gql"].map(|name| Method::by_cli_name(name).expect("a roster name"));
 
     // --- 1a. config.threads above the budget is clamped to it. ---------
     reset_peak_parallel_workers();

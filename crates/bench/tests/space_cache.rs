@@ -8,9 +8,9 @@
 //! process-global and concurrent tests would make exact-delta assertions
 //! flaky. Keep this file to a single `#[test]`.
 
-use rlqvo_bench::{run_methods, BenchMethod, Caches};
+use rlqvo_bench::{run_methods, Caches};
 use rlqvo_datasets::{build_query_set, Dataset};
-use rlqvo_matching::{CandidateFilter, CandidateSpace, EnumConfig, GqlFilter, LdfFilter, SpaceCache};
+use rlqvo_matching::{CandidateFilter, CandidateSpace, EnumConfig, GqlFilter, LdfFilter, Method, SpaceCache};
 
 #[test]
 fn cap_sweep_filters_and_builds_once_per_query_filter_key() {
@@ -20,10 +20,8 @@ fn cap_sweep_filters_and_builds_once_per_query_filter_key() {
     // Four methods over three distinct filter *semantics*: two GQL
     // configurations that must not share entries, one of them also shared
     // by a second method (Hybrid's stack), plus LDF.
-    let [hybrid, gql, qsi] =
-        ["hybrid", "gql", "qsi"].map(|name| BenchMethod::by_cli_name(name).expect("a roster name"));
-    let methods =
-        [BenchMethod { name: "GQL-r1", filter: &GqlFilter { refinement_rounds: 1 }, ..gql }, hybrid, gql, qsi];
+    let [hybrid, gql, qsi] = ["hybrid", "gql", "qsi"].map(|name| Method::by_cli_name(name).expect("a roster name"));
+    let methods = [Method { name: "GQL-r1", filter: &GqlFilter { refinement_rounds: 1 }, ..gql }, hybrid, gql, qsi];
     let filters: [&dyn CandidateFilter; 3] = [&GqlFilter { refinement_rounds: 1 }, &GqlFilter::default(), &LdfFilter];
     let distinct_keys = filters.len();
 
@@ -39,7 +37,7 @@ fn cap_sweep_filters_and_builds_once_per_query_filter_key() {
     let mut final_matches: Option<Vec<u64>> = None;
     for cap in caps {
         let config = EnumConfig { max_matches: cap, ..EnumConfig::find_all() };
-        let stats = run_methods(&g, &set.queries, &methods, config, 2, Caches::Shared { spaces: &cache, orders: None });
+        let stats = run_methods(&g, &set.queries, &methods, config, 2, Caches::Shared { spaces: &cache });
         // Methods sharing a filter key agree on candidates, and at
         // find-all every method agrees on match counts.
         if cap == u64::MAX {

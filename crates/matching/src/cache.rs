@@ -1,17 +1,15 @@
 //! The one generic sharded cache behind [`SpaceCache`][crate::SpaceCache]
 //! and [`OrderCache`][crate::OrderCache].
 //!
-//! PR 3–5 grew two caches with the same skeleton — a sharded index of
-//! `OnceLock` slots, FNV shard selection, LRU recency, checksum-verified
-//! hits with evict-and-recompute degradation, poison recovery, and
-//! hit/miss/eviction counters — duplicated in `spacecache.rs` and
-//! `ordercache.rs`, and both picked each LRU victim by scanning **every
-//! resident entry across all shards** under their locks. A serving loop
-//! thrashing at its byte bound paid that O(resident) lock-sweeping scan
-//! per cold miss. This module extracts the skeleton once, parameterized
-//! over the entry type ([`CacheWeight`]), and replaces the global scan
-//! with per-shard **intrusive recency lists** (doubly linked through a
-//! resident slab) so victim selection is O(1) amortized:
+//! The skeleton both share — a sharded index of `OnceLock` slots, FNV
+//! shard selection, LRU recency, checksum-verified hits with
+//! evict-and-recompute degradation, poison recovery, and
+//! hit/miss/eviction counters — lives here once, parameterized over the
+//! entry type ([`CacheWeight`]). Recency is kept in per-shard **intrusive
+//! lists** (doubly linked through a resident slab) so that a serving loop
+//! sitting at its byte bound selects each victim in O(1) amortized
+//! instead of sweeping every resident across all shards under their
+//! locks per cold miss:
 //!
 //! * every shard keeps its residents on an intrusive LRU list — a hit
 //!   unlinks and re-heads its node under the one shard lock it already
@@ -24,7 +22,7 @@
 //!   choice is an approximation every segmented LRU accepts. Work per
 //!   victim is bounded by the sample size, never by the resident count
 //!   ([`ShardedCache::evict_scan_steps`] counts it, tested);
-//! * the PR-4 full scan is retained as [`EvictPolicy::ScanReference`] —
+//! * the full scan for the global LRU is [`EvictPolicy::ScanReference`] —
 //!   the reference both policies are property-tested against: the **byte
 //!   bound and refilter-exactly-once invariants are exact under both**;
 //!   only the victim choice is approximate under sampling;
@@ -98,9 +96,8 @@ pub enum EvictPolicy {
     /// O(1) work per victim (the default).
     #[default]
     Sampled,
-    /// The retained PR-4 reference: scan every resident for the global
-    /// LRU — O(resident) per victim. Kept for property tests and the
-    /// before/after thrash benchmarks, not for serving.
+    /// The reference: scan every resident for the global LRU —
+    /// O(resident) per victim. For property tests, not for serving.
     ScanReference,
 }
 
@@ -416,7 +413,7 @@ impl<E: CacheWeight> Shared<E> {
                 best.map(|(si, _)| si)
             }
             EvictPolicy::ScanReference => {
-                // The retained PR-4 scan: every resident examined, the
+                // The reference scan: every resident examined, the
                 // global LRU wins. O(resident) per victim by design.
                 let mut best: Option<(usize, u64)> = None;
                 let mut examined = 0u64;

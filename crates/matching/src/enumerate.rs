@@ -206,7 +206,7 @@ impl Default for EnumConfig {
             max_enumerations: u64::MAX,
             store_matches: false,
             engine: EnumEngine::default(),
-            threads: default_threads(),
+            threads: 1,
             deadline: None,
             cancel: None,
             deterministic: false,
@@ -214,15 +214,6 @@ impl Default for EnumConfig {
             heartbeat: None,
         }
     }
-}
-
-/// Default intra-query worker count: the `RLQVO_ENUM_THREADS` environment
-/// variable, or 1 (serial). Read by [`EnumConfig::default`] so a CI run
-/// with `RLQVO_ENUM_THREADS=2` exercises the parallel paths through every
-/// default-config test; training-facing [`EnumConfig::budgeted`] pins 1
-/// regardless (rewards must be deterministic).
-pub fn default_threads() -> usize {
-    std::env::var("RLQVO_ENUM_THREADS").ok().and_then(|v| v.parse().ok()).filter(|&t: &usize| t >= 1).unwrap_or(1)
 }
 
 impl EnumConfig {
@@ -233,8 +224,7 @@ impl EnumConfig {
 
     /// Deterministic, wall-clock-free budget used during RL training: the
     /// reward must depend only on the order, not on machine load — so the
-    /// worker count is pinned to 1 even when `RLQVO_ENUM_THREADS` asks the
-    /// rest of the process to parallelize (parallel budgeted runs have
+    /// worker count is pinned to 1 (parallel budgeted runs have
     /// "at-least" semantics, not exact ones). The pin is sticky:
     /// `deterministic` makes a later [`EnumConfig::with_threads`] clamp
     /// back to 1 rather than silently trading determinism away.
@@ -358,15 +348,11 @@ const AUTO_UNBOUNDED: u64 = u64::MAX / 4;
 /// that must land on *each additional worker* before the Auto path
 /// parallelizes. Calibration: one unit is roughly an adjacency entry
 /// scanned (~1–2 ns), so 256Ki units is a few hundred microseconds of
-/// estimated work per worker. The work-stealing scheduler made extra
-/// workers much cheaper than the scoped-thread pool this gate was first
-/// tuned for — a grant is a condvar wake of a persistent pool helper
-/// plus per-worker scratch (single-digit microseconds), not a thread
-/// spawn — and stealing amortizes far smaller work units than root
-/// morsels did, so the old 1M-unit bar left real speedups on the table.
-/// The recalibrated bar still clears a yeast first-1k-matches query
-/// (1000 matches × 12 calls × 16 units ≈ 192k units, measured serial at
-/// ~4 µs) with a ~35% margin, so tiny workloads keep paying zero
+/// estimated work per worker — against a helper grant that costs a
+/// condvar wake of a persistent pool thread plus per-worker scratch
+/// (single-digit microseconds). The bar clears a yeast first-1k-matches
+/// query (1000 matches × 12 calls × 16 units ≈ 192k units, measured
+/// serial at ~4 µs) with a ~35% margin, so tiny workloads pay zero
 /// scheduling cost.
 pub const AUTO_PARALLEL_WORK_PER_WORKER: u64 = 262_144;
 
@@ -1095,10 +1081,13 @@ mod tests {
     fn match_count_independent_of_order() {
         let (q, g) = two_triangles();
         let cand = LdfFilter.filter(&q, &g);
-        for engine in engines() {
-            for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2], [1, 2, 0]] {
-                let res = enumerate(&q, &g, &cand, &order, EnumConfig::find_all().with_engine(engine));
-                assert_eq!(res.match_count, 2, "order {order:?} engine {}", engine.name());
+        for threads in [1, 2, 4] {
+            for engine in engines() {
+                let cfg = EnumConfig::find_all().with_engine(engine).with_threads(threads);
+                for order in [[0, 1, 2], [2, 1, 0], [1, 0, 2], [1, 2, 0]] {
+                    let res = enumerate(&q, &g, &cand, &order, cfg);
+                    assert_eq!(res.match_count, 2, "order {order:?} engine {} x{threads}", engine.name());
+                }
             }
         }
     }
@@ -1140,10 +1129,13 @@ mod tests {
     fn enumerations_counts_recursive_calls() {
         let (q, g) = two_triangles();
         let cand = LdfFilter.filter(&q, &g);
-        for engine in engines() {
-            let res = enumerate(&q, &g, &cand, &[0, 1, 2], EnumConfig::find_all().with_engine(engine));
-            // Root + 2 first-level (two label-0 vertices) + 2 second + 2 third.
-            assert_eq!(res.enumerations, 7, "{}", engine.name());
+        for threads in [1, 2, 4] {
+            for engine in engines() {
+                let cfg = EnumConfig::find_all().with_engine(engine).with_threads(threads);
+                let res = enumerate(&q, &g, &cand, &[0, 1, 2], cfg);
+                // Root + 2 first-level (two label-0 vertices) + 2 second + 2 third.
+                assert_eq!(res.enumerations, 7, "{} x{threads}", engine.name());
+            }
         }
     }
 
@@ -1161,14 +1153,16 @@ mod tests {
         gb.add_edge(x, y);
         let g = gb.build();
         let cand = LdfFilter.filter(&q, &g);
-        for engine in engines() {
-            let mut cfg = EnumConfig::find_all().with_engine(engine);
-            cfg.store_matches = true;
-            let res = enumerate(&q, &g, &cand, &[0, 1], cfg);
-            // (0,1) and (1,0) — but never (0,0) or (1,1).
-            assert_eq!(res.match_count, 2, "{}", engine.name());
-            for m in &res.matches {
-                assert_ne!(m[0], m[1]);
+        for threads in [1, 2, 4] {
+            for engine in engines() {
+                let mut cfg = EnumConfig::find_all().with_engine(engine).with_threads(threads);
+                cfg.store_matches = true;
+                let res = enumerate(&q, &g, &cand, &[0, 1], cfg);
+                // (0,1) and (1,0) — but never (0,0) or (1,1).
+                assert_eq!(res.match_count, 2, "{} x{threads}", engine.name());
+                for m in &res.matches {
+                    assert_ne!(m[0], m[1]);
+                }
             }
         }
     }
@@ -1191,12 +1185,14 @@ mod tests {
         gb.add_edge(y, z);
         let g = gb.build();
         let cand = LdfFilter.filter(&q, &g);
-        for engine in engines() {
-            let cfg = EnumConfig::find_all().with_engine(engine);
-            let res_conn = enumerate(&q, &g, &cand, &[0, 1, 2], cfg);
-            let res_disc = enumerate(&q, &g, &cand, &[0, 2, 1], cfg);
-            assert_eq!(res_conn.match_count, res_disc.match_count, "{}", engine.name());
-            assert_eq!(res_conn.match_count, 2); // the path and its reverse
+        for threads in [1, 2, 4] {
+            for engine in engines() {
+                let cfg = EnumConfig::find_all().with_engine(engine).with_threads(threads);
+                let res_conn = enumerate(&q, &g, &cand, &[0, 1, 2], cfg);
+                let res_disc = enumerate(&q, &g, &cand, &[0, 2, 1], cfg);
+                assert_eq!(res_conn.match_count, res_disc.match_count, "{} x{threads}", engine.name());
+                assert_eq!(res_conn.match_count, 2); // the path and its reverse
+            }
         }
     }
 
@@ -1204,14 +1200,16 @@ mod tests {
     fn engines_agree_on_the_match_stream() {
         let (q, g) = two_triangles();
         let cand = LdfFilter.filter(&q, &g);
-        let mut cfg = EnumConfig::find_all();
-        cfg.store_matches = true;
-        for order in [[0u32, 1, 2], [2, 1, 0], [1, 0, 2]] {
-            let a = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::Probe));
-            let b = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
-            assert_eq!(a.match_count, b.match_count);
-            assert_eq!(a.enumerations, b.enumerations, "identical recursion trees");
-            assert_eq!(a.matches, b.matches, "identical match stream");
+        for threads in [1, 2, 4] {
+            let mut cfg = EnumConfig::find_all().with_threads(threads);
+            cfg.store_matches = true;
+            for order in [[0u32, 1, 2], [2, 1, 0], [1, 0, 2]] {
+                let a = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::Probe));
+                let b = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
+                assert_eq!(a.match_count, b.match_count, "x{threads}");
+                assert_eq!(a.enumerations, b.enumerations, "identical recursion trees");
+                assert_eq!(a.matches, b.matches, "identical match stream");
+            }
         }
     }
 
@@ -1220,11 +1218,13 @@ mod tests {
         let (q, g) = two_triangles();
         let cand = LdfFilter.filter(&q, &g);
         let cs = CandidateSpace::build(&q, &g, &cand);
-        for order in [[0u32, 1, 2], [2, 1, 0], [1, 2, 0]] {
-            let via_space = enumerate_in_space(&q, &cs, &order, EnumConfig::find_all());
-            let via_probe = enumerate(&q, &g, &cand, &order, EnumConfig::find_all().with_engine(EnumEngine::Probe));
-            assert_eq!(via_space.match_count, via_probe.match_count);
-            assert_eq!(via_space.enumerations, via_probe.enumerations);
+        for threads in [1, 2, 4] {
+            for order in [[0u32, 1, 2], [2, 1, 0], [1, 2, 0]] {
+                let via_space = enumerate_in_space(&q, &cs, &order, EnumConfig::find_all().with_threads(threads));
+                let via_probe = enumerate(&q, &g, &cand, &order, EnumConfig::find_all().with_engine(EnumEngine::Probe));
+                assert_eq!(via_space.match_count, via_probe.match_count, "x{threads}");
+                assert_eq!(via_space.enumerations, via_probe.enumerations);
+            }
         }
     }
 
@@ -1237,6 +1237,7 @@ mod tests {
         assert_eq!(EnumEngine::parse("AUTO"), Some(EnumEngine::Auto));
         assert_eq!(EnumEngine::parse("nope"), None);
         assert_eq!(EnumEngine::default().name(), "candspace");
+        assert_eq!(EnumConfig::default().threads, 1, "the worker count is a parameter, never ambient");
         assert_eq!(EnumEngine::Auto.name(), "auto");
     }
 
@@ -1325,15 +1326,17 @@ mod tests {
     fn auto_engine_matches_both_engines() {
         let (q, g) = two_triangles();
         let cand = LdfFilter.filter(&q, &g);
-        let mut cfg = EnumConfig::find_all();
-        cfg.store_matches = true;
-        for order in [[0u32, 1, 2], [2, 1, 0], [1, 0, 2]] {
-            let auto = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::Auto));
-            for other in [EnumEngine::Probe, EnumEngine::CandidateSpace] {
-                let r = enumerate(&q, &g, &cand, &order, cfg.with_engine(other));
-                assert_eq!(auto.match_count, r.match_count, "{}", other.name());
-                assert_eq!(auto.enumerations, r.enumerations, "{}", other.name());
-                assert_eq!(auto.matches, r.matches, "{}", other.name());
+        for threads in [1, 2, 4] {
+            let mut cfg = EnumConfig::find_all().with_threads(threads);
+            cfg.store_matches = true;
+            for order in [[0u32, 1, 2], [2, 1, 0], [1, 0, 2]] {
+                let auto = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::Auto));
+                for other in [EnumEngine::Probe, EnumEngine::CandidateSpace] {
+                    let r = enumerate(&q, &g, &cand, &order, cfg.with_engine(other));
+                    assert_eq!(auto.match_count, r.match_count, "{} x{threads}", other.name());
+                    assert_eq!(auto.enumerations, r.enumerations, "{}", other.name());
+                    assert_eq!(auto.matches, r.matches, "{}", other.name());
+                }
             }
         }
     }

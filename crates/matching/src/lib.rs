@@ -59,9 +59,8 @@ pub mod spacecache;
 pub use cache::{CacheConfig, CacheKey, CacheWeight, EvictPolicy, ShardedCache, EVICT_SAMPLE, SHARD_COUNT};
 pub use candspace::{ArenaOverflow, CandidateSpace};
 pub use enumerate::{
-    auto_decide, default_threads, effective_threads, enumerate, enumerate_in_space, enumerate_probe,
-    enumerate_probe_prepared, estimate_enum_work, AutoDecision, EnumConfig, EnumEngine, EnumResult, QueryAdjBits,
-    AUTO_PARALLEL_WORK_PER_WORKER,
+    auto_decide, effective_threads, enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared,
+    estimate_enum_work, AutoDecision, EnumConfig, EnumEngine, EnumResult, QueryAdjBits, AUTO_PARALLEL_WORK_PER_WORKER,
 };
 pub use filter::{CandidateFilter, Candidates, GqlFilter, LdfFilter, NlfFilter};
 pub use methods::{Method, ROSTER};

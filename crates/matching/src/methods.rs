@@ -1,6 +1,19 @@
-//! The paper's compared methods (§IV-A), once: each is a named
-//! (filter, ordering) pair run through the shared enumeration engine. The
-//! CLI's `--method`, the server's `method=` and the figure harness's
+//! The paper's compared methods (§IV-A "Compared Methods"), once: each is
+//! a named (filter, ordering) pair run through the shared enumeration
+//! engine:
+//!
+//! | paper name | filter | ordering | note |
+//! |---|---|---|---|
+//! | QSI    | LDF | QuickSI | QSI filters lazily during enumeration; LDF is its effective candidate structure |
+//! | RI     | LDF | RI      | RI is structure-only |
+//! | VF2++  | LDF | VF2++   | |
+//! | GQL    | GQL | GraphQL | |
+//! | CFL    | NLF | CFL     | path-based order on NLF candidates |
+//! | VEQ    | NLF | VEQ     | ordering rule only; see `order::veq` |
+//! | Hybrid | GQL | RI      | the SIGMOD'20 study's recommended stack |
+//! | RL-QVO | GQL | learned | same filter + enumeration as Hybrid |
+//!
+//! The CLI's `--method`, the server's `method=` and the figure harness's
 //! roster all read this table, so a name means the same pair everywhere.
 //! Filters and orderings are zero-sized or `const`, so the table hands out
 //! `&'static dyn` — nothing is boxed per request.
@@ -57,16 +70,32 @@ impl<'a> Method<'a> {
 mod tests {
     use super::*;
 
+    /// The header table, row by row and in the paper's order: every CLI
+    /// name resolves to the documented pair.
     #[test]
     fn cli_names_resolve_and_unknown_names_do_not() {
-        for m in &ROSTER {
-            let found = Method::by_cli_name(m.cli).expect("every roster name resolves");
-            assert_eq!(found.name, m.name);
+        let documented = [
+            ("veq", "VEQ", "NLF", "VEQ"),
+            ("hybrid", "Hybrid", "GQL", "RI"),
+            ("ri", "RI", "LDF", "RI"),
+            ("qsi", "QSI", "LDF", "QSI"),
+            ("vf2pp", "VF2++", "LDF", "VF2++"),
+            ("gql", "GQL", "GQL", "GQL"),
+            ("cfl", "CFL", "NLF", "CFL"),
+        ];
+        assert_eq!(ROSTER.len(), documented.len());
+        for (m, (cli, name, filter, ordering)) in ROSTER.iter().zip(documented) {
+            assert_eq!((m.cli, m.name), (cli, name), "paper order");
+            let found = Method::by_cli_name(cli).expect("every roster name resolves");
+            assert_eq!((found.name, found.filter.name(), found.ordering.name()), (name, filter, ordering));
         }
         assert_eq!(Method::hybrid().name, "Hybrid");
         assert!(Method::by_cli_name("rlqvo").is_none(), "the learned method needs a model, not a table row");
-        assert!(Method::by_cli_name("Hybrid").is_none() && Method::by_cli_name("").is_none());
+        for unknown in ["Hybrid", "quicksi", ""] {
+            assert!(Method::by_cli_name(unknown).is_none(), "{unknown:?}");
+        }
         let learned = Method::learned(&GqlOrdering);
-        assert_eq!((learned.cli, learned.filter.cache_key()), ("rlqvo", Method::hybrid().filter.cache_key()));
+        assert_eq!((learned.name, learned.cli), ("RL-QVO", "rlqvo"));
+        assert_eq!(learned.filter.cache_key(), Method::hybrid().filter.cache_key());
     }
 }

@@ -131,10 +131,9 @@ impl OrderCache {
         OrderCache::with_config(CacheConfig { max_bytes: Some(capacity_bytes), ..CacheConfig::default() })
     }
 
-    /// Full control over bounds and eviction policy — tests and the
-    /// thrash benchmarks instantiate the retained
-    /// [`ScanReference`][crate::cache::EvictPolicy::ScanReference] policy
-    /// through this.
+    /// Full control over bounds and eviction policy — tests instantiate
+    /// the [`ScanReference`][crate::cache::EvictPolicy::ScanReference]
+    /// policy through this.
     pub fn with_config(config: CacheConfig) -> Self {
         OrderCache { cache: ShardedCache::new(config) }
     }

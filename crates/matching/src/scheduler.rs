@@ -211,9 +211,9 @@ fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| {
         // On a small host the floor of 8 still lets a `threads = 4`
-        // request demonstrate 4-wide scheduling (overhead-bounded, as
-        // BENCH_enum.json records) — parallelism is capped by tokens
-        // and grants, not by the hardware guess.
+        // request run 4 wide (overhead-bound there, not a speedup) —
+        // parallelism is capped by tokens and grants, not by the
+        // hardware guess.
         let cap = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(8);
         Pool { state: Mutex::new(PoolState { jobs: Vec::new(), idle: 0, threads: 0 }), work: Condvar::new(), cap }
     })

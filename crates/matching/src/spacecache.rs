@@ -1,13 +1,13 @@
 //! Cross-round amortization: a keyed, sharded, byte-bounded cache of
 //! filtered candidate state.
 //!
-//! The pipeline pays its phase-1 cost per call, and PR 2's
+//! The cold pipeline pays its phase-1 cost per call, and the
 //! build-once/enumerate-many contract amortizes the [`CandidateSpace`]
-//! build across the orders compared *within one round*. What neither
-//! covers is a harness (or a serving layer) replaying the **same queries
-//! across rounds** — Fig. 11's cap sweep re-filters every query once per
-//! cap, and a CLI answering a repeated query set re-filters per
-//! invocation. [`SpaceCache`] closes that gap: entries are keyed by
+//! build only across the orders compared *within one round*. A harness
+//! (or a serving layer) replaying the **same queries across rounds** —
+//! Fig. 11's cap sweep, a CLI answering a repeated query set — would
+//! re-filter every query once per round. [`SpaceCache`] is what it keeps
+//! between rounds instead: entries are keyed by
 //! `(query id, filter semantics)` and own the filtered [`Candidates`] and
 //! the lazily built [`CandidateSpace`], handing out shared [`Arc`]
 //! references so any number of rounds performs exactly **one filter pass
@@ -229,10 +229,9 @@ impl SpaceCache {
         SpaceCache::with_config(CacheConfig { max_bytes: Some(capacity_bytes), ..CacheConfig::default() })
     }
 
-    /// Full control over bounds and eviction policy — tests and the
-    /// thrash benchmarks instantiate the retained
-    /// [`ScanReference`][crate::cache::EvictPolicy::ScanReference] policy
-    /// through this.
+    /// Full control over bounds and eviction policy — tests instantiate
+    /// the [`ScanReference`][crate::cache::EvictPolicy::ScanReference]
+    /// policy through this.
     pub fn with_config(config: CacheConfig) -> Self {
         SpaceCache { cache: ShardedCache::new(config) }
     }
@@ -598,9 +597,7 @@ mod tests {
     /// hammer a small hot set. Asserts no deadlock (the test finishes),
     /// bounded residency throughout (up to the documented transient
     /// between a charge and the eviction pass that follows it), and that
-    /// an evicted hot key refilters exactly once afterwards. Runs
-    /// multi-threaded regardless of `RLQVO_ENUM_THREADS`, so CI's
-    /// 2-thread variant exercises it too.
+    /// an evicted hot key refilters exactly once afterwards.
     #[test]
     fn concurrent_flood_respects_bound_without_deadlock() {
         let g = flood_host();

@@ -45,11 +45,14 @@ fn match_cap_is_exact() {
     let q = query(3);
     let cand = LdfFilter.filter(&q, &g);
     let order = RiOrdering.order(&q, &g, &cand);
-    let all = enumerate(&q, &g, &cand, &order, EnumConfig::find_all()).match_count;
-    assert!(all > 10, "need enough matches for the test ({all})");
-    for cap in [1u64, 2, 5, all - 1, all, all + 10] {
-        let res = enumerate(&q, &g, &cand, &order, EnumConfig { max_matches: cap, ..EnumConfig::find_all() });
-        assert_eq!(res.match_count, cap.min(all), "cap {cap}");
+    for threads in [1, 2, 4] {
+        let find_all = EnumConfig::find_all().with_threads(threads);
+        let all = enumerate(&q, &g, &cand, &order, find_all).match_count;
+        assert!(all > 10, "need enough matches for the test ({all})");
+        for cap in [1u64, 2, 5, all - 1, all, all + 10] {
+            let res = enumerate(&q, &g, &cand, &order, EnumConfig { max_matches: cap, ..find_all });
+            assert_eq!(res.match_count, cap.min(all), "cap {cap} x{threads}");
+        }
     }
 }
 
@@ -76,15 +79,17 @@ fn budget_truncates_consistently() {
     let q = query(3);
     let cand = LdfFilter.filter(&q, &g);
     let order = RiOrdering.order(&q, &g, &cand);
-    let full = enumerate(&q, &g, &cand, &order, EnumConfig::find_all());
-    let half = enumerate(&q, &g, &cand, &order, EnumConfig::budgeted(full.enumerations / 2));
-    assert!(half.budget_exhausted);
-    assert!(half.enumerations <= full.enumerations / 2);
-    assert!(half.match_count <= full.match_count);
-    // A budget beyond the natural cost changes nothing and is not flagged.
-    let loose = enumerate(&q, &g, &cand, &order, EnumConfig::budgeted(full.enumerations * 2));
-    assert!(!loose.budget_exhausted);
-    assert_eq!(loose.match_count, full.match_count);
+    for threads in [1, 2, 4] {
+        let full = enumerate(&q, &g, &cand, &order, EnumConfig::find_all().with_threads(threads));
+        let half = enumerate(&q, &g, &cand, &order, EnumConfig::budgeted(full.enumerations / 2));
+        assert!(half.budget_exhausted);
+        assert!(half.enumerations <= full.enumerations / 2);
+        assert!(half.match_count <= full.match_count);
+        // A budget beyond the natural cost changes nothing and is not flagged.
+        let loose = enumerate(&q, &g, &cand, &order, EnumConfig::budgeted(full.enumerations * 2));
+        assert!(!loose.budget_exhausted);
+        assert_eq!(loose.match_count, full.match_count, "x{threads}");
+    }
 }
 
 #[test]
@@ -93,16 +98,13 @@ fn zero_time_limit_times_out_without_panicking() {
     let q = query(3);
     let cand = LdfFilter.filter(&q, &g);
     let order = RiOrdering.order(&q, &g, &cand);
-    let config = EnumConfig {
-        max_matches: u64::MAX,
-        time_limit: Duration::ZERO,
-        max_enumerations: u64::MAX,
-        ..EnumConfig::find_all()
-    };
-    let res = enumerate(&q, &g, &cand, &order, config);
-    // Timeout checks are amortized every 1024 calls *per worker*, so tiny
-    // runs may finish first; either way the engine must terminate cleanly.
-    assert!(res.timed_out || res.enumerations < 2048 * config.threads.max(1) as u64);
+    for threads in [1, 2, 4] {
+        let config = EnumConfig { time_limit: Duration::ZERO, ..EnumConfig::find_all() }.with_threads(threads);
+        let res = enumerate(&q, &g, &cand, &order, config);
+        // Timeout checks are amortized every 1024 calls *per worker*, so tiny
+        // runs may finish first; either way the engine must terminate cleanly.
+        assert!(res.timed_out || res.enumerations < 2048 * threads as u64, "x{threads}");
+    }
 }
 
 #[test]
@@ -111,15 +113,17 @@ fn stored_matches_respect_cap() {
     let q = query(3);
     let cand = LdfFilter.filter(&q, &g);
     let order = RiOrdering.order(&q, &g, &cand);
-    let res =
-        enumerate(&q, &g, &cand, &order, EnumConfig { max_matches: 7, store_matches: true, ..EnumConfig::find_all() });
-    assert_eq!(res.matches.len(), 7);
-    for m in &res.matches {
-        // Valid embeddings even under truncation.
-        for (u, &v) in m.iter().enumerate() {
-            assert_eq!(q.label(u as u32), g.label(v));
+    for threads in [1, 2, 4] {
+        let cfg = EnumConfig { max_matches: 7, store_matches: true, ..EnumConfig::find_all() }.with_threads(threads);
+        let res = enumerate(&q, &g, &cand, &order, cfg);
+        assert_eq!(res.matches.len(), 7, "x{threads}");
+        for m in &res.matches {
+            // Valid embeddings even under truncation.
+            for (u, &v) in m.iter().enumerate() {
+                assert_eq!(q.label(u as u32), g.label(v));
+            }
+            assert!(g.has_edge(m[0], m[1]) && g.has_edge(m[1], m[2]));
         }
-        assert!(g.has_edge(m[0], m[1]) && g.has_edge(m[1], m[2]));
     }
 }
 

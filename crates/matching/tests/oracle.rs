@@ -1,5 +1,15 @@
 //! Correctness oracle: the full pipeline must agree with brute force on
 //! random graphs, for every filter and every ordering method.
+//!
+//! The worker count is an input here, never ambient: every property
+//! whose result could depend on it sweeps 1, 2 and 4. To check that the
+//! sweeps (here and in `limits`, `steal_sched`, `enumerate::tests`, the
+//! bench harness, `serve_faults` and the root `cli` test) still carry the
+//! parallel contract, mutate `parallel::merge` on a scratch copy — once
+//! `enumerations: 1` → `2`, once `res.match_count +=
+//! part.match_count.saturating_sub(1)` — and run `cargo test -q
+//! --no-fail-fast` with no environment set: each of those binaries must
+//! fail (the last two under the second mutation only).
 
 use proptest::prelude::*;
 use rlqvo_graph::{Graph, GraphBuilder};
@@ -77,15 +87,17 @@ proptest! {
             let cand = f.filter(&q, &g);
             for o in all_orderings() {
                 let order = o.order(&q, &g, &cand);
-                let mut cfg = EnumConfig::find_all();
-                cfg.store_matches = true;
-                let res = enumerate(&q, &g, &cand, &order, cfg);
-                let mut got = res.matches.clone();
-                got.sort();
-                prop_assert_eq!(
-                    &got, &expected,
-                    "filter {} ordering {} disagrees with brute force", f.name(), o.name()
-                );
+                for threads in [1, 2, 4] {
+                    let mut cfg = EnumConfig::find_all().with_threads(threads);
+                    cfg.store_matches = true;
+                    let res = enumerate(&q, &g, &cand, &order, cfg);
+                    let mut got = res.matches.clone();
+                    got.sort();
+                    prop_assert_eq!(
+                        &got, &expected,
+                        "filter {} ordering {} x{} disagrees with brute force", f.name(), o.name(), threads
+                    );
+                }
             }
         }
     }
@@ -118,8 +130,9 @@ proptest! {
         let mut counts = Vec::new();
         for o in all_orderings() {
             let order = o.order(&q, &g, &cand);
-            let res = enumerate(&q, &g, &cand, &order, EnumConfig::find_all());
-            counts.push(res.match_count);
+            for threads in [1, 2, 4] {
+                counts.push(enumerate(&q, &g, &cand, &order, EnumConfig::find_all().with_threads(threads)).match_count);
+            }
         }
         prop_assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
     }
@@ -140,27 +153,29 @@ proptest! {
             let cs = CandidateSpace::build(&q, &g, &cand);
             for o in all_orderings() {
                 let order = o.order(&q, &g, &cand);
-                let mut cfg = EnumConfig::find_all();
-                cfg.store_matches = true;
-                let probe = enumerate_probe(&q, &g, &cand, &order, cfg);
-                let space = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
-                prop_assert_eq!(
-                    probe.match_count, space.match_count,
-                    "match_count diverges: filter {} ordering {}", f.name(), o.name()
-                );
-                prop_assert_eq!(
-                    probe.enumerations, space.enumerations,
-                    "#enum diverges: filter {} ordering {}", f.name(), o.name()
-                );
-                prop_assert_eq!(
-                    &probe.matches, &space.matches,
-                    "match stream diverges: filter {} ordering {}", f.name(), o.name()
-                );
-                // The prebuilt-space entry point must agree too (it is the
-                // path harnesses use to amortize the build across orders).
-                let reused = enumerate_in_space(&q, &cs, &order, cfg);
-                prop_assert_eq!(reused.match_count, probe.match_count);
-                prop_assert_eq!(reused.enumerations, probe.enumerations);
+                for threads in [1, 2, 4] {
+                    let mut cfg = EnumConfig::find_all().with_threads(threads);
+                    cfg.store_matches = true;
+                    let probe = enumerate_probe(&q, &g, &cand, &order, cfg);
+                    let space = enumerate(&q, &g, &cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
+                    prop_assert_eq!(
+                        probe.match_count, space.match_count,
+                        "match_count diverges: filter {} ordering {} x{}", f.name(), o.name(), threads
+                    );
+                    prop_assert_eq!(
+                        probe.enumerations, space.enumerations,
+                        "#enum diverges: filter {} ordering {}", f.name(), o.name()
+                    );
+                    prop_assert_eq!(
+                        &probe.matches, &space.matches,
+                        "match stream diverges: filter {} ordering {}", f.name(), o.name()
+                    );
+                    // The prebuilt-space entry point must agree too (it is the
+                    // path harnesses use to amortize the build across orders).
+                    let reused = enumerate_in_space(&q, &cs, &order, cfg);
+                    prop_assert_eq!(reused.match_count, probe.match_count);
+                    prop_assert_eq!(reused.enumerations, probe.enumerations);
+                }
             }
         }
     }
@@ -294,8 +309,10 @@ proptest! {
                 let order = o.order(&q, &g, &cand);
                 let mut find_all = EnumConfig::find_all();
                 find_all.store_matches = true;
+                // The capped row stays serial: truncation points are only
+                // deterministic serially.
                 let capped = EnumConfig { max_matches: cap, ..find_all };
-                for cfg in [find_all, capped] {
+                for cfg in [find_all, find_all.with_threads(2), find_all.with_threads(4), capped] {
                     let plain = enumerate_probe(&q, &g, &cand, &order, cfg);
                     let prepared = enumerate_probe_prepared(&q, &g, &cand, &adj, &order, cfg);
                     prop_assert_eq!(plain.match_count, prepared.match_count, "{} {}", f.name(), o.name());
@@ -324,13 +341,11 @@ proptest! {
         for (f, cand) in &cands {
             for o in all_orderings() {
                 let order = o.order(&q, &g, cand);
-                for cap in [1u64, 10, 100_000, u64::MAX] {
-                    let mut cfg = EnumConfig { max_matches: cap, store_matches: true, ..EnumConfig::find_all() };
-                    // Serial pin on the capped ones: truncation points are
-                    // only deterministic serially.
-                    if cap != u64::MAX {
-                        cfg = cfg.with_threads(1);
-                    }
+                // The capped rows stay serial: truncation points are only
+                // deterministic serially.
+                for (cap, threads) in [(1u64, 1), (10, 1), (100_000, 1), (u64::MAX, 1), (u64::MAX, 2), (u64::MAX, 4)] {
+                    let cfg = EnumConfig { max_matches: cap, store_matches: true, ..EnumConfig::find_all() }
+                        .with_threads(threads);
                     let auto = enumerate(&q, &g, cand, &order, cfg.with_engine(EnumEngine::Auto));
                     let probe = enumerate_probe(&q, &g, cand, &order, cfg);
                     let space = enumerate(&q, &g, cand, &order, cfg.with_engine(EnumEngine::CandidateSpace));
@@ -366,8 +381,8 @@ proptest! {
     /// Parallel find-all is byte-identical to serial — `match_count`,
     /// `#enum`, and the stored match stream — for all three engines at
     /// 1, 2, and 4 intra-query workers. This is the contract that lets a
-    /// figure harness turn on `RLQVO_ENUM_THREADS` without changing a
-    /// single reported number in the find-all columns.
+    /// caller raise the worker count without changing a single reported
+    /// number in the find-all columns.
     #[test]
     fn parallel_find_all_is_identical_to_serial(g in arb_graph(9, 3), seed in 0u64..500) {
         let Some(q) = query_of(&g, seed, 4) else { return Ok(()) };
@@ -480,11 +495,13 @@ proptest! {
             if !rlqvo_matching::connected_prefix_ok(&q, &order) {
                 continue; // optimal only sweeps connected orders
             }
-            let res = enumerate(&q, &g, &cand, &order, EnumConfig::find_all());
-            prop_assert!(
-                opt_cost <= res.enumerations,
-                "Opt {} must be <= {} ({})", opt_cost, res.enumerations, o.name()
-            );
+            for threads in [1, 2, 4] {
+                let res = enumerate(&q, &g, &cand, &order, EnumConfig::find_all().with_threads(threads));
+                prop_assert!(
+                    opt_cost <= res.enumerations,
+                    "Opt {} must be <= {} ({} x{})", opt_cost, res.enumerations, o.name(), threads
+                );
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! # rlqvo-rl
 //!
 //! Reinforcement-learning substrate for RL-QVO: categorical policies,
-//! trajectories, discounted returns, and the PPO clipped-surrogate
+//! trajectories, decayed returns, and the PPO clipped-surrogate
 //! objective (paper Eq. 6–7) expressed as tape operations.
 //!
 //! The paper's §III-A argues value-function methods (Q-learning,
@@ -15,9 +15,7 @@
 //!   sampling policy's log-probs.
 //! * [`returns`] — decayed reward aggregation (paper Eq. 2) and batch
 //!   whitening.
-//! * [`ppo`] — the clipped surrogate built on a [`rlqvo_tensor::Tape`],
-//!   plus a REINFORCE objective kept as the paper's §III-H future-work
-//!   hook and as a test baseline.
+//! * [`ppo`] — the clipped surrogate built on a [`rlqvo_tensor::Tape`].
 
 pub mod policy;
 pub mod ppo;
@@ -25,6 +23,6 @@ pub mod returns;
 pub mod trajectory;
 
 pub use policy::{argmax_lowest_index, Categorical};
-pub use ppo::{ppo_step_objective, reinforce_step_objective, PpoConfig};
-pub use returns::{decayed_episode_return, discounted_returns, whiten};
+pub use ppo::ppo_step_objective;
+pub use returns::{decayed_episode_return, whiten};
 pub use trajectory::{Step, Trajectory};

@@ -1,4 +1,4 @@
-//! PPO clipped-surrogate and REINFORCE objectives as tape expressions.
+//! The PPO clipped-surrogate objective as a tape expression.
 //!
 //! The paper (Eq. 6–7) maximizes
 //! `J(θ) = Σ_t min(ρ_t · r_t(θ), clip(ρ_t, 1−ε, 1+ε) · r_t(θ))`
@@ -7,23 +7,6 @@
 //! surrogate node; the trainer sums the steps and runs `backward`.
 
 use rlqvo_tensor::{Tape, Var};
-
-/// PPO hyperparameters.
-#[derive(Clone, Copy, Debug)]
-pub struct PpoConfig {
-    /// Clip radius `ε` of Eq. 6 (0.2 is the PPO default).
-    pub clip_epsilon: f32,
-    /// Epochs of re-optimization per collected batch.
-    pub update_epochs: usize,
-    /// Global-norm gradient clip (0 disables).
-    pub max_grad_norm: f32,
-}
-
-impl Default for PpoConfig {
-    fn default() -> Self {
-        PpoConfig { clip_epsilon: 0.2, update_epochs: 4, max_grad_norm: 5.0 }
-    }
-}
 
 /// Builds `-min(ρ·A, clip(ρ, 1−ε, 1+ε)·A)` for one step, as a `1×1` node.
 ///
@@ -40,14 +23,6 @@ pub fn ppo_step_objective(t: &Tape, logp_new: Var, logp_old: f32, advantage: f32
     let unclipped = t.scale(ratio, advantage);
     let clipped = t.scale(t.clip(ratio, 1.0 - epsilon, 1.0 + epsilon), advantage);
     t.scale(t.min(unclipped, clipped), -1.0)
-}
-
-/// Builds the REINFORCE step loss `-ln π_θ(a|s) · G` — kept as the paper's
-/// §III-H "avoid matching during training" future-work hook and as a
-/// sanity baseline in tests.
-pub fn reinforce_step_objective(t: &Tape, logp_new: Var, ret: f32) -> Var {
-    assert_eq!(logp_new.shape(), (1, 1), "logp must be scalar");
-    t.scale(logp_new, -ret)
 }
 
 #[cfg(test)]
@@ -106,28 +81,5 @@ mod tests {
         let grads = t.backward(loss);
         let g = grads.get(theta).map(|g| g.scalar()).unwrap_or(0.0);
         assert!(g != 0.0, "unclipped branch must keep the gradient");
-    }
-
-    #[test]
-    fn reinforce_moves_toward_rewarded_action() {
-        let mut theta = Matrix::zeros(1, 1);
-        for _ in 0..60 {
-            let t = Tape::new();
-            let th = t.leaf(theta.clone());
-            let logp = logp_of_action(&t, th, 1); // reward action 1 (the zero logit)
-            let loss = reinforce_step_objective(&t, logp, 1.0);
-            let grads = t.backward(loss);
-            if let Some(g) = grads.get(th) {
-                theta.data_mut()[0] -= 0.5 * g.scalar();
-            }
-        }
-        assert!(theta.scalar() < -0.2, "theta should fall, got {}", theta.scalar());
-    }
-
-    #[test]
-    fn default_config_is_papers() {
-        let c = PpoConfig::default();
-        assert_eq!(c.clip_epsilon, 0.2);
-        assert!(c.update_epochs >= 1);
     }
 }

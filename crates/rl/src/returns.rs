@@ -1,29 +1,10 @@
 //! Reward aggregation.
 
-/// Suffix-discounted returns `G_t = Σ_{k≥t} γ^{k-t} r_k` — the standard
-/// per-step credit assignment used as the PPO advantage signal.
-pub fn discounted_returns(rewards: &[f32], gamma: f32) -> Vec<f32> {
-    let mut out = vec![0.0; rewards.len()];
-    let mut acc = 0.0;
-    for (i, &r) in rewards.iter().enumerate().rev() {
-        acc = r + gamma * acc;
-        out[i] = acc;
-    }
-    out
-}
-
 /// The paper's episode objective (Eq. 2): `R_q = Σ_t γ^t R_t`, weighting
 /// *early* ordering decisions more ("the starting nodes in the order are
 /// usually more important than the trailing nodes").
 pub fn decayed_episode_return(rewards: &[f32], gamma: f32) -> f32 {
     rewards.iter().enumerate().map(|(t, &r)| gamma.powi(t as i32 + 1) * r).sum()
-}
-
-/// Position weights `γ^{t+1}` matching [`decayed_episode_return`]; the
-/// trainer multiplies per-step advantages by these so gradient credit
-/// follows Eq. 2's decay.
-pub fn decay_weights(len: usize, gamma: f32) -> Vec<f32> {
-    (0..len).map(|t| gamma.powi(t as i32 + 1)).collect()
 }
 
 /// Whitens values to zero mean / unit variance (no-op on constant or
@@ -48,31 +29,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn discounted_returns_hand_check() {
-        let r = discounted_returns(&[1.0, 2.0, 3.0], 0.5);
-        // G2 = 3; G1 = 2 + 0.5*3 = 3.5; G0 = 1 + 0.5*3.5 = 2.75.
-        assert_eq!(r, vec![2.75, 3.5, 3.0]);
-    }
-
-    #[test]
-    fn zero_gamma_is_myopic() {
-        assert_eq!(discounted_returns(&[1.0, 2.0, 3.0], 0.0), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn episode_return_matches_eq2() {
         // Σ γ^t R_t with t starting at 1.
         let g = 0.9f32;
         let r = decayed_episode_return(&[2.0, 1.0], g);
         assert!((r - (g * 2.0 + g * g * 1.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn decay_weights_match_episode_return() {
-        let rewards = [0.3, -1.0, 2.0];
-        let w = decay_weights(3, 0.8);
-        let manual: f32 = rewards.iter().zip(&w).map(|(r, w)| r * w).sum();
-        assert!((manual - decayed_episode_return(&rewards, 0.8)).abs() < 1e-6);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //!        [--requests 400] [--queries 24] [--hot 4] [--zipf 1.1]
 //!        [--query-size 8] [--deadline-ms 200] [--seed 7] [--no-cache]
 //!        [--batch 1] [--fast-math off] [--faults SPEC] [--fault-seed 7]
+//!        [--threads N] [--enum-threads 1]
 //! ```
 //!
 //! `--smoke` shrinks everything for CI (seconds, not minutes).
@@ -64,8 +65,16 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
+/// The parsed value of `--name`, `default` when the flag is absent; a
+/// value that does not parse exits 2 — a chaos run replays from the
+/// schedule it was asked for or not at all.
 fn num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    flag(args, name).map_or(default, |v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("bad {name} {v:?}");
+            std::process::exit(2);
+        })
+    })
 }
 
 /// Zipf(s) CDF over `n` ranks, hand-rolled (the vendored `rand` has no
@@ -138,8 +147,11 @@ fn main() {
     let batch: usize = num(&args, "--batch", 1).max(1);
     // Total core-token budget (request workers + enumeration helpers).
     // The default follows the host; chaos runs that want the steal path
-    // engaged under faults pass an explicit budget > 1.
+    // engaged under faults pass an explicit budget > 1 and
+    // `--enum-threads` workers per request (the server clamps them to the
+    // budget).
     let threads: usize = num(&args, "--threads", ServeConfig::default().threads).max(1);
+    let enum_threads = num(&args, "--enum-threads", std::num::NonZeroUsize::MIN).get();
     let faults = flag(&args, "--faults");
     let default_mix = faults.is_none();
     let faults = faults.unwrap_or_else(|| DEFAULT_FAULTS.to_string());
@@ -153,7 +165,7 @@ fn main() {
         }
     };
 
-    eprintln!("replay: {dataset_name} n={vertices}, {clients} clients x {requests_per_client} requests, pool {pool_size} (hot {hot}), zipf s={zipf_s}, batch {batch}, math {}",
+    eprintln!("replay: {dataset_name} n={vertices}, {clients} clients x {requests_per_client} requests, pool {pool_size} (hot {hot}), zipf s={zipf_s}, batch {batch}, math {}, {threads} tokens ({enum_threads} enum threads/request max)",
         if fast_math { "fast" } else { "bitwise" });
     eprintln!("replay: faults {faults:?} seed {fault_seed}");
 
@@ -185,20 +197,18 @@ fn main() {
     });
     let method = fast_math.then(|| "rlqvo".to_string());
 
-    let handle = Server::start(
-        ServeConfig {
-            threads,
-            queue_depth: clients.max(2),
-            use_cache: !no_cache,
-            fault_injection: true,
-            model_path: model_path.as_ref().map(|p| p.to_string_lossy().into_owned()),
-            batch,
-            fast_math,
-            ..ServeConfig::default()
-        },
-        Arc::clone(&g),
-    )
-    .expect("server start");
+    let mut config = ServeConfig {
+        threads,
+        queue_depth: clients.max(2),
+        use_cache: !no_cache,
+        fault_injection: true,
+        model_path: model_path.as_ref().map(|p| p.to_string_lossy().into_owned()),
+        batch,
+        fast_math,
+        ..ServeConfig::default()
+    };
+    config.enum_config.threads = enum_threads;
+    let handle = Server::start(config, Arc::clone(&g)).expect("server start");
     let addr = handle.addr();
 
     let total = clients * requests_per_client;

@@ -70,101 +70,105 @@ fn plain_match(query_text: String, deadline_ms: Option<u64>) -> Request {
 
 #[test]
 fn fault_mix_yields_typed_replies_and_a_live_server() {
-    let handle = Server::start(
-        ServeConfig { threads: 2, queue_depth: 4, fault_injection: true, ..ServeConfig::default() },
-        Arc::new(small_host()),
-    )
-    .unwrap();
-    let q = text(&small_query());
-    let mut s = handle.connect().unwrap();
+    // The same script at 1, 2 and 4 enumeration workers per request.
+    let mut counts = Vec::new();
+    for threads in [1, 2, 4] {
+        let mut config = ServeConfig { threads: 4, queue_depth: 4, fault_injection: true, ..ServeConfig::default() };
+        config.enum_config.threads = threads;
+        let handle = Server::start(config, Arc::new(small_host())).unwrap();
+        let q = text(&small_query());
+        let mut s = handle.connect().unwrap();
 
-    // 1. A normal request works and warms the caches.
-    let first = roundtrip(&mut s, &plain_match(q.clone(), None)).unwrap();
-    let Response::Ok { matches, hit_space, hit_order, .. } = first else {
-        panic!("expected ok, got {first:?}");
-    };
-    assert!(matches > 0);
-    assert!(!hit_space && !hit_order, "first request is cold");
+        // 1. A normal request works and warms the caches.
+        let first = roundtrip(&mut s, &plain_match(q.clone(), None)).unwrap();
+        let Response::Ok { matches, hit_space, hit_order, .. } = first else {
+            panic!("expected ok, got {first:?}");
+        };
+        assert!(matches > 0);
+        counts.push(matches);
+        assert!(!hit_space && !hit_order, "first request is cold");
 
-    // 2. An injected panic dies inside the engine fence: typed error,
-    //    same connection keeps working.
-    let boom = Request::Match {
-        deadline_ms: None,
-        max_matches: None,
-        method: None,
-        engine: None,
-        inject: Some("panic".into()),
-        query_text: q.clone(),
-    };
-    assert!(matches!(roundtrip(&mut s, &boom).unwrap(), Response::InternalError { .. }));
+        // 2. An injected panic dies inside the engine fence: typed error,
+        //    same connection keeps working.
+        let boom = Request::Match {
+            deadline_ms: None,
+            max_matches: None,
+            method: None,
+            engine: None,
+            inject: Some("panic".into()),
+            query_text: q.clone(),
+        };
+        assert!(matches!(roundtrip(&mut s, &boom).unwrap(), Response::InternalError { .. }));
 
-    // 3. Malformed requests are typed rejects, not disconnects.
-    rlqvo_serve::write_frame(&mut s, b"launch the missiles").unwrap();
-    let reject = match read_frame(&mut s, MAX_FRAME_BYTES).unwrap() {
-        Frame::Msg(p) => Response::parse(std::str::from_utf8(&p).unwrap()).unwrap(),
-        other => panic!("no reply to malformed request: {other:?}"),
-    };
-    assert!(matches!(reject, Response::Rejected { .. }), "{reject:?}");
+        // 3. Malformed requests are typed rejects, not disconnects.
+        rlqvo_serve::write_frame(&mut s, b"launch the missiles").unwrap();
+        let reject = match read_frame(&mut s, MAX_FRAME_BYTES).unwrap() {
+            Frame::Msg(p) => Response::parse(std::str::from_utf8(&p).unwrap()).unwrap(),
+            other => panic!("no reply to malformed request: {other:?}"),
+        };
+        assert!(matches!(reject, Response::Rejected { .. }), "{reject:?}");
 
-    // 4. The caches survived the panic: a repeat of the first request is
-    //    a warm hit on both tiers.
-    let again = roundtrip(&mut s, &plain_match(q.clone(), None)).unwrap();
-    let Response::Ok { matches: m2, hit_space, hit_order, .. } = again else {
-        panic!("expected ok after panic, got {again:?}");
-    };
-    assert_eq!(m2, matches, "same query, same count, after a panic in between");
-    assert!(hit_space && hit_order, "caches must stay warm across a panicking request");
+        // 4. The caches survived the panic: a repeat of the first request is
+        //    a warm hit on both tiers.
+        let again = roundtrip(&mut s, &plain_match(q.clone(), None)).unwrap();
+        let Response::Ok { matches: m2, hit_space, hit_order, .. } = again else {
+            panic!("expected ok after panic, got {again:?}");
+        };
+        assert_eq!(m2, matches, "same query, same count, after a panic in between");
+        assert!(hit_space && hit_order, "caches must stay warm across a panicking request");
 
-    // 5. Server-side accounting saw all of it.
-    let Response::Metrics(m) = roundtrip(&mut s, &Request::Metrics).unwrap() else { panic!("metrics") };
-    assert_eq!(m["errors"], 1);
-    assert_eq!(m["served"], 2);
-    assert!(m["rejected"] >= 1);
-    // The cache tier is fully surfaced: per-cache hit/miss/eviction and
-    // degrade counters, and the aggregate equals the sum of its parts.
-    for k in [
-        "space_hits",
-        "space_misses",
-        "space_evictions",
-        "space_checksum_failures",
-        "space_poison_recoveries",
-        "order_hits",
-        "order_misses",
-        "order_evictions",
-        "order_checksum_failures",
-        "order_poison_recoveries",
-    ] {
-        assert!(m.contains_key(k), "metrics must surface {k:?}");
-    }
-    assert!(m["space_hits"] >= 1, "the warm repeat hit the space cache");
-    assert!(m["order_hits"] >= 1, "the warm repeat hit the order cache");
-    assert_eq!(
-        m["degraded"],
-        m["space_checksum_failures"]
-            + m["space_poison_recoveries"]
-            + m["order_checksum_failures"]
-            + m["order_poison_recoveries"],
-        "degraded must equal the sum of its per-cache parts"
-    );
-
-    // 6. An oversized frame gets a typed reject and a closed connection
-    //    (the payload was never read, so the stream lost sync) — and the
-    //    server itself keeps serving other connections.
-    let mut big = handle.connect().unwrap();
-    big.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    match read_frame(&mut big, MAX_FRAME_BYTES).unwrap() {
-        Frame::Msg(p) => {
-            let r = Response::parse(std::str::from_utf8(&p).unwrap()).unwrap();
-            assert!(matches!(r, Response::Rejected { .. }), "oversized must be typed-rejected: {r:?}");
+        // 5. Server-side accounting saw all of it.
+        let Response::Metrics(m) = roundtrip(&mut s, &Request::Metrics).unwrap() else { panic!("metrics") };
+        assert_eq!(m["errors"], 1);
+        assert_eq!(m["served"], 2);
+        assert!(m["rejected"] >= 1);
+        // The cache tier is fully surfaced: per-cache hit/miss/eviction and
+        // degrade counters, and the aggregate equals the sum of its parts.
+        for k in [
+            "space_hits",
+            "space_misses",
+            "space_evictions",
+            "space_checksum_failures",
+            "space_poison_recoveries",
+            "order_hits",
+            "order_misses",
+            "order_evictions",
+            "order_checksum_failures",
+            "order_poison_recoveries",
+        ] {
+            assert!(m.contains_key(k), "metrics must surface {k:?}");
         }
-        other => panic!("oversized frame got {other:?}"),
-    }
-    let mut rest = Vec::new();
-    big.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "connection must close after an oversized frame");
-    assert!(matches!(roundtrip(&mut s, &Request::Ping).unwrap(), Response::Pong));
+        assert!(m["space_hits"] >= 1, "the warm repeat hit the space cache");
+        assert!(m["order_hits"] >= 1, "the warm repeat hit the order cache");
+        assert_eq!(
+            m["degraded"],
+            m["space_checksum_failures"]
+                + m["space_poison_recoveries"]
+                + m["order_checksum_failures"]
+                + m["order_poison_recoveries"],
+            "degraded must equal the sum of its per-cache parts"
+        );
 
-    handle.shutdown();
+        // 6. An oversized frame gets a typed reject and a closed connection
+        //    (the payload was never read, so the stream lost sync) — and the
+        //    server itself keeps serving other connections.
+        let mut big = handle.connect().unwrap();
+        big.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        match read_frame(&mut big, MAX_FRAME_BYTES).unwrap() {
+            Frame::Msg(p) => {
+                let r = Response::parse(std::str::from_utf8(&p).unwrap()).unwrap();
+                assert!(matches!(r, Response::Rejected { .. }), "oversized must be typed-rejected: {r:?}");
+            }
+            other => panic!("oversized frame got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        big.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection must close after an oversized frame");
+        assert!(matches!(roundtrip(&mut s, &Request::Ping).unwrap(), Response::Pong));
+
+        handle.shutdown();
+    }
+    assert!(counts.windows(2).all(|w| w[0] == w[1]), "one count at every worker count: {counts:?}");
 }
 
 #[test]

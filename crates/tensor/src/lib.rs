@@ -2,8 +2,7 @@
 //!
 //! A small, dependency-free neural-network substrate: dense `f32` matrices
 //! ([`Matrix`]), reverse-mode automatic differentiation on a tape
-//! ([`Tape`]/[`Var`]), and first-order optimizers ([`optim::Adam`],
-//! [`optim::Sgd`]).
+//! ([`Tape`]/[`Var`]), and a first-order optimizer ([`optim::Adam`]).
 //!
 //! ## Why it exists
 //!

@@ -6,8 +6,8 @@
 
 use crate::matrix::Matrix;
 
-/// Adam (Kingma & Ba, 2015) — the paper trains with learning rate `1e-3`,
-/// which is this type's default.
+/// Adam (Kingma & Ba, 2015), β = (0.9, 0.999); the paper trains with
+/// learning rate `1e-3`.
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -19,12 +19,7 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Adam with the paper's defaults (`lr = 1e-3`, β = (0.9, 0.999)).
-    pub fn new(shapes: &[(usize, usize)]) -> Self {
-        Self::with_lr(shapes, 1e-3)
-    }
-
-    /// Adam with a custom learning rate.
+    /// Adam over parameters of `shapes` with learning rate `lr`.
     pub fn with_lr(shapes: &[(usize, usize)], lr: f32) -> Self {
         Adam {
             lr,
@@ -42,19 +37,14 @@ impl Adam {
         self.lr
     }
 
-    /// Applies one update. `grads[i]` may be `None` when parameter `i` was
-    /// unreached this step (e.g. a GNN layer skipped by `|AS| = 1`
-    /// short-circuits); its moments still decay, matching PyTorch.
+    /// Applies one update over borrowed parameters (the shape model
+    /// containers expose via `params_mut()`). `grads[i]` may be `None` when
+    /// parameter `i` was unreached this step (e.g. a GNN layer skipped by
+    /// `|AS| = 1` short-circuits); its moments still decay, matching
+    /// PyTorch.
     ///
     /// # Panics
     /// If lengths or shapes disagree with construction.
-    pub fn step(&mut self, params: &mut [Matrix], grads: &[Option<Matrix>]) {
-        let mut refs: Vec<&mut Matrix> = params.iter_mut().collect();
-        self.step_refs(&mut refs, grads);
-    }
-
-    /// Like [`Self::step`], but over borrowed parameters (the shape model
-    /// containers expose via `params_mut()`).
     pub fn step_refs(&mut self, params: &mut [&mut Matrix], grads: &[Option<Matrix>]) {
         assert_eq!(params.len(), self.m.len(), "parameter count changed");
         assert_eq!(params.len(), grads.len(), "grad count mismatch");
@@ -74,32 +64,6 @@ impl Adam {
                 let mhat = m.data()[j] / bc1;
                 let vhat = v.data()[j] / bc2;
                 params[i].data_mut()[j] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-}
-
-/// Plain stochastic gradient descent (used by tests and the REINFORCE
-/// baseline trainer).
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies `p -= lr * g` for every present gradient.
-    pub fn step(&self, params: &mut [Matrix], grads: &[Option<Matrix>]) {
-        assert_eq!(params.len(), grads.len(), "grad count mismatch");
-        for (p, g) in params.iter_mut().zip(grads) {
-            if let Some(g) = g {
-                assert_eq!(g.shape(), p.shape(), "grad shape mismatch");
-                for (pj, &gj) in p.data_mut().iter_mut().zip(g.data()) {
-                    *pj -= self.lr * gj;
-                }
             }
         }
     }
@@ -127,31 +91,22 @@ mod tests {
     /// Minimizing f(x) = (x - 3)^2 must converge to 3.
     #[test]
     fn adam_minimizes_quadratic() {
-        let mut params = vec![Matrix::full(1, 1, 0.0)];
+        let mut x = Matrix::full(1, 1, 0.0);
         let mut adam = Adam::with_lr(&[(1, 1)], 0.1);
         for _ in 0..300 {
-            let x = params[0].scalar();
-            let grad = Matrix::full(1, 1, 2.0 * (x - 3.0));
-            adam.step(&mut params, &[Some(grad)]);
+            let grad = Matrix::full(1, 1, 2.0 * (x.scalar() - 3.0));
+            adam.step_refs(&mut [&mut x], &[Some(grad)]);
         }
-        assert!((params[0].scalar() - 3.0).abs() < 1e-2, "got {}", params[0].scalar());
-    }
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut params = vec![Matrix::full(1, 1, 1.0)];
-        let sgd = Sgd::new(0.5);
-        sgd.step(&mut params, &[Some(Matrix::full(1, 1, 2.0))]);
-        assert_eq!(params[0].scalar(), 0.0);
+        assert!((x.scalar() - 3.0).abs() < 1e-2, "got {}", x.scalar());
     }
 
     #[test]
     fn missing_gradients_are_tolerated() {
-        let mut params = vec![Matrix::full(1, 1, 1.0), Matrix::full(1, 1, 1.0)];
-        let mut adam = Adam::new(&[(1, 1), (1, 1)]);
-        adam.step(&mut params, &[Some(Matrix::full(1, 1, 1.0)), None]);
-        assert!(params[0].scalar() < 1.0, "updated param moved");
-        assert_eq!(params[1].scalar(), 1.0, "missing grad leaves param untouched");
+        let (mut a, mut b) = (Matrix::full(1, 1, 1.0), Matrix::full(1, 1, 1.0));
+        let mut adam = Adam::with_lr(&[(1, 1), (1, 1)], 1e-3);
+        adam.step_refs(&mut [&mut a, &mut b], &[Some(Matrix::full(1, 1, 1.0)), None]);
+        assert!(a.scalar() < 1.0, "updated param moved");
+        assert_eq!(b.scalar(), 1.0, "missing grad leaves param untouched");
     }
 
     #[test]

@@ -250,19 +250,6 @@ impl Tape {
         )
     }
 
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self, a: Var) -> Var {
-        let out = Arc::new(self.val(a).map(|x| 1.0 / (1.0 + (-x).exp())));
-        let ai = a.idx;
-        let saved = Arc::clone(&out);
-        self.push_arc(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.zip_map(&saved, |gi, y| gi * y * (1.0 - y)));
-            })),
-        )
-    }
-
     /// Element-wise `exp`.
     pub fn exp(&self, a: Var) -> Var {
         let out = Arc::new(self.val(a).map(f32::exp));
@@ -302,13 +289,6 @@ impl Tape {
                 store.accumulate(ai, Matrix::full(rows, cols, g.scalar()));
             })),
         )
-    }
-
-    /// Mean of all elements, a `1×1` result.
-    pub fn mean(&self, a: Var) -> Var {
-        let n = (a.rows * a.cols) as f32;
-        let s = self.sum(a);
-        self.scale(s, 1.0 / n)
     }
 
     /// Extracts element `(r, c)` as a `1×1` node (action log-prob lookup).

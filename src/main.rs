@@ -7,6 +7,7 @@
 //!              [--repeat N] [--space-cache on|off] [--order-cache on|off]
 //! rlqvo train  --data G.graph --size K --queries N --epochs E --out m.model
 //! rlqvo stats  --data G.graph
+//! rlqvo serve  --data G.graph [--threads N] [--enum-threads N] ...
 //! ```
 //!
 //! Graphs use the `t/v/e` text format of the in-memory study
@@ -54,7 +55,7 @@ fn main() {
             eprintln!("  train --data G [--size 8] [--queries 32] [--epochs 40] --out m.model");
             eprintln!("  stats --data G");
             eprintln!(
-                "  serve --data G [--threads N] [--queue-depth 64] [--model m] [--max-matches N] [--time-limit-ms T] [--no-cache] [--fault-injection] [--batch N] [--fast-math on|off] [--space-cache-bytes B] [--order-cache-bytes B] [--stall-timeout-ms T] [--faults SPEC] [--fault-seed N]"
+                "  serve --data G [--threads N] [--enum-threads N] [--queue-depth 64] [--model m] [--max-matches N] [--time-limit-ms T] [--no-cache] [--fault-injection] [--batch N] [--fast-math on|off] [--space-cache-bytes B] [--order-cache-bytes B] [--stall-timeout-ms T] [--faults SPEC] [--fault-seed N]"
             );
             std::process::exit(2);
         }
@@ -114,12 +115,7 @@ fn cmd_match(args: &[String]) -> CliResult {
         max_matches: parsed(args, "--max-matches")?.unwrap_or(100_000),
         time_limit: Duration::from_millis(parsed(args, "--time-limit-ms")?.unwrap_or(500_000)),
         engine,
-        // `--enum-threads N` > `RLQVO_ENUM_THREADS` > 1 (the default
-        // EnumConfig already folds the env knob in).
-        threads: match parsed::<NonZeroUsize>(args, "--enum-threads")? {
-            Some(t) => t.get(),
-            None => EnumConfig::default().threads,
-        },
+        threads: parsed(args, "--enum-threads")?.map_or(1, NonZeroUsize::get),
         ..EnumConfig::default()
     };
 
@@ -213,6 +209,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
     };
     if let Some(t) = parsed::<usize>(args, "--threads")? {
         config.threads = t.max(1);
+    }
+    // Workers per request, drawn from the `--threads` token budget
+    // (`Server::start` clamps the request to it).
+    if let Some(t) = parsed::<NonZeroUsize>(args, "--enum-threads")? {
+        config.enum_config.threads = t.get();
     }
     if let Some(m) = parsed(args, "--max-matches")? {
         config.enum_config.max_matches = m;

@@ -65,14 +65,24 @@ fn match_rejects_malformed_values_and_resolves_methods_through_the_roster() {
         assert!(out.status.success() && stdout.contains("matches     : 2\n"), "{stdout}");
     }
 
-    // Every roster name is a method, with the pair the roster says.
-    for m in &ROSTER {
-        let out = rlqvo(&[&base, &["--method", m.cli][..]].concat());
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let banner = format!("method      : {} ({} filter + {} ordering)", m.cli, m.filter.name(), m.ordering.name());
-        assert!(out.status.success() && stdout.contains(&banner), "{}: {stdout}", m.cli);
-        assert!(stdout.contains("matches     : 3\n"), "{}: {stdout}", m.cli);
+    // Every roster name is a method, with the pair the roster says, and
+    // the same answer at every worker count.
+    for threads in ["1", "2", "4"] {
+        for m in &ROSTER {
+            let out = rlqvo(&[&base, &["--method", m.cli, "--enum-threads", threads][..]].concat());
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let banner =
+                format!("method      : {} ({} filter + {} ordering)", m.cli, m.filter.name(), m.ordering.name());
+            assert!(out.status.success() && stdout.contains(&banner), "{} x{threads}: {stdout}", m.cli);
+            assert!(stdout.contains(&format!("enum threads: {threads}\n")), "{} x{threads}: {stdout}", m.cli);
+            assert!(stdout.contains("matches     : 3\n"), "{} x{threads}: {stdout}", m.cli);
+        }
     }
+    // The worker count is the flag's alone: the harness's variable in the
+    // child's environment changes nothing.
+    let out = Command::new(env!("CARGO_BIN_EXE_rlqvo")).args(base).env("RLQVO_ENUM_THREADS", "4").output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains("enum threads: 1\n"), "{stdout}");
     let out = rlqvo(&[&base, &["--method", "quicksi"][..]].concat());
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error: unknown method \"quicksi\""));
@@ -88,6 +98,8 @@ fn serve_rejects_malformed_values() {
         &[
             ("--queue-depth", "deep"),
             ("--threads", "-1"),
+            ("--enum-threads", "0"),
+            ("--enum-threads", "x"),
             ("--max-matches", "1e5"),
             ("--time-limit-ms", "1s"),
             ("--batch", "eight"),

@@ -23,6 +23,15 @@
 //! * `edge_seg`/`list_offsets`/`nbr_pos` — a two-level CSR: directed edge
 //!   → per-candidate segment → positions into the target candidate set.
 //!
+//! The lists of `(u', u)` are the transpose of the lists of `(u, u')` —
+//! `G` is undirected, and [`rlqvo_graph::GraphBuilder`] symmetrizes `N` —
+//! so the build reads data adjacency once per *undirected* query edge,
+//! from the endpoint with the smaller `scan_cost` `Σ_{v ∈ C(x)} d(v)`
+//! (the rule `GqlFilter` refines by), and writes the other direction by
+//! count, prefix and fill over positions. The arenas are byte for byte
+//! what scanning every direction gives (`tests/oracle.rs` keeps that build
+//! as the reference).
+//!
 //! Lists hold candidate **positions**, not vertex ids: position lists
 //! intersect exactly like vertex lists (both are strictly ascending), and
 //! the winning position doubles as the key for the *next* depth's edge
@@ -33,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rlqvo_graph::{intersect_positions_into, Graph, VertexId};
 
-use crate::filter::Candidates;
+use crate::filter::{scan_cost, Candidates};
 
 /// Process-wide count of completed [`CandidateSpace`] builds. The build is
 /// the dominant fixed cost of the intersection engine, so amortization
@@ -67,8 +76,77 @@ impl fmt::Display for ArenaOverflow {
 
 impl std::error::Error for ArenaOverflow {}
 
+/// Edge lists under construction: `off[i]` is where list `i` starts in
+/// `pos`. The arenas `list_offsets` / `nbr_pos` of a space being built,
+/// and the one-edge temp of [`CandidateSpace::try_build_with_limit`].
+#[derive(Default)]
+struct Lists {
+    off: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl Lists {
+    /// Records `offset` as the start of the next list. The offset must
+    /// itself fit in `u32`; the check runs before the cast so an oversized
+    /// space fails loudly instead of wrapping.
+    fn mark(&mut self, offset: usize, limit: u64) -> Result<(), ArenaOverflow> {
+        if offset as u64 > limit {
+            return Err(ArenaOverflow { arena: "nbr_pos", required: offset as u64, limit });
+        }
+        self.off.push(offset as u32);
+        Ok(())
+    }
+}
+
+const UNMAPPED: u32 = u32::MAX;
+
+/// The scanned arm of the build: one directed query edge answered from the
+/// data adjacency of its source candidates.
+struct Scanner<'a> {
+    g: &'a Graph,
+    cand: &'a Candidates,
+    /// Dense vertex → position-in-`C(to)` table, maintained per scanned
+    /// edge (set and cleared through `C(to)`, never refilled wholesale).
+    /// It answers membership AND rank in O(1), so the common case is a
+    /// single pass over each adjacency list; galloping from the candidate
+    /// side takes over when d(v) dwarfs `|C(to)|`.
+    pos_of: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl Scanner<'_> {
+    /// Appends the `|C(from)|` lists of directed edge `(from, to)` to
+    /// `out`: per candidate of `from`, the sorted positions in `C(to)` of
+    /// its data-neighbours there.
+    fn scan(&mut self, from: VertexId, to: VertexId, out: &mut Lists, limit: u64) -> Result<(), ArenaOverflow> {
+        let c_to = self.cand.of(to);
+        for (j, &w) in c_to.iter().enumerate() {
+            self.pos_of[w as usize] = j as u32;
+        }
+        for &v in self.cand.of(from) {
+            out.mark(out.pos.len(), limit)?;
+            let nv = self.g.neighbors(v);
+            if nv.len() >= c_to.len().saturating_mul(16) {
+                intersect_positions_into(&mut self.scratch, nv, c_to);
+                out.pos.extend_from_slice(&self.scratch);
+            } else {
+                for &w in nv {
+                    let p = self.pos_of[w as usize];
+                    if p != UNMAPPED {
+                        out.pos.push(p);
+                    }
+                }
+            }
+        }
+        for &w in c_to {
+            self.pos_of[w as usize] = UNMAPPED;
+        }
+        Ok(())
+    }
+}
+
 /// Edge-indexed candidate space (see the module docs).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CandidateSpace {
     num_query_vertices: usize,
     num_data_vertices: usize,
@@ -88,10 +166,12 @@ pub struct CandidateSpace {
 }
 
 impl CandidateSpace {
-    /// Materializes the space for `(q, g, cand)`. Cost is
-    /// `O(Σ_(u,u')∈E(q) Σ_{v∈C(u)} min(d(v), |C(u')|)·log)` via the
-    /// galloping intersection kernels; the result is reusable across
-    /// every matching order of the same query.
+    /// Materializes the space for `(q, g, cand)`. Each undirected query
+    /// edge `{u, u'}` is scanned from its cheaper endpoint `x` (the other
+    /// being `y`) and transposed for the other direction:
+    /// `O(Σ_{u,u'}∈E(q) (Σ_{v∈C(x)} min(d(v), |C(y)|·log) + entries))`,
+    /// galloping where `d(v)` dwarfs `|C(y)|`. The result is reusable
+    /// across every matching order of the same query.
     ///
     /// Panics on arena overflow — use [`CandidateSpace::try_build`] when
     /// the input may be large enough (≥ 2³² edge-list entries) to exceed
@@ -138,58 +218,83 @@ impl CandidateSpace {
             q_offsets.push(q_targets.len() as u32);
         }
 
-        let mut edge_seg = Vec::with_capacity(q_targets.len());
-        let mut list_offsets = Vec::new();
-        let mut nbr_pos = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        // Dense vertex → position-in-C(u') table, maintained per directed
-        // edge (set and cleared through C(u'), never refilled wholesale).
-        // It answers membership AND rank in O(1), so the common build
-        // case is a single pass over each adjacency list; galloping from
-        // the candidate side takes over when d(v) dwarfs |C(u')|.
-        const UNMAPPED: u32 = u32::MAX;
-        let mut pos_of: Vec<u32> = vec![UNMAPPED; g.num_vertices()];
+        let mut edge_seg: Vec<u32> = Vec::with_capacity(q_targets.len());
+        // `lists.off` / `lists.pos` become `list_offsets` / `nbr_pos`.
+        let mut lists = Lists::default();
+        // The one-edge temp: the lists of `(up, u)` and their closing
+        // offset, when `up` is the cheap side of a first-seen `(u, up)`.
+        let mut temp = Lists::default();
+        let mut scanner = Scanner { g, cand, pos_of: vec![UNMAPPED; g.num_vertices()], scratch: Vec::new() };
+        let cost: Vec<u64> = q.vertices().map(|u| scan_cost(g, cand.of(u))).collect();
+        let mut cursor: Vec<u32> = Vec::new();
         for u in q.vertices() {
             for &up in q.neighbors(u) {
-                if list_offsets.len() as u64 > limit {
-                    return Err(ArenaOverflow { arena: "list_offsets", required: list_offsets.len() as u64, limit });
+                if lists.off.len() as u64 > limit {
+                    return Err(ArenaOverflow { arena: "list_offsets", required: lists.off.len() as u64, limit });
                 }
-                edge_seg.push(list_offsets.len() as u32);
-                let c_up = cand.of(up);
-                for (j, &w) in c_up.iter().enumerate() {
-                    pos_of[w as usize] = j as u32;
+                edge_seg.push(lists.off.len() as u32);
+                // `G` is undirected (`GraphBuilder` symmetrizes `N`), so the
+                // lists of `(u, up)` are the transpose of the lists of
+                // `(up, u)`. When `up < u` those are in the arena already,
+                // their `|C(up)| + 1` offsets starting at `rev_seg` of
+                // `lists.off` (the closing one is the next edge's first,
+                // which this edge may be yet to record). A first-seen edge
+                // is scanned from its cheaper endpoint ([`scan_cost`]):
+                // from `u` straight into place, or — only when `up` is
+                // strictly cheaper — from `up` into the temp.
+                let rev_seg = (up < u).then(|| {
+                    let k = q.neighbors(up).binary_search(&u).expect("query adjacency is symmetric");
+                    edge_seg[q_offsets[up as usize] as usize + k] as usize
+                });
+                if rev_seg.is_none() && cost[u as usize] <= cost[up as usize] {
+                    scanner.scan(u, up, &mut lists, limit)?;
+                    continue;
                 }
-                for &v in cand.of(u) {
-                    // The offset recorded here must itself fit in u32; the
-                    // check runs before the cast so an oversized space
-                    // fails loudly instead of wrapping.
-                    if nbr_pos.len() as u64 > limit {
-                        return Err(ArenaOverflow { arena: "nbr_pos", required: nbr_pos.len() as u64, limit });
+                let base = lists.pos.len();
+                if rev_seg.is_none() {
+                    temp.off.clear();
+                    temp.pos.clear();
+                    // The temp's own offsets are `u32` too; an edge that
+                    // outgrows them has outgrown the arena it lands in,
+                    // behind `base`. What `limit` refuses is decided below,
+                    // offset by offset, as in the scanned arm.
+                    let room = u64::from(u32::MAX);
+                    scanner
+                        .scan(up, u, &mut temp, room)
+                        .and_then(|()| temp.mark(temp.pos.len(), room))
+                        .map_err(|e| ArenaOverflow { required: e.required + base as u64, limit, ..e })?;
+                }
+                // Transpose — count, prefix, fill: O(entries of the edge).
+                let rows = cand.len_of(up);
+                let at = |i: usize| lists.off.get(i).map_or(base, |&o| o as usize);
+                let entries = rev_seg.map_or(&temp.pos[..], |seg| &lists.pos[at(seg)..at(seg + rows)]);
+                cursor.clear();
+                cursor.resize(cand.len_of(u), 0);
+                for &p in entries {
+                    cursor[p as usize] += 1;
+                }
+                let mut end = base;
+                for c in &mut cursor {
+                    lists.mark(end, limit)?;
+                    (*c, end) = ((end - base) as u32, end + *c as usize);
+                }
+                if end == base {
+                    continue;
+                }
+                lists.pos.resize(end, 0);
+                let (arena, new) = lists.pos.split_at_mut(base);
+                let (src_off, src) =
+                    rev_seg.map_or((&temp.off[..], &temp.pos[..]), |seg| (&lists.off[seg..=seg + rows], &*arena));
+                for (j, span) in src_off.windows(2).enumerate() {
+                    for &p in &src[span[0] as usize..span[1] as usize] {
+                        new[cursor[p as usize] as usize] = j as u32;
+                        cursor[p as usize] += 1;
                     }
-                    list_offsets.push(nbr_pos.len() as u32);
-                    let nv = g.neighbors(v);
-                    if nv.len() >= c_up.len().saturating_mul(16) {
-                        intersect_positions_into(&mut scratch, nv, c_up);
-                        nbr_pos.extend_from_slice(&scratch);
-                    } else {
-                        for &w in nv {
-                            let p = pos_of[w as usize];
-                            if p != UNMAPPED {
-                                nbr_pos.push(p);
-                            }
-                        }
-                    }
-                }
-                for &w in c_up {
-                    pos_of[w as usize] = UNMAPPED;
                 }
             }
         }
         // Closing offset shared by the final edge segment.
-        if nbr_pos.len() as u64 > limit {
-            return Err(ArenaOverflow { arena: "nbr_pos", required: nbr_pos.len() as u64, limit });
-        }
-        list_offsets.push(nbr_pos.len() as u32);
+        lists.mark(lists.pos.len(), limit)?;
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
 
         Ok(CandidateSpace {
@@ -200,8 +305,8 @@ impl CandidateSpace {
             q_offsets,
             q_targets,
             edge_seg,
-            list_offsets,
-            nbr_pos,
+            list_offsets: lists.off,
+            nbr_pos: lists.pos,
         })
     }
 
@@ -378,12 +483,7 @@ mod tests {
         let (q, g) = case();
         let cand = LdfFilter.filter(&q, &g);
         let checked = CandidateSpace::try_build(&q, &g, &cand).expect("fits comfortably");
-        let plain = CandidateSpace::build(&q, &g, &cand);
-        assert_eq!(checked.total_edge_list_entries(), plain.total_edge_list_entries());
-        assert_eq!(checked.storage_bytes(), plain.storage_bytes());
-        for u in q.vertices() {
-            assert_eq!(checked.cand(u), plain.cand(u));
-        }
+        assert_eq!(checked, CandidateSpace::build(&q, &g, &cand));
     }
 
     #[test]

@@ -18,8 +18,17 @@
 //! the table cannot answer: a demand of 255 or more, a neighbour label
 //! outside `G`'s universe, a graph that built no table. [`GqlFilter`]
 //! checks a candidate in one pass over `N(v)` against per-data-vertex
-//! membership masks ([`crate::bipartite`]). `GqlFilter::filter_reference`
-//! is the naive version both are tested against, sets and bitmap.
+//! membership masks ([`crate::bipartite`]) — after asking, per query edge
+//! `(u, u')`, the side that is cheaper to ask: with `cost(x) = Σ_{v ∈
+//! C(x)} d(v)` over the start-of-round sets, a `u'` strictly cheaper than
+//! a neighbour builds `reach(u') = N(C(u'))` once per round (a bitmap
+//! over `V(G)`), and a candidate of `u` outside it is removed without
+//! `N(v)` being read, since `N` is symmetric. A degree-1 `u` whose
+//! neighbour is the cheap side is decided by that bit alone: a matching
+//! saturating one left is exactly `N(v) ∩ C(u') ≠ ∅`. Sampled queries are
+//! near-trees, so that is most (query vertex, candidate) pairs.
+//! `GqlFilter::filter_reference` is the naive version both are tested
+//! against, sets and bitmap, byte for byte.
 
 use rlqvo_graph::{Graph, VertexId};
 
@@ -305,6 +314,16 @@ fn nlf_dominates(
     dominates
 }
 
+/// `cost(x) = Σ_{v ∈ C(x)} d(v)`: the adjacency entries read when every
+/// candidate of `x` has its `N(v)` scanned. A query edge `(u, u')` asks the
+/// same thing of either endpoint — which pairs of `C(u) × C(u')` are
+/// adjacent — and `N` is symmetric, so [`GqlFilter::filter`] and
+/// [`crate::CandidateSpace::build`] answer it from the endpoint with the
+/// strictly smaller cost. Both sums are exact; no constant is involved.
+pub(crate) fn scan_cost(g: &Graph, set: &[VertexId]) -> u64 {
+    set.iter().map(|&v| u64::from(g.degree(v))).sum()
+}
+
 /// GraphQL's candidate filter (the one `Hybrid` uses): NLF-style local
 /// pruning followed by `refinement_rounds` of global refinement. A
 /// candidate `v ∈ C(u)` survives a round only if the bipartite graph
@@ -361,19 +380,56 @@ impl CandidateFilter for GqlFilter {
             }
         }
         let mut matcher = MaskMatcher::default();
+        // `reach(u') = N(C(u'))` as one bit per data vertex, `gw` words,
+        // for the query vertices that are the cheap side of some edge this
+        // round ([`scan_cost`]); `slot[u']` is where it starts in `reach`.
+        // `N` is symmetric (`GraphBuilder` symmetrizes it), so
+        // `v ∈ reach(u')` ⇔ `N(v) ∩ C(u') ≠ ∅`.
+        let gw = g.num_vertices().div_ceil(64);
+        let mut cost = vec![0u64; q.num_vertices()];
+        let mut slot = vec![0usize; q.num_vertices()];
+        let mut reach: Vec<u64> = Vec::new();
+        let mut cheaper: Vec<usize> = Vec::new();
         // Removals are buffered and applied only at the end of each round
         // ([`Candidates::shrink`], and the same bits cleared in `member`),
-        // so every check within a round sees the unmodified start-of-round
-        // sets — identical semantics to the retained rebuild reference,
-        // without the per-round bitmap and set-vector reallocation
-        // `Candidates::new` pays.
+        // so every check within a round — `reach` included, which is built
+        // before the round's first check — sees the unmodified
+        // start-of-round sets: identical semantics to the retained rebuild
+        // reference, without the per-round bitmap and set-vector
+        // reallocation `Candidates::new` pays.
         let mut doomed: Vec<(VertexId, VertexId)> = Vec::new();
         for _ in 0..self.refinement_rounds {
             doomed.clear();
             for u in q.vertices() {
+                cost[u as usize] = scan_cost(g, cand.of(u));
+            }
+            reach.clear();
+            for u2 in q.vertices() {
+                if q.neighbors(u2).iter().any(|&u| cost[u2 as usize] < cost[u as usize]) {
+                    slot[u2 as usize] = reach.len();
+                    reach.resize(reach.len() + gw, 0);
+                    let row = &mut reach[slot[u2 as usize]..];
+                    for &v2 in cand.of(u2) {
+                        for &v in g.neighbors(v2) {
+                            row[v as usize / 64] |= 1u64 << (v % 64);
+                        }
+                    }
+                }
+            }
+            for u in q.vertices() {
                 let need = &nbr[u as usize * w..][..w];
+                let cheap = |&&u2: &&VertexId| cost[u2 as usize] < cost[u as usize];
+                cheaper.clear();
+                cheaper.extend(q.neighbors(u).iter().filter(cheap).map(|&u2| slot[u2 as usize]));
+                // A saturating matching of one left `u'` is exactly
+                // `N(v) ∩ C(u') ≠ ∅`, i.e. `v ∈ reach(u')`: a leaf whose
+                // parent is the cheap side never touches `N(v)`.
+                let decided = q.degree(u) == 1 && !cheaper.is_empty();
                 for &v in cand.of(u) {
-                    if !matcher.saturates(need, &member, g.neighbors(v)) {
+                    // Outside the reach of one neighbour, that left has no
+                    // right at all: doomed whatever the others say.
+                    let reached = cheaper.iter().all(|&s| reach[s + v as usize / 64] & (1u64 << (v % 64)) != 0);
+                    if !(reached && (decided || matcher.saturates(need, &member, g.neighbors(v)))) {
                         doomed.push((u, v));
                     }
                 }

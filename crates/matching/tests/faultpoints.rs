@@ -5,19 +5,29 @@
 //!
 //! Lives in its own binary, run by explicit name in CI: the registry is
 //! process-global, so an armed schedule must never share a process with
-//! unrelated tests. Within this binary, `arm_scoped` serializes the
-//! tests against each other.
+//! unrelated tests. `arm_scoped` serializes only the *armed windows*: the
+//! un-armed fills and post-`drop(guard)` lookups of one test would still
+//! evaluate `cache.*` sites while another test's `once` schedule is armed,
+//! and spend its fire. So every test holds `GLOBALS` for its whole body.
 //!
 //! Every cache hit is verified, in every build profile, so the corruption
 //! fires are observed on the very next lookup — CI runs this binary under
 //! `--release` too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rlqvo_graph::{Graph, GraphBuilder};
 use rlqvo_matching::order::{OrderingMethod, RiOrdering};
 use rlqvo_matching::{CandidateFilter, LdfFilter, OrderCache, OrderEntry, QueryKey, SpaceCache, SpaceEntry};
+
+/// Serializes the tests in this binary, armed or not: each evaluates
+/// failpoint sites of the one process-global registry.
+static GLOBALS: Mutex<()> = Mutex::new(());
+
+fn globals() -> MutexGuard<'static, ()> {
+    GLOBALS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn space_lookup(cache: &SpaceCache, q: &Graph, g: &Graph) -> (Arc<SpaceEntry>, bool) {
     cache.entry_keyed(&QueryKey::of(q), q, g, &LdfFilter)
@@ -48,6 +58,7 @@ fn case() -> (Graph, Graph) {
 
 #[test]
 fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
+    let _globals = globals();
     let (q, g) = case();
     let cache = SpaceCache::new();
     let (bad, fresh) = space_lookup(&cache, &q, &g);
@@ -73,6 +84,7 @@ fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
 
 #[test]
 fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
+    let _globals = globals();
     let (q, g) = case();
     let cand = LdfFilter.filter(&q, &g);
     let cache = OrderCache::new();
@@ -95,6 +107,7 @@ fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
 
 #[test]
 fn poisoned_space_shard_recovers_and_refilters() {
+    let _globals = globals();
     let (q, g) = case();
     let cache = SpaceCache::new();
     space_lookup(&cache, &q, &g);
@@ -120,6 +133,7 @@ fn poisoned_space_shard_recovers_and_refilters() {
 
 #[test]
 fn poisoned_order_shard_recovers_and_recomputes() {
+    let _globals = globals();
     let (q, g) = case();
     let cache = OrderCache::new();
     order_lookup(&cache, &q, &g);
@@ -137,6 +151,7 @@ fn poisoned_order_shard_recovers_and_recomputes() {
 
 #[test]
 fn oversize_failpoint_forces_admit_uncached_on_an_unbounded_cache() {
+    let _globals = globals();
     let (q, g) = case();
     let cache = SpaceCache::new();
     let guard = rlqvo_fault::arm_scoped("cache.oversize=times(2)", 1).unwrap();
@@ -158,6 +173,7 @@ fn oversize_failpoint_forces_admit_uncached_on_an_unbounded_cache() {
 
 #[test]
 fn enum_panic_failpoint_kills_a_run_on_the_cadence() {
+    let _globals = globals();
     // A query/host pair big enough to cross the 1024-call cadence.
     let mut qb = GraphBuilder::new(1);
     let a = qb.add_vertex(0);
@@ -201,20 +217,9 @@ fn enum_panic_failpoint_kills_a_run_on_the_cadence() {
 /// were, once per 1024 calls, so a chaos schedule replays unchanged.
 #[test]
 fn enum_delay_failpoint_fires_once_per_1024_calls_of_a_leaf_dominated_run() {
-    // `fired` counts the whole process, and the test above enumerates
-    // unarmed, outside the lock: count in a process that runs nothing else.
-    const ALONE: &str = "RLQVO_FAULTPOINTS_ALONE";
-    if std::env::var_os(ALONE).is_none() {
-        let name = "enum_delay_failpoint_fires_once_per_1024_calls_of_a_leaf_dominated_run";
-        let child = std::process::Command::new(std::env::current_exe().unwrap())
-            .args([name, "--exact", "--test-threads=1"])
-            .env(ALONE, "1")
-            .output()
-            .unwrap();
-        let stdout = String::from_utf8_lossy(&child.stdout);
-        assert!(child.status.success() && stdout.contains("1 passed"), "{stdout}");
-        return;
-    }
+    let _globals = globals();
+    // `fired` counts the whole process: nothing else in it may enumerate
+    // while this schedule is armed, which `GLOBALS` sees to.
     // A 3-path in K24, one label: 1 + 24 + 24·23 + 24·23·22 calls, of
     // which the last term are leaves.
     let mut qb = GraphBuilder::new(1);

@@ -18,7 +18,7 @@ use rlqvo_matching::order::{
     CflOrdering, GqlOrdering, OptimalOrdering, OrderingMethod, QsiOrdering, RiOrdering, VeqOrdering, Vf2ppOrdering,
 };
 use rlqvo_matching::{
-    enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared, run_cached, run_pipeline,
+    enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared, run_cached, run_pipeline, ArenaOverflow,
     CandidateFilter, CandidateSpace, Candidates, EnumConfig, EnumEngine, GqlFilter, LdfFilter, NlfFilter, OrderCache,
     Pipeline, QueryAdjBits, QueryKey, SpaceCache, TokenBudget,
 };
@@ -370,12 +370,7 @@ proptest! {
         let Some(q) = query_of(&g, seed, 4) else { return Ok(()) };
         let cand = NlfFilter.filter(&q, &g);
         let checked = CandidateSpace::try_build(&q, &g, &cand).expect("small inputs always fit");
-        let plain = CandidateSpace::build(&q, &g, &cand);
-        prop_assert_eq!(checked.total_edge_list_entries(), plain.total_edge_list_entries());
-        prop_assert_eq!(checked.storage_bytes(), plain.storage_bytes());
-        for u in q.vertices() {
-            prop_assert_eq!(checked.cand(u), plain.cand(u));
-        }
+        prop_assert_eq!(checked, CandidateSpace::build(&q, &g, &cand));
     }
 
     /// Parallel find-all is byte-identical to serial — `match_count`,
@@ -675,6 +670,101 @@ fn filters_match_references_on_a_query_wider_than_one_mask_word() {
     assert_filters_match_references(&q, &g);
 }
 
+/// `Σ d(v)` over a candidate set: the cost `GqlFilter::filter` and
+/// `CandidateSpace::build` compare to pick the side a query edge is
+/// scanned from.
+fn scan_cost(g: &Graph, set: &[u32]) -> u64 {
+    set.iter().map(|&v| u64::from(g.degree(v))).sum()
+}
+
+/// A query from labels and edges.
+fn query(num_labels: u32, labels: &[u32], edges: &[(u32, u32)]) -> Graph {
+    let mut b = GraphBuilder::new(num_labels);
+    for &l in labels {
+        b.add_vertex(l);
+    }
+    for &(u, v) in edges {
+        b.add_edge(u, v);
+    }
+    b.build()
+}
+
+/// Both sides of the cheaper-side rule. A round answers each query edge
+/// from the endpoint with the strictly smaller `scan_cost`, through
+/// `reach = N(C(cheap side))`, and a degree-1 query vertex with a cheaper
+/// neighbour is decided by that bit alone. The shapes below put the cheap
+/// side at the hub and at the leaves, hang several leaves off one `reach`,
+/// tie the costs (K2 with equal labels: `C(u) = C(u')`, so neither side is
+/// cheaper and both go to the matcher), add a vertex with no edge at all,
+/// and run on data graphs whose `|V|` sits on every side of a bitmap word
+/// edge. The 70-vertex query above covers two-word masks next to the
+/// one-word reach tests. A `≤` in place of the rule's `<` would build two
+/// bitmaps for a tie and answer the same — `reach` is exact from either
+/// side — so what the tie rows pin is that no side is *required*.
+#[test]
+fn filters_match_references_on_both_sides_of_the_cheaper_side_rule() {
+    let (mut hub_cheaper, mut leaf_cheaper, mut tied, mut pruned) = (0, 0, 0, 0);
+    for n in [63u32, 64, 65, 129] {
+        for labels in [2u32, 3] {
+            let g = chorded_ring(n, labels, 3);
+            let mut queries = Vec::new();
+            for a in 0..labels {
+                let (b, c) = ((a + 1) % labels, (a + 2) % labels);
+                // Stars: distinct leaf labels, then one label on every leaf.
+                queries.push(query(3, &[a, a, b, c], &[(0, 1), (0, 2), (0, 3)]));
+                queries.push(query(3, &[a, b, b, b], &[(0, 1), (0, 2), (0, 3)]));
+                // The hub with the largest id, its leaves before it.
+                queries.push(query(3, &[b, b, c, a], &[(3, 0), (3, 1), (3, 2)]));
+                // K2, equal and unequal labels; K2 beside an isolated vertex.
+                queries.push(query(3, &[a, a], &[(0, 1)]));
+                queries.push(query(3, &[a, b], &[(0, 1)]));
+                queries.push(query(3, &[a, b, a], &[(1, 2)]));
+                // Two inner vertices, two leaves.
+                queries.push(query(3, &[a, b, c, a], &[(0, 1), (1, 2), (2, 3)]));
+            }
+            for q in &queries {
+                assert_filters_match_references(q, &g);
+                let nlf = NlfFilter.filter(q, &g);
+                let cost: Vec<u64> = q.vertices().map(|u| scan_cost(&g, nlf.of(u))).collect();
+                for u in q.vertices().filter(|&u| q.degree(u) == 1) {
+                    let parent = q.neighbors(u)[0];
+                    match cost[parent as usize].cmp(&cost[u as usize]) {
+                        std::cmp::Ordering::Less => hub_cheaper += 1,
+                        std::cmp::Ordering::Greater => leaf_cheaper += 1,
+                        std::cmp::Ordering::Equal => tied += 1,
+                    }
+                }
+                pruned += nlf.total() - GqlFilter::default().filter(q, &g).total();
+            }
+        }
+    }
+    assert!(hub_cheaper > 0 && leaf_cheaper > 0 && tied > 0, "{hub_cheaper} {leaf_cheaper} {tied}");
+    assert!(pruned > 0, "refinement must have had something to remove");
+}
+
+/// `reach` is built from the start-of-round sets. Leaf `x` hangs off `y`,
+/// which is processed first and loses its only candidate in round 1
+/// (`C(z)` is empty: no label-2 vertex has a label-3 neighbour). `y` is
+/// the cheap side, so `x` is decided by `reach(y)` alone — and must
+/// survive round 1, since `b ∈ C(y)` when the round began, and fall in
+/// round 2.
+#[test]
+fn a_leaf_whose_parent_empties_in_round_one_falls_in_round_two() {
+    // q: x(0) - y(1) - z(2) - t(3), numbered y, z, t, x.
+    let q = query(4, &[1, 2, 3, 0], &[(3, 0), (0, 1), (1, 2)]);
+    let (y, z, x) = (0u32, 1u32, 3u32);
+    // G: a(0) - b(1) - c(2), and three more label-0 neighbours on `a`.
+    let g = query(4, &[0, 1, 2, 0, 0, 0], &[(0, 1), (1, 2), (0, 3), (0, 4), (0, 5)]);
+    let (a, b) = (0u32, 1u32);
+    let nlf = NlfFilter.filter(&q, &g);
+    assert_eq!((nlf.of(x), nlf.of(y), nlf.of(z)), (&[a][..], &[b][..], &[][..]));
+    assert!(scan_cost(&g, nlf.of(y)) < scan_cost(&g, nlf.of(x)), "y must be the cheap side of (x, y)");
+    let one = GqlFilter { refinement_rounds: 1 }.filter(&q, &g);
+    assert_eq!((one.of(x), one.of(y)), (&[a][..], &[][..]));
+    assert!(GqlFilter { refinement_rounds: 2 }.filter(&q, &g).of(x).is_empty());
+    assert_filters_match_references(&q, &g);
+}
+
 /// The table's saturation boundary: a star centre demanding 254, 255 and
 /// 256 same-label neighbours against hubs that have 254, 255 and 300.
 #[test]
@@ -824,6 +914,204 @@ proptest! {
         for class in 0..10u32 {
             let lone = q.vertices().find(|&u| q.label(u) == class && q.degree(u) == 0).expect("demand (0, 0)");
             prop_assert_eq!(nlf.of(lone), g.vertices_with_label(class));
+        }
+    }
+}
+
+// ---- The candidate space against the per-direction build it replaced.
+
+/// The arenas of a `CandidateSpace`, as the per-direction build lays them
+/// out: the reference the shipped build is pinned to.
+struct RefSpace {
+    cand_offsets: Vec<u32>,
+    cand_flat: Vec<u32>,
+    q_offsets: Vec<u32>,
+    q_targets: Vec<u32>,
+    edge_seg: Vec<u32>,
+    list_offsets: Vec<u32>,
+    nbr_pos: Vec<u32>,
+}
+
+/// `CandidateSpace::try_build_with_limit` as it shipped before the
+/// cheaper-side rule: every directed query edge `(u, u')` scanned from
+/// `C(u)`, each undirected edge twice, with every overflow check where it
+/// was.
+fn build_by_direction(q: &Graph, g: &Graph, cand: &Candidates, limit: u64) -> Result<RefSpace, ArenaOverflow> {
+    if cand.total() as u64 > limit {
+        return Err(ArenaOverflow { arena: "cand_flat", required: cand.total() as u64, limit });
+    }
+    let (mut cand_offsets, mut cand_flat) = (vec![0u32], Vec::new());
+    for u in q.vertices() {
+        cand_flat.extend_from_slice(cand.of(u));
+        cand_offsets.push(cand_flat.len() as u32);
+    }
+    if 2 * q.num_edges() as u64 > limit {
+        return Err(ArenaOverflow { arena: "q_targets", required: 2 * q.num_edges() as u64, limit });
+    }
+    let (mut q_offsets, mut q_targets) = (vec![0u32], Vec::new());
+    for u in q.vertices() {
+        q_targets.extend_from_slice(q.neighbors(u));
+        q_offsets.push(q_targets.len() as u32);
+    }
+    let (mut edge_seg, mut list_offsets, mut nbr_pos) = (Vec::new(), Vec::new(), Vec::new());
+    let mut scratch: Vec<u32> = Vec::new();
+    const UNMAPPED: u32 = u32::MAX;
+    let mut pos_of: Vec<u32> = vec![UNMAPPED; g.num_vertices()];
+    for u in q.vertices() {
+        for &up in q.neighbors(u) {
+            if list_offsets.len() as u64 > limit {
+                return Err(ArenaOverflow { arena: "list_offsets", required: list_offsets.len() as u64, limit });
+            }
+            edge_seg.push(list_offsets.len() as u32);
+            let c_up = cand.of(up);
+            for (j, &w) in c_up.iter().enumerate() {
+                pos_of[w as usize] = j as u32;
+            }
+            for &v in cand.of(u) {
+                if nbr_pos.len() as u64 > limit {
+                    return Err(ArenaOverflow { arena: "nbr_pos", required: nbr_pos.len() as u64, limit });
+                }
+                list_offsets.push(nbr_pos.len() as u32);
+                let nv = g.neighbors(v);
+                if nv.len() >= c_up.len().saturating_mul(16) {
+                    rlqvo_graph::intersect_positions_into(&mut scratch, nv, c_up);
+                    nbr_pos.extend_from_slice(&scratch);
+                } else {
+                    nbr_pos.extend(nv.iter().map(|&w| pos_of[w as usize]).filter(|&p| p != UNMAPPED));
+                }
+            }
+            for &w in c_up {
+                pos_of[w as usize] = UNMAPPED;
+            }
+        }
+    }
+    if nbr_pos.len() as u64 > limit {
+        return Err(ArenaOverflow { arena: "nbr_pos", required: nbr_pos.len() as u64, limit });
+    }
+    list_offsets.push(nbr_pos.len() as u32);
+    Ok(RefSpace { cand_offsets, cand_flat, q_offsets, q_targets, edge_seg, list_offsets, nbr_pos })
+}
+
+/// `cs` holds exactly the arenas of `r`. Read through the accessors, which
+/// between them reach every arena: `cand` the candidate CSR, `edge_id` the
+/// query CSR, `edge_list` the two-level edge CSR at every (edge, position);
+/// `total_edge_list_entries` and `storage_bytes` leave no room for an entry
+/// the accessors do not reach.
+fn assert_same_space(q: &Graph, cs: &CandidateSpace, r: &RefSpace, what: &str) {
+    assert_eq!(cs.num_query_vertices(), q.num_vertices(), "{what}");
+    for u in q.vertices() {
+        let (s, t) = (r.cand_offsets[u as usize] as usize, r.cand_offsets[u as usize + 1] as usize);
+        assert_eq!(cs.cand(u), &r.cand_flat[s..t], "{what}: C({u})");
+        for (k, e) in (r.q_offsets[u as usize]..r.q_offsets[u as usize + 1]).enumerate() {
+            let up = r.q_targets[e as usize];
+            assert_eq!(q.neighbors(u)[k], up, "{what}");
+            assert_eq!(cs.edge_id(u, up), Some(e), "{what}: edge ({u}, {up})");
+            for pos in 0..t - s {
+                let seg = r.edge_seg[e as usize] as usize + pos;
+                let list = &r.nbr_pos[r.list_offsets[seg] as usize..r.list_offsets[seg + 1] as usize];
+                assert_eq!(cs.edge_list(e, pos as u32), list, "{what}: edge ({u}, {up}) position {pos}");
+            }
+        }
+    }
+    assert_eq!(cs.total_edge_list_entries(), r.nbr_pos.len(), "{what}");
+    let entries = [&r.cand_offsets, &r.cand_flat, &r.q_offsets, &r.q_targets, &r.edge_seg, &r.list_offsets, &r.nbr_pos];
+    assert_eq!(cs.storage_bytes(), 4 * entries.iter().map(|a| a.len()).sum::<usize>(), "{what}");
+}
+
+/// Two hubs joined by an edge, 30 spokes on the first and 20 on the
+/// second, and the query K2 with `C(0)` = the dearer hub, `C(1)` = the
+/// cheaper one: the cheaper endpoint has the larger id, so the first-seen
+/// edge `(0, 1)` goes through the one-edge temp, and its scan takes the
+/// gallop arm (`d(v) = 21 ≥ 16·|C(0)|`).
+fn two_hub_case() -> (Graph, Graph, Candidates) {
+    let mut gb = GraphBuilder::new(1);
+    let (h0, h1) = (gb.add_vertex(0), gb.add_vertex(0));
+    gb.add_edge(h0, h1);
+    for (hub, spokes) in [(h0, 30), (h1, 20)] {
+        for _ in 0..spokes {
+            let s = gb.add_vertex(0);
+            gb.add_edge(hub, s);
+        }
+    }
+    (query(1, &[0, 0], &[(0, 1)]), gb.build(), Candidates::new(vec![vec![h0], vec![h1]]))
+}
+
+/// The whole space equals the per-direction build on random
+/// (q, G, candidates) — LDF, NLF and GQL sets, and random subsets of LDF's,
+/// which are what empties a set or ties two costs — and the cases the
+/// cheaper-side rule treats differently all occur: the gallop arm on the
+/// scanned side, a cheaper endpoint with the larger id (the one-edge
+/// temp), an empty `C(u)`, equal costs.
+#[test]
+fn candidate_space_equals_the_per_direction_build() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+    let mut cases: Vec<(Graph, Graph, Candidates)> = vec![two_hub_case()];
+    for case in 0..400u64 {
+        // A sparse random graph under a hub of high degree, so that small
+        // candidate sets meet long adjacency lists.
+        let n = rng.gen_range(6..48u32);
+        let labels = rng.gen_range(1..4u32);
+        let mut gb = GraphBuilder::new(labels);
+        for _ in 0..n {
+            gb.add_vertex(rng.gen_range(0..labels));
+        }
+        for v in 1..n {
+            gb.add_edge(v, rng.gen_range(0..v));
+            if rng.gen_range(0..3u32) > 0 {
+                gb.add_edge(v, 0);
+            }
+        }
+        let g = gb.build();
+        let Some(q) = query_of(&g, case, rng.gen_range(2..7usize)) else { continue };
+        let ldf = LdfFilter.filter(&q, &g);
+        let subsets = q
+            .vertices()
+            .map(|u| match rng.gen_range(0..8u32) {
+                0 => Vec::new(),
+                keep => ldf.of(u).iter().copied().filter(|_| rng.gen_range(0..8u32) < keep).collect(),
+            })
+            .collect();
+        for cand in [ldf, NlfFilter.filter(&q, &g), GqlFilter::DEFAULT.filter(&q, &g), Candidates::new(subsets)] {
+            cases.push((q.clone(), g.clone(), cand));
+        }
+    }
+    let (mut gallop, mut temp, mut empty, mut tied) = (0, 0, 0, 0);
+    for (i, (q, g, cand)) in cases.iter().enumerate() {
+        let reference = build_by_direction(q, g, cand, u64::from(u32::MAX)).expect("small inputs always fit");
+        assert_same_space(q, &CandidateSpace::build(q, g, cand), &reference, &format!("case {i}"));
+        empty += cand.any_empty() as usize;
+        for (u, up) in q.edges() {
+            let (cu, cup) = (scan_cost(g, cand.of(u)), scan_cost(g, cand.of(up)));
+            let (from, to) = if cup < cu { (up, u) } else { (u, up) };
+            temp += (from > to) as usize;
+            tied += (cu == cup && cu > 0) as usize;
+            let long = |&v: &u32| g.degree(v) as usize >= 16 * cand.len_of(to);
+            gallop += (cand.len_of(to) > 0 && cand.of(from).iter().any(long)) as usize;
+        }
+    }
+    assert!(gallop > 0 && temp > 0 && empty > 0 && tied > 0, "{gallop} {temp} {empty} {tied}");
+}
+
+/// Every ceiling from nothing to one past the requirement: below it the
+/// build refuses with the very error the per-direction build gave — same
+/// arena, same lower bound — and at or above it returns the one space.
+#[test]
+fn try_build_with_limit_refuses_or_returns_the_same_space_at_every_limit() {
+    let g = chorded_ring(40, 2, 2);
+    let (q, _) = g.induced_subgraph(&[0, 1, 2, 3]);
+    let ring = (q.clone(), g.clone(), NlfFilter.filter(&q, &g));
+    for (q, g, cand) in [ring, two_hub_case()] {
+        let full = CandidateSpace::build(&q, &g, &cand);
+        let need = (0..).find(|&limit| build_by_direction(&q, &g, &cand, limit).is_ok()).unwrap();
+        assert!(need >= full.total_edge_list_entries() as u64 && need > 0);
+        for limit in 0..=need + 1 {
+            let got = CandidateSpace::try_build_with_limit(&q, &g, &cand, limit);
+            match (got, build_by_direction(&q, &g, &cand, limit)) {
+                (Ok(space), Ok(_)) => assert!(limit >= need && space == full, "limit {limit}"),
+                (Err(got), Err(want)) => assert!(limit < need && got == want, "limit {limit}: {got:?} vs {want:?}"),
+                (got, want) => panic!("limit {limit}: {:?} vs {:?}", got.map(|_| ()), want.map(|_| ())),
+            }
         }
     }
 }

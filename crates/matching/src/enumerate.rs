@@ -25,10 +25,24 @@
 //! Because both engines enumerate `LC(u, M)` in ascending vertex order,
 //! their recursion trees — and therefore `#enum` (Definition II.6), the
 //! paper's order-quality metric — are identical; `tests/oracle.rs`
-//! property-checks that equivalence. The last level is counted, not
-//! recursed (`count_leaves`): a leaf call that can fire nothing is one call
-//! and one match, booked without being made, so `#enum` is exactly what the
-//! per-call recursion reports (`tests/limits.rs` sweeps every budget and cap).
+//! property-checks that equivalence.
+//!
+//! The independent suffix is counted, not recursed. Its start `s` is the
+//! smallest order position such that every `LC` at or after `s` reads only
+//! vertices placed before `s` (computed once per order from the backward
+//! sets). Below a call at depth `d ≥ s` every list is therefore fixed, and
+//! the call's subtree is a product of its levels' free-candidate counts:
+//! `count_suffix` books each child's subtree by addition while none of its
+//! calls can fire anything — no 1024-call cadence boundary, budget or match
+//! cap — and makes the child on which something can fire through the
+//! unchanged `extend → recurse`. A call runs plain where a product would
+//! be wrong: when a vertex is free at two deeper levels (its children then
+//! retry one level down), under `store_matches`, and in a stealing run
+//! with a match cap. The last level is `count_leaves`: a leaf call that can
+//! fire nothing is one call and one match, booked without being made. So
+//! `#enum` is exactly what the per-call recursion reports, call for call —
+//! `tests/limits.rs` sweeps every budget and cap over each suffix shape,
+//! and `tests/oracle.rs` checks random orders against Algorithm 2.
 //!
 //! [`EnumEngine::Auto`] does not choose between them: it is the
 //! CandidateSpace engine with the worker count gated by the estimated
@@ -433,6 +447,71 @@ impl EnumResult {
     }
 }
 
+/// Which paths of the independent-suffix counting ([`count_suffix`]) the
+/// recursion took, summed over every run whose recursion ran on the
+/// calling thread — every serial run, and a stealing run's caller share.
+/// Tests read it before and after a run to check that a fixture reaches
+/// the path it is named for; nothing else does.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SuffixPaths {
+    /// Calls that booked their children by product.
+    pub counted: u64,
+    /// Calls that ran plain: a vertex was free at two deeper levels.
+    pub clashed: u64,
+    /// Children whose own vertex was free at a deeper level, booked with
+    /// that level one short.
+    pub short: u64,
+    /// Stamp passes that stopped at a level with no free candidate.
+    pub emptied: u64,
+    /// Children made through `extend → recurse`: something could fire in
+    /// their subtree.
+    pub descended: u64,
+}
+
+impl SuffixPaths {
+    fn zip(self, o: SuffixPaths, f: impl Fn(u64, u64) -> u64) -> SuffixPaths {
+        SuffixPaths {
+            counted: f(self.counted, o.counted),
+            clashed: f(self.clashed, o.clashed),
+            short: f(self.short, o.short),
+            emptied: f(self.emptied, o.emptied),
+            descended: f(self.descended, o.descended),
+        }
+    }
+}
+
+impl std::ops::Add for SuffixPaths {
+    type Output = SuffixPaths;
+    fn add(self, o: SuffixPaths) -> SuffixPaths {
+        self.zip(o, |a, b| a + b)
+    }
+}
+
+/// What a stretch of runs added: `suffix_paths() - before`.
+impl std::ops::Sub for SuffixPaths {
+    type Output = SuffixPaths;
+    fn sub(self, o: SuffixPaths) -> SuffixPaths {
+        self.zip(o, |a, b| a - b)
+    }
+}
+
+thread_local! {
+    static SUFFIX_PATHS: std::cell::Cell<SuffixPaths> = std::cell::Cell::new(SuffixPaths::default());
+    /// The marks of the last context on this thread that counted a suffix,
+    /// with its stamp generation: the next one continues both, so a run
+    /// does not allocate, zero and fault in `V(G)` words afresh (a cold
+    /// query's heap is trimmed back between queries). Stamps of earlier
+    /// runs carry older generations, which no later pass equals.
+    static MARKS: std::cell::Cell<(Vec<u32>, u32)> = Default::default();
+}
+
+/// This thread's [`SuffixPaths`] so far.
+#[doc(hidden)]
+pub fn suffix_paths() -> SuffixPaths {
+    SUFFIX_PATHS.with(|total| total.get())
+}
+
 /// Runs Algorithm 2 with the engine `config`
 /// [resolves to](EnumConfig::resolved) (building the candidate space
 /// internally for [`EnumEngine::CandidateSpace`]; use
@@ -579,14 +658,19 @@ fn is_permutation(order: &[VertexId]) -> bool {
 /// What genuinely differs between the two engines: how `LC(u, M)` is
 /// computed and what a candidate *slot* is (space engine: a position
 /// inside `C(u)`; probe engine: the data vertex itself). Everything else
-/// — budget, cadence checks, match emission, extend-and-unwind, donation
-/// — is the shared [`recurse`], monomorphized per engine. `'a` is the
-/// lifetime of the precomputed data (space or candidate sets) the slot
-/// lists borrow from, independent of the `&mut` the recursion holds.
+/// — budget, cadence checks, match emission, extend-and-unwind, donation,
+/// suffix counting — is the shared [`recurse`], monomorphized per engine.
+/// `'a` is the lifetime of the precomputed data (space or candidate sets)
+/// the slot lists borrow from, independent of the `&mut` the recursion
+/// holds.
 pub(crate) trait Engine<'a> {
     /// `LC(u, M)` for `u = order[depth]`, ascending: either a view of
     /// precomputed data or, materialized, the contents of `buf`.
     fn local_candidates(&mut self, depth: usize, u: VertexId, mapping: &[VertexId], buf: &mut Vec<u32>) -> Slots<'a>;
+    /// One past the last order position whose choice `LC(order[depth], M)`
+    /// reads (its backward neighbours, Definition II.4); 0 when it reads
+    /// none. `position` maps a query vertex to its place in the order.
+    fn reads_below(&self, depth: usize, position: &[usize]) -> usize;
     /// The data vertex `slot` of query vertex `u` stands for.
     fn vertex(&self, u: VertexId, slot: u32) -> VertexId;
     /// Records that `order[depth]` took `slot`.
@@ -634,9 +718,26 @@ pub(crate) struct Ctx<'c, E> {
     /// performs no allocation (capacity grows to the high-water mark of
     /// |LC| during the first descents).
     bufs: Vec<Vec<u32>>,
+    /// First position of the independent suffix this run counts (see
+    /// [`count_suffix`]); `order.len()` when it counts none — a suffix of
+    /// one level, or a run in which nothing may be booked.
+    suffix: usize,
+    /// Per data vertex, `pass << 8 | level − depth` from the latest
+    /// [`stamp_suffix`] pass that found it free at `level`: 24 bits of
+    /// generation over 8 of level. Empty when `suffix` is `order.len()`.
+    marks: Vec<u32>,
+    /// Generation of the latest stamp pass, carried over with `marks` from
+    /// the thread's previous run; passes start at 1, so a zeroed mark
+    /// belongs to none.
+    pass: u32,
+    /// Per order position, the free-candidate count of the latest pass.
+    free: Vec<u64>,
+    /// What this context's suffix counting did; `into_result` adds it to
+    /// the thread's [`suffix_paths`].
+    paths: SuffixPaths,
 }
 
-impl<'c, E> Ctx<'c, E> {
+impl<'c, 'a, E: Engine<'a>> Ctx<'c, E> {
     pub(crate) fn new(
         engine: E,
         num_data_vertices: usize,
@@ -647,6 +748,13 @@ impl<'c, E> Ctx<'c, E> {
     ) -> Self {
         debug_assert!(is_permutation(order));
         let n = order.len();
+        let suffix = if books(&config, steal.is_some()) { suffix_start(&engine, order) } else { n };
+        // A suffix of one level is the last level, which `count_leaves` owns.
+        let (suffix, counts) = if suffix + 1 < n { (suffix, true) } else { (n, false) };
+        let (mut marks, pass) = if counts { MARKS.take() } else { Default::default() };
+        if counts && marks.len() < num_data_vertices {
+            marks.resize(num_data_vertices, 0);
+        }
         Ctx {
             engine,
             order,
@@ -663,24 +771,44 @@ impl<'c, E> Ctx<'c, E> {
             used: vec![false; num_data_vertices],
             matches: Vec::new(),
             bufs: vec![Vec::new(); n],
+            suffix,
+            marks,
+            pass,
+            free: if counts { vec![0; n] } else { Vec::new() },
+            paths: SuffixPaths::default(),
         }
     }
+}
 
-    /// How many leaf calls from here provably fire nothing — no 1024-call
-    /// cadence boundary, `#enum` budget or match cap among them; zero where
-    /// a leaf does more than count (a stored match, a shared match counter).
+impl<E> Ctx<'_, E> {
+    /// How many calls, and how many matches, can be booked from here with
+    /// none of them firing: no 1024-call cadence boundary or `#enum` budget
+    /// among the calls, no match cap among the matches.
+    fn quiet_windows(&self) -> (u64, u64) {
+        let calls = (0x3FF - (self.enumerations & 0x3FF))
+            .min(self.config.max_enumerations.saturating_sub(self.enumerations + 1));
+        (calls, self.config.max_matches.saturating_sub(self.match_count + 1))
+    }
+
+    /// How many leaf calls from here provably fire nothing — each is one
+    /// call and one match inside the [quiet windows](Self::quiet_windows);
+    /// zero where a leaf does more than count (a stored match, a shared
+    /// match counter).
     fn quiet_run(&self) -> u64 {
-        if self.config.store_matches || (self.steal.is_some() && self.config.max_matches != u64::MAX) {
+        if !books(&self.config, self.steal.is_some()) {
             return 0;
         }
-        (0x3FF - (self.enumerations & 0x3FF))
-            .min(self.config.max_enumerations.saturating_sub(self.enumerations + 1))
-            .min(self.config.max_matches.saturating_sub(self.match_count + 1))
+        let (calls, matches) = self.quiet_windows();
+        calls.min(matches)
     }
 
     /// This worker's exact local counts as a result (a stealing run sums
     /// its workers' in [`crate::parallel`]).
     pub(crate) fn into_result(self) -> EnumResult {
+        SUFFIX_PATHS.with(|total| total.set(total.get() + self.paths));
+        if !self.marks.is_empty() {
+            MARKS.set((self.marks, self.pass));
+        }
         EnumResult {
             match_count: self.match_count,
             enumerations: self.enumerations,
@@ -753,6 +881,11 @@ pub(crate) fn recurse<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize) -> 
         };
     }
 
+    if depth >= ctx.suffix && depth + 1 < ctx.order.len() {
+        if let Some(stop) = count_suffix(ctx, depth) {
+            return stop;
+        }
+    }
     let u = ctx.order[depth];
     match ctx.engine.local_candidates(depth, u, &ctx.mapping, &mut ctx.bufs[depth]) {
         Slots::All(n) if depth + 1 == ctx.order.len() => count_leaves(ctx, 0..n),
@@ -810,9 +943,181 @@ fn count_leaves<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, mut slots: impl Iterato
     }
 }
 
+/// Whether a run may book calls by addition at all: not when each match is
+/// stored, nor when a stealing run counts matches against a shared cap.
+fn books(config: &EnumConfig, stealing: bool) -> bool {
+    !config.store_matches && (!stealing || config.max_matches == u64::MAX)
+}
+
+/// The first position `s` of `order`'s independent suffix: the smallest
+/// such that every `LC` at or after `s` reads only positions before `s`.
+/// Raised, if need be, until a level below `s` fits the 8 bits a mark
+/// gives it.
+fn suffix_start<'a>(engine: &impl Engine<'a>, order: &[VertexId]) -> usize {
+    let n = order.len();
+    let mut position = vec![0; n];
+    for (i, &u) in order.iter().enumerate() {
+        position[u as usize] = i;
+    }
+    let mut reads_below = 0;
+    let mut s = n;
+    while s > 0 {
+        reads_below = reads_below.max(engine.reads_below(s - 1, &position));
+        if reads_below > s - 1 {
+            break;
+        }
+        s -= 1;
+    }
+    s.max(n.saturating_sub(256))
+}
+
+/// A call at `depth` inside the independent suffix, above the last level.
+/// Every `LC` from `depth` down reads only the prefix before the suffix,
+/// so each is fixed for this call's whole subtree: once [`stamp_suffix`]
+/// has counted the free candidates `f_i` of every deeper level, a child's
+/// subtree is `1 + f_{d+1}·(1 + f_{d+2}·(…))` calls and `Π f` matches
+/// ([`subtree`]). [`book_children`] adds that to the counters while it
+/// fits the quiet windows and makes the child on which something can
+/// fire through `extend → recurse`, so `#enum` stays the per-call count
+/// of Definition II.6. `None` when a vertex is free at two deeper levels,
+/// where the products would count a mapping twice: this call then runs
+/// plain and each child retries one level down.
+fn count_suffix<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize) -> Option<bool> {
+    let Some(last) = stamp_suffix(ctx, depth) else {
+        ctx.paths.clashed += 1;
+        return None;
+    };
+    ctx.paths.counted += 1;
+    let u = ctx.order[depth];
+    Some(match ctx.engine.local_candidates(depth, u, &ctx.mapping, &mut ctx.bufs[depth]) {
+        Slots::All(n) => book_children(ctx, depth, last, 0..n),
+        Slots::List(list) => book_children(ctx, depth, last, list.iter().copied()),
+        Slots::Buf => {
+            let buf = std::mem::take(&mut ctx.bufs[depth]);
+            let stop = book_children(ctx, depth, last, buf.iter().copied());
+            ctx.bufs[depth] = buf;
+            stop
+        }
+    })
+}
+
+/// One pass over the `LC` of every level below `depth`: counts each
+/// level's free candidates into `free` and stamps each free vertex with a
+/// new generation and its level. Stops at a level with no free candidate
+/// — no call below it is ever made — and returns that level, else the
+/// last; `None` when a vertex is free at two of the levels.
+fn stamp_suffix<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize) -> Option<usize> {
+    ctx.pass += 1;
+    if ctx.pass == 1 << 24 {
+        ctx.marks.fill(0);
+        ctx.pass = 1;
+    }
+    let n = ctx.order.len();
+    for level in depth + 1..n {
+        let (u, stamp) = (ctx.order[level], ctx.pass << 8 | (level - depth) as u32);
+        let engine = &mut ctx.engine;
+        let free = match engine.local_candidates(level, u, &ctx.mapping, &mut ctx.bufs[level]) {
+            Slots::All(n) => stamp_level(&mut ctx.marks, &ctx.used, stamp, (0..n).map(|s| engine.vertex(u, s))),
+            Slots::List(list) => {
+                stamp_level(&mut ctx.marks, &ctx.used, stamp, list.iter().map(|&s| engine.vertex(u, s)))
+            }
+            Slots::Buf => {
+                stamp_level(&mut ctx.marks, &ctx.used, stamp, ctx.bufs[level].iter().map(|&s| engine.vertex(u, s)))
+            }
+        }?;
+        ctx.free[level] = free;
+        if free == 0 {
+            ctx.paths.emptied += 1;
+            return Some(level);
+        }
+    }
+    Some(n - 1)
+}
+
+/// Stamps the free ones among `vertices` and returns how many there are;
+/// `None` on a vertex this pass already stamped at another level.
+#[inline]
+fn stamp_level(marks: &mut [u32], used: &[bool], stamp: u32, vertices: impl Iterator<Item = VertexId>) -> Option<u64> {
+    let mut free = 0;
+    for v in vertices {
+        if used[v as usize] {
+            continue;
+        }
+        let mark = &mut marks[v as usize];
+        if *mark >> 8 == stamp >> 8 {
+            return None;
+        }
+        *mark = stamp;
+        free += 1;
+    }
+    Some(free)
+}
+
+/// Calls and matches in the subtree of a call whose level and those
+/// below it have `free` candidates each, level `short` one fewer (its own
+/// vertex is taken by the parent): `C = 1 + f₀·(1 + f₁·(…))` and
+/// `M = Π f`. A zero level truncates both; products saturate.
+fn subtree(free: &[u64], short: Option<usize>) -> (u64, u64) {
+    free.iter().enumerate().rev().fold((1, 1), |(calls, matches), (i, &f)| {
+        let f = f - u64::from(short == Some(i));
+        (f.saturating_mul(calls).saturating_add(1), f.saturating_mul(matches))
+    })
+}
+
+/// The children loop of [`count_suffix`]: `last` is the deepest level
+/// the products read. A child whose vertex is stamped at a deeper level
+/// books that level one short. A descent runs passes of its own over the
+/// marks, so the next child re-stamps this call's first — the same lists
+/// and the same `used`, so the same counts and no clash.
+fn book_children<'a, E: Engine<'a>>(
+    ctx: &mut Ctx<'_, E>,
+    depth: usize,
+    last: usize,
+    slots: impl Iterator<Item = u32>,
+) -> bool {
+    let u = ctx.order[depth];
+    let whole = subtree(&ctx.free[depth + 1..=last], None);
+    // Products with one level short, for the last level that needed them.
+    let mut short = (usize::MAX, whole);
+    let mut pass = ctx.pass;
+    for slot in slots {
+        let v = ctx.engine.vertex(u, slot);
+        if ctx.used[v as usize] {
+            continue;
+        }
+        if ctx.pass != pass {
+            let restamped = stamp_suffix(ctx, depth);
+            debug_assert_eq!(restamped, Some(last), "a re-stamp sees the lists the first pass saw");
+            pass = ctx.pass;
+        }
+        let mark = ctx.marks[v as usize];
+        let (calls, matches) = if mark >> 8 == pass {
+            ctx.paths.short += 1;
+            let level = (mark & 0xFF) as usize - 1;
+            if short.0 != level {
+                short = (level, subtree(&ctx.free[depth + 1..=last], Some(level)));
+            }
+            short.1
+        } else {
+            whole
+        };
+        let (call_room, match_room) = ctx.quiet_windows();
+        if calls <= call_room && matches <= match_room {
+            ctx.enumerations += calls;
+            ctx.match_count += matches;
+        } else {
+            ctx.paths.descended += 1;
+            if extend(ctx, depth, u, slot) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 /// Maps `u = order[depth]` to the candidate at `slot`, recurses, and unwinds.
 /// Returns true when enumeration should stop.
-#[inline]
+#[inline(always)]
 fn extend<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, depth: usize, u: VertexId, slot: u32) -> bool {
     let v = ctx.engine.vertex(u, slot);
     if ctx.used[v as usize] {
@@ -933,6 +1238,10 @@ impl<'a> Engine<'a> for SpaceEngine<'a> {
         }
     }
 
+    fn reads_below(&self, depth: usize, _: &[usize]) -> usize {
+        self.backward[depth].iter().map(|&(j, _)| j + 1).max().unwrap_or(0)
+    }
+
     #[inline]
     fn vertex(&self, u: VertexId, slot: u32) -> VertexId {
         self.cs.cand_vertex(u, slot)
@@ -991,6 +1300,10 @@ impl<'a> Engine<'a> for ProbeEngine<'a> {
             }
         }
         Slots::Buf
+    }
+
+    fn reads_below(&self, depth: usize, position: &[usize]) -> usize {
+        self.backward[depth].iter().map(|&p| position[p as usize] + 1).max().unwrap_or(0)
     }
 
     #[inline]
@@ -1452,6 +1765,57 @@ mod tests {
             assert_eq!(res.match_count, 0, "{}", engine.name());
             assert_eq!(res.enumerations, 0, "{}", engine.name());
         }
+    }
+
+    /// The stamp generation has 24 bits, and wrapping it clears the marks:
+    /// a stamp from 2^24 passes back never reads as the current pass's.
+    /// The children's marks are preset to what the first pass after the
+    /// wrap stamps at the level below them; kept, they would book every
+    /// child one short there.
+    #[test]
+    fn suffix_stamps_survive_the_generation_wrap() {
+        // Star: hub (label 0), then leaves of labels 1 and 2. Host: two
+        // hubs, each with three neighbours of either leaf label.
+        let mut qb = GraphBuilder::new(3);
+        let hub = qb.add_vertex(0);
+        for label in [1, 2] {
+            let leaf = qb.add_vertex(label);
+            qb.add_edge(hub, leaf);
+        }
+        let q = qb.build();
+        let mut gb = GraphBuilder::new(3);
+        for _ in 0..2 {
+            let centre = gb.add_vertex(0);
+            for label in [1, 1, 1, 2, 2, 2] {
+                let v = gb.add_vertex(label);
+                gb.add_edge(centre, v);
+            }
+        }
+        let g = gb.build();
+        let cand = LdfFilter.filter(&q, &g);
+        let cs = CandidateSpace::build(&q, &g, &cand);
+        let order = [0, 1, 2];
+        let expected = enumerate_in_space(&q, &cs, &order, EnumConfig::find_all());
+        assert_eq!((expected.match_count, expected.enumerations), (18, 1 + 2 * (1 + 3 * (1 + 3))));
+
+        let backward: Vec<Vec<(usize, u32)>> = order
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| {
+                order[..i].iter().enumerate().filter_map(|(j, &p)| cs.edge_id(p, u).map(|e| (j, e))).collect()
+            })
+            .collect();
+        let engine = SpaceEngine { cs: &cs, backward: &backward, chosen_pos: vec![0; 3], lists: Vec::new() };
+        let mut ctx = Ctx::new(engine, cs.num_data_vertices(), &order, EnumConfig::find_all(), Instant::now(), None);
+        assert_eq!(ctx.suffix, 1, "both leaves read only the hub");
+        ctx.pass = (1 << 24) - 1;
+        for v in g.vertices().filter(|&v| g.label(v) == 1) {
+            ctx.marks[v as usize] = 1 << 8 | 1;
+        }
+        recurse(&mut ctx, 0);
+        assert_eq!(ctx.pass, 2, "one pass per hub, the first of them wrapping");
+        let res = ctx.into_result();
+        assert_eq!((res.match_count, res.enumerations), (expected.match_count, expected.enumerations));
     }
 
     #[test]

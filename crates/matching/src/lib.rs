@@ -62,6 +62,8 @@ pub use enumerate::{
     auto_decide, effective_threads, enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared,
     estimate_enum_work, AutoDecision, EnumConfig, EnumEngine, EnumResult, QueryAdjBits, AUTO_PARALLEL_WORK_PER_WORKER,
 };
+#[doc(hidden)]
+pub use enumerate::{suffix_paths, SuffixPaths};
 pub use filter::{CandidateFilter, Candidates, GqlFilter, LdfFilter, NlfFilter};
 pub use methods::{Method, ROSTER};
 pub use order::{connected_prefix_ok, OrderingMethod};

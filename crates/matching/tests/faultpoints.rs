@@ -248,3 +248,44 @@ fn enum_delay_failpoint_fires_once_per_1024_calls_of_a_leaf_dominated_run() {
         drop(guard);
     }
 }
+
+/// Calls booked by product in an independent suffix never cross the
+/// cadence either: a run made almost wholly of them evaluates the
+/// failpoints once per 1024 calls.
+#[test]
+fn enum_delay_failpoint_fires_once_per_1024_calls_of_a_suffix_dominated_run() {
+    let _globals = globals();
+    // A star, its hub first, four leaves of distinct labels, against a hub
+    // with twelve neighbours of each: every leaf is in the suffix, and each
+    // child of the first leaf has a subtree of 1 + 12·(1 + 12·(1 + 12))
+    // calls, so booking descends into it across the cadence.
+    let mut qb = GraphBuilder::new(5);
+    let hub = qb.add_vertex(0);
+    for label in 1..5 {
+        let leaf = qb.add_vertex(label);
+        qb.add_edge(hub, leaf);
+    }
+    let q = qb.build();
+    let mut gb = GraphBuilder::new(5);
+    let centre = gb.add_vertex(0);
+    for label in 1..5 {
+        for _ in 0..12 {
+            let v = gb.add_vertex(label);
+            gb.add_edge(centre, v);
+        }
+    }
+    let g = gb.build();
+    let cand = LdfFilter.filter(&q, &g);
+    for engine in [rlqvo_matching::EnumEngine::Probe, rlqvo_matching::EnumEngine::CandidateSpace] {
+        let config = rlqvo_matching::EnumConfig::find_all().with_engine(engine).with_threads(1);
+        let guard = rlqvo_fault::arm_scoped("enum.delay=1us@always", 1).unwrap();
+        let before = rlqvo_matching::suffix_paths();
+        let res = rlqvo_matching::enumerate(&q, &g, &cand, &[0, 1, 2, 3, 4], config);
+        let paths = rlqvo_matching::suffix_paths() - before;
+        assert!(paths.counted > 0 && paths.descended >= 12, "{engine:?}: {paths:?}");
+        assert_eq!(res.enumerations, 2 + 12 * (1 + 12 * (1 + 12 * (1 + 12))), "{engine:?}");
+        assert_eq!(res.match_count, 12u64.pow(4), "{engine:?}");
+        assert_eq!(rlqvo_fault::fired("enum.delay"), res.enumerations >> 10, "{engine:?}");
+        drop(guard);
+    }
+}

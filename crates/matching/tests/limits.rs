@@ -2,6 +2,8 @@
 //! the paper's evaluation protocol (match caps, time limits, unsolved
 //! accounting) depends on these behaviours being exact.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -9,8 +11,8 @@ use proptest::prelude::*;
 use rlqvo_graph::{Graph, GraphBuilder, VertexId};
 use rlqvo_matching::order::{OrderingMethod, RiOrdering};
 use rlqvo_matching::{
-    enumerate, enumerate_in_space, enumerate_probe, CandidateFilter, CandidateSpace, Candidates, EnumConfig,
-    EnumEngine, EnumResult, GqlFilter, LdfFilter,
+    enumerate, enumerate_in_space, enumerate_probe, suffix_paths, CandidateFilter, CandidateSpace, EnumConfig,
+    EnumEngine, EnumResult, GqlFilter, LdfFilter, SuffixPaths,
 };
 
 const ENGINES: [EnumEngine; 2] = [EnumEngine::Probe, EnumEngine::CandidateSpace];
@@ -291,68 +293,19 @@ fn zero_match_cap_asks_for_nothing() {
 // Budgets and caps land exactly: a sweep against Algorithm 2 written out
 // ---------------------------------------------------------------------------
 
-/// Algorithm 2 as the paper prints it, sharing no code with the engines'
-/// recursion: `LC(u, M)` by probing a mapped neighbour's adjacency, one
-/// count per call (Definition II.6), the budget tested on entry and the
-/// cap after a match.
-struct Reference<'a> {
-    g: &'a Graph,
-    cand: &'a Candidates,
-    order: &'a [VertexId],
-    /// Per depth, the vertices of `order[..depth]` adjacent to `order[depth]`.
-    backward: &'a [Vec<VertexId>],
-    max_enumerations: u64,
-    max_matches: u64,
-    calls: u64,
-    matches: u64,
-    exhausted: bool,
-    mapping: Vec<VertexId>,
-    used: Vec<bool>,
-    /// The matches themselves, for the runs that compare streams.
-    stream: Option<Vec<Vec<VertexId>>>,
-}
-
-impl Reference<'_> {
-    fn call(&mut self, depth: usize) -> bool {
-        self.calls += 1;
-        if self.calls >= self.max_enumerations {
-            self.exhausted = true;
-            return true;
-        }
-        if depth == self.order.len() {
-            self.matches += 1;
-            if let Some(stream) = &mut self.stream {
-                stream.push(self.mapping.clone());
-            }
-            return self.matches >= self.max_matches;
-        }
-        let (g, u, backward) = (self.g, self.order[depth], &self.backward[depth]);
-        let pool = backward.first().map_or(self.cand.of(u), |&p| g.neighbors(self.mapping[p as usize]));
-        for &v in pool {
-            let joined = || backward.iter().all(|&p| g.has_edge(self.mapping[p as usize], v));
-            if self.used[v as usize] || !self.cand.contains(u, v) || !joined() {
-                continue;
-            }
-            (self.mapping[u as usize], self.used[v as usize]) = (v, true);
-            let stop = self.call(depth + 1);
-            self.used[v as usize] = false;
-            if stop {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-fn one_label(n: u32, edges: impl IntoIterator<Item = (u32, u32)>) -> Graph {
-    let mut b = GraphBuilder::new(1);
-    for _ in 0..n {
-        b.add_vertex(0);
+fn labeled(labels: &[u32], edges: impl IntoIterator<Item = (u32, u32)>) -> Graph {
+    let mut b = GraphBuilder::new(labels.iter().max().map_or(1, |&l| l + 1));
+    for &l in labels {
+        b.add_vertex(l);
     }
     for (u, v) in edges {
         b.add_edge(u, v);
     }
     b.build()
+}
+
+fn one_label(n: u32, edges: impl IntoIterator<Item = (u32, u32)>) -> Graph {
+    labeled(&vec![0; n as usize], edges)
 }
 
 /// `n` vertices of one label, each joined to its next `k`.
@@ -362,53 +315,43 @@ fn band(n: u32, k: u32) -> Graph {
 
 /// Every budget and every cap in `1..=3000` and around the run's own
 /// totals, serial, on both engines: counts and flag equal the reference's,
-/// and a storing run returns exactly the counted prefix of find-all — which
-/// is byte-identical at 1, 2 and 4 workers.
-fn sweep(q: &Graph, g: &Graph, order: &[VertexId]) {
+/// and a storing run returns exactly the counted prefix of find-all — which,
+/// counted or stored, is byte-identical at 1, 2 and 4 workers. Returns the
+/// suffix paths one serial find-all takes, which both engines agree on.
+fn sweep(q: &Graph, g: &Graph, order: &[VertexId]) -> SuffixPaths {
     let cand = LdfFilter.filter(q, g);
-    let backward: Vec<Vec<VertexId>> =
-        (0..order.len()).map(|i| order[..i].iter().copied().filter(|&p| q.has_edge(p, order[i])).collect()).collect();
     let reference = |max_enumerations, max_matches, stream| {
-        let mut r = Reference {
-            g,
-            cand: &cand,
-            order,
-            backward: &backward,
-            max_enumerations,
-            max_matches,
-            calls: 0,
-            matches: 0,
-            exhausted: false,
-            mapping: vec![VertexId::MAX; order.len()],
-            used: vec![false; g.num_vertices()],
-            stream,
-        };
-        r.call(0);
-        ((r.matches, r.calls, r.exhausted), r.stream)
+        common::algorithm2(q, g, &cand, order, max_enumerations, max_matches, stream)
     };
-    let ((matches, calls, _), stream) = reference(u64::MAX, u64::MAX, Some(Vec::new()));
+    let ((matches, calls, _), stream) = reference(u64::MAX, u64::MAX, true);
     // Every limit of the sweep binds, across three cadence boundaries.
     assert!(calls > 3 * 1024 && matches > 3000, "fixture too small: {calls} calls, {matches} matches");
     let around = |total: u64| (1..=3000).chain([total - 1, total, total + 1]);
     let limits: Vec<(u64, u64)> =
         around(calls).map(|b| (b, u64::MAX)).chain(around(matches).map(|c| (u64::MAX, c))).collect();
-    let expected: Vec<_> = limits.iter().map(|&(b, c)| reference(b, c, None).0).collect();
+    let expected: Vec<_> = limits.iter().map(|&(b, c)| reference(b, c, false).0).collect();
 
     let cs = CandidateSpace::build(q, g, &cand);
     let triple = |r: &EnumResult| (r.match_count, r.enumerations, r.budget_exhausted);
     let serial = EnumConfig::find_all().with_threads(1);
     let storing = EnumConfig { store_matches: true, ..serial };
+    let mut paths = Vec::new();
     for engine in ENGINES {
         let run = |cfg: EnumConfig| match engine {
             EnumEngine::Probe => enumerate_probe(q, g, &cand, order, cfg),
             _ => enumerate_in_space(q, &cs, order, cfg),
         };
+        let before = suffix_paths();
+        let counted = run(serial);
+        paths.push(suffix_paths() - before);
+        assert_eq!(triple(&counted), (matches, calls, false), "{engine:?} find-all");
         let all = run(storing);
-        assert_eq!(triple(&all), (matches, calls, false), "{engine:?} find-all");
+        assert_eq!(triple(&all), (matches, calls, false), "{engine:?} find-all (storing)");
         assert_eq!(Some(&all.matches), stream.as_ref(), "{engine:?} find-all stream");
         for threads in [2usize, 4] {
+            assert_eq!(triple(&run(serial.with_threads(threads))), triple(&all), "{engine:?} x{threads}");
             let par = run(storing.with_threads(threads));
-            assert_eq!(triple(&par), triple(&all), "{engine:?} x{threads}");
+            assert_eq!(triple(&par), triple(&all), "{engine:?} x{threads} (storing)");
             assert_eq!(par.matches, all.matches, "{engine:?} x{threads} stream");
         }
         for (&(max_enumerations, max_matches), &expected) in limits.iter().zip(&expected) {
@@ -420,6 +363,8 @@ fn sweep(q: &Graph, g: &Graph, order: &[VertexId]) {
             assert_eq!(stored.matches[..], all.matches[..expected.0 as usize], "{what} (stream)");
         }
     }
+    assert_eq!(paths[0], paths[1], "both engines take the same suffix paths");
+    paths[0]
 }
 
 // One fixture per shape in which the last level's list reaches the
@@ -433,10 +378,15 @@ fn budgets_and_caps_land_exactly_on_a_one_vertex_query() {
     sweep(&one_label(1, []), &one_label(3100, []), &[0]);
 }
 
-/// The same two shapes below a prefix: the last vertex is isolated.
+/// The same two shapes below a prefix: the last vertex is isolated, so it
+/// and its predecessor form an independent suffix whose last level is the
+/// whole candidate set, and whose other level's candidates are all in it —
+/// each booked with the last level one short.
 #[test]
 fn budgets_and_caps_land_exactly_on_a_disconnected_last_vertex() {
-    sweep(&one_label(3, [(0, 1)]), &band(42, 1), &[0, 1, 2]);
+    let paths = sweep(&one_label(3, [(0, 1)]), &band(42, 1), &[0, 1, 2]);
+    assert!(paths.counted > 0 && paths.short > 0, "{paths:?}");
+    assert_eq!((paths.clashed, paths.emptied), (0, 0), "{paths:?}");
 }
 
 /// Space engine `List`: one backward neighbour, whose own predecessor
@@ -463,6 +413,111 @@ fn budgets_and_caps_land_exactly_on_two_backward_neighbours() {
 #[test]
 fn budgets_and_caps_land_exactly_on_three_backward_neighbours() {
     sweep(&one_label(5, [(0, 1), (1, 2), (1, 3), (4, 0), (4, 2), (4, 3)]), &band(8, 5), &[0, 1, 2, 3, 4]);
+}
+
+// Fixtures whose order ends in an independent suffix of two levels or more
+// — every `LC` in it reads only vertices placed before it — so calls there
+// book their children's subtrees as products. Each names the path of that
+// counting it reaches, and asserts that it does.
+
+/// A star query, its hub (label 0) first, then one leaf per entry of
+/// `leaves`, of that label: every leaf is in the suffix.
+fn star(leaves: &[u32]) -> (Graph, Vec<VertexId>) {
+    let labels: Vec<u32> = std::iter::once(0).chain(leaves.iter().copied()).collect();
+    let q = labeled(&labels, (1..labels.len() as u32).map(|leaf| (0, leaf)));
+    (q, (0..labels.len() as u32).collect())
+}
+
+/// `hubs` label-0 vertices and one pool per entry of `pools`, of that
+/// label: hub `h` is joined to `k` consecutive vertices of each pool from
+/// its `h`-th on — but to the pool numbered `even_only`, if any, only when
+/// `h` is even.
+fn star_host(hubs: u32, k: u32, pools: &[u32], even_only: Option<usize>) -> Graph {
+    let mut labels = vec![0; hubs as usize];
+    let mut edges = Vec::new();
+    for (p, &label) in pools.iter().enumerate() {
+        let base = labels.len() as u32;
+        labels.extend(std::iter::repeat_n(label, (hubs + k - 1) as usize));
+        for h in (0..hubs).filter(|h| even_only != Some(p) || h % 2 == 0) {
+            edges.extend((h..h + k).map(|i| (h, base + i)));
+        }
+    }
+    labeled(&labels, edges)
+}
+
+/// Leaves of distinct labels: no vertex is free at two levels, so every
+/// call below the hub books its children.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_star_of_distinct_labels() {
+    let (q, order) = star(&[1, 2, 3]);
+    let paths = sweep(&q, &star_host(15, 6, &[1, 2, 3], None), &order);
+    assert!(paths.counted > 0, "{paths:?}");
+    assert_eq!((paths.clashed, paths.short, paths.emptied), (0, 0, 0), "{paths:?}");
+}
+
+/// Leaves of one label: their lists are equal, so every call with two
+/// leaves below it clashes and runs plain; the call with one leaf below
+/// it books, its children one short there.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_star_of_equal_labels() {
+    let (q, order) = star(&[1, 1, 1]);
+    let paths = sweep(&q, &star_host(7, 3, &[1, 1, 1], None), &order);
+    assert!(paths.clashed > 0 && paths.counted > 0 && paths.short > 0, "{paths:?}");
+}
+
+/// Two adjacent parents, one leaf each, of one label: adjacent parents
+/// share all but one of their leaf neighbours, so a child of the first
+/// leaf is mostly in the second leaf's list — booked one short there.
+#[test]
+fn budgets_and_caps_land_exactly_on_two_parents_sharing_leaves() {
+    let q = labeled(&[0, 0, 1, 1], [(0, 1), (0, 2), (1, 3)]);
+    let (parents, k) = (30, 8);
+    let leaves = (0..parents).flat_map(|p| (p..p + k).map(move |i| (p, parents + i)));
+    let mut labels = vec![0; parents as usize];
+    labels.extend(std::iter::repeat_n(1, (parents + k - 1) as usize));
+    let g = labeled(&labels, (0..parents - 1).map(|p| (p, p + 1)).chain(leaves));
+    let paths = sweep(&q, &g, &[0, 1, 2, 3]);
+    assert!(paths.counted > 0 && paths.short > 0, "{paths:?}");
+    assert_eq!(paths.clashed, 0, "{paths:?}");
+}
+
+/// Odd hubs have no label-2 neighbour: below them the second leaf's level
+/// is empty, and the products stop there.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_suffix_level_that_empties() {
+    let (q, order) = star(&[1, 2, 3]);
+    let paths = sweep(&q, &star_host(30, 6, &[1, 2, 3], Some(1)), &order);
+    assert!(paths.counted > 0 && paths.emptied > 0, "{paths:?}");
+}
+
+/// One hub, four leaves of twelve candidates each: every child of the
+/// first leaf has a subtree of 1885 calls, more than a cadence window
+/// holds, so booking descends into each of them.
+#[test]
+fn budgets_and_caps_land_exactly_where_each_suffix_child_outgrows_the_cadence() {
+    let (q, order) = star(&[1, 2, 3, 4]);
+    let paths = sweep(&q, &star_host(1, 12, &[1, 2, 3, 4], None), &order);
+    assert!(paths.descended >= 12, "{paths:?}");
+}
+
+static SUFFIX_RUN_HEARTBEAT: AtomicU64 = AtomicU64::new(0);
+
+/// The cadence ticks on booked calls too: a run whose calls are almost all
+/// booked by product ticks once per 1024 of them.
+#[test]
+fn heartbeat_ticks_once_per_1024_calls_of_a_suffix_dominated_run() {
+    let (q, order) = star(&[1, 2, 3, 4]);
+    let g = star_host(1, 12, &[1, 2, 3, 4], None);
+    let cand = LdfFilter.filter(&q, &g);
+    for engine in ENGINES {
+        let before = (SUFFIX_RUN_HEARTBEAT.load(Ordering::Relaxed), suffix_paths());
+        let cfg = EnumConfig::find_all().with_engine(engine).with_threads(1).with_heartbeat(&SUFFIX_RUN_HEARTBEAT);
+        let res = enumerate(&q, &g, &cand, &order, cfg);
+        let paths = suffix_paths() - before.1;
+        assert!(paths.counted > 0 && paths.descended > 0, "{engine:?}: {paths:?}");
+        assert!(res.enumerations >> 10 >= 20, "{engine:?}");
+        assert_eq!(SUFFIX_RUN_HEARTBEAT.load(Ordering::Relaxed) - before.0, res.enumerations >> 10, "{engine:?}");
+    }
 }
 
 static LEAF_RUN_HEARTBEAT: AtomicU64 = AtomicU64::new(0);

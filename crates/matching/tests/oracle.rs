@@ -11,6 +11,8 @@
 //! --no-fail-fast` with no environment set: each of those binaries must
 //! fail (the last two under the second mutation only).
 
+mod common;
+
 use proptest::prelude::*;
 use rlqvo_graph::{Graph, GraphBuilder};
 use rlqvo_matching::naive;
@@ -475,6 +477,62 @@ proptest! {
                 for (u, &v) in m.iter().enumerate() {
                     prop_assert_eq!(q.label(u as u32), g.label(v), "{}", engine.name());
                 }
+            }
+        }
+    }
+
+    /// The independent-suffix counting against Algorithm 2 on random
+    /// orders, not only the heuristics' connected ones, so suffixes with
+    /// clashing levels, levels of an unconnected vertex and levels that
+    /// empty all occur. Under random budgets and caps, `(match_count,
+    /// #enum, budget_exhausted)` equal the per-call reference's on both
+    /// engines; find-all, counted and stored, is byte-identical at 1, 2
+    /// and 4 workers; and a stored run is the counted prefix of find-all's
+    /// stream.
+    #[test]
+    fn suffix_counting_is_algorithm_2_on_random_orders(
+        g in arb_graph(12, 2),
+        seed in 0u64..500,
+        draws in any::<u64>(),
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let Some(q) = query_of(&g, seed, 5) else { return Ok(()) };
+        let cand = LdfFilter.filter(&q, &g);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(draws);
+        let mut order: Vec<u32> = q.vertices().collect();
+        order.shuffle(&mut rng);
+        let (all, stream) = common::algorithm2(&q, &g, &cand, &order, u64::MAX, u64::MAX, true);
+        // Six budgets and caps at or below the run's own totals, so they bind.
+        let limits: Vec<(u64, u64)> = (0..6)
+            .map(|_| (rng.gen_range(1..=all.1 + 1), rng.gen_range(1..=all.0 + 1)))
+            .flat_map(|(budget, cap)| [(budget, u64::MAX), (u64::MAX, cap), (budget, cap)])
+            .collect();
+        let stream = stream.expect("asked for");
+        let cs = CandidateSpace::build(&q, &g, &cand);
+        let triple = |r: &rlqvo_matching::EnumResult| (r.match_count, r.enumerations, r.budget_exhausted);
+        let serial = EnumConfig::find_all().with_threads(1);
+        let storing = EnumConfig { store_matches: true, ..serial };
+        for engine in [EnumEngine::Probe, EnumEngine::CandidateSpace] {
+            let run = |cfg: EnumConfig| match engine {
+                EnumEngine::Probe => enumerate_probe(&q, &g, &cand, &order, cfg),
+                _ => enumerate_in_space(&q, &cs, &order, cfg),
+            };
+            for threads in [1, 2, 4] {
+                let what = format!("{} order {:?} x{}", engine.name(), order, threads);
+                prop_assert_eq!(triple(&run(serial.with_threads(threads))), all, "find-all: {}", &what);
+                let stored = run(storing.with_threads(threads));
+                prop_assert_eq!(triple(&stored), all, "find-all (storing): {}", &what);
+                prop_assert_eq!(&stored.matches, &stream, "find-all stream: {}", &what);
+            }
+            for &(max_enumerations, max_matches) in &limits {
+                let what = format!("{} order {:?} budget {} cap {}", engine.name(), order, max_enumerations, max_matches);
+                let (expected, _) = common::algorithm2(&q, &g, &cand, &order, max_enumerations, max_matches, false);
+                let counted = run(EnumConfig { max_enumerations, max_matches, ..serial });
+                prop_assert_eq!(triple(&counted), expected, "{}", &what);
+                let stored = run(EnumConfig { max_enumerations, max_matches, ..storing });
+                prop_assert_eq!(triple(&stored), expected, "storing: {}", &what);
+                prop_assert_eq!(&stored.matches[..], &stream[..expected.0 as usize], "stream: {}", &what);
             }
         }
     }

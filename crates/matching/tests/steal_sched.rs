@@ -79,25 +79,27 @@ fn stealing_fills_the_pool_where_root_partitioning_serialized() {
         let serial = enumerate(&q, &g, &cand, &order, cfg.with_threads(1));
         assert!(serial.match_count > 10_000, "workload too small to exercise stealing");
 
-        // Helper threads park on a condvar between jobs; on a loaded
-        // machine a wakeup can lose the race against a fast enumeration,
-        // so the peak-gauge pin gets a few attempts. Counts must be
-        // exact on every attempt.
-        let mut peak = 0;
-        for _ in 0..5 {
-            reset_scheduler_counters();
-            reset_peak_parallel_workers();
-            let par = enumerate(&q, &g, &cand, &order, cfg.with_threads(4));
-            assert_eq!(par.match_count, serial.match_count, "{}", engine.name());
-            assert_eq!(par.enumerations, serial.enumerations, "{}", engine.name());
-            let stats = scheduler_stats();
-            assert!(stats.tasks_spawned > 0, "{}: no subtree was ever donated", engine.name());
-            assert!(stats.steals > 0, "{}: single-root workload ran without one steal", engine.name());
-            peak = peak_parallel_workers();
-            if peak == 4 {
-                break;
-            }
-        }
+        // Helper threads park on a condvar between jobs, and a job closes
+        // to helpers once its caller's own share returns. Unslowed, this
+        // enumeration ends in about a millisecond, a race a wakeup loses on
+        // a loaded machine. A 1 ms delay per 1024-call cadence window makes
+        // the run a third of a second of sleeps for its workers to share —
+        // far past any wake latency — and changes no count.
+        let fault = rlqvo_fault::arm_scoped("enum.delay=1ms@always", 1).unwrap();
+        reset_scheduler_counters();
+        reset_peak_parallel_workers();
+        let par = enumerate(&q, &g, &cand, &order, cfg.with_threads(4));
+        let (stats, peak) = (scheduler_stats(), peak_parallel_workers());
+        assert!(
+            rlqvo_fault::fired("enum.delay") >= serial.enumerations >> 11,
+            "{}: the delay must slow the run",
+            engine.name()
+        );
+        drop(fault);
+        assert_eq!(par.match_count, serial.match_count, "{}", engine.name());
+        assert_eq!(par.enumerations, serial.enumerations, "{}", engine.name());
+        assert!(stats.tasks_spawned > 0, "{}: no subtree was ever donated", engine.name());
+        assert!(stats.steals > 0, "{}: single-root workload ran without one steal", engine.name());
         assert_eq!(peak, 4, "{}: the steal pool never reached 4 concurrent workers", engine.name());
     }
     assert_eq!(scheduler_stats().queue_depth, 0, "deques must drain to empty");

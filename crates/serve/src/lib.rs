@@ -25,11 +25,12 @@
 //!   never sleeps through the caller's deadline.
 //!
 //! [`protocol`] defines the length-prefixed wire format; [`server`] the
-//! loop itself. `src/bin/replay.rs` is the Zipfian chaos replay driver:
-//! `--faults SPEC --fault-seed N` arms the [`rlqvo_fault`] failpoint
-//! registry, so any run — client-injected panics, oversized frames,
-//! cache corruption, worker kills — replays bit-identically from
-//! `(spec, seed)`.
+//! loop itself. `tests/chaos.rs` drives it through named fault
+//! schedules, each arming the [`rlqvo_fault`] failpoint registry from a
+//! `(spec, seed)` pair it replays from — worker kills, wedges, cache
+//! corruption and poison, slow enumeration, steal-loop stalls — while
+//! the test itself injects panics and oversized frames on requests it
+//! chooses.
 
 pub mod client;
 pub mod protocol;

@@ -90,14 +90,16 @@ pub struct ServeConfig {
     /// `false` = serve every request down the fully cold path (the
     /// `--no-cache` proof that degradation works).
     pub use_cache: bool,
-    /// Honor `inject=panic` request directives (replay/tests only).
+    /// Honor `inject=panic` request directives (chaos tests, and
+    /// `rlqvo serve --fault-injection`).
     pub fault_injection: bool,
     /// Path to a trained model, enabling `method=rlqvo`.
     pub model_path: Option<String>,
     /// Micro-batch size: a worker that picks up a `match` job gathers up
     /// to `batch - 1` more from the queue (waiting at most 100 µs for
-    /// stragglers) and pre-stages their RL-QVO orders through one stacked
-    /// policy forward. `1` (the default) disables gathering entirely.
+    /// stragglers) and pre-stages their RL-QVO orders in one `order_many`
+    /// pass — one episode after another over one warm inference scratch.
+    /// Clamped to 64. `1` (the default) disables gathering entirely.
     pub batch: usize,
     /// Serve `method=rlqvo` orders with the opt-in fast-math kernels
     /// (`InferMath::Fast`): FMA + blocked reductions, tolerance-bounded
@@ -194,8 +196,7 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// The warm candidate-space tier (exposed for fault-injection tests
-    /// and the replay driver's corruption hooks).
+    /// The warm candidate-space tier (exposed for in-process tests).
     pub fn space(&self) -> &SpaceCache {
         &self.space
     }
@@ -300,7 +301,7 @@ pub struct ServerHandle {
 
 impl Server {
     /// Binds an ephemeral local port against `g` (the CLI loads it from
-    /// `--data`; tests and the replay driver build it in process), spawns
+    /// `--data`; tests build it in process), spawns
     /// the accept loop and the worker pool, and returns the handle.
     pub fn start(config: ServeConfig, g: Arc<Graph>) -> std::io::Result<ServerHandle> {
         let model = match &config.model_path {
@@ -377,7 +378,7 @@ impl ServerHandle {
     }
 
     /// The shared state — cache tier, metrics — for in-process callers
-    /// (tests, the replay driver's corruption hooks).
+    /// (tests).
     pub fn shared(&self) -> &ServerState {
         &self.state
     }
@@ -990,7 +991,7 @@ impl OrderingMethod for InjectedPanic<'_> {
 }
 
 /// Blocking client helper: one request frame out, one response frame
-/// back. Shared by the CLI, the replay driver, and the tests.
+/// back. Shared by the retry client, the benchmark ledger and the tests.
 pub fn roundtrip<S: Read + Write>(stream: &mut S, req: &Request) -> std::io::Result<Response> {
     write_frame(stream, req.to_text().as_bytes())?;
     loop {

@@ -7,91 +7,52 @@
 //! * **No lost replies** — every request ends in exactly one typed
 //!   response (client-side ground truth).
 //! * **Degrade accounting** — `degraded` equals the sum of its
-//!   per-cache parts.
+//!   per-cache parts, and every per-cache counter is surfaced.
 //! * **Cache bounds hold** — configured byte bounds are never exceeded,
 //!   chaos or not.
 //! * **Health answers** — the `health` verb replies even while the
 //!   worker pool is wedged or saturated.
+//! * **The faults fired** — a schedule that never hit its sites proved
+//!   nothing, so each asserts its fire counts.
 //! * **Clean shutdown** — `ServerHandle::shutdown` joins everything and
 //!   returns, whatever the run did to the pool.
+//!
+//! Every schedule replays from its `(spec, seed)` pair (the registry's
+//! decisions are a pure function of the pair and each site's
+//! evaluation index):
+//!
+//! | schedule | spec | seed |
+//! |---|---|---|
+//! | 1 worker kill | `serve.worker.panic=1in5` | 11 |
+//! | 2 cache chaos | `cache.shard.poison=once;cache.checksum_corrupt=1in7` | 23 |
+//! | 3 slow with deadlines | `enum.delay=2ms@1in2;serve.admission.stall=5ms@1in3` | 31 |
+//! | 4 wedge vs. watchdog | `serve.worker.wedge=500ms@once` | 47 |
+//! | 5 concurrent mix | `cache.checksum_corrupt=1in43` | 7 |
+//! | 5 concurrent mix under kills | `serve.worker.panic=1in7;cache.checksum_corrupt=1in11` | 7 |
+//! | 6 stealing under kills | `serve.worker.panic=1in7;enum.morsel.stall=1ms@1in5` | 13 |
+//! | 7 batched learned path | `serve.worker.wedge=300ms@once` | 53 |
 //!
 //! One `#[test]` runs all schedules sequentially: the registry is
 //! process-global, so schedules must never overlap (each holds the
 //! `arm_scoped` guard for its duration). CI runs this binary by name.
 
+mod common;
+
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use rlqvo_graph::{io::write_graph, Graph, GraphBuilder};
-use rlqvo_serve::{roundtrip, Client, Request, Response, RetryPolicy, ServeConfig, Server, ServerHandle};
-
-/// A small labeled host with plenty of matches (fast requests).
-fn small_host() -> Graph {
-    let mut b = GraphBuilder::new(3);
-    for i in 0..40u32 {
-        b.add_vertex(i % 3);
-    }
-    for i in 0..40u32 {
-        for j in (i + 1)..40.min(i + 6) {
-            b.add_edge(i, j);
-        }
-    }
-    b.build()
-}
-
-fn small_query() -> Graph {
-    let mut b = GraphBuilder::new(3);
-    let a = b.add_vertex(0);
-    let c = b.add_vertex(1);
-    let d = b.add_vertex(2);
-    b.add_edge(a, c);
-    b.add_edge(c, d);
-    b.build()
-}
-
-/// A one-label near-clique whose path query costs millions of
-/// enumeration calls: guaranteed to cross the 1024-call failpoint
-/// cadence and to blow any tight deadline.
-fn heavy_host() -> Graph {
-    let mut b = GraphBuilder::new(1);
-    for _ in 0..80 {
-        b.add_vertex(0);
-    }
-    for i in 0..80u32 {
-        for j in (i + 1)..80.min(i + 11) {
-            b.add_edge(i, j);
-        }
-    }
-    b.build()
-}
-
-fn heavy_query() -> Graph {
-    let mut b = GraphBuilder::new(1);
-    let vs: Vec<_> = (0..6).map(|_| b.add_vertex(0)).collect();
-    for w in vs.windows(2) {
-        b.add_edge(w[0], w[1]);
-    }
-    b.build()
-}
-
-fn text(q: &Graph) -> String {
-    let mut buf = Vec::new();
-    write_graph(q, &mut buf).unwrap();
-    String::from_utf8(buf).unwrap()
-}
-
-fn plain_match(query_text: String, deadline_ms: Option<u64>) -> Request {
-    Request::Match { deadline_ms, max_matches: None, method: None, engine: None, inject: None, query_text }
-}
-
-fn metrics(handle: &ServerHandle) -> BTreeMap<String, u64> {
-    let mut s = handle.connect().unwrap();
-    match roundtrip(&mut s, &Request::Metrics).unwrap() {
-        Response::Metrics(m) => m,
-        other => panic!("metrics got {other:?}"),
-    }
-}
+use common::{
+    assert_degrade_conservation, heavy_host, heavy_query, metrics, plain_match, small_host, small_query, text,
+};
+use rlqvo_core::{RlQvo, RlQvoConfig};
+use rlqvo_graph::GraphBuilder;
+use rlqvo_serve::{
+    read_frame, roundtrip, Client, Frame, Request, Response, RetryPolicy, ServeConfig, Server, ServerHandle,
+    MAX_FRAME_BYTES,
+};
 
 fn health(handle: &ServerHandle) -> BTreeMap<String, u64> {
     let mut s = handle.connect().unwrap();
@@ -99,15 +60,6 @@ fn health(handle: &ServerHandle) -> BTreeMap<String, u64> {
         Response::Health(m) => m,
         other => panic!("health got {other:?}"),
     }
-}
-
-/// `degraded == Σ parts`, on any metrics snapshot.
-fn assert_degrade_conservation(m: &BTreeMap<String, u64>) {
-    let parts = m["space_checksum_failures"]
-        + m["space_poison_recoveries"]
-        + m["order_checksum_failures"]
-        + m["order_poison_recoveries"];
-    assert_eq!(m["degraded"], parts, "degraded must equal the sum of its per-cache parts");
 }
 
 /// Schedule 1 — **worker kill**: every 5th queue pickup dies *outside*
@@ -259,6 +211,252 @@ fn schedule_wedge_watchdog() {
     handle.shutdown();
 }
 
+/// Clients of the concurrent mix; each keeps one request in flight.
+const MIX_CLIENTS: usize = 3;
+/// Requests per mix client.
+const MIX_REQUESTS: usize = 40;
+/// Every `PANIC_EVERY`-th request of the mix (counted across clients)
+/// carries `inject=panic`.
+const PANIC_EVERY: usize = 10;
+
+/// `n` distinct four-vertex path queries over the small host's three
+/// labels: the labels along query `i` are the base-3 digits of `i`.
+fn path_queries(n: usize) -> Vec<String> {
+    (0..n as u32)
+        .map(|i| {
+            let mut b = GraphBuilder::new(3);
+            let vs: Vec<_> = (0..4).map(|d| b.add_vertex(i / 3u32.pow(d) % 3)).collect();
+            for w in vs.windows(2) {
+                b.add_edge(w[0], w[1]);
+            }
+            text(&b.build())
+        })
+        .collect()
+}
+
+/// The concurrent mix under `(spec, seed)`: `MIX_CLIENTS` clients cycle
+/// through eight distinct queries on the small host, every
+/// `PANIC_EVERY`-th request is an injected panic, three oversized frames
+/// arrive on sacrificial connections mid-run, and client 0 flushes both
+/// caches at 70 % of its own requests. `threads` is the server's core
+/// budget, `enum_threads` the workers each request may ask for.
+///
+/// Beyond the universal invariants it keeps the books exactly: the
+/// client-side reply tally equals the server's counters reply for reply,
+/// each fired worker kill is exactly one `worker_lost` reply and one
+/// restart, typed panics come only from injected requests, and every
+/// cache corruption is caught and evicts.
+fn concurrent_mix(spec: &str, seed: u64, threads: usize, enum_threads: usize) {
+    let _guard = rlqvo_fault::arm_scoped(spec, seed).unwrap();
+    // A queue as deep as the client count: nothing is ever shed.
+    let mut config = ServeConfig { threads, queue_depth: MIX_CLIENTS, fault_injection: true, ..ServeConfig::default() };
+    config.enum_config.threads = enum_threads;
+    let handle = Server::start(config, Arc::new(small_host())).unwrap();
+    let pool = path_queries(8);
+
+    let replies: Vec<Response> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..MIX_CLIENTS)
+            .map(|c| {
+                let (handle, pool) = (&handle, &pool);
+                scope.spawn(move || {
+                    let mut stream = handle.connect().unwrap();
+                    let mut replies = Vec::with_capacity(MIX_REQUESTS);
+                    for i in 0..MIX_REQUESTS {
+                        if c == 0 && i == 7 * MIX_REQUESTS / 10 {
+                            let flushed = roundtrip(&mut stream, &Request::Flush).unwrap();
+                            assert!(matches!(flushed, Response::Metrics(_)), "flush got {flushed:?}");
+                        }
+                        let injected = (c * MIX_REQUESTS + i) % PANIC_EVERY == PANIC_EVERY - 1;
+                        let req = Request::Match {
+                            deadline_ms: Some(200),
+                            max_matches: Some(10_000),
+                            method: None,
+                            engine: None,
+                            inject: injected.then(|| "panic".to_string()),
+                            query_text: pool[(c + i) % pool.len()].clone(),
+                        };
+                        let reply = roundtrip(&mut stream, &req);
+                        replies.push(reply.unwrap_or_else(|e| panic!("client {c}, request {i}: lost reply: {e}")));
+                    }
+                    replies
+                })
+            })
+            .collect();
+        for _ in 0..3 {
+            let mut sacrificial = handle.connect().unwrap();
+            sacrificial.write_all(&u32::MAX.to_le_bytes()).unwrap();
+            let reply = match read_frame(&mut sacrificial, MAX_FRAME_BYTES).unwrap() {
+                Frame::Msg(p) => Response::parse(std::str::from_utf8(&p).unwrap()).unwrap(),
+                other => panic!("oversized frame got no typed reply: {other:?}"),
+            };
+            assert!(matches!(reply, Response::Rejected { .. }), "oversized frame must be typed-rejected: {reply:?}");
+        }
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+
+    // Fire counts are taken once every client has joined and before the
+    // probe below: a corruption fire and the checksum failure it causes
+    // land in one lookup, so every fire counted here is in the snapshot.
+    for rule in spec.split(';') {
+        let site = rule.split('=').next().unwrap().trim();
+        assert!(rlqvo_fault::fired(site) >= 1, "{site} never fired under {spec:?} seed {seed}");
+    }
+    let kills = rlqvo_fault::fired("serve.worker.panic");
+    let corruptions = rlqvo_fault::fired("cache.checksum_corrupt");
+    // Each kill leaves one dead worker for the supervisor to replace on
+    // its next tick.
+    let settle = Instant::now();
+    while health(&handle)["worker_restarts"] < kills && settle.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let m = metrics(&handle);
+
+    let (mut ok, mut deadline, mut panics, mut lost_workers) = (0u64, 0u64, 0u64, 0u64);
+    for r in &replies {
+        match r {
+            Response::Ok { .. } => ok += 1,
+            Response::DeadlineExceeded { .. } => deadline += 1,
+            Response::InternalError { reason } if reason == "panic" => panics += 1,
+            Response::InternalError { reason } if reason == "worker_lost" => lost_workers += 1,
+            other => panic!("unexpected reply in the concurrent mix: {other:?}"),
+        }
+    }
+    assert_eq!(replies.len(), MIX_CLIENTS * MIX_REQUESTS, "exactly one typed reply per request");
+    assert_eq!(
+        (m["served"], m["deadline_exceeded"], m["errors"], m["rejected"], m["shed"]),
+        (ok, deadline, panics, 3, 0),
+        "the server's books must match the clients' reply for reply (three oversize rejects): {m:?}"
+    );
+    // A kill drops the one job its worker picked up; nothing else loses one.
+    assert_eq!(lost_workers, kills, "each worker kill is exactly one worker_lost reply");
+    let injected = (MIX_CLIENTS * MIX_REQUESTS / PANIC_EVERY) as u64;
+    assert!(panics >= 1, "at least one injected panic must surface as a typed error");
+    assert!(panics <= injected, "typed errors come only from the {injected} injected panics: {panics}");
+    assert_eq!(m["flushes"], 1, "the mid-run flush must have landed");
+    assert_degrade_conservation(&m);
+    // Concurrent hits on one corrupted entry can count its failure twice
+    // before the evict lands, so failures bound fires from above; each
+    // fire evicts the liar it made (the caches are unbounded and a flush
+    // counts no evictions, so nothing else evicts).
+    let failures = m["space_checksum_failures"] + m["order_checksum_failures"];
+    assert!(failures >= corruptions, "each corruption must be caught: {failures} failures < {corruptions} fires");
+    let evictions = m["space_evictions"] + m["order_evictions"];
+    assert!(evictions >= corruptions, "each degrade evicts: {evictions} evictions < {corruptions} fires");
+    if kills > 0 {
+        assert_eq!(m["worker_restarts"], kills, "the supervisor must replace every killed worker: {m:?}");
+        assert!(m["workers_alive"] >= 1, "the pool must be alive after the schedule: {m:?}");
+    }
+
+    // One more warm request is served, through the retrying client: the
+    // schedule is still armed, so a kill may land on it too.
+    let mut client = Client::new(handle.addr(), RetryPolicy::default(), seed);
+    let probe = client.call(&plain_match(pool[0].clone(), None), Duration::from_secs(30)).unwrap();
+    assert!(matches!(probe.response, Response::Ok { .. }), "server unusable after the mix: {:?}", probe.response);
+    handle.shutdown();
+}
+
+/// Schedule 5 — **concurrent mix**: the cache-corruption mix on its own,
+/// then again with every 7th queue pickup killing its worker.
+fn schedule_concurrent_mix() {
+    concurrent_mix("cache.checksum_corrupt=1in43", 7, 2, 1);
+    concurrent_mix("serve.worker.panic=1in7;cache.checksum_corrupt=1in11", 7, 2, 1);
+}
+
+/// Schedule 6 — **stealing under kills**: the concurrent mix on a
+/// 4-token budget with 2 enumeration workers per request, worker kills,
+/// and 1 ms stalls at the steal loop's task-claim point. The stall site
+/// is evaluated only inside a stealing run, so its fires prove that
+/// helpers were granted; how many tasks were stolen is the scheduler's
+/// business and is not asserted.
+fn schedule_stealing_under_kills() {
+    concurrent_mix("serve.worker.panic=1in7;enum.morsel.stall=1ms@1in5", 13, 4, 2);
+}
+
+/// Schedule 7 — **batched learned path**: `method=rlqvo` requests through
+/// an untrained model with the fast-math kernels, on a server that
+/// gathers up to 8 jobs per dispatch. The sole worker is wedged once,
+/// holding the first request, and the rest are sent only once it sleeps:
+/// they queue behind it, and its next pickup gathers them, so a batch of
+/// two or more is certain. Every reply must equal a `batch: 1` server's
+/// with the same math — `order_many` is pinned equal to one order at a
+/// time.
+fn schedule_batched_learned_path() {
+    const QUERIES: usize = 8;
+    let model = std::env::temp_dir().join(format!("rlqvo-chaos-model-{}.txt", std::process::id()));
+    RlQvo::new(RlQvoConfig::harness()).save(&model).unwrap();
+    let server = |batch| {
+        let config = ServeConfig {
+            threads: 1,
+            model_path: Some(model.to_string_lossy().into_owned()),
+            batch,
+            fast_math: true,
+            ..ServeConfig::default()
+        };
+        Server::start(config, Arc::new(small_host())).unwrap()
+    };
+    let learned = |query_text: &String| Request::Match {
+        deadline_ms: None,
+        max_matches: None,
+        method: Some("rlqvo".into()),
+        engine: None,
+        inject: None,
+        query_text: query_text.clone(),
+    };
+    let pool = path_queries(QUERIES);
+
+    // The reference: one job per dispatch, nothing armed.
+    let reference = server(1);
+    let mut s = reference.connect().unwrap();
+    let expected: Vec<Response> = pool.iter().map(|q| roundtrip(&mut s, &learned(q)).unwrap()).collect();
+    reference.shutdown();
+
+    let _guard = rlqvo_fault::arm_scoped("serve.worker.wedge=300ms@once", 53).unwrap();
+    let handle = server(QUERIES);
+    // Every client connects up front, so no accept lands in the wedge.
+    let streams: Vec<TcpStream> = pool.iter().map(|_| handle.connect().unwrap()).collect();
+    let replies: Vec<Response> = std::thread::scope(|scope| {
+        let mut calls = streams.into_iter().zip(&pool).map(|(mut stream, q)| {
+            let req = learned(q);
+            move || roundtrip(&mut stream, &req).expect("typed reply")
+        });
+        let first = scope.spawn(calls.next().unwrap());
+        while rlqvo_fault::fired("serve.worker.wedge") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let rest: Vec<_> = calls.map(|call| scope.spawn(call)).collect();
+        std::iter::once(first).chain(rest).map(|h| h.join().unwrap()).collect()
+    });
+
+    let counts = |r: &Response| match r {
+        Response::Ok { matches, enums, .. } => (*matches, *enums),
+        other => panic!("the learned path must serve: {other:?}"),
+    };
+    let (got, want): (Vec<_>, Vec<_>) = (replies.iter().map(counts).collect(), expected.iter().map(counts).collect());
+    assert_eq!(got, want, "batched replies must equal one-at-a-time replies");
+    let prestaged = replies.iter().filter(|r| matches!(r, Response::Ok { hit_order: true, .. })).count();
+    assert!(
+        prestaged >= 2,
+        "a gathered batch pre-stages its orders: {prestaged} of {QUERIES} replies hit the order cache"
+    );
+    assert_eq!(rlqvo_fault::fired("serve.worker.wedge"), 1, "the wedge must have held the worker");
+    let m = metrics(&handle);
+    let batches: Vec<u64> = (1..=QUERIES).map(|k| m[format!("batch_size_{k}").as_str()]).collect();
+    let jobs: u64 = batches.iter().zip(1..).map(|(n, k)| n * k).sum();
+    assert_eq!(jobs, QUERIES as u64, "every dispatched job is recorded in one batch: {batches:?}");
+    assert!(
+        batches[1..].iter().any(|&n| n >= 1),
+        "the queued requests must run as a batch of two or more: {batches:?}"
+    );
+    assert_eq!((m["served"], m["errors"], m["rejected"]), (QUERIES as u64, 0, 0), "{m:?}");
+    assert_degrade_conservation(&m);
+
+    // One more warm request is served, with the same answer.
+    let mut s = handle.connect().unwrap();
+    assert_eq!(counts(&roundtrip(&mut s, &learned(&pool[0])).unwrap()), want[0]);
+    handle.shutdown();
+    std::fs::remove_file(&model).ok();
+}
+
 #[test]
 fn chaos_schedules_hold_the_robustness_invariants() {
     // Worker-kill panics escape the request fence by design; silence
@@ -275,4 +473,7 @@ fn chaos_schedules_hold_the_robustness_invariants() {
     schedule_cache_chaos();
     schedule_slow_with_deadlines();
     schedule_wedge_watchdog();
+    schedule_concurrent_mix();
+    schedule_stealing_under_kills();
+    schedule_batched_learned_path();
 }

@@ -3,70 +3,16 @@
 //! must produce exactly one typed reply, and the server plus its warm
 //! cache tier must stay usable afterwards.
 
+mod common;
+
 use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rlqvo_graph::{io::write_graph, Graph, GraphBuilder};
+use common::{
+    assert_degrade_conservation, heavy_host, heavy_query, metrics, plain_match, small_host, small_query, text,
+};
 use rlqvo_serve::{read_frame, roundtrip, Frame, Request, Response, ServeConfig, Server, MAX_FRAME_BYTES};
-
-/// A small labeled host with plenty of matches (fast requests).
-fn small_host() -> Graph {
-    let mut b = GraphBuilder::new(3);
-    for i in 0..40u32 {
-        b.add_vertex(i % 3);
-    }
-    for i in 0..40u32 {
-        for j in (i + 1)..40.min(i + 6) {
-            b.add_edge(i, j);
-        }
-    }
-    b.build()
-}
-
-fn small_query() -> Graph {
-    let mut b = GraphBuilder::new(3);
-    let a = b.add_vertex(0);
-    let c = b.add_vertex(1);
-    let d = b.add_vertex(2);
-    b.add_edge(a, c);
-    b.add_edge(c, d);
-    b.build()
-}
-
-/// A one-label clique-chain whose path query costs millions of
-/// enumeration calls: deadline and overload fodder.
-fn heavy_host() -> Graph {
-    let mut b = GraphBuilder::new(1);
-    for _ in 0..80 {
-        b.add_vertex(0);
-    }
-    for i in 0..80u32 {
-        for j in (i + 1)..80.min(i + 11) {
-            b.add_edge(i, j);
-        }
-    }
-    b.build()
-}
-
-fn heavy_query() -> Graph {
-    let mut b = GraphBuilder::new(1);
-    let vs: Vec<_> = (0..6).map(|_| b.add_vertex(0)).collect();
-    for w in vs.windows(2) {
-        b.add_edge(w[0], w[1]);
-    }
-    b.build()
-}
-
-fn text(q: &Graph) -> String {
-    let mut buf = Vec::new();
-    write_graph(q, &mut buf).unwrap();
-    String::from_utf8(buf).unwrap()
-}
-
-fn plain_match(query_text: String, deadline_ms: Option<u64>) -> Request {
-    Request::Match { deadline_ms, max_matches: None, method: None, engine: None, inject: None, query_text }
-}
 
 #[test]
 fn fault_mix_yields_typed_replies_and_a_live_server() {
@@ -118,36 +64,15 @@ fn fault_mix_yields_typed_replies_and_a_live_server() {
         assert!(hit_space && hit_order, "caches must stay warm across a panicking request");
 
         // 5. Server-side accounting saw all of it.
-        let Response::Metrics(m) = roundtrip(&mut s, &Request::Metrics).unwrap() else { panic!("metrics") };
+        let m = metrics(&handle);
         assert_eq!(m["errors"], 1);
         assert_eq!(m["served"], 2);
         assert!(m["rejected"] >= 1);
         // The cache tier is fully surfaced: per-cache hit/miss/eviction and
         // degrade counters, and the aggregate equals the sum of its parts.
-        for k in [
-            "space_hits",
-            "space_misses",
-            "space_evictions",
-            "space_checksum_failures",
-            "space_poison_recoveries",
-            "order_hits",
-            "order_misses",
-            "order_evictions",
-            "order_checksum_failures",
-            "order_poison_recoveries",
-        ] {
-            assert!(m.contains_key(k), "metrics must surface {k:?}");
-        }
+        assert_degrade_conservation(&m);
         assert!(m["space_hits"] >= 1, "the warm repeat hit the space cache");
         assert!(m["order_hits"] >= 1, "the warm repeat hit the order cache");
-        assert_eq!(
-            m["degraded"],
-            m["space_checksum_failures"]
-                + m["space_poison_recoveries"]
-                + m["order_checksum_failures"]
-                + m["order_poison_recoveries"],
-            "degraded must equal the sum of its per-cache parts"
-        );
 
         // 6. An oversized frame gets a typed reject and a closed connection
         //    (the payload was never read, so the stream lost sync) — and the
@@ -203,10 +128,7 @@ fn overload_is_shed_with_typed_replies() {
             "untyped or unexpected reply: {r:?}"
         );
     }
-    let Response::Metrics(m) = roundtrip(&mut handle.connect().unwrap(), &Request::Metrics).unwrap() else {
-        panic!("metrics")
-    };
-    assert_eq!(m["shed"], shed as u64);
+    assert_eq!(metrics(&handle)["shed"], shed as u64);
     handle.shutdown();
 }
 
@@ -264,7 +186,7 @@ fn method_names_resolve_through_the_roster_and_unknown_ones_are_rejected() {
         let r = roundtrip(&mut s, &with_method(name)).unwrap();
         assert!(matches!(&r, Response::Rejected { reason } if reason.contains(why)), "{name}: {r:?}");
     }
-    let Response::Metrics(m) = roundtrip(&mut s, &Request::Metrics).unwrap() else { panic!("metrics") };
+    let m = metrics(&handle);
     assert_eq!((m["served"], m["rejected"], m["errors"]), (rlqvo_matching::ROSTER.len() as u64, 3, 0));
     handle.shutdown();
 }
@@ -330,7 +252,7 @@ fn long_but_healthy_request_survives_a_watchdog_below_its_runtime() {
         elapsed >= Duration::from_millis(400),
         "fixture too fast ({elapsed:?}) to outlast the 120ms watchdog — the regression is untested"
     );
-    let Response::Metrics(m) = roundtrip(&mut s, &Request::Metrics).unwrap() else { panic!("metrics") };
+    let m = metrics(&handle);
     assert_eq!(m["worker_restarts"], 0, "a beating worker was retired as wedged");
     assert_eq!(m["workers_alive"], 1);
     handle.shutdown();

@@ -207,8 +207,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
         model_path: flag(args, "--model"),
         ..rlqvo_suite::serve::ServeConfig::default()
     };
-    if let Some(t) = parsed::<usize>(args, "--threads")? {
-        config.threads = t.max(1);
+    if let Some(t) = parsed::<NonZeroUsize>(args, "--threads")? {
+        config.threads = t.get();
     }
     // Workers per request, drawn from the `--threads` token budget
     // (`Server::start` clamps the request to it).
@@ -221,13 +221,19 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(t) = parsed(args, "--time-limit-ms")? {
         config.enum_config.time_limit = Duration::from_millis(t);
     }
-    // Inference knobs: `--batch` sets the micro-batch gather size,
-    // `--fast-math` opts the RL-QVO ordering path into the fast-math
-    // kernels.
+    // Inference knobs: `--batch` sets the micro-batch gather size (the
+    // server tracks at most 64), `--fast-math` opts the RL-QVO ordering
+    // path into the fast-math kernels — which only `--model` enables.
     if let Some(b) = parsed::<usize>(args, "--batch")? {
-        config.batch = b.max(1);
+        if !(1..=64).contains(&b) {
+            return Err(format!("bad --batch \"{b}\" (want 1..=64)").into());
+        }
+        config.batch = b;
     }
     config.fast_math = switch(args, "--fast-math", config.fast_math)?;
+    if config.fast_math && config.model_path.is_none() {
+        return Err("bad --fast-math \"on\" (needs --model)".into());
+    }
     // Resilience knobs: bounded cache tiers, the wedged-worker watchdog,
     // and the failpoint registry (`--faults`/`RLQVO_FAULTS`).
     config.space_cache_bytes = parsed(args, "--space-cache-bytes")?;

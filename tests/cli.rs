@@ -98,12 +98,17 @@ fn serve_rejects_malformed_values() {
         &[
             ("--queue-depth", "deep"),
             ("--threads", "-1"),
+            ("--threads", "0"),
             ("--enum-threads", "0"),
             ("--enum-threads", "x"),
             ("--max-matches", "1e5"),
             ("--time-limit-ms", "1s"),
             ("--batch", "eight"),
+            ("--batch", "0"),
+            ("--batch", "100"),
             ("--fast-math", "maybe"),
+            // Without `--model` no request can take the learned path.
+            ("--fast-math", "on"),
             ("--space-cache-bytes", "1MB"),
             ("--stall-timeout-ms", "x"),
         ],

@@ -24,4 +24,4 @@ pub mod queries;
 
 pub use generator::{generate, SyntheticConfig};
 pub use paper::{Dataset, PaperProperties, ALL_DATASETS};
-pub use queries::{build_query_set, QuerySet, SplitQuerySet};
+pub use queries::{build_query_set, try_build_query_set, QuerySet, SplitQuerySet};

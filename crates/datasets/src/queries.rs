@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rlqvo_graph::{extract_connected_subgraph, Graph};
+use rlqvo_graph::{extract_connected_subgraph, Graph, SampleError};
 
 /// A named set of same-size query graphs, e.g. `Q8`.
 #[derive(Clone, Debug)]
@@ -58,15 +58,22 @@ impl SplitQuerySet {
 ///
 /// Queries are extracted independently with a derived seed per query, so a
 /// set is reproducible and adding queries never perturbs earlier ones.
+/// Panics where [`try_build_query_set`] returns an error.
 pub fn build_query_set(g: &Graph, size: usize, count: usize, seed: u64) -> QuerySet {
-    let mut queries = Vec::with_capacity(count);
-    for i in 0..count {
-        let mut rng = StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)));
-        let (q, _) = extract_connected_subgraph(g, size, &mut rng)
-            .expect("data graph too fragmented for the requested query size");
-        queries.push(q);
-    }
-    QuerySet { size, queries }
+    try_build_query_set(g, size, count, seed).expect("data graph too fragmented for the requested query size")
+}
+
+/// [`build_query_set`], returning the first extraction that fails — a
+/// `size` of 0 or above `|V(g)|`, or no connected `size`-vertex subgraph
+/// found — instead of panicking.
+pub fn try_build_query_set(g: &Graph, size: usize, count: usize, seed: u64) -> Result<QuerySet, SampleError> {
+    let queries = (0..count)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1)));
+            extract_connected_subgraph(g, size, &mut rng).map(|(q, _)| q)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(QuerySet { size, queries })
 }
 
 #[cfg(test)]

@@ -130,12 +130,17 @@ impl Scanner<'_> {
                 intersect_positions_into(&mut self.scratch, nv, c_to);
                 out.pos.extend_from_slice(&self.scratch);
             } else {
+                // Branch-free: `d(v)` slots, every lookup written, only a
+                // hit advances the cursor (hits and misses are too mixed to
+                // predict); what is past the cursor is cut off.
+                let mut len = out.pos.len();
+                out.pos.resize(len + nv.len(), 0);
                 for &w in nv {
                     let p = self.pos_of[w as usize];
-                    if p != UNMAPPED {
-                        out.pos.push(p);
-                    }
+                    out.pos[len] = p;
+                    len += (p != UNMAPPED) as usize;
                 }
+                out.pos.truncate(len);
             }
         }
         for &w in c_to {

@@ -20,13 +20,16 @@
 //! checks a candidate in one pass over `N(v)` against per-data-vertex
 //! membership masks ([`crate::bipartite`]) — after asking, per query edge
 //! `(u, u')`, the side that is cheaper to ask: with `cost(x) = Σ_{v ∈
-//! C(x)} d(v)` over the start-of-round sets, a `u'` strictly cheaper than
-//! a neighbour builds `reach(u') = N(C(u'))` once per round (a bitmap
-//! over `V(G)`), and a candidate of `u` outside it is removed without
-//! `N(v)` being read, since `N` is symmetric. A degree-1 `u` whose
-//! neighbour is the cheap side is decided by that bit alone: a matching
+//! C(x)} d(v)` over the start-of-round sets, every `u'` strictly cheaper
+//! than a neighbour marks `N(C(u'))` once per round in `reach`, a mask
+//! over query vertices per data vertex laid out like the membership
+//! masks. A candidate `v` of `u` outside the reach of any of `u`'s cheaper
+//! neighbours is removed without `N(v)` being read, since `N` is
+//! symmetric, and one row load asks all of them. A degree-1 `u` whose
+//! neighbour is the cheap side is decided by that test alone: a matching
 //! saturating one left is exactly `N(v) ∩ C(u') ≠ ∅`. Sampled queries are
-//! near-trees, so that is most (query vertex, candidate) pairs.
+//! near-trees, so that is most (query vertex, candidate) pairs, and each
+//! such decision is taken without a branch.
 //! `GqlFilter::filter_reference` is the naive version both are tested
 //! against, sets and bitmap, byte for byte.
 
@@ -105,45 +108,6 @@ impl Candidates {
     pub fn storage_bytes(&self) -> usize {
         4 * self.total() + 8 * self.bits.len() + std::mem::size_of::<Vec<VertexId>>() * self.sets.len()
     }
-
-    /// In-place refinement shrink: removes every `(u, v)` pair in `doomed`
-    /// from `C(u)`, mutating the existing bitmap rows and compacting the
-    /// touched sorted sets — no reallocation of either structure. This is
-    /// what a GQL refinement round applies at its end (removals are
-    /// buffered by the caller so all of the round's checks see the
-    /// unmodified start-of-round state, exactly like a rebuild would).
-    ///
-    /// Pairs whose `v` is not currently in `C(u)` are ignored; duplicate
-    /// pairs are harmless. The surviving sets are byte-identical to a
-    /// [`Candidates::new`] rebuild from the survivors (property-tested
-    /// against the retained rebuild reference in `tests/oracle.rs`).
-    pub fn shrink(&mut self, doomed: &[(VertexId, VertexId)]) {
-        let Candidates { sets, bits, words_per_row } = self;
-        let wpr = *words_per_row;
-        // One flag per query vertex: which rows `doomed` names.
-        let mut touched = vec![false; sets.len()];
-        for &(u, v) in doomed {
-            let word = v as usize / 64;
-            if word < wpr {
-                bits[u as usize * wpr + word] &= !(1u64 << (v % 64));
-            }
-            touched[u as usize] = true;
-        }
-        // Compact each touched row by its own (just-cleared) bitmap; rows
-        // not named in `doomed` are left untouched.
-        for (u, set) in sets.iter_mut().enumerate().filter(|&(u, _)| touched[u]) {
-            let row = &bits[u * wpr..(u + 1) * wpr];
-            // Branch-free: every vertex is written back, only a survivor
-            // advances the cursor (removals are too many to predict).
-            let mut len = 0;
-            for i in 0..set.len() {
-                let v = set[i];
-                set[len] = v;
-                len += row.get(v as usize / 64).map_or(0, |word| (word >> (v % 64)) as usize & 1);
-            }
-            set.truncate(len);
-        }
-    }
 }
 
 /// Phase-1 strategy: builds complete candidate sets for all query vertices.
@@ -204,72 +168,76 @@ impl CandidateFilter for NlfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        // Scratch shared by the whole run: the current query vertex's
-        // demands as (neighbour label, count), their table columns, the
-        // class-wide survivor mask and the compacted survivors.
-        let mut demands: Vec<(u32, u32)> = Vec::new();
-        let mut columns: Vec<(&[u8], u8)> = Vec::new();
-        let mut mask: Vec<u8> = Vec::new();
-        let mut kept: Vec<VertexId> = Vec::new();
-        // Scan path only.
-        let mut counts: Vec<u32> = Vec::new();
-        let mut touched: Vec<u32> = Vec::new();
-        let sets = q
-            .vertices()
-            .map(|u| {
-                demands.clear();
-                for &w in q.neighbors(u) {
-                    let l = q.label(w);
-                    match demands.iter_mut().find(|d| d.0 == l) {
-                        Some(d) => d.1 += 1,
-                        None => demands.push((l, 1)),
-                    }
-                }
-                let lu = q.label(u);
-                let class = g.vertices_with_label(lu);
-                // A saturated byte only says "at least 255": such a demand
-                // goes to the scan, as does a graph without a table and a
-                // label outside G's universe (which has no column).
-                columns.clear();
-                columns.extend(demands.iter().map_while(|&(l, need)| {
-                    let need = u8::try_from(need).ok().filter(|&n| n < u8::MAX)?;
-                    Some((g.neighbor_label_column(lu, l)?, need))
-                }));
-                if columns.len() < demands.len() {
-                    let du = q.degree(u);
-                    let nlf_u = q.neighbor_label_frequency(u);
-                    counts.resize(g.num_labels().max(q.num_labels()) as usize, 0);
-                    return class
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched)
-                        })
-                        .collect();
-                }
-                // No degree test here: dominance implies it, since
-                // d(u) = Σ need ≤ Σ min(255, count) ≤ d(v).
-                mask.clear();
-                mask.resize(class.len(), 1);
-                for &(column, need) in &columns {
-                    for (m, &count) in mask.iter_mut().zip(column) {
-                        *m &= (count >= need) as u8;
-                    }
-                }
-                // Branch-free compaction: every vertex is written, only a
-                // survivor advances the cursor.
-                kept.clear();
-                kept.resize(class.len(), 0);
-                let mut len = 0;
-                for (&v, &m) in class.iter().zip(&mask) {
-                    kept[len] = v;
-                    len += m as usize;
-                }
-                kept[..len].to_vec()
-            })
-            .collect();
-        Candidates::new(sets)
+        Candidates::new(nlf_sets(q, g))
     }
+}
+
+/// [`NlfFilter`]'s sorted candidate sets, before they are wrapped: what
+/// [`GqlFilter::filter`] refines.
+fn nlf_sets(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
+    // Scratch shared by the whole run: the current query vertex's
+    // demands as (neighbour label, count), their table columns, the
+    // class-wide survivor mask and the compacted survivors.
+    let mut demands: Vec<(u32, u32)> = Vec::new();
+    let mut columns: Vec<(&[u8], u8)> = Vec::new();
+    let mut mask: Vec<u8> = Vec::new();
+    let mut kept: Vec<VertexId> = Vec::new();
+    // Scan path only.
+    let mut counts: Vec<u32> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
+    q.vertices()
+        .map(|u| {
+            demands.clear();
+            for &w in q.neighbors(u) {
+                let l = q.label(w);
+                match demands.iter_mut().find(|d| d.0 == l) {
+                    Some(d) => d.1 += 1,
+                    None => demands.push((l, 1)),
+                }
+            }
+            let lu = q.label(u);
+            let class = g.vertices_with_label(lu);
+            // A saturated byte only says "at least 255": such a demand
+            // goes to the scan, as does a graph without a table and a
+            // label outside G's universe (which has no column).
+            columns.clear();
+            columns.extend(demands.iter().map_while(|&(l, need)| {
+                let need = u8::try_from(need).ok().filter(|&n| n < u8::MAX)?;
+                Some((g.neighbor_label_column(lu, l)?, need))
+            }));
+            if columns.len() < demands.len() {
+                let du = q.degree(u);
+                let nlf_u = q.neighbor_label_frequency(u);
+                counts.resize(g.num_labels().max(q.num_labels()) as usize, 0);
+                return class
+                    .iter()
+                    .copied()
+                    .filter(|&v| {
+                        g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched)
+                    })
+                    .collect();
+            }
+            // No degree test here: dominance implies it, since
+            // d(u) = Σ need ≤ Σ min(255, count) ≤ d(v).
+            mask.clear();
+            mask.resize(class.len(), 1);
+            for &(column, need) in &columns {
+                for (m, &count) in mask.iter_mut().zip(column) {
+                    *m &= (count >= need) as u8;
+                }
+            }
+            // Branch-free compaction: every vertex is written, only a
+            // survivor advances the cursor.
+            kept.clear();
+            kept.resize(class.len(), 0);
+            let mut len = 0;
+            for (&v, &m) in class.iter().zip(&mask) {
+                kept[len] = v;
+                len += m as usize;
+            }
+            kept[..len].to_vec()
+        })
+        .collect()
 }
 
 /// The exact scan [`NlfFilter`] falls back to where the data graph's table
@@ -354,9 +322,9 @@ impl CandidateFilter for GqlFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        let mut cand = NlfFilter.filter(q, g);
+        let mut sets = nlf_sets(q, g);
         if self.refinement_rounds == 0 {
-            return cand;
+            return Candidates::new(sets);
         }
         // The round's bipartite instances, as masks over query vertices
         // (`w` words): `member` row `v` has bit `u` ⇔ `v ∈ C(u)`, `nbr`
@@ -370,7 +338,7 @@ impl CandidateFilter for GqlFilter {
         let mut member = vec![0u64; g.num_vertices() * w];
         let mut nbr = vec![0u64; q.num_vertices() * w];
         for u in q.vertices() {
-            for &v in cand.of(u) {
+            for &v in &sets[u as usize] {
                 let (word, mask) = bit(v, u);
                 member[word] |= mask;
             }
@@ -380,70 +348,95 @@ impl CandidateFilter for GqlFilter {
             }
         }
         let mut matcher = MaskMatcher::default();
-        // `reach(u') = N(C(u'))` as one bit per data vertex, `gw` words,
-        // for the query vertices that are the cheap side of some edge this
-        // round ([`scan_cost`]); `slot[u']` is where it starts in `reach`.
-        // `N` is symmetric (`GraphBuilder` symmetrizes it), so
-        // `v ∈ reach(u')` ⇔ `N(v) ∩ C(u') ≠ ∅`.
-        let gw = g.num_vertices().div_ceil(64);
+        // `reach` is laid out like `member`: row `v` has bit `u'` ⇔
+        // `v ∈ N(C(u'))`, for the query vertices that are the cheap side
+        // of some edge this round ([`scan_cost`]). `N` is symmetric
+        // (`GraphBuilder` symmetrizes it), so that is `N(v) ∩ C(u') ≠ ∅`
+        // — and `v` passes `u`'s test iff `reach[v] ⊇ cheaper`, the mask
+        // of `u`'s strictly cheaper neighbours.
+        let mut reach = vec![0u64; g.num_vertices() * w];
         let mut cost = vec![0u64; q.num_vertices()];
-        let mut slot = vec![0usize; q.num_vertices()];
-        let mut reach: Vec<u64> = Vec::new();
-        let mut cheaper: Vec<usize> = Vec::new();
+        let mut cheaper = vec![0u64; w];
         // Removals are buffered and applied only at the end of each round
-        // ([`Candidates::shrink`], and the same bits cleared in `member`),
-        // so every check within a round — `reach` included, which is built
-        // before the round's first check — sees the unmodified
-        // start-of-round sets: identical semantics to the retained rebuild
-        // reference, without the per-round bitmap and set-vector
-        // reallocation `Candidates::new` pays.
+        // (the bits cleared in `member`, then every set compacted by
+        // them), so every check within a round — `reach` included, which
+        // is built before the round's first check — sees the unmodified
+        // start-of-round sets: the semantics of the rebuild reference.
+        // `pass` holds the current `u`'s candidates inside its `reach`.
         let mut doomed: Vec<(VertexId, VertexId)> = Vec::new();
+        let mut pass: Vec<VertexId> = Vec::new();
         for _ in 0..self.refinement_rounds {
             doomed.clear();
             for u in q.vertices() {
-                cost[u as usize] = scan_cost(g, cand.of(u));
+                cost[u as usize] = scan_cost(g, &sets[u as usize]);
             }
-            reach.clear();
+            reach.fill(0);
             for u2 in q.vertices() {
                 if q.neighbors(u2).iter().any(|&u| cost[u2 as usize] < cost[u as usize]) {
-                    slot[u2 as usize] = reach.len();
-                    reach.resize(reach.len() + gw, 0);
-                    let row = &mut reach[slot[u2 as usize]..];
-                    for &v2 in cand.of(u2) {
+                    for &v2 in &sets[u2 as usize] {
                         for &v in g.neighbors(v2) {
-                            row[v as usize / 64] |= 1u64 << (v % 64);
+                            let (word, mask) = bit(v, u2);
+                            reach[word] |= mask;
                         }
                     }
                 }
             }
             for u in q.vertices() {
-                let need = &nbr[u as usize * w..][..w];
-                let cheap = |&&u2: &&VertexId| cost[u2 as usize] < cost[u as usize];
-                cheaper.clear();
-                cheaper.extend(q.neighbors(u).iter().filter(cheap).map(|&u2| slot[u2 as usize]));
-                // A saturating matching of one left `u'` is exactly
-                // `N(v) ∩ C(u') ≠ ∅`, i.e. `v ∈ reach(u')`: a leaf whose
-                // parent is the cheap side never touches `N(v)`.
-                let decided = q.degree(u) == 1 && !cheaper.is_empty();
-                for &v in cand.of(u) {
-                    // Outside the reach of one neighbour, that left has no
-                    // right at all: doomed whatever the others say.
-                    let reached = cheaper.iter().all(|&s| reach[s + v as usize / 64] & (1u64 << (v % 64)) != 0);
-                    if !(reached && (decided || matcher.saturates(need, &member, g.neighbors(v)))) {
-                        doomed.push((u, v));
-                    }
+                let set = &sets[u as usize];
+                cheaper.fill(0);
+                for &u2 in q.neighbors(u).iter().filter(|&&u2| cost[u2 as usize] < cost[u as usize]) {
+                    let (word, mask) = bit(0, u2);
+                    cheaper[word] |= mask;
                 }
+                // Outside the reach of one cheaper neighbour, that left has
+                // no right at all: doomed whatever the others say. Every
+                // pair is written to both buffers and the test only moves
+                // the cursors — it goes either way too often to predict, so
+                // it folds every word rather than stop at the first miss.
+                let mut dead = doomed.len();
+                doomed.resize(dead + set.len(), (0, 0));
+                pass.resize(set.len(), 0);
+                let mut live = 0;
+                for &v in set {
+                    let row = &reach[v as usize * w..][..w];
+                    let missed = cheaper.iter().zip(row).fold(0, |acc, (&c, &r)| acc | c & !r) != 0;
+                    doomed[dead] = (u, v);
+                    dead += missed as usize;
+                    pass[live] = v;
+                    live += !missed as usize;
+                }
+                doomed.truncate(dead);
+                // A saturating matching of one left `u'` is exactly
+                // `N(v) ∩ C(u') ≠ ∅`: a leaf whose parent is the cheap side
+                // is done, and never touches `N(v)`.
+                if q.degree(u) == 1 && cheaper.iter().any(|&c| c != 0) {
+                    continue;
+                }
+                let need = &nbr[u as usize * w..][..w];
+                let rejected = pass[..live].iter().filter(|&&v| !matcher.saturates(need, &member, g.neighbors(v)));
+                doomed.extend(rejected.map(|&v| (u, v)));
             }
             if doomed.is_empty() {
                 break;
             }
-            cand.shrink(&doomed);
             for &(u, v) in &doomed {
                 let (word, mask) = bit(v, u);
                 member[word] &= !mask;
             }
+            // Branch-free, like NLF's compaction: every vertex is written
+            // back, only one still in `member` advances the cursor.
+            for (u, set) in (0..).zip(&mut sets) {
+                let mut len = 0;
+                for i in 0..set.len() {
+                    let v = set[i];
+                    set[len] = v;
+                    let (word, mask) = bit(v, u);
+                    len += (member[word] & mask != 0) as usize;
+                }
+                set.truncate(len);
+            }
         }
-        cand
+        Candidates::new(sets)
     }
 
     /// Folds `refinement_rounds` into the identity: `GQL/r1` and `GQL/r2`
@@ -458,8 +451,8 @@ impl GqlFilter {
     /// each round (fresh `Candidates::new`) with per-candidate
     /// `Vec<Vec<_>>` bipartite reconstruction via
     /// [`semi_perfect_ok_reference`]. Kept solely as the differential
-    /// oracle for the mask-based, in-place-shrinking fast path
-    /// (`tests/oracle.rs` checks byte-identical surviving sets and bitmap).
+    /// oracle for the mask-based fast path (`tests/oracle.rs` checks
+    /// byte-identical surviving sets and bitmap).
     #[doc(hidden)]
     pub fn filter_reference(&self, q: &Graph, g: &Graph) -> Candidates {
         let mut cand = NlfFilter.filter(q, g);
@@ -580,14 +573,15 @@ mod tests {
         assert_eq!(nlf.of(0), &[good]); // NLF can
     }
 
-    #[test]
-    fn gql_global_refinement_prunes_unmatchable() {
-        // q: center c(0) with two label-1 arms x, y, each arm carrying a
-        // label-2 leaf. A data center must have two DISTINCT label-1
-        // neighbours that each reach a label-2 vertex — a 2-hop constraint
-        // NLF cannot see (it is 1-hop) but the semi-perfect matching check
-        // catches through the arms' candidate sets.
-        let mut qb = GraphBuilder::new(3);
+    /// q: center c(0) with two label-1 arms x, y, each arm carrying a
+    /// label-2 leaf. A data center must have two DISTINCT label-1
+    /// neighbours that each reach a label-2 vertex — a 2-hop constraint
+    /// NLF cannot see (it is 1-hop) but the semi-perfect matching check
+    /// catches through the arms' candidate sets. Each data center also
+    /// carries `pendants` label-3 leaves the query does not ask for.
+    /// Returns `q`, `G` and the data vertices `[good, bad, bb]`.
+    fn arms_case(pendants: usize) -> (Graph, Graph, [VertexId; 3]) {
+        let mut qb = GraphBuilder::new(4);
         let c = qb.add_vertex(0);
         let x = qb.add_vertex(1);
         let y = qb.add_vertex(1);
@@ -599,7 +593,7 @@ mod tests {
         qb.add_edge(y, z2);
         let q = qb.build();
 
-        let mut gb = GraphBuilder::new(3);
+        let mut gb = GraphBuilder::new(4);
         // good center: both arms reach a label-2 leaf.
         let good = gb.add_vertex(0);
         let ga = gb.add_vertex(1);
@@ -623,8 +617,18 @@ mod tests {
         // give it a label-1 neighbour (useless for the label-2 requirement).
         let filler = gb.add_vertex(1);
         gb.add_edge(bb, filler);
-        let g = gb.build();
+        for center in [good, bad] {
+            for _ in 0..pendants {
+                let p = gb.add_vertex(3);
+                gb.add_edge(center, p);
+            }
+        }
+        (q, gb.build(), [good, bad, bb])
+    }
 
+    #[test]
+    fn gql_global_refinement_prunes_unmatchable() {
+        let (q, g, [good, bad, bb]) = arms_case(0);
         let nlf = NlfFilter.filter(&q, &g);
         assert!(nlf.of(0).contains(&bad), "NLF alone keeps the bad center");
         assert!(!nlf.of(1).contains(&bb), "NLF drops bb from the arm candidates");
@@ -674,31 +678,58 @@ mod tests {
         assert_ne!(GqlFilter { refinement_rounds: 1 }.cache_key(), GqlFilter { refinement_rounds: 2 }.cache_key());
     }
 
-    #[test]
-    fn shrink_matches_rebuild_from_survivors() {
-        let mut shrunk = Candidates::new(vec![vec![1, 3, 5, 200], vec![0, 2, 64], vec![7]]);
-        // Remove across word boundaries, include a duplicate and a pair
-        // that is not present — both must be harmless.
-        shrunk.shrink(&[(0, 3), (0, 200), (1, 64), (1, 64), (2, 9)]);
-        let rebuilt = Candidates::new(vec![vec![1, 5], vec![0, 2], vec![7]]);
-        for u in 0..3u32 {
-            assert_eq!(shrunk.of(u), rebuilt.of(u), "sets differ at {u}");
-            for v in 0..256u32 {
-                assert_eq!(shrunk.contains(u, v), rebuilt.contains(u, v), "contains({u},{v}) differs");
+    /// `fast` and `reference` agree on every set and on `contains` over
+    /// every data vertex and past the last one.
+    fn assert_same_candidates(q: &Graph, g: &Graph, fast: &Candidates, reference: &Candidates) {
+        for u in q.vertices() {
+            assert_eq!(fast.of(u), reference.of(u), "C({u})");
+            for v in 0..g.num_vertices() as VertexId + 70 {
+                assert_eq!(fast.contains(u, v), reference.contains(u, v), "contains({u}, {v})");
             }
         }
-        assert_eq!(shrunk.total(), rebuilt.total());
-        assert_eq!(shrunk.any_empty(), rebuilt.any_empty());
+        assert_eq!((fast.total(), fast.any_empty()), (reference.total(), reference.any_empty()));
     }
 
     #[test]
-    fn shrink_to_empty_flags_any_empty() {
-        let mut c = Candidates::new(vec![vec![4, 9], vec![1]]);
-        c.shrink(&[(0, 4), (0, 9)]);
-        assert!(c.any_empty());
-        assert_eq!(c.of(0), &[] as &[VertexId]);
-        assert_eq!(c.of(1), &[1]);
-        assert_eq!(c.total(), 1);
+    fn a_decided_leaf_outside_reach_ends_empty() {
+        // q: x(0) - y(1) - z(2). No label-1 data vertex has both a label-0
+        // and a label-2 neighbour, so NLF leaves `C(y)` empty: `y` is the
+        // cheap side of both edges, the leaves `x` and `z` are decided by
+        // `reach` alone, and none of their candidates lies in it.
+        let mut qb = GraphBuilder::new(3);
+        let (x, y, z) = (qb.add_vertex(0), qb.add_vertex(1), qb.add_vertex(2));
+        qb.add_edge(x, y);
+        qb.add_edge(y, z);
+        let q = qb.build();
+        let mut gb = GraphBuilder::new(3);
+        for label in [0, 0, 0, 2] {
+            let (v, w) = (gb.add_vertex(label), gb.add_vertex(1));
+            gb.add_edge(v, w);
+        }
+        let g = gb.build();
+        let nlf = NlfFilter.filter(&q, &g);
+        assert_eq!((nlf.len_of(x), nlf.len_of(y), nlf.len_of(z)), (3, 0, 1));
+        let gql = GqlFilter { refinement_rounds: 1 }.filter(&q, &g);
+        assert!(gql.of(x).is_empty() && gql.of(z).is_empty() && gql.any_empty());
+        assert_same_candidates(&q, &g, &gql, &GqlFilter { refinement_rounds: 1 }.filter_reference(&q, &g));
+    }
+
+    #[test]
+    fn a_non_leaf_sends_every_reached_candidate_to_the_matcher() {
+        // With pendants the centre's candidates are the dearest set, so the
+        // arms are the cheap side of both centre edges. Both centres lie
+        // in the arms' reach; the matcher alone rejects `bad`.
+        let (q, g, [good, bad, _]) = arms_case(8);
+        let (c, x, y) = (0, 1, 2);
+        let nlf = NlfFilter.filter(&q, &g);
+        assert_eq!(nlf.of(c), &[good, bad]);
+        let cost = |u: VertexId| scan_cost(&g, nlf.of(u));
+        assert!(cost(x) < cost(c) && cost(y) < cost(c) && q.degree(c) == 2);
+        let reached = |v: VertexId| nlf.of(x).iter().any(|&a| g.neighbors(a).contains(&v));
+        assert!(reached(good) && reached(bad));
+        let gql = GqlFilter::default().filter(&q, &g);
+        assert_eq!(gql.of(c), &[good]);
+        assert_same_candidates(&q, &g, &gql, &GqlFilter::default().filter_reference(&q, &g));
     }
 
     #[test]

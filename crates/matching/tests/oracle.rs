@@ -205,11 +205,12 @@ proptest! {
         }
     }
 
-    /// The in-place-shrinking, scratch-based GQL refinement must produce
-    /// byte-identical surviving candidate sets to the retained
-    /// rebuild-from-scratch naive reference, for every refinement depth,
-    /// on random labeled graphs — and its mutated bitmaps must answer
-    /// membership exactly like freshly built ones.
+    /// The mask-based GQL refinement, which compacts raw sets each round
+    /// and wraps them once, must produce byte-identical surviving
+    /// candidate sets to the retained rebuild-from-scratch naive
+    /// reference, for every refinement depth, on random labeled graphs —
+    /// and its bitmaps must answer membership exactly like the
+    /// reference's.
     #[test]
     fn gql_in_place_shrink_matches_rebuild_reference(g in arb_graph(10, 3), seed in 0u64..500) {
         let Some(q) = query_of(&g, seed, 5) else { return Ok(()) };
@@ -756,9 +757,9 @@ fn query(num_labels: u32, labels: &[u32], edges: &[(u32, u32)]) -> Graph {
 /// cheaper and both go to the matcher), add a vertex with no edge at all,
 /// and run on data graphs whose `|V|` sits on every side of a bitmap word
 /// edge. The 70-vertex query above covers two-word masks next to the
-/// one-word reach tests. A `≤` in place of the rule's `<` would build two
-/// bitmaps for a tie and answer the same — `reach` is exact from either
-/// side — so what the tie rows pin is that no side is *required*.
+/// one-word reach tests. A `≤` in place of the rule's `<` would mark both
+/// sides of a tie in `reach` and answer the same — `reach` is exact from
+/// either side — so what the tie rows pin is that no side is *required*.
 #[test]
 fn filters_match_references_on_both_sides_of_the_cheaper_side_rule() {
     let (mut hub_cheaper, mut leaf_cheaper, mut tied, mut pruned) = (0, 0, 0, 0);
@@ -1149,6 +1150,34 @@ fn candidate_space_equals_the_per_direction_build() {
         }
     }
     assert!(gallop > 0 && temp > 0 && empty > 0 && tied > 0, "{gallop} {temp} {empty} {tied}");
+}
+
+/// The refinement and the build on the hosts the ledger times, scaled to
+/// 800 vertices: Q8 and Q16 queries sampled from the yeast, dblp and
+/// eu2005 analogs, whose label skew, hubs and `V(G)` hundreds of words
+/// wide the random graphs above do not have. `GqlFilter::filter` equals
+/// `filter_reference` (sets and `contains`), and the space built on its
+/// sets equals the per-direction build.
+#[test]
+fn filter_and_build_match_references_on_the_dataset_analogs() {
+    use rlqvo_datasets::{build_query_set, Dataset};
+    let mut pruned = 0;
+    for dataset in [Dataset::Yeast, Dataset::Dblp, Dataset::Eu2005] {
+        let g = dataset.load_scaled(800);
+        for size in [8, 16] {
+            for (i, q) in build_query_set(&g, size, 6, 28).queries.iter().enumerate() {
+                let what = format!("{} Q{size} query {i}", dataset.name());
+                let reference = GqlFilter::DEFAULT.filter_reference(q, &g);
+                let sets: Vec<Vec<u32>> = q.vertices().map(|u| reference.of(u).to_vec()).collect();
+                let cand = GqlFilter::DEFAULT.filter(q, &g);
+                assert_same_candidates(q, &g, &cand, &sets, &what);
+                let by_direction = build_by_direction(q, &g, &cand, u64::from(u32::MAX)).expect("fits");
+                assert_same_space(q, &CandidateSpace::build(q, &g, &cand), &by_direction, &what);
+                pruned += NlfFilter.filter(q, &g).total() - cand.total();
+            }
+        }
+    }
+    assert!(pruned > 0, "refinement must have had something to remove");
 }
 
 /// Every ceiling from nothing to one past the requirement: below it the

@@ -31,7 +31,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use rlqvo_suite::core::{RlQvo, RlQvoConfig};
-use rlqvo_suite::datasets::{build_query_set, SplitQuerySet};
+use rlqvo_suite::datasets::{try_build_query_set, SplitQuerySet};
 use rlqvo_suite::graph::{io::read_graph, Graph, GraphStats};
 use rlqvo_suite::matching::{
     run_cached, run_pipeline, EnumConfig, EnumEngine, Method, OrderCache, Pipeline, QueryKey, SpaceCache,
@@ -134,7 +134,7 @@ fn cmd_match(args: &[String]) -> CliResult {
     };
     let pipeline = Pipeline { filter: method.filter, ordering: method.ordering, config };
 
-    let repeat: usize = parsed(args, "--repeat")?.unwrap_or(1).max(1);
+    let repeat = parsed(args, "--repeat")?.map_or(1, NonZeroUsize::get);
     let use_cache = switch(args, "--space-cache", true)?;
     // The ordering cache rides on the space cache (it serves orders
     // computed against the cached candidates); `--order-cache off`
@@ -271,7 +271,15 @@ fn cmd_train(args: &[String]) -> CliResult {
     let epochs: usize = parsed(args, "--epochs")?.unwrap_or(40);
 
     let g = load(&data, None)?;
-    let split = SplitQuerySet::from(build_query_set(&g, size, count, 0xC11));
+    if size == 0 || size > g.num_vertices() {
+        return Err(format!("bad --size \"{size}\" (want 1..={}, the host's vertex count)", g.num_vertices()).into());
+    }
+    // The 50/50 split must leave a training query.
+    if count < 2 {
+        return Err(format!("bad --queries \"{count}\" (want at least 2: half of them train)").into());
+    }
+    let set = try_build_query_set(&g, size, count, 0xC11).map_err(|e| format!("cannot sample --size {size}: {e}"))?;
+    let split = SplitQuerySet::from(set);
     let mut config = RlQvoConfig::harness();
     config.epochs = epochs;
     let mut model = RlQvo::new(config);

@@ -52,6 +52,7 @@ fn match_rejects_malformed_values_and_resolves_methods_through_the_roster() {
             ("--max-matches", "1e5"),
             ("--time-limit-ms", "soon"),
             ("--repeat", "twice"),
+            ("--repeat", "0"),
             ("--enum-threads", "0"),
             ("--space-cache", "maybe"),
             ("--order-cache", "1"),
@@ -120,10 +121,29 @@ fn serve_rejects_malformed_values() {
 fn train_rejects_malformed_values() {
     let (dir, g, _) = fixtures("train");
     let out_path = dir.join("m.model").to_string_lossy().into_owned();
+    let base = ["train", "--data", &g, "--out", &out_path];
     assert_each_is_rejected(
-        &["train", "--data", &g, "--out", &out_path],
-        &[("--size", "big"), ("--queries", "4.5"), ("--epochs", "1e2")],
+        &base,
+        &[
+            ("--size", "big"),
+            // A query has 1..=9 vertices on the 9-vertex host…
+            ("--size", "0"),
+            ("--size", "50"),
+            ("--queries", "4.5"),
+            // …and the 50/50 split must leave a training query.
+            ("--queries", "0"),
+            ("--queries", "1"),
+            ("--epochs", "1e2"),
+        ],
     );
+    // A size the host has but no connected subgraph of: found only while
+    // sampling, and an error all the same.
+    let islands = dir.join("islands.graph");
+    std::fs::write(&islands, "t 4 2\nv 0 0 1\nv 1 1 1\nv 2 0 1\nv 3 1 1\ne 0 1\ne 2 3\n").unwrap();
+    let out = rlqvo(&["train", "--data", &islands.to_string_lossy(), "--out", &out_path, "--size", "3"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: ") && !stderr.contains("panicked"), "{stderr}");
     assert!(!dir.join("m.model").exists(), "a rejected run trains nothing");
     std::fs::remove_dir_all(dir).ok();
 }

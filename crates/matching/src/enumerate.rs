@@ -16,7 +16,9 @@
 //!   [`CandidateSpace`] and computes `LC(u, M)` as a multi-way
 //!   intersection of precomputed per-query-edge candidate lists, with
 //!   per-depth preallocated buffers (zero allocation and zero `has_edge`
-//!   calls in steady-state recursion).
+//!   calls in steady-state recursion): the deepest list tested against
+//!   cached bitmaps of the others where they are long enough, merged
+//!   where they are not.
 //! * [`EnumEngine::Probe`] — the original adjacency-probing path, kept as
 //!   the differential oracle and run only when asked for by name: it scans
 //!   the data adjacency list of the smallest-degree mapped backward
@@ -638,7 +640,7 @@ pub(crate) fn space_from(
         .enumerate()
         .map(|(i, &u)| order[..i].iter().enumerate().filter_map(|(j, &p)| cs.edge_id(p, u).map(|e| (j, e))).collect())
         .collect();
-    let engine = SpaceEngine { cs, backward: &backward, chosen_pos: vec![0; order.len()], lists: Vec::new() };
+    let engine = SpaceEngine::new(cs, &backward);
     let root = || (0..cs.cand_len(order[0]) as u32).collect();
     crate::parallel::drive(engine, cs.num_data_vertices(), order, root, config, start)
 }
@@ -1188,6 +1190,12 @@ pub(crate) fn run_task<'a, E: Engine<'a>>(ctx: &mut Ctx<'_, E>, task: crate::par
 // CandidateSpace engine
 // ---------------------------------------------------------------------------
 
+/// `LC(u, M)` from a prebuilt [`CandidateSpace`], in position space, with a
+/// per-depth cache of bitmaps of the lists that outlive the calls reading
+/// them (see [`ListBits`]). Every worker of a stealing run drives a clone
+/// of its own, cache included; a tag names a list within the space, so a
+/// stolen task's first call rebuilds what its prefix changed and can never
+/// read another prefix's list.
 #[derive(Clone)]
 struct SpaceEngine<'a> {
     cs: &'a CandidateSpace,
@@ -1202,6 +1210,66 @@ struct SpaceEngine<'a> {
     /// Scratch of `(edge id, chosen pos)` handles for three lists and more,
     /// sorted by length (`intersect_into` orders two operands by itself).
     lists: Vec<(u32, u32)>,
+    /// Per depth, the bitmaps of its shallower backward lists, sized on
+    /// first use.
+    bits: Vec<ListBits>,
+}
+
+impl<'a> SpaceEngine<'a> {
+    fn new(cs: &'a CandidateSpace, backward: &'a [Vec<(usize, u32)>]) -> Self {
+        let n = backward.len();
+        SpaceEngine { cs, backward, chosen_pos: vec![0; n], lists: Vec::new(), bits: vec![ListBits::default(); n] }
+    }
+}
+
+/// One depth's bitmaps over the positions of `C(u)`: one per shallower
+/// backward list — every list of `LC(u, M)` but the deepest's — then, when
+/// there are two or more, their AND. A list is named by its `(edge id,
+/// chosen position)` within the space and depends only on ancestor
+/// choices, so a bitmap tagged with the name of the list it stands for now
+/// is that list's, however many calls ago it was built.
+#[derive(Clone, Default)]
+struct ListBits {
+    tags: Vec<Option<(u32, u32)>>,
+    /// `tags.len()` bitmaps of `words` words each, then their AND.
+    maps: Vec<u64>,
+}
+
+impl ListBits {
+    /// The AND of the bitmaps of the `shallower` lists — the one bitmap
+    /// when there is one — rebuilding only those whose tag no longer
+    /// names their list.
+    fn refresh(&mut self, cs: &CandidateSpace, shallower: &[(usize, u32)], chosen_pos: &[u32], words: usize) -> &[u64] {
+        let k = shallower.len();
+        if self.tags.len() != k {
+            self.tags = vec![None; k];
+            self.maps = vec![0; (k + usize::from(k > 1)) * words];
+        }
+        let mut rebuilt = false;
+        for (i, (&(j, e), tag)) in shallower.iter().zip(&mut self.tags).enumerate() {
+            let name = (e, chosen_pos[j]);
+            if *tag != Some(name) {
+                *tag = Some(name);
+                rebuilt = true;
+                let map = &mut self.maps[i * words..(i + 1) * words];
+                map.fill(0);
+                for &p in cs.edge_list(e, name.1) {
+                    map[p as usize / 64] |= 1 << (p % 64);
+                }
+            }
+        }
+        let (maps, and) = self.maps.split_at_mut(k * words);
+        if k == 1 {
+            return maps;
+        }
+        if rebuilt {
+            and.copy_from_slice(&maps[..words]);
+            for map in maps[words..].chunks_exact(words) {
+                and.iter_mut().zip(map).for_each(|(a, &m)| *a &= m);
+            }
+        }
+        and
+    }
 }
 
 impl<'a> Engine<'a> for SpaceEngine<'a> {
@@ -1209,33 +1277,53 @@ impl<'a> Engine<'a> for SpaceEngine<'a> {
     /// first vertex and every tree-like extension) hand out precomputed
     /// data directly — no buffer copy at all; only genuine multi-way
     /// intersections materialize into this depth's reusable buffer.
+    ///
+    /// Every list but the deepest depends only on choices above the
+    /// deepest backward neighbour, so it stays the same for every call
+    /// below that choice: when each such list has at least one entry per
+    /// bitmap word of `C(u)` (a bitmap build writes no more words than the
+    /// list has entries), `LC` is the deepest list walked once against the
+    /// cached bitmaps' AND, each entry written and the write cursor moved
+    /// by its bit. Otherwise the lists are merged.
     #[inline]
     fn local_candidates(&mut self, depth: usize, u: VertexId, _: &[VertexId], buf: &mut Vec<u32>) -> Slots<'a> {
         let (cs, backward) = (self.cs, self.backward);
-        match backward[depth][..] {
+        let [ref shallower @ .., (j, e)] = backward[depth][..] else {
             // Disconnected prefix (or the first vertex): full candidate set.
-            [] => Slots::All(cs.cand_len(u) as u32),
-            [(j, e)] => Slots::List(cs.edge_list(e, self.chosen_pos[j])),
-            [(j, e), (k, f)] => {
-                intersect_into(buf, cs.edge_list(e, self.chosen_pos[j]), cs.edge_list(f, self.chosen_pos[k]));
-                Slots::Buf
+            return Slots::All(cs.cand_len(u) as u32);
+        };
+        let deepest = cs.edge_list(e, self.chosen_pos[j]);
+        if shallower.is_empty() {
+            return Slots::List(deepest);
+        }
+        let words = cs.cand_len(u).div_ceil(64);
+        if shallower.iter().all(|&(i, f)| cs.edge_list(f, self.chosen_pos[i]).len() >= words) {
+            let mask = self.bits[depth].refresh(cs, shallower, &self.chosen_pos, words);
+            buf.clear();
+            buf.resize(deepest.len(), 0);
+            let mut w = 0;
+            for &p in deepest {
+                buf[w] = p;
+                w += ((mask[p as usize / 64] >> (p % 64)) & 1) as usize;
             }
-            ref backward => {
-                let lists = &mut self.lists;
-                lists.clear();
-                lists.extend(backward.iter().map(|&(j, e)| (e, self.chosen_pos[j])));
-                // Smallest lists first: the accumulator never grows past them.
-                lists.sort_unstable_by_key(|&(e, pos)| cs.edge_list(e, pos).len());
-                intersect_into(buf, cs.edge_list(lists[0].0, lists[0].1), cs.edge_list(lists[1].0, lists[1].1));
-                for &(e, pos) in &lists[2..] {
-                    if buf.is_empty() {
-                        break;
-                    }
-                    intersect_in_place(buf, cs.edge_list(e, pos));
+            buf.truncate(w);
+        } else if let [(i, f)] = *shallower {
+            intersect_into(buf, cs.edge_list(f, self.chosen_pos[i]), deepest);
+        } else {
+            let lists = &mut self.lists;
+            lists.clear();
+            lists.extend(backward[depth].iter().map(|&(j, e)| (e, self.chosen_pos[j])));
+            // Smallest lists first: the accumulator never grows past them.
+            lists.sort_unstable_by_key(|&(e, pos)| cs.edge_list(e, pos).len());
+            intersect_into(buf, cs.edge_list(lists[0].0, lists[0].1), cs.edge_list(lists[1].0, lists[1].1));
+            for &(e, pos) in &lists[2..] {
+                if buf.is_empty() {
+                    break;
                 }
-                Slots::Buf
+                intersect_in_place(buf, cs.edge_list(e, pos));
             }
         }
+        Slots::Buf
     }
 
     fn reads_below(&self, depth: usize, _: &[usize]) -> usize {
@@ -1805,7 +1893,7 @@ mod tests {
                 order[..i].iter().enumerate().filter_map(|(j, &p)| cs.edge_id(p, u).map(|e| (j, e))).collect()
             })
             .collect();
-        let engine = SpaceEngine { cs: &cs, backward: &backward, chosen_pos: vec![0; 3], lists: Vec::new() };
+        let engine = SpaceEngine::new(&cs, &backward);
         let mut ctx = Ctx::new(engine, cs.num_data_vertices(), &order, EnumConfig::find_all(), Instant::now(), None);
         assert_eq!(ctx.suffix, 1, "both leaves read only the hub");
         ctx.pass = (1 << 24) - 1;

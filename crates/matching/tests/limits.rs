@@ -415,6 +415,76 @@ fn budgets_and_caps_land_exactly_on_three_backward_neighbours() {
     sweep(&one_label(5, [(0, 1), (1, 2), (1, 3), (4, 0), (4, 2), (4, 3)]), &band(8, 5), &[0, 1, 2, 3, 4]);
 }
 
+// Fixtures for the space engine's two ways of intersecting two lists and
+// more: against cached bitmaps of the shallower lists when each has at least
+// one entry per bitmap word of `C(u)`, else by merging. Each asserts from its
+// space's list lengths which of them its levels take.
+
+/// What the space engine reads at `order[depth]` to choose, in the space
+/// `sweep` enumerates in: the bitmap words of the level's candidate set
+/// and, per backward neighbour in order, the list of the edge from it at
+/// each of that neighbour's candidates.
+fn lists_at(q: &Graph, g: &Graph, order: &[VertexId], depth: usize) -> (usize, Vec<Vec<Vec<u32>>>) {
+    let cs = CandidateSpace::build(q, g, &LdfFilter.filter(q, g));
+    let u = order[depth];
+    let lists = order[..depth]
+        .iter()
+        .filter_map(|&b| {
+            cs.edge_id(b, u).map(|e| (0..cs.cand_len(b) as u32).map(|p| cs.edge_list(e, p).to_vec()).collect())
+        })
+        .collect();
+    (cs.cand_len(u).div_ceil(64), lists)
+}
+
+/// A triangle on a 100-vertex band, so the last level's two lists index a
+/// candidate set two words wide, and the lists of vertices around 63 set
+/// bits on both sides of the word edge. Every shallower list is long enough
+/// for its bitmap.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_two_list_level_two_words_wide() {
+    let (q, g) = (one_label(3, [(0, 1), (1, 2), (0, 2)]), band(100, 4));
+    let order = [0, 1, 2];
+    let (words, lists) = lists_at(&q, &g, &order, 2);
+    assert_eq!((words, lists.len()), (2, 2));
+    assert!(lists[0].iter().all(|l| l.len() >= words), "every call takes the bitmap path");
+    for side in &lists {
+        assert!(side.iter().any(|l| l.contains(&63) && l.contains(&64)), "a list straddles the word edge");
+    }
+    sweep(&q, &g, &order);
+}
+
+/// K4 on a one-label band in order: depth 2 reads one cached bitmap, depth
+/// 3 the AND of two.
+#[test]
+fn budgets_and_caps_land_exactly_on_k4_through_one_bitmap_then_an_and() {
+    let q = one_label(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+    let g = band(24, 5);
+    let order = [0, 1, 2, 3];
+    for (depth, shallower) in [(2, 1), (3, 2)] {
+        let (words, lists) = lists_at(&q, &g, &order, depth);
+        assert_eq!(lists.len(), shallower + 1, "depth {depth}");
+        assert!(lists[..shallower].iter().flatten().all(|l| l.len() >= words), "depth {depth}: bitmaps every call");
+    }
+    sweep(&q, &g, &order);
+}
+
+/// Rare hubs among low-degree commons, all of one label: five hubs, each
+/// joined to the next 25 vertices of a 300-vertex band of width 2. A
+/// triangle's last level has one shallower list, its root's, over a
+/// candidate set five words wide: a hub's list is long enough for its
+/// bitmap, and a common's four entries away from the hubs are merged.
+#[test]
+fn budgets_and_caps_land_exactly_on_a_skewed_hub_through_both_paths() {
+    let hubs = (0..300).step_by(60).flat_map(|h| (h + 1..=h + 25).map(move |j| (h, j)));
+    let g = one_label(300, (0..298).flat_map(|i| [(i, i + 1), (i, i + 2)]).chain([(298, 299)]).chain(hubs));
+    let (q, order) = (one_label(3, [(0, 1), (1, 2), (0, 2)]), [0, 1, 2]);
+    let (words, lists) = lists_at(&q, &g, &order, 2);
+    assert_eq!((words, lists.len()), (5, 2));
+    assert!(lists[0].iter().any(|l| l.len() >= words), "a hub's list takes the bitmap path");
+    assert!(lists[0].iter().any(|l| l.len() < words), "a common's list merges");
+    sweep(&q, &g, &order);
+}
+
 // Fixtures whose order ends in an independent suffix of two levels or more
 // — every `LC` in it reads only vertices placed before it — so calls there
 // book their children's subtrees as products. Each names the path of that

@@ -10,6 +10,11 @@
 //! part.match_count.saturating_sub(1)` — and run `cargo test -q
 //! --no-fail-fast` with no environment set: each of those binaries must
 //! fail (the last two under the second mutation only).
+//!
+//! The space engine's cached bitmaps have a recipe of their own: make
+//! `ListBits::refresh` rebuild only bitmaps that have no tag yet, so a
+//! stale one is reused, and `space_engine_bitmaps_agree_with_the_probe_oracle`
+//! fails (run once, with `limits`' two-list fixtures failing beside it).
 
 mod common;
 
@@ -1201,4 +1206,109 @@ fn try_build_with_limit_refuses_or_returns_the_same_space_at_every_limit() {
             }
         }
     }
+}
+
+// ---- The space engine's cached bitmaps against the probe oracle.
+
+/// `n` vertices of `labels` random labels, each joined to each of its next
+/// `width` with probability `p`: local density, so sampled queries close
+/// cycles, at a size that sets how many words `C(u)` is wide.
+fn random_band(rng: &mut rand::rngs::StdRng, n: u32, labels: u32, width: u32, p: f64) -> Graph {
+    use rand::Rng;
+    let mut b = GraphBuilder::new(labels);
+    for _ in 0..n {
+        b.add_vertex(rng.gen_range(0..labels));
+    }
+    for i in 0..n {
+        for j in i + 1..n.min(i + width + 1) {
+            if rng.gen_bool(p) {
+                b.add_edge(i, j);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Which ways the space engine computes `LC` on the way to each of
+/// `matches`, read from list lengths: at a level of two backward
+/// neighbours or more, `[bitmap, AND, merge]` — the cached bitmaps when
+/// every shallower list has at least one entry per word of `C(u)` (their
+/// AND when there are two or more), else the merge.
+fn lc_paths(q: &Graph, cs: &CandidateSpace, order: &[u32], matches: &[Vec<u32>]) -> [usize; 3] {
+    let mut paths = [0; 3];
+    for (depth, &u) in order.iter().enumerate() {
+        let backward: Vec<u32> = order[..depth].iter().copied().filter(|&b| q.has_edge(b, u)).collect();
+        let Some((_, shallower)) = backward.split_last().filter(|(_, s)| !s.is_empty()) else { continue };
+        let words = cs.cand_len(u).div_ceil(64);
+        for m in matches {
+            let len = |b: u32| {
+                let pos = cs.cand(b).binary_search(&m[b as usize]).expect("a candidate") as u32;
+                cs.edge_list(cs.edge_id(b, u).expect("a query edge"), pos).len()
+            };
+            let path = if shallower.iter().all(|&b| len(b) >= words) { usize::from(shallower.len() > 1) } else { 2 };
+            paths[path] += 1;
+        }
+    }
+    paths
+}
+
+/// The space engine equals the probe oracle where it intersects against
+/// cached bitmaps: random 2- and 3-label hosts from 40 to 900 vertices, so
+/// `C(u)` runs from under one bitmap word to several hundred candidates;
+/// connected Q4–Q8 sampled from them, under random orders with a level of
+/// two backward neighbours or more. Counts, flags and streams equal the
+/// serial probe engine's on find-all, counted and stored, at 1, 2 and 4
+/// workers, and serially under random budgets and caps. Over the cases,
+/// the bitmap path, the AND of bitmaps and the merge all occur. Reusing a
+/// bitmap without checking its tag fails it (see the header).
+#[test]
+fn space_engine_bitmaps_agree_with_the_probe_oracle() {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let (mut paths, mut cases) = ([0; 3], 0);
+    for case in 0..72u64 {
+        let n = [40u32, 120, 300, 900][case as usize % 4];
+        let (labels, width, p) = (rng.gen_range(2..=3u32), rng.gen_range(4..=10u32), rng.gen_range(0.3..0.9));
+        let g = random_band(&mut rng, n, labels, width, p);
+        let Some(q) = query_of(&g, case, rng.gen_range(4..=8usize)) else { continue };
+        let mut order: Vec<u32> = q.vertices().collect();
+        order.shuffle(&mut rng);
+        if !(0..order.len()).any(|d| order[..d].iter().filter(|&&b| q.has_edge(b, order[d])).count() >= 2) {
+            continue;
+        }
+        let cand = if case % 2 == 0 { LdfFilter.filter(&q, &g) } else { GqlFilter::DEFAULT.filter(&q, &g) };
+        let cs = CandidateSpace::build(&q, &g, &cand);
+        let counting = EnumConfig::find_all().with_threads(1);
+        let storing = EnumConfig { store_matches: true, ..counting };
+        // Bounded, so a dense draw costs milliseconds; one that needs more is skipped.
+        let all = enumerate_probe(&q, &g, &cand, &order, EnumConfig { max_enumerations: 100_000, ..storing });
+        if all.budget_exhausted {
+            continue;
+        }
+        cases += 1;
+        let triple = |r: &rlqvo_matching::EnumResult| (r.match_count, r.enumerations, r.budget_exhausted);
+        let mut configs: Vec<EnumConfig> =
+            [1, 2, 4].iter().flat_map(|&t| [counting.with_threads(t), storing.with_threads(t)]).collect();
+        for _ in 0..4 {
+            let (max_enumerations, max_matches) =
+                (rng.gen_range(1..=all.enumerations + 1), rng.gen_range(1..=all.match_count + 1));
+            for cfg in [counting, storing] {
+                configs.extend([EnumConfig { max_enumerations, ..cfg }, EnumConfig { max_matches, ..cfg }]);
+            }
+        }
+        for cfg in configs {
+            let what = format!("case {case}: order {order:?} {cfg:?}");
+            // Parallel runs are find-all, which is the serial run.
+            let probe = enumerate_probe(&q, &g, &cand, &order, cfg.with_threads(1));
+            let space = enumerate_in_space(&q, &cs, &order, cfg);
+            assert_eq!(triple(&space), triple(&probe), "{what}");
+            assert_eq!(space.matches, probe.matches, "{what}: stream");
+        }
+        for (total, seen) in paths.iter_mut().zip(lc_paths(&q, &cs, &order, &all.matches)) {
+            *total += seen;
+        }
+    }
+    assert!(cases >= 36, "only {cases} cases ran");
+    assert!(paths.iter().all(|&p| p > 0), "bitmap / AND / merge: {paths:?}");
 }

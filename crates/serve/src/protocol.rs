@@ -212,7 +212,8 @@ pub enum Response {
         hit_space: bool,
         hit_order: bool,
     },
-    /// The cooperative deadline fired; counts are the partial progress.
+    /// The request's deadline or the server's enumeration time limit
+    /// fired; counts are the partial progress.
     DeadlineExceeded {
         matches: u64,
         enums: u64,

@@ -944,7 +944,9 @@ fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -
 
     match outcome {
         Ok((r, hit_space, hit_order)) => {
-            if r.enum_result.cancelled {
+            // The request's deadline and the server's `time_limit` both
+            // cut the enumeration short: either way the counts are partial.
+            if r.enum_result.cancelled || r.enum_result.timed_out {
                 state.metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                 Response::DeadlineExceeded {
                     matches: r.enum_result.match_count,

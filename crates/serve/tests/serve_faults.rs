@@ -159,6 +159,53 @@ fn deadlines_cancel_cooperatively_through_the_server() {
     handle.shutdown();
 }
 
+/// The server-wide enumeration `time_limit` cuts a request short just as a
+/// deadline does: the reply is `deadline` with the partial counts, and the
+/// server books it under `deadline_exceeded`, not `served`. A fast request
+/// on the same server is still `ok`, and every reply the client saw is
+/// booked exactly once.
+#[test]
+fn the_server_time_limit_answers_deadline_with_partial_counts() {
+    let config = ServeConfig {
+        threads: 1,
+        enum_config: rlqvo_matching::EnumConfig {
+            max_matches: u64::MAX,
+            time_limit: Duration::from_millis(20),
+            ..rlqvo_matching::EnumConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(config, Arc::new(heavy_host())).unwrap();
+    let mut s = handle.connect().unwrap();
+    let (mut oks, mut deadlines) = (0u64, 0u64);
+    for (q, heavy) in [(heavy_query(), true), (one_vertex(), false), (heavy_query(), true)] {
+        match roundtrip(&mut s, &plain_match(text(&q), None)).unwrap() {
+            Response::DeadlineExceeded { matches, enums, .. } if heavy => {
+                // A serial run checks the clock on the 1024-call cadence.
+                assert!(matches > 0 && enums > 0 && enums.is_multiple_of(1024), "partial counts: {matches} {enums}");
+                deadlines += 1;
+            }
+            Response::Ok { matches, .. } if !heavy => {
+                assert!(matches > 0);
+                oks += 1;
+            }
+            other => panic!("heavy={heavy}: {other:?}"),
+        }
+    }
+    assert_eq!((oks, deadlines), (1, 2));
+    let m = metrics(&handle);
+    assert_eq!((m["served"], m["deadline_exceeded"], m["errors"]), (oks, deadlines, 0));
+    handle.shutdown();
+}
+
+/// A one-vertex query: 81 calls on the heavy host, so its run ends before
+/// the 1024th call, where the clock is first read.
+fn one_vertex() -> rlqvo_graph::Graph {
+    let mut b = rlqvo_graph::GraphBuilder::new(1);
+    b.add_vertex(0);
+    b.build()
+}
+
 /// `method=` resolves through the library's one roster: every roster
 /// name is served (and, candidate sets being complete, finds the same
 /// matches); anything else is a typed reject, not an error.

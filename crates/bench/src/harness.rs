@@ -14,14 +14,13 @@
 //! Engine and worker count are `EnumConfig::resolved`'s, once per query;
 //! under the probe oracle nothing is built and no build is booked.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 use rlqvo_matching::{
-    run_in_entry, run_on_pool, EnumConfig, EnumEngine, Method, Pipeline, PipelineResult, QueryKey, SpaceCache,
-    TokenBudget,
+    run_in_entry, EnumConfig, EnumEngine, Method, Pipeline, PipelineResult, QueryKey, SpaceCache, TokenBudget,
 };
 
 /// Per-method evaluation outcome over a query set.
@@ -101,7 +100,8 @@ fn percentile_secs(times: &[Duration], p: f64) -> f64 {
 /// Wires one total thread budget through both levels of parallelism: a
 /// leaked [`TokenBudget`] of `threads` tokens is attached to the config,
 /// and every concurrently-running participant — query-level worker or
-/// intra-query enumeration helper — holds exactly one token. A roster
+/// intra-query enumeration helper, each a scoped thread of the map or the
+/// stealing run that spawned it — holds exactly one token. A roster
 /// with more queries than tokens runs query-parallel with serial
 /// enumerations, a single monster query soaks the whole budget into its
 /// work-stealing enumeration, and everything in between composes
@@ -114,38 +114,40 @@ fn budgeted_config(threads: usize, config: EnumConfig) -> (usize, &'static Token
     (total, budget, config.with_threads(config.threads.clamp(1, total)).with_pool_tokens(budget))
 }
 
-/// Index-parallel map over `0..n` on the global scheduler: the caller
-/// participates, up to `threads - 1` pool helpers join, and each
-/// participant holds one token from `budget` while it runs — the same
-/// tokens the per-query enumerations draw their helper grants from, so
-/// query-level × intra-query parallelism never exceeds the budget.
+/// Index-parallel map over `0..n`: the caller participates, up to
+/// `threads - 1` scoped helpers join, and each participant holds one
+/// token from `budget` while it runs — the same tokens the per-query
+/// enumerations draw their helper grants from, so query-level ×
+/// intra-query parallelism never exceeds the budget. A panic in any
+/// participant reaches the caller, with its payload, once every
+/// participant has returned.
 fn parallel_map<T: Send>(n: usize, threads: usize, budget: &TokenBudget, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let next = AtomicUsize::new(0);
-    // The caller's own token, plus one per pool helper worth waking. A
-    // fresh budget always has the caller's token available; `n.min(...)`
-    // keeps tiny rosters from parking helpers with nothing to claim.
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    // The caller's own token, plus one per helper worth spawning. A fresh
+    // budget always has the caller's token available; `n.min(...)` keeps
+    // tiny rosters from spawning helpers with nothing to claim.
     let own = budget.try_acquire(1);
     let extra = budget.try_acquire(threads.saturating_sub(1).min(n.saturating_sub(1)));
-    run_on_pool(extra, |_slot| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let r = f(i);
-        // Poisoning carries no risk here (each slot is written whole,
-        // exactly once); recover the guard rather than cascading one
-        // worker's panic into every sibling — the pool still propagates
-        // the panic itself after every participant returns.
-        slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner)[i] = Some(r);
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+        let helpers: Vec<_> = (0..extra).map(|_| s.spawn(claim)).collect();
+        let mut parts = vec![claim()];
+        parts.extend(helpers.into_iter().map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))));
+        parts
     });
     budget.release(own + extra);
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .map(|r| r.expect("all items evaluated"))
-        .collect()
+    let mut done: Vec<(usize, T)> = parts.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Folds per-query pipeline results into the paper-style aggregate.

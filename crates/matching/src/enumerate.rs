@@ -167,7 +167,7 @@ pub struct EnumConfig {
     /// Which enumeration implementation to run.
     pub engine: EnumEngine,
     /// Worker threads for intra-query parallel enumeration (1 = serial).
-    /// Values above 1 let up to `threads - 1` helpers from the global pool
+    /// Values above 1 spawn up to `threads - 1` scoped helpers that
     /// steal open subtrees of the one recursion — see [`crate::parallel`]
     /// for the exact semantics (find-all is byte-identical to serial;
     /// capped/budgeted runs keep exact match counts but trade
@@ -198,7 +198,7 @@ pub struct EnumConfig {
     /// at-least semantics). Callers that explicitly want a parallel
     /// budgeted run construct the config literally.
     pub deterministic: bool,
-    /// Token accounting for the global scheduler: a parallel run asks
+    /// Token accounting for the scheduler: a parallel run asks
     /// this budget for its `threads - 1` helper tokens (never blocking —
     /// an exhausted budget degrades the run towards serial), so
     /// query-level and intra-query parallelism compose under one cap
@@ -365,8 +365,9 @@ const AUTO_UNBOUNDED: u64 = u64::MAX / 4;
 /// parallelizes. Calibration: one unit is roughly an adjacency entry
 /// scanned (~1–2 ns), so 256Ki units is a few hundred microseconds of
 /// estimated work per worker — against a helper grant that costs a
-/// condvar wake of a persistent pool thread plus per-worker scratch
-/// (single-digit microseconds). The bar clears a yeast first-1k-matches
+/// scoped thread spawn and join plus per-worker scratch (a scoped run
+/// with one helper costs about 40 µs, with three about 85 µs, on a
+/// 2-vCPU x86-64 guest). The bar clears a yeast first-1k-matches
 /// query (1000 matches × 12 calls × 16 units ≈ 192k units, measured
 /// serial at ~4 µs) with a ~35% margin, so tiny workloads pay zero
 /// scheduling cost.

@@ -70,5 +70,5 @@ pub use order::{connected_prefix_ok, OrderingMethod};
 pub use ordercache::{order_variant, OrderCache, OrderEntry};
 pub use parallel::{peak_parallel_workers, reset_peak_parallel_workers};
 pub use pipeline::{run_cached, run_in_entry, run_pipeline, Pipeline, PipelineResult};
-pub use scheduler::{reset_scheduler_counters, run_on_pool, scheduler_stats, SchedulerStats, TokenBudget};
+pub use scheduler::{reset_scheduler_counters, scheduler_stats, SchedulerStats, TokenBudget};
 pub use spacecache::{QueryKey, SpaceCache, SpaceEntry};

@@ -19,12 +19,12 @@
 //!   worker whose deque drains **steals** from a random victim, so one
 //!   monster subtree fans out across all workers no matter who first
 //!   claimed it.
-//! * The workers themselves come from the process-global scheduler
-//!   ([`crate::scheduler`]): the caller participates directly, and up to
-//!   `threads - 1` persistent pool helpers join — gated by the config's
-//!   [`TokenBudget`][crate::scheduler::TokenBudget] so query-level and
-//!   intra-query parallelism compose under one cap (an exhausted budget
-//!   degrades the run towards serial instead of oversubscribing).
+//! * The caller participates directly as slot 0, and up to `threads - 1`
+//!   helpers are spawned for the run inside one `std::thread::scope` —
+//!   gated by the config's [`TokenBudget`][crate::scheduler::TokenBudget]
+//!   so query-level and intra-query parallelism compose under one cap (an
+//!   exhausted budget degrades the run towards serial instead of
+//!   oversubscribing).
 //!
 //! Each worker owns a full private recursion context (`Ctx` — mapping,
 //! injectivity bitmap, per-depth LC buffers) and runs the one recursion
@@ -285,7 +285,7 @@ impl StealShared {
         d.len.store(q.len(), Ordering::Relaxed);
         drop(q);
         if t.is_some() {
-            scheduler::note_task_taken();
+            scheduler::note_tasks_taken(1);
         }
         t
     }
@@ -307,7 +307,7 @@ impl StealShared {
             drop(q);
             if t.is_some() {
                 scheduler::note_steal();
-                scheduler::note_task_taken();
+                scheduler::note_tasks_taken(1);
                 return t;
             }
         }
@@ -357,6 +357,16 @@ impl StealShared {
                 std::thread::yield_now();
             }
         }
+    }
+}
+
+/// A run that stops early (a match cap, a budget, a deadline or cancel, a
+/// dead worker) leaves tasks in its deques; they leave the
+/// `queue_depth` gauge with the run.
+impl Drop for StealShared {
+    fn drop(&mut self) {
+        let left = self.deques.iter_mut().map(|d| d.q.get_mut().unwrap_or_else(PoisonError::into_inner).len()).sum();
+        scheduler::note_tasks_taken(left);
     }
 }
 
@@ -416,7 +426,7 @@ fn merge(
 }
 
 /// Runs one enumeration: `engine` over `order`, serially or — when the
-/// config asks for helpers and the scheduler grants some — as a
+/// config asks for helpers and its token budget grants some — as a
 /// work-stealing run in which every participant drives a clone of
 /// `engine` through the same recursion. `start` is the caller's phase
 /// clock, `num_data_vertices` sizes the injectivity bitmap, and
@@ -448,7 +458,7 @@ pub(crate) fn drive<'a, E: Engine<'a> + Clone + Sync>(
     let granted = config.pool_tokens.map_or(want, |budget| budget.try_acquire(want));
     if granted == 0 {
         // Alone on the calling thread — a serial request, or a composed
-        // load that already occupies the whole pool: the recursion from
+        // load that already holds the whole budget: the recursion from
         // depth 0 with no shared state is the serial engine.
         let mut ctx = Ctx::new(engine, num_data_vertices, order, config, start, None);
         recurse(&mut ctx, 0);
@@ -457,9 +467,7 @@ pub(crate) fn drive<'a, E: Engine<'a> + Clone + Sync>(
 
     let shared = StealShared::new(granted + 1, &config);
     shared.donate(0, Task { depth: 0, path: Vec::new(), slots: root_slots() });
-    let parts: Mutex<Vec<EnumResult>> = Mutex::new(Vec::new());
-    let panicked: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-    scheduler::run_on_pool(granted, |slot| {
+    let participate = |slot: usize| {
         let r = catch_unwind(AssertUnwindSafe(|| {
             let _gauge = gauge_enter();
             let mut ctx = Ctx::new(engine.clone(), num_data_vertices, order, config, start, Some((&shared, slot)));
@@ -486,27 +494,27 @@ pub(crate) fn drive<'a, E: Engine<'a> + Clone + Sync>(
             }
             ctx.into_result()
         }));
-        match r {
-            Ok(part) => parts.lock().unwrap_or_else(PoisonError::into_inner).push(part),
-            Err(p) => {
-                // A dead worker's open subtrees would wedge its peers'
-                // steal spins; the stop flag drains everyone first, then
-                // the caller rethrows below.
-                shared.caps.raise_stop();
-                let mut first = panicked.lock().unwrap_or_else(PoisonError::into_inner);
-                if first.is_none() {
-                    *first = Some(p);
-                }
-            }
+        if r.is_err() {
+            // A dead worker's open subtrees would wedge its peers' steal
+            // spins; the stop flag drains everyone first, then the caller
+            // rethrows below.
+            shared.caps.raise_stop();
         }
+        r
+    };
+    // The helpers live for this run only; slot 0 is the calling thread.
+    let results: Vec<std::thread::Result<EnumResult>> = std::thread::scope(|s| {
+        let participate = &participate;
+        let helpers: Vec<_> = (1..=granted).map(|slot| s.spawn(move || participate(slot))).collect();
+        let mut results = vec![participate(0)];
+        results.extend(helpers.into_iter().map(|h| h.join().and_then(|r| r)));
+        results
     });
     if let Some(budget) = config.pool_tokens {
         budget.release(granted);
     }
-    if let Some(p) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        resume_unwind(p);
-    }
-    merge(parts.into_inner().unwrap_or_else(PoisonError::into_inner), &shared.caps, &config, order, start)
+    let parts = results.into_iter().collect::<std::thread::Result<Vec<_>>>().unwrap_or_else(|p| resume_unwind(p));
+    merge(parts, &shared.caps, &config, order, start)
 }
 
 #[cfg(test)]

@@ -171,45 +171,76 @@ fn oversize_failpoint_forces_admit_uncached_on_an_unbounded_cache() {
     assert_eq!(cache.len(), 1);
 }
 
+/// The panic reaches the caller wherever it fires: on the calling thread
+/// of a serial run, or on any participant of a stealing run, whose
+/// helpers are scoped threads of that one run. Each armed run is driven
+/// from a watchdog thread so a wedged steal loop fails fast.
 #[test]
 fn enum_panic_failpoint_kills_a_run_on_the_cadence() {
     let _globals = globals();
-    // A query/host pair big enough to cross the 1024-call cadence.
+    // A query/host pair big enough to cross the 1024-call cadence, with a
+    // root candidate list longer than the steal granularity (64), so a
+    // stealing run splits it between its workers.
     let mut qb = GraphBuilder::new(1);
     let a = qb.add_vertex(0);
     let b = qb.add_vertex(0);
     let c = qb.add_vertex(0);
     qb.add_edge(a, b);
     qb.add_edge(b, c);
-    let q = qb.build();
+    let q = Arc::new(qb.build());
     let mut gb = GraphBuilder::new(1);
-    for _ in 0..40u32 {
+    for _ in 0..80u32 {
         gb.add_vertex(0);
     }
-    for i in 0..40u32 {
-        for j in (i + 1)..40u32 {
+    for i in 0..80u32 {
+        for j in (i + 1)..80u32 {
             gb.add_edge(i, j);
         }
     }
-    let g = gb.build();
-    let cand = LdfFilter.filter(&q, &g);
-    let order = RiOrdering.order(&q, &g, &cand);
-    let config = rlqvo_matching::EnumConfig { max_matches: u64::MAX, ..rlqvo_matching::EnumConfig::default() };
-    // Unarmed: the run completes.
-    let clean = rlqvo_matching::enumerate(&q, &g, &cand, &order, config);
-    assert!(clean.match_count > 0);
-    assert!(clean.enumerations > 1024, "fixture must cross the failpoint cadence");
-    // Armed: the first cadence window after 1024 calls dies.
-    let guard = rlqvo_fault::arm_scoped("enum.panic=once", 1).unwrap();
-    let outcome = catch_unwind(AssertUnwindSafe(|| rlqvo_matching::enumerate(&q, &g, &cand, &order, config)));
-    assert!(outcome.is_err(), "the armed cadence must panic");
-    assert_eq!(rlqvo_fault::fired("enum.panic"), 1);
-    drop(guard);
-    // Disarmed again: identical counts to the clean run (the failpoint
-    // leaves no residue in the engine).
-    let again = rlqvo_matching::enumerate(&q, &g, &cand, &order, config);
-    assert_eq!(again.match_count, clean.match_count);
-    assert_eq!(again.enumerations, clean.enumerations);
+    let g = Arc::new(gb.build());
+    let cand = Arc::new(LdfFilter.filter(&q, &g));
+    let order = Arc::new(RiOrdering.order(&q, &g, &cand));
+    for threads in [1usize, 2, 4] {
+        let config = rlqvo_matching::EnumConfig { max_matches: u64::MAX, ..rlqvo_matching::EnumConfig::default() }
+            .with_threads(threads);
+        let run = || rlqvo_matching::enumerate(&q, &g, &cand, &order, config);
+        // Unarmed: the run completes.
+        let clean = run();
+        assert!(clean.match_count > 0);
+        assert!(clean.enumerations > 1024, "fixture must cross the failpoint cadence");
+        // Armed: the first cadence window after 1024 calls dies.
+        let guard = rlqvo_fault::arm_scoped("enum.panic=once", 1).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = {
+            let (q, g, cand, order) = (Arc::clone(&q), Arc::clone(&g), Arc::clone(&cand), Arc::clone(&order));
+            std::thread::spawn(move || {
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| rlqvo_matching::enumerate(&q, &g, &cand, &order, config)));
+                let _ = tx.send(outcome.err().map(|p| p.downcast_ref::<&str>().map(|m| m.to_string())));
+            })
+        };
+        let payload = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{threads} threads: the armed run hung"));
+        runner.join().unwrap();
+        let payload = payload.unwrap_or_else(|| panic!("{threads} threads: the armed cadence must panic"));
+        assert_eq!(
+            payload.as_deref(),
+            Some("failpoint enum.panic: dying mid-enumeration"),
+            "{threads} threads: the failpoint's own payload reaches the caller"
+        );
+        assert_eq!(rlqvo_fault::fired("enum.panic"), 1, "{threads} threads");
+        drop(guard);
+        // Every worker's gauge guard was dropped: nothing still counts as
+        // running once the peak is reset to the active count.
+        rlqvo_matching::reset_peak_parallel_workers();
+        assert_eq!(rlqvo_matching::peak_parallel_workers(), 0, "{threads} threads: a worker gauge leaked");
+        // Disarmed again: identical counts to the clean run (the failpoint
+        // leaves no residue in the engine).
+        let again = run();
+        assert_eq!(again.match_count, clean.match_count, "{threads} threads");
+        assert_eq!(again.enumerations, clean.enumerations, "{threads} threads");
+    }
 }
 
 /// Leaf calls are counted by addition, never across a cadence boundary:

@@ -79,12 +79,13 @@ fn stealing_fills_the_pool_where_root_partitioning_serialized() {
         let serial = enumerate(&q, &g, &cand, &order, cfg.with_threads(1));
         assert!(serial.match_count > 10_000, "workload too small to exercise stealing");
 
-        // Helper threads park on a condvar between jobs, and a job closes
-        // to helpers once its caller's own share returns. Unslowed, this
-        // enumeration ends in about a millisecond, a race a wakeup loses on
-        // a loaded machine. A 1 ms delay per 1024-call cadence window makes
-        // the run a third of a second of sleeps for its workers to share —
-        // far past any wake latency — and changes no count.
+        // Each helper is a thread spawned for this run, and one that
+        // starts after the deques drain finds nothing to steal. Unslowed,
+        // this enumeration ends in about a millisecond, a race a late
+        // start loses on a loaded machine. A 1 ms delay per 1024-call
+        // cadence window makes the run a third of a second of sleeps for
+        // its workers to share — far past any spawn latency — and changes
+        // no count.
         let fault = rlqvo_fault::arm_scoped("enum.delay=1ms@always", 1).unwrap();
         reset_scheduler_counters();
         reset_peak_parallel_workers();
@@ -100,14 +101,14 @@ fn stealing_fills_the_pool_where_root_partitioning_serialized() {
         assert_eq!(par.enumerations, serial.enumerations, "{}", engine.name());
         assert!(stats.tasks_spawned > 0, "{}: no subtree was ever donated", engine.name());
         assert!(stats.steals > 0, "{}: single-root workload ran without one steal", engine.name());
-        assert_eq!(peak, 4, "{}: the steal pool never reached 4 concurrent workers", engine.name());
+        assert_eq!(peak, 4, "{}: the steal run never reached 4 concurrent workers", engine.name());
     }
     assert_eq!(scheduler_stats().queue_depth, 0, "deques must drain to empty");
 }
 
 /// A worker stalled at the task-claim point (the `enum.morsel.stall`
 /// failpoint) must never wedge the run: its peers keep draining every
-/// deque, the stalled worker wakes to an empty pool and exits, and the
+/// deque, the stalled worker wakes to empty deques and exits, and the
 /// merged counts stay exact. The run is driven from a watchdog thread so
 /// a deadlock fails fast instead of hanging the suite.
 #[test]
@@ -150,4 +151,43 @@ fn stall_failpoint_cannot_deadlock_the_steal_loop() {
         assert_eq!(match_count, serial.match_count);
         assert_eq!(enumerations, serial.enumerations);
     }
+}
+
+/// A 4-worker run that stops early — at a match cap, at a deadline, or
+/// because a worker died — leaves open subtrees in its deques. They leave
+/// the `queue_depth` gauge with the run, so serve's `metrics` reports the
+/// tasks queued now, not every task any early stop ever stranded.
+#[test]
+fn queue_depth_returns_to_its_pre_run_value_after_early_stops() {
+    let _guard = GLOBALS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let g = skewed_hub(3_000, 8);
+    let q = hub_triangle();
+    let cand = GqlFilter::default().filter(&q, &g);
+    let order = vec![0u32, 1, 2];
+    let cfg = EnumConfig::find_all().with_threads(4);
+    let before = scheduler_stats();
+
+    for _ in 0..50 {
+        let r = enumerate(&q, &g, &cand, &order, EnumConfig { max_matches: 10, ..cfg });
+        assert_eq!(r.match_count, 10);
+    }
+    let capped = scheduler_stats();
+    assert!(capped.tasks_spawned > before.tasks_spawned, "the capped runs never donated");
+    assert_eq!(capped.queue_depth, before.queue_depth, "capped runs left tasks in the gauge");
+
+    // A 1 ms delay per cadence window keeps the run going far past its
+    // 5 ms deadline.
+    let fault = rlqvo_fault::arm_scoped("enum.delay=1ms@always", 1).unwrap();
+    let r = enumerate(&q, &g, &cand, &order, cfg.with_deadline(std::time::Instant::now() + Duration::from_millis(5)));
+    drop(fault);
+    assert!(r.cancelled, "the deadline must stop the run");
+    assert_eq!(scheduler_stats().queue_depth, before.queue_depth, "a cancelled run left tasks in the gauge");
+
+    // The same delay holds the dying worker for a millisecond, so its
+    // peers stop with tasks still queued.
+    let fault = rlqvo_fault::arm_scoped("enum.delay=1ms@always;enum.panic=once", 1).unwrap();
+    let outcome = std::panic::catch_unwind(|| enumerate(&q, &g, &cand, &order, cfg));
+    drop(fault);
+    assert!(outcome.is_err(), "the armed run must panic");
+    assert_eq!(scheduler_stats().queue_depth, before.queue_depth, "a panicked run left tasks in the gauge");
 }

@@ -5,12 +5,12 @@
 //! fixed pool of request workers. `threads` is the *total* core budget,
 //! tracked by one [`TokenBudget`]: each request worker holds one token
 //! while it runs a job, and the work-stealing enumeration inside that
-//! job borrows whatever tokens are left for helper threads from the
-//! shared [`run_on_pool`][rlqvo_matching::run_on_pool] scheduler. There
-//! is no static query-workers × enum-threads split any more: an idle
-//! server gives one request the whole budget, a saturated one runs
-//! `threads` requests serially — and the queue never deadlocks, because
-//! token waits are on the *outside* of enumeration, never inside it.
+//! job borrows whatever tokens are left for the helper threads it spawns
+//! for that one enumeration. There is no static query-workers ×
+//! enum-threads split any more: an idle server gives one request the
+//! whole budget, a saturated one runs `threads` requests serially — and
+//! the queue never deadlocks, because token waits are on the *outside* of
+//! enumeration, never inside it.
 //!
 //! The robustness contract, in order of the request lifecycle:
 //!

@@ -198,7 +198,7 @@ fn the_server_time_limit_answers_deadline_with_partial_counts() {
     handle.shutdown();
 }
 
-/// A one-vertex query: 81 calls on the heavy host, so its run ends before
+/// A one-vertex query: 161 calls on the heavy host, so its run ends before
 /// the 1024th call, where the clock is first read.
 fn one_vertex() -> rlqvo_graph::Graph {
     let mut b = rlqvo_graph::GraphBuilder::new(1);

@@ -125,9 +125,10 @@ impl PolicyNetwork {
     /// column, raw scores column)`. `dropout` (probability, rng) applies
     /// inverted dropout after every GNN layer — training only.
     ///
-    /// `features` is bound as a leaf *by reference* ([`Tape::leaf_arc`]):
-    /// the trainer replays stored per-step feature matrices across PPO
-    /// passes without one copy per step.
+    /// `features` is bound as a constant *by reference*
+    /// ([`Tape::constant_arc`]): it takes no gradient, and the trainer
+    /// replays stored per-step feature matrices across PPO passes without
+    /// one copy per step.
     pub fn forward_on_tape(
         &self,
         t: &Tape,
@@ -137,7 +138,7 @@ impl PolicyNetwork {
         mask: &[bool],
         dropout: Option<(f32, &mut StdRng)>,
     ) -> (Var, Var) {
-        let mut h = t.leaf_arc(features);
+        let mut h = t.constant_arc(features);
         let mut drop = dropout;
         for (layer, vars) in self.layers.iter().zip(&binding.layer_vars) {
             h = layer.forward(t, gt, vars, h);

@@ -61,8 +61,8 @@ impl TrainReport {
 }
 
 /// Stored state for PPO re-evaluation. Features are `Arc`-shared: the
-/// update passes bind them as tape leaves by reference
-/// ([`rlqvo_tensor::Tape::leaf_arc`]) instead of cloning one matrix per
+/// update passes bind them as tape constants by reference
+/// ([`rlqvo_tensor::Tape::constant_arc`]) instead of cloning one matrix per
 /// step per pass.
 struct StoredState {
     features: Arc<Matrix>,

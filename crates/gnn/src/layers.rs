@@ -116,7 +116,7 @@ impl GnnLayer for GcnLayer {
         vec![&mut self.w, &mut self.b]
     }
     fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let adj = t.leaf(gt.norm_adj.clone());
+        let adj = t.constant(gt.norm_adj.clone());
         let agg = t.matmul(adj, h);
         let lin = t.add_bias_row(t.matmul(agg, bound[0]), bound[1]);
         t.relu(lin)
@@ -271,7 +271,7 @@ impl GnnLayer for SageLayer {
         vec![&mut self.w_self, &mut self.w_neigh, &mut self.b]
     }
     fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let mean = t.leaf(gt.mean_adj.clone());
+        let mean = t.constant(gt.mean_adj.clone());
         let own = t.matmul(h, bound[0]);
         let neigh = t.matmul(t.matmul(mean, h), bound[1]);
         t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
@@ -314,7 +314,7 @@ impl GnnLayer for GraphConvLayer {
         vec![&mut self.w1, &mut self.w2, &mut self.b]
     }
     fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let adj = t.leaf(gt.adj.clone());
+        let adj = t.constant(gt.adj.clone());
         let own = t.matmul(h, bound[0]);
         let neigh = t.matmul(t.matmul(adj, h), bound[1]);
         t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
@@ -360,8 +360,8 @@ impl GnnLayer for LeConvLayer {
         vec![&mut self.w1, &mut self.w2, &mut self.w3, &mut self.b]
     }
     fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let adj = t.leaf(gt.adj.clone());
-        let deg = t.leaf(gt.degree.clone());
+        let adj = t.constant(gt.adj.clone());
+        let deg = t.constant(gt.degree.clone());
         let own = t.matmul(h, bound[0]);
         let scaled = t.mul_col_broadcast(t.matmul(h, bound[1]), deg);
         let neigh = t.matmul(adj, t.matmul(h, bound[2]));

@@ -18,7 +18,7 @@ use rlqvo_tensor::{Tape, Var};
 /// minimizing optimizers.
 pub fn ppo_step_objective(t: &Tape, logp_new: Var, logp_old: f32, advantage: f32, epsilon: f32) -> Var {
     assert_eq!(logp_new.shape(), (1, 1), "logp must be scalar");
-    let old = t.leaf(rlqvo_tensor::Matrix::full(1, 1, logp_old));
+    let old = t.constant(rlqvo_tensor::Matrix::full(1, 1, logp_old));
     let ratio = t.exp(t.sub(logp_new, old));
     let unclipped = t.scale(ratio, advantage);
     let clipped = t.scale(t.clip(ratio, 1.0 - epsilon, 1.0 + epsilon), advantage);

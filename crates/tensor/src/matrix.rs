@@ -262,9 +262,17 @@ impl Matrix {
         self.cols = cols;
     }
 
-    /// Transpose.
+    /// Transpose: one pass over the rows, scattering each into a column.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        if self.cols > 0 {
+            for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+                for (dst, &x) in out.data[r..].iter_mut().step_by(self.rows).zip(row) {
+                    *dst = x;
+                }
+            }
+        }
+        out
     }
 
     /// Element-wise sum (shapes must match).

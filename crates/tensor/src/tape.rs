@@ -5,9 +5,22 @@
 //! the (scalar) root with gradient 1 and accumulating parent gradients.
 //!
 //! Design notes:
-//! * Backward closures capture clones of the parent values they need.
-//!   Policy-network matrices are ≤ `32×256`, so the copies are cheap and
-//!   buy a borrow-checker-free backward pass.
+//! * Node values are `Arc`-shared. Backward closures capture `Arc` handles
+//!   to the parent values they need (a reference count, not a copy), which
+//!   buys a borrow-checker-free backward pass.
+//! * Inputs are either *leaves* ([`Tape::leaf`], the parameters) or
+//!   *constants* ([`Tape::constant`]: adjacency, features, recorded
+//!   log-probs). An op whose inputs are all constants records a constant
+//!   with no backward closure; an op with some constant inputs computes
+//!   and accumulates gradients for the other inputs only. No gradient is
+//!   ever computed for a value nobody reads.
+//! * `matmul`'s backward transposes each operand at most once per
+//!   backward pass, when a gradient first needs it, and drops the
+//!   transpose once the walk passes the operand (every consumer of a node
+//!   lies after it on the tape).
+//! * Gradients live only as long as they are needed: the walk moves each
+//!   interior node's gradient out of its slot, runs the node's closure and
+//!   drops it. The returned [`GradStore`] holds leaf gradients only.
 //! * A tape is built per forward pass and dropped afterwards — the pattern
 //!   PyTorch calls define-by-run.
 //! * Every op's gradient is validated against finite differences in
@@ -33,16 +46,19 @@ impl Var {
     }
 }
 
-type BackFn = Box<dyn Fn(&Matrix, &mut GradStore)>;
+type BackFn = Box<dyn Fn(&Matrix, &mut Backward<'_>)>;
 
 /// Node values are `Arc`-shared: ops hand the same immutable value to the
 /// node, to sibling ops, and to their backward closures without copying —
-/// and [`Tape::leaf_arc`] lets callers bind an existing shared matrix
-/// (e.g. a stored feature matrix replayed across PPO passes) as a leaf
-/// with zero copies.
+/// and [`Tape::constant_arc`] lets callers bind an existing shared matrix
+/// (e.g. a stored feature matrix replayed across PPO passes) with zero
+/// copies.
 struct Node {
     value: Arc<Matrix>,
+    /// `None` for leaves, constants and ops on constants only.
     backward: Option<BackFn>,
+    /// True for leaves and for ops with at least one such input.
+    needs_grad: bool,
 }
 
 /// Gradients keyed by tape index, produced by [`Tape::backward`].
@@ -51,17 +67,42 @@ pub struct GradStore {
 }
 
 impl GradStore {
-    /// Gradient of the root with respect to `v`, if any path reached it.
+    /// Gradient of the root with respect to the leaf `v`, if any path
+    /// reached it. Answers for leaves only: constants get no gradient, and
+    /// an interior node's gradient is dropped once the backward walk has
+    /// propagated it, so both are `None`.
     pub fn get(&self, v: Var) -> Option<&Matrix> {
         self.grads.get(v.idx).and_then(|g| g.as_ref())
+    }
+}
+
+/// What a backward closure works on: the recorded nodes, the gradient
+/// slots, and the transposes built so far.
+struct Backward<'a> {
+    nodes: &'a [Node],
+    grads: Vec<Option<Matrix>>,
+    transposes: Vec<Option<Matrix>>,
+}
+
+impl Backward<'_> {
+    /// Whether node `idx` takes a gradient at all.
+    fn needs(&self, idx: usize) -> bool {
+        self.nodes[idx].needs_grad
     }
 
     /// Accumulates `g` into the slot for node `idx`.
     fn accumulate(&mut self, idx: usize, g: Matrix) {
+        debug_assert!(self.needs(idx), "gradient for a constant");
         match &mut self.grads[idx] {
             Some(acc) => acc.add_assign(&g),
             slot @ None => *slot = Some(g),
         }
+    }
+
+    /// Node `idx`'s value transposed, built on first use.
+    fn transposed(&mut self, idx: usize) -> &Matrix {
+        let nodes = self.nodes;
+        self.transposes[idx].get_or_insert_with(|| nodes[idx].value.transpose())
     }
 }
 
@@ -88,17 +129,24 @@ impl Tape {
         self.len() == 0
     }
 
-    /// Records an input (parameter or constant). Leaves have no backward
-    /// closure; their gradients are whatever downstream ops accumulate.
+    /// Records a differentiable input (a parameter). Leaves have no
+    /// backward closure; their gradients are whatever downstream ops
+    /// accumulate.
     pub fn leaf(&self, value: Matrix) -> Var {
-        self.push(value, None)
+        self.push(Arc::new(value), None, true)
     }
 
-    /// Records a leaf by reference: the node shares `value` instead of
+    /// Records an input that takes no gradient (adjacency, features, a
+    /// recorded log-prob). Ops on constants only are constants too.
+    pub fn constant(&self, value: Matrix) -> Var {
+        self.constant_arc(Arc::new(value))
+    }
+
+    /// Records a constant by reference: the node shares `value` instead of
     /// copying it. This is how training binds stored per-step feature
     /// matrices without paying one clone per step per PPO pass.
-    pub fn leaf_arc(&self, value: Arc<Matrix>) -> Var {
-        self.push_arc(value, None)
+    pub fn constant_arc(&self, value: Arc<Matrix>) -> Var {
+        self.push(value, None, false)
     }
 
     /// Clone of a node's current value.
@@ -106,16 +154,28 @@ impl Tape {
         (*self.nodes.borrow()[v.idx].value).clone()
     }
 
-    fn push(&self, value: Matrix, backward: Option<BackFn>) -> Var {
-        self.push_arc(Arc::new(value), backward)
-    }
-
-    fn push_arc(&self, value: Arc<Matrix>, backward: Option<BackFn>) -> Var {
+    fn push(&self, value: Arc<Matrix>, backward: Option<BackFn>, needs_grad: bool) -> Var {
         let mut nodes = self.nodes.borrow_mut();
         let idx = nodes.len();
         let (rows, cols) = value.shape();
-        nodes.push(Node { value, backward });
+        nodes.push(Node { value, backward, needs_grad });
         Var { idx, rows, cols }
+    }
+
+    /// Records an op's result: with `backward` when some input in `inputs`
+    /// takes a gradient, as a constant otherwise.
+    fn op(
+        &self,
+        value: impl Into<Arc<Matrix>>,
+        inputs: &[Var],
+        backward: impl Fn(&Matrix, &mut Backward<'_>) + 'static,
+    ) -> Var {
+        let needs_grad = {
+            let nodes = self.nodes.borrow();
+            inputs.iter().any(|v| nodes[v.idx].needs_grad)
+        };
+        let backward: Option<BackFn> = if needs_grad { Some(Box::new(backward)) } else { None };
+        self.push(value.into(), backward, needs_grad)
     }
 
     /// Shared handle to a node's value (cheap; backward closures capture
@@ -128,42 +188,46 @@ impl Tape {
 
     /// `a @ b`.
     pub fn matmul(&self, a: Var, b: Var) -> Var {
-        let (av, bv) = (self.val(a), self.val(b));
-        let out = av.matmul(&bv);
+        let out = self.val(a).matmul(&self.val(b));
         let (ai, bi) = (a.idx, b.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.matmul(&bv.transpose()));
-                store.accumulate(bi, av.transpose().matmul(g));
-            })),
-        )
+        self.op(out, &[a, b], move |g, cx| {
+            if cx.needs(ai) {
+                let ga = g.matmul(cx.transposed(bi));
+                cx.accumulate(ai, ga);
+            }
+            if cx.needs(bi) {
+                let gb = cx.transposed(ai).matmul(g);
+                cx.accumulate(bi, gb);
+            }
+        })
     }
 
     /// `a + b` (same shape).
     pub fn add(&self, a: Var, b: Var) -> Var {
         let out = self.val(a).add(&self.val(b));
         let (ai, bi) = (a.idx, b.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.clone());
-                store.accumulate(bi, g.clone());
-            })),
-        )
+        self.op(out, &[a, b], move |g, cx| {
+            if cx.needs(ai) {
+                cx.accumulate(ai, g.clone());
+            }
+            if cx.needs(bi) {
+                cx.accumulate(bi, g.clone());
+            }
+        })
     }
 
     /// `a - b` (same shape).
     pub fn sub(&self, a: Var, b: Var) -> Var {
         let out = self.val(a).sub(&self.val(b));
         let (ai, bi) = (a.idx, b.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.clone());
-                store.accumulate(bi, g.scale(-1.0));
-            })),
-        )
+        self.op(out, &[a, b], move |g, cx| {
+            if cx.needs(ai) {
+                cx.accumulate(ai, g.clone());
+            }
+            if cx.needs(bi) {
+                cx.accumulate(bi, g.scale(-1.0));
+            }
+        })
     }
 
     /// Element-wise `a * b` (same shape).
@@ -171,44 +235,46 @@ impl Tape {
         let (av, bv) = (self.val(a), self.val(b));
         let out = av.hadamard(&bv);
         let (ai, bi) = (a.idx, b.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.hadamard(&bv));
-                store.accumulate(bi, g.hadamard(&av));
-            })),
-        )
+        self.op(out, &[a, b], move |g, cx| {
+            if cx.needs(ai) {
+                cx.accumulate(ai, g.hadamard(&bv));
+            }
+            if cx.needs(bi) {
+                cx.accumulate(bi, g.hadamard(&av));
+            }
+        })
     }
 
     /// `a + bias`, broadcasting a `1×c` bias row over every row of `a`.
     pub fn add_bias_row(&self, a: Var, bias: Var) -> Var {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(a.cols, bias.cols, "bias width mismatch");
-        let (av, bv) = (self.val(a), self.val(bias));
-        let out = Matrix::from_fn(a.rows, a.cols, |r, c| av.get(r, c) + bv.get(0, c));
+        let mut out = (*self.val(a)).clone();
+        out.add_bias_row_assign(&self.val(bias));
         let (ai, bi) = (a.idx, bias.idx);
         let cols = a.cols;
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.clone());
-                // Bias gradient: column sums of g.
+        self.op(out, &[a, bias], move |g, cx| {
+            if cx.needs(ai) {
+                cx.accumulate(ai, g.clone());
+            }
+            if cx.needs(bi) {
+                // Bias gradient: column sums of g, rows in ascending order.
                 let mut bg = Matrix::zeros(1, cols);
-                for r in 0..g.rows() {
-                    for c in 0..cols {
-                        bg.set(0, c, bg.get(0, c) + g.get(r, c));
+                for row in g.data().chunks_exact(cols) {
+                    for (acc, &x) in bg.data_mut().iter_mut().zip(row) {
+                        *acc += x;
                     }
                 }
-                store.accumulate(bi, bg);
-            })),
-        )
+                cx.accumulate(bi, bg);
+            }
+        })
     }
 
     /// Scalar multiple `a * s`.
     pub fn scale(&self, a: Var, s: f32) -> Var {
         let out = self.val(a).scale(s);
         let ai = a.idx;
-        self.push(out, Some(Box::new(move |g, store| store.accumulate(ai, g.scale(s)))))
+        self.op(out, &[a], move |g, cx| cx.accumulate(ai, g.scale(s)))
     }
 
     /// ReLU.
@@ -216,12 +282,9 @@ impl Tape {
         let av = self.val(a);
         let out = av.map(|x| x.max(0.0));
         let ai = a.idx;
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.zip_map(&av, |gi, x| if x > 0.0 { gi } else { 0.0 }));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.zip_map(&av, |gi, x| if x > 0.0 { gi } else { 0.0 }));
+        })
     }
 
     /// Leaky ReLU with negative slope `alpha`.
@@ -229,12 +292,9 @@ impl Tape {
         let av = self.val(a);
         let out = av.map(|x| if x > 0.0 { x } else { alpha * x });
         let ai = a.idx;
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.zip_map(&av, |gi, x| if x > 0.0 { gi } else { alpha * gi }));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.zip_map(&av, |gi, x| if x > 0.0 { gi } else { alpha * gi }));
+        })
     }
 
     /// Hyperbolic tangent.
@@ -242,12 +302,9 @@ impl Tape {
         let out = Arc::new(self.val(a).map(f32::tanh));
         let ai = a.idx;
         let saved = Arc::clone(&out);
-        self.push_arc(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.zip_map(&saved, |gi, y| gi * (1.0 - y * y)));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.zip_map(&saved, |gi, y| gi * (1.0 - y * y)));
+        })
     }
 
     /// Element-wise `exp`.
@@ -255,12 +312,9 @@ impl Tape {
         let out = Arc::new(self.val(a).map(f32::exp));
         let ai = a.idx;
         let saved = Arc::clone(&out);
-        self.push_arc(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.hadamard(&saved));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.hadamard(&saved));
+        })
     }
 
     /// Element-wise natural log, clamped below at `eps = 1e-8` so entropy
@@ -270,12 +324,9 @@ impl Tape {
         let av = self.val(a);
         let out = av.map(|x| x.max(EPS).ln());
         let ai = a.idx;
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.zip_map(&av, |gi, x| gi / x.max(EPS)));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.zip_map(&av, |gi, x| gi / x.max(EPS)));
+        })
     }
 
     /// Sum of all elements, a `1×1` result.
@@ -283,12 +334,9 @@ impl Tape {
         let av = self.val(a);
         let out = Matrix::full(1, 1, av.sum());
         let (ai, rows, cols) = (a.idx, a.rows, a.cols);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, Matrix::full(rows, cols, g.scalar()));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, Matrix::full(rows, cols, g.scalar()));
+        })
     }
 
     /// Extracts element `(r, c)` as a `1×1` node (action log-prob lookup).
@@ -296,14 +344,11 @@ impl Tape {
         let av = self.val(a);
         let out = Matrix::full(1, 1, av.get(r, c));
         let (ai, rows, cols) = (a.idx, a.rows, a.cols);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                let mut m = Matrix::zeros(rows, cols);
-                m.set(r, c, g.scalar());
-                store.accumulate(ai, m);
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            let mut m = Matrix::zeros(rows, cols);
+            m.set(r, c, g.scalar());
+            cx.accumulate(ai, m);
+        })
     }
 
     /// Masked softmax over a column vector: entries where `mask` is false
@@ -331,20 +376,17 @@ impl Tape {
         let saved = Arc::clone(&probs);
         let ai = a.idx;
         let mask_owned: Vec<bool> = mask.to_vec();
-        self.push_arc(
-            probs,
-            Some(Box::new(move |g, store| {
-                // Softmax Jacobian: dx_i = p_i (g_i - Σ_j g_j p_j).
-                let dot: f32 = (0..saved.rows()).map(|j| g.get(j, 0) * saved.get(j, 0)).sum();
-                let mut out = Matrix::zeros(saved.rows(), 1);
-                for (i, &keep) in mask_owned.iter().enumerate().take(saved.rows()) {
-                    if keep {
-                        out.set(i, 0, saved.get(i, 0) * (g.get(i, 0) - dot));
-                    }
+        self.op(probs, &[a], move |g, cx| {
+            // Softmax Jacobian: dx_i = p_i (g_i - Σ_j g_j p_j).
+            let dot: f32 = (0..saved.rows()).map(|j| g.get(j, 0) * saved.get(j, 0)).sum();
+            let mut out = Matrix::zeros(saved.rows(), 1);
+            for (i, &keep) in mask_owned.iter().enumerate().take(saved.rows()) {
+                if keep {
+                    out.set(i, 0, saved.get(i, 0) * (g.get(i, 0) - dot));
                 }
-                store.accumulate(ai, out);
-            })),
-        )
+            }
+            cx.accumulate(ai, out);
+        })
     }
 
     /// Row-wise masked softmax over an `n×n` score matrix; `mask[i][j]`
@@ -376,21 +418,18 @@ impl Tape {
         let saved = Arc::clone(&probs);
         let ai = a.idx;
         let mask_owned = mask.clone();
-        self.push_arc(
-            probs,
-            Some(Box::new(move |g, store| {
-                let mut out = Matrix::zeros(saved.rows(), saved.cols());
-                for r in 0..saved.rows() {
-                    let dot: f32 = (0..saved.cols()).map(|c| g.get(r, c) * saved.get(r, c)).sum();
-                    for c in 0..saved.cols() {
-                        if mask_owned.get(r, c) != 0.0 {
-                            out.set(r, c, saved.get(r, c) * (g.get(r, c) - dot));
-                        }
+        self.op(probs, &[a], move |g, cx| {
+            let mut out = Matrix::zeros(saved.rows(), saved.cols());
+            for r in 0..saved.rows() {
+                let dot: f32 = (0..saved.cols()).map(|c| g.get(r, c) * saved.get(r, c)).sum();
+                for c in 0..saved.cols() {
+                    if mask_owned.get(r, c) != 0.0 {
+                        out.set(r, c, saved.get(r, c) * (g.get(r, c) - dot));
                     }
                 }
-                store.accumulate(ai, out);
-            })),
-        )
+            }
+            cx.accumulate(ai, out);
+        })
     }
 
     /// Outer broadcast sum: given column vectors `a` (n×1) and `b` (n×1),
@@ -403,21 +442,26 @@ impl Tape {
         let m = b.rows;
         let out = Matrix::from_fn(n, m, |i, j| av.get(i, 0) + bv.get(j, 0));
         let (ai, bi) = (a.idx, b.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
+        self.op(out, &[a, b], move |g, cx| {
+            if cx.needs(ai) {
                 let mut ga = Matrix::zeros(n, 1);
-                let mut gb = Matrix::zeros(m, 1);
                 for i in 0..n {
                     for j in 0..m {
                         ga.set(i, 0, ga.get(i, 0) + g.get(i, j));
+                    }
+                }
+                cx.accumulate(ai, ga);
+            }
+            if cx.needs(bi) {
+                let mut gb = Matrix::zeros(m, 1);
+                for i in 0..n {
+                    for j in 0..m {
                         gb.set(j, 0, gb.get(j, 0) + g.get(i, j));
                     }
                 }
-                store.accumulate(ai, ga);
-                store.accumulate(bi, gb);
-            })),
-        )
+                cx.accumulate(bi, gb);
+            }
+        })
     }
 
     /// Scales row `i` of `a` by `c_i` (column vector `c`, n×1) — the
@@ -428,10 +472,12 @@ impl Tape {
         let (av, cv) = (self.val(a), self.val(c));
         let out = Matrix::from_fn(a.rows, a.cols, |r, col| av.get(r, col) * cv.get(r, 0));
         let (ai, ci) = (a.idx, c.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
+        self.op(out, &[a, c], move |g, cx| {
+            if cx.needs(ai) {
                 let ga = Matrix::from_fn(av.rows(), av.cols(), |r, col| g.get(r, col) * cv.get(r, 0));
+                cx.accumulate(ai, ga);
+            }
+            if cx.needs(ci) {
                 let mut gc = Matrix::zeros(cv.rows(), 1);
                 for r in 0..av.rows() {
                     let mut acc = 0.0;
@@ -440,10 +486,9 @@ impl Tape {
                     }
                     gc.set(r, 0, acc);
                 }
-                store.accumulate(ai, ga);
-                store.accumulate(ci, gc);
-            })),
-        )
+                cx.accumulate(ci, gc);
+            }
+        })
     }
 
     /// Element-wise product with a constant mask (dropout; no gradient to
@@ -453,12 +498,9 @@ impl Tape {
         let out = self.val(a).hadamard(mask);
         let ai = a.idx;
         let mask_owned = mask.clone();
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.hadamard(&mask_owned));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.hadamard(&mask_owned));
+        })
     }
 
     /// Element-wise minimum of two same-shape nodes; gradient flows to the
@@ -468,37 +510,17 @@ impl Tape {
         let (av, bv) = (self.val(a), self.val(b));
         let out = av.zip_map(&bv, f32::min);
         let (ai, bi) = (a.idx, b.idx);
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                let ga =
-                    Matrix::from_fn(
-                        av.rows(),
-                        av.cols(),
-                        |r, c| {
-                            if av.get(r, c) <= bv.get(r, c) {
-                                g.get(r, c)
-                            } else {
-                                0.0
-                            }
-                        },
-                    );
-                let gb =
-                    Matrix::from_fn(
-                        av.rows(),
-                        av.cols(),
-                        |r, c| {
-                            if av.get(r, c) <= bv.get(r, c) {
-                                0.0
-                            } else {
-                                g.get(r, c)
-                            }
-                        },
-                    );
-                store.accumulate(ai, ga);
-                store.accumulate(bi, gb);
-            })),
-        )
+        self.op(out, &[a, b], move |g, cx| {
+            let a_wins = |r, c| av.get(r, c) <= bv.get(r, c);
+            if cx.needs(ai) {
+                let ga = Matrix::from_fn(av.rows(), av.cols(), |r, c| if a_wins(r, c) { g.get(r, c) } else { 0.0 });
+                cx.accumulate(ai, ga);
+            }
+            if cx.needs(bi) {
+                let gb = Matrix::from_fn(av.rows(), av.cols(), |r, c| if a_wins(r, c) { 0.0 } else { g.get(r, c) });
+                cx.accumulate(bi, gb);
+            }
+        })
     }
 
     /// Clamp to `[lo, hi]`; gradient is zero outside the bounds — PPO's
@@ -507,32 +529,37 @@ impl Tape {
         let av = self.val(a);
         let out = av.map(|x| x.clamp(lo, hi));
         let ai = a.idx;
-        self.push(
-            out,
-            Some(Box::new(move |g, store| {
-                store.accumulate(ai, g.zip_map(&av, |gi, x| if x > lo && x < hi { gi } else { 0.0 }));
-            })),
-        )
+        self.op(out, &[a], move |g, cx| {
+            cx.accumulate(ai, g.zip_map(&av, |gi, x| if x > lo && x < hi { gi } else { 0.0 }));
+        })
     }
 
     // ----------------------------------------------------------- backward
 
     /// Runs reverse-mode differentiation from the scalar `root`.
     ///
+    /// Each interior gradient is moved out of its slot when the walk
+    /// reaches its node, handed to the node's closure and dropped; the
+    /// returned store holds the leaves' gradients only.
+    ///
     /// # Panics
     /// If `root` is not `1×1`.
     pub fn backward(&self, root: Var) -> GradStore {
         assert_eq!((root.rows, root.cols), (1, 1), "backward root must be scalar");
         let nodes = self.nodes.borrow();
-        let mut store = GradStore { grads: vec![None; nodes.len()] };
-        store.grads[root.idx] = Some(Matrix::ones(1, 1));
-        for idx in (0..=root.idx).rev() {
-            let Some(grad) = store.grads[idx].clone() else { continue };
-            if let Some(back) = &nodes[idx].backward {
-                back(&grad, &mut store);
-            }
+        let len = root.idx + 1;
+        let mut cx = Backward { nodes: &nodes, grads: vec![None; len], transposes: vec![None; len] };
+        if nodes[root.idx].needs_grad {
+            cx.grads[root.idx] = Some(Matrix::ones(1, 1));
         }
-        store
+        for idx in (0..len).rev() {
+            // Every consumer of `idx` lies after it and has run.
+            cx.transposes[idx] = None;
+            let Some(back) = &nodes[idx].backward else { continue };
+            let Some(grad) = cx.grads[idx].take() else { continue };
+            back(&grad, &mut cx);
+        }
+        GradStore { grads: cx.grads }
     }
 }
 
@@ -666,5 +693,95 @@ mod tests {
         let t = Tape::new();
         let x = t.leaf(Matrix::ones(2, 2));
         t.backward(x);
+    }
+
+    #[test]
+    fn constant_gets_no_gradient() {
+        let t = Tape::new();
+        let p = t.leaf(Matrix::from_rows(&[&[1.0, 2.0]]));
+        let c = t.constant(Matrix::from_rows(&[&[3.0, -4.0]]));
+        let loss = t.sum(t.mul(p, c));
+        let grads = t.backward(loss);
+        assert!(grads.get(c).is_none());
+        assert_eq!(grads.get(p).unwrap(), &Matrix::from_rows(&[&[3.0, -4.0]]));
+    }
+
+    #[test]
+    fn all_constant_op_records_no_backward() {
+        let t = Tape::new();
+        let a = t.constant(Matrix::ones(2, 2));
+        let b = t.constant_arc(Arc::new(Matrix::full(2, 2, 3.0)));
+        let both = t.relu(t.matmul(a, b));
+        assert_eq!(t.value(both), Matrix::full(2, 2, 6.0));
+        let p = t.leaf(Matrix::ones(2, 2));
+        let mixed = t.add(both, p);
+        let nodes = t.nodes.borrow();
+        assert!(nodes[both.idx].backward.is_none() && !nodes[both.idx].needs_grad);
+        assert!(nodes[mixed.idx].backward.is_some() && nodes[mixed.idx].needs_grad);
+    }
+
+    #[test]
+    fn interior_gradients_are_dropped_after_backward() {
+        let t = Tape::new();
+        let x = t.leaf(Matrix::from_rows(&[&[1.0, -3.0]]));
+        let y = t.scale(x, 2.0);
+        let loss = t.sum(y);
+        let grads = t.backward(loss);
+        assert!(grads.get(y).is_none());
+        assert!(grads.get(loss).is_none());
+        assert_eq!(grads.get(x).unwrap(), &Matrix::from_rows(&[&[2.0, 2.0]]));
+    }
+
+    /// Bits of the gradient of `sum(tanh(op(p, o)))` with respect to the
+    /// leaf `p`, the other operand `o` bound as a constant or as a leaf.
+    fn param_grad_bits(p: &Matrix, o: &Matrix, o_constant: bool, op: impl Fn(&Tape, Var, Var) -> Var) -> Vec<u32> {
+        let t = Tape::new();
+        let pv = t.leaf(p.clone());
+        let ov = if o_constant { t.constant(o.clone()) } else { t.leaf(o.clone()) };
+        let loss = t.sum(t.tanh(op(&t, pv, ov)));
+        let grads = t.backward(loss);
+        assert_eq!(grads.get(ov).is_none(), o_constant);
+        grads.get(pv).expect("parameter gradient").data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A deterministic matrix with exact zeros (the matmul zero-skip) and
+    /// signed values.
+    fn sample(rows: usize, cols: usize, salt: f32) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            let x = ((r * 7 + c * 3) as f32 * 0.61 + salt).sin();
+            if (r + c) % 3 == 0 {
+                0.0
+            } else {
+                x
+            }
+        })
+    }
+
+    #[test]
+    fn parameter_gradients_are_bitwise_the_same_with_constant_operands() {
+        type Shape = (usize, usize);
+        type Op = fn(&Tape, Var, Var) -> Var;
+        // (name, parameter shape, other operand shape, op(parameter, other))
+        let cases: [(&str, Shape, Shape, Op); 12] = [
+            ("matmul, parameter left", (4, 3), (3, 5), |t, p, o| t.matmul(p, o)),
+            ("matmul, parameter right", (3, 5), (4, 3), |t, p, o| t.matmul(o, p)),
+            ("add, parameter left", (3, 4), (3, 4), |t, p, o| t.add(p, o)),
+            ("add, parameter right", (3, 4), (3, 4), |t, p, o| t.add(o, p)),
+            ("sub, parameter left", (3, 4), (3, 4), |t, p, o| t.sub(p, o)),
+            ("sub, parameter right", (3, 4), (3, 4), |t, p, o| t.sub(o, p)),
+            ("add_bias_row, parameter bias", (1, 4), (3, 4), |t, p, o| t.add_bias_row(o, p)),
+            ("add_bias_row, parameter rows", (3, 4), (1, 4), |t, p, o| t.add_bias_row(p, o)),
+            ("mul_col_broadcast, parameter rows", (4, 3), (4, 1), |t, p, o| t.mul_col_broadcast(p, o)),
+            ("mul_col_broadcast, parameter column", (4, 1), (4, 3), |t, p, o| t.mul_col_broadcast(o, p)),
+            ("broadcast_add_col_row, parameter column", (4, 1), (5, 1), |t, p, o| t.broadcast_add_col_row(p, o)),
+            ("broadcast_add_col_row, parameter row", (5, 1), (4, 1), |t, p, o| t.broadcast_add_col_row(o, p)),
+        ];
+        for (name, ps, os, op) in cases {
+            let p = sample(ps.0, ps.1, 0.3);
+            let o = sample(os.0, os.1, 1.7);
+            let as_leaf = param_grad_bits(&p, &o, false, op);
+            let as_constant = param_grad_bits(&p, &o, true, op);
+            assert_eq!(as_leaf, as_constant, "{name}");
+        }
     }
 }

@@ -55,4 +55,33 @@ proptest! {
         let y = t.matmul(t.leaf(a.clone()), t.leaf(b.clone()));
         prop_assert_eq!(t.value(y), a.matmul_reference(&b));
     }
+
+    /// `transpose` (a slice loop) is bitwise the `from_fn` definition on
+    /// random shapes, zero-row and zero-column ones included, with signed
+    /// zeros in the data.
+    #[test]
+    fn transpose_matches_its_definition(seed in 0u64..10_000, m in 0usize..12, n in 0usize..40) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A05);
+        let a = Matrix::from_fn(m, n, |_, _| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0f32..2.0),
+        });
+        let t = a.transpose();
+        let want = Matrix::from_fn(n, m, |r, c| a.get(c, r));
+        prop_assert_eq!(t.shape(), (n, m));
+        let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&t), bits(&want), "transpose of {}x{}", m, n);
+    }
+}
+
+/// The zero extents the property above may not draw: `0 × n` (what
+/// `rows_of` produces for an empty row set), `m × 0` and `0 × 0`.
+#[test]
+fn transpose_handles_zero_extents() {
+    for (m, n) in [(0, 0), (0, 5), (5, 0), (1, 0), (0, 1)] {
+        let t = Matrix::zeros(m, n).transpose();
+        assert_eq!(t.shape(), (n, m));
+        assert!(t.data().is_empty());
+    }
 }

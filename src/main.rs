@@ -22,8 +22,10 @@
 //! implementation: `candspace` (the default), `auto` (candspace, with
 //! `--enum-threads` capped at what the estimated enumeration work can keep
 //! busy) or `probe` (the differential oracle: same matches, same `#enum`,
-//! never run unless named). Every option is a flag; a malformed value is
-//! an error, never a silent default.
+//! never run unless named). `train` prints the learning curve, one line
+//! per epoch (`mean_return`, `mean_enum_advantage`, `mean_entropy`),
+//! before its summary. Every option is a flag; a malformed value is an
+//! error, never a silent default.
 
 use std::io::BufReader;
 use std::num::NonZeroUsize;
@@ -284,6 +286,15 @@ fn cmd_train(args: &[String]) -> CliResult {
     config.epochs = epochs;
     let mut model = RlQvo::new(config);
     let report = model.train(&split.train, &g);
+    for (i, e) in report.epochs.iter().enumerate() {
+        println!(
+            "epoch {:>3}  mean_return {:+.4}  mean_enum_advantage {:+.4}  mean_entropy {:.4}",
+            i + 1,
+            e.mean_return,
+            e.mean_enum_advantage,
+            e.mean_entropy
+        );
+    }
     println!(
         "trained {} epochs on {} queries in {:?}; final advantage over RI {:+.3}",
         epochs,

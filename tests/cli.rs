@@ -1,6 +1,8 @@
 //! The `rlqvo` binary's argument handling, one test per subcommand: a
 //! malformed value is `error: bad --flag "x"` and exit 1 — never a silent
 //! default — and `--method` resolves through the library's one roster.
+//! One positive run: `train` prints its learning curve and saves a model
+//! that `match --method rlqvo` loads.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -114,6 +116,40 @@ fn serve_rejects_malformed_values() {
             ("--stall-timeout-ms", "x"),
         ],
     );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// `train` prints its learning curve, one line per epoch before the
+/// summary, and the model it saves loads and orders a query.
+#[test]
+fn train_prints_one_line_per_epoch_and_saves_a_usable_model() {
+    let (dir, g, q) = fixtures("train-ok");
+    let model = dir.join("m.model").to_string_lossy().into_owned();
+    let out = rlqvo(&["train", "--data", &g, "--size", "3", "--queries", "4", "--epochs", "2", "--out", &model]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let lines: Vec<&str> = stdout.lines().collect();
+    let epochs: Vec<&str> = lines.iter().copied().filter(|l| l.starts_with("epoch")).collect();
+    assert_eq!(epochs.len(), 2, "{stdout}");
+    for (i, line) in epochs.iter().enumerate() {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(fields[1], (i + 1).to_string(), "{line}");
+        for (k, key) in ["mean_return", "mean_enum_advantage", "mean_entropy"].iter().enumerate() {
+            assert_eq!(fields[2 + 2 * k], *key, "{line}");
+            assert!(fields[3 + 2 * k].parse::<f32>().is_ok_and(f32::is_finite), "{line}");
+        }
+    }
+    let summary = lines.iter().position(|l| l.starts_with("trained ")).expect("summary line");
+    assert_eq!(lines[..summary].iter().filter(|l| l.starts_with("epoch")).count(), 2, "{stdout}");
+
+    let out = rlqvo(&["match", "--data", &g, "--query", &q, "--method", "rlqvo", "--model", &model]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let order = stdout.lines().find_map(|l| l.strip_prefix("order       : ")).expect("order line");
+    let mut order: Vec<u32> = order.trim_matches(['[', ']']).split(", ").map(|v| v.parse().unwrap()).collect();
+    order.sort_unstable();
+    assert_eq!(order, [0, 1, 2], "the order is a permutation of the query's vertices");
+    assert!(stdout.contains("matches     : 3"), "{stdout}");
     std::fs::remove_dir_all(dir).ok();
 }
 

@@ -121,9 +121,20 @@ impl PolicyNetwork {
         PolicyBinding { layer_vars: self.layers.iter().map(|l| l.bind(t)).collect(), head_vars: self.head.bind(t) }
     }
 
-    /// Forward pass on an existing tape. Returns `(masked probability
-    /// column, raw scores column)`. `dropout` (probability, rng) applies
-    /// inverted dropout after every GNN layer — training only.
+    /// The training forward on an existing tape: the masked softmax of
+    /// Eq. 4 as a compact `|AS|×1` column, row `r` the probability of the
+    /// `r`-th vertex inside `mask` (ascending). That softmax reads no score
+    /// outside the action space, so the front GNN layers run full width
+    /// (their outputs feed every row's aggregation) and the last layer and
+    /// the head run on the action-space rows only ([`GnnLayer::forward`]);
+    /// the probabilities, and every parameter gradient of a loss on them,
+    /// are bit for bit those of the every-row forward behind
+    /// [`PolicyNetwork::forward`] (pinned in `tests/train_rows.rs`).
+    ///
+    /// `dropout` (probability, rng) applies inverted dropout after every
+    /// GNN layer. Its mask is drawn for every vertex and then cut to the
+    /// rows computed, so the rng advances exactly as in the every-row
+    /// forward.
     ///
     /// `features` is bound as a constant *by reference*
     /// ([`Tape::constant_arc`]): it takes no gradient, and the trainer
@@ -137,31 +148,53 @@ impl PolicyNetwork {
         features: Arc<Matrix>,
         mask: &[bool],
         dropout: Option<(f32, &mut StdRng)>,
-    ) -> (Var, Var) {
+    ) -> Var {
+        let rows: Vec<usize> = mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i).collect();
+        let scores = self.scores_on_tape(t, binding, gt, features, Some(&rows), dropout);
+        t.masked_softmax_col(scores, &vec![true; rows.len()])
+    }
+
+    /// The score column on the tape for the vertices in `rows` (`None`:
+    /// every vertex), rows restricting the last GNN layer and the head.
+    fn scores_on_tape(
+        &self,
+        t: &Tape,
+        binding: &PolicyBinding,
+        gt: &GraphTensors,
+        features: Arc<Matrix>,
+        rows: Option<&[usize]>,
+        mut dropout: Option<(f32, &mut StdRng)>,
+    ) -> Var {
+        let n = features.rows();
         let mut h = t.constant_arc(features);
-        let mut drop = dropout;
-        for (layer, vars) in self.layers.iter().zip(&binding.layer_vars) {
-            h = layer.forward(t, gt, vars, h);
-            if let Some((p, rng)) = drop.as_mut() {
+        let last = self.layers.len() - 1;
+        for (i, (layer, vars)) in self.layers.iter().zip(&binding.layer_vars).enumerate() {
+            let rows = if i == last { rows } else { None };
+            h = layer.forward(t, gt, vars, h, rows);
+            if let Some((p, rng)) = dropout.as_mut() {
                 let keep = 1.0 - *p;
-                let (rows, cols) = h.shape();
-                let m = Matrix::from_fn(rows, cols, |_, _| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 });
+                let cols = h.shape().1;
+                let m = Matrix::from_fn(n, cols, |_, _| if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 });
+                let m = match rows {
+                    Some(rows) => Matrix::from_fn(rows.len(), cols, |r, c| m.get(rows[r], c)),
+                    None => m,
+                };
                 h = t.mul_const(h, &m);
             }
         }
-        let scores = self.head.forward(t, &binding.head_vars, h);
-        let probs = t.masked_softmax_col(scores, mask);
-        (probs, scores)
+        self.head.forward(t, &binding.head_vars, h)
     }
 
-    /// Tape-based inference forward: throwaway tape, no dropout. This is
-    /// the *reference* path — [`PolicyNetwork::prepare`] is the serving
-    /// path (no tape construction, no parameter binding, no per-step
-    /// allocation), property-tested bitwise identical to this one.
+    /// Tape-based inference forward: throwaway tape, no dropout, every
+    /// vertex scored. This is the *reference* path —
+    /// [`PolicyNetwork::prepare`] is the serving path (no tape
+    /// construction, no parameter binding, no per-step allocation),
+    /// property-tested bitwise identical to this one.
     pub fn forward(&self, gt: &GraphTensors, features: &Matrix, mask: &[bool]) -> PolicyOutput {
         let t = Tape::new();
         let binding = self.bind(&t);
-        let (probs, scores) = self.forward_on_tape(&t, &binding, gt, Arc::new(features.clone()), mask, None);
+        let scores = self.scores_on_tape(&t, &binding, gt, Arc::new(features.clone()), None, None);
+        let probs = t.masked_softmax_col(scores, mask);
         let pv = t.value(probs);
         let sv = t.value(scores);
         let raw_argmax = raw_argmax_of(&sv);
@@ -367,7 +400,7 @@ mod tests {
         let net = PolicyNetwork::new(GnnKind::Gcn, 2, 7, 8, 4);
         let t = Tape::new();
         let binding = net.bind(&t);
-        let (probs, _) = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &[true; 4], None);
+        let probs = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &[true; 4], None);
         let loss = t.ln(t.pick(probs, 1, 0));
         let grads = t.backward(loss);
         for (i, v) in binding.flat().iter().enumerate() {
@@ -387,8 +420,8 @@ mod tests {
         let t = Tape::new();
         let binding = net.bind(&t);
         let mut rng = StdRng::seed_from_u64(9);
-        let (p1, _) = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &mask, Some((0.5, &mut rng)));
-        let (p2, _) = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &mask, Some((0.5, &mut rng)));
+        let p1 = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &mask, Some((0.5, &mut rng)));
+        let p2 = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &mask, Some((0.5, &mut rng)));
         assert_ne!(t.value(p1), t.value(p2), "dropout masks differ across passes");
     }
 

@@ -42,6 +42,11 @@ pub struct EpochStats {
     pub mean_enum_advantage: f32,
     /// Mean per-step entropy (exploration monitor).
     pub mean_entropy: f32,
+    /// Seconds spent collecting the epoch's rollouts (sampling episodes
+    /// and their budgeted enumerations).
+    pub rollout_s: f64,
+    /// Seconds spent in the epoch's PPO update passes.
+    pub update_s: f64,
 }
 
 /// Outcome of a training run.
@@ -130,6 +135,7 @@ impl Trainer {
         let rollouts = cfg.rollouts_per_query.max(1);
 
         for _epoch in 0..epochs {
+            let collect_start = Instant::now();
             // ---- collect -------------------------------------------------
             // `rollouts` sampled episodes per query. The advantage of a
             // rollout is its decayed return minus the mean return of its
@@ -180,6 +186,7 @@ impl Trainer {
                 }
             }
             drop(prepared); // release the immutable borrow before updates
+            let rollout_s = collect_start.elapsed().as_secs_f64();
 
             // Per-query baseline, then batch whitening.
             let mut query_mean = vec![0.0f32; queries.len()];
@@ -196,6 +203,7 @@ impl Trainer {
             let advantages = whiten(&centered);
 
             // ---- update --------------------------------------------------
+            let update_start = Instant::now();
             // Index every recorded step once; each pass visits a uniform
             // subsample (PPO minibatching) so update cost stays bounded.
             let all_steps: Vec<(usize, usize)> = trajectories
@@ -222,7 +230,9 @@ impl Trainer {
                     let adv = advantages[ti];
                     let step = &traj.steps[si];
                     {
-                        let (probs, _) = policy.forward_on_tape(
+                        // One probability per action-space vertex: the
+                        // action's row is its rank inside the mask.
+                        let probs = policy.forward_on_tape(
                             &tape,
                             &binding,
                             &ctx.tensors,
@@ -230,7 +240,8 @@ impl Trainer {
                             &step.state.mask,
                             if cfg.dropout > 0.0 { Some((cfg.dropout, &mut rng)) } else { None },
                         );
-                        let logp = tape.ln(tape.pick(probs, step.action, 0));
+                        let rank = step.state.mask[..step.action].iter().filter(|&&m| m).count();
+                        let logp = tape.ln(tape.pick(probs, rank, 0));
                         let obj = ppo_step_objective(&tape, logp, step.logp_old, adv, cfg.clip_epsilon);
                         total = Some(match total {
                             Some(acc) => tape.add(acc, obj),
@@ -256,6 +267,8 @@ impl Trainer {
                 mean_return: returns.iter().sum::<f32>() / n,
                 mean_enum_advantage: enum_adv_sum / enum_adv_count.max(1) as f32,
                 mean_entropy: entropy_sum / entropy_steps.max(1) as f32,
+                rollout_s,
+                update_s: update_start.elapsed().as_secs_f64(),
             });
         }
         report.elapsed = start.elapsed();
@@ -286,6 +299,9 @@ mod tests {
             assert!(e.mean_return.is_finite());
             assert!(e.mean_entropy >= 0.0);
         }
+        // The two phases are timed inside the run, so they fit in it.
+        let phases: f64 = report.epochs.iter().map(|e| e.rollout_s + e.update_s).sum();
+        assert!(phases > 0.0 && phases <= report.elapsed.as_secs_f64(), "{phases} s of {:?}", report.elapsed);
     }
 
     #[test]

@@ -9,9 +9,16 @@
 //!   epochs, for every other GNN family — so every tape op the layers use
 //!   (attention softmax, column broadcasts, bias rows, dropout masks) is
 //!   pinned.
+//! * The weights the benchmark ledger's `learned-order` workload trains —
+//!   `RlQvoConfig::harness()` at 5 epochs on 8 Q16 queries of the
+//!   full-size yeast and dblp analogs, the ledger's fixed training inputs
+//!   — hash to the recorded values. This test exists in release builds
+//!   only: in debug the two trainings take minutes.
 //!
-//! The hashes were recorded before the tape learned constant leaves and
-//! leaf-only gradient storage; a change to the tape, the layers or the
+//! The small-fixture hashes were recorded before the tape learned constant
+//! leaves and leaf-only gradient storage, the ledger ones before the
+//! update ran the last GNN layer and the head on the action-space rows
+//! only; a change to the tape, the layers or the
 //! trainer that moves any gradient by one ulp moves a hash. To regenerate
 //! after a deliberate change to the training math, run
 //! `cargo test --release -p rlqvo-core --test train_parity` and copy the
@@ -44,6 +51,14 @@ fn weights_hash(model: &RlQvo) -> u64 {
         }
     }
     h
+}
+
+/// The ledger's training inputs for a Q16 `learned-order` cell.
+#[cfg(not(debug_assertions))]
+fn ledger_training_inputs(dataset: Dataset) -> (Graph, Vec<Graph>) {
+    let g = dataset.load_scaled(usize::MAX);
+    let set = build_query_set(&g, 16, 8, dataset.default_seed() ^ 16);
+    (g, set.queries)
 }
 
 fn trained(cfg: RlQvoConfig, g: &Graph, queries: &[Graph]) -> RlQvo {
@@ -93,4 +108,19 @@ fn every_gnn_family_trains_to_its_recorded_hash() {
         }
     }
     assert!(moved.is_empty(), "trained-weights hashes moved: {moved:?}");
+}
+
+#[cfg(not(debug_assertions))]
+#[test]
+fn the_ledgers_learned_order_models_match_their_recorded_hashes() {
+    let mut moved = Vec::new();
+    for (dataset, want) in [(Dataset::Yeast, 0x6db0_fc46_a4ce_c3f7), (Dataset::Dblp, 0x484d_78f5_2fec_da86)] {
+        let (g, queries) = ledger_training_inputs(dataset);
+        let cfg = RlQvoConfig { epochs: 5, ..RlQvoConfig::harness() };
+        let actual = weights_hash(&trained(cfg, &g, &queries));
+        if actual != want {
+            moved.push(format!("{}: actual {actual:#018x}", dataset.name()));
+        }
+    }
+    assert!(moved.is_empty(), "ledger model hashes moved: {moved:?}");
 }

@@ -5,6 +5,8 @@
 //! order) so the trainer can read gradients back out of the
 //! [`rlqvo_tensor::GradStore`] by position.
 
+use std::borrow::Cow;
+
 use rand::Rng;
 use rlqvo_tensor::infer::broadcast_add_col_row_into;
 use rlqvo_tensor::{InferScratch, Matrix, Tape, Var};
@@ -56,8 +58,20 @@ pub trait GnnLayer: Send + Sync {
     fn bind(&self, t: &Tape) -> Vec<Var> {
         self.params().into_iter().map(|p| t.leaf(p.clone())).collect()
     }
-    /// Forward pass. `bound` must come from [`Self::bind`] on the same tape.
-    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var;
+    /// Forward pass on the tape for the output rows in `rows` (`None`:
+    /// every row). `bound` must come from [`Self::bind`] on the same tape;
+    /// `h` is always the full `n`-row input.
+    ///
+    /// Row `r` of the `rows.len() × out_dim` result is row `rows[r]` of the
+    /// every-row forward, bit for bit, and so are the gradients reaching
+    /// `bound` and `h` when the loss reads the selected rows only: the
+    /// graph constants are sliced by row, and each consumer of an own-row
+    /// term (`h` for GraphSAGE, GraphConv, LEConv and the dense layer,
+    /// GAT's source scores) gets its own [`Tape::gather_rows`], recorded
+    /// right before it, so gradient slots accumulate in the every-row
+    /// forward's order. What a kind needs of *all* vertices (GAT's `H W`,
+    /// LEConv's `H W₃`) stays full width, as in [`Self::infer_rows`].
+    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var;
     /// Tape-free inference forward: the same math as [`Self::forward`],
     /// bitwise identical under the default `InferMath::Bitwise` contract
     /// (shared kernels, same accumulation order; `scratch.math()` selects
@@ -81,6 +95,26 @@ pub trait GnnLayer: Send + Sync {
     fn out_dim(&self) -> usize;
     /// Which ablation family this layer belongs to.
     fn kind(&self) -> GnnKind;
+}
+
+/// `m`'s rows `rows` (`None`: all of `m`).
+fn rows_of<'m>(m: &'m Matrix, rows: Option<&[usize]>) -> Cow<'m, Matrix> {
+    match rows {
+        Some(rows) => Cow::Owned(Matrix::from_fn(rows.len(), m.cols(), |r, c| m.get(rows[r], c))),
+        None => Cow::Borrowed(m),
+    }
+}
+
+/// A graph tensor's rows `rows` bound as a tape constant.
+fn constant_rows(t: &Tape, m: &Matrix, rows: Option<&[usize]>) -> Var {
+    t.constant(rows_of(m, rows).into_owned())
+}
+
+/// The rows `rows` of `v` for one consumer: call it inside that
+/// consumer's argument list, never share the result (see
+/// [`GnnLayer::forward`]).
+fn own_rows(t: &Tape, v: Var, rows: Option<&[usize]>) -> Var {
+    rows.map_or(v, |rows| t.gather_rows(v, rows))
 }
 
 /// Constructs a layer of the requested kind.
@@ -115,11 +149,10 @@ impl GnnLayer for GcnLayer {
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w, &mut self.b]
     }
-    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let adj = t.constant(gt.norm_adj.clone());
+    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+        let adj = constant_rows(t, &gt.norm_adj, rows);
         let agg = t.matmul(adj, h);
-        let lin = t.add_bias_row(t.matmul(agg, bound[0]), bound[1]);
-        t.relu(lin)
+        t.affine(agg, bound[0], bound[1], true)
     }
     fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         let math = scratch.math();
@@ -169,12 +202,12 @@ impl GnnLayer for GatLayer {
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w, &mut self.a_src, &mut self.a_dst]
     }
-    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
+    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
         let z = t.matmul(h, bound[0]);
         let s_src = t.matmul(z, bound[1]);
         let s_dst = t.matmul(z, bound[2]);
-        let scores = t.leaky_relu(t.broadcast_add_col_row(s_src, s_dst), 0.2);
-        let att = t.masked_softmax_rows(scores, &gt.mask_self);
+        let scores = t.leaky_relu(t.broadcast_add_col_row(own_rows(t, s_src, rows), s_dst), 0.2);
+        let att = t.masked_softmax_rows(scores, &rows_of(&gt.mask_self, rows));
         t.relu(t.matmul(att, z))
     }
     fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
@@ -214,9 +247,19 @@ impl GnnLayer for GatLayer {
     }
 }
 
-/// `ReLU(H W_own + (M H) W_neigh + b)` on the output rows `rows` — the
-/// tape-free body GraphSAGE (`M` = mean adjacency) and GraphConv (`M` =
-/// adjacency) share; see [`GnnLayer::infer_rows`].
+/// `ReLU(H W_own + (M H) W_neigh + b)` on the output rows `rows`, on the
+/// tape (`bound` = `[W_own, W_neigh, b]`) — the body GraphSAGE (`M` = mean
+/// adjacency) and GraphConv (`M` = adjacency) share; see
+/// [`GnnLayer::forward`].
+fn own_plus_neighbours(t: &Tape, adj: &Matrix, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+    let adj = constant_rows(t, adj, rows);
+    let own = t.matmul(own_rows(t, h, rows), bound[0]);
+    let neigh = t.matmul(t.matmul(adj, h), bound[1]);
+    t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
+}
+
+/// [`own_plus_neighbours`] without the tape, on the output rows `rows`;
+/// see [`GnnLayer::infer_rows`].
 fn infer_own_plus_neighbours(
     adj: &Matrix,
     w_own: &Matrix,
@@ -270,11 +313,8 @@ impl GnnLayer for SageLayer {
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w_self, &mut self.w_neigh, &mut self.b]
     }
-    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let mean = t.constant(gt.mean_adj.clone());
-        let own = t.matmul(h, bound[0]);
-        let neigh = t.matmul(t.matmul(mean, h), bound[1]);
-        t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
+    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+        own_plus_neighbours(t, &gt.mean_adj, bound, h, rows)
     }
     fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         infer_own_plus_neighbours(&gt.mean_adj, &self.w_self, &self.w_neigh, &self.b, scratch, h, rows)
@@ -313,11 +353,8 @@ impl GnnLayer for GraphConvLayer {
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w1, &mut self.w2, &mut self.b]
     }
-    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let adj = t.constant(gt.adj.clone());
-        let own = t.matmul(h, bound[0]);
-        let neigh = t.matmul(t.matmul(adj, h), bound[1]);
-        t.relu(t.add_bias_row(t.add(own, neigh), bound[2]))
+    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+        own_plus_neighbours(t, &gt.adj, bound, h, rows)
     }
     fn infer_rows(&self, gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         infer_own_plus_neighbours(&gt.adj, &self.w1, &self.w2, &self.b, scratch, h, rows)
@@ -359,11 +396,11 @@ impl GnnLayer for LeConvLayer {
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w1, &mut self.w2, &mut self.w3, &mut self.b]
     }
-    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        let adj = t.constant(gt.adj.clone());
-        let deg = t.constant(gt.degree.clone());
-        let own = t.matmul(h, bound[0]);
-        let scaled = t.mul_col_broadcast(t.matmul(h, bound[1]), deg);
+    fn forward(&self, t: &Tape, gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+        let adj = constant_rows(t, &gt.adj, rows);
+        let deg = constant_rows(t, &gt.degree, rows);
+        let own = t.matmul(own_rows(t, h, rows), bound[0]);
+        let scaled = t.mul_col_broadcast(t.matmul(own_rows(t, h, rows), bound[1]), deg);
         let neigh = t.matmul(adj, t.matmul(h, bound[2]));
         let combined = t.sub(t.add(own, scaled), neigh);
         t.relu(t.add_bias_row(combined, bound[3]))
@@ -424,8 +461,8 @@ impl GnnLayer for DenseLayer {
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         vec![&mut self.w, &mut self.b]
     }
-    fn forward(&self, t: &Tape, _gt: &GraphTensors, bound: &[Var], h: Var) -> Var {
-        t.relu(t.add_bias_row(t.matmul(h, bound[0]), bound[1]))
+    fn forward(&self, t: &Tape, _gt: &GraphTensors, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+        t.affine(own_rows(t, h, rows), bound[0], bound[1], true)
     }
     fn infer_rows(&self, _gt: &GraphTensors, scratch: &mut InferScratch, h: &Matrix, rows: Option<&[usize]>) -> Matrix {
         let math = scratch.math();
@@ -476,7 +513,7 @@ mod tests {
             let t = Tape::new();
             let h = t.leaf(Matrix::ones(4, 7));
             let bound = layer.bind(&t);
-            let out = layer.forward(&t, &gt, &bound, h);
+            let out = layer.forward(&t, &gt, &bound, h, None);
             assert_eq!(out.shape(), (4, 16), "{}", kind.name());
             assert_eq!(layer.out_dim(), 16);
             assert_eq!(layer.kind(), kind);
@@ -493,7 +530,7 @@ mod tests {
             // Non-constant input so ReLU passes some signal.
             let h = t.leaf(Matrix::from_fn(4, 5, |r, c| ((r * 5 + c) as f32 * 0.13).sin()));
             let bound = layer.bind(&t);
-            let out = layer.forward(&t, &gt, &bound, h);
+            let out = layer.forward(&t, &gt, &bound, h, None);
             let loss = t.sum(t.mul(out, out));
             let grads = t.backward(loss);
             for (i, v) in bound.iter().enumerate() {
@@ -521,7 +558,7 @@ mod tests {
             let t = Tape::new();
             let h = t.leaf(h_val.clone());
             let bound = layer.bind(&t);
-            t.value(layer.forward(&t, gt, &bound, h))
+            t.value(layer.forward(&t, gt, &bound, h, None))
         };
         assert_eq!(run(&gt_a), run(&gt_b));
     }
@@ -537,7 +574,7 @@ mod tests {
         let t = Tape::new();
         let h = t.leaf(Matrix::from_rows(&[&[1.0], &[0.0], &[0.0], &[0.0]]));
         let bound = layer.bind(&t);
-        let out = t.value(layer.forward(&t, &gt, &bound, h));
+        let out = t.value(layer.forward(&t, &gt, &bound, h, None));
         assert!(out.get(0, 0) > 0.0);
         assert!(out.get(1, 0) > 0.0, "neighbour receives the message");
         assert_eq!(out.get(3, 0), 0.0, "two-hop vertex does not (1 layer)");
@@ -552,7 +589,7 @@ mod tests {
         let t = Tape::new();
         let h = t.leaf(Matrix::from_fn(4, 3, |r, c| (r as f32 - c as f32) * 0.7));
         let bound = layer.bind(&t);
-        let out = t.value(layer.forward(&t, &gt, &bound, h));
+        let out = t.value(layer.forward(&t, &gt, &bound, h, None));
         assert!(out.data().iter().all(|x| x.is_finite()));
     }
 
@@ -566,7 +603,7 @@ mod tests {
             let t = Tape::new();
             let h = t.leaf(h_val.clone());
             let bound = layer.bind(&t);
-            let tape_out = t.value(layer.forward(&t, &gt, &bound, h));
+            let tape_out = t.value(layer.forward(&t, &gt, &bound, h, None));
             let mut scratch = InferScratch::new();
             let infer_out = layer.infer(&gt, &mut scratch, &h_val);
             assert_eq!(tape_out, infer_out, "{}: tape vs tape-free forward diverge", kind.name());
@@ -595,6 +632,39 @@ mod tests {
                     }
                     scratch.put(some);
                 }
+            }
+        }
+    }
+
+    /// The tape forward on a row subset against the every-row forward
+    /// whose output is then cut to the same rows: equal values, and equal
+    /// gradients for every parameter and the input, bit for bit.
+    #[test]
+    fn tape_rows_are_the_full_forwards_rows_with_the_same_gradients_for_every_kind() {
+        let gt = path4_tensors();
+        let mut rng = StdRng::seed_from_u64(8);
+        let h_val = Matrix::from_fn(4, 5, |r, c| ((r * 5 + c) as f32 * 0.31).sin());
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for kind in ALL_KINDS {
+            let layer = build_layer(kind, 5, 8, &mut rng);
+            for rows in [&[0usize, 1, 2, 3][..], &[1, 3], &[2]] {
+                let run = |restricted: bool| {
+                    let t = Tape::new();
+                    let h = t.leaf(h_val.clone());
+                    let bound = layer.bind(&t);
+                    let out = if restricted {
+                        layer.forward(&t, &gt, &bound, h, Some(rows))
+                    } else {
+                        t.gather_rows(layer.forward(&t, &gt, &bound, h, None), rows)
+                    };
+                    let value = t.value(out);
+                    let grads = t.backward(t.sum(t.tanh(out)));
+                    let g: Vec<Vec<u32>> = bound.iter().chain([&h]).map(|v| bits(grads.get(*v).unwrap())).collect();
+                    (bits(&value), g)
+                };
+                let (full, some) = (run(false), run(true));
+                assert_eq!(full.0, some.0, "{} rows {rows:?}: values", kind.name());
+                assert_eq!(full.1, some.1, "{} rows {rows:?}: gradients", kind.name());
             }
         }
     }

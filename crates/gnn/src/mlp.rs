@@ -40,10 +40,14 @@ impl MlpHead {
         self.params().into_iter().map(|p| t.leaf(p.clone())).collect()
     }
 
-    /// `scores = (σ(H W₁ + b₁)) W₂ + b₂`, shape `n×1`.
+    /// `scores = (σ(H W₁ + b₁)) W₂ + b₂`, shape `n×1`: two fused
+    /// [`Tape::affine`] nodes. Both layers are row-independent, so on the
+    /// action-space rows of `GnnLayer::forward` each score, and each
+    /// parameter gradient of a loss that reads only those scores, is bit
+    /// for bit the every-row forward's.
     pub fn forward(&self, t: &Tape, bound: &[Var], h: Var) -> Var {
-        let hidden = t.relu(t.add_bias_row(t.matmul(h, bound[0]), bound[1]));
-        t.add_bias_row(t.matmul(hidden, bound[2]), bound[3])
+        let hidden = t.affine(h, bound[0], bound[1], true);
+        t.affine(hidden, bound[2], bound[3], false)
     }
 
     /// Tape-free inference forward, bitwise identical to

@@ -21,6 +21,17 @@
 //! * Gradients live only as long as they are needed: the walk moves each
 //!   interior node's gradient out of its slot, runs the node's closure and
 //!   drops it. The returned [`GradStore`] holds leaf gradients only.
+//! * [`Tape::affine`] records `a·W + b (→ ReLU)` as one node where the
+//!   `matmul → add_bias_row → relu` chain records three, and keeps only
+//!   the output; its backward is the chain's, kernel for kernel.
+//! * [`Tape::gather_rows`] lets a forward compute only the rows its loss
+//!   reads: a row slice of a node, whose backward scatters into zero rows.
+//!   Off-slice rows then carry `+0` gradients, which the bitwise matmul's
+//!   zero-skip and the ascending-row sums turn into no-op adds, so the
+//!   leaves' gradients are bit for bit those of the every-row forward as
+//!   long as each gather is recorded right before its one consumer (the
+//!   gradient slot of the sliced node then receives its terms in the same
+//!   order).
 //! * A tape is built per forward pass and dropped afterwards — the pattern
 //!   PyTorch calls define-by-run.
 //! * Every op's gradient is validated against finite differences in
@@ -252,21 +263,69 @@ impl Tape {
         let mut out = (*self.val(a)).clone();
         out.add_bias_row_assign(&self.val(bias));
         let (ai, bi) = (a.idx, bias.idx);
-        let cols = a.cols;
         self.op(out, &[a, bias], move |g, cx| {
             if cx.needs(ai) {
                 cx.accumulate(ai, g.clone());
             }
             if cx.needs(bi) {
-                // Bias gradient: column sums of g, rows in ascending order.
-                let mut bg = Matrix::zeros(1, cols);
-                for row in g.data().chunks_exact(cols) {
-                    for (acc, &x) in bg.data_mut().iter_mut().zip(row) {
-                        *acc += x;
-                    }
-                }
-                cx.accumulate(bi, bg);
+                cx.accumulate(bi, column_sums(g));
             }
+        })
+    }
+
+    /// `a @ w + bias` (a `1×c` bias row), then ReLU when `relu`: one node
+    /// for the `matmul → add_bias_row (→ relu)` chain, without the chain's
+    /// two intermediate values. Value and all three gradients are bit for
+    /// bit the chain's: the backward runs the same kernels on the same
+    /// operands, and reads the ReLU mask off the output (`max(x, 0) > 0`
+    /// exactly when `x > 0`).
+    pub fn affine(&self, a: Var, w: Var, bias: Var, relu: bool) -> Var {
+        assert_eq!(bias.rows, 1, "bias must be a row vector");
+        assert_eq!(w.cols, bias.cols, "bias width mismatch");
+        let mut out = self.val(a).matmul(&self.val(w));
+        out.add_bias_row_assign(&self.val(bias));
+        if relu {
+            out.relu_in_place();
+        }
+        let out = Arc::new(out);
+        let saved = relu.then(|| Arc::clone(&out));
+        let (ai, wi, bi) = (a.idx, w.idx, bias.idx);
+        self.op(out, &[a, w, bias], move |g, cx| {
+            let masked = saved.as_ref().map(|y| g.zip_map(y, |gi, y| if y > 0.0 { gi } else { 0.0 }));
+            let g = masked.as_ref().unwrap_or(g);
+            if cx.needs(bi) {
+                cx.accumulate(bi, column_sums(g));
+            }
+            if cx.needs(ai) {
+                let ga = g.matmul(cx.transposed(wi));
+                cx.accumulate(ai, ga);
+            }
+            if cx.needs(wi) {
+                let gw = cx.transposed(ai).matmul(g);
+                cx.accumulate(wi, gw);
+            }
+        })
+    }
+
+    /// Rows `rows` of `a`, in that order, as a `rows.len() × c` node. The
+    /// backward adds each gradient row into row `rows[r]` of a zero
+    /// `a`-shaped matrix, so rows nobody selected get `+0`.
+    pub fn gather_rows(&self, a: Var, rows: &[usize]) -> Var {
+        let av = self.val(a);
+        let mut out = Matrix::zeros(rows.len(), a.cols);
+        for (r, &src) in rows.iter().enumerate() {
+            out.data_mut()[r * a.cols..(r + 1) * a.cols].copy_from_slice(av.row(src));
+        }
+        let (ai, n, cols) = (a.idx, a.rows, a.cols);
+        let rows = rows.to_vec();
+        self.op(out, &[a], move |g, cx| {
+            let mut ga = Matrix::zeros(n, cols);
+            for (r, &dst) in rows.iter().enumerate() {
+                for (acc, &x) in ga.data_mut()[dst * cols..(dst + 1) * cols].iter_mut().zip(g.row(r)) {
+                    *acc += x;
+                }
+            }
+            cx.accumulate(ai, ga);
         })
     }
 
@@ -563,6 +622,18 @@ impl Tape {
     }
 }
 
+/// Column sums of `g` as a `1×c` row, rows added in ascending order — the
+/// gradient of a broadcast bias row.
+fn column_sums(g: &Matrix) -> Matrix {
+    let mut sums = Matrix::zeros(1, g.cols());
+    for r in 0..g.rows() {
+        for (acc, &x) in sums.data_mut().iter_mut().zip(g.row(r)) {
+            *acc += x;
+        }
+    }
+    sums
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,6 +853,87 @@ mod tests {
             let as_leaf = param_grad_bits(&p, &o, false, op);
             let as_constant = param_grad_bits(&p, &o, true, op);
             assert_eq!(as_leaf, as_constant, "{name}");
+        }
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gather_rows_selects_rows_and_passes_the_gradient_check() {
+        let x = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.3], &[-0.7, 1.1], &[0.2, -0.4]]);
+        let t = Tape::new();
+        let v = t.leaf(x.clone());
+        let g = t.gather_rows(v, &[3, 1]);
+        assert_eq!(t.value(g), Matrix::from_rows(&[&[0.2, -0.4], &[2.0, 0.3]]));
+        // A repeated row sums its gradients; rows nobody selected get +0.
+        let report = crate::gradcheck::check_gradients(std::slice::from_ref(&x), 1e-3, |t, vs| {
+            let y = t.gather_rows(vs[0], &[0, 2, 2]);
+            t.sum(t.mul(y, y))
+        });
+        assert!(report.passes(2e-2), "{report:?}");
+    }
+
+    #[test]
+    fn gather_rows_scatters_the_gradient_onto_the_selected_rows() {
+        let t = Tape::new();
+        let x = t.leaf(Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32));
+        let w = t.constant(Matrix::from_rows(&[&[1.0, -2.0, 3.0], &[4.0, 5.0, -6.0]]));
+        let picked = t.gather_rows(x, &[1, 3]);
+        let loss = t.sum(t.mul(picked, w));
+        let grads = t.backward(loss);
+        let want = Matrix::from_rows(&[&[0.0; 3], &[1.0, -2.0, 3.0], &[0.0; 3], &[4.0, 5.0, -6.0]]);
+        assert_eq!(bits(grads.get(x).unwrap()), bits(&want), "+0 off the slice, the gradient rows on it");
+        // A gather of a constant is a constant.
+        let c = t.constant(Matrix::ones(3, 2));
+        let cg = t.gather_rows(c, &[2]);
+        assert!(t.nodes.borrow()[cg.idx].backward.is_none());
+    }
+
+    /// Value and the three gradients of `sum(tanh(·))` through the fused
+    /// node and through the chain it replaces, as bits.
+    fn affine_bits(a: &Matrix, w: &Matrix, b: &Matrix, relu: bool, fused: bool) -> [Vec<u32>; 4] {
+        let t = Tape::new();
+        let (av, wv, bv) = (t.leaf(a.clone()), t.leaf(w.clone()), t.leaf(b.clone()));
+        let out = if fused {
+            t.affine(av, wv, bv, relu)
+        } else {
+            let lin = t.add_bias_row(t.matmul(av, wv), bv);
+            if relu {
+                t.relu(lin)
+            } else {
+                lin
+            }
+        };
+        let value = bits(&t.value(out));
+        let grads = t.backward(t.sum(t.tanh(out)));
+        [value, bits(grads.get(av).unwrap()), bits(grads.get(wv).unwrap()), bits(grads.get(bv).unwrap())]
+    }
+
+    #[test]
+    fn affine_is_bitwise_the_matmul_bias_relu_chain() {
+        // Row 0 of `a` is zero and the bias has a zero, so (0, 1) is an
+        // exact-zero pre-activation; the rest are mixed in sign.
+        let mut a = sample(5, 4, 0.3);
+        a.data_mut()[..4].fill(0.0);
+        let w = sample(4, 6, 1.1);
+        let b = Matrix::from_rows(&[&[0.25, 0.0, -0.5, 0.75, -0.1, 0.3]]);
+        let pre = {
+            let mut m = a.matmul(&w);
+            m.add_bias_row_assign(&b);
+            m
+        };
+        assert_eq!(pre.get(0, 1), 0.0);
+        assert!(pre.data().iter().any(|&x| x < 0.0) && pre.data().iter().any(|&x| x > 0.0));
+        for relu in [true, false] {
+            let fused = affine_bits(&a, &w, &b, relu, true);
+            let chain = affine_bits(&a, &w, &b, relu, false);
+            for (what, (f, c)) in
+                ["value", "a gradient", "W gradient", "bias gradient"].iter().zip(fused.iter().zip(&chain))
+            {
+                assert_eq!(f, c, "relu {relu}: {what}");
+            }
         }
     }
 }

@@ -23,8 +23,9 @@
 //! `--enum-threads` capped at what the estimated enumeration work can keep
 //! busy) or `probe` (the differential oracle: same matches, same `#enum`,
 //! never run unless named). `train` prints the learning curve, one line
-//! per epoch (`mean_return`, `mean_enum_advantage`, `mean_entropy`),
-//! before its summary. Every option is a flag; a malformed value is an
+//! per epoch (`mean_return`, `mean_enum_advantage`, `mean_entropy`, and
+//! the seconds spent in rollouts and in the PPO update, `rollout_s` and
+//! `update_s`), before its summary. Every option is a flag; a malformed value is an
 //! error, never a silent default.
 
 use std::io::BufReader;
@@ -270,7 +271,7 @@ fn cmd_train(args: &[String]) -> CliResult {
     let out = flag(args, "--out").ok_or("--out is required")?;
     let size: usize = parsed(args, "--size")?.unwrap_or(8);
     let count: usize = parsed(args, "--queries")?.unwrap_or(32);
-    let epochs: usize = parsed(args, "--epochs")?.unwrap_or(40);
+    let epochs = parsed(args, "--epochs")?.map_or(40, NonZeroUsize::get);
 
     let g = load(&data, None)?;
     if size == 0 || size > g.num_vertices() {
@@ -288,11 +289,13 @@ fn cmd_train(args: &[String]) -> CliResult {
     let report = model.train(&split.train, &g);
     for (i, e) in report.epochs.iter().enumerate() {
         println!(
-            "epoch {:>3}  mean_return {:+.4}  mean_enum_advantage {:+.4}  mean_entropy {:.4}",
+            "epoch {:>3}  mean_return {:+.4}  mean_enum_advantage {:+.4}  mean_entropy {:.4}  rollout_s {:.3}  update_s {:.3}",
             i + 1,
             e.mean_return,
             e.mean_enum_advantage,
-            e.mean_entropy
+            e.mean_entropy,
+            e.rollout_s,
+            e.update_s
         );
     }
     println!(

@@ -138,6 +138,12 @@ fn train_prints_one_line_per_epoch_and_saves_a_usable_model() {
             assert_eq!(fields[2 + 2 * k], *key, "{line}");
             assert!(fields[3 + 2 * k].parse::<f32>().is_ok_and(f32::is_finite), "{line}");
         }
+        // Where the epoch's time went: seconds in rollouts, in the update.
+        for (k, key) in ["rollout_s", "update_s"].iter().enumerate() {
+            assert_eq!(fields[8 + 2 * k], *key, "{line}");
+            assert!(fields[9 + 2 * k].parse::<f64>().is_ok_and(|s| s.is_finite() && s >= 0.0), "{line}");
+        }
+        assert_eq!(fields.len(), 12, "{line}");
     }
     let summary = lines.iter().position(|l| l.starts_with("trained ")).expect("summary line");
     assert_eq!(lines[..summary].iter().filter(|l| l.starts_with("epoch")).count(), 2, "{stdout}");
@@ -170,6 +176,8 @@ fn train_rejects_malformed_values() {
             ("--queries", "0"),
             ("--queries", "1"),
             ("--epochs", "1e2"),
+            // Zero epochs would save an untrained model.
+            ("--epochs", "0"),
         ],
     );
     // A size the host has but no connected subgraph of: found only while

@@ -35,7 +35,9 @@ pub struct RlQvoConfig {
     pub update_epochs: usize,
     /// Steps per PPO update pass (uniform subsample of the collected
     /// batch; 0 = full batch). Keeps the update cost independent of the
-    /// rollout volume — standard PPO minibatching.
+    /// rollout volume — standard PPO minibatching. The update's memory does
+    /// not grow with it: a pass records its steps one fixed-size window at
+    /// a time (see [`crate::trainer`]).
     pub minibatch_steps: usize,
     /// Global gradient-norm clip (0 disables).
     pub max_grad_norm: f32,

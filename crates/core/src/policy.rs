@@ -154,6 +154,19 @@ impl PolicyNetwork {
         t.masked_softmax_col(scores, &vec![true; rows.len()])
     }
 
+    /// Advances `rng` past the dropout draws of one
+    /// [`Self::forward_on_tape`] on an `n`-vertex query without running it:
+    /// one draw per vertex per output column per GNN layer, the masks'
+    /// full `n×c` draws. The trainer uses it to find the
+    /// rng state at the start of each window of an update pass.
+    pub fn skip_dropout(&self, n: usize, rng: &mut StdRng) {
+        for layer in &self.layers {
+            for _ in 0..n * layer.out_dim() {
+                let _: f32 = rng.gen();
+            }
+        }
+    }
+
     /// The score column on the tape for the vertices in `rows` (`None`:
     /// every vertex), rows restricting the last GNN layer and the head.
     fn scores_on_tape(
@@ -423,6 +436,28 @@ mod tests {
         let p1 = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &mask, Some((0.5, &mut rng)));
         let p2 = net.forward_on_tape(&t, &binding, &gt, Arc::new(f.clone()), &mask, Some((0.5, &mut rng)));
         assert_ne!(t.value(p1), t.value(p2), "dropout masks differ across passes");
+    }
+
+    #[test]
+    fn skip_dropout_advances_the_rng_like_a_training_forward() {
+        let (gt, f) = tensors_and_features();
+        for (kind, layers) in [(GnnKind::Gcn, 2), (GnnKind::Gat, 3), (GnnKind::LeConv, 1)] {
+            let net = PolicyNetwork::new(kind, layers, 7, 16, 5);
+            let t = Tape::new();
+            let binding = net.bind(&t);
+            let mut ran = StdRng::seed_from_u64(9);
+            net.forward_on_tape(
+                &t,
+                &binding,
+                &gt,
+                Arc::new(f.clone()),
+                &[true, false, true, false],
+                Some((0.2, &mut ran)),
+            );
+            let mut skipped = StdRng::seed_from_u64(9);
+            net.skip_dropout(f.rows(), &mut skipped);
+            assert_eq!(ran.gen::<u64>(), skipped.gen::<u64>(), "{kind:?} x{layers}");
+        }
     }
 
     #[test]

@@ -9,10 +9,19 @@
 //! 2. **Aggregate** — per-query episode return `R_q = Σ_t γ^t R_t`
 //!    (Eq. 2), whitened across the batch into advantages.
 //! 3. **Update** — `update_epochs` passes of the clipped surrogate
-//!    (Eq. 6–7) over all recorded steps, with dropout active, Adam, and
-//!    global-norm gradient clipping. `θ'` stays fixed within the epoch
-//!    (the recorded log-probs) and becomes the new sampling policy
-//!    afterwards — exactly PPO's sampling-network scheme.
+//!    (Eq. 6–7) over the recorded steps (a uniform minibatch of them), with
+//!    dropout active, Adam, and global-norm gradient clipping. `θ'` stays
+//!    fixed within the epoch (the recorded log-probs) and becomes the new
+//!    sampling policy afterwards — exactly PPO's sampling-network scheme.
+//!    A pass records its steps in windows of `WINDOW_STEPS`, one tape per
+//!    window, and walks the windows last to first, each backward walk
+//!    adding its terms to the leaf gradients the later windows left
+//!    ([`rlqvo_tensor::Tape::backward_into`]): the gradient is bit for bit
+//!    the one tape's over the whole pass, while only one window's values
+//!    are alive at a time. Each window draws its dropout masks from the
+//!    rng state at its first step, found by a forward sweep over the
+//!    pass's draws ([`PolicyNetwork::skip_dropout`]) that also leaves the
+//!    live rng where the pass's draws end.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,8 +46,8 @@ use crate::policy::PolicyNetwork;
 pub struct EpochStats {
     /// Mean episode return `R_q` across the batch (pre-whitening).
     pub mean_return: f32,
-    /// Mean enumeration log-ratio vs the RI baseline
-    /// (`> 0` ⇔ the policy beats RI on average).
+    /// Mean enumeration log-ratio vs the Hybrid baseline — the GQL filter
+    /// with the RI order (`> 0` ⇔ the policy beats Hybrid on average).
     pub mean_enum_advantage: f32,
     /// Mean per-step entropy (exploration monitor).
     pub mean_entropy: f32,
@@ -47,7 +56,19 @@ pub struct EpochStats {
     pub rollout_s: f64,
     /// Seconds spent in the epoch's PPO update passes.
     pub update_s: f64,
+    /// Steps each of the epoch's update passes replays (the minibatch, or
+    /// every recorded step when there are fewer).
+    pub update_steps: usize,
+    /// Nodes on the largest tape the epoch's update passes recorded: one
+    /// window of steps plus the bound parameters, however many steps a pass
+    /// replays.
+    pub max_tape_nodes: usize,
 }
+
+/// Steps recorded on one update tape. A pass walks its steps in windows of
+/// this many, so the tape's memory is bounded by the window, not by
+/// [`RlQvoConfig::minibatch_steps`].
+const WINDOW_STEPS: usize = 32;
 
 /// Outcome of a training run.
 #[derive(Clone, Debug, Default)]
@@ -129,7 +150,8 @@ impl Trainer {
             })
             .collect();
 
-        let mut adam = Adam::with_lr(&policy.param_shapes(), cfg.learning_rate);
+        let shapes = policy.param_shapes();
+        let mut adam = Adam::with_lr(&shapes, cfg.learning_rate);
         let mut report = TrainReport::default();
 
         let rollouts = cfg.rollouts_per_query.max(1);
@@ -211,6 +233,8 @@ impl Trainer {
                 .enumerate()
                 .flat_map(|(ti, (_, traj))| (0..traj.steps.len()).map(move |si| (ti, si)))
                 .collect();
+            let mut update_steps = 0;
+            let mut max_tape_nodes = 0;
             for _pass in 0..cfg.update_epochs {
                 let batch: Vec<(usize, usize)> = if cfg.minibatch_steps > 0 && all_steps.len() > cfg.minibatch_steps {
                     rand::seq::index::sample(&mut rng, all_steps.len(), cfg.minibatch_steps)
@@ -220,16 +244,36 @@ impl Trainer {
                 } else {
                     all_steps.clone()
                 };
-                let tape = Tape::new();
-                let binding = policy.bind(&tape);
-                let mut total: Option<rlqvo_tensor::Var> = None;
-                let mut num_steps = 0usize;
-                for &(ti, si) in &batch {
-                    let (qi, traj) = &trajectories[ti];
-                    let ctx = &contexts[*qi];
-                    let adv = advantages[ti];
-                    let step = &traj.steps[si];
-                    {
+                if batch.is_empty() {
+                    break;
+                }
+                update_steps = batch.len();
+                // The windows run last to first, but the dropout masks are
+                // drawn in step order: note the rng at each window's start
+                // and leave the live rng where the pass's draws end.
+                let mut window_rngs: Vec<StdRng> = Vec::new();
+                if cfg.dropout > 0.0 {
+                    for window in batch.chunks(WINDOW_STEPS) {
+                        window_rngs.push(rng.clone());
+                        for &(ti, si) in window {
+                            policy.skip_dropout(trajectories[ti].1.steps[si].state.features.rows(), &mut rng);
+                        }
+                    }
+                }
+                // The loss is `(1/|batch|) Σ obj`; each window's tape
+                // records its share and walks it, adding its terms to the
+                // gradients the later windows left.
+                let scale = 1.0 / batch.len() as f32;
+                let mut grads: Vec<Option<Matrix>> = vec![None; shapes.len()];
+                for window in batch.chunks(WINDOW_STEPS).rev() {
+                    let mut window_rng = window_rngs.pop();
+                    let tape = Tape::new();
+                    let binding = policy.bind(&tape);
+                    let mut total: Option<rlqvo_tensor::Var> = None;
+                    for &(ti, si) in window {
+                        let (qi, traj) = &trajectories[ti];
+                        let ctx = &contexts[*qi];
+                        let step = &traj.steps[si];
                         // One probability per action-space vertex: the
                         // action's row is its rank inside the mask.
                         let probs = policy.forward_on_tape(
@@ -238,28 +282,25 @@ impl Trainer {
                             &ctx.tensors,
                             Arc::clone(&step.state.features),
                             &step.state.mask,
-                            if cfg.dropout > 0.0 { Some((cfg.dropout, &mut rng)) } else { None },
+                            window_rng.as_mut().map(|r| (cfg.dropout, r)),
                         );
                         let rank = step.state.mask[..step.action].iter().filter(|&&m| m).count();
                         let logp = tape.ln(tape.pick(probs, rank, 0));
-                        let obj = ppo_step_objective(&tape, logp, step.logp_old, adv, cfg.clip_epsilon);
+                        let obj = ppo_step_objective(&tape, logp, step.logp_old, advantages[ti], cfg.clip_epsilon);
                         total = Some(match total {
                             Some(acc) => tape.add(acc, obj),
                             None => obj,
                         });
-                        num_steps += 1;
                     }
+                    let loss = tape.scale(total.expect("windows are non-empty"), scale);
+                    tape.backward_into(loss, &binding.flat(), &mut grads);
+                    max_tape_nodes = max_tape_nodes.max(tape.len());
                 }
-                let Some(total) = total else { break };
-                let loss = tape.scale(total, 1.0 / num_steps.max(1) as f32);
-                let grads = tape.backward(loss);
-                let flat = binding.flat();
-                let mut grad_vec: Vec<Option<Matrix>> = flat.iter().map(|v| grads.get(*v).cloned()).collect();
                 if cfg.max_grad_norm > 0.0 {
-                    clip_global_norm(&mut grad_vec, cfg.max_grad_norm);
+                    clip_global_norm(&mut grads, cfg.max_grad_norm);
                 }
                 let mut params = policy.params_mut();
-                adam.step_refs(&mut params, &grad_vec);
+                adam.step_refs(&mut params, &grads);
             }
 
             let n = returns.len().max(1) as f32;
@@ -269,6 +310,8 @@ impl Trainer {
                 mean_entropy: entropy_sum / entropy_steps.max(1) as f32,
                 rollout_s,
                 update_s: update_start.elapsed().as_secs_f64(),
+                update_steps,
+                max_tape_nodes,
             });
         }
         report.elapsed = start.elapsed();
@@ -302,6 +345,26 @@ mod tests {
         // The two phases are timed inside the run, so they fit in it.
         let phases: f64 = report.epochs.iter().map(|e| e.rollout_s + e.update_s).sum();
         assert!(phases > 0.0 && phases <= report.elapsed.as_secs_f64(), "{phases} s of {:?}", report.elapsed);
+        // An update tape holds one window of steps and the bound
+        // parameters, however many steps the pass replays. A pass of one
+        // step measures what a step records (its share of the sum
+        // included): its tape is the parameters, the step and the scaling.
+        let leaves = model.policy().params().len();
+        let tape_nodes = |cfg: RlQvoConfig| -> Vec<(usize, usize)> {
+            let report = RlQvo::new(cfg).train(&queries[..4], &g);
+            report.epochs.iter().map(|e| (e.update_steps, e.max_tape_nodes)).collect()
+        };
+        let per_step = tape_nodes(RlQvoConfig { minibatch_steps: 1, epochs: 1, ..RlQvoConfig::fast() })[0].1 - leaves;
+        // Eight rollouts a query: passes of three windows or more.
+        let long = tape_nodes(RlQvoConfig { rollouts_per_query: 8, epochs: 2, ..RlQvoConfig::fast() });
+        assert!(long.iter().all(|&(steps, _)| steps > 2 * WINDOW_STEPS), "{long:?}");
+        let short = report.epochs.iter().map(|e| (e.update_steps, e.max_tape_nodes));
+        for (steps, nodes) in long.iter().copied().chain(short) {
+            assert!(
+                steps > 0 && nodes <= WINDOW_STEPS * per_step + leaves + 2,
+                "{steps} steps, {nodes} nodes, {per_step} a step"
+            );
+        }
     }
 
     #[test]

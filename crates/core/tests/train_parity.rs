@@ -9,6 +9,15 @@
 //!   epochs, for every other GNN family — so every tape op the layers use
 //!   (attention softmax, column broadcasts, bias rows, dropout masks) is
 //!   pinned.
+//! * `RlQvoConfig::harness()` with dropout 0.2, two epochs on 6 Q8 queries
+//!   of the same graph, hashes to its recorded value. Its update passes
+//!   replay 163 and 172 steps (asserted), six windows each, so the pin
+//!   covers the windowed update: windows recorded and walked last to
+//!   first, leaf gradients carried from window to window, and each
+//!   window's dropout masks drawn from the rng state at its start. The hash
+//!   was recorded on the one-tape update before the windows came in. Two
+//!   mutations of the trainer were checked to move it: walking the windows
+//!   first to last, and drawing each window's masks from the live rng.
 //! * The weights the benchmark ledger's `learned-order` workload trains —
 //!   `RlQvoConfig::harness()` at 5 epochs on 8 Q16 queries of the
 //!   full-size yeast and dblp analogs, the ledger's fixed training inputs
@@ -123,4 +132,22 @@ fn the_ledgers_learned_order_models_match_their_recorded_hashes() {
         }
     }
     assert!(moved.is_empty(), "ledger model hashes moved: {moved:?}");
+}
+
+/// `harness()` with the paper's dropout, so the update passes replay
+/// enough steps to span several windows of the windowed update, each
+/// window drawing its dropout masks from its own rng state.
+#[test]
+fn dropout_training_across_update_windows_matches_the_recorded_hash() {
+    let g = Dataset::Yeast.load_scaled(500);
+    let queries = build_query_set(&g, 8, 6, 11).queries;
+    let cfg = RlQvoConfig { dropout: 0.2, epochs: 2, ..RlQvoConfig::harness() };
+    let mut model = RlQvo::new(cfg);
+    let report = model.train(&queries, &g);
+    // Six windows of 32 steps per pass in both epochs: a change that shrinks
+    // the passes to one window fails here, not silently below.
+    let steps: Vec<usize> = report.epochs.iter().map(|e| e.update_steps).collect();
+    assert_eq!(steps, [163, 172], "steps per update pass");
+    let actual = weights_hash(&model);
+    assert_eq!(actual, 0x0eee_f8d8_e1ec_07a6, "trained-weights hash moved: actual {actual:#018x}");
 }

@@ -33,7 +33,12 @@
 //!   gradient slot of the sliced node then receives its terms in the same
 //!   order).
 //! * A tape is built per forward pass and dropped afterwards — the pattern
-//!   PyTorch calls define-by-run.
+//!   PyTorch calls define-by-run. A loss that is a sum of many terms (the
+//!   PPO update's steps) need not sit on one tape: it is cut into windows,
+//!   one tape per window, walked last window first, each walk seeding its
+//!   leaves from the gradients the later windows left
+//!   ([`Tape::backward_into`]). Only one window's values are alive at a
+//!   time, and the leaf gradients are bit for bit the one tape's.
 //! * Every op's gradient is validated against finite differences in
 //!   `tests/gradcheck.rs`.
 
@@ -604,10 +609,50 @@ impl Tape {
     /// # Panics
     /// If `root` is not `1×1`.
     pub fn backward(&self, root: Var) -> GradStore {
+        GradStore { grads: self.walk(root, vec![None; root.idx + 1]) }
+    }
+
+    /// The backward walk of [`Tape::backward`], accumulating the gradients
+    /// of `leaves` into caller-owned slots: `grads[i]` is the running
+    /// gradient of `leaves[i]`. The walk starts from those slots and adds
+    /// this tape's terms in its usual order, so a loss split over several
+    /// tapes whose walks run in the reverse of the order the tapes were
+    /// cut in gets, term for term and bit for bit, the leaf gradients of
+    /// the one tape they were cut from. A `None` slot takes its first term
+    /// by move, exactly as on one tape; a leaf this walk does not reach
+    /// keeps its slot unchanged.
+    ///
+    /// # Panics
+    /// If `root` is not `1×1`, if `leaves` and `grads` differ in length,
+    /// or if some entry of `leaves` is not a leaf of this tape.
+    pub fn backward_into(&self, root: Var, leaves: &[Var], grads: &mut [Option<Matrix>]) {
+        assert_eq!(leaves.len(), grads.len(), "one gradient slot per leaf");
+        let len = root.idx + 1;
+        let mut slots = vec![None; len];
+        for (v, g) in leaves.iter().zip(grads.iter_mut()) {
+            let node = &self.nodes.borrow()[v.idx];
+            assert!(node.needs_grad && node.backward.is_none(), "backward_into seeds leaves only");
+            if v.idx < len {
+                debug_assert!(slots[v.idx].is_none(), "leaf listed twice");
+                slots[v.idx] = g.take();
+            }
+        }
+        let mut slots = self.walk(root, slots);
+        for (v, g) in leaves.iter().zip(grads.iter_mut()) {
+            if v.idx < len {
+                *g = slots[v.idx].take();
+            }
+        }
+    }
+
+    /// The reverse walk from `root` over gradient slots `grads` (one per
+    /// node up to `root`, leaves possibly pre-seeded); returns the slots,
+    /// in which only leaves still hold a gradient.
+    fn walk(&self, root: Var, grads: Vec<Option<Matrix>>) -> Vec<Option<Matrix>> {
         assert_eq!((root.rows, root.cols), (1, 1), "backward root must be scalar");
         let nodes = self.nodes.borrow();
         let len = root.idx + 1;
-        let mut cx = Backward { nodes: &nodes, grads: vec![None; len], transposes: vec![None; len] };
+        let mut cx = Backward { nodes: &nodes, grads, transposes: vec![None; len] };
         if nodes[root.idx].needs_grad {
             cx.grads[root.idx] = Some(Matrix::ones(1, 1));
         }
@@ -618,7 +663,7 @@ impl Tape {
             let Some(grad) = cx.grads[idx].take() else { continue };
             back(&grad, &mut cx);
         }
-        GradStore { grads: cx.grads }
+        cx.grads
     }
 }
 
@@ -889,6 +934,66 @@ mod tests {
         let c = t.constant(Matrix::ones(3, 2));
         let cg = t.gather_rows(c, &[2]);
         assert!(t.nodes.borrow()[cg.idx].backward.is_none());
+    }
+
+    const STEPS: usize = 5;
+
+    /// Binds the leaves `[W, b, z, u]` on `t` and records steps `steps` of
+    /// the loss `(1/STEPS) Σ_k obj_k`, `obj_k = sum(tanh(x_k·W + b))`. The
+    /// last step also adds `z·(−0)`, so `z`'s one gradient term is `−0`;
+    /// no step reads `u`.
+    fn step_loss(t: &Tape, steps: std::ops::Range<usize>) -> (Vec<Var>, Var) {
+        let leaves = vec![
+            t.leaf(sample(2, 3, 0.4)),
+            t.leaf(sample(1, 3, 2.2)),
+            t.leaf(Matrix::full(1, 1, 0.5)),
+            t.leaf(Matrix::ones(1, 1)),
+        ];
+        let (w, b, z) = (leaves[0], leaves[1], leaves[2]);
+        let mut total = None;
+        for k in steps {
+            let x = t.constant(Matrix::from_rows(&[&[(k as f32 * 1.3).sin(), (k as f32 * 0.7 + 0.2).cos()]]));
+            let mut obj = t.sum(t.tanh(t.affine(x, w, b, false)));
+            if k == STEPS - 1 {
+                obj = t.add(obj, t.mul(z, t.constant(Matrix::full(1, 1, -0.0))));
+            }
+            total = Some(match total {
+                Some(acc) => t.add(acc, obj),
+                None => obj,
+            });
+        }
+        (leaves, t.scale(total.expect("at least one step"), 1.0 / STEPS as f32))
+    }
+
+    #[test]
+    fn windows_walked_last_to_first_give_the_one_tape_gradients() {
+        let t = Tape::new();
+        let (leaves, loss) = step_loss(&t, 0..STEPS);
+        let one = t.backward(loss);
+        let want: Vec<Option<Vec<u32>>> = leaves.iter().map(|&v| one.get(v).map(bits)).collect();
+        assert_eq!(want[2], Some(vec![(-0.0f32).to_bits()]), "z's gradient is its one term, −0");
+        assert_eq!(want[3], None, "u is never reached");
+        // Windows of every width: 1 cuts the loss at every step boundary,
+        // STEPS is the one tape.
+        for width in 1..=STEPS {
+            let mut grads: Vec<Option<Matrix>> = vec![None; leaves.len()];
+            for start in (0..STEPS).step_by(width).rev() {
+                let t = Tape::new();
+                let (leaves, loss) = step_loss(&t, start..(start + width).min(STEPS));
+                t.backward_into(loss, &leaves, &mut grads);
+            }
+            let got: Vec<Option<Vec<u32>>> = grads.iter().map(|g| g.as_ref().map(bits)).collect();
+            assert_eq!(got, want, "windows of {width} steps");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves only")]
+    fn backward_into_rejects_a_non_leaf_slot() {
+        let t = Tape::new();
+        let x = t.leaf(Matrix::ones(1, 1));
+        let y = t.scale(x, 2.0);
+        t.backward_into(y, &[y], &mut [None]);
     }
 
     /// Value and the three gradients of `sum(tanh(·))` through the fused

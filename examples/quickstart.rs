@@ -26,7 +26,7 @@ fn main() {
     let mut model = RlQvo::new(config);
     let report = model.train(&split.train, &g);
     println!(
-        "trained {} epochs in {:?} (final advantage over RI: {:+.3})",
+        "trained {} epochs in {:?} (final advantage over Hybrid: {:+.3})",
         report.epochs.len(),
         report.elapsed,
         report.final_enum_advantage()

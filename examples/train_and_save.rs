@@ -21,7 +21,11 @@ fn main() {
     config.epochs = 12;
     let mut model = RlQvo::new(config);
     let report = model.train(&split.train, &g);
-    println!("trained in {:?}; last-epoch advantage over RI: {:+.3}", report.elapsed, report.final_enum_advantage());
+    println!(
+        "trained in {:?}; last-epoch advantage over Hybrid: {:+.3}",
+        report.elapsed,
+        report.final_enum_advantage()
+    );
 
     let path = std::env::temp_dir().join("rlqvo-dblp-demo.model");
     model.save(&path).expect("save model");

@@ -23,9 +23,11 @@
 //! `--enum-threads` capped at what the estimated enumeration work can keep
 //! busy) or `probe` (the differential oracle: same matches, same `#enum`,
 //! never run unless named). `train` prints the learning curve, one line
-//! per epoch (`mean_return`, `mean_enum_advantage`, `mean_entropy`, and
-//! the seconds spent in rollouts and in the PPO update, `rollout_s` and
-//! `update_s`), before its summary. Every option is a flag; a malformed value is an
+//! per epoch (`mean_return`, `mean_enum_advantage`, `mean_entropy`, the
+//! seconds spent in rollouts and in the PPO update, `rollout_s` and
+//! `update_s`, and `tape_nodes`, the nodes on the largest tape an update
+//! pass recorded),
+//! before its summary. Every option is a flag; a malformed value is an
 //! error, never a silent default.
 
 use std::io::BufReader;
@@ -289,17 +291,18 @@ fn cmd_train(args: &[String]) -> CliResult {
     let report = model.train(&split.train, &g);
     for (i, e) in report.epochs.iter().enumerate() {
         println!(
-            "epoch {:>3}  mean_return {:+.4}  mean_enum_advantage {:+.4}  mean_entropy {:.4}  rollout_s {:.3}  update_s {:.3}",
+            "epoch {:>3}  mean_return {:+.4}  mean_enum_advantage {:+.4}  mean_entropy {:.4}  rollout_s {:.3}  update_s {:.3}  tape_nodes {}",
             i + 1,
             e.mean_return,
             e.mean_enum_advantage,
             e.mean_entropy,
             e.rollout_s,
-            e.update_s
+            e.update_s,
+            e.max_tape_nodes
         );
     }
     println!(
-        "trained {} epochs on {} queries in {:?}; final advantage over RI {:+.3}",
+        "trained {} epochs on {} queries in {:?}; final advantage over Hybrid {:+.3}",
         epochs,
         split.train.len(),
         report.elapsed,

@@ -143,7 +143,10 @@ fn train_prints_one_line_per_epoch_and_saves_a_usable_model() {
             assert_eq!(fields[8 + 2 * k], *key, "{line}");
             assert!(fields[9 + 2 * k].parse::<f64>().is_ok_and(|s| s.is_finite() && s >= 0.0), "{line}");
         }
-        assert_eq!(fields.len(), 12, "{line}");
+        // The largest update tape: one window of steps, a positive count.
+        assert_eq!(fields[12], "tape_nodes", "{line}");
+        assert!(fields[13].parse::<usize>().is_ok_and(|n| n > 0), "{line}");
+        assert_eq!(fields.len(), 14, "{line}");
     }
     let summary = lines.iter().position(|l| l.starts_with("trained ")).expect("summary line");
     assert_eq!(lines[..summary].iter().filter(|l| l.starts_with("epoch")).count(), 2, "{stdout}");

@@ -1,23 +1,27 @@
 //! Dense graph tensors consumed by the GNN layers.
 
+use std::sync::Arc;
+
 use rlqvo_graph::Graph;
 use rlqvo_tensor::Matrix;
 
 /// The adjacency-derived matrices every layer type needs, computed once
-/// per query graph and shared across layers and time steps.
+/// per query graph and shared across layers and time steps — and, being
+/// `Arc`s, bound onto a training tape without a copy
+/// ([`rlqvo_tensor::Tape::constant_arc`]).
 #[derive(Clone, Debug)]
 pub struct GraphTensors {
     /// Symmetric-normalized adjacency with self-loops,
     /// `Â = D̃^{-1/2} (A + I) D̃^{-1/2}` — GCN's propagation matrix (Eq. 3).
-    pub norm_adj: Matrix,
+    pub norm_adj: Arc<Matrix>,
     /// Raw adjacency `A` (no self-loops) — GraphConv / LEConv.
-    pub adj: Matrix,
+    pub adj: Arc<Matrix>,
     /// Row-normalized adjacency (mean aggregator) — GraphSAGE.
-    pub mean_adj: Matrix,
+    pub mean_adj: Arc<Matrix>,
     /// Degree column vector `n×1` — LEConv's `D·X` term.
-    pub degree: Matrix,
+    pub degree: Arc<Matrix>,
     /// 0/1 mask of `A + I` — GAT attends over neighbours and self.
-    pub mask_self: Matrix,
+    pub mask_self: Arc<Matrix>,
 }
 
 impl GraphTensors {
@@ -57,7 +61,13 @@ impl GraphTensors {
         let degree = Matrix::from_fn(n, 1, |r, _| q.degree(r as u32) as f32);
         let mask_self = Matrix::from_fn(n, n, |r, c| if r == c || adj.get(r, c) != 0.0 { 1.0 } else { 0.0 });
 
-        GraphTensors { norm_adj, adj, mean_adj, degree, mask_self }
+        GraphTensors {
+            norm_adj: Arc::new(norm_adj),
+            adj: Arc::new(adj),
+            mean_adj: Arc::new(mean_adj),
+            degree: Arc::new(degree),
+            mask_self: Arc::new(mask_self),
+        }
     }
 
     /// Number of vertices.

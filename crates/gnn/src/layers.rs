@@ -6,6 +6,7 @@
 //! [`rlqvo_tensor::GradStore`] by position.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use rand::Rng;
 use rlqvo_tensor::infer::broadcast_add_col_row_into;
@@ -105,9 +106,13 @@ fn rows_of<'m>(m: &'m Matrix, rows: Option<&[usize]>) -> Cow<'m, Matrix> {
     }
 }
 
-/// A graph tensor's rows `rows` bound as a tape constant.
-fn constant_rows(t: &Tape, m: &Matrix, rows: Option<&[usize]>) -> Var {
-    t.constant(rows_of(m, rows).into_owned())
+/// A graph tensor's rows `rows` bound as a tape constant: all of them
+/// share the tensor, a row slice is a copy.
+fn constant_rows(t: &Tape, m: &Arc<Matrix>, rows: Option<&[usize]>) -> Var {
+    match rows {
+        Some(_) => t.constant(rows_of(m, rows).into_owned()),
+        None => t.constant_arc(Arc::clone(m)),
+    }
 }
 
 /// The rows `rows` of `v` for one consumer: call it inside that
@@ -251,7 +256,7 @@ impl GnnLayer for GatLayer {
 /// tape (`bound` = `[W_own, W_neigh, b]`) — the body GraphSAGE (`M` = mean
 /// adjacency) and GraphConv (`M` = adjacency) share; see
 /// [`GnnLayer::forward`].
-fn own_plus_neighbours(t: &Tape, adj: &Matrix, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
+fn own_plus_neighbours(t: &Tape, adj: &Arc<Matrix>, bound: &[Var], h: Var, rows: Option<&[usize]>) -> Var {
     let adj = constant_rows(t, adj, rows);
     let own = t.matmul(own_rows(t, h, rows), bound[0]);
     let neigh = t.matmul(t.matmul(adj, h), bound[1]);

@@ -39,7 +39,7 @@ fn gcn_gradcheck() {
     let gt = tensors();
     let inputs = vec![features(), Matrix::from_fn(3, 2, |r, c| 0.3 * (r as f32 - c as f32)), Matrix::zeros(1, 2)];
     let report = check_gradients(&inputs, 1e-3, |t, vs| {
-        let adj = t.leaf(gt.norm_adj.clone());
+        let adj = t.leaf(gt.norm_adj.as_ref().clone());
         let agg = t.matmul(adj, vs[0]);
         let out = t.relu(t.add_bias_row(t.matmul(agg, vs[1]), vs[2]));
         smooth_loss(t, out)
@@ -80,7 +80,7 @@ fn sage_gradcheck() {
         Matrix::zeros(1, 2),
     ];
     let report = check_gradients(&inputs, 1e-3, |t, vs| {
-        let mean = t.leaf(gt.mean_adj.clone());
+        let mean = t.leaf(gt.mean_adj.as_ref().clone());
         let own = t.matmul(vs[0], vs[1]);
         let neigh = t.matmul(t.matmul(mean, vs[0]), vs[2]);
         let out = t.relu(t.add_bias_row(t.add(own, neigh), vs[3]));
@@ -100,7 +100,7 @@ fn graphconv_gradcheck() {
         Matrix::zeros(1, 2),
     ];
     let report = check_gradients(&inputs, 1e-3, |t, vs| {
-        let adj = t.leaf(gt.adj.clone());
+        let adj = t.leaf(gt.adj.as_ref().clone());
         let own = t.matmul(vs[0], vs[1]);
         let neigh = t.matmul(t.matmul(adj, vs[0]), vs[2]);
         let out = t.relu(t.add_bias_row(t.add(own, neigh), vs[3]));
@@ -121,8 +121,8 @@ fn leconv_gradcheck() {
         Matrix::zeros(1, 2),
     ];
     let report = check_gradients(&inputs, 1e-3, |t, vs| {
-        let adj = t.leaf(gt.adj.clone());
-        let deg = t.leaf(gt.degree.clone());
+        let adj = t.leaf(gt.adj.as_ref().clone());
+        let deg = t.leaf(gt.degree.as_ref().clone());
         let own = t.matmul(vs[0], vs[1]);
         let scaled = t.mul_col_broadcast(t.matmul(vs[0], vs[2]), deg);
         let neigh = t.matmul(adj, t.matmul(vs[0], vs[3]));
@@ -168,7 +168,7 @@ fn full_policy_pipeline_gradcheck() {
     ];
     let mask = [true, false, true, true];
     let report = check_gradients(&inputs, 1e-3, |t, vs| {
-        let adj = t.leaf(gt.norm_adj.clone());
+        let adj = t.leaf(gt.norm_adj.as_ref().clone());
         let h1 = t.relu(t.add_bias_row(t.matmul(t.matmul(adj, vs[0]), vs[1]), vs[2]));
         let hidden = t.relu(t.add_bias_row(t.matmul(h1, vs[3]), vs[4]));
         let scores = t.add_bias_row(t.matmul(hidden, vs[5]), vs[6]);

@@ -6,9 +6,13 @@
 //! a long-lived process whose candidate spaces and matching orders are
 //! already cached. This crate is that process, hardened:
 //!
-//! - **Admission control** — a bounded request queue; overflow is shed
-//!   with a typed `overloaded` reply, never silently dropped.
-//! - **Deadlines** — per-request, anchored at arrival (queue wait
+//! - **Requests on their connection threads** — each `match` runs to
+//!   its reply on the thread that read it; a thread whose client hangs
+//!   up parks for the next connection.
+//! - **Admission control** — a bounded count of requests waiting for a
+//!   core token; overflow is shed with a typed `overloaded` reply, never
+//!   silently dropped.
+//! - **Deadlines** — per-request, anchored at arrival (the token wait
 //!   counts), enforced cooperatively inside the enumeration engine on
 //!   its 1024-call cadence; partial counts come back as `deadline ...`.
 //! - **Fault isolation** — every request runs under `catch_unwind`; a
@@ -17,9 +21,10 @@
 //! - **Graceful degradation** — cache misses recompute on the fly,
 //!   checksum mismatches evict-and-recompute (the `degraded` metric),
 //!   and `--no-cache` proves the fully cold path end to end.
-//! - **Self-healing** — a supervisor replaces dead or wedged workers
-//!   (`worker_restarts`), and the `health` verb reports liveness without
-//!   touching the admission queue.
+//! - **Self-healing** — a panic at request pickup costs that request a
+//!   typed `worker_lost` reply, not its thread; a watchdog retires wedged
+//!   requests (both count in `worker_restarts`), and the `health` verb
+//!   reports liveness without a token.
 //! - **Deadline-budgeted retries** — [`client`] reconnects and retries
 //!   *typed-retryable* failures with decorrelated-jitter backoff that
 //!   never sleeps through the caller's deadline.
@@ -27,7 +32,7 @@
 //! [`protocol`] defines the length-prefixed wire format; [`server`] the
 //! loop itself. `tests/chaos.rs` drives it through named fault
 //! schedules, each arming the [`rlqvo_fault`] failpoint registry from a
-//! `(spec, seed)` pair it replays from — worker kills, wedges, cache
+//! `(spec, seed)` pair it replays from — pickup kills, wedges, cache
 //! corruption and poison, slow enumeration, steal-loop stalls — while
 //! the test itself injects panics and oversized frames on requests it
 //! chooses.

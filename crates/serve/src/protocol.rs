@@ -106,10 +106,10 @@ pub enum Request {
     /// forcing the fully-cold path mid-run).
     Flush,
     Metrics,
-    /// Liveness probe: uptime, worker aliveness, restart and degrade
-    /// counters. Answered inline on the connection thread — never
-    /// enqueued — so it stays responsive while the worker pool is
-    /// saturated or wedged.
+    /// Liveness probe: uptime, token-budget aliveness, restart and
+    /// degrade counters. Answered on its own connection thread, without
+    /// a token, so it stays responsive while every token is held or a
+    /// request is wedged.
     Health,
     Shutdown,
     Match {

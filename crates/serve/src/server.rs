@@ -1,49 +1,66 @@
 //! The fault-tolerant serving loop.
 //!
 //! One [`Server`] owns a warm cache tier — a [`SpaceCache`], an
-//! [`OrderCache`], and (optionally) a loaded RL-QVO policy — shared by a
-//! fixed pool of request workers. `threads` is the *total* core budget,
-//! tracked by one [`TokenBudget`]: each request worker holds one token
-//! while it runs a job, and the work-stealing enumeration inside that
-//! job borrows whatever tokens are left for the helper threads it spawns
-//! for that one enumeration. There is no static query-workers ×
-//! enum-threads split any more: an idle server gives one request the
-//! whole budget, a saturated one runs `threads` requests serially — and
-//! the queue never deadlocks, because token waits are on the *outside* of
-//! enumeration, never inside it.
+//! [`OrderCache`], and (optionally) a loaded RL-QVO policy — shared by its
+//! connection threads. A connection thread reads a frame and answers it
+//! itself: a `match` runs to completion on the thread that read it, with
+//! no hand-off to a worker and no reply channel, so a request costs the
+//! client's two context switches and no more. `threads` is the *total*
+//! core budget, tracked by one [`TokenBudget`]: a running request holds
+//! one token, and the work-stealing enumeration inside it borrows whatever
+//! tokens are left for the helper threads it spawns for that one
+//! enumeration. An idle server gives one request the whole budget, a
+//! saturated one runs `threads` requests at once — and nothing deadlocks,
+//! because token waits are on the *outside* of enumeration, never inside
+//! it.
+//!
+//! A connection thread whose client hangs up parks for the next accepted
+//! stream instead of exiting, so a server spawns as many connection
+//! threads as it ever had connections open at once, not one per
+//! connection (`conn_threads` in `metrics`); parked threads exit on
+//! `stop`. The accept loop blocks in `accept`; stopping wakes it with one
+//! connection to itself.
 //!
 //! The robustness contract, in order of the request lifecycle:
 //!
-//! 1. **Admission control.** Requests land in a bounded queue
-//!    (`queue_depth`). A full queue sheds the request with a typed
-//!    `overloaded` reply — never a silent drop, never an unbounded
-//!    backlog.
-//! 2. **Deadlines.** `deadline_ms` is anchored at *arrival*, so queue
-//!    wait counts against it. Workers re-check before running and the
-//!    enumeration engine polls it cooperatively on its 1024-call
-//!    cadence ([`EnumConfig::with_deadline`]); an expired request
+//! 1. **Admission control.** A request that finds no free token waits
+//!    for one, and at most `queue_depth` requests wait at a time: one
+//!    more is shed with a typed `overloaded` reply — never a silent drop,
+//!    never an unbounded backlog.
+//! 2. **Deadlines.** `deadline_ms` is anchored at *arrival*, so the token
+//!    wait counts against it. The deadline is re-checked once the token is
+//!    held, and the enumeration engine polls it cooperatively on its
+//!    1024-call cadence ([`EnumConfig::with_deadline`]); an expired request
 //!    returns its partial counts as `deadline ...`, not an error.
-//! 3. **Fault isolation.** Each request runs under `catch_unwind`. A
-//!    panicking request yields a typed `error reason=panic`; the server,
-//!    its workers, and the cache tier stay up. The caches themselves
-//!    recover from lock poisoning (they rebuild the poisoned shard), so
-//!    even a panic inside a cache fill is survivable.
+//! 3. **Fault isolation.** Each request runs under two `catch_unwind`
+//!    fences. A panic inside the engine call yields a typed
+//!    `error reason=panic`; one anywhere else in the request — the
+//!    `serve.worker.panic` failpoint fires at pickup, outside the engine
+//!    fence — yields `error reason=worker_lost` and counts in
+//!    `worker_restarts`. Either way the connection thread, the server and
+//!    the cache tier stay up. The caches recover from lock poisoning (they
+//!    rebuild the poisoned shard), so even a panic inside a cache fill is
+//!    survivable.
 //! 4. **Graceful degradation.** A cache miss falls back to on-the-fly
 //!    filtering/ordering; every hit is checksum-verified, in every build
 //!    profile, and a mismatch evicts the liar and recomputes (counted in
 //!    the `degraded` metric). `use_cache = false` serves every request
 //!    down the fully cold path — the flag that *proves* the degraded path
 //!    works end to end.
-//! 5. **Self-healing.** A supervisor thread watches per-worker
-//!    heartbeats: a dead worker (a panic that escaped the fence, e.g.
-//!    one injected at queue pickup) is joined and replaced; a wedged one
-//!    (opt-in [`ServeConfig::stall_timeout`]) is retired and replaced.
-//!    The heartbeat is a counter ticked at queue pickup *and* inside the
-//!    engine's 1024-call cadence ([`EnumConfig`]'s `heartbeat` hook), so
-//!    a long-but-healthy enumeration keeps beating and the threshold can
-//!    sit far below the longest legitimate request. Replacements are
-//!    counted in `worker_restarts`; the `health` verb reports liveness
-//!    without touching the admission queue.
+//! 5. **Self-healing.** With [`ServeConfig::stall_timeout`] set, a
+//!    watchdog thread watches the heartbeat of every running request. The
+//!    heartbeat is a counter ticked at pickup, through the token wait, and
+//!    inside the engine's 1024-call cadence ([`EnumConfig`]'s `heartbeat`
+//!    hook), so a long-but-healthy enumeration keeps beating and the
+//!    threshold can sit far below the longest legitimate request. A
+//!    request whose heartbeat stops advancing for longer than the timeout
+//!    is *retired* — Rust has no safe thread kill — and counted in
+//!    `worker_restarts`; when it wakes (after the pickup wedge, or in the
+//!    token wait) it answers `error reason=worker_lost` and its thread
+//!    serves on. `workers_alive` is `threads` less the tokens that retired
+//!    requests still hold. The `health` verb is answered on its own
+//!    connection thread, so it reports liveness whatever the running
+//!    requests are doing.
 //!
 //! Chaos drills exercise every layer of this contract through the
 //! [`rlqvo_fault`] failpoint registry (`serve.worker.panic`,
@@ -56,17 +73,16 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rlqvo_core::{InferMath, RlQvo, RlQvoConfig};
 use rlqvo_graph::{io::read_graph, Graph, VertexId};
 use rlqvo_matching::{
-    order_variant, run_cached, run_pipeline, scheduler_stats, Candidates, EnumConfig, EnumEngine, Method, OrderCache,
-    OrderingMethod, Pipeline, QueryKey, SpaceCache, TokenBudget,
+    run_cached, run_pipeline, scheduler_stats, Candidates, EnumConfig, EnumEngine, Method, OrderCache, OrderingMethod,
+    Pipeline, QueryKey, SpaceCache, TokenBudget,
 };
 
 use crate::protocol::{read_frame, write_frame, Frame, Request, Response};
@@ -75,12 +91,12 @@ use crate::protocol::{read_frame, write_frame, Frame, Request, Response};
 /// by one [`TokenBudget`] shared between request-level concurrency and
 /// intra-query work-stealing enumeration — no static split.
 pub struct ServeConfig {
-    /// Total worker-thread budget. `threads` request workers are
-    /// spawned, but only token holders run jobs; the rest of the budget
-    /// is up for grabs as enumeration helper threads.
+    /// Total core budget, in tokens. A running request holds one, so at
+    /// most `threads` requests run at once; whatever is left is up for
+    /// grabs as enumeration helper threads.
     pub threads: usize,
-    /// Bound on queued (admitted, not yet running) requests. Beyond it,
-    /// requests are shed with a typed `overloaded` reply.
+    /// Bound on requests waiting for a token (admitted, not yet running).
+    /// Beyond it, requests are shed with a typed `overloaded` reply.
     pub queue_depth: usize,
     /// Largest accepted request frame; bigger ones are rejected unread.
     pub max_frame_bytes: u32,
@@ -95,11 +111,9 @@ pub struct ServeConfig {
     pub fault_injection: bool,
     /// Path to a trained model, enabling `method=rlqvo`.
     pub model_path: Option<String>,
-    /// Micro-batch size: a worker that picks up a `match` job gathers up
-    /// to `batch - 1` more from the queue (waiting at most 100 µs for
-    /// stragglers) and pre-stages their RL-QVO orders in one `order_many`
-    /// pass — one episode after another over one warm inference scratch.
-    /// Clamped to 64. `1` (the default) disables gathering entirely.
+    /// Requests per dispatch. Each request runs alone on the connection
+    /// thread that read it, so `1` is the only value served;
+    /// [`Server::start`] refuses any other with `InvalidInput`.
     pub batch: usize,
     /// Serve `method=rlqvo` orders with the opt-in fast-math kernels
     /// (`InferMath::Fast`): FMA + blocked reductions, tolerance-bounded
@@ -109,15 +123,16 @@ pub struct ServeConfig {
     pub space_cache_bytes: Option<usize>,
     /// Byte bound on the ordering cache (`None` = unbounded).
     pub order_cache_bytes: Option<usize>,
-    /// Watchdog wedge threshold: a worker whose heartbeat counter stops
-    /// advancing for longer than this is retired and replaced (counted
-    /// in `worker_restarts`). The counter ticks at every queue pickup
-    /// *and* every 1024 enumeration calls, so a long-but-healthy request
-    /// keeps beating and this threshold may sit well below the longest
-    /// enumeration the deployment allows — it only needs to exceed the
-    /// longest *gap between ticks* (one cadence window, plus model
-    /// inference for `method=rlqvo`). `None` (the default) restarts only
-    /// *dead* workers.
+    /// Watchdog wedge threshold: a running request whose heartbeat
+    /// counter stops advancing for longer than this is retired (counted
+    /// in `worker_restarts`); one retired at the pickup wedge or in the
+    /// token wait answers `worker_lost` when it wakes. The
+    /// counter ticks at pickup, through the token wait, *and* every 1024
+    /// enumeration calls, so a long-but-healthy request keeps beating and
+    /// this threshold may sit well below the longest enumeration the
+    /// deployment allows — it only needs to exceed the longest *gap
+    /// between ticks* (one cadence window, plus model inference for
+    /// `method=rlqvo`). `None` (the default) runs no watchdog.
     pub stall_timeout: Option<Duration>,
 }
 
@@ -144,9 +159,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Cap on tracked micro-batch sizes (and thus `batch_size_*` counters).
-const MAX_BATCH: usize = 64;
-
 /// Counters the `metrics` request reports. All monotonic.
 #[derive(Default)]
 struct Metrics {
@@ -156,11 +168,59 @@ struct Metrics {
     errors: AtomicU64,
     deadline_exceeded: AtomicU64,
     flushes: AtomicU64,
-    /// Workers the supervisor replaced (dead or wedged).
+    /// Requests lost to a panic outside the engine fence or retired by
+    /// the watchdog.
     worker_restarts: AtomicU64,
 }
 
-/// State shared by the accept loop, connection threads, and workers.
+/// One connection thread's request slot, as the watchdog sees it.
+/// Leaked, one per connection thread ever spawned, so the engine's
+/// `&'static` heartbeat hook can point into it.
+#[derive(Default)]
+struct Lane {
+    /// Ticked at pickup, through the token wait, and — through
+    /// [`EnumConfig`]'s `heartbeat` hook — every 1024 enumeration calls.
+    heartbeat: AtomicU64,
+    /// Whether the running request holds a core token.
+    token: AtomicBool,
+    /// Changed only under this lock, so the watchdog never retires a
+    /// request that ended between its look at the heartbeat and its
+    /// verdict.
+    state: Mutex<LaneState>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct LaneState {
+    running: bool,
+    retired: bool,
+}
+
+impl Lane {
+    fn state(&self) -> MutexGuard<'_, LaneState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn beat(&self) {
+        self.heartbeat.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A request is picked up: running, not retired, and one beat.
+    fn begin(&self) {
+        *self.state() = LaneState { running: true, retired: false };
+        self.beat();
+    }
+
+    fn end(&self) {
+        *self.state() = LaneState::default();
+    }
+
+    fn retired(&self) -> bool {
+        self.state().retired
+    }
+}
+
+/// State shared by the accept loop, the connection threads and the
+/// watchdog.
 pub struct ServerState {
     g: Arc<Graph>,
     space: SpaceCache,
@@ -172,27 +232,30 @@ pub struct ServerState {
     fault_injection: bool,
     fast_math: bool,
     base_config: EnumConfig,
-    /// `batch_occupancy[n-1]` counts micro-batches that ran with exactly
-    /// `n` jobs (length = configured batch size).
-    batch_occupancy: Vec<AtomicU64>,
-    /// Raised by `shutdown`: accept loop, idle connections, and drained
-    /// workers exit; in-flight enumerations cancel cooperatively via
+    /// Most requests that may wait for a token at once.
+    queue_depth: usize,
+    /// Requests waiting for a token right now: the admission count.
+    waiting: AtomicUsize,
+    /// Raised by `shutdown`: the accept loop, idle and parked connection
+    /// threads exit; in-flight enumerations cancel cooperatively via
     /// `cancel` (each still sends its typed partial reply).
     stop: AtomicBool,
     /// Leaked per-server kill switch threaded into every request's
     /// [`EnumConfig`] (one `AtomicBool` per server instance — bounded).
     cancel: &'static AtomicBool,
     /// The core budget: one token per unit of `threads`, shared between
-    /// request workers (one each while running a job) and enumeration
-    /// helper grants (leaked per server instance — bounded).
+    /// running requests (one each) and enumeration helper grants (leaked
+    /// per server instance — bounded).
     tokens: &'static TokenBudget,
     /// When the server came up — the `health` uptime anchor.
     start: Instant,
-    /// Pool size the supervisor maintains.
+    /// The token budget, as `health` reports it.
     workers_total: u64,
-    /// Gauge refreshed by the supervisor each poll: workers currently
-    /// live and not retired.
-    workers_alive: AtomicU64,
+    /// Every connection thread's lane, in spawn order; never shrinks.
+    lanes: Mutex<Vec<&'static Lane>>,
+    /// The listener's address: stopping wakes the blocked `accept` with
+    /// one connection to it.
+    addr: SocketAddr,
 }
 
 impl ServerState {
@@ -211,6 +274,29 @@ impl ServerState {
         &self.g
     }
 
+    fn lanes(&self) -> MutexGuard<'_, Vec<&'static Lane>> {
+        self.lanes.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `threads` less the tokens held by requests the watchdog retired
+    /// that are still running.
+    fn workers_alive(&self) -> u64 {
+        let lost = self.lanes().iter().filter(|l| l.token.load(Ordering::Relaxed) && l.state().retired).count();
+        self.workers_total.saturating_sub(lost as u64)
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Raises `stop` and `cancel`, and wakes the accept loop.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.cancel.store(true, Ordering::Relaxed);
+        // Refused once the listener is gone: a second stop is a no-op.
+        let _ = TcpStream::connect(self.addr);
+    }
+
     fn snapshot(&self) -> BTreeMap<String, u64> {
         let degraded = self.space.checksum_failures()
             + self.space.poison_recoveries()
@@ -224,7 +310,8 @@ impl ServerState {
         m.insert("deadline_exceeded".into(), self.metrics.deadline_exceeded.load(Ordering::Relaxed));
         m.insert("flushes".into(), self.metrics.flushes.load(Ordering::Relaxed));
         m.insert("worker_restarts".into(), self.metrics.worker_restarts.load(Ordering::Relaxed));
-        m.insert("workers_alive".into(), self.workers_alive.load(Ordering::Relaxed));
+        m.insert("workers_alive".into(), self.workers_alive());
+        m.insert("conn_threads".into(), self.lanes().len() as u64);
         m.insert("degraded".into(), degraded);
         let sched = scheduler_stats();
         m.insert("steals".into(), sched.steals);
@@ -243,14 +330,11 @@ impl ServerState {
         m.insert("order_bytes".into(), self.orders.storage_bytes() as u64);
         m.insert("order_checksum_failures".into(), self.orders.checksum_failures());
         m.insert("order_poison_recoveries".into(), self.orders.poison_recoveries());
-        for (i, c) in self.batch_occupancy.iter().enumerate() {
-            m.insert(format!("batch_size_{}", i + 1), c.load(Ordering::Relaxed));
-        }
         m
     }
 
-    /// The `health` report: liveness only, cheap enough to answer from a
-    /// connection thread while every worker is busy or wedged.
+    /// The `health` report: liveness only, cheap enough to answer while
+    /// every token is held or every request is wedged.
     fn health_snapshot(&self) -> BTreeMap<String, u64> {
         let degraded = self.space.checksum_failures()
             + self.space.poison_recoveries()
@@ -259,22 +343,16 @@ impl ServerState {
         let mut m = BTreeMap::new();
         m.insert("uptime_ms".into(), self.start.elapsed().as_millis() as u64);
         m.insert("workers_total".into(), self.workers_total);
-        m.insert("workers_alive".into(), self.workers_alive.load(Ordering::Relaxed));
+        m.insert("workers_alive".into(), self.workers_alive());
         m.insert("worker_restarts".into(), self.metrics.worker_restarts.load(Ordering::Relaxed));
         m.insert("degraded".into(), degraded);
         m.insert("shed".into(), self.metrics.shed.load(Ordering::Relaxed));
         m.insert("errors".into(), self.metrics.errors.load(Ordering::Relaxed));
         m
     }
-
-    fn observe_batch(&self, n: usize) {
-        if let Some(c) = self.batch_occupancy.get(n.saturating_sub(1)) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
-/// One admitted `match` request, queued for a worker.
+/// One `match` request, as its connection thread runs it.
 struct Job {
     deadline: Option<Instant>,
     max_matches: Option<u64>,
@@ -282,7 +360,6 @@ struct Job {
     engine: Option<String>,
     inject: Option<String>,
     query_text: String,
-    reply: SyncSender<Response>,
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -290,20 +367,28 @@ struct Job {
 /// [`ServerHandle::wait`]).
 pub struct Server;
 
+/// A connection thread and its lane.
+type ConnThread = (JoinHandle<()>, &'static Lane);
+
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    accept: Option<JoinHandle<()>>,
-    /// The worker pool's keeper — owns every worker handle (including
-    /// retired ones) and joins them all before exiting itself.
-    supervisor: Option<JoinHandle<()>>,
+    /// Returns every connection thread it spawned when it exits.
+    accept: JoinHandle<Vec<ConnThread>>,
+    watchdog: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds an ephemeral local port against `g` (the CLI loads it from
-    /// `--data`; tests build it in process), spawns
-    /// the accept loop and the worker pool, and returns the handle.
+    /// `--data`; tests build it in process), spawns the accept loop (and,
+    /// with a `stall_timeout`, the watchdog), and returns the handle.
     pub fn start(config: ServeConfig, g: Arc<Graph>) -> std::io::Result<ServerHandle> {
+        if config.batch != 1 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("batch {} (each request runs alone on its connection thread: want 1)", config.batch),
+            ));
+        }
         let model = match &config.model_path {
             Some(p) => Some(
                 RlQvo::load(p, RlQvoConfig::harness())
@@ -311,17 +396,12 @@ impl Server {
             ),
             None => None,
         };
-        // One worker slot per token: every slot can run a request when
-        // the others are idle, and the token budget (not slot count)
-        // bounds actual concurrency, so enumeration helper grants and
-        // request admission trade off against each other dynamically.
-        let query_workers = config.threads.max(1);
-        let tokens = TokenBudget::leaked(query_workers);
-        let per_request = config
-            .enum_config
-            .with_threads(config.enum_config.threads.clamp(1, query_workers))
-            .with_pool_tokens(tokens);
-        let batch = config.batch.clamp(1, MAX_BATCH);
+        let budget = config.threads.max(1);
+        let tokens = TokenBudget::leaked(budget);
+        let per_request =
+            config.enum_config.with_threads(config.enum_config.threads.clamp(1, budget)).with_pool_tokens(tokens);
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             g,
             space: match config.space_cache_bytes {
@@ -338,37 +418,28 @@ impl Server {
             fault_injection: config.fault_injection,
             fast_math: config.fast_math,
             base_config: per_request,
-            batch_occupancy: (0..batch).map(|_| AtomicU64::new(0)).collect(),
+            queue_depth: config.queue_depth.max(1),
+            waiting: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             cancel: Box::leak(Box::new(AtomicBool::new(false))),
             tokens,
             start: Instant::now(),
-            workers_total: query_workers as u64,
-            workers_alive: AtomicU64::new(query_workers as u64),
+            workers_total: budget as u64,
+            lanes: Mutex::new(Vec::new()),
+            addr,
         });
 
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        let job_rx = Arc::new(Mutex::new(job_rx));
-
-        let slots: Vec<WorkerSlot> = (0..query_workers).map(|_| spawn_worker(&state, &job_rx, batch)).collect();
-        let supervisor = {
+        let watchdog = config.stall_timeout.map(|stall| {
             let state = Arc::clone(&state);
-            let rx = Arc::clone(&job_rx);
-            let stall = config.stall_timeout;
-            std::thread::spawn(move || supervisor_loop(&state, &rx, batch, slots, stall))
-        };
-
+            std::thread::spawn(move || watchdog(&state, stall))
+        });
         let accept = {
             let state = Arc::clone(&state);
             let max_frame = config.max_frame_bytes.min(crate::protocol::MAX_FRAME_BYTES);
-            std::thread::spawn(move || accept_loop(&state, &listener, &job_tx, max_frame))
+            std::thread::spawn(move || accept_loop(&state, &listener, max_frame))
         };
 
-        Ok(ServerHandle { addr, state, accept: Some(accept), supervisor: Some(supervisor) })
+        Ok(ServerHandle { addr, state, accept, watchdog })
     }
 }
 
@@ -390,158 +461,118 @@ impl ServerHandle {
 
     /// Stops the server: raises the stop flag and the cooperative cancel
     /// switch (in-flight requests finish with typed partial replies),
-    /// then joins the accept loop and the drained worker pool.
-    pub fn shutdown(mut self) {
-        self.state.stop.store(true, Ordering::Relaxed);
-        self.state.cancel.store(true, Ordering::Relaxed);
-        self.join_all();
+    /// then joins the accept loop, the watchdog and the connection
+    /// threads.
+    pub fn shutdown(self) {
+        self.state.stop();
+        self.wait();
     }
 
-    /// Blocks until a `shutdown` request stops the server, then joins.
-    pub fn wait(mut self) {
-        while !self.state.stop.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        self.join_all();
-    }
-
-    fn join_all(&mut self) {
-        if let Some(h) = self.accept.take() {
+    /// Blocks until a `shutdown` request stops the server, then joins
+    /// every thread it started — except a connection thread whose
+    /// request the watchdog retired and which still sleeps: joining it
+    /// could block forever, so it is detached (it still answers its
+    /// client if it wakes, and the process is going down anyway).
+    pub fn wait(self) {
+        let threads = self.accept.join().unwrap_or_default();
+        if let Some(h) = self.watchdog {
             let _ = h.join();
         }
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join(); // joins every worker, retired ones included
+        for (handle, lane) in threads {
+            let s = *lane.state();
+            if !(s.running && s.retired) {
+                let _ = handle.join();
+            }
         }
     }
 }
 
-/// One supervised worker: its thread, its heartbeat counter (ticked at
-/// every queue pickup, token wait, and — through [`EnumConfig`]'s
-/// `heartbeat` hook — every 1024 enumeration calls), and the retirement
-/// flag the watchdog raises to tell a wedged worker — if it ever wakes —
-/// that a replacement took its place and it must exit without touching
-/// the queue again. `last_beat`/`last_change` are the supervisor's
-/// private view of the counter: the watchdog fires on *no advancement*
-/// for `stall_timeout`, not on any wall-clock comparison, so the counter
-/// needs no epoch and never wraps meaningfully.
-struct WorkerSlot {
-    handle: JoinHandle<()>,
-    /// Leaked so the engine's `&'static` heartbeat hook can tick it from
-    /// inside enumeration (8 bytes per spawn, bounded by restarts).
-    heartbeat: &'static AtomicU64,
-    retired: Arc<AtomicBool>,
-    /// Counter value at the supervisor's last poll.
-    last_beat: u64,
-    /// When the supervisor last saw the counter move.
-    last_change: Instant,
+/// How often the watchdog takes the running requests' pulse.
+const WATCH_TICK: Duration = Duration::from_millis(25);
+
+/// The wedge detector: a running request whose heartbeat has not
+/// advanced for `stall_timeout` is retired. Because the heartbeat also
+/// ticks inside enumeration, a request deep in a long healthy run keeps
+/// advancing and is never confused with a genuinely stuck one. Each
+/// retirement counts once in `worker_restarts`.
+fn watchdog(state: &ServerState, stall_timeout: Duration) {
+    // Per lane: its heartbeat at the last poll, and when that last moved.
+    let mut seen: Vec<(u64, Instant)> = Vec::new();
+    while !state.stopping() {
+        std::thread::sleep(WATCH_TICK);
+        for (i, lane) in state.lanes().iter().enumerate() {
+            let mut s = lane.state();
+            let beat = lane.heartbeat.load(Ordering::Relaxed);
+            match seen.get_mut(i) {
+                Some(last) if last.0 == beat => {}
+                Some(last) => *last = (beat, Instant::now()),
+                None => seen.push((beat, Instant::now())),
+            }
+            if s.running && !s.retired && seen[i].1.elapsed() > stall_timeout {
+                s.retired = true;
+                state.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
-fn spawn_worker(state: &Arc<ServerState>, rx: &Arc<Mutex<Receiver<Job>>>, batch: usize) -> WorkerSlot {
-    let heartbeat: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    let retired = Arc::new(AtomicBool::new(false));
-    let handle = {
-        let state = Arc::clone(state);
-        let rx = Arc::clone(rx);
-        let retired = Arc::clone(&retired);
-        std::thread::spawn(move || worker_loop(&state, &rx, batch, heartbeat, &retired))
-    };
-    WorkerSlot { handle, heartbeat, retired, last_beat: 0, last_change: Instant::now() }
-}
+/// How many times the accept loop yields, waiting for a connection
+/// thread to park, before it spawns a new one.
+const PARK_YIELDS: usize = 4;
 
-/// How often the supervisor takes the pool's pulse.
-const SUPERVISE_TICK: Duration = Duration::from_millis(25);
-
-/// The self-healing loop. Two failure modes, two detectors:
-///
-/// * **Dead** — the thread finished outside shutdown (a panic escaped
-///   the per-request fence, e.g. the queue-pickup failpoints). Detected
-///   by [`JoinHandle::is_finished`]; the corpse is joined and a fresh
-///   worker takes the slot.
-/// * **Wedged** — the thread is alive but its heartbeat counter has not
-///   advanced for `stall_timeout` (opt-in; `None` disables). Because the
-///   counter also ticks inside enumeration, a worker deep in a long
-///   healthy request keeps advancing and is never confused with a
-///   genuinely stuck one. The worker is *retired*,
-///   not killed — Rust has no safe thread kill — and a replacement is
-///   spawned beside it. A retired worker that wakes sees its flag,
-///   abandons its picked-up jobs (their reply senders drop, so each
-///   connection still gets a typed `worker lost` reply — exactly-one
-///   holds) and exits; the supervisor keeps its corpse in `retired`
-///   until shutdown, where every handle is joined.
-///
-/// Either way `worker_restarts` counts the replacement. At shutdown the
-/// supervisor respawns nothing and joins everything, so a server that
-/// came up under chaos still winds down clean.
-fn supervisor_loop(
-    state: &Arc<ServerState>,
-    rx: &Arc<Mutex<Receiver<Job>>>,
-    batch: usize,
-    mut slots: Vec<WorkerSlot>,
-    stall_timeout: Option<Duration>,
-) {
-    let mut retired: Vec<WorkerSlot> = Vec::new();
-    while !state.stop.load(Ordering::Relaxed) {
-        std::thread::sleep(SUPERVISE_TICK);
-        for slot in &mut slots {
-            let dead = slot.handle.is_finished();
-            let beat = slot.heartbeat.load(Ordering::Relaxed);
-            if beat != slot.last_beat {
-                slot.last_beat = beat;
-                slot.last_change = Instant::now();
-            }
-            let wedged = !dead && stall_timeout.is_some_and(|t| slot.last_change.elapsed() > t);
-            if !(dead || wedged) {
-                continue;
-            }
-            if state.stop.load(Ordering::Relaxed) {
-                break; // no replacements during wind-down
-            }
-            slot.retired.store(true, Ordering::Relaxed);
-            let old = std::mem::replace(slot, spawn_worker(state, rx, batch));
-            if dead {
-                let _ = old.handle.join(); // collect the panic payload
-            } else {
-                retired.push(old); // still running; joined at shutdown
-            }
-            state.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
+/// Hands each accepted stream to a parked connection thread, or spawns
+/// one when none is parked, until `stop`. Returns every connection
+/// thread it spawned; leaving drops the hand-off sender, so each parked
+/// thread wakes and exits.
+fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener, max_frame: u32) -> Vec<ConnThread> {
+    let (hand_off, parked) = mpsc::channel::<TcpStream>();
+    let parked = Arc::new(Mutex::new(parked));
+    // Threads parked or about to park. A thread counts itself before it
+    // blocks on `parked`, so a stream sent against the count always finds
+    // a taker.
+    let idle = Arc::new(AtomicUsize::new(0));
+    let mut threads = Vec::new();
+    for stream in listener.incoming() {
+        if state.stopping() {
+            break; // the wake-up connection, or a client too late
         }
-        let alive = slots.iter().filter(|s| !s.handle.is_finished()).count() as u64;
-        state.workers_alive.store(alive, Ordering::Relaxed);
-    }
-    for slot in slots {
-        let _ = slot.handle.join(); // active workers drain the queue and exit
-    }
-    for slot in retired {
-        // A retired worker that woke up has exited; one that is *still*
-        // wedged at shutdown would block the join forever, so it is
-        // detached instead — it owns no queue jobs and the process is
-        // going down anyway.
-        if slot.handle.is_finished() {
-            let _ = slot.handle.join();
+        let Ok(stream) = stream else {
+            std::thread::sleep(Duration::from_millis(25)); // e.g. out of descriptors
+            continue;
+        };
+        let take_idle = || idle.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1)).is_ok();
+        // A thread whose client just hung up may not have had the CPU to
+        // see the close and park yet (the benchmark ledger pins its
+        // process to one CPU): give it that turn before spawning a thread
+        // beside it, whose allocations would land in a glibc arena of
+        // their own.
+        let parked_one = take_idle()
+            || (!threads.is_empty()
+                && (0..PARK_YIELDS).any(|_| {
+                    std::thread::yield_now();
+                    take_idle()
+                }));
+        if parked_one {
+            let _ = hand_off.send(stream); // `parked` lives as long as this loop
+            continue;
         }
-    }
-    state.workers_alive.store(0, Ordering::Relaxed);
-}
-
-fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener, job_tx: &SyncSender<Job>, max_frame: u32) {
-    loop {
-        if state.stop.load(Ordering::Relaxed) {
-            return; // drops this job_tx; workers drain and exit
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let state = Arc::clone(state);
-                let tx = job_tx.clone();
-                std::thread::spawn(move || {
-                    let _ = serve_connection(&state, stream, &tx, max_frame);
-                });
+        let lane: &'static Lane = Box::leak(Box::default());
+        state.lanes().push(lane);
+        let (state, parked, idle) = (Arc::clone(state), Arc::clone(&parked), Arc::clone(&idle));
+        let handle = std::thread::spawn(move || {
+            let mut next = Some(stream);
+            while let Some(mut stream) = next {
+                let _ = serve_connection(&state, lane, &mut stream, max_frame);
+                // Idle before the stream closes: a client that sees the
+                // close and reconnects finds this thread parked.
+                idle.fetch_add(1, Ordering::Relaxed);
+                drop(stream);
+                next = parked.lock().unwrap_or_else(PoisonError::into_inner).recv().ok();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
+        });
+        threads.push((handle, lane));
     }
+    threads
 }
 
 fn is_poll_tick(e: &std::io::Error) -> bool {
@@ -558,7 +589,7 @@ fn read_exact_patient(state: &ServerState, stream: &mut TcpStream, buf: &mut [u8
             Ok(0) => return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof mid-frame")),
             Ok(k) => n += k,
             Err(e) if is_poll_tick(&e) => {
-                if state.stop.load(Ordering::Relaxed) {
+                if state.stopping() {
                     return Err(e);
                 }
             }
@@ -578,7 +609,7 @@ fn read_frame_patient(state: &ServerState, stream: &mut TcpStream, max_len: u32)
             Ok(0) => return Ok(Frame::Eof),
             Ok(k) => break k,
             Err(e) if is_poll_tick(&e) => {
-                if state.stop.load(Ordering::Relaxed) {
+                if state.stopping() {
                     return Err(e);
                 }
             }
@@ -595,18 +626,18 @@ fn read_frame_patient(state: &ServerState, stream: &mut TcpStream, max_len: u32)
     Ok(Frame::Msg(payload))
 }
 
-/// One connection, lockstep: read a frame, answer it, repeat. Control
-/// requests are answered inline; `match` requests go through admission.
+/// One connection, lockstep: read a frame, answer it, repeat — control
+/// verbs and `match` requests alike, on this thread.
 fn serve_connection(
-    state: &Arc<ServerState>,
-    mut stream: TcpStream,
-    job_tx: &SyncSender<Job>,
+    state: &ServerState,
+    lane: &'static Lane,
+    stream: &mut TcpStream,
     max_frame: u32,
 ) -> std::io::Result<()> {
     // The idle read times out so the thread can notice `stop`.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     loop {
-        let payload = match read_frame_patient(state, &mut stream, max_frame)? {
+        let payload = match read_frame_patient(state, stream, max_frame)? {
             Frame::Msg(p) => p,
             Frame::Eof => return Ok(()),
             Frame::Oversized(len) => {
@@ -614,24 +645,27 @@ fn serve_connection(
                 // out of sync: typed reject, then close.
                 state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 let r = Response::Rejected { reason: format!("oversized frame of {len} bytes") };
-                let _ = write_frame(&mut stream, r.to_text().as_bytes());
+                let _ = write_frame(stream, r.to_text().as_bytes());
                 return Ok(());
             }
         };
+        if state.stopping() {
+            // A client that keeps sending must not hold shutdown up.
+            let r = Response::InternalError { reason: "shutting down".into() };
+            return write_frame(stream, r.to_text().as_bytes());
+        }
         let arrival = Instant::now();
         let request = match std::str::from_utf8(&payload).map_err(|_| "not utf8".to_string()).and_then(Request::parse) {
             Ok(r) => r,
             Err(reason) => {
                 state.metrics.rejected.fetch_add(1, Ordering::Relaxed);
-                write_frame(&mut stream, Response::Rejected { reason }.to_text().as_bytes())?;
+                write_frame(stream, Response::Rejected { reason }.to_text().as_bytes())?;
                 continue;
             }
         };
         let (response, is_match) = match request {
             Request::Ping => (Response::Pong, false),
             Request::Metrics => (Response::Metrics(state.snapshot()), false),
-            // Liveness must answer even when every worker is busy or
-            // wedged, so it never goes near the admission queue.
             Request::Health => (Response::Health(state.health_snapshot()), false),
             Request::Flush => {
                 state.space.clear();
@@ -640,37 +674,26 @@ fn serve_connection(
                 (Response::Metrics(state.snapshot()), false)
             }
             Request::Shutdown => {
-                state.stop.store(true, Ordering::Relaxed);
-                state.cancel.store(true, Ordering::Relaxed);
-                write_frame(&mut stream, Response::Bye.to_text().as_bytes())?;
+                state.stop();
+                write_frame(stream, Response::Bye.to_text().as_bytes())?;
                 return Ok(());
             }
             Request::Match { deadline_ms, max_matches, method, engine, inject, query_text } => {
-                let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
                 let job = Job {
-                    // Anchored at arrival: queue wait counts.
+                    // Anchored at arrival: the token wait counts.
                     deadline: deadline_ms.map(|ms| arrival + Duration::from_millis(ms)),
                     max_matches,
                     method,
                     engine,
                     inject,
                     query_text,
-                    reply: reply_tx,
                 };
                 // Chaos hook: hold the request at the admission door
                 // (deadlines keep ticking — they are anchored at arrival).
                 if let Some(f) = rlqvo_fault::failpoint!("serve.admission.stall") {
                     f.sleep();
                 }
-                let resp = match job_tx.try_send(job) {
-                    Ok(()) => reply_rx.recv().unwrap_or(Response::InternalError { reason: "worker lost".into() }),
-                    Err(TrySendError::Full(_)) => {
-                        state.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                        Response::Overloaded
-                    }
-                    Err(TrySendError::Disconnected(_)) => Response::InternalError { reason: "shutting down".into() },
-                };
-                (resp, true)
+                (run_request(state, lane, &job), true)
             }
         };
         // Chaos hook: the reply for a `match` was computed but never
@@ -685,191 +708,103 @@ fn serve_connection(
                 "failpoint serve.reply.write_fail: reply dropped, connection closed",
             ));
         }
-        write_frame(&mut stream, response.to_text().as_bytes())?;
+        write_frame(stream, response.to_text().as_bytes())?;
     }
 }
 
-/// How long a worker that already holds one job waits for micro-batch
-/// stragglers before running what it has.
-const GATHER_WINDOW: Duration = Duration::from_micros(100);
+fn worker_lost() -> Response {
+    Response::InternalError { reason: "worker lost".into() }
+}
 
-/// Releases worker tokens on every exit path — including a panic that
-/// escapes the per-request fence (e.g. inside [`prestage_orders`]), so a
-/// respawned worker never finds the budget leaked away.
-struct TokenGuard<'a>(&'a TokenBudget, usize);
+/// Runs one `match` to its typed reply on the calling connection thread.
+/// The outer fence: a panic outside the engine's own fence — the pickup
+/// failpoint — costs this request a `worker_lost` reply, not the thread.
+fn run_request(state: &ServerState, lane: &'static Lane, job: &Job) -> Response {
+    lane.begin();
+    let response = catch_unwind(AssertUnwindSafe(|| pick_up(state, lane, job))).unwrap_or_else(|_| {
+        state.metrics.worker_restarts.fetch_add(1, Ordering::Relaxed);
+        worker_lost()
+    });
+    lane.end();
+    response
+}
+
+fn pick_up(state: &ServerState, lane: &'static Lane, job: &Job) -> Response {
+    // Failpoints at the most hostile moment: request picked up, reply
+    // owed, outside the engine fence. The wedge just sleeps; with a
+    // watchdog armed the request is retired meanwhile, and answers
+    // `worker_lost` below (the watchdog booked the restart).
+    if rlqvo_fault::failpoint!("serve.worker.panic").is_some() {
+        panic!("failpoint serve.worker.panic: dying at request pickup");
+    }
+    if let Some(f) = rlqvo_fault::failpoint!("serve.worker.wedge") {
+        f.sleep();
+    }
+    if lane.retired() {
+        return worker_lost();
+    }
+    match acquire_token(state, lane) {
+        Ok(_token) => handle_match(state, job, &lane.heartbeat),
+        Err(refusal) => refusal,
+    }
+}
+
+/// A held core token; releases it on every exit path.
+struct TokenGuard<'a> {
+    tokens: &'a TokenBudget,
+    lane: &'a Lane,
+}
 
 impl Drop for TokenGuard<'_> {
     fn drop(&mut self) {
-        self.0.release(self.1);
+        self.lane.token.store(false, Ordering::Relaxed);
+        self.tokens.release(1);
     }
 }
 
-fn worker_loop(
-    state: &Arc<ServerState>,
-    rx: &Arc<Mutex<Receiver<Job>>>,
-    batch: usize,
-    heartbeat: &'static AtomicU64,
-    retired: &AtomicBool,
-) {
-    let mut jobs: Vec<Job> = Vec::with_capacity(batch);
-    loop {
-        if retired.load(Ordering::Relaxed) {
-            return; // a replacement owns this slot; don't touch the queue
-        }
-        heartbeat.fetch_add(1, Ordering::Relaxed);
-        jobs.clear();
-        // Hold the receiver lock only for the pickup (including the
-        // bounded gather window), never the work.
-        {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match guard.recv_timeout(Duration::from_millis(50)) {
-                Ok(job) => {
-                    jobs.push(job);
-                    // Micro-batch gather: take whatever is already queued
-                    // and wait at most GATHER_WINDOW for stragglers. With
-                    // `batch = 1` the loop body never runs — zero added
-                    // latency.
-                    let window = Instant::now();
-                    while jobs.len() < batch {
-                        match guard.try_recv() {
-                            Ok(j) => jobs.push(j),
-                            Err(TryRecvError::Empty) => {
-                                if window.elapsed() >= GATHER_WINDOW {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                            }
-                            Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                }
-                // Only exit on an *empty* queue after stop: admitted
-                // requests are never dropped, even across shutdown.
-                Err(RecvTimeoutError::Timeout) => {
-                    if state.stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-        heartbeat.fetch_add(1, Ordering::Relaxed);
-        // Failpoints at the most hostile moment: jobs picked up, replies
-        // owed, *outside* the per-request unwind fence. A panic here
-        // drops every reply sender (each connection synthesizes a typed
-        // `worker lost` reply) and kills the thread — the supervisor's
-        // dead-worker path. The wedge just sleeps; with a watchdog armed
-        // the slot is retired and the check below abandons the jobs the
-        // same way.
-        if rlqvo_fault::failpoint!("serve.worker.panic").is_some() {
-            panic!("failpoint serve.worker.panic: dying with {} job(s) picked up", jobs.len());
-        }
-        if let Some(f) = rlqvo_fault::failpoint!("serve.worker.wedge") {
-            f.sleep();
-        }
-        if retired.load(Ordering::Relaxed) {
-            // Wedged long enough to be replaced: dropping `jobs` closes
-            // the reply channels, so every owed reply is still made —
-            // typed, by the connection threads.
-            return;
-        }
-        // The core-budget gate: one token buys the right to run this
-        // batch. While another request's enumeration has the budget
-        // borrowed as helper threads, wait — ticking the heartbeat, so
-        // the watchdog can tell a token wait from a wedge — and honor
-        // retirement (dropped jobs still yield typed `worker lost`
-        // replies, exactly as on the wedge path above).
-        let token = loop {
-            let got = state.tokens.try_acquire(1);
-            if got > 0 {
-                break TokenGuard(state.tokens, got);
-            }
-            if retired.load(Ordering::Relaxed) {
-                return;
-            }
-            // Not checked against `stop`: admitted requests are never
-            // dropped, and every token holder makes progress even during
-            // shutdown (enumerations poll `cancel`), so the wait is
-            // bounded.
-            heartbeat.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        state.observe_batch(jobs.len());
-        if jobs.len() > 1 {
-            prestage_orders(state, &jobs);
-        }
-        for job in &jobs {
-            let response = handle_match(state, job, heartbeat);
-            // A vanished client is its problem; the reply was made.
-            let _ = job.reply.send(response);
-        }
-        drop(token);
-        heartbeat.fetch_add(1, Ordering::Relaxed);
+/// The core-budget gate and admission: one token buys the right to run
+/// the request. With none free the request waits — one of at most
+/// `queue_depth`, or it is shed `overloaded` — ticking the heartbeat, so
+/// the watchdog can tell a token wait from a wedge, and honoring
+/// retirement.
+fn acquire_token<'a>(state: &'a ServerState, lane: &'a Lane) -> Result<TokenGuard<'a>, Response> {
+    let held = || {
+        lane.token.store(true, Ordering::Relaxed);
+        TokenGuard { tokens: state.tokens, lane }
+    };
+    if state.tokens.try_acquire(1) == 1 {
+        return Ok(held());
     }
+    if state.waiting.fetch_add(1, Ordering::Relaxed) >= state.queue_depth {
+        state.waiting.fetch_sub(1, Ordering::Relaxed);
+        state.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        return Err(Response::Overloaded);
+    }
+    // Not checked against `stop`: admitted requests are never dropped,
+    // and every token holder makes progress even during shutdown
+    // (enumerations poll `cancel`), so the wait is bounded.
+    let outcome = loop {
+        lane.beat();
+        std::thread::sleep(Duration::from_millis(1));
+        if state.tokens.try_acquire(1) == 1 {
+            break Ok(held());
+        }
+        if lane.retired() {
+            break Err(worker_lost());
+        }
+    };
+    state.waiting.fetch_sub(1, Ordering::Relaxed);
+    outcome
 }
 
-/// The micro-batch pre-stage: one pass over the gathered queries
-/// ([`RlQvoOrdering::order_many`][rlqvo_core::RlQvoOrdering]) warms the
-/// [`OrderCache`] for every gathered `method=rlqvo` job that would
-/// otherwise run its ordering episode alone, so the per-job
-/// [`handle_match`] path — unchanged — finds the order already resident.
-///
-/// Jobs that cannot benefit are left untouched for the per-job path to
-/// handle: non-rlqvo methods, disabled cache, fault-injection directives
-/// (those must fail *inside* their own request), already-expired
-/// deadlines (those must report zero work), unparsable queries (typed
-/// reject), and queries whose order is already cached.
-fn prestage_orders(state: &ServerState, jobs: &[Job]) {
-    if !state.use_cache {
-        return;
-    }
-    let Some(model) = &state.model else { return };
-    let mut ordering = model.ordering();
-    if state.fast_math {
-        ordering = ordering.with_math(InferMath::Fast);
-    }
-    // The rlqvo path always filters with Hybrid's filter (see
-    // handle_match), so the variant key is fixed for the whole batch.
-    let variant = order_variant(&ordering, Method::hybrid().filter);
-    let now = Instant::now();
-    let mut targets: Vec<(Graph, QueryKey)> = Vec::new();
-    for job in jobs {
-        if job.method.as_deref() != Some("rlqvo") || job.inject.is_some() {
-            continue;
-        }
-        if job.deadline.is_some_and(|d| now >= d) {
-            continue;
-        }
-        let Ok(q) = read_graph(job.query_text.as_bytes(), Some(state.g.num_labels())) else {
-            continue;
-        };
-        let key = QueryKey::of(&q);
-        if state.orders.contains(&key, &variant) || targets.iter().any(|(_, k)| k.fingerprint() == key.fingerprint()) {
-            continue; // resident, or a duplicate within this batch
-        }
-        targets.push((q, key));
-    }
-    if targets.is_empty() {
-        return;
-    }
-    let queries: Vec<&Graph> = targets.iter().map(|(q, _)| q).collect();
-    let orders = ordering.order_many(&queries, &state.g);
-    for ((q, key), order) in targets.iter().zip(orders) {
-        // A concurrent worker may have filled the slot meanwhile;
-        // get_or_compute then drops our copy — same order either way.
-        state.orders.get_or_compute_keyed(key, &variant, q, move || order);
-    }
-}
-
-/// Runs one admitted `match` request and produces its typed response.
-/// Never panics out: the engine call is fenced with `catch_unwind`.
-/// `heartbeat` is the owning worker's liveness counter, threaded into
-/// the engine so it keeps ticking on the 1024-call cadence for the whole
-/// enumeration.
+/// Runs one `match` request whose token is held and produces its typed
+/// response. Never panics out: the engine call is fenced with
+/// `catch_unwind`. `heartbeat` is the request's lane counter, threaded
+/// into the engine so it keeps ticking on the 1024-call cadence for the
+/// whole enumeration.
 fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -> Response {
-    // Deadline re-check at pickup: a request that aged out in the queue
-    // reports zero work done, which is the truth.
+    // Deadline re-check with the token held: a request that aged out in
+    // the token wait reports zero work done, which is the truth.
     if let Some(d) = job.deadline {
         if Instant::now() >= d {
             state.metrics.deadline_exceeded.fetch_add(1, Ordering::Relaxed);

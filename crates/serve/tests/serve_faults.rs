@@ -98,11 +98,21 @@ fn fault_mix_yields_typed_replies_and_a_live_server() {
 
 #[test]
 fn overload_is_shed_with_typed_replies() {
-    // One worker, queue depth one: concurrent heavy requests must be
+    // One token, one waiting place: concurrent heavy requests must be
     // shed at admission, each with an explicit `overloaded` reply.
-    let handle =
-        Server::start(ServeConfig { threads: 1, queue_depth: 1, ..ServeConfig::default() }, Arc::new(heavy_host()))
-            .unwrap();
+    // Uncapped, each request runs to its 300ms deadline, so the eight
+    // overlap however their connections are accepted.
+    let config = ServeConfig {
+        threads: 1,
+        queue_depth: 1,
+        enum_config: rlqvo_matching::EnumConfig {
+            max_matches: u64::MAX,
+            time_limit: Duration::from_secs(600),
+            ..rlqvo_matching::EnumConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(config, Arc::new(heavy_host())).unwrap();
     let q = text(&heavy_query());
 
     let replies: Vec<Response> = std::thread::scope(|s| {
@@ -269,13 +279,14 @@ fn no_cache_serves_cold_and_flush_resets_the_warm_path() {
 
 #[test]
 fn long_but_healthy_request_survives_a_watchdog_below_its_runtime() {
-    // The watchdog blind-spot regression: the worker heartbeat ticks on
+    // The watchdog blind-spot regression: the request heartbeat ticks on
     // the engine's 1024-call cadence, so `stall_timeout` may sit far
     // BELOW the longest legitimate enumeration. Here the request runs
     // ~600ms against a 120ms watchdog; with pickup-only heartbeats the
-    // supervisor would retire the worker mid-request (worker_restarts
-    // >= 1). Healthy now means: typed reply from the original worker and
-    // zero restarts.
+    // watchdog would retire it mid-request (worker_restarts >= 1).
+    // Healthy means: its own typed reply, zero restarts, and the whole
+    // token budget alive (`workers_alive` counts the tokens not held by
+    // retired requests).
     let config = ServeConfig {
         threads: 1,
         stall_timeout: Some(Duration::from_millis(120)),
@@ -300,7 +311,7 @@ fn long_but_healthy_request_survives_a_watchdog_below_its_runtime() {
         "fixture too fast ({elapsed:?}) to outlast the 120ms watchdog — the regression is untested"
     );
     let m = metrics(&handle);
-    assert_eq!(m["worker_restarts"], 0, "a beating worker was retired as wedged");
+    assert_eq!(m["worker_restarts"], 0, "a beating request was retired as wedged");
     assert_eq!(m["workers_alive"], 1);
     handle.shutdown();
 }
@@ -340,4 +351,39 @@ fn shutdown_answers_in_flight_requests_before_exiting() {
         "typed partial (or complete) result expected: {r:?}"
     );
     handle.wait();
+}
+
+/// A connection thread whose client hangs up parks for the next accepted
+/// stream: 64 connections one after another, one `match` each, are
+/// served by at most two connection threads. Each client waits for the
+/// server to close its side before it reconnects, the way a thread that
+/// has parked closes it.
+#[test]
+fn sequential_connections_reuse_their_connection_thread() {
+    let handle = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, Arc::new(small_host())).unwrap();
+    let q = text(&small_query());
+    for i in 0..64 {
+        let mut s = handle.connect().unwrap();
+        let r = roundtrip(&mut s, &plain_match(q.clone(), None)).unwrap();
+        assert!(matches!(r, Response::Ok { .. }), "connection {i}: {r:?}");
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).unwrap();
+    }
+    let m = metrics(&handle);
+    assert_eq!(m["served"], 64, "{m:?}");
+    assert!(m["conn_threads"] <= 2, "connection threads must be reused: {m:?}");
+    handle.shutdown();
+}
+
+/// A request runs alone on the thread that read it, so a server asked
+/// to gather requests into batches refuses to start.
+#[test]
+fn a_batch_other_than_one_is_refused_at_start() {
+    for batch in [0, 2, 8] {
+        let Err(e) = Server::start(ServeConfig { batch, ..ServeConfig::default() }, Arc::new(small_host())) else {
+            panic!("batch {batch} must be refused");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "batch {batch}: {e}");
+    }
 }

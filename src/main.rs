@@ -60,7 +60,7 @@ fn main() {
             eprintln!("  train --data G [--size 8] [--queries 32] [--epochs 40] --out m.model");
             eprintln!("  stats --data G");
             eprintln!(
-                "  serve --data G [--threads N] [--enum-threads N] [--queue-depth 64] [--model m] [--max-matches N] [--time-limit-ms T] [--no-cache] [--fault-injection] [--batch N] [--fast-math on|off] [--space-cache-bytes B] [--order-cache-bytes B] [--stall-timeout-ms T] [--faults SPEC] [--fault-seed N]"
+                "  serve --data G [--threads N] [--enum-threads N] [--queue-depth 64] [--model m] [--max-matches N] [--time-limit-ms T] [--no-cache] [--fault-injection] [--fast-math on|off] [--space-cache-bytes B] [--order-cache-bytes B] [--stall-timeout-ms T] [--faults SPEC] [--fault-seed N]"
             );
             std::process::exit(2);
         }
@@ -91,6 +91,41 @@ fn switch(args: &[String], name: &str, default: bool) -> Result<bool, String> {
         Some("off") => Ok(false),
         Some(other) => Err(format!("bad {name} {other:?} (want on|off)")),
     }
+}
+
+/// Every flag `serve` takes, with whether a value follows it.
+const SERVE_FLAGS: &[(&str, bool)] = &[
+    ("--data", true),
+    ("--threads", true),
+    ("--enum-threads", true),
+    ("--queue-depth", true),
+    ("--model", true),
+    ("--max-matches", true),
+    ("--time-limit-ms", true),
+    ("--no-cache", false),
+    ("--fault-injection", false),
+    ("--fast-math", true),
+    ("--space-cache-bytes", true),
+    ("--order-cache-bytes", true),
+    ("--stall-timeout-ms", true),
+    ("--faults", true),
+    ("--fault-seed", true),
+];
+
+/// `unknown flag "--x"` for the first argument in a flag's place that is
+/// not one of `known`.
+fn known_flags(args: &[String], known: &[(&str, bool)]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        match known.iter().find(|(name, _)| name == a) {
+            Some((_, true)) => {
+                rest.next();
+            }
+            Some((_, false)) => {}
+            None => return Err(format!("unknown flag {a:?}")),
+        }
+    }
+    Ok(())
 }
 
 fn load(path: &str, universe: Option<u32>) -> Result<Graph, Box<dyn std::error::Error>> {
@@ -197,12 +232,15 @@ fn cmd_match(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Long-lived serving loop over one warm host graph: bounded admission
-/// queue (`overloaded` beyond `--queue-depth`), per-request deadlines
-/// enforced cooperatively inside the engine, `catch_unwind` fault
-/// isolation, and cache degradation (see `crates/serve`). Binds an
-/// ephemeral local port and prints it; a `shutdown` request stops it.
+/// Long-lived serving loop over one warm host graph: each request runs
+/// on the connection thread that read it, bounded admission (at most
+/// `--queue-depth` requests wait for a core token, more are
+/// `overloaded`), per-request deadlines enforced cooperatively inside the
+/// engine, `catch_unwind` fault isolation, and cache degradation (see
+/// `crates/serve`). Binds an ephemeral local port and prints it; a
+/// `shutdown` request stops it. A flag it does not take is an error.
 fn cmd_serve(args: &[String]) -> CliResult {
+    known_flags(args, SERVE_FLAGS)?;
     let data = flag(args, "--data").ok_or("--data is required")?;
     let g = std::sync::Arc::new(load(&data, None)?);
     let mut config = rlqvo_suite::serve::ServeConfig {
@@ -226,15 +264,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(t) = parsed(args, "--time-limit-ms")? {
         config.enum_config.time_limit = Duration::from_millis(t);
     }
-    // Inference knobs: `--batch` sets the micro-batch gather size (the
-    // server tracks at most 64), `--fast-math` opts the RL-QVO ordering
-    // path into the fast-math kernels — which only `--model` enables.
-    if let Some(b) = parsed::<usize>(args, "--batch")? {
-        if !(1..=64).contains(&b) {
-            return Err(format!("bad --batch \"{b}\" (want 1..=64)").into());
-        }
-        config.batch = b;
-    }
+    // `--fast-math` opts the RL-QVO ordering path into the fast-math
+    // kernels — which only `--model` enables.
     config.fast_math = switch(args, "--fast-math", config.fast_math)?;
     if config.fast_math && config.model_path.is_none() {
         return Err("bad --fast-math \"on\" (needs --model)".into());
@@ -253,12 +284,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
         rlqvo_suite::fault::arm_from_env().map_err(|e| format!("bad RLQVO_FAULTS spec: {e}"))?;
     }
     let caching = if config.use_cache { "on" } else { "off (cold path)" };
-    let batching = config.batch;
     let math = if config.fast_math { "fast" } else { "bitwise" };
     let handle = rlqvo_suite::serve::Server::start(config, g)?;
     println!("listening on {}", handle.addr());
     println!("caches      : {caching}");
-    println!("batch       : {batching}");
     println!("math        : {math}");
     if rlqvo_suite::fault::armed() {
         println!("faults      : armed ({})", faults.as_deref().unwrap_or("from env"));

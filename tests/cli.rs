@@ -1,6 +1,7 @@
 //! The `rlqvo` binary's argument handling, one test per subcommand: a
 //! malformed value is `error: bad --flag "x"` and exit 1 — never a silent
-//! default — and `--method` resolves through the library's one roster.
+//! default — `--method` resolves through the library's one roster, and
+//! `serve` refuses a flag it does not take as `error: unknown flag`.
 //! One positive run: `train` prints its learning curve and saves a model
 //! that `match --method rlqvo` loads.
 
@@ -106,9 +107,6 @@ fn serve_rejects_malformed_values() {
             ("--enum-threads", "x"),
             ("--max-matches", "1e5"),
             ("--time-limit-ms", "1s"),
-            ("--batch", "eight"),
-            ("--batch", "0"),
-            ("--batch", "100"),
             ("--fast-math", "maybe"),
             // Without `--model` no request can take the learned path.
             ("--fast-math", "on"),
@@ -116,6 +114,11 @@ fn serve_rejects_malformed_values() {
             ("--stall-timeout-ms", "x"),
         ],
     );
+    // Requests run one at a time on the thread that read them: there is
+    // no batch to size.
+    let out = rlqvo(&["serve", "--data", &g, "--batch", "8"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error: unknown flag \"--batch\""));
     std::fs::remove_dir_all(dir).ok();
 }
 

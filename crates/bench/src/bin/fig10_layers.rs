@@ -12,7 +12,7 @@ use rlqvo_datasets::Dataset;
 use rlqvo_matching::Method;
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 10 — query time vs number of GNN layers",
         "L ∈ {1,2,3,4}; dblp/eu2005/wordnet default query sets",

@@ -11,7 +11,7 @@ use rlqvo_datasets::Dataset;
 use rlqvo_matching::{EnumConfig, Method, SpaceCache};
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 11 — enumeration time vs number of matches",
         "youtube Q16; caps 10^3…10^9 and ALL; times of unsolved clamped to the limit",
@@ -27,10 +27,9 @@ fn main() {
 
     // The cap sweep replays the same eval queries once per cap; the cache
     // makes the whole sweep pay exactly one filter pass and one space
-    // build per (query, filter) key instead of one per cap
-    // (RLQVO_SPACE_CACHE=0 restores per-round filtering).
+    // build per (query, filter) key instead of one per cap.
     let cache = SpaceCache::new();
-    let caches = if scale.space_cache { Caches::Shared { spaces: &cache } } else { Caches::Local };
+    let caches = Caches::Shared { spaces: &cache };
     let learned = model.ordering();
     println!("{:<8} {:>12} {:>12} {:>10} {:>10}", "matches", "RL-QVO(s)", "Hybrid(s)", "unsRL", "unsHY");
     for (label, cap) in caps {
@@ -49,13 +48,11 @@ fn main() {
         );
     }
     println!();
-    if scale.space_cache {
-        println!(
-            "space cache   : {} filter+build misses, {} cross-round hits over {} caps",
-            cache.misses(),
-            cache.hits(),
-            caps.len()
-        );
-    }
+    println!(
+        "space cache   : {} filter+build misses, {} cross-round hits over {} caps",
+        cache.misses(),
+        cache.hits(),
+        caps.len()
+    );
     println!("paper shape: curves overlap at 10^3–10^6 then separate, RL-QVO below Hybrid.");
 }

@@ -11,7 +11,7 @@ use rlqvo_datasets::ALL_DATASETS;
 use rlqvo_matching::{Method, ROSTER};
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 3 — average query processing time",
         "default query sets; t = t_filter + t_order + t_enum; unsolved = 500 s",

@@ -12,7 +12,7 @@ use rlqvo_datasets::ALL_DATASETS;
 use rlqvo_matching::{EnumConfig, Method, ROSTER};
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 4 — query time percentiles + unsolved counts",
         "find ALL matches; unsolved = over the time limit (500 s in the paper)",

@@ -12,7 +12,7 @@ use rlqvo_datasets::ALL_DATASETS;
 use rlqvo_matching::{Method, ROSTER};
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 5 — enumeration time vs query size",
         "Q4–Q32 (Q16 max wordnet); one trained model per (dataset, size)",

@@ -11,10 +11,9 @@
 //! harness trains each variant once (on the dataset's mid-size Q16 set)
 //! and evaluates across sizes — the cross-size application mirrors the
 //! paper's incremental-training observation that policies transfer across
-//! sizes. Override with RLQVO_ABLATION_TRAIN_SIZE.
+//! sizes.
 
 use rlqvo_bench::models::split_queries;
-use rlqvo_bench::scale::env_or;
 use rlqvo_bench::{run_methods, Caches, Scale};
 use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::Dataset;
@@ -87,15 +86,14 @@ const VARIANTS: &[Variant] = &[
 ];
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 7 — ablation on eu2005: query & enumeration time",
         "variants RIF/NN/GAT/GraphSAGE/GraphNN/ASAP/NoEnt/NoVal vs full RL-QVO",
     );
     let dataset = Dataset::Eu2005;
     let g = dataset.load();
-    let train_size: usize = env_or("RLQVO_ABLATION_TRAIN_SIZE", 16);
-    let train_split = split_queries(&g, dataset, train_size, &scale);
+    let train_split = split_queries(&g, dataset, 16, &scale);
 
     // Train every variant up front so evaluation can batch all nine
     // orders per query set: they share the GQL filter, so the amortized
@@ -117,7 +115,7 @@ fn main() {
     // cache is cleared between sizes — peak memory stays one size's
     // worth of candidate spaces instead of the whole sweep's.
     let cache = SpaceCache::new();
-    let caches = if scale.space_cache { Caches::Shared { spaces: &cache } } else { Caches::Local };
+    let caches = Caches::Shared { spaces: &cache };
     let orderings: Vec<_> = models.iter().map(|(_, model)| model.ordering()).collect();
     println!("{:<10} {:>6} {:>12} {:>12} {:>10}", "variant", "Qset", "query(s)", "enum(s)", "unsolved");
     for &size in dataset.query_sizes() {

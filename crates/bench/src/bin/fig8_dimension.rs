@@ -12,7 +12,7 @@ use rlqvo_datasets::Dataset;
 use rlqvo_matching::Method;
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 8 — query time vs output dimension",
         "d ∈ {16,32,64,128,256}; dblp/eu2005/wordnet default query sets",

@@ -19,7 +19,7 @@ use rlqvo_datasets::Dataset;
 use rlqvo_matching::Method;
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Figure 9 — incremental training",
         "paper: 100 epochs full vs 100 pre + 10 incremental vs pretrained-only",

@@ -8,7 +8,7 @@ use rlqvo_datasets::{QuerySet, ALL_DATASETS};
 use rlqvo_graph::GraphStats;
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner(
         "Table II/III — dataset properties & query sets",
         "6 real graphs, |V| 3.1k–1.1M; query sets Q4–Q32 (Q16 max for Wordnet)",

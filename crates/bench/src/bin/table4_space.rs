@@ -10,7 +10,7 @@ use rlqvo_core::{RlQvo, RlQvoConfig};
 use rlqvo_datasets::ALL_DATASETS;
 
 fn main() {
-    let scale = Scale::default();
+    let scale = Scale::from_cli();
     scale.banner("Table IV — space evaluation", "graph space grows with the dataset; model space fixed at 186.2 kB");
 
     let model = RlQvo::new(RlQvoConfig::default());

@@ -226,7 +226,7 @@ pub enum Caches<'a> {
 /// split equally across the group's methods and booked into their
 /// `enum_times` (and reported in [`RunStats::space_build_times`]), so
 /// per-method totals stay comparable across roster sizes while the *fleet*
-/// pays the build once. The probe oracle (`RLQVO_ENGINE=probe`) builds
+/// pays the build once. The probe oracle (`EnumEngine::Probe`) builds
 /// nothing and books no share.
 pub fn run_methods(
     g: &Graph,

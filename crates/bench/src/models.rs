@@ -1,10 +1,10 @@
 //! Model training with on-disk caching.
 //!
 //! Several figure binaries need a trained RL-QVO model per (dataset,
-//! query size). Training is deterministic given the scale knobs, so models
-//! are cached under `target/rlqvo-models/` keyed by every input that
-//! affects the weights; re-running a binary (or another binary with the
-//! same needs) reuses the cache.
+//! query size). Training is deterministic given the scale and the
+//! configuration, so models are cached under `target/rlqvo-models/` keyed
+//! by every input that affects the weights; re-running a binary (or
+//! another binary with the same needs) reuses the cache.
 
 use std::path::PathBuf;
 
@@ -23,17 +23,18 @@ fn cache_dir() -> PathBuf {
     p
 }
 
+/// The model file [`train_model_for`] trains for `(dataset, query_size)`
+/// under `scale` and `config`: the query set is fixed by the dataset, the
+/// size and `--queries`, and every training input — epochs, budgets,
+/// reward design, seed, … — by `config` with the scale's epochs, keyed
+/// through an FNV-1a hash of its `Debug` text, so a changed recipe trains
+/// a new model instead of loading one trained under the old.
 fn cache_key(dataset: Dataset, query_size: usize, scale: &Scale, config: &RlQvoConfig) -> String {
-    format!(
-        "{}-q{}-n{}-e{}-d{}-l{}-{}.model",
-        dataset.name(),
-        query_size,
-        scale.queries_per_set,
-        scale.train_epochs,
-        config.hidden_dim,
-        config.num_layers,
-        config.gnn_kind.name().to_lowercase()
-    )
+    let config = RlQvoConfig { epochs: scale.train_epochs, ..*config };
+    let hash = format!("{config:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    format!("{}-q{}-n{}-{hash:016x}.model", dataset.name(), query_size, scale.queries_per_set)
 }
 
 /// The standard train/eval split for `(dataset, size)` under `scale`.
@@ -55,7 +56,6 @@ pub fn train_model_for(
     use_cache: bool,
 ) -> (RlQvo, std::time::Duration) {
     config.epochs = scale.train_epochs;
-    config.incremental_epochs = scale.incremental_epochs;
     let dir = cache_dir();
     let path = dir.join(cache_key(dataset, query_size, scale, &config));
     if use_cache {
@@ -94,5 +94,17 @@ mod tests {
         assert_eq!(t_b, std::time::Duration::ZERO, "second call loads from cache");
         let q = build_query_set(&g, 5, 1, 3).queries.pop().unwrap();
         assert_eq!(a.order_query(&q, &g), b.order_query(&q, &g));
+    }
+
+    #[test]
+    fn every_training_input_names_its_own_file() {
+        let scale = Scale::default();
+        let base = RlQvoConfig::harness();
+        let key = |c: &RlQvoConfig| cache_key(Dataset::Yeast, 8, &scale, c);
+        let budget = RlQvoConfig { train_enum_budget: base.train_enum_budget * 10, ..base };
+        assert_ne!(key(&base), key(&budget));
+        assert_ne!(key(&base), key(&RlQvoConfig { seed: base.seed + 1, ..base }));
+        assert_ne!(key(&base), key(&RlQvoConfig { learning_rate: base.learning_rate / 2.0, ..base }));
+        assert_eq!(key(&base), key(&RlQvoConfig::harness()));
     }
 }

@@ -1,126 +1,96 @@
-//! Scale knobs. The paper's experiment sizes (400-query sets, 10^5-match
+//! Scale flags. The paper's experiment sizes (400-query sets, 10^5-match
 //! caps, 500 s limits, 100 epochs) are impractical for a figure harness
-//! that must regenerate everything in minutes, so every binary reads the
-//! knobs below, defaults to a scaled configuration, and *prints what it
-//! used* next to the paper's setting. This is the harness's edge: the
-//! matching library itself reads no environment. A variable that is set
-//! but does not parse stops the binary ([`env_or`]) — a figure run never
-//! silently measures another configuration than the one asked for.
+//! that must regenerate everything in minutes, so every binary takes the
+//! flags below ([`Scale::from_args`]), defaults to a scaled configuration,
+//! and *prints what it used* next to the paper's setting. Flags are named
+//! and checked as `rlqvo`'s are: a value that does not parse is
+//! `bad --flag "x"` and a flag no binary takes is `unknown flag "--x"`,
+//! both before any dataset loads — a figure run never silently measures
+//! another configuration than the one asked for.
 
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::time::Duration;
 
-use rlqvo_matching::EnumEngine;
-
-/// Harness scale configuration (environment-variable driven).
+/// Harness scale configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// Queries per query set (paper: 200–400). Split 50/50 train/eval.
+    /// `--queries`.
     pub queries_per_set: usize,
-    /// RL-QVO training epochs (paper: 100).
+    /// RL-QVO training epochs (paper: 100). `--epochs`.
     pub train_epochs: usize,
-    /// Incremental fine-tuning epochs (paper: 10).
-    pub incremental_epochs: usize,
     /// Per-query time limit (paper: 500 s). Exceeding it = *unsolved*.
+    /// `--time-limit-ms`.
     pub time_limit: Duration,
-    /// Match cap (paper: 10^5 "first matches" protocol).
+    /// Match cap (paper: 10^5 "first matches" protocol). `--max-matches`.
     pub max_matches: u64,
     /// Worker threads for query-parallel evaluation — the harness's
     /// *total* thread budget: intra-query enumeration workers compose
-    /// under it (query workers × enum threads ≤ this).
+    /// under it (query workers × enum threads ≤ this). `--threads`.
     pub threads: usize,
-    /// Intra-query enumeration workers per query at most
-    /// (`RLQVO_ENUM_THREADS`, default 1 = serial) — the one place the
-    /// worker count comes from the environment. Helpers draw on the
-    /// `threads` token budget, so the two levels of parallelism never
-    /// oversubscribe.
+    /// Intra-query enumeration workers per query at most (default 1 =
+    /// serial). Helpers draw on the `threads` token budget, so the two
+    /// levels of parallelism never oversubscribe. `--enum-threads`.
     pub enum_threads: usize,
-    /// Reuse filtered candidates + built spaces across rounds of a sweep
-    /// through a `SpaceCache` (`RLQVO_SPACE_CACHE=off` to disable and
-    /// re-filter per round, e.g. to time the unamortized baseline).
-    pub space_cache: bool,
-}
-
-/// What scale variable `name` says: `default` when it is unset, its
-/// parsed value when it is set, and `bad NAME "value"` when it is set to
-/// something that does not parse.
-fn parse_var<T: FromStr>(name: &str, value: Option<&str>, default: T) -> Result<T, String> {
-    match value {
-        None => Ok(default),
-        Some(v) => v.trim().parse().map_err(|_| format!("bad {name} {v:?}")),
-    }
-}
-
-/// `parse_var` on the process environment — the one way a harness
-/// binary reads a variable. A malformed value is reported and the process
-/// exits with status 1, as the CLI does for a malformed flag.
-pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
-    let value = std::env::var(name).ok();
-    parse_var(name, value.as_deref(), default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    })
-}
-
-/// `RLQVO_SPACE_CACHE`'s value: an `on|off` switch (`1|true` and
-/// `0|false` mean the same), so it goes through [`env_or`] like the
-/// numbers.
-struct Switch(bool);
-
-impl FromStr for Switch {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, ()> {
-        match s.to_ascii_lowercase().as_str() {
-            "on" | "1" | "true" => Ok(Switch(true)),
-            "off" | "0" | "false" => Ok(Switch(false)),
-            _ => Err(()),
-        }
-    }
-}
-
-/// `RLQVO_ENGINE`'s value, likewise.
-struct EngineVar(EnumEngine);
-
-impl FromStr for EngineVar {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, ()> {
-        EnumEngine::parse(s).map(EngineVar).ok_or(())
-    }
 }
 
 impl Default for Scale {
     fn default() -> Self {
         Scale {
-            queries_per_set: env_or("RLQVO_QUERIES", 32),
-            train_epochs: env_or("RLQVO_EPOCHS", 40),
-            incremental_epochs: env_or("RLQVO_INCR_EPOCHS", 5),
-            time_limit: Duration::from_millis(env_or("RLQVO_TIME_LIMIT_MS", 1_000)),
-            max_matches: env_or("RLQVO_MAX_MATCHES", 100_000),
-            threads: env_or("RLQVO_THREADS", num_threads_default()),
-            enum_threads: env_or("RLQVO_ENUM_THREADS", NonZeroUsize::MIN).get(),
-            space_cache: env_or("RLQVO_SPACE_CACHE", Switch(true)).0,
+            queries_per_set: 32,
+            train_epochs: 40,
+            time_limit: Duration::from_millis(1_000),
+            max_matches: 100_000,
+            threads: std::thread::available_parallelism().map_or(4, NonZeroUsize::get).min(16),
+            enum_threads: 1,
         }
     }
 }
 
-fn num_threads_default() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(16)
+/// The parsed value of flag `name`, or `bad NAME "value"`.
+fn parse<T: FromStr>(name: &str, value: Option<&String>) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("bad {name} (no value)"))?;
+    value.parse().map_err(|_| format!("bad {name} {value:?}"))
 }
 
 impl Scale {
+    /// The scale `args` (the arguments after the program name) ask for:
+    /// the defaults, overridden flag by flag. Every flag takes a value.
+    pub fn from_args(args: &[String]) -> Result<Scale, String> {
+        let mut scale = Scale::default();
+        let mut rest = args.iter();
+        while let Some(name) = rest.next() {
+            let value = rest.next();
+            match name.as_str() {
+                "--queries" => scale.queries_per_set = parse(name, value)?,
+                "--epochs" => scale.train_epochs = parse(name, value)?,
+                "--time-limit-ms" => scale.time_limit = Duration::from_millis(parse(name, value)?),
+                "--max-matches" => scale.max_matches = parse(name, value)?,
+                "--threads" => scale.threads = parse::<NonZeroUsize>(name, value)?.get(),
+                "--enum-threads" => scale.enum_threads = parse::<NonZeroUsize>(name, value)?.get(),
+                _ => return Err(format!("unknown flag {name:?}")),
+            }
+        }
+        Ok(scale)
+    }
+
+    /// [`Scale::from_args`] on the process's arguments — the first line of
+    /// every harness binary. A malformed or unknown flag is reported as
+    /// `error: …` and the process exits with status 1, as `rlqvo` does.
+    pub fn from_cli() -> Scale {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Scale::from_args(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
+    }
+
     /// The enumeration configuration used for evaluation runs.
     pub fn enum_config(&self) -> rlqvo_matching::EnumConfig {
         rlqvo_matching::EnumConfig {
             max_matches: self.max_matches,
             time_limit: self.time_limit,
-            max_enumerations: u64::MAX,
-            store_matches: false,
-            // `RLQVO_ENGINE=probe|candspace|auto` flips the enumeration
-            // engine for every figure binary without recompiling.
-            engine: env_or("RLQVO_ENGINE", EngineVar(EnumEngine::default())).0,
             threads: self.enum_threads,
             ..rlqvo_matching::EnumConfig::default()
         }
@@ -131,17 +101,13 @@ impl Scale {
         println!("== {experiment} ==");
         println!("paper setting : {paper_setting}");
         println!(
-            "harness scale : {} queries/set (50% train), {} epochs, {:?} limit, {} match cap, {} tokens ({} enum threads/query max), space cache {}, engine {}",
+            "harness scale : {} queries/set (50% train), {} epochs, {:?} limit, {} match cap, {} tokens ({} enum threads/query max)",
             self.queries_per_set,
             self.train_epochs,
             self.time_limit,
             self.max_matches,
             self.threads,
             self.enum_threads,
-            if self.space_cache { "on" } else { "off" },
-            // Read here too so a malformed RLQVO_ENGINE stops the binary
-            // at its first line, not after the models are trained.
-            self.enum_config().engine.name()
         );
         println!();
     }
@@ -150,6 +116,10 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scale(args: &[&str]) -> Result<Scale, String> {
+        Scale::from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
 
     #[test]
     fn defaults_are_sane() {
@@ -161,34 +131,51 @@ mod tests {
     }
 
     #[test]
-    fn a_malformed_variable_is_an_error_naming_it() {
-        assert_eq!(parse_var("RLQVO_QUERIES", None, 32usize), Ok(32));
-        assert_eq!(parse_var("RLQVO_QUERIES", Some("4"), 32usize), Ok(4));
-        assert_eq!(parse_var("RLQVO_QUERIES", Some(" 4 "), 32usize), Ok(4));
-        assert_eq!(parse_var("RLQVO_QUERIES", Some("abc"), 32usize), Err("bad RLQVO_QUERIES \"abc\"".to_string()));
-        assert_eq!(parse_var("RLQVO_QUERIES", Some("-1"), 32usize), Err("bad RLQVO_QUERIES \"-1\"".to_string()));
-        assert_eq!(parse_var("RLQVO_QUERIES", Some(""), 32usize), Err("bad RLQVO_QUERIES \"\"".to_string()));
-        assert_eq!(parse_var("RLQVO_LR", Some("3e-4"), 0.1f32), Ok(3e-4));
-        let engine = |v| parse_var("RLQVO_ENGINE", v, EngineVar(EnumEngine::default())).map(|e| e.0);
-        assert_eq!(engine(None), Ok(EnumEngine::CandidateSpace));
-        assert_eq!(engine(Some("probe")), Ok(EnumEngine::Probe));
-        assert_eq!(engine(Some("AUTO")), Ok(EnumEngine::Auto));
-        assert_eq!(engine(Some("prob")), Err("bad RLQVO_ENGINE \"prob\"".to_string()));
-        let workers = |v| parse_var("RLQVO_ENUM_THREADS", v, NonZeroUsize::MIN).map(NonZeroUsize::get);
-        assert_eq!(workers(None), Ok(1));
-        assert_eq!(workers(Some("2")), Ok(2));
-        assert_eq!(workers(Some("0")), Err("bad RLQVO_ENUM_THREADS \"0\"".to_string()));
-        assert_eq!(workers(Some("abc")), Err("bad RLQVO_ENUM_THREADS \"abc\"".to_string()));
-        let cache = |v| parse_var("RLQVO_SPACE_CACHE", v, Switch(true)).map(|s| s.0);
-        assert_eq!(cache(None), Ok(true));
-        for on in ["on", "1", "true", "ON"] {
-            assert_eq!(cache(Some(on)), Ok(true), "{on}");
-        }
-        for off in ["off", "0", "false", " Off "] {
-            assert_eq!(cache(Some(off)), Ok(false), "{off}");
-        }
-        for bad in ["of", "no", ""] {
-            assert_eq!(cache(Some(bad)), Err(format!("bad RLQVO_SPACE_CACHE {bad:?}")), "{bad:?}");
-        }
+    fn absent_flags_keep_their_defaults() {
+        let (d, s) = (Scale::default(), scale(&[]).unwrap());
+        assert_eq!(format!("{d:?}"), format!("{s:?}"));
+        let s = scale(&["--queries", "4", "--enum-threads", "2"]).unwrap();
+        assert_eq!((s.queries_per_set, s.enum_threads), (4, 2));
+        assert_eq!((s.train_epochs, s.time_limit, s.max_matches, s.threads), (40, d.time_limit, 100_000, d.threads));
+    }
+
+    #[test]
+    fn every_flag_sets_its_field() {
+        let s = scale(&[
+            "--queries",
+            "4",
+            "--epochs",
+            "1",
+            "--time-limit-ms",
+            "200",
+            "--max-matches",
+            "7",
+            "--threads",
+            "2",
+            "--enum-threads",
+            "3",
+        ])
+        .unwrap();
+        assert_eq!((s.queries_per_set, s.train_epochs, s.max_matches), (4, 1, 7));
+        assert_eq!((s.time_limit, s.threads, s.enum_threads), (Duration::from_millis(200), 2, 3));
+        let c = s.enum_config();
+        assert_eq!((c.max_matches, c.time_limit, c.threads), (7, Duration::from_millis(200), 3));
+    }
+
+    #[test]
+    fn a_malformed_flag_is_an_error_naming_it() {
+        assert_eq!(scale(&["--queries", "abc"]).unwrap_err(), "bad --queries \"abc\"");
+        assert_eq!(scale(&["--queries", "-1"]).unwrap_err(), "bad --queries \"-1\"");
+        assert_eq!(scale(&["--enum-threads", "0"]).unwrap_err(), "bad --enum-threads \"0\"");
+        assert_eq!(scale(&["--threads", "0"]).unwrap_err(), "bad --threads \"0\"");
+        assert_eq!(scale(&["--max-matches", "1e5"]).unwrap_err(), "bad --max-matches \"1e5\"");
+        assert_eq!(scale(&["--epochs"]).unwrap_err(), "bad --epochs (no value)");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error_naming_it() {
+        assert_eq!(scale(&["--engine", "probe"]).unwrap_err(), "unknown flag \"--engine\"");
+        assert_eq!(scale(&["dblp"]).unwrap_err(), "unknown flag \"dblp\"");
+        assert_eq!(scale(&["--queries", "4", "--space-cache", "off"]).unwrap_err(), "unknown flag \"--space-cache\"");
     }
 }

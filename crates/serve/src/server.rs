@@ -929,22 +929,50 @@ impl OrderingMethod for InjectedPanic<'_> {
 
 /// Blocking client helper: one request frame out, one response frame
 /// back. Shared by the retry client, the benchmark ledger and the tests.
+/// A read timeout set on `stream` is the caller's: it surfaces as the
+/// read's `WouldBlock` / `TimedOut` error, and the stream may then hold
+/// part of a frame, so it must not be read from again.
 pub fn roundtrip<S: Read + Write>(stream: &mut S, req: &Request) -> std::io::Result<Response> {
     write_frame(stream, req.to_text().as_bytes())?;
-    loop {
-        match read_frame(stream, crate::protocol::MAX_FRAME_BYTES) {
-            Ok(Frame::Msg(p)) => {
-                let text = String::from_utf8(p)
-                    .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad utf8"))?;
-                return Response::parse(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-            }
-            Ok(Frame::Oversized(_)) | Ok(Frame::Eof) => {
-                return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed"))
-            }
-            // The server applies a 100ms idle read timeout; clients using
-            // blocking sockets don't set one, but tolerate it if set.
-            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) => continue,
-            Err(e) => return Err(e),
+    match read_frame(stream, crate::protocol::MAX_FRAME_BYTES)? {
+        Frame::Msg(p) => {
+            let text =
+                String::from_utf8(p).map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad utf8"))?;
+            Response::parse(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
         }
+        Frame::Oversized(_) | Frame::Eof => {
+            Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed"))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::MAX_FRAME_BYTES;
+
+    /// A reply whose length prefix stalls half-way past the client's read
+    /// timeout: the timeout reaches the caller, instead of the client
+    /// retrying from inside the prefix and reading the rest as a new
+    /// frame.
+    #[test]
+    fn a_client_read_timeout_reaches_the_caller() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            assert!(matches!(read_frame(&mut s, MAX_FRAME_BYTES).unwrap(), Frame::Msg(_)));
+            let mut frame = 4u32.to_le_bytes().to_vec();
+            frame.extend_from_slice(b"pong");
+            s.write_all(&frame[..2]).unwrap();
+            std::thread::sleep(Duration::from_millis(200));
+            // The client may have hung up by now.
+            s.write_all(&frame[2..]).ok();
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let err = roundtrip(&mut client, &Request::Ping).unwrap_err();
+        assert!(matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut), "{err:?}");
+        server.join().unwrap();
     }
 }

@@ -82,7 +82,7 @@ fn match_rejects_malformed_values_and_resolves_methods_through_the_roster() {
             assert!(stdout.contains("matches     : 3\n"), "{} x{threads}: {stdout}", m.cli);
         }
     }
-    // The worker count is the flag's alone: the harness's variable in the
+    // The worker count is the flag's alone: a variable of that name in the
     // child's environment changes nothing.
     let out = Command::new(env!("CARGO_BIN_EXE_rlqvo")).args(base).env("RLQVO_ENUM_THREADS", "4").output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -24,6 +24,15 @@ impl GraphBuilder {
         GraphBuilder { labels: Vec::with_capacity(n), edges: Vec::with_capacity(m), num_labels }
     }
 
+    /// A builder over already checked parts: every label `< num_labels`,
+    /// every edge `(u, v)` with `u < v < labels.len()`. The text parser
+    /// validates as it reads and hands its buffers over without a copy.
+    pub(crate) fn from_parts(num_labels: u32, labels: Vec<u32>, edges: Vec<(VertexId, VertexId)>) -> Self {
+        debug_assert!(labels.iter().all(|&l| l < num_labels));
+        debug_assert!(edges.iter().all(|&(u, v)| u < v && (v as usize) < labels.len()));
+        GraphBuilder { labels, edges, num_labels }
+    }
+
     /// Adds a vertex with the given label, returning its id.
     ///
     /// # Panics

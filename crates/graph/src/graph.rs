@@ -16,11 +16,22 @@ pub type VertexId = u32;
 ///   sorted (no self-loops, no parallel edges);
 /// * the edge relation is symmetric: `u ∈ N(v) ⇔ v ∈ N(u)`.
 ///
-/// Besides the CSR arrays a graph may hold one derived structure, the
-/// neighbour-label table behind [`Graph::neighbor_label_column`]. It is
-/// built on first use, so a graph that is never asked (query graphs,
-/// induced training subgraphs, LDF-only runs) never pays for it, and it
-/// is not part of [`Graph::storage_bytes`].
+/// A graph holds:
+/// * the adjacency CSR, `offsets` (`|V| + 1`) and `neighbors` (`2|E|`);
+/// * `labels` (`|V|`);
+/// * the label index, itself a CSR allocated at its exact size:
+///   `label_vertices` (`|V|`, the vertices of each label class ascending,
+///   classes in label order) and `label_offsets` (`|L| + 1`). A query
+///   graph lives in its data graph's label universe, so this is the one
+///   structure whose size follows `|L|` rather than `|V|`: 4 bytes per
+///   label, with no allocation per label;
+/// * `sorted_degrees` (`|V|`) and `max_degree`.
+///
+/// One derived structure is built on first use: the neighbour-label table
+/// behind [`Graph::neighbor_label_column`], so a graph that is never
+/// asked (query graphs, induced training subgraphs, LDF-only runs) never
+/// pays for it. [`Graph::storage_bytes`] counts the adjacency CSR and the
+/// labels only.
 ///
 /// The table is laid out for its one reader, the NLF filter, which asks
 /// the same question — "at least `need` neighbours labeled `l2`?" — of
@@ -37,8 +48,10 @@ pub struct Graph {
     /// Number of distinct labels in the label universe (may exceed the
     /// number of labels actually present, e.g. shared between `q` and `G`).
     num_labels: u32,
-    /// `label_index[l]` = sorted vertices carrying label `l`.
-    label_index: Vec<Vec<VertexId>>,
+    /// `label_vertices[label_offsets[l]..label_offsets[l + 1]]` = sorted
+    /// vertices carrying label `l`.
+    label_vertices: Vec<VertexId>,
+    label_offsets: Vec<u32>,
     /// Vertex degrees sorted ascending — supports O(log n) "how many data
     /// vertices have degree > d" queries (feature h⁽⁰⁾(4) of the paper).
     sorted_degrees: Vec<u32>,
@@ -46,17 +59,10 @@ pub struct Graph {
     /// The `|V|·|L|` saturating neighbour-label counts, or `None` inside
     /// the cell when the size rule of [`Graph::neighbor_label_column`]
     /// says not to build them.
-    nlf_table: OnceLock<Option<NlfTable>>,
-}
-
-/// Saturating neighbour-label counts, class-major and column-major: the
-/// column of class `l` and neighbour label `l2` is the `label_index[l].len()`
-/// bytes at `class_offset[l] + l2 · label_index[l].len()`.
-#[derive(Clone, Debug)]
-struct NlfTable {
-    counts: Box<[u8]>,
-    /// `class_offset[l]` = `|L|` × the number of vertices in classes before `l`.
-    class_offset: Box<[usize]>,
+    /// Class-major and column-major: the column of class `l` and
+    /// neighbour label `l2` is the `|class|` bytes at
+    /// `|L| · label_offsets[l] + l2 · |class|`.
+    nlf_table: OnceLock<Option<Box<[u8]>>>,
 }
 
 impl Graph {
@@ -66,15 +72,36 @@ impl Graph {
         debug_assert_eq!(offsets.len(), labels.len() + 1);
         debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, neighbors.len());
         let n = labels.len();
-        let mut label_index: Vec<Vec<VertexId>> = vec![Vec::new(); num_labels as usize];
+        // Counting sort by label: class sizes, their prefix sums, then one
+        // ascending pass that places each vertex at its class's cursor.
+        let mut label_offsets = vec![0u32; num_labels as usize + 1];
+        for &l in &labels {
+            label_offsets[l as usize + 1] += 1;
+        }
+        for l in 0..num_labels as usize {
+            label_offsets[l + 1] += label_offsets[l];
+        }
+        let mut cursor = label_offsets[..num_labels as usize].to_vec();
+        let mut label_vertices = vec![0 as VertexId; n];
         for (v, &l) in labels.iter().enumerate() {
-            label_index[l as usize].push(v as VertexId);
+            label_vertices[cursor[l as usize] as usize] = v as VertexId;
+            cursor[l as usize] += 1;
         }
         let mut sorted_degrees: Vec<u32> = (0..n).map(|v| offsets[v + 1] - offsets[v]).collect();
         sorted_degrees.sort_unstable();
         let max_degree = sorted_degrees.last().copied().unwrap_or(0);
         let nlf_table = OnceLock::new();
-        let g = Graph { offsets, neighbors, labels, num_labels, label_index, sorted_degrees, max_degree, nlf_table };
+        let g = Graph {
+            offsets,
+            neighbors,
+            labels,
+            num_labels,
+            label_vertices,
+            label_offsets,
+            sorted_degrees,
+            max_degree,
+            nlf_table,
+        };
         debug_assert!(g.check_invariants());
         g
     }
@@ -149,7 +176,10 @@ impl Graph {
     /// Sorted vertices carrying label `l` (empty slice for unused labels).
     #[inline]
     pub fn vertices_with_label(&self, l: u32) -> &[VertexId] {
-        self.label_index.get(l as usize).map(|v| v.as_slice()).unwrap_or(&[])
+        match self.label_offsets.get(l as usize..l as usize + 2) {
+            Some(&[start, end]) => &self.label_vertices[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// `|{v ∈ V : f_l(v) = l}|` — the label frequency used by VF2++-style
@@ -249,21 +279,21 @@ impl Graph {
         }
         // A label `l` outside the universe is an empty class like any other.
         let class = self.vertices_with_label(l).len();
-        let start = table.class_offset.get(l as usize).copied().unwrap_or(0) + l2 as usize * class;
-        Some(&table.counts[start..start + class])
+        let before = self.label_offsets.get(l as usize).map_or(0, |&o| o as usize);
+        let start = before * self.num_labels as usize + l2 as usize * class;
+        Some(&table[start..start + class])
     }
 
-    fn build_nlf_table(&self) -> Option<NlfTable> {
+    fn build_nlf_table(&self) -> Option<Box<[u8]>> {
         let labels = self.num_labels as usize;
         let bytes = self.num_vertices().checked_mul(labels)?;
         if bytes > 2 * self.storage_bytes() {
             return None;
         }
         let mut counts = vec![0u8; bytes].into_boxed_slice();
-        let mut class_offset = Vec::with_capacity(labels);
         let mut offset = 0usize;
-        for class in &self.label_index {
-            class_offset.push(offset);
+        for l in 0..self.num_labels {
+            let class = self.vertices_with_label(l);
             let columns = &mut counts[offset..offset + class.len() * labels];
             for (i, &v) in class.iter().enumerate() {
                 for &w in self.neighbors(v) {
@@ -273,7 +303,7 @@ impl Graph {
             }
             offset += columns.len();
         }
-        Some(NlfTable { counts, class_offset: class_offset.into_boxed_slice() })
+        Some(counts)
     }
 
     /// True if the graph is connected (trivially true for `n <= 1`).
@@ -298,10 +328,12 @@ impl Graph {
         count == n
     }
 
-    /// Bytes needed to store the CSR arrays (paper Table IV "Graph Space").
-    /// Excludes the lazily built neighbour-label table
+    /// Bytes of the adjacency CSR and the labels (paper Table IV "Graph
+    /// Space"). Excludes the label index (`4(|V| + |L| + 1)` bytes), the
+    /// sorted degrees (`4|V|`) and the lazily built neighbour-label table
     /// ([`Graph::neighbor_label_column`]), which adds `|V|·|L|` bytes once
-    /// a filter has asked for it.
+    /// a filter has asked for it. The table's size rule compares against
+    /// this value.
     pub fn storage_bytes(&self) -> usize {
         self.offsets.len() * 4 + self.neighbors.len() * 4 + self.labels.len() * 4
     }
@@ -370,6 +402,29 @@ mod tests {
         assert_eq!(g.vertices_with_label(1), &[1]);
         assert_eq!(g.label_frequency(0), 2);
         assert_eq!(g.label_frequency(7), 0);
+    }
+
+    /// An 8-vertex query in a 10 000-label universe: the label index is two
+    /// allocations of exactly `|V|` and `|L| + 1` entries, with nothing
+    /// allocated per label.
+    #[test]
+    fn label_index_is_sized_by_vertices_plus_universe() {
+        let mut b = GraphBuilder::new(10_000);
+        for v in 0..8u32 {
+            b.add_vertex(v * 1_237 % 10_000);
+        }
+        for v in 0..7u32 {
+            b.add_edge(v, v + 1);
+        }
+        let g = b.build();
+        assert_eq!((g.label_vertices.len(), g.label_vertices.capacity()), (8, 8));
+        assert_eq!((g.label_offsets.len(), g.label_offsets.capacity()), (10_001, 10_001));
+        assert_eq!(g.sorted_degrees.capacity(), 8);
+        for v in g.vertices() {
+            assert_eq!(g.vertices_with_label(g.label(v)), &[v]);
+        }
+        assert_eq!(g.label_frequency(1), 0);
+        assert_eq!(g.vertices_with_label(10_000), &[] as &[u32], "past the universe");
     }
 
     #[test]

@@ -25,7 +25,58 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a random graph of up to `max_n` vertices in a label universe
+/// of 1 to `max_labels` labels, drawn independently of `|V|`: many classes
+/// are empty, and a wide universe dwarfs the vertex count.
+fn arb_universe_graph(max_n: usize, max_labels: u32) -> impl Strategy<Value = Graph> {
+    (0..=max_n, 1..=max_labels).prop_flat_map(|(n, num_labels)| {
+        let labels = proptest::collection::vec(0..num_labels, n);
+        let edges = proptest::collection::vec((0..n.max(1), 0..n.max(1)), 0..(n * 3 + 1));
+        (labels, edges).prop_map(move |(labels, edges)| {
+            let mut b = GraphBuilder::new(num_labels);
+            for l in labels {
+                b.add_vertex(l);
+            }
+            for (u, v) in edges {
+                if u != v {
+                    b.add_edge(u as u32, v as u32);
+                }
+            }
+            b.build()
+        })
+    })
+}
+
 proptest! {
+    /// The CSR label index is the ascending filter of `labels()`, for
+    /// every label up to two past the universe.
+    #[test]
+    fn label_classes_are_the_filtered_labels(g in arb_universe_graph(24, 400)) {
+        for l in 0..g.num_labels() + 2 {
+            let naive: Vec<u32> = g.vertices().filter(|&v| g.label(v) == l).collect();
+            prop_assert_eq!(g.vertices_with_label(l), &naive[..]);
+            prop_assert_eq!(g.label_frequency(l), naive.len());
+        }
+    }
+
+    /// Wherever the neighbour-label table is built, each column is the
+    /// class's per-vertex neighbour-label counts capped at 255.
+    #[test]
+    fn neighbor_label_columns_are_the_capped_counts(g in arb_universe_graph(24, 12)) {
+        let labels = g.num_labels();
+        for l in 0..labels + 2 {
+            let class = g.vertices_with_label(l);
+            for l2 in 0..labels {
+                let Some(column) = g.neighbor_label_column(l, l2) else { continue };
+                let naive: Vec<u8> = class
+                    .iter()
+                    .map(|&v| g.neighbors(v).iter().filter(|&&w| g.label(w) == l2).count().min(255) as u8)
+                    .collect();
+                prop_assert_eq!(column, &naive[..]);
+            }
+        }
+    }
+
     #[test]
     fn adjacency_is_sorted_and_symmetric(g in arb_graph(24)) {
         for v in g.vertices() {

@@ -217,15 +217,23 @@ impl CandidateSpace {
         }
         let mut q_offsets = Vec::with_capacity(n_q + 1);
         q_offsets.push(0u32);
-        let mut q_targets = Vec::new();
+        let mut q_targets = Vec::with_capacity(2 * q.num_edges());
         for u in q.vertices() {
             q_targets.extend_from_slice(q.neighbors(u));
             q_offsets.push(q_targets.len() as u32);
         }
 
         let mut edge_seg: Vec<u32> = Vec::with_capacity(q_targets.len());
-        // `lists.off` / `lists.pos` become `list_offsets` / `nbr_pos`.
-        let mut lists = Lists::default();
+        // `lists.off` / `lists.pos` become `list_offsets` / `nbr_pos`. Every
+        // directed edge `(u, up)` has one offset per candidate of `u`, and
+        // one closing offset ends the arena, so `off` is reserved exactly
+        // (growing it by pushes and trimming it after raised the ledger's
+        // `findall-heavy` peak RSS); `pos` grows as the scans find entries
+        // and is trimmed at the end. A space past `limit` still fails
+        // below, offset by offset.
+        let offsets = q.vertices().map(|u| q.degree(u) as usize * cand.len_of(u)).sum::<usize>() + 1;
+        let reserve = offsets.min((limit as usize).saturating_add(1));
+        let mut lists = Lists { off: Vec::with_capacity(reserve), pos: Vec::new() };
         // The one-edge temp: the lists of `(up, u)` and their closing
         // offset, when `up` is the cheap side of a first-seen `(u, up)`.
         let mut temp = Lists::default();
@@ -300,6 +308,8 @@ impl CandidateSpace {
         }
         // Closing offset shared by the final edge segment.
         lists.mark(lists.pos.len(), limit)?;
+        // A cached space keeps its arenas and is charged their lengths.
+        lists.pos.shrink_to_fit();
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
 
         Ok(CandidateSpace {
@@ -464,6 +474,26 @@ mod tests {
         assert!(!cs.any_empty());
         assert!(cs.storage_bytes() > 0);
         assert!(cs.total_edge_list_entries() > 0);
+    }
+
+    /// What the space charges a cache is what it holds: every arena is
+    /// allocated at exactly its length, the push-grown ones included.
+    #[test]
+    fn storage_bytes_are_the_arenas_capacities() {
+        let (q, g) = case();
+        for cand in [LdfFilter.filter(&q, &g), crate::GqlFilter::DEFAULT.filter(&q, &g)] {
+            let cs = CandidateSpace::build(&q, &g, &cand);
+            let arenas = [
+                &cs.cand_offsets,
+                &cs.cand_flat,
+                &cs.q_offsets,
+                &cs.q_targets,
+                &cs.edge_seg,
+                &cs.list_offsets,
+                &cs.nbr_pos,
+            ];
+            assert_eq!(cs.storage_bytes(), 4 * arenas.iter().map(|a| a.capacity()).sum::<usize>());
+        }
     }
 
     #[test]

@@ -42,9 +42,15 @@ use crate::bipartite::{has_left_saturating_matching, MaskMatcher};
 /// answered by a dense per-query-vertex bitmap — O(1) instead of the
 /// binary search the seed engine used, which matters both in the probe
 /// enumeration path and in GQL's global-refinement inner loop.
+///
+/// The sets are one CSR, like the graph's label index: a flat array and
+/// `|V(q)| + 1` offsets, both allocated at their exact size, so what
+/// [`Candidates::storage_bytes`] charges a cached entry is what it holds.
 #[derive(Clone, Debug)]
 pub struct Candidates {
-    sets: Vec<Vec<VertexId>>,
+    /// `flat[offsets[u]..offsets[u + 1]]` = sorted `C(u)`.
+    flat: Vec<VertexId>,
+    offsets: Vec<usize>,
     /// One bitmap row per query vertex, `words_per_row` u64 words each,
     /// sized to the largest candidate id seen (`universe`).
     bits: Vec<u64>,
@@ -54,29 +60,43 @@ pub struct Candidates {
 impl Candidates {
     /// Wraps raw candidate sets (each must be sorted).
     pub fn new(sets: Vec<Vec<VertexId>>) -> Self {
-        debug_assert!(sets.iter().all(|s| s.windows(2).all(|w| w[0] < w[1])));
-        let universe = sets.iter().filter_map(|s| s.last()).map(|&v| v as usize + 1).max().unwrap_or(0);
+        let mut flat = Vec::with_capacity(sets.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(sets.len() + 1);
+        offsets.push(0);
+        for set in &sets {
+            flat.extend_from_slice(set);
+            offsets.push(flat.len());
+        }
+        Candidates::from_csr(flat, offsets)
+    }
+
+    /// Wraps sets already in CSR form; trims `flat` to its length.
+    fn from_csr(mut flat: Vec<VertexId>, offsets: Vec<usize>) -> Self {
+        flat.shrink_to_fit();
+        let sets = offsets.windows(2).map(|w| &flat[w[0]..w[1]]);
+        debug_assert!(sets.clone().all(|s| s.windows(2).all(|w| w[0] < w[1])));
+        let universe = sets.clone().filter_map(|s| s.last()).map(|&v| v as usize + 1).max().unwrap_or(0);
         let words_per_row = universe.div_ceil(64);
-        let mut bits = vec![0u64; sets.len() * words_per_row];
-        for (u, set) in sets.iter().enumerate() {
+        let mut bits = vec![0u64; (offsets.len() - 1) * words_per_row];
+        for (u, set) in sets.enumerate() {
             let row = &mut bits[u * words_per_row..(u + 1) * words_per_row];
             for &v in set {
                 row[v as usize / 64] |= 1u64 << (v % 64);
             }
         }
-        Candidates { sets, bits, words_per_row }
+        Candidates { flat, offsets, bits, words_per_row }
     }
 
     /// Candidate set `C(u)`.
     #[inline]
     pub fn of(&self, u: VertexId) -> &[VertexId] {
-        &self.sets[u as usize]
+        &self.flat[self.offsets[u as usize]..self.offsets[u as usize + 1]]
     }
 
     /// `|C(u)|`.
     #[inline]
     pub fn len_of(&self, u: VertexId) -> usize {
-        self.sets[u as usize].len()
+        self.offsets[u as usize + 1] - self.offsets[u as usize]
     }
 
     /// True when `v ∈ C(u)` (bitmap test).
@@ -88,25 +108,27 @@ impl Candidates {
 
     /// Number of query vertices covered.
     pub fn num_query_vertices(&self) -> usize {
-        self.sets.len()
+        self.offsets.len() - 1
     }
 
     /// True when some candidate set is empty — the query has no match and
     /// enumeration can be skipped entirely.
     pub fn any_empty(&self) -> bool {
-        self.sets.iter().any(|s| s.is_empty())
+        self.offsets.windows(2).any(|w| w[0] == w[1])
     }
 
     /// Total candidate count across query vertices.
     pub fn total(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.flat.len()
     }
 
     /// Bytes held by the candidate sets and the membership bitmap — the
     /// term a byte-bounded [`SpaceCache`][crate::SpaceCache] charges for a
     /// resident entry before its `CandidateSpace` is (lazily) built.
     pub fn storage_bytes(&self) -> usize {
-        4 * self.total() + 8 * self.bits.len() + std::mem::size_of::<Vec<VertexId>>() * self.sets.len()
+        std::mem::size_of_val(&self.flat[..])
+            + std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.bits[..])
     }
 }
 
@@ -142,15 +164,29 @@ impl CandidateFilter for LdfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        let sets = q
-            .vertices()
-            .map(|u| {
-                let du = q.degree(u);
-                g.vertices_with_label(q.label(u)).iter().copied().filter(|&v| g.degree(v) >= du).collect()
-            })
-            .collect();
-        Candidates::new(sets)
+        let (mut flat, mut offsets) = empty_csr(q, g);
+        for u in q.vertices() {
+            let du = q.degree(u);
+            flat.extend(g.vertices_with_label(q.label(u)).iter().copied().filter(|&v| g.degree(v) >= du));
+            offsets.push(flat.len());
+        }
+        Candidates::from_csr(flat, offsets)
     }
+}
+
+/// An empty candidate CSR for `q`: the flat array reserved for every label
+/// class a query vertex draws from (no set outgrows its class), the
+/// offsets holding their leading 0.
+fn empty_csr(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
+    let bound = q.vertices().map(|u| g.label_frequency(q.label(u))).sum();
+    let mut offsets = Vec::with_capacity(q.num_vertices() + 1);
+    offsets.push(0);
+    (Vec::with_capacity(bound), offsets)
+}
+
+/// `C(u)` of a candidate CSR under construction.
+fn set_of<'a>(flat: &'a [VertexId], offsets: &[usize], u: VertexId) -> &'a [VertexId] {
+    &flat[offsets[u as usize]..offsets[u as usize + 1]]
 }
 
 /// Neighbour-label-frequency filter: LDF plus the requirement that for
@@ -168,55 +204,51 @@ impl CandidateFilter for NlfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        Candidates::new(nlf_sets(q, g))
+        let (flat, offsets) = nlf_sets(q, g);
+        Candidates::from_csr(flat, offsets)
     }
 }
 
-/// [`NlfFilter`]'s sorted candidate sets, before they are wrapped: what
-/// [`GqlFilter::filter`] refines.
-fn nlf_sets(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
+/// [`NlfFilter`]'s sorted candidate sets as a CSR (flat array, offsets),
+/// before they are wrapped: what [`GqlFilter::filter`] refines.
+fn nlf_sets(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
     // Scratch shared by the whole run: the current query vertex's
-    // demands as (neighbour label, count), their table columns, the
-    // class-wide survivor mask and the compacted survivors.
+    // demands as (neighbour label, count), their table columns and the
+    // class-wide survivor mask.
     let mut demands: Vec<(u32, u32)> = Vec::new();
     let mut columns: Vec<(&[u8], u8)> = Vec::new();
     let mut mask: Vec<u8> = Vec::new();
-    let mut kept: Vec<VertexId> = Vec::new();
     // Scan path only.
     let mut counts: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
-    q.vertices()
-        .map(|u| {
-            demands.clear();
-            for &w in q.neighbors(u) {
-                let l = q.label(w);
-                match demands.iter_mut().find(|d| d.0 == l) {
-                    Some(d) => d.1 += 1,
-                    None => demands.push((l, 1)),
-                }
+    let (mut flat, mut offsets) = empty_csr(q, g);
+    for u in q.vertices() {
+        demands.clear();
+        for &w in q.neighbors(u) {
+            let l = q.label(w);
+            match demands.iter_mut().find(|d| d.0 == l) {
+                Some(d) => d.1 += 1,
+                None => demands.push((l, 1)),
             }
-            let lu = q.label(u);
-            let class = g.vertices_with_label(lu);
-            // A saturated byte only says "at least 255": such a demand
-            // goes to the scan, as does a graph without a table and a
-            // label outside G's universe (which has no column).
-            columns.clear();
-            columns.extend(demands.iter().map_while(|&(l, need)| {
-                let need = u8::try_from(need).ok().filter(|&n| n < u8::MAX)?;
-                Some((g.neighbor_label_column(lu, l)?, need))
+        }
+        let lu = q.label(u);
+        let class = g.vertices_with_label(lu);
+        // A saturated byte only says "at least 255": such a demand
+        // goes to the scan, as does a graph without a table and a
+        // label outside G's universe (which has no column).
+        columns.clear();
+        columns.extend(demands.iter().map_while(|&(l, need)| {
+            let need = u8::try_from(need).ok().filter(|&n| n < u8::MAX)?;
+            Some((g.neighbor_label_column(lu, l)?, need))
+        }));
+        if columns.len() < demands.len() {
+            let du = q.degree(u);
+            let nlf_u = q.neighbor_label_frequency(u);
+            counts.resize(g.num_labels().max(q.num_labels()) as usize, 0);
+            flat.extend(class.iter().copied().filter(|&v| {
+                g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched)
             }));
-            if columns.len() < demands.len() {
-                let du = q.degree(u);
-                let nlf_u = q.neighbor_label_frequency(u);
-                counts.resize(g.num_labels().max(q.num_labels()) as usize, 0);
-                return class
-                    .iter()
-                    .copied()
-                    .filter(|&v| {
-                        g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched)
-                    })
-                    .collect();
-            }
+        } else {
             // No degree test here: dominance implies it, since
             // d(u) = Σ need ≤ Σ min(255, count) ≤ d(v).
             mask.clear();
@@ -228,16 +260,17 @@ fn nlf_sets(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
             }
             // Branch-free compaction: every vertex is written, only a
             // survivor advances the cursor.
-            kept.clear();
-            kept.resize(class.len(), 0);
-            let mut len = 0;
+            let mut len = flat.len();
+            flat.resize(len + class.len(), 0);
             for (&v, &m) in class.iter().zip(&mask) {
-                kept[len] = v;
+                flat[len] = v;
                 len += m as usize;
             }
-            kept[..len].to_vec()
-        })
-        .collect()
+            flat.truncate(len);
+        }
+        offsets.push(flat.len());
+    }
+    (flat, offsets)
 }
 
 /// The exact scan [`NlfFilter`] falls back to where the data graph's table
@@ -322,9 +355,9 @@ impl CandidateFilter for GqlFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        let mut sets = nlf_sets(q, g);
+        let (mut flat, mut offsets) = nlf_sets(q, g);
         if self.refinement_rounds == 0 {
-            return Candidates::new(sets);
+            return Candidates::from_csr(flat, offsets);
         }
         // The round's bipartite instances, as masks over query vertices
         // (`w` words): `member` row `v` has bit `u` ⇔ `v ∈ C(u)`, `nbr`
@@ -338,7 +371,7 @@ impl CandidateFilter for GqlFilter {
         let mut member = vec![0u64; g.num_vertices() * w];
         let mut nbr = vec![0u64; q.num_vertices() * w];
         for u in q.vertices() {
-            for &v in &sets[u as usize] {
+            for &v in set_of(&flat, &offsets, u) {
                 let (word, mask) = bit(v, u);
                 member[word] |= mask;
             }
@@ -368,12 +401,12 @@ impl CandidateFilter for GqlFilter {
         for _ in 0..self.refinement_rounds {
             doomed.clear();
             for u in q.vertices() {
-                cost[u as usize] = scan_cost(g, &sets[u as usize]);
+                cost[u as usize] = scan_cost(g, set_of(&flat, &offsets, u));
             }
             reach.fill(0);
             for u2 in q.vertices() {
                 if q.neighbors(u2).iter().any(|&u| cost[u2 as usize] < cost[u as usize]) {
-                    for &v2 in &sets[u2 as usize] {
+                    for &v2 in set_of(&flat, &offsets, u2) {
                         for &v in g.neighbors(v2) {
                             let (word, mask) = bit(v, u2);
                             reach[word] |= mask;
@@ -382,7 +415,7 @@ impl CandidateFilter for GqlFilter {
                 }
             }
             for u in q.vertices() {
-                let set = &sets[u as usize];
+                let set = set_of(&flat, &offsets, u);
                 cheaper.fill(0);
                 for &u2 in q.neighbors(u).iter().filter(|&&u2| cost[u2 as usize] < cost[u as usize]) {
                     let (word, mask) = bit(0, u2);
@@ -424,19 +457,23 @@ impl CandidateFilter for GqlFilter {
                 member[word] &= !mask;
             }
             // Branch-free, like NLF's compaction: every vertex is written
-            // back, only one still in `member` advances the cursor.
-            for (u, set) in (0..).zip(&mut sets) {
-                let mut len = 0;
-                for i in 0..set.len() {
-                    let v = set[i];
-                    set[len] = v;
+            // back, only one still in `member` advances the cursor. One
+            // pass over the flat array compacts every set; `start` is
+            // where `C(u)` began before this round moved it.
+            let (mut len, mut start) = (0, 0);
+            for u in q.vertices() {
+                let end = offsets[u as usize + 1];
+                for i in start..end {
+                    let v = flat[i];
+                    flat[len] = v;
                     let (word, mask) = bit(v, u);
                     len += (member[word] & mask != 0) as usize;
                 }
-                set.truncate(len);
+                (start, offsets[u as usize + 1]) = (end, len);
             }
+            flat.truncate(len);
         }
-        Candidates::new(sets)
+        Candidates::from_csr(flat, offsets)
     }
 
     /// Folds `refinement_rounds` into the identity: `GQL/r1` and `GQL/r2`
@@ -634,6 +671,23 @@ mod tests {
         assert!(!nlf.of(1).contains(&bb), "NLF drops bb from the arm candidates");
         let gql = GqlFilter::default().filter(&q, &g);
         assert_eq!(gql.of(0), &[good], "global refinement prunes the bad center");
+    }
+
+    /// What a cached entry is charged is what it holds: after GQL
+    /// refinement has removed candidates, the sets, their offsets and the
+    /// bitmap are allocated at exactly the bytes `storage_bytes` counts.
+    #[test]
+    fn storage_bytes_are_the_allocations_capacities() {
+        let (q, g, _) = arms_case(3);
+        let nlf = NlfFilter.filter(&q, &g);
+        let gql = GqlFilter::default().filter(&q, &g);
+        assert!(gql.total() < nlf.total(), "the fixture must refine");
+        for c in [&nlf, &gql, &LdfFilter.filter(&q, &g), &Candidates::new(vec![vec![2, 9], vec![], vec![1]])] {
+            let capacity = std::mem::size_of::<VertexId>() * c.flat.capacity()
+                + std::mem::size_of::<usize>() * c.offsets.capacity()
+                + std::mem::size_of::<u64>() * c.bits.capacity();
+            assert_eq!(c.storage_bytes(), capacity);
+        }
     }
 
     #[test]

@@ -572,9 +572,12 @@ mod tests {
         let before = cache.storage_bytes();
         stale.space(&q0, &g);
         assert_eq!(cache.storage_bytes(), before, "stale recharge corrupted the byte accounting");
-        // The new resident's own build still self-reports.
+        // The new resident's own build still self-reports: its charge
+        // raises the total, or evicts older residents to make room for it
+        // (unreported, neither would move).
+        let evictions = cache.evictions();
         new_entry.space(&q0, &g);
-        assert!(cache.storage_bytes() > before);
+        assert!(cache.storage_bytes() > before || cache.evictions() > evictions);
     }
 
     #[test]

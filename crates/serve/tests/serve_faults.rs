@@ -387,3 +387,33 @@ fn a_batch_other_than_one_is_refused_at_start() {
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "batch {batch}: {e}");
     }
 }
+
+/// Hostile query texts are typed rejects, and the server keeps serving:
+/// a header declaring a trillion vertices (once reserved as written, an
+/// abort), an id of three billion (once a 12 GB label array), and an edge
+/// past the vertices, a self-loop and a label outside the data graph's
+/// universe (once builder asserts, answered `worker_lost`).
+#[test]
+fn hostile_query_texts_are_rejected_and_the_server_keeps_serving() {
+    let handle = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, Arc::new(small_host())).unwrap();
+    let mut s = handle.connect().unwrap();
+    let hostile = [
+        "t 1000000000000 0\nv 0 0 0\n",
+        "t 1 0\nv 3000000000 0 0\n",
+        "t 2 1\nv 0 0 0\nv 1 1 0\ne 0 2\n",
+        "t 2 2\nv 0 0 0\nv 1 1 0\ne 0 1\ne 1 1\n",
+        "t 2 1\nv 0 0 0\nv 1 3 0\ne 0 1\n",
+    ];
+    for q in hostile {
+        let r = roundtrip(&mut s, &plain_match(q.into(), None)).unwrap();
+        // (The wire form of a reason has `_` for spaces.)
+        assert!(matches!(&r, Response::Rejected { reason } if reason.starts_with("bad_query_graph")), "{q:?}: {r:?}");
+        assert!(matches!(roundtrip(&mut s, &Request::Ping).unwrap(), Response::Pong), "after {q:?}");
+    }
+    let r = roundtrip(&mut s, &plain_match(text(&small_query()), None)).unwrap();
+    assert!(matches!(r, Response::Ok { matches, .. } if matches > 0), "{r:?}");
+    let m = metrics(&handle);
+    let counts = (m["rejected"], m["errors"], m["worker_restarts"], m["served"]);
+    assert_eq!(counts, (hostile.len() as u64, 0, 0, 1), "{m:?}");
+    handle.shutdown();
+}

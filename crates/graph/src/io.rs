@@ -91,10 +91,14 @@ fn field<'a>(fields: &mut impl Iterator<Item = &'a str>, line: &str, expected: u
 /// as `max label + 1` unless `label_universe` overrides it (pass the data
 /// graph's universe when loading query graphs so label ids stay aligned).
 ///
-/// Hostile input is an error, never a panic or an allocation the text does
-/// not pay for: the `t` counts only size reservations (capped at
-/// [`HINT_CAP`]), ids must be exactly `0..n` for `n` `v` lines, and edge
-/// endpoints, self-loops and labels are checked before the graph is built.
+/// Hostile input is an error, never a panic: the `t` counts only size
+/// reservations (capped at [`HINT_CAP`]), ids must be exactly `0..n` for `n`
+/// `v` lines, and edge endpoints, self-loops and labels are checked before
+/// the graph is built. With `label_universe` given, nothing is allocated
+/// that the text's lines do not pay for. Without it the universe is the
+/// largest label + 1, and the label index holds one offset per label of it
+/// (`v 0 4294967294 0` asks for 16 GB), so a caller reading untrusted text
+/// passes the universe it expects.
 pub fn read_graph<R: BufRead>(mut reader: R, label_universe: Option<u32>) -> Result<Graph, ParseError> {
     // (id, label) per `v` line, in input order.
     let mut vertices: Vec<(u32, u32)> = Vec::new();

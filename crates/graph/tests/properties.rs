@@ -48,35 +48,6 @@ fn arb_universe_graph(max_n: usize, max_labels: u32) -> impl Strategy<Value = Gr
 }
 
 proptest! {
-    /// The CSR label index is the ascending filter of `labels()`, for
-    /// every label up to two past the universe.
-    #[test]
-    fn label_classes_are_the_filtered_labels(g in arb_universe_graph(24, 400)) {
-        for l in 0..g.num_labels() + 2 {
-            let naive: Vec<u32> = g.vertices().filter(|&v| g.label(v) == l).collect();
-            prop_assert_eq!(g.vertices_with_label(l), &naive[..]);
-            prop_assert_eq!(g.label_frequency(l), naive.len());
-        }
-    }
-
-    /// Wherever the neighbour-label table is built, each column is the
-    /// class's per-vertex neighbour-label counts capped at 255.
-    #[test]
-    fn neighbor_label_columns_are_the_capped_counts(g in arb_universe_graph(24, 12)) {
-        let labels = g.num_labels();
-        for l in 0..labels + 2 {
-            let class = g.vertices_with_label(l);
-            for l2 in 0..labels {
-                let Some(column) = g.neighbor_label_column(l, l2) else { continue };
-                let naive: Vec<u8> = class
-                    .iter()
-                    .map(|&v| g.neighbors(v).iter().filter(|&&w| g.label(w) == l2).count().min(255) as u8)
-                    .collect();
-                prop_assert_eq!(column, &naive[..]);
-            }
-        }
-    }
-
     #[test]
     fn adjacency_is_sorted_and_symmetric(g in arb_graph(24)) {
         for v in g.vertices() {
@@ -95,15 +66,19 @@ proptest! {
         prop_assert_eq!(sum, 2 * g.num_edges() as u64);
     }
 
+    /// The CSR label index is the ascending filter of `labels()`, for
+    /// every label up to two past the universe, so its classes partition
+    /// the vertices.
     #[test]
-    fn label_index_partitions_vertices(g in arb_graph(24)) {
-        let total: usize = (0..g.num_labels()).map(|l| g.label_frequency(l)).sum();
-        prop_assert_eq!(total, g.num_vertices());
-        for l in 0..g.num_labels() {
-            for &v in g.vertices_with_label(l) {
-                prop_assert_eq!(g.label(v), l);
-            }
+    fn label_index_partitions_vertices(g in arb_universe_graph(24, 400)) {
+        let mut total = 0;
+        for l in 0..g.num_labels() + 2 {
+            let naive: Vec<u32> = g.vertices().filter(|&v| g.label(v) == l).collect();
+            prop_assert_eq!(g.vertices_with_label(l), &naive[..]);
+            prop_assert_eq!(g.label_frequency(l), naive.len());
+            total += naive.len();
         }
+        prop_assert_eq!(total, g.num_vertices());
     }
 
     #[test]
@@ -121,7 +96,7 @@ proptest! {
     }
 
     #[test]
-    fn neighbor_label_table_is_the_saturated_frequency(g in arb_graph(24)) {
+    fn neighbor_label_table_is_the_saturated_frequency(g in arb_universe_graph(24, 12)) {
         assert_columns_are_saturated_frequencies(&g);
     }
 
@@ -168,16 +143,22 @@ proptest! {
     }
 }
 
-/// Every column of the table is as long as its class and holds, at each
-/// class vertex's position, `min(255, neighbor_label_frequency(v)[l2])`;
-/// empty classes and labels outside the universe give empty columns, a
-/// neighbour label outside it gives none.
+/// Where the table is built, every column is as long as its class and
+/// holds, at each class vertex's position,
+/// `min(255, neighbor_label_frequency(v)[l2])`; empty classes and labels
+/// outside the universe give empty columns, a neighbour label outside it
+/// gives none. Where it is not built, no column is served.
 fn assert_columns_are_saturated_frequencies(g: &Graph) {
     let labels = g.num_labels();
+    let built = g.neighbor_label_column(0, 0).is_some();
     for l in 0..labels + 2 {
         let class = g.vertices_with_label(l);
         for l2 in 0..labels {
-            let column = g.neighbor_label_column(l, l2).expect("table is built");
+            let Some(column) = g.neighbor_label_column(l, l2) else {
+                assert!(!built, "column ({l}, {l2}) missing from a built table");
+                continue;
+            };
+            assert!(built, "column ({l}, {l2}) served without a table");
             assert_eq!(column.len(), class.len(), "column ({l}, {l2})");
             for (&v, &count) in class.iter().zip(column) {
                 assert_eq!(count as u32, g.neighbor_label_frequency(v)[l2 as usize].min(255), "vertex {v}, label {l2}");
@@ -200,6 +181,7 @@ fn neighbor_label_table_saturates_at_255() {
     }
     let g = b.build();
     assert_eq!(g.neighbor_label_frequency(hub), vec![0, 300, 7, 0]);
+    assert!(g.neighbor_label_column(0, 0).is_some(), "table is built");
     assert_columns_are_saturated_frequencies(&g);
     let copy = g.clone();
     let hub_counts: Vec<_> = (0..4).map(|l2| copy.neighbor_label_column(0, l2)).collect();
@@ -224,6 +206,7 @@ fn neighbor_label_table_is_skipped_for_wide_label_universes() {
     };
     let limit = (2 * path(1).storage_bytes() / 10) as u32;
     let narrow = path(limit);
+    assert!(narrow.neighbor_label_column(0, 0).is_some(), "table is built");
     assert_columns_are_saturated_frequencies(&narrow);
     let wide = path(limit + 1);
     assert!((0..=limit).all(|l| (0..=limit).all(|l2| wide.neighbor_label_column(l, l2).is_none())));

@@ -561,9 +561,12 @@ mod tests {
         // Hold the first residency of q0, evict it with a flood, then let
         // q0 refilter into a *new* resident entry.
         let (stale, _) = entry_for(&cache, &q0, &g, &LdfFilter);
-        for i in 1..60 {
-            entry_for(&cache, &distinct_query(i), &g, &LdfFilter);
-        }
+        let flood: Vec<_> = (1..60)
+            .map(|i| {
+                let q = distinct_query(i);
+                (QueryKey::of(&q), entry_for(&cache, &q, &g, &LdfFilter).0)
+            })
+            .collect();
         let (new_entry, fresh) = entry_for(&cache, &q0, &g, &LdfFilter);
         assert!(fresh, "q0 must have been evicted and refiltered");
         assert!(!Arc::ptr_eq(&stale, &new_entry));
@@ -572,12 +575,16 @@ mod tests {
         let before = cache.storage_bytes();
         stale.space(&q0, &g);
         assert_eq!(cache.storage_bytes(), before, "stale recharge corrupted the byte accounting");
-        // The new resident's own build still self-reports: its charge
-        // raises the total, or evicts older residents to make room for it
-        // (unreported, neither would move).
-        let evictions = cache.evictions();
+        // The new resident's own build still self-reports: whatever it
+        // evicts to make room, the books afterwards are exactly what the
+        // residents hold, its built space included.
         new_entry.space(&q0, &g);
-        assert!(cache.storage_bytes() > before || cache.evictions() > evictions);
+        let variant = LdfFilter.cache_key();
+        assert!(cache.contains(&QueryKey::of(&q0), &variant));
+        let others: usize =
+            flood.iter().filter(|(key, _)| cache.contains(key, &variant)).map(|(_, e)| e.resident_bytes()).sum();
+        assert!(new_entry.resident_bytes() > new_entry.cand().storage_bytes());
+        assert_eq!(cache.storage_bytes(), others + new_entry.resident_bytes(), "the build's bytes were not charged");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! string, every site becomes a scheduled fault:
 //!
 //! ```text
-//! RLQVO_FAULTS="serve.worker.panic=1in29;cache.shard.poison=after(200);enum.delay=25us@p0.01"
+//! RLQVO_FAULTS="serve.worker.panic=1in29;cache.lock.poison=after(200);enum.delay=25us@p0.01"
 //! ```
 //!
 //! One entry per site: `name=rule`, where `rule` is an optional duration

@@ -1,53 +1,52 @@
-//! The one generic sharded cache behind [`SpaceCache`][crate::SpaceCache]
-//! and [`OrderCache`][crate::OrderCache].
+//! The one generic cache behind [`SpaceCache`][crate::SpaceCache] and
+//! [`OrderCache`][crate::OrderCache].
 //!
-//! The skeleton both share — a sharded index of `OnceLock` slots, FNV
-//! shard selection, LRU recency, checksum-verified hits with
+//! The skeleton both share — a keyed index of `OnceLock` slots, LRU
+//! recency, byte and entry bounds, checksum-verified hits with
 //! evict-and-recompute degradation, poison recovery, and
 //! hit/miss/eviction counters — lives here once, parameterized over the
-//! entry type ([`CacheWeight`]). Recency is kept in per-shard **intrusive
-//! lists** (doubly linked through a resident slab) so that a serving loop
-//! sitting at its byte bound selects each victim in O(1) amortized
-//! instead of sweeping every resident across all shards under their
-//! locks per cold miss:
+//! entry type ([`CacheWeight`]). All of a cache's state sits behind **one
+//! lock**: a lookup holds it for a map probe and a list relink, and every
+//! compute runs outside it.
 //!
-//! * every shard keeps its residents on an intrusive LRU list — a hit
-//!   unlinks and re-heads its node under the one shard lock it already
-//!   holds; the shard's *tail* is always its least-recently-used key;
-//! * eviction ([`EvictPolicy::Sampled`], the default) samples the tails
-//!   of up to [`EVICT_SAMPLE`] shards (one O(1) peek per shard, locks
-//!   taken one at a time, never nested) and evicts the oldest sampled
-//!   tail — Redis-style sampled LRU over per-shard exact LRU lists. The
-//!   victim is always *its own shard's* coldest key; across shards the
-//!   choice is an approximation every segmented LRU accepts. Work per
-//!   victim is bounded by the sample size, never by the resident count
-//!   ([`ShardedCache::evict_scan_steps`] counts it, tested);
-//! * the full scan for the global LRU is [`EvictPolicy::ScanReference`] —
-//!   the reference both policies are property-tested against: the **byte
-//!   bound and refilter-exactly-once invariants are exact under both**;
-//!   only the victim choice is approximate under sampling;
+//! * the residents are threaded through an intrusive LRU list (doubly
+//!   linked through a resident slab): a hit re-heads its node, so the
+//!   *tail* is always the least-recently-used key, and the victim
+//!   ([`EvictPolicy::Sampled`], the default) is that tail — the exact
+//!   global LRU, found in O(1) ([`Cache::evict_scan_steps`] counts one
+//!   examined resident per victim, tested);
+//! * [`EvictPolicy::ScanReference`] finds the same victim by scanning
+//!   every resident's recency tick — the O(resident) reference the
+//!   property tests compare the list against, victim for victim;
 //! * capacity can bound **bytes** ([`CacheConfig::max_bytes`], entries
 //!   self-report via [`CacheWeight::weight`] and may recharge later
 //!   through [`Shared::recharge`] when lazily built parts materialize)
-//!   and/or **entry count** ([`CacheConfig::max_entries`]); both bounds
-//!   are enforced by the same eviction pass;
+//!   and/or **entry count** ([`CacheConfig::max_entries`]). An insert, a
+//!   charge and a checksum eviction each evict inside the critical section
+//!   that made it necessary, so both bounds hold at every unlock (the key
+//!   being filled is never its own victim, so a zero entry bound still
+//!   holds that one key);
 //! * an entry bigger than the whole byte budget is **admitted uncached**:
-//!   it is served as a standalone handle, never inserted (or dropped from
+//!   it is served as a standalone handle, never charged (or dropped from
 //!   residency the moment a lazy recharge reveals the oversize), and its
 //!   key is quarantined so later lookups skip residency instead of
 //!   evicting every other resident per lookup and then being evicted
 //!   themselves — the thrash-to-empty failure mode
-//!   ([`ShardedCache::oversize_serves`] counts these);
+//!   ([`Cache::oversize_serves`] counts these);
 //! * every lookup carries its [`QueryKey`], so **every hit verifies** the
 //!   entry's stored structural checksum — one relaxed load and a compare,
 //!   in every build profile; a mismatch degrades to an evict-and-recompute
 //!   miss, counted, never a panic;
-//! * a poisoned shard mutex recovers by dropping the shard's contents
-//!   (its keys refilter on their next lookup — the eviction contract),
-//!   refunding the charged bytes, and clearing the poison flag.
+//! * a poisoned lock recovers by dropping every resident (their keys
+//!   recompute on their next lookup — the eviction contract) and the
+//!   quarantine set, refunding every charged byte, and clearing the
+//!   poison flag; it counts one recovery.
+//!
+//! The counters are relaxed atomics outside the lock, so a health probe
+//! reads them without waiting on a lookup.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::spacecache::QueryKey;
@@ -56,16 +55,6 @@ use crate::spacecache::QueryKey;
 /// (or a caller-supplied id) plus a string naming the semantics of the
 /// cached computation (filter `cache_key`, ordering `cache_key@context`).
 pub type CacheKey = (u64, String);
-
-/// Number of independently locked index segments. Power of two so shard
-/// selection is a mask; 16 is far past the point of diminishing returns
-/// for the harness's worker counts.
-pub const SHARD_COUNT: usize = 16;
-
-/// Shard tails examined per victim under [`EvictPolicy::Sampled`] — the
-/// constant that makes eviction O(1): work per victim is at most this,
-/// never the resident count.
-pub const EVICT_SAMPLE: usize = 5;
 
 /// Oversize-quarantine high-water mark: the set of keys known to exceed
 /// the whole byte budget is reset when it outgrows this, so a hostile
@@ -92,12 +81,13 @@ pub trait CacheWeight: Send + Sync {
 /// Victim-selection policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EvictPolicy {
-    /// Sample up to [`EVICT_SAMPLE`] shard tails, evict the oldest —
-    /// O(1) work per victim (the default).
+    /// Evict the LRU list's tail — O(1) work per victim (the default).
+    /// The name is older than the single list; nothing is sampled.
     #[default]
     Sampled,
-    /// The reference: scan every resident for the global LRU —
-    /// O(resident) per victim. For property tests, not for serving.
+    /// The reference: scan every resident for the oldest recency tick —
+    /// O(resident) per victim, the same victim as the list's tail. For
+    /// property tests, not for serving.
     ScanReference,
 }
 
@@ -113,45 +103,57 @@ pub struct CacheConfig {
 }
 
 /// Map slot: the `OnceLock` serializes per-key construction outside the
-/// shard lock, so a cold key costs one compute pass total even when many
+/// lock, so a cold key costs one compute pass total even when many
 /// workers race on it, and a long compute never blocks unrelated keys.
-struct Slot<E> {
-    cell: OnceLock<Arc<E>>,
-}
+type Slot<E> = OnceLock<Arc<E>>;
 
 /// One resident: its slot, byte charge, recency tick, and the intrusive
-/// LRU links threading it into its shard's recency list.
+/// LRU links threading it into the recency list.
 struct Node<E> {
     key: CacheKey,
     slot: Arc<Slot<E>>,
     /// Bytes currently charged against the byte bound for this key.
     charged: usize,
-    /// Logical timestamp of the last lookup (cache-global tick) — what
-    /// cross-shard sampling compares.
+    /// The tick of the last lookup — what the reference scan compares.
     last_used: u64,
     /// Intrusive links: `prev` is toward the head (more recent).
     prev: u32,
     next: u32,
 }
 
-/// One shard's state: the key index plus the resident slab the recency
-/// list is threaded through. `head` is the most recently used resident,
-/// `tail` the least — the O(1) victim candidate.
-struct ShardInner<E> {
+/// Everything the lock guards: the key index, the resident slab the
+/// recency list is threaded through (`head` most recently used, `tail`
+/// least), the recency clock, the charged byte total and the oversize
+/// quarantine. The resident count is `map.len()`.
+struct Inner<E> {
     map: HashMap<CacheKey, u32>,
     slab: Vec<Option<Node<E>>>,
     free: Vec<u32>,
     head: u32,
     tail: u32,
+    tick: u64,
+    bytes: usize,
+    /// Keys whose entries exceeded the whole byte budget: served
+    /// standalone, never inserted (bounded; see the module docs).
+    oversize: HashSet<CacheKey>,
 }
 
-impl<E> Default for ShardInner<E> {
+impl<E> Default for Inner<E> {
     fn default() -> Self {
-        ShardInner { map: HashMap::new(), slab: Vec::new(), free: Vec::new(), head: NIL, tail: NIL }
+        Inner {
+            map: HashMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            tick: 0,
+            bytes: 0,
+            oversize: HashSet::new(),
+        }
     }
 }
 
-impl<E> ShardInner<E> {
+impl<E> Inner<E> {
     fn node(&self, i: u32) -> &Node<E> {
         self.slab[i as usize].as_ref().expect("live resident")
     }
@@ -175,12 +177,16 @@ impl<E> ShardInner<E> {
         }
     }
 
+    /// Links `i` in as the most recently used resident and stamps it with
+    /// the next tick.
     fn push_front(&mut self, i: u32) {
-        let old_head = self.head;
+        self.tick += 1;
+        let (old_head, tick) = (self.head, self.tick);
         {
             let n = self.node_mut(i);
             n.prev = NIL;
             n.next = old_head;
+            n.last_used = tick;
         }
         match old_head {
             NIL => self.tail = i,
@@ -189,16 +195,8 @@ impl<E> ShardInner<E> {
         self.head = i;
     }
 
-    /// Hit bookkeeping: re-head the node and stamp the global tick — all
-    /// O(1), under the one shard lock the lookup already holds.
-    fn touch(&mut self, i: u32, tick: u64) {
-        self.unlink(i);
-        self.push_front(i);
-        self.node_mut(i).last_used = tick;
-    }
-
-    fn insert(&mut self, key: CacheKey, slot: Arc<Slot<E>>, tick: u64) -> u32 {
-        let node = Node { key: key.clone(), slot, charged: 0, last_used: tick, prev: NIL, next: NIL };
+    fn insert(&mut self, key: CacheKey, slot: Arc<Slot<E>>) {
+        let node = Node { key: key.clone(), slot, charged: 0, last_used: 0, prev: NIL, next: NIL };
         let i = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = Some(node);
@@ -211,53 +209,43 @@ impl<E> ShardInner<E> {
         };
         self.map.insert(key, i);
         self.push_front(i);
-        i
     }
 
-    fn remove(&mut self, i: u32) -> Node<E> {
+    /// Unlinks `i`, refunds its charge and frees its slab slot.
+    fn remove(&mut self, i: u32) {
         self.unlink(i);
         let node = self.slab[i as usize].take().expect("live resident");
+        self.bytes -= node.charged;
         self.map.remove(&node.key);
         self.free.push(i);
-        node
     }
 
-    /// The shard's eviction candidate: its tail, or the tail's
-    /// predecessor when the tail is the protected (being-served) key —
-    /// at most two nodes examined, O(1).
-    fn tail_skipping(&self, protect: Option<&CacheKey>) -> Option<u32> {
-        let t = self.tail;
-        if t == NIL {
-            return None;
+    /// The index of `key`'s resident when its slot holds exactly `entry`
+    /// — the identity check that keeps a stale handle (its key since
+    /// evicted and recomputed into a new resident) from touching the new
+    /// resident.
+    fn resident_as(&self, key: &CacheKey, entry: &E) -> Option<u32> {
+        let &i = self.map.get(key)?;
+        self.node(i).slot.get().is_some_and(|a| std::ptr::eq(Arc::as_ptr(a), entry)).then_some(i)
+    }
+
+    fn quarantine(&mut self, key: &CacheKey) {
+        if self.oversize.len() >= OVERSIZE_QUARANTINE_MAX {
+            self.oversize.clear();
         }
-        if protect.is_some_and(|p| *p == self.node(t).key) {
-            let p = self.node(t).prev;
-            return (p != NIL).then_some(p);
-        }
-        Some(t)
+        self.oversize.insert(key.clone());
     }
 }
 
-/// The sharded index plus the bound machinery — `Arc`-shared so lazily
-/// built entries can [`recharge`][Shared::recharge] their key through a
-/// weak origin handle without a back-pointer to the public cache type.
+/// The locked state plus the bounds and counters — `Arc`-shared so
+/// lazily built entries can [`recharge`][Shared::recharge] their key
+/// through a weak origin handle without a back-pointer to the public
+/// cache type.
 pub struct Shared<E> {
-    shards: Vec<Mutex<ShardInner<E>>>,
+    inner: Mutex<Inner<E>>,
     max_bytes: Option<usize>,
     max_entries: Option<usize>,
     policy: EvictPolicy,
-    /// Bytes charged across all shards. Mutated only while holding the
-    /// owning key's shard lock, so it tracks the maps consistently.
-    total_bytes: AtomicUsize,
-    total_entries: AtomicUsize,
-    /// Cache-global logical clock for recency.
-    tick: AtomicU64,
-    /// Round-robin start shard for eviction sampling, so successive
-    /// victims spread across shards instead of draining one.
-    rotor: AtomicUsize,
-    /// Keys whose entries exceeded the whole byte budget: served
-    /// standalone, never inserted (bounded; see the module docs).
-    oversize: Mutex<HashSet<CacheKey>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -265,225 +253,107 @@ pub struct Shared<E> {
     poison_recoveries: AtomicU64,
     oversize_serves: AtomicU64,
     /// Residents examined during victim selection, cumulative — the
-    /// counter that *proves* eviction work is O(1)/sampled, not
+    /// counter that *proves* eviction work is O(1) under the list, not
     /// O(resident) (asserted by the eviction-storm test).
     evict_scan_steps: AtomicU64,
 }
 
 impl<E: CacheWeight> Shared<E> {
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        // The fingerprint is already well mixed; fold the variant in
-        // cheaply so a query's variants spread too.
-        let mut h = key.0;
-        for b in key.1.as_bytes() {
-            h = (h ^ *b as u64).wrapping_mul(0x100000001b3);
-        }
-        (h as usize) & (SHARD_COUNT - 1)
-    }
-
-    /// Locks a shard, recovering from poisoning instead of propagating
+    /// Takes the lock, recovering from poisoning instead of propagating
     /// it: a worker that panicked while holding the lock may have left
-    /// the shard mid-update, so recovery drops the shard's contents
-    /// (its keys simply recompute on their next lookup — the same
-    /// contract as eviction), refunds the charged bytes, counts the
-    /// event, and clears the poison flag so one dead worker cannot brick
-    /// the cache tier for every future request.
-    fn lock(&self, si: usize) -> MutexGuard<'_, ShardInner<E>> {
-        match self.shards[si].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                let (count, bytes) = guard
-                    .map
-                    .values()
-                    .filter_map(|&i| guard.slab.get(i as usize).and_then(Option::as_ref))
-                    .fold((0usize, 0usize), |(c, b), n| (c + 1, b + n.charged));
-                *guard = ShardInner::default();
-                self.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
-                self.total_entries.fetch_sub(count, Ordering::Relaxed);
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                self.shards[si].clear_poison();
-                guard
-            }
-        }
-    }
-
-    fn over_bound(&self) -> bool {
-        self.max_bytes.is_some_and(|c| self.total_bytes.load(Ordering::Relaxed) > c)
-            || self.max_entries.is_some_and(|c| self.total_entries.load(Ordering::Relaxed) > c)
-    }
-
-    fn is_quarantined(&self, key: &CacheKey) -> bool {
-        self.max_bytes.is_some()
-            && self.oversize.lock().unwrap_or_else(std::sync::PoisonError::into_inner).contains(key)
-    }
-
-    fn quarantine(&self, key: &CacheKey) {
-        let mut set = self.oversize.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if set.len() >= OVERSIZE_QUARANTINE_MAX {
-            set.clear();
-        }
-        set.insert(key.clone());
+    /// the list mid-update, so recovery drops every resident (their keys
+    /// simply recompute on their next lookup — the same contract as
+    /// eviction) together with their charges, counts the event, and
+    /// clears the poison flag so one dead worker cannot brick the cache
+    /// tier for every future request.
+    fn lock(&self) -> MutexGuard<'_, Inner<E>> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            *guard = Inner::default();
+            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+            self.inner.clear_poison();
+            guard
+        })
     }
 
     /// Sets `key`'s charge to `bytes` and evicts down to capacity, never
     /// evicting `key` itself. The charge only applies while the key's
-    /// resident slot still holds exactly `entry` — a stale handle (the
-    /// entry was evicted and the key recomputed into a new resident)
-    /// must not overwrite the new resident's accounting. An entry whose
-    /// bytes exceed the whole byte budget is dropped from residency and
+    /// resident slot still holds exactly `entry` — a stale handle must not
+    /// overwrite the new resident's accounting. An entry whose bytes
+    /// exceed the whole byte budget is dropped from residency and
     /// quarantined instead (admit-uncached — see the module docs): the
     /// caller keeps serving its handle, other residents are untouched.
     pub fn recharge(&self, key: &CacheKey, bytes: usize, entry: &E) {
-        let mut resident = false;
-        {
-            let si = self.shard_index(key);
-            let mut inner = self.lock(si);
-            if let Some(&i) = inner.map.get(key) {
-                let same = inner.node(i).slot.cell.get().map(|a| std::ptr::eq(Arc::as_ptr(a), entry)).unwrap_or(false);
-                if same {
-                    if self.max_bytes.is_some_and(|cap| bytes > cap) {
-                        let node = inner.remove(i);
-                        drop(inner);
-                        self.total_bytes.fetch_sub(node.charged, Ordering::Relaxed);
-                        self.total_entries.fetch_sub(1, Ordering::Relaxed);
-                        self.oversize_serves.fetch_add(1, Ordering::Relaxed);
-                        self.quarantine(key);
-                        return;
-                    }
-                    let old = inner.node(i).charged;
-                    inner.node_mut(i).charged = bytes;
-                    if bytes >= old {
-                        self.total_bytes.fetch_add(bytes - old, Ordering::Relaxed);
-                    } else {
-                        self.total_bytes.fetch_sub(old - bytes, Ordering::Relaxed);
-                    }
-                    resident = true;
-                }
-            }
+        let mut inner = self.lock();
+        let Some(i) = inner.resident_as(key, entry) else { return };
+        if self.max_bytes.is_some_and(|cap| bytes > cap) {
+            inner.remove(i);
+            inner.quarantine(key);
+            self.oversize_serves.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        if resident {
-            self.evict_to_capacity(Some(key));
-        }
+        inner.bytes = inner.bytes - inner.node(i).charged + bytes;
+        inner.node_mut(i).charged = bytes;
+        self.evict_to_capacity(&mut inner, key);
     }
 
     /// Removes `key` only while its resident slot still holds exactly
     /// `entry` — the checksum-degrade path. The identity check keeps a
     /// stale verdict from evicting a concurrent recompute's fresh entry.
     fn evict_exact(&self, key: &CacheKey, entry: &E) {
-        let si = self.shard_index(key);
-        let mut inner = self.lock(si);
-        if let Some(&i) = inner.map.get(key) {
-            let same = inner.node(i).slot.cell.get().map(|a| std::ptr::eq(Arc::as_ptr(a), entry)).unwrap_or(false);
-            if same {
-                let node = inner.remove(i);
-                drop(inner);
-                self.total_bytes.fetch_sub(node.charged, Ordering::Relaxed);
-                self.total_entries.fetch_sub(1, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+        let mut inner = self.lock();
+        if let Some(i) = inner.resident_as(key, entry) {
+            inner.remove(i);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// One victim-selection + removal attempt; `true` when an entry was
-    /// evicted. Shard locks are taken one at a time, never nested.
-    fn try_evict_one(&self, protect: Option<&CacheKey>) -> bool {
-        let victim_shard = match self.policy {
-            EvictPolicy::Sampled => {
-                let start = self.rotor.fetch_add(1, Ordering::Relaxed);
-                let mut best: Option<(usize, u64)> = None;
-                let mut examined = 0u64;
-                for off in 0..SHARD_COUNT {
-                    let si = (start + off) & (SHARD_COUNT - 1);
-                    {
-                        let inner = self.lock(si);
-                        if let Some(t) = inner.tail_skipping(protect) {
-                            examined += 1;
-                            let lu = inner.node(t).last_used;
-                            if best.is_none_or(|(_, b)| lu < b) {
-                                best = Some((si, lu));
-                            }
-                        }
-                    }
-                    if examined >= EVICT_SAMPLE as u64 {
-                        break;
-                    }
+    /// Evicts least-recently-used residents other than `protect` until
+    /// both bounds hold (or only `protect` is left). Every round removes a
+    /// resident, so the loop terminates.
+    fn evict_to_capacity(&self, inner: &mut Inner<E>, protect: &CacheKey) {
+        while self.max_bytes.is_some_and(|c| inner.bytes > c) || self.max_entries.is_some_and(|c| inner.map.len() > c) {
+            let mut examined = 0u64;
+            let victim = match self.policy {
+                // The tail, or its predecessor when the tail is the key
+                // being served: one examined resident.
+                EvictPolicy::Sampled => match inner.tail {
+                    NIL => None,
+                    t if inner.node(t).key == *protect => Some(inner.node(t).prev).filter(|&p| p != NIL),
+                    t => Some(t),
                 }
-                self.evict_scan_steps.fetch_add(examined, Ordering::Relaxed);
-                best.map(|(si, _)| si)
-            }
-            EvictPolicy::ScanReference => {
-                // The reference scan: every resident examined, the
-                // global LRU wins. O(resident) per victim by design.
-                let mut best: Option<(usize, u64)> = None;
-                let mut examined = 0u64;
-                for si in 0..SHARD_COUNT {
-                    let inner = self.lock(si);
-                    for (k, &i) in inner.map.iter() {
-                        if protect == Some(k) {
-                            continue;
-                        }
-                        examined += 1;
-                        let lu = inner.node(i).last_used;
-                        if best.is_none_or(|(_, b)| lu < b) {
-                            best = Some((si, lu));
-                        }
-                    }
-                }
-                self.evict_scan_steps.fetch_add(examined, Ordering::Relaxed);
-                best.map(|(si, _)| si)
-            }
-        };
-        let Some(si) = victim_shard else { return false };
-        // Re-take the winner's *current* tail: the small race against a
-        // concurrent touch can at worst evict a just-refreshed entry —
-        // an approximation every segmented LRU accepts. The victim is
-        // still its shard's least-recently-used resident.
-        let mut inner = self.lock(si);
-        match inner.tail_skipping(protect) {
-            Some(t) => {
-                let node = inner.remove(t);
-                drop(inner);
-                self.total_bytes.fetch_sub(node.charged, Ordering::Relaxed);
-                self.total_entries.fetch_sub(1, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Evicts until both bounds hold (or nothing evictable remains).
-    /// The charged total decreases every successful round, so the loop
-    /// terminates.
-    fn evict_to_capacity(&self, protect: Option<&CacheKey>) {
-        while self.over_bound() {
-            if !self.try_evict_one(protect) {
-                return;
-            }
+                .inspect(|_| examined = 1),
+                // Every resident examined, the oldest tick wins.
+                EvictPolicy::ScanReference => inner
+                    .map
+                    .iter()
+                    .filter(|(k, _)| *k != protect)
+                    .inspect(|_| examined += 1)
+                    .map(|(_, &i)| i)
+                    .min_by_key(|&i| inner.node(i).last_used),
+            };
+            self.evict_scan_steps.fetch_add(examined, Ordering::Relaxed);
+            let Some(v) = victim else { return };
+            inner.remove(v);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// The generic sharded, bounded, checksum-verified cache (module docs).
+/// The generic bounded, checksum-verified cache (module docs).
 /// `SpaceCache` and `OrderCache` are thin instantiations of this.
-pub struct ShardedCache<E> {
+pub struct Cache<E> {
     shared: Arc<Shared<E>>,
 }
 
-impl<E: CacheWeight> ShardedCache<E> {
+impl<E: CacheWeight> Cache<E> {
     pub fn new(config: CacheConfig) -> Self {
-        ShardedCache {
+        Cache {
             shared: Arc::new(Shared {
-                shards: (0..SHARD_COUNT).map(|_| Mutex::new(ShardInner::default())).collect(),
+                inner: Mutex::new(Inner::default()),
                 max_bytes: config.max_bytes,
                 max_entries: config.max_entries,
                 policy: config.policy,
-                total_bytes: AtomicUsize::new(0),
-                total_entries: AtomicUsize::new(0),
-                tick: AtomicU64::new(0),
-                rotor: AtomicUsize::new(0),
-                oversize: Mutex::new(HashSet::new()),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
@@ -513,8 +383,8 @@ impl<E: CacheWeight> ShardedCache<E> {
     /// every hit compares the two. It receives the composed cache key so
     /// lazily sized entries can keep an origin handle for recharging.
     ///
-    /// Hot path: one shard lock (find + LRU re-head + `Arc` clone), a
-    /// lock-free `OnceLock` read, one relaxed load and a compare.
+    /// Hot path: one lock (find + LRU re-head + `Arc` clone), a lock-free
+    /// `OnceLock` read, one relaxed load and a compare.
     pub(crate) fn get_or_insert(
         &self,
         key: &QueryKey,
@@ -523,48 +393,53 @@ impl<E: CacheWeight> ShardedCache<E> {
     ) -> (Arc<E>, bool) {
         let expect = key.checksum();
         let key: CacheKey = (key.fingerprint(), variant.to_string());
-        // A known-oversize key skips residency entirely: build and serve
-        // standalone, leaving every resident untouched (admit-uncached).
-        // The failpoint forces the same admit-uncached path for an
-        // arbitrary key, bound or no bound.
-        if self.shared.is_quarantined(&key) || rlqvo_fault::failpoint!("cache.oversize").is_some() {
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
-            self.shared.oversize_serves.fetch_add(1, Ordering::Relaxed);
-            return (build(&key), true);
-        }
-        // `build` is needed at most once across the retry loop: the
-        // first miss consumes it and returns; a retry after a
-        // checksum-degrade eviction either hits an entry a concurrent
-        // recompute built (fresh checksum — verifies) or re-enters as
-        // the initializer of the replacement residency.
+        // `build` is needed at most once across the retry loop: a miss
+        // consumes it and returns; a retry after a checksum-degrade
+        // eviction either hits an entry a concurrent recompute built
+        // (fresh checksum — verifies) or re-enters as the initializer of
+        // the replacement residency.
         let mut build = Some(build);
         loop {
-            let tick = self.shared.tick.fetch_add(1, Ordering::Relaxed);
             let slot = {
-                let si = self.shared.shard_index(&key);
-                let mut inner = self.shared.lock(si);
-                // A fire here dies holding the freshly acquired shard
-                // guard — the worker-died-mid-operation scenario. The
-                // panic unwinds to the caller; the next `lock` of this
-                // shard recovers it (counted in `poison_recoveries`).
-                if rlqvo_fault::failpoint!("cache.shard.poison").is_some() {
-                    panic!("failpoint cache.shard.poison: dying while holding a shard lock");
-                }
-                match inner.map.get(&key) {
-                    Some(&i) => {
-                        inner.touch(i, tick);
-                        Arc::clone(&inner.node(i).slot)
+                let mut inner = self.shared.lock();
+                // A known-oversize key skips residency entirely: build and
+                // serve standalone, leaving every resident untouched
+                // (admit-uncached). The failpoint forces the same path for
+                // an arbitrary key, bound or no bound.
+                if (self.shared.max_bytes.is_some() && inner.oversize.contains(&key))
+                    || rlqvo_fault::failpoint!("cache.oversize").is_some()
+                {
+                    None
+                } else {
+                    // A fire here dies holding the freshly acquired lock —
+                    // the worker-died-mid-operation scenario. The panic
+                    // unwinds to the caller; the next `lock` recovers the
+                    // cache (counted in `poison_recoveries`).
+                    if rlqvo_fault::failpoint!("cache.lock.poison").is_some() {
+                        panic!("failpoint cache.lock.poison: dying while holding the cache lock");
                     }
-                    None => {
-                        let slot = Arc::new(Slot { cell: OnceLock::new() });
-                        inner.insert(key.clone(), Arc::clone(&slot), tick);
-                        self.shared.total_entries.fetch_add(1, Ordering::Relaxed);
-                        slot
-                    }
+                    Some(match inner.map.get(&key) {
+                        Some(&i) => {
+                            inner.unlink(i);
+                            inner.push_front(i);
+                            Arc::clone(&inner.node(i).slot)
+                        }
+                        None => {
+                            let slot = Arc::new(OnceLock::new());
+                            inner.insert(key.clone(), Arc::clone(&slot));
+                            self.shared.evict_to_capacity(&mut inner, &key);
+                            slot
+                        }
+                    })
                 }
             };
+            let Some(slot) = slot else {
+                self.shared.misses.fetch_add(1, Ordering::Relaxed);
+                self.shared.oversize_serves.fetch_add(1, Ordering::Relaxed);
+                return ((build.take().expect("one compute pass per call"))(&key), true);
+            };
             let mut fresh = false;
-            let entry = slot.cell.get_or_init(|| {
+            let entry = slot.get_or_init(|| {
                 fresh = true;
                 (build.take().expect("one compute pass per call"))(&key)
             });
@@ -596,15 +471,12 @@ impl<E: CacheWeight> ShardedCache<E> {
 
     /// Pure residency probe: true when `(key.fingerprint(), variant)`
     /// holds a *built* entry right now. No LRU touch, no hit/miss
-    /// accounting, no compute. Callers (the serving micro-batcher) use it
-    /// to decide what a batched pre-compute pass still needs; the answer
-    /// may be stale by the time they act on it, which a later lookup
-    /// tolerates by construction.
+    /// accounting, no compute. Only tests call it, to check which keys an
+    /// eviction left resident.
     pub fn contains(&self, key: &QueryKey, variant: &str) -> bool {
         let key: CacheKey = (key.fingerprint(), variant.to_string());
-        let si = self.shared.shard_index(&key);
-        let inner = self.shared.lock(si);
-        inner.map.get(&key).is_some_and(|&i| inner.node(i).slot.cell.get().is_some())
+        let inner = self.shared.lock();
+        inner.map.get(&key).is_some_and(|&i| inner.node(i).slot.get().is_some())
     }
 
     /// Lookups served from an existing entry.
@@ -628,7 +500,7 @@ impl<E: CacheWeight> ShardedCache<E> {
         self.shared.checksum_failures.load(Ordering::Relaxed)
     }
 
-    /// Poisoned shards recovered (cleared and reused) so far.
+    /// Poisoned locks recovered (every resident dropped) so far.
     pub fn poison_recoveries(&self) -> u64 {
         self.shared.poison_recoveries.load(Ordering::Relaxed)
     }
@@ -640,17 +512,17 @@ impl<E: CacheWeight> ShardedCache<E> {
     }
 
     /// Cumulative residents examined during victim selection. Under
-    /// [`EvictPolicy::Sampled`] this grows by at most [`EVICT_SAMPLE`]
-    /// per eviction attempt — the O(1) guarantee the eviction-storm test
-    /// asserts; under [`EvictPolicy::ScanReference`] it grows by the
-    /// whole resident count per victim.
+    /// [`EvictPolicy::Sampled`] this grows by one per victim — the O(1)
+    /// guarantee the eviction-storm test asserts; under
+    /// [`EvictPolicy::ScanReference`] it grows by the whole resident count
+    /// per victim.
     pub fn evict_scan_steps(&self) -> u64 {
         self.shared.evict_scan_steps.load(Ordering::Relaxed)
     }
 
     /// Number of distinct keys resident.
     pub fn len(&self) -> usize {
-        (0..SHARD_COUNT).map(|si| self.shared.lock(si).map.len()).sum()
+        self.shared.lock().map.len()
     }
 
     /// True when no entries are held.
@@ -659,43 +531,25 @@ impl<E: CacheWeight> ShardedCache<E> {
     }
 
     /// Bytes charged for resident entries. With a byte bound this never
-    /// exceeds it (up to the documented concurrent transient between a
-    /// charge and the eviction pass that follows it).
+    /// exceeds it.
     pub fn storage_bytes(&self) -> usize {
-        self.shared.total_bytes.load(Ordering::Relaxed)
+        self.shared.lock().bytes
     }
 
     /// Drops every variant of `query_id`. Outstanding `Arc` entries stay
     /// usable; the keys recompute on their next lookup.
     pub fn invalidate(&self, query_id: u64) {
-        for si in 0..SHARD_COUNT {
-            let mut inner = self.shared.lock(si);
-            let doomed: Vec<u32> = inner.map.iter().filter(|((qid, _), _)| *qid == query_id).map(|(_, &i)| i).collect();
-            let mut bytes = 0usize;
-            let count = doomed.len();
-            for i in doomed {
-                bytes += inner.remove(i).charged;
-            }
-            drop(inner);
-            self.shared.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.shared.total_entries.fetch_sub(count, Ordering::Relaxed);
+        let mut inner = self.shared.lock();
+        let doomed: Vec<u32> = inner.map.iter().filter(|((qid, _), _)| *qid == query_id).map(|(_, &i)| i).collect();
+        for i in doomed {
+            inner.remove(i);
         }
-        let mut set = self.shared.oversize.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        set.retain(|(qid, _)| *qid != query_id);
+        inner.oversize.retain(|(qid, _)| *qid != query_id);
     }
 
     /// Drops everything (the inputs the entries were computed from
     /// changed).
     pub fn clear(&self) {
-        for si in 0..SHARD_COUNT {
-            let mut inner = self.shared.lock(si);
-            let bytes: usize = inner.map.values().map(|&i| inner.node(i).charged).sum();
-            let count = inner.map.len();
-            *inner = ShardInner::default();
-            drop(inner);
-            self.shared.total_bytes.fetch_sub(bytes, Ordering::Relaxed);
-            self.shared.total_entries.fetch_sub(count, Ordering::Relaxed);
-        }
-        self.shared.oversize.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+        *self.shared.lock() = Inner::default();
     }
 }

@@ -39,9 +39,10 @@ use crate::bipartite::{has_left_saturating_matching, MaskMatcher};
 
 /// Per-query-vertex candidate sets. Each set is sorted ascending (the
 /// enumeration engines rely on that for intersection), and membership is
-/// answered by a dense per-query-vertex bitmap — O(1) instead of the
-/// binary search the seed engine used, which matters both in the probe
-/// enumeration path and in GQL's global-refinement inner loop.
+/// answered by a dense per-query-vertex bitmap — O(1) instead of a binary
+/// search. Only the probe oracle's enumeration and the naive semi-perfect
+/// check behind [`GqlFilter::filter_reference`] read it; the production
+/// GQL refinement reads its own `member` masks.
 ///
 /// The sets are one CSR, like the graph's label index: a flat array and
 /// `|V(q)| + 1` offsets, both allocated at their exact size, so what

@@ -37,8 +37,8 @@
 //! ordering semantics)`, so a serving loop replaying a query skips the
 //! ordering phase — including a learned policy's whole GNN inference —
 //! entirely. Both are thin instantiations of [`cache`], the one generic
-//! sharded, bounded cache whose every hit is checksum-verified (O(1)
-//! sampled eviction, degradation, poison recovery). [`naive`] holds a
+//! bounded cache behind one lock whose every hit is checksum-verified
+//! (exact LRU eviction, degradation, poison recovery). [`naive`] holds a
 //! brute-force enumerator used as a correctness oracle in tests.
 
 pub mod bipartite;
@@ -56,7 +56,7 @@ pub mod pipeline;
 pub mod scheduler;
 pub mod spacecache;
 
-pub use cache::{CacheConfig, CacheKey, CacheWeight, EvictPolicy, ShardedCache, EVICT_SAMPLE, SHARD_COUNT};
+pub use cache::{Cache, CacheConfig, CacheKey, CacheWeight, EvictPolicy};
 pub use candspace::{ArenaOverflow, CandidateSpace};
 pub use enumerate::{
     auto_decide, effective_threads, enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared,

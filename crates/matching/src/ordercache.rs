@@ -1,5 +1,5 @@
-//! Cross-round amortization of the *ordering* phase: a keyed, sharded,
-//! bounded cache of matching orders.
+//! Cross-round amortization of the *ordering* phase: a keyed, bounded
+//! cache of matching orders.
 //!
 //! [`SpaceCache`] lets a serving loop replaying the same queries pay
 //! phase 1 (filtering + `CandidateSpace` build) once. [`OrderCache`] is
@@ -11,9 +11,9 @@
 //! passes with one fingerprint lookup.
 //!
 //! Like `SpaceCache`, this is a thin instantiation of the generic
-//! [`ShardedCache`][crate::cache::ShardedCache] (see [`crate::cache`] for
-//! the sharding, O(1) eviction, hit-verification, degradation, and poison
-//! recovery contracts). The module adds only the order-specific pieces:
+//! [`Cache`] (see [`crate::cache`] for the one-lock, exact-LRU eviction,
+//! hit-verification, degradation, and poison recovery contracts). The
+//! module adds only the order-specific pieces:
 //!
 //! * the one lookup, [`OrderCache::get_or_compute_keyed`], keys entries by
 //!   `(query fingerprint, variant)`: the caller's [`QueryKey`] (whose
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use rlqvo_graph::{Graph, VertexId};
 
-use crate::cache::{CacheConfig, CacheWeight, ShardedCache};
+use crate::cache::{Cache, CacheConfig, CacheWeight};
 use crate::filter::CandidateFilter;
 use crate::order::OrderingMethod;
 use crate::spacecache::{QueryKey, SpaceCache};
@@ -85,11 +85,10 @@ impl OrderEntry {
     }
 }
 
-/// Keyed, sharded, bounded cache of matching orders (module docs) — an
-/// instantiation of [`ShardedCache`][crate::cache::ShardedCache] over
-/// [`OrderEntry`].
+/// Keyed, bounded cache of matching orders (module docs) — an
+/// instantiation of [`Cache`] over [`OrderEntry`].
 pub struct OrderCache {
-    cache: ShardedCache<OrderEntry>,
+    cache: Cache<OrderEntry>,
 }
 
 impl Default for OrderCache {
@@ -102,7 +101,7 @@ impl Default for OrderCache {
 /// `checksum_failures`, `contains`, `len`, `storage_bytes`, `invalidate`,
 /// `clear`, …) are the generic cache's.
 impl std::ops::Deref for OrderCache {
-    type Target = ShardedCache<OrderEntry>;
+    type Target = Cache<OrderEntry>;
 
     fn deref(&self) -> &Self::Target {
         &self.cache
@@ -135,7 +134,7 @@ impl OrderCache {
     /// the [`ScanReference`][crate::cache::EvictPolicy::ScanReference]
     /// policy through this.
     pub fn with_config(config: CacheConfig) -> Self {
-        OrderCache { cache: ShardedCache::new(config) }
+        OrderCache { cache: Cache::new(config) }
     }
 
     /// The order for `(key.fingerprint(), variant)`, computing it on first

@@ -1,5 +1,5 @@
-//! Cross-round amortization: a keyed, sharded, byte-bounded cache of
-//! filtered candidate state.
+//! Cross-round amortization: a keyed, byte-bounded cache of filtered
+//! candidate state.
 //!
 //! The cold pipeline pays its phase-1 cost per call, and the
 //! build-once/enumerate-many contract amortizes the [`CandidateSpace`]
@@ -14,11 +14,10 @@
 //! and one build per resident key**. The probe oracle keeps nothing here:
 //! it runs on the entry's candidates.
 //!
-//! The sharding, byte-bounded O(1) eviction, checksum-verified hits,
-//! degradation, and poison recovery all come from the generic
-//! [`ShardedCache`][crate::cache::ShardedCache] (see [`crate::cache`] for
-//! that contract — `SpaceCache` is a thin instantiation of it over
-//! [`SpaceEntry`]). What this module adds on top:
+//! The one lock, byte-bounded exact-LRU eviction, checksum-verified hits,
+//! degradation, and poison recovery all come from the generic [`Cache`]
+//! (see [`crate::cache`] for that contract — `SpaceCache` is a thin
+//! instantiation of it over [`SpaceEntry`]). What this module adds on top:
 //!
 //! * the one lookup, [`SpaceCache::entry_keyed`], takes a [`QueryKey`]:
 //!   the query's structural fingerprint
@@ -40,8 +39,8 @@
 //!   *uncached* — served standalone and quarantined, never thrashing the
 //!   other residents (the generic cache's documented contract);
 //! * invalidation is explicit and the generic cache's:
-//!   [`invalidate`][ShardedCache::invalidate] drops every filter variant
-//!   of one query, [`clear`][ShardedCache::clear] drops everything (the
+//!   [`invalidate`][Cache::invalidate] drops every filter variant of one
+//!   query, [`clear`][Cache::clear] drops everything (the
 //!   data graph changed). Evicted entries already handed out stay valid —
 //!   they are immutable snapshots — and an evicted key simply refilters on
 //!   its next lookup (counted as a miss).
@@ -52,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 
-use crate::cache::{self, CacheConfig, CacheKey, CacheWeight, ShardedCache};
+use crate::cache::{self, Cache, CacheConfig, CacheKey, CacheWeight};
 use crate::candspace::CandidateSpace;
 use crate::filter::{CandidateFilter, Candidates};
 
@@ -186,11 +185,10 @@ impl QueryKey {
     }
 }
 
-/// Keyed, sharded, invalidation-aware store of filtered candidate state
-/// (see the module docs) — an instantiation of
-/// [`ShardedCache`][crate::cache::ShardedCache] over [`SpaceEntry`].
+/// Keyed, invalidation-aware store of filtered candidate state (see the
+/// module docs) — an instantiation of [`Cache`] over [`SpaceEntry`].
 pub struct SpaceCache {
-    cache: ShardedCache<SpaceEntry>,
+    cache: Cache<SpaceEntry>,
 }
 
 impl Default for SpaceCache {
@@ -203,7 +201,7 @@ impl Default for SpaceCache {
 /// `checksum_failures`, `len`, `storage_bytes`, `invalidate`, `clear`, …)
 /// are the generic cache's.
 impl std::ops::Deref for SpaceCache {
-    type Target = ShardedCache<SpaceEntry>;
+    type Target = Cache<SpaceEntry>;
 
     fn deref(&self) -> &Self::Target {
         &self.cache
@@ -222,9 +220,8 @@ impl SpaceCache {
     /// `capacity_bytes` — the serving-layer configuration, where millions
     /// of distinct queries must not grow memory without bound. A single
     /// entry larger than the whole budget is admitted uncached (served
-    /// standalone, quarantined) instead of thrashing the residents; apart
-    /// from concurrent charge/evict transients the charged total never
-    /// exceeds the bound.
+    /// standalone, quarantined) instead of thrashing the residents; the
+    /// charged total never exceeds the bound.
     pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         SpaceCache::with_config(CacheConfig { max_bytes: Some(capacity_bytes), ..CacheConfig::default() })
     }
@@ -233,7 +230,7 @@ impl SpaceCache {
     /// the [`ScanReference`][crate::cache::EvictPolicy::ScanReference]
     /// policy through this.
     pub fn with_config(config: CacheConfig) -> Self {
-        SpaceCache { cache: ShardedCache::new(config) }
+        SpaceCache { cache: Cache::new(config) }
     }
 
     /// Structural fingerprint of a query graph (FNV-1a over vertex count,
@@ -295,7 +292,7 @@ impl SpaceCache {
     /// and a hit whose stored checksum disagrees with `key` evicts the
     /// liar and refilters (the generic cache's retry loop).
     ///
-    /// Hot path: one shard lock (find + LRU re-head + `Arc` clone), a
+    /// Hot path: one lock (find + LRU re-head + `Arc` clone), a
     /// lock-free `OnceLock` read and the checksum compare — the query is
     /// hashed exactly once, when the caller built the key.
     pub fn entry_keyed(
@@ -323,7 +320,6 @@ impl SpaceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SHARD_COUNT;
     use crate::filter::{GqlFilter, LdfFilter, NlfFilter};
     use rlqvo_graph::GraphBuilder;
     use std::sync::atomic::AtomicUsize;
@@ -502,7 +498,7 @@ mod tests {
     fn byte_bound_is_honored_under_a_distinct_query_flood() {
         let g = flood_host();
         // Size the bound from a real entry so the test tracks accounting
-        // changes: room for roughly a dozen entries across 16 shards.
+        // changes: room for roughly a dozen entries.
         let probe_cache = SpaceCache::new();
         let q0 = distinct_query(0);
         let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
@@ -530,11 +526,11 @@ mod tests {
     fn evicted_keys_refilter_exactly_once() {
         let g = flood_host();
         let q0 = distinct_query(0);
-        // A bound small enough that every shard holds ~1 entry: inserting
-        // enough distinct queries evicts q0 from its shard.
+        // Room for at most 16 entries of q0's size: the 99 distinct
+        // queries inserted after it evict q0, the least recently used.
         let probe_cache = SpaceCache::new();
         let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
-        let cache = SpaceCache::with_capacity_bytes(e0.resident_bytes() * SHARD_COUNT);
+        let cache = SpaceCache::with_capacity_bytes(e0.resident_bytes() * 16);
         entry_for(&cache, &q0, &g, &LdfFilter);
         for i in 1..100 {
             entry_for(&cache, &distinct_query(i), &g, &LdfFilter);
@@ -605,9 +601,9 @@ mod tests {
     /// The ISSUE-6 eviction-under-pressure test: a tiny byte bound forces
     /// continuous eviction from a flood thread while reader threads
     /// hammer a small hot set. Asserts no deadlock (the test finishes),
-    /// bounded residency throughout (up to the documented transient
-    /// between a charge and the eviction pass that follows it), and that
-    /// an evicted hot key refilters exactly once afterwards.
+    /// the byte bound at every observation (a charge and the eviction it
+    /// forces happen under one lock), and that an evicted hot key
+    /// refilters exactly once afterwards.
     #[test]
     fn concurrent_flood_respects_bound_without_deadlock() {
         let g = flood_host();
@@ -651,17 +647,13 @@ mod tests {
 
         assert!(cache.evictions() > 0, "the flood must evict");
         assert!(cache.storage_bytes() <= bound, "settled residency within the bound");
-        // Transient slack: between one thread's charge and its eviction
-        // pass, other threads may have charged too — at most one entry
-        // each (readers' hot entries are space-less, the flood's have a
-        // space). Anything beyond that means accounting leaked.
-        let slack = (READERS + 1) * entry_bytes;
+        // Every observation reads the total under the lock, after some
+        // critical section ended: no slack.
         assert!(
-            high_water.load(Ordering::Relaxed) <= bound + slack,
-            "high water {} exceeds bound {} + transient slack {}",
+            high_water.load(Ordering::Relaxed) <= bound,
+            "high water {} exceeds bound {}",
             high_water.load(Ordering::Relaxed),
-            bound,
-            slack
+            bound
         );
         // Deterministically push any surviving hot key out, then verify
         // the evicted-key contract: exactly one refilter, then resident.

@@ -1,33 +1,36 @@
-//! Eviction-cost and bound contracts of the generic sharded cache
+//! Eviction-cost and bound contracts of the generic cache
 //! (`rlqvo_matching::cache`), exercised through its `OrderCache`
 //! instantiation (trivial compute closures isolate the eviction
 //! machinery from filter/build cost) and property-tested under both
 //! victim-selection policies.
 //!
-//! What is pinned here, per ISSUE 7:
+//! What is pinned here:
 //!
-//! * **O(1) victim selection** — the `evict_scan_steps` counter must grow
-//!   by at most `EVICT_SAMPLE` per eviction attempt under the default
-//!   [`EvictPolicy::Sampled`], independent of how many entries are
-//!   resident; the retained [`EvictPolicy::ScanReference`] demonstrably
-//!   grows with the resident count (that is the O(resident) bug the PR
-//!   fixes, kept as the measurable before).
-//! * **Bounds are exact under both policies** — byte and entry-count
-//!   bounds hold after every single-threaded lookup (property test), and
-//!   under a multi-threaded eviction storm up to the documented
-//!   one-in-flight-entry-per-thread transient.
+//! * **O(1) victim selection** — the `evict_scan_steps` counter grows by
+//!   at most one examined resident per eviction attempt under the default
+//!   [`EvictPolicy::Sampled`] (the LRU list's tail), independent of how
+//!   many entries are resident; the retained
+//!   [`EvictPolicy::ScanReference`] demonstrably grows with the resident
+//!   count.
+//! * **Exact LRU** — both policies evict the same keys in the same order
+//!   for the same single-threaded lookups (property test), and a fixed
+//!   sequence of fills and touches loses exactly the keys LRU names.
+//! * **Bounds hold at every unlock** — byte and entry-count bounds hold
+//!   after every single-threaded lookup (property test) and at every
+//!   observation of a multi-threaded eviction storm, with no slack: a
+//!   charge and the eviction it forces happen under one lock.
 //! * **Refilter-exactly-once** — an evicted key recomputes on exactly one
 //!   subsequent lookup, then is resident again, under both policies.
 //! * **No deadlock** — the storm test's completion is the assertion: hot
-//!   readers and a cold flood hammer all shard locks and the eviction
-//!   path concurrently.
+//!   readers and a cold flood hammer the lock and the eviction path
+//!   concurrently.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rlqvo_graph::{Graph, GraphBuilder};
-use rlqvo_matching::cache::{CacheConfig, EvictPolicy, EVICT_SAMPLE};
+use rlqvo_matching::cache::{CacheConfig, EvictPolicy};
 use rlqvo_matching::{OrderCache, QueryKey};
 
 /// The one tiny query every entry checksums against — eviction behavior
@@ -59,16 +62,16 @@ fn lookup(cache: &OrderCache, id: u64, q: &Graph) -> bool {
     fresh
 }
 
-/// The ISSUE-7 eviction-storm test: a tiny byte bound, hot readers
-/// hammering a 4-key working set against a cold flood of distinct keys
-/// forcing continuous eviction. Completion is the no-deadlock assertion;
-/// the rest pin the bound (with the documented transient), the O(1)
-/// scan-steps ceiling, and refilter-exactly-once for an evicted hot key.
+/// The eviction storm: a tiny byte bound, hot readers hammering a 4-key
+/// working set against a cold flood of distinct keys forcing continuous
+/// eviction. Completion is the no-deadlock assertion; the rest pin the
+/// bound at every observation, the O(1) scan-steps ceiling, and
+/// refilter-exactly-once for an evicted hot key.
 #[test]
 fn eviction_storm_is_bounded_deadlock_free_and_o1() {
     let q = tiny_query();
     let weight = entry_weight(&OrderCache::new(), &q);
-    let bound = weight * 8; // room for ~8 entries across 16 shards: constant pressure
+    let bound = weight * 8; // room for 8 entries: constant pressure
     let cache = OrderCache::with_config(CacheConfig { max_bytes: Some(bound), ..CacheConfig::default() });
     let high_water = AtomicUsize::new(0);
 
@@ -97,30 +100,27 @@ fn eviction_storm_is_bounded_deadlock_free_and_o1() {
 
     assert!(cache.evictions() > 0, "the flood must evict");
     assert!(cache.storage_bytes() <= bound, "settled residency within the bound");
-    // Transient slack: between one thread's charge and its eviction pass,
-    // each other thread may have one uncommitted entry in flight.
-    let slack = (READERS + 1) * weight;
+    // Every observation reads the total under the lock, after some
+    // critical section ended, and each critical section that charges also
+    // evicts down to the bound: no slack.
     assert!(
-        high_water.load(Ordering::Relaxed) <= bound + slack,
-        "high water {} exceeds bound {} + transient slack {}",
+        high_water.load(Ordering::Relaxed) <= bound,
+        "high water {} exceeds bound {}",
         high_water.load(Ordering::Relaxed),
-        bound,
-        slack
+        bound
     );
-    // The O(1) contract: victim selection examined at most EVICT_SAMPLE
-    // residents per eviction attempt. Attempts are bounded by one per
-    // successful eviction plus one terminating failure per recharge (one
-    // recharge per miss), so the ceiling below is policy-exact — under
-    // the old O(resident) scan this storm would blow far through it
-    // (every victim would have cost ~residents examined, and the
-    // reference-policy test below shows exactly that).
-    let attempts_ceiling = cache.evictions() + cache.misses();
+    // The O(1) contract: victim selection examines at most one resident
+    // (the list's tail) per eviction attempt. Attempts are bounded by one
+    // per successful eviction plus one terminating failure per insert and
+    // per recharge (two per miss) — under an O(resident) scan this storm
+    // would blow far through it (the reference-policy test below shows
+    // exactly that).
+    let attempts_ceiling = cache.evictions() + 2 * cache.misses();
     assert!(
-        cache.evict_scan_steps() <= attempts_ceiling * EVICT_SAMPLE as u64,
-        "scan steps {} exceed O(1) ceiling {} x {} — victim selection is scanning residents",
+        cache.evict_scan_steps() <= attempts_ceiling,
+        "scan steps {} exceed the O(1) ceiling of one per attempt ({} attempts) — victim selection is scanning residents",
         cache.evict_scan_steps(),
-        attempts_ceiling,
-        EVICT_SAMPLE
+        attempts_ceiling
     );
     // Refilter-exactly-once for an evicted hot key: push a deterministic
     // cold tail to guarantee key 0 is out, then look it up twice.
@@ -133,10 +133,9 @@ fn eviction_storm_is_bounded_deadlock_free_and_o1() {
 
 /// The before/after demonstration, deterministic and single-threaded:
 /// flood the same key sequence through both policies at two resident
-/// scales. Sampled eviction's per-victim work stays under `EVICT_SAMPLE`
-/// at both scales; the retained reference scan's per-victim work grows
-/// with the resident count — the O(resident) behavior the PR removes
-/// from the serving path.
+/// scales. The list's per-victim work is one examined resident at both
+/// scales; the retained reference scan's per-victim work grows with the
+/// resident count — the O(resident) behavior kept off the serving path.
 #[test]
 fn sampled_eviction_work_is_flat_while_reference_scan_grows() {
     let q = tiny_query();
@@ -156,8 +155,8 @@ fn sampled_eviction_work_is_flat_while_reference_scan_grows() {
     let reference_small = per_victim(EvictPolicy::ScanReference, 32);
     let reference_large = per_victim(EvictPolicy::ScanReference, 128);
 
-    assert!(sampled_small <= EVICT_SAMPLE as f64, "sampled per-victim work {sampled_small} exceeds the sample size");
-    assert!(sampled_large <= EVICT_SAMPLE as f64, "sampled per-victim work {sampled_large} grew with residents");
+    assert!(sampled_small <= 1.0, "per-victim work {sampled_small} exceeds the list's one tail");
+    assert!(sampled_large <= 1.0, "per-victim work {sampled_large} grew with residents");
     // The reference scan examines every resident per victim: at capacity
     // 128 it must do substantially more work per victim than at 32 —
     // and both dwarf the sampled policy.
@@ -171,18 +170,15 @@ fn sampled_eviction_work_is_flat_while_reference_scan_grows() {
     );
 }
 
-/// Refilter-exactly-once holds under both policies (the eviction
-/// *contract* is policy-independent; only the victim choice is
-/// approximate under sampling).
+/// Refilter-exactly-once holds under both policies.
 #[test]
 fn evicted_keys_recompute_exactly_once_under_both_policies() {
     let q = tiny_query();
     for policy in [EvictPolicy::Sampled, EvictPolicy::ScanReference] {
         let cache = OrderCache::with_config(CacheConfig { max_entries: Some(8), policy, ..CacheConfig::default() });
         assert!(lookup(&cache, 0, &q));
-        // Flood enough distinct keys that key 0 is evicted under any
-        // victim choice (the bound admits 8; 64 distinct later keys leave
-        // no shard where 0 could hide).
+        // Flood distinct keys: the bound admits 8, so 64 later keys evict
+        // key 0, the least recently used.
         for i in 1..65 {
             lookup(&cache, i, &q);
         }
@@ -225,62 +221,120 @@ fn oversize_entries_never_thrash_residents_under_either_policy() {
     }
 }
 
+/// Exact LRU, deterministic: fill four keys under a four-entry bound,
+/// touch two of them, then insert new keys one at a time — each insert
+/// evicts exactly the least recently used key, under both policies.
+#[test]
+fn the_least_recently_used_key_is_the_victim() {
+    let q = tiny_query();
+    for policy in [EvictPolicy::Sampled, EvictPolicy::ScanReference] {
+        let cache = OrderCache::with_config(CacheConfig { max_entries: Some(4), policy, ..CacheConfig::default() });
+        for id in 0..4 {
+            assert!(lookup(&cache, id, &q));
+        }
+        // Recency, oldest first: 1, 3, 0, 2.
+        assert!(!lookup(&cache, 0, &q) && !lookup(&cache, 2, &q), "{policy:?}: touches hit");
+        for (id, expect) in [(4, [0, 2, 3, 4]), (5, [0, 2, 4, 5]), (6, [2, 4, 5, 6])] {
+            assert!(lookup(&cache, id, &q), "{policy:?}: key {id} is new");
+            assert_eq!(resident(&cache, &q, 8), expect, "{policy:?}: after inserting key {id}");
+        }
+        // A touch moves key 2 off the tail: key 4 goes next.
+        assert!(!lookup(&cache, 2, &q));
+        assert!(lookup(&cache, 7, &q));
+        assert_eq!(resident(&cache, &q, 8), [2, 5, 6, 7], "{policy:?}: after touching 2 and inserting 7");
+        assert_eq!(cache.evictions(), 4);
+    }
+}
+
+/// The keys among `0..universe` resident in `cache`, ascending.
+fn resident(cache: &OrderCache, q: &Graph, universe: u64) -> Vec<u64> {
+    let key = QueryKey::of(q);
+    (0..universe).filter(|id| cache.contains(&key, &format!("V{id}"))).collect()
+}
+
+/// Runs `ids` through one cache per policy (`Sampled` is cache 0,
+/// `ScanReference` cache 1) in lockstep, calling `check` with the cache's
+/// index, the cache, the step, the key and `fresh` after each lookup, and
+/// returns the keys each cache evicted, in eviction order.
+fn evicted_by_each_policy(
+    config: CacheConfig,
+    ids: &[u64],
+    q: &Graph,
+    mut check: impl FnMut(usize, &OrderCache, usize, u64, bool) -> Result<(), TestCaseError>,
+) -> Result<[Vec<u64>; 2], TestCaseError> {
+    let caches = [EvictPolicy::Sampled, EvictPolicy::ScanReference]
+        .map(|policy| OrderCache::with_config(CacheConfig { policy, ..config }));
+    let mut evicted = [Vec::new(), Vec::new()];
+    let mut before = [Vec::new(), Vec::new()];
+    for (step, &id) in ids.iter().enumerate() {
+        for (c, cache) in caches.iter().enumerate() {
+            let fresh = lookup(cache, id, q);
+            check(c, cache, step, id, fresh)?;
+            let now = resident(cache, q, ID_UNIVERSE);
+            evicted[c].extend(before[c].iter().filter(|k| !now.contains(k)));
+            before[c] = now;
+        }
+    }
+    Ok(evicted)
+}
+
+/// Keys the properties draw from.
+const ID_UNIVERSE: u64 = 96;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Property: for random lookup sequences, random byte budgets, and
-    /// both policies, the byte bound holds after **every** lookup, the
-    /// total charge equals resident-count x entry-weight (no accounting
-    /// drift), and hits + misses conserve the lookup count.
+    /// Property: for random lookup sequences and random byte budgets, the
+    /// byte bound holds after **every** lookup, the total charge equals
+    /// resident-count x entry-weight (no accounting drift), hits + misses
+    /// conserve the lookup count, and both policies evict the same keys
+    /// in the same order.
     #[test]
     fn both_policies_respect_the_byte_bound(
-        ids in proptest::collection::vec(0u64..96, 1..400),
+        ids in proptest::collection::vec(0u64..ID_UNIVERSE, 1..400),
         budget_entries in 1usize..24,
-        sampled in 0u8..2,
     ) {
         let q = tiny_query();
         let weight = entry_weight(&OrderCache::new(), &q);
-        let policy = if sampled == 1 { EvictPolicy::Sampled } else { EvictPolicy::ScanReference };
         let bound = weight * budget_entries;
-        let cache = OrderCache::with_config(CacheConfig { max_bytes: Some(bound), policy, ..CacheConfig::default() });
-        for (step, &id) in ids.iter().enumerate() {
-            lookup(&cache, id, &q);
+        let config = CacheConfig { max_bytes: Some(bound), ..CacheConfig::default() };
+        let [sampled, reference] = evicted_by_each_policy(config, &ids, &q, |_, cache, step, _, _| {
             prop_assert!(
                 cache.storage_bytes() <= bound,
-                "{:?} step {}: {} bytes exceeds the {}-byte bound", policy, step, cache.storage_bytes(), bound
+                "step {}: {} bytes exceeds the {}-byte bound", step, cache.storage_bytes(), bound
             );
             prop_assert_eq!(
                 cache.storage_bytes(), cache.len() * weight,
-                "{:?} step {}: charge drifted from residents x weight", policy, step
+                "step {}: charge drifted from residents x weight", step
             );
-        }
-        prop_assert_eq!(cache.hits() + cache.misses(), ids.len() as u64, "every lookup is a hit or a miss");
+            prop_assert_eq!(cache.hits() + cache.misses(), step as u64 + 1, "every lookup is a hit or a miss");
+            Ok(())
+        })?;
+        prop_assert_eq!(sampled, reference, "the list's tail and the reference scan chose different victims");
     }
 
-    /// Property: entry-count bounds hold the same way, and evicted keys
-    /// always recompute as fresh misses (never a stale hit) under both
-    /// policies.
+    /// Property: entry-count bounds hold the same way, evicted keys
+    /// always recompute as fresh misses (never a stale hit), and both
+    /// policies evict the same keys in the same order.
     #[test]
     fn both_policies_respect_the_entry_bound(
-        ids in proptest::collection::vec(0u64..96, 1..400),
+        ids in proptest::collection::vec(0u64..ID_UNIVERSE, 1..400),
         cap in 1usize..24,
-        sampled in 0u8..2,
     ) {
         let q = tiny_query();
-        let policy = if sampled == 1 { EvictPolicy::Sampled } else { EvictPolicy::ScanReference };
-        let cache = OrderCache::with_config(CacheConfig { max_entries: Some(cap), policy, ..CacheConfig::default() });
-        let mut resident: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (step, &id) in ids.iter().enumerate() {
-            let fresh = lookup(&cache, id, &q);
-            prop_assert!(cache.len() <= cap, "{:?} step {}: {} entries exceed cap {}", policy, step, cache.len(), cap);
-            // A key never seen (or known-evicted) must be a miss; a hit
-            // implies the key was inserted earlier. (`resident` is a
-            // superset of the truly resident set, so `fresh` on a tracked
-            // key is allowed — it means the key was evicted since.)
-            if !resident.contains(&id) {
-                prop_assert!(fresh, "{:?} step {}: key {} hit without ever being inserted", policy, step, id);
+        let config = CacheConfig { max_entries: Some(cap), ..CacheConfig::default() };
+        let mut seen = [std::collections::HashSet::new(), std::collections::HashSet::new()];
+        let [sampled, reference] = evicted_by_each_policy(config, &ids, &q, |c, cache, step, id, fresh| {
+            prop_assert!(cache.len() <= cap, "step {}: {} entries exceed cap {}", step, cache.len(), cap);
+            // A key never seen must be a miss; a hit implies the key was
+            // inserted earlier. (`fresh` on a seen key is allowed — it
+            // means the key was evicted since.)
+            if !seen[c].contains(&id) {
+                prop_assert!(fresh, "step {}: key {} hit without ever being inserted", step, id);
             }
-            resident.insert(id);
-        }
+            seen[c].insert(id);
+            Ok(())
+        })?;
+        prop_assert_eq!(sampled, reference, "the list's tail and the reference scan chose different victims");
     }
 }

@@ -56,6 +56,17 @@ fn case() -> (Graph, Graph) {
     (q, gb.build())
 }
 
+/// A second query for `case()`'s host: its path with the labels swapped.
+fn other_query() -> Graph {
+    let mut qb = GraphBuilder::new(2);
+    let a = qb.add_vertex(1);
+    let b = qb.add_vertex(0);
+    let c = qb.add_vertex(1);
+    qb.add_edge(a, b);
+    qb.add_edge(b, c);
+    qb.build()
+}
+
 #[test]
 fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
     let _globals = globals();
@@ -106,43 +117,52 @@ fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
 }
 
 #[test]
-fn poisoned_space_shard_recovers_and_refilters() {
+fn poisoned_space_cache_recovers_and_refilters() {
     let _globals = globals();
     let (q, g) = case();
+    let q2 = other_query();
     let cache = SpaceCache::new();
     space_lookup(&cache, &q, &g);
-    assert_eq!(cache.len(), 1);
-    // The fire dies while holding the resident's shard lock — the
-    // worker-died-mid-operation scenario the old hook simulated, now
-    // reached through the real lookup path.
-    let guard = rlqvo_fault::arm_scoped("cache.shard.poison=once", 1).unwrap();
+    space_lookup(&cache, &q2, &g);
+    assert_eq!(cache.len(), 2);
+    // The fire dies while holding the cache lock — the
+    // worker-died-mid-operation scenario, reached through the real lookup
+    // path.
+    let guard = rlqvo_fault::arm_scoped("cache.lock.poison=once", 1).unwrap();
     let poisoned = catch_unwind(AssertUnwindSafe(|| space_lookup(&cache, &q, &g)));
-    assert!(poisoned.is_err(), "the armed lookup must die holding the shard lock");
+    assert!(poisoned.is_err(), "the armed lookup must die holding the cache lock");
     drop(guard);
-    // The next touch of the poisoned shard recovers it: the shard is
-    // cleared (as if evicted) and the lookup refilters.
+    // The next lock recovers the cache: every resident is dropped (as if
+    // evicted), so both keys refilter.
     let (e, fresh) = space_lookup(&cache, &q, &g);
-    assert!(fresh, "recovered shard starts empty");
+    assert!(fresh, "recovered cache starts empty");
     assert!(!e.cand().any_empty());
+    let (e2, fresh2) = space_lookup(&cache, &q2, &g);
+    assert!(fresh2, "recovery drops every resident, not only the key that died");
     assert_eq!(cache.poison_recoveries(), 1);
-    assert_eq!(cache.storage_bytes(), e.resident_bytes(), "byte accounting survives the recovery");
+    assert_eq!(cache.len(), 2);
+    assert_eq!(
+        cache.storage_bytes(),
+        e.resident_bytes() + e2.resident_bytes(),
+        "recovery refunds every charged byte, and the refills are charged again"
+    );
     // And the cache keeps serving afterwards.
-    let (_, fresh2) = space_lookup(&cache, &q, &g);
-    assert!(!fresh2);
+    let (_, fresh3) = space_lookup(&cache, &q, &g);
+    assert!(!fresh3);
 }
 
 #[test]
-fn poisoned_order_shard_recovers_and_recomputes() {
+fn poisoned_order_cache_recovers_and_recomputes() {
     let _globals = globals();
     let (q, g) = case();
     let cache = OrderCache::new();
     order_lookup(&cache, &q, &g);
-    let guard = rlqvo_fault::arm_scoped("cache.shard.poison=once", 1).unwrap();
+    let guard = rlqvo_fault::arm_scoped("cache.lock.poison=once", 1).unwrap();
     let poisoned = catch_unwind(AssertUnwindSafe(|| order_lookup(&cache, &q, &g)));
     assert!(poisoned.is_err());
     drop(guard);
     let (e, fresh) = order_lookup(&cache, &q, &g);
-    assert!(fresh, "recovered shard starts empty");
+    assert!(fresh, "recovered cache starts empty");
     assert_eq!(e.order().len(), 3);
     assert_eq!(cache.poison_recoveries(), 1);
     let (_, fresh2) = order_lookup(&cache, &q, &g);

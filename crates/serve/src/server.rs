@@ -39,8 +39,8 @@
 //!    fence — yields `error reason=worker_lost` and counts in
 //!    `worker_restarts`. Either way the connection thread, the server and
 //!    the cache tier stay up. The caches recover from lock poisoning (they
-//!    rebuild the poisoned shard), so even a panic inside a cache fill is
-//!    survivable.
+//!    drop every resident, which refills on its next lookup), so even a
+//!    panic while a cache lock is held is survivable.
 //! 4. **Graceful degradation.** A cache miss falls back to on-the-fly
 //!    filtering/ordering; every hit is checksum-verified, in every build
 //!    profile, and a mismatch evicts the liar and recomputes (counted in
@@ -909,7 +909,7 @@ fn handle_match(state: &ServerState, job: &Job, heartbeat: &'static AtomicU64) -
 /// The `inject=panic` ordering: same cache identity as the method it
 /// stands in for, but asking it for an order panics. On the warm path that
 /// is mid-fill, with a cache residency open — the `OnceLock` cell stays
-/// uninitialized (the next lookup retries) and no shard lock is held, so
+/// uninitialized (the next lookup retries) and no cache lock is held, so
 /// nothing poisons and the panic costs exactly one request.
 struct InjectedPanic<'a>(&'a dyn OrderingMethod);
 

@@ -24,7 +24,7 @@
 //! | schedule | spec | seed |
 //! |---|---|---|
 //! | 1 worker kill | `serve.worker.panic=1in5` | 11 |
-//! | 2 cache chaos | `cache.shard.poison=once;cache.checksum_corrupt=1in7` | 23 |
+//! | 2 cache chaos | `cache.lock.poison=once;cache.checksum_corrupt=1in7` | 23 |
 //! | 3 slow with deadlines | `enum.delay=2ms@1in2;serve.admission.stall=5ms@1in3` | 31 |
 //! | 4 wedge vs. watchdog | `serve.worker.wedge=500ms@once` | 47 |
 //! | 5 concurrent mix | `cache.checksum_corrupt=1in43` | 7 |
@@ -93,15 +93,15 @@ fn schedule_worker_kill() {
     handle.shutdown(); // must join cleanly despite the carnage
 }
 
-/// Schedule 2 — **cache corruption + shard poison**, on byte-bounded
-/// caches: the first lookup dies holding a shard lock (typed `panic`
-/// reply, shard poisoned), later verified hits find flipped checksums.
-/// The caches must recover the shard, degrade the liars — all counted —
+/// Schedule 2 — **cache corruption + lock poison**, on byte-bounded
+/// caches: the first lookup dies holding a cache lock (typed `panic`
+/// reply, lock poisoned), later verified hits find flipped checksums.
+/// The caches must recover the lock, degrade the liars — all counted —
 /// and never exceed their configured bounds.
 fn schedule_cache_chaos() {
     const SPACE_BOUND: usize = 256 * 1024;
     const ORDER_BOUND: usize = 64 * 1024;
-    let _guard = rlqvo_fault::arm_scoped("cache.shard.poison=once;cache.checksum_corrupt=1in7", 23).unwrap();
+    let _guard = rlqvo_fault::arm_scoped("cache.lock.poison=once;cache.checksum_corrupt=1in7", 23).unwrap();
     let handle = Server::start(
         ServeConfig {
             threads: 2,
@@ -128,7 +128,10 @@ fn schedule_cache_chaos() {
     assert!(rlqvo_fault::fired("cache.checksum_corrupt") >= 1, "hot hits must have drawn corruption fires");
     let m = metrics(&handle);
     assert_degrade_conservation(&m);
-    assert!(m["space_poison_recoveries"] + m["order_poison_recoveries"] >= 1, "the shard must have recovered: {m:?}");
+    assert!(
+        m["space_poison_recoveries"] + m["order_poison_recoveries"] >= 1,
+        "the poisoned cache must have recovered: {m:?}"
+    );
     let failures = m["space_checksum_failures"] + m["order_checksum_failures"];
     assert!(failures >= 1, "corrupted hits must be caught: {m:?}");
     assert!(m["space_evictions"] >= m["space_checksum_failures"], "each degrade evicts: {m:?}");

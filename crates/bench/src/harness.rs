@@ -3,20 +3,22 @@
 //! One entry point, [`run_methods`]: a roster (one method or many) over a
 //! query set with the build-once/enumerate-many contract — per (query,
 //! filter group) the candidates are filtered once and the
-//! `CandidateSpace` is built at most once, then every method of the group
-//! orders and enumerates in that entry through the library's shared
-//! [`run_in_entry`]. Its [`Caches`] argument says where that state lives,
-//! which is also how served work is booked: a call-local cache books what
+//! `CandidateSpace` is built at most once, both by the cache lookup, then
+//! every method of the group orders and enumerates in that entry through
+//! the library's shared [`run_in_entry`]. Its [`Caches`] argument says
+//! where that state lives, which is also how served work is booked: a
+//! call-local cache books what
 //! each query would have paid alone; caller-owned caches extend the
 //! contract *across rounds* — a sweep that replays the same query set
 //! (Fig. 11 caps, repeated variant runs) pays one filter pass and one
 //! build per (query, filter) key total — and book served work as zero.
 //! Engine and worker count are `EnumConfig::resolved`'s, once per query;
-//! under the probe oracle nothing is built and no build is booked.
+//! the probe oracle books no build, though a cold lookup made for it still
+//! builds.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rlqvo_graph::Graph;
 use rlqvo_matching::{
@@ -209,9 +211,9 @@ pub enum Caches<'a> {
 
 /// Evaluates `methods` (a roster, or a one-element slice) over every query
 /// — in parallel across `threads`, the *total* budget under which
-/// intra-query enumeration workers also compose (see [`budgeted_config`])
-/// — and aggregates per method. Unsolved queries are clamped to the time
-/// limit, as the paper does.
+/// intra-query enumeration workers also compose (one [`TokenBudget`] of
+/// `threads` tokens) — and aggregates per method. Unsolved queries are
+/// clamped to the time limit, as the paper does.
 ///
 /// Methods are grouped by
 /// [`filter.cache_key()`][rlqvo_matching::CandidateFilter::cache_key];
@@ -226,8 +228,8 @@ pub enum Caches<'a> {
 /// split equally across the group's methods and booked into their
 /// `enum_times` (and reported in [`RunStats::space_build_times`]), so
 /// per-method totals stay comparable across roster sizes while the *fleet*
-/// pays the build once. The probe oracle (`EnumEngine::Probe`) builds
-/// nothing and books no share.
+/// pays the build once. The probe oracle (`EnumEngine::Probe`) books no
+/// share, though a cold lookup made for it still builds.
 pub fn run_methods(
     g: &Graph,
     queries: &[Graph],
@@ -257,10 +259,10 @@ pub fn run_methods(
 }
 
 /// One query through every method, filtering and building at most once
-/// per (query, filter) key for the lifetime of `spaces`. `charge_hits`
-/// selects the accounting for cache-served entries: `true` books the
-/// entry's stored filter/build times (per-call parity), `false` books
-/// zero (amortized).
+/// per (query, filter) key for the lifetime of `spaces`. A lookup that
+/// computed the entry books its stored filter/build times; `charge_hits`
+/// selects the accounting for cache-served entries: `true` books them too
+/// (per-call parity), `false` books zero (amortized).
 fn eval_query(
     g: &Graph,
     q: &Graph,
@@ -285,33 +287,16 @@ fn eval_query(
     }
 
     for (_, idxs) in &groups {
-        let t0 = Instant::now();
+        // `fresh` is true only for the worker whose lookup computed the
+        // entry: one that blocked on a concurrent compute was served.
         let (entry, fresh) = spaces.entry_keyed(&key, q, g, methods[idxs[0]].filter);
-        // On a hit the filter did not run this round: book the stored
-        // pass under per-call accounting, zero under amortized (the
-        // elapsed lock-and-lookup time is noise either way).
-        let filter_time = match (fresh, charge_hits) {
-            (true, _) => t0.elapsed(),
-            (false, true) => entry.filter_time(),
-            (false, false) => Duration::ZERO,
-        };
-
-        // At most one build per group, timed here so it can be shared
-        // out — under exactly the condition `run_in_entry` would build.
-        let build_time = if config.engine != EnumEngine::Probe && !entry.cand().any_empty() {
-            let tb = Instant::now();
-            // `built` is true only for the worker whose closure ran — a
-            // worker that blocked on a concurrent builder was *served*
-            // and must not book its wait.
-            match (entry.force_space(q, g).1, charge_hits) {
-                (true, _) => tb.elapsed(),
-                (false, true) => entry.build_time(),
-                (false, false) => Duration::ZERO,
-            }
+        let (filter_time, build_time) = if fresh || charge_hits {
+            (entry.filter_time(), entry.build_time())
         } else {
-            Duration::ZERO
+            (Duration::ZERO, Duration::ZERO)
         };
-        let share = build_time / idxs.len() as u32;
+        // The group's one build, shared out; the probe oracle books none.
+        let share = if config.engine == EnumEngine::Probe { Duration::ZERO } else { build_time / idxs.len() as u32 };
 
         for &mi in idxs {
             let pipeline = Pipeline { filter: methods[mi].filter, ordering: methods[mi].ordering, config };
@@ -478,7 +463,7 @@ mod tests {
         // Amortized accounting (`Caches::Shared`): only the instance
         // whose worker actually built pays; the served one books zero —
         // even with both duplicates evaluated concurrently (a worker
-        // blocked on the OnceLock build must not book its wait).
+        // blocked on the other's compute must not book its wait).
         let cache = SpaceCache::new();
         let cached = run_methods(&g, &queries, &methods, EnumConfig::find_all(), 2, Caches::Shared { spaces: &cache });
         let paid = cached[0].space_build_times.iter().filter(|d| **d > Duration::ZERO).count();

@@ -11,8 +11,8 @@
 //!    worker however many threads are requested, and running it through
 //!    the Auto engine spawns no workers at all.
 //! 3. **Bounded cache**: a distinct-query flood through a
-//!    byte-bounded [`SpaceCache`] never exceeds the bound (including
-//!    through lazy space builds), evicts, rebuilds an evicted key exactly
+//!    byte-bounded [`SpaceCache`] never exceeds the bound (each entry
+//!    charged with its space), evicts, rebuilds an evicted key exactly
 //!    once, and serves every *resident* key with exactly one filter pass
 //!    and one `CandidateSpace::build` however many rounds replay it.
 
@@ -110,7 +110,6 @@ fn parallel_budget_and_bounded_cache_hold() {
     let probe_cache = SpaceCache::new();
     let q0 = distinct_query(0);
     let (e0, _) = probe_cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
-    e0.space(&q0, &host);
     let bound = e0.resident_bytes() * 12;
 
     let cache = SpaceCache::with_capacity_bytes(bound);
@@ -118,7 +117,7 @@ fn parallel_budget_and_bounded_cache_hold() {
         let q = distinct_query(i);
         let (e, fresh) = cache.entry_keyed(&QueryKey::of(&q), &q, &host, &LdfFilter);
         assert!(fresh, "distinct queries must never alias (i = {i})");
-        e.space(&q, &host); // force the lazy build; the bound must hold through it
+        assert!(e.space().is_some());
         assert!(
             cache.storage_bytes() <= bound,
             "flood iteration {i}: {} bytes exceeds the {bound}-byte bound",
@@ -131,9 +130,8 @@ fn parallel_budget_and_bounded_cache_hold() {
     // resident again.
     let misses = cache.misses();
     let builds = CandidateSpace::build_count();
-    let (e, fresh) = cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
+    let (_, fresh) = cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
     assert!(fresh, "q0 was evicted by the flood and must refilter");
-    e.space(&q0, &host);
     assert_eq!(cache.misses(), misses + 1);
     assert_eq!(CandidateSpace::build_count(), builds + 1, "exactly one rebuild for the evicted key");
 
@@ -142,9 +140,8 @@ fn parallel_budget_and_bounded_cache_hold() {
     let builds = CandidateSpace::build_count();
     let misses = cache.misses();
     for _ in 0..5 {
-        let (e2, fresh) = cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
+        let (_, fresh) = cache.entry_keyed(&QueryKey::of(&q0), &q0, &host, &LdfFilter);
         assert!(!fresh, "resident key must hit");
-        e2.space(&q0, &host);
     }
     assert_eq!(cache.misses(), misses, "hits never refilter");
     assert_eq!(CandidateSpace::build_count(), builds, "hits never rebuild");

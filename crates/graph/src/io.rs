@@ -92,7 +92,7 @@ fn field<'a>(fields: &mut impl Iterator<Item = &'a str>, line: &str, expected: u
 /// graph's universe when loading query graphs so label ids stay aligned).
 ///
 /// Hostile input is an error, never a panic: the `t` counts only size
-/// reservations (capped at [`HINT_CAP`]), ids must be exactly `0..n` for `n`
+/// reservations (capped at `HINT_CAP`), ids must be exactly `0..n` for `n`
 /// `v` lines, and edge endpoints, self-loops and labels are checked before
 /// the graph is built. With `label_universe` given, nothing is allocated
 /// that the text's lines do not pay for. Without it the universe is the

@@ -4,7 +4,7 @@
 //! "semi-perfect matching" check (§II-C).
 //!
 //! The filter runs that check once per (query vertex, candidate) pair per
-//! round through [`MaskMatcher`]: the left side is a set of bits, every
+//! round through `MaskMatcher`: the left side is a set of bits, every
 //! right vertex is the bitmask of the lefts it can serve, and nearly all
 //! checks are decided while the rights stream by (a greedy matching
 //! completes, or some left was never seen). Only the rest runs

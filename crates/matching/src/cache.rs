@@ -18,18 +18,19 @@
 //! * [`EvictPolicy::ScanReference`] finds the same victim by scanning
 //!   every resident's recency tick — the O(resident) reference the
 //!   property tests compare the list against, victim for victim;
-//! * capacity can bound **bytes** ([`CacheConfig::max_bytes`], entries
-//!   self-report via [`CacheWeight::weight`] and may recharge later
-//!   through [`Shared::recharge`] when lazily built parts materialize)
-//!   and/or **entry count** ([`CacheConfig::max_entries`]). An insert, a
-//!   charge and a checksum eviction each evict inside the critical section
-//!   that made it necessary, so both bounds hold at every unlock (the key
-//!   being filled is never its own victim, so a zero entry bound still
-//!   holds that one key);
+//! * capacity can bound **bytes** ([`CacheConfig::max_bytes`]) and/or
+//!   **entry count** ([`CacheConfig::max_entries`]). An entry is complete
+//!   when its compute returns, and its [`CacheWeight::weight`] is charged
+//!   **once per residency**, under the lock, right then — only while the
+//!   key's slot is still the one that compute filled, since the compute
+//!   ran outside the lock. An insert, that charge and a checksum eviction
+//!   each evict inside the critical section that made it necessary, so
+//!   both bounds hold at every unlock (the key being filled is never its
+//!   own victim, so a zero entry bound still holds that one key);
 //! * an entry bigger than the whole byte budget is **admitted uncached**:
-//!   it is served as a standalone handle, never charged (or dropped from
-//!   residency the moment a lazy recharge reveals the oversize), and its
-//!   key is quarantined so later lookups skip residency instead of
+//!   it is served as a standalone handle, never charged (its one charge
+//!   drops it from residency instead), and its key is quarantined so
+//!   later lookups skip residency instead of
 //!   evicting every other resident per lookup and then being evicted
 //!   themselves — the thrash-to-empty failure mode
 //!   ([`Cache::oversize_serves`] counts these);
@@ -65,12 +66,11 @@ const OVERSIZE_QUARANTINE_MAX: usize = 4096;
 /// Intrusive-list null index.
 const NIL: u32 = u32::MAX;
 
-/// What the generic cache needs from an entry type: its current byte
-/// weight (for byte-bounded accounting — may grow after insert for
-/// lazily built entries, reported via [`Shared::recharge`]) and the
-/// stored structural checksum verified on hits.
+/// What the generic cache needs from an entry type: its byte weight
+/// (charged once, when the entry is computed) and the stored structural
+/// checksum verified on hits.
 pub trait CacheWeight: Send + Sync {
-    /// Bytes this entry currently pins.
+    /// Bytes this entry pins.
     fn weight(&self) -> usize;
     /// The collision-guard checksum written at insert. Atomic only so
     /// the `cache.checksum_corrupt` failpoint can flip it in place on a
@@ -220,13 +220,13 @@ impl<E> Inner<E> {
         self.free.push(i);
     }
 
-    /// The index of `key`'s resident when its slot holds exactly `entry`
-    /// — the identity check that keeps a stale handle (its key since
-    /// evicted and recomputed into a new resident) from touching the new
-    /// resident.
-    fn resident_as(&self, key: &CacheKey, entry: &E) -> Option<u32> {
+    /// The index of `key`'s resident when its map slot is exactly `slot`
+    /// — the identity check that keeps a lookup whose key was evicted
+    /// (and perhaps recomputed into a new resident) while it computed or
+    /// verified outside the lock from touching the new resident.
+    fn resident_slot(&self, key: &CacheKey, slot: &Arc<Slot<E>>) -> Option<u32> {
         let &i = self.map.get(key)?;
-        self.node(i).slot.get().is_some_and(|a| std::ptr::eq(Arc::as_ptr(a), entry)).then_some(i)
+        Arc::ptr_eq(&self.node(i).slot, slot).then_some(i)
     }
 
     fn quarantine(&mut self, key: &CacheKey) {
@@ -237,11 +237,9 @@ impl<E> Inner<E> {
     }
 }
 
-/// The locked state plus the bounds and counters — `Arc`-shared so
-/// lazily built entries can [`recharge`][Shared::recharge] their key
-/// through a weak origin handle without a back-pointer to the public
-/// cache type.
-pub struct Shared<E> {
+/// The generic bounded, checksum-verified cache (module docs).
+/// `SpaceCache` and `OrderCache` are thin instantiations of this.
+pub struct Cache<E> {
     inner: Mutex<Inner<E>>,
     max_bytes: Option<usize>,
     max_entries: Option<usize>,
@@ -258,7 +256,23 @@ pub struct Shared<E> {
     evict_scan_steps: AtomicU64,
 }
 
-impl<E: CacheWeight> Shared<E> {
+impl<E: CacheWeight> Cache<E> {
+    pub fn new(config: CacheConfig) -> Self {
+        Cache {
+            inner: Mutex::new(Inner::default()),
+            max_bytes: config.max_bytes,
+            max_entries: config.max_entries,
+            policy: config.policy,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+            checksum_failures: AtomicU64::new(0),
+            poison_recoveries: AtomicU64::new(0),
+            oversize_serves: AtomicU64::new(0),
+            evict_scan_steps: AtomicU64::new(0),
+        }
+    }
+
     /// Takes the lock, recovering from poisoning instead of propagating
     /// it: a worker that panicked while holding the lock may have left
     /// the list mid-update, so recovery drops every resident (their keys
@@ -276,33 +290,35 @@ impl<E: CacheWeight> Shared<E> {
         })
     }
 
-    /// Sets `key`'s charge to `bytes` and evicts down to capacity, never
-    /// evicting `key` itself. The charge only applies while the key's
-    /// resident slot still holds exactly `entry` — a stale handle must not
-    /// overwrite the new resident's accounting. An entry whose bytes
-    /// exceed the whole byte budget is dropped from residency and
-    /// quarantined instead (admit-uncached — see the module docs): the
-    /// caller keeps serving its handle, other residents are untouched.
-    pub fn recharge(&self, key: &CacheKey, bytes: usize, entry: &E) {
+    /// The one charge of a residency: `bytes` for the entry `slot` just
+    /// computed, then eviction down to capacity, never evicting `key`
+    /// itself. It applies only while the map's slot for `key` is still
+    /// `slot` — the compute ran outside the lock, so the key may have
+    /// been evicted or recomputed meanwhile, and the new resident's books
+    /// are not this entry's. An entry over the whole byte budget leaves
+    /// residency and is quarantined instead (admit-uncached — see the
+    /// module docs): the caller keeps serving its handle, other residents
+    /// are untouched.
+    fn charge(&self, key: &CacheKey, slot: &Arc<Slot<E>>, bytes: usize) {
         let mut inner = self.lock();
-        let Some(i) = inner.resident_as(key, entry) else { return };
+        let Some(i) = inner.resident_slot(key, slot) else { return };
         if self.max_bytes.is_some_and(|cap| bytes > cap) {
             inner.remove(i);
             inner.quarantine(key);
             self.oversize_serves.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        inner.bytes = inner.bytes - inner.node(i).charged + bytes;
+        inner.bytes += bytes;
         inner.node_mut(i).charged = bytes;
         self.evict_to_capacity(&mut inner, key);
     }
 
-    /// Removes `key` only while its resident slot still holds exactly
-    /// `entry` — the checksum-degrade path. The identity check keeps a
-    /// stale verdict from evicting a concurrent recompute's fresh entry.
-    fn evict_exact(&self, key: &CacheKey, entry: &E) {
+    /// Removes `key` only while its map slot is still `slot` — the
+    /// checksum-degrade path. The identity check keeps a stale verdict
+    /// from evicting a concurrent recompute's fresh entry.
+    fn evict_exact(&self, key: &CacheKey, slot: &Arc<Slot<E>>) {
         let mut inner = self.lock();
-        if let Some(i) = inner.resident_as(key, entry) {
+        if let Some(i) = inner.resident_slot(key, slot) {
             inner.remove(i);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -338,38 +354,6 @@ impl<E: CacheWeight> Shared<E> {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// The generic bounded, checksum-verified cache (module docs).
-/// `SpaceCache` and `OrderCache` are thin instantiations of this.
-pub struct Cache<E> {
-    shared: Arc<Shared<E>>,
-}
-
-impl<E: CacheWeight> Cache<E> {
-    pub fn new(config: CacheConfig) -> Self {
-        Cache {
-            shared: Arc::new(Shared {
-                inner: Mutex::new(Inner::default()),
-                max_bytes: config.max_bytes,
-                max_entries: config.max_entries,
-                policy: config.policy,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                evictions: AtomicU64::new(0),
-                checksum_failures: AtomicU64::new(0),
-                poison_recoveries: AtomicU64::new(0),
-                oversize_serves: AtomicU64::new(0),
-                evict_scan_steps: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    /// The `Arc`-shared core — what lazily built entries hold weakly so
-    /// they can [`recharge`][Shared::recharge] their key later.
-    pub(crate) fn shared(&self) -> &Arc<Shared<E>> {
-        &self.shared
-    }
 
     /// The entry for `(key.fingerprint(), variant)`, building it on first
     /// use. Returns the shared entry and whether this call built it
@@ -380,8 +364,9 @@ impl<E: CacheWeight> Cache<E> {
     /// miss + oversize serve).
     ///
     /// `build` must store `key.checksum()` in the entry it constructs:
-    /// every hit compares the two. It receives the composed cache key so
-    /// lazily sized entries can keep an origin handle for recharging.
+    /// every hit compares the two. The entry is complete when `build`
+    /// returns: its [`weight`][CacheWeight::weight] is charged once, under
+    /// the lock, and never again.
     ///
     /// Hot path: one lock (find + LRU re-head + `Arc` clone), a lock-free
     /// `OnceLock` read, one relaxed load and a compare.
@@ -389,7 +374,7 @@ impl<E: CacheWeight> Cache<E> {
         &self,
         key: &QueryKey,
         variant: &str,
-        build: impl FnOnce(&CacheKey) -> Arc<E>,
+        build: impl FnOnce() -> Arc<E>,
     ) -> (Arc<E>, bool) {
         let expect = key.checksum();
         let key: CacheKey = (key.fingerprint(), variant.to_string());
@@ -401,12 +386,12 @@ impl<E: CacheWeight> Cache<E> {
         let mut build = Some(build);
         loop {
             let slot = {
-                let mut inner = self.shared.lock();
+                let mut inner = self.lock();
                 // A known-oversize key skips residency entirely: build and
                 // serve standalone, leaving every resident untouched
                 // (admit-uncached). The failpoint forces the same path for
                 // an arbitrary key, bound or no bound.
-                if (self.shared.max_bytes.is_some() && inner.oversize.contains(&key))
+                if (self.max_bytes.is_some() && inner.oversize.contains(&key))
                     || rlqvo_fault::failpoint!("cache.oversize").is_some()
                 {
                     None
@@ -427,27 +412,25 @@ impl<E: CacheWeight> Cache<E> {
                         None => {
                             let slot = Arc::new(OnceLock::new());
                             inner.insert(key.clone(), Arc::clone(&slot));
-                            self.shared.evict_to_capacity(&mut inner, &key);
+                            self.evict_to_capacity(&mut inner, &key);
                             slot
                         }
                     })
                 }
             };
             let Some(slot) = slot else {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                self.shared.oversize_serves.fetch_add(1, Ordering::Relaxed);
-                return ((build.take().expect("one compute pass per call"))(&key), true);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.oversize_serves.fetch_add(1, Ordering::Relaxed);
+                return ((build.take().expect("one compute pass per call"))(), true);
             };
             let mut fresh = false;
             let entry = slot.get_or_init(|| {
                 fresh = true;
-                (build.take().expect("one compute pass per call"))(&key)
+                (build.take().expect("one compute pass per call"))()
             });
             if fresh {
-                self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                // Charge what exists now; a lazy build recharges later
-                // through the entry's origin handle.
-                self.shared.recharge(&key, entry.weight(), &**entry);
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.charge(&key, &slot, entry.weight());
                 return (Arc::clone(entry), true);
             }
             // A fire flips the resident's stored checksum *before* the
@@ -460,11 +443,11 @@ impl<E: CacheWeight> Cache<E> {
             if entry.checksum_cell().load(Ordering::Relaxed) != expect {
                 // Degrade, don't panic: count it, evict exactly this
                 // resident, and retry as a recompute miss.
-                self.shared.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                self.shared.evict_exact(&key, &**entry);
+                self.checksum_failures.fetch_add(1, Ordering::Relaxed);
+                self.evict_exact(&key, &slot);
                 continue;
             }
-            self.shared.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(entry), false);
         }
     }
@@ -475,40 +458,40 @@ impl<E: CacheWeight> Cache<E> {
     /// eviction left resident.
     pub fn contains(&self, key: &QueryKey, variant: &str) -> bool {
         let key: CacheKey = (key.fingerprint(), variant.to_string());
-        let inner = self.shared.lock();
+        let inner = self.lock();
         inner.map.get(&key).is_some_and(|&i| inner.node(i).slot.get().is_some())
     }
 
     /// Lookups served from an existing entry.
     pub fn hits(&self) -> u64 {
-        self.shared.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Lookups that ran the compute pass.
     pub fn misses(&self) -> u64 {
-        self.shared.misses.load(Ordering::Relaxed)
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Entries dropped by the bounds (or checksum degradation) so far.
     pub fn evictions(&self) -> u64 {
-        self.shared.evictions.load(Ordering::Relaxed)
+        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Verified hits whose stored checksum disagreed with the query —
     /// each degraded to an evict-and-recompute miss instead of panicking.
     pub fn checksum_failures(&self) -> u64 {
-        self.shared.checksum_failures.load(Ordering::Relaxed)
+        self.checksum_failures.load(Ordering::Relaxed)
     }
 
     /// Poisoned locks recovered (every resident dropped) so far.
     pub fn poison_recoveries(&self) -> u64 {
-        self.shared.poison_recoveries.load(Ordering::Relaxed)
+        self.poison_recoveries.load(Ordering::Relaxed)
     }
 
     /// Lookups served standalone because the entry exceeds the whole
     /// byte budget (admit-uncached, see the module docs).
     pub fn oversize_serves(&self) -> u64 {
-        self.shared.oversize_serves.load(Ordering::Relaxed)
+        self.oversize_serves.load(Ordering::Relaxed)
     }
 
     /// Cumulative residents examined during victim selection. Under
@@ -517,12 +500,12 @@ impl<E: CacheWeight> Cache<E> {
     /// [`EvictPolicy::ScanReference`] it grows by the whole resident count
     /// per victim.
     pub fn evict_scan_steps(&self) -> u64 {
-        self.shared.evict_scan_steps.load(Ordering::Relaxed)
+        self.evict_scan_steps.load(Ordering::Relaxed)
     }
 
     /// Number of distinct keys resident.
     pub fn len(&self) -> usize {
-        self.shared.lock().map.len()
+        self.lock().map.len()
     }
 
     /// True when no entries are held.
@@ -533,13 +516,13 @@ impl<E: CacheWeight> Cache<E> {
     /// Bytes charged for resident entries. With a byte bound this never
     /// exceeds it.
     pub fn storage_bytes(&self) -> usize {
-        self.shared.lock().bytes
+        self.lock().bytes
     }
 
     /// Drops every variant of `query_id`. Outstanding `Arc` entries stay
     /// usable; the keys recompute on their next lookup.
     pub fn invalidate(&self, query_id: u64) {
-        let mut inner = self.shared.lock();
+        let mut inner = self.lock();
         let doomed: Vec<u32> = inner.map.iter().filter(|((qid, _), _)| *qid == query_id).map(|(_, &i)| i).collect();
         for i in doomed {
             inner.remove(i);
@@ -550,6 +533,6 @@ impl<E: CacheWeight> Cache<E> {
     /// Drops everything (the inputs the entries were computed from
     /// changed).
     pub fn clear(&self) {
-        *self.shared.lock() = Inner::default();
+        *self.lock() = Inner::default();
     }
 }

@@ -360,7 +360,7 @@ const AUTO_WORK_PER_CALL: u64 = 16;
 /// is unbounded and the gate grants the full worker request.
 const AUTO_UNBOUNDED: u64 = u64::MAX / 4;
 
-/// Minimum estimated enumeration work (in [`AUTO_WORK_PER_CALL`] units)
+/// Minimum estimated enumeration work (in `AUTO_WORK_PER_CALL` units)
 /// that must land on *each additional worker* before the Auto path
 /// parallelizes. Calibration: one unit is roughly an adjacency entry
 /// scanned (~1–2 ns), so 256Ki units is a few hundred microseconds of
@@ -374,7 +374,7 @@ const AUTO_UNBOUNDED: u64 = u64::MAX / 4;
 pub const AUTO_PARALLEL_WORK_PER_WORKER: u64 = 262_144;
 
 /// Caps `requested` intra-query workers to what `est_enum_work` (in
-/// [`AUTO_WORK_PER_CALL`] units — see [`estimate_enum_work`]) can keep
+/// `AUTO_WORK_PER_CALL` units — see [`estimate_enum_work`]) can keep
 /// busy: one worker per [`AUTO_PARALLEL_WORK_PER_WORKER`] units, never
 /// fewer than one. Unbounded estimates (`u64::MAX`, the find-all regime)
 /// grant the full request. This is the gate that keeps tiny yeast-style
@@ -390,7 +390,7 @@ pub fn effective_threads(est_enum_work: u64, requested: usize) -> usize {
 
 /// The enumeration-work estimate — `O(1)`: the recursion-call ceiling
 /// implied by `max_matches` / `max_enumerations`, in
-/// [`AUTO_WORK_PER_CALL`] units. A hopeful estimate, not a ceiling: a
+/// `AUTO_WORK_PER_CALL` units. A hopeful estimate, not a ceiling: a
 /// capped query with few or no embeddings still explores its dead-end
 /// tree in full.
 pub fn estimate_enum_work(q: &Graph, config: &EnumConfig) -> u64 {

@@ -30,9 +30,10 @@
 //! paper's roster of (filter, ordering) pairs, once.
 //! [`spacecache`] adds the cross-round amortization layer: a [`SpaceCache`]
 //! keyed by `(query fingerprint, filter semantics)` owns filtered
-//! [`Candidates`] and the lazily built [`CandidateSpace`], so sweeps
-//! replaying the same queries (cap sweeps, repeated CLI invocations) filter
-//! and build exactly once per key. [`ordercache`] is its phase-2 sibling:
+//! [`Candidates`] and the [`CandidateSpace`] built with them when the entry
+//! is computed (unless a candidate set is empty; a cold lookup made for a
+//! probe-by-name run builds too), so sweeps replaying the same queries (cap
+//! sweeps, repeated CLI invocations) filter and build exactly once per key. [`ordercache`] is its phase-2 sibling:
 //! an [`OrderCache`] of matching orders keyed by `(query fingerprint,
 //! ordering semantics)`, so a serving loop replaying a query skips the
 //! ordering phase — including a learned policy's whole GNN inference —

@@ -32,7 +32,7 @@
 //!
 //! **Scope contract**: an `OrderCache` is valid for one `(data graph,
 //! model weights)` combination — anything that changes the order an
-//! uncached call would produce requires [`OrderCache::clear`] (or a fresh
+//! uncached call would produce requires [`OrderCache::clear`][Cache::clear] (or a fresh
 //! cache).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,7 +152,7 @@ impl OrderCache {
         _q: &Graph,
         compute: impl FnOnce() -> Vec<VertexId>,
     ) -> (Arc<OrderEntry>, bool) {
-        self.cache.get_or_insert(key, variant, |_| {
+        self.cache.get_or_insert(key, variant, || {
             let t = Instant::now();
             let order = compute();
             Arc::new(OrderEntry { order, checksum: AtomicU64::new(key.checksum()), order_time: t.elapsed() })
@@ -350,6 +350,35 @@ mod tests {
         ri_lookup(&cache, &q, &g);
         cache.clear();
         assert!(cache.is_empty());
+    }
+
+    /// A compute runs outside the lock, so its key can be evicted and
+    /// recomputed before it returns. Its one charge must then land
+    /// nowhere: the handle is served standalone and the new resident's
+    /// books stay its own.
+    #[test]
+    fn a_charge_skips_a_key_recomputed_while_its_compute_ran() {
+        let cache = OrderCache::with_config(CacheConfig { max_entries: Some(2), ..CacheConfig::default() });
+        let queries = [distinct_query(0), distinct_query(1), distinct_query(2)];
+        let keys = queries.each_ref().map(QueryKey::of);
+        let lookup = |i: usize, order: Vec<VertexId>| cache.get_or_compute_keyed(&keys[i], "RI", &queries[i], || order);
+        let mut c = None;
+        let (outer, fresh) = cache.get_or_compute_keyed(&keys[0], "RI", &queries[0], || {
+            lookup(1, vec![0, 1, 2]);
+            // C's insert evicts A's still-computing slot, the tail.
+            c = Some(lookup(2, vec![0, 1, 2]).0);
+            let (_, fresh) = lookup(0, vec![2, 1, 0]);
+            assert!(fresh, "A was evicted, so the nested lookup recomputes it");
+            vec![0, 1, 2]
+        });
+        assert!(fresh);
+        let (resident, refilled) = lookup(0, Vec::new());
+        assert!(!refilled, "A's second residency is resident");
+        assert!(!Arc::ptr_eq(&outer, &resident), "the outer handle is not A's resident");
+        assert_eq!(resident.order(), &[2, 1, 0], "A's resident holds the nested order");
+        let c = c.expect("C looked up");
+        assert!(cache.contains(&keys[2], "RI") && !cache.contains(&keys[1], "RI"));
+        assert_eq!(cache.storage_bytes(), c.weight() + resident.weight(), "the books are the residents' weights");
     }
 
     // The corruption-degrade and poison-recovery contracts are exercised

@@ -7,7 +7,7 @@
 //! behind its owner. This module parallelizes the *whole* tree instead:
 //!
 //! * Every worker owns a bounded chase-lev-style deque of **open
-//!   subtrees** ([`Task`]: a frozen partial embedding plus the remaining
+//!   subtrees** (`Task`: a frozen partial embedding plus the remaining
 //!   candidate chunk at its depth). The owner pushes and pops at the back
 //!   (LIFO — depth-first locality); thieves take from the front (FIFO —
 //!   the biggest, shallowest subtrees move between workers).
@@ -28,7 +28,7 @@
 //!
 //! Each worker owns a full private recursion context (`Ctx` — mapping,
 //! injectivity bitmap, per-depth LC buffers) and runs the one recursion
-//! in [`crate::enumerate`], so the steady-state hot path is the serial
+//! in [`crate::enumerate`][mod@crate::enumerate], so the steady-state hot path is the serial
 //! code; shared state is touched only at donation points (an atomic room
 //! check, rarely a deque push), at the existing 1024-call cadence (budget
 //! sync), and per emitted match under a finite cap.

@@ -8,8 +8,10 @@
 //! Three ways to run one query, and no others:
 //!
 //! * [`run_pipeline`] — cold: filter, order, enumerate, nothing kept;
-//! * [`run_cached`] — warm: the entry from a [`SpaceCache`], the order from
-//!   an [`OrderCache`] if one is given, enumeration in the entry. The CLI's
+//! * [`run_cached`] — warm: the entry from a [`SpaceCache`] (filtered and
+//!   built on a miss, whatever the engine — a cold lookup for a
+//!   probe-by-name run builds a space it does not use), the order from an
+//!   [`OrderCache`] if one is given, enumeration in the entry. The CLI's
 //!   `--repeat` loop and the server's `match` handler are calls to it;
 //! * [`run_in_entry`] — phases 2–3 in an entry the caller already holds
 //!   (what `run_cached` does after its lookup; the figure harness calls it
@@ -18,7 +20,7 @@
 //! What engine and worker count a configuration means is
 //! [`EnumConfig::resolved`]'s to say, here as in [`enumerate`]; the one
 //! rule that is about the entry — an empty candidate set is never built —
-//! is in [`run_in_entry`].
+//! is [`SpaceEntry`]'s.
 
 use std::time::{Duration, Instant};
 
@@ -92,14 +94,12 @@ pub fn run_pipeline(q: &Graph, g: &Graph, pipeline: &Pipeline<'_>) -> PipelineRe
 /// Phases 2–3 in a [`SpaceEntry`]: the order comes from `orders` when one
 /// is given (a hit books the lookup only — phase 2 genuinely did not run)
 /// or from `pipeline.ordering`, then enumerates under the
-/// [resolved](EnumConfig::resolved) configuration — in the entry's lazily
-/// built space, or, when the probe oracle was asked for by name, by
-/// [`enumerate_probe`] on the entry's candidates. An empty candidate set
-/// proves there is no match, so whatever the engine the space is not
-/// built for it. Never filters; builds at most once per residency of the
-/// entry. `filter_time` is zero: whoever looked the entry up knows whether
-/// a filter pass ran. Returns the result and whether the order was a
-/// cache hit.
+/// [resolved](EnumConfig::resolved) configuration — in the entry's space,
+/// or, when the probe oracle was asked for by name or the entry has no
+/// space (some candidate set is empty), by [`enumerate_probe`] on the
+/// entry's candidates. Never filters or builds. `filter_time` is zero and
+/// `enum_time` holds no build: whoever looked the entry up knows whether
+/// those ran. Returns the result and whether the order was a cache hit.
 pub fn run_in_entry(
     q: &Graph,
     g: &Graph,
@@ -123,11 +123,10 @@ pub fn run_in_entry(
     let config = pipeline.config.resolved(q);
     let t2 = Instant::now();
     // `enumerate_probe` answers an empty candidate set at entry, with no
-    // work — which is what keeps such an entry's space unbuilt.
-    let enum_result = if config.engine == EnumEngine::Probe || cand.any_empty() {
-        enumerate_probe(q, g, cand, &order, config)
-    } else {
-        enumerate_in_space(q, entry.space(q, g), &order, config)
+    // work.
+    let enum_result = match entry.space() {
+        Some(space) if config.engine != EnumEngine::Probe => enumerate_in_space(q, space, &order, config),
+        _ => enumerate_probe(q, g, cand, &order, config),
     };
     let enum_time = t2.elapsed();
     let result = PipelineResult {
@@ -143,9 +142,11 @@ pub fn run_in_entry(
 
 /// The warm run of one query — what `rlqvo match --repeat`, a served
 /// `match` request and every cached surface execute: look the entry up
-/// (filtering on a miss), then [`run_in_entry`]. `filter_time` is the
-/// lookup-and-filter time on a miss and exactly zero on a hit. Returns the
-/// result plus (space hit, order hit).
+/// (filtering and building on a miss), then [`run_in_entry`]. On a miss
+/// `filter_time` is the entry's filter pass and `enum_time` includes its
+/// build, where the paper books phase-3 work; on a hit `filter_time` is
+/// exactly zero and no build is booked. Returns the result plus (space
+/// hit, order hit).
 pub fn run_cached(
     q: &Graph,
     g: &Graph,
@@ -154,11 +155,12 @@ pub fn run_cached(
     spaces: &SpaceCache,
     orders: Option<&OrderCache>,
 ) -> (PipelineResult, bool, bool) {
-    let t0 = Instant::now();
     let (entry, fresh) = spaces.entry_keyed(key, q, g, pipeline.filter);
-    let filter_time = if fresh { t0.elapsed() } else { Duration::ZERO };
     let (mut result, hit_order) = run_in_entry(q, g, &entry, pipeline, orders.map(|cache| (cache, key)));
-    result.filter_time = filter_time;
+    if fresh {
+        result.filter_time = entry.filter_time();
+        result.enum_time += entry.build_time();
+    }
     (result, !fresh, hit_order)
 }
 
@@ -259,10 +261,9 @@ mod tests {
                 assert_eq!(cached.order, fresh_run.order, "{}", engine.name());
                 assert_eq!(cached.filter_time, Duration::ZERO);
                 assert!(!hit_order, "no order cache, no order hit");
-                // The probe oracle never builds; no engine builds for an
-                // empty candidate set.
-                let built = !empty && engine != EnumEngine::Probe;
-                assert_eq!(entry.space_ready(), built, "{} empty={empty}", engine.name());
+                // The entry has its space iff no candidate set is empty,
+                // whatever the engine.
+                assert_eq!(entry.space().is_some(), !empty, "{} empty={empty}", engine.name());
             }
         }
     }
@@ -297,9 +298,8 @@ mod tests {
     fn cold_auto_entry_respects_the_cost_model() {
         // Dense one-label host under a 1-match cap: the build-dominated
         // regime. What is left of the cost model is the worker gate, so
-        // Auto builds the cold entry's space like the engine it resolves
-        // to, and the cold round, the warm round and the cold pipeline
-        // agree.
+        // Auto resolves to the space engine on a cold entry too, and the
+        // cold round, the warm round and the cold pipeline agree.
         let mut gb = GraphBuilder::new(1);
         for _ in 0..80u32 {
             gb.add_vertex(0);
@@ -323,9 +323,9 @@ mod tests {
         let capped =
             EnumConfig { max_matches: 1, ..EnumConfig::find_all() }.with_engine(EnumEngine::Auto).with_threads(4);
         assert_eq!(capped.resolved(&q).threads, 1, "three calls cannot keep a helper busy");
+        assert_eq!(capped.resolved(&q).engine, EnumEngine::CandidateSpace, "Auto is the space engine");
         let p = Pipeline { filter: &LdfFilter, ordering: &RiOrdering, config: capped };
         let (cold, _) = run_in_entry(&q, &g, &entry, &p, None);
-        assert!(entry.space_ready(), "Auto is the space engine, on a cold entry too");
         assert_eq!(cold.enum_result.match_count, 1);
         let (warm, _) = run_in_entry(&q, &g, &entry, &p, None);
         let fresh_run = run_pipeline(&q, &g, &p);

@@ -9,10 +9,11 @@
 //! re-filter every query once per round. [`SpaceCache`] is what it keeps
 //! between rounds instead: entries are keyed by
 //! `(query id, filter semantics)` and own the filtered [`Candidates`] and
-//! the lazily built [`CandidateSpace`], handing out shared [`Arc`]
+//! the [`CandidateSpace`] built from them, handing out shared [`Arc`]
 //! references so any number of rounds performs exactly **one filter pass
 //! and one build per resident key**. The probe oracle keeps nothing here:
-//! it runs on the entry's candidates.
+//! it runs on the entry's candidates, though a cold lookup made for a
+//! probe run still builds the space it does not use.
 //!
 //! The one lock, byte-bounded exact-LRU eviction, checksum-verified hits,
 //! degradation, and poison recovery all come from the generic [`Cache`]
@@ -31,11 +32,12 @@
 //!   which parameterized filters specialize (`"GQL/r2"` vs `"GQL/r1"`) —
 //!   two configurations that could disagree on candidates never share an
 //!   entry;
-//! * entries are **lazily sized**: [`SpaceCache::with_capacity_bytes`]
-//!   charges the candidates at insert, and a lazily built space reports
-//!   its bytes back through the entry's origin handle the moment the
-//!   build finishes, so the bound holds without waiting for the next
-//!   lookup. An entry bigger than the whole budget is admitted
+//! * an entry is **complete when it is inserted**: the lookup's compute
+//!   filters, then builds the space unless some candidate set is empty
+//!   (an empty set proves there is no match, so there is nothing to
+//!   build), timing each phase. [`SpaceCache::with_capacity_bytes`]
+//!   charges candidates and space together, once, when the compute
+//!   returns. An entry bigger than the whole budget is admitted
 //!   *uncached* — served standalone and quarantined, never thrashing the
 //!   other residents (the generic cache's documented contract);
 //! * invalidation is explicit and the generic cache's:
@@ -46,32 +48,29 @@
 //!   its next lookup (counted as a miss).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 
-use crate::cache::{self, Cache, CacheConfig, CacheKey, CacheWeight};
+use crate::cache::{Cache, CacheConfig, CacheWeight};
 use crate::candspace::CandidateSpace;
 use crate::filter::{CandidateFilter, Candidates};
 
 /// One cached unit of filtered state: the candidates of a
-/// `(query, filter semantics)` key plus the candidate space derived from
-/// them, built lazily and at most once.
+/// `(query, filter semantics)` key plus the candidate space built from
+/// them. Immutable and complete from the moment the cache inserts it.
 pub struct SpaceEntry {
     cand: Candidates,
+    /// `None` iff some candidate set is empty.
+    space: Option<CandidateSpace>,
     filter_time: Duration,
+    build_time: Duration,
     /// Independent structural hash of the query this entry was filtered
     /// from — the collision guard verified on hits. Atomic only so the
     /// `cache.checksum_corrupt` failpoint can flip it in place on a
     /// shared entry; the cache itself writes it once at insert.
     checksum: AtomicU64,
-    space: OnceLock<(CandidateSpace, Duration)>,
-    /// Where this entry is resident, so a lazy space build can report its
-    /// bytes back for eviction accounting. `None` for entries that
-    /// outlived their residency (the cache dropped them) — they keep
-    /// working standalone.
-    origin: Option<(Weak<cache::Shared<SpaceEntry>>, CacheKey)>,
 }
 
 impl CacheWeight for SpaceEntry {
@@ -91,55 +90,23 @@ impl SpaceEntry {
         &self.cand
     }
 
+    /// The edge-indexed candidate space built from [`SpaceEntry::cand`];
+    /// `None` iff some candidate set is empty (no match exists, so none
+    /// was built).
+    #[inline]
+    pub fn space(&self) -> Option<&CandidateSpace> {
+        self.space.as_ref()
+    }
+
     /// Wall time of the single filter pass that created this entry.
     pub fn filter_time(&self) -> Duration {
         self.filter_time
     }
 
-    /// The edge-indexed candidate space, built on first use. `q`/`g` must
-    /// be the graphs this entry was filtered from (the cache's keying
-    /// guarantees that for entries it served).
-    pub fn space(&self, q: &Graph, g: &Graph) -> &CandidateSpace {
-        self.force_space(q, g).0
-    }
-
-    /// [`SpaceEntry::space`] plus whether *this call* performed the build
-    /// (`false` = served, including callers that merely blocked on a
-    /// concurrent builder — accounting must not book their wait as build
-    /// work).
-    pub fn force_space(&self, q: &Graph, g: &Graph) -> (&CandidateSpace, bool) {
-        let mut built = false;
-        let s = self.space.get_or_init(|| {
-            built = true;
-            let t = Instant::now();
-            let s = CandidateSpace::build(q, g, &self.cand);
-            (s, t.elapsed())
-        });
-        if built {
-            // Report the just-materialized bytes to the owning cache so
-            // the byte bound holds from this instant, not from the next
-            // lookup that happens to touch the key. `recharge` verifies
-            // the key's resident is still *this* entry — an evicted
-            // entry whose key was re-inserted must not overwrite the new
-            // resident's charge with stale bytes.
-            if let Some((cache, key)) = &self.origin {
-                if let Some(cache) = cache.upgrade() {
-                    cache.recharge(key, self.resident_bytes(), self);
-                }
-            }
-        }
-        (&s.0, built)
-    }
-
-    /// True once [`SpaceEntry::space`] has been forced.
-    pub fn space_ready(&self) -> bool {
-        self.space.get().is_some()
-    }
-
-    /// Wall time of the single space build ([`Duration::ZERO`] until one
-    /// happens).
+    /// Wall time of the single space build ([`Duration::ZERO`] when there
+    /// is no space).
     pub fn build_time(&self) -> Duration {
-        self.space.get().map(|(_, d)| *d).unwrap_or(Duration::ZERO)
+        self.build_time
     }
 
     /// True when `q` hashes to the structural checksum stored at insert —
@@ -149,10 +116,10 @@ impl SpaceEntry {
         self.checksum.load(Ordering::Relaxed) == SpaceCache::query_checksum(q)
     }
 
-    /// Bytes this entry pins: candidates + candidate space (if built) —
-    /// what a bounded cache charges.
+    /// Bytes this entry pins: candidates + candidate space — what a
+    /// bounded cache charges.
     pub fn resident_bytes(&self) -> usize {
-        self.cand.storage_bytes() + self.space.get().map(|(s, _)| s.storage_bytes()).unwrap_or(0)
+        self.cand.storage_bytes() + self.space.as_ref().map_or(0, CandidateSpace::storage_bytes)
     }
 }
 
@@ -285,12 +252,14 @@ impl SpaceCache {
     }
 
     /// The entry for `(key.fingerprint(), filter.cache_key())`, filtering
-    /// on first use. Returns the shared entry and whether this call
-    /// created it (`true` = a filter pass just ran). Exactly one filter
-    /// pass happens per *residency* of a key, however many threads race; a
-    /// key evicted by the byte bound refilters once on its next lookup,
-    /// and a hit whose stored checksum disagrees with `key` evicts the
-    /// liar and refilters (the generic cache's retry loop).
+    /// and building on first use. Returns the shared entry and whether
+    /// this call created it (`true` = a filter pass and, unless a set came
+    /// out empty, a build just ran — whatever engine the caller will
+    /// enumerate with). Exactly one filter pass and one build happen per
+    /// *residency* of a key, however many threads race; a key evicted by
+    /// the byte bound recomputes once on its next lookup, and a hit whose
+    /// stored checksum disagrees with `key` evicts the liar and recomputes
+    /// (the generic cache's retry loop).
     ///
     /// Hot path: one lock (find + LRU re-head + `Arc` clone), a
     /// lock-free `OnceLock` read and the checksum compare — the query is
@@ -302,17 +271,14 @@ impl SpaceCache {
         g: &Graph,
         filter: &dyn CandidateFilter,
     ) -> (Arc<SpaceEntry>, bool) {
-        let origin = Arc::downgrade(self.cache.shared());
-        self.cache.get_or_insert(key, &filter.cache_key(), |cache_key| {
+        self.cache.get_or_insert(key, &filter.cache_key(), || {
             let t = Instant::now();
             let cand = filter.filter(q, g);
-            Arc::new(SpaceEntry {
-                cand,
-                filter_time: t.elapsed(),
-                checksum: AtomicU64::new(key.checksum),
-                space: OnceLock::new(),
-                origin: Some((origin, cache_key.clone())),
-            })
+            let filter_time = t.elapsed();
+            let t = Instant::now();
+            let space = (!cand.any_empty()).then(|| CandidateSpace::build(q, g, &cand));
+            let build_time = if space.is_some() { t.elapsed() } else { Duration::ZERO };
+            Arc::new(SpaceEntry { cand, space, filter_time, build_time, checksum: AtomicU64::new(key.checksum) })
         })
     }
 }
@@ -414,23 +380,20 @@ mod tests {
     }
 
     #[test]
-    fn space_is_lazy_and_built_once() {
+    fn space_is_built_with_the_entry() {
         let (q, g) = case();
         let cache = SpaceCache::new();
         let (e, _) = entry_for(&cache, &q, &g, &LdfFilter);
-        assert!(!e.space_ready());
-        assert_eq!(e.build_time(), Duration::ZERO);
-        let before_build = cache.storage_bytes();
-        assert!(before_build > 0, "candidates are charged at insert");
-        let (s1, built1) = e.force_space(&q, &g);
-        assert!(built1, "first force performs the build");
-        let s1 = s1 as *const CandidateSpace;
-        let (s2, built2) = e.force_space(&q, &g);
-        assert!(!built2, "second force is served");
-        assert_eq!(s1, s2 as *const CandidateSpace, "the same space is returned, never rebuilt");
-        assert_eq!(s1, e.space(&q, &g) as *const CandidateSpace);
-        assert!(e.space_ready());
-        assert!(cache.storage_bytes() > before_build, "the lazy build self-reports its bytes");
+        let space = e.space().expect("no candidate set is empty, so the space is built at insert");
+        assert_eq!(*space, CandidateSpace::build(&q, &g, e.cand()), "the space is the build of the entry's candidates");
+        assert_eq!(
+            cache.storage_bytes(),
+            e.cand().storage_bytes() + space.storage_bytes(),
+            "candidates and space are charged together at insert"
+        );
+        let (e2, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
+        assert!(!fresh);
+        assert!(std::ptr::eq(space, e2.space().expect("built")), "a hit serves the same space, never rebuilt");
     }
 
     #[test]
@@ -502,7 +465,6 @@ mod tests {
         let probe_cache = SpaceCache::new();
         let q0 = distinct_query(0);
         let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
-        e0.space(&q0, &g);
         let entry_bytes = e0.resident_bytes();
         let bound = entry_bytes * 12;
 
@@ -511,7 +473,7 @@ mod tests {
             let q = distinct_query(i);
             let (e, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
             assert!(fresh, "distinct queries never alias");
-            e.space(&q, &g); // force the lazy build: the bound must hold through it
+            assert!(e.space().is_some());
             assert!(
                 cache.storage_bytes() <= bound,
                 "flood iteration {i}: {} bytes exceeds the {bound}-byte bound",
@@ -547,43 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_evicted_entry_never_recharges_the_new_resident() {
-        let g = flood_host();
-        let q0 = distinct_query(0);
-        let probe_cache = SpaceCache::new();
-        let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
-        e0.space(&q0, &g);
-        let cache = SpaceCache::with_capacity_bytes(e0.resident_bytes() * 3);
-        // Hold the first residency of q0, evict it with a flood, then let
-        // q0 refilter into a *new* resident entry.
-        let (stale, _) = entry_for(&cache, &q0, &g, &LdfFilter);
-        let flood: Vec<_> = (1..60)
-            .map(|i| {
-                let q = distinct_query(i);
-                (QueryKey::of(&q), entry_for(&cache, &q, &g, &LdfFilter).0)
-            })
-            .collect();
-        let (new_entry, fresh) = entry_for(&cache, &q0, &g, &LdfFilter);
-        assert!(fresh, "q0 must have been evicted and refiltered");
-        assert!(!Arc::ptr_eq(&stale, &new_entry));
-        // The stale handle's lazy build must not touch the accounting of
-        // the key's new resident.
-        let before = cache.storage_bytes();
-        stale.space(&q0, &g);
-        assert_eq!(cache.storage_bytes(), before, "stale recharge corrupted the byte accounting");
-        // The new resident's own build still self-reports: whatever it
-        // evicts to make room, the books afterwards are exactly what the
-        // residents hold, its built space included.
-        new_entry.space(&q0, &g);
-        let variant = LdfFilter.cache_key();
-        assert!(cache.contains(&QueryKey::of(&q0), &variant));
-        let others: usize =
-            flood.iter().filter(|(key, _)| cache.contains(key, &variant)).map(|(_, e)| e.resident_bytes()).sum();
-        assert!(new_entry.resident_bytes() > new_entry.cand().storage_bytes());
-        assert_eq!(cache.storage_bytes(), others + new_entry.resident_bytes(), "the build's bytes were not charged");
-    }
-
-    #[test]
     fn unbounded_cache_never_evicts() {
         let g = flood_host();
         let cache = SpaceCache::new();
@@ -610,7 +535,6 @@ mod tests {
         let probe_cache = SpaceCache::new();
         let q0 = distinct_query(0);
         let (e0, _) = entry_for(&probe_cache, &q0, &g, &LdfFilter);
-        e0.space(&q0, &g);
         let entry_bytes = e0.resident_bytes();
         let bound = entry_bytes * 6;
         let cache = SpaceCache::with_capacity_bytes(bound);
@@ -636,9 +560,8 @@ mod tests {
                     // set) that keep the cache over its bound continuously.
                     for i in HOT..(HOT + 150) {
                         let q = distinct_query(i);
-                        let (e, fresh) = entry_for(cache, &q, g, &LdfFilter);
+                        let (_, fresh) = entry_for(cache, &q, g, &LdfFilter);
                         assert!(fresh, "flood queries are distinct");
-                        e.space(&q, g);
                         high_water.fetch_max(cache.storage_bytes(), Ordering::Relaxed);
                     }
                 });
@@ -658,9 +581,7 @@ mod tests {
         // Deterministically push any surviving hot key out, then verify
         // the evicted-key contract: exactly one refilter, then resident.
         for i in (HOT + 150)..(HOT + 190) {
-            let q = distinct_query(i);
-            let (e, _) = entry_for(&cache, &q, &g, &LdfFilter);
-            e.space(&q, &g);
+            entry_for(&cache, &distinct_query(i), &g, &LdfFilter);
         }
         let (_, fresh1) = entry_for(&cache, &distinct_query(0), &g, &LdfFilter);
         assert!(fresh1, "hot key must have been evicted by the post-flood push");
@@ -691,5 +612,27 @@ mod tests {
         assert!(!Arc::ptr_eq(&e, &e2));
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.evictions(), 0);
+    }
+
+    /// An entry whose candidates fit the budget but whose space does not
+    /// is quarantined at its one charge: the candidates alone are never
+    /// charged, and nothing resident is evicted to make room.
+    #[test]
+    fn entry_made_oversize_by_its_space_is_served_uncached() {
+        let g = flood_host();
+        let q = distinct_query(3);
+        let (probe, _) = entry_for(&SpaceCache::new(), &q, &g, &LdfFilter);
+        let (cand_bytes, whole) = (probe.cand().storage_bytes(), probe.resident_bytes());
+        assert!(cand_bytes < whole, "the fixture's space must weigh something");
+        let cache = SpaceCache::with_capacity_bytes((cand_bytes + whole) / 2);
+        let (e, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
+        assert!(fresh);
+        assert!(e.space().is_some(), "the uncached entry still has its space");
+        assert_eq!(cache.len(), 0, "never resident");
+        assert_eq!(cache.storage_bytes(), 0, "not even its candidates are charged");
+        assert_eq!(cache.evictions(), 0, "its charge evicted nothing");
+        assert_eq!(cache.oversize_serves(), 1);
+        let (_, fresh2) = entry_for(&cache, &q, &g, &LdfFilter);
+        assert!(fresh2, "the quarantined key recomputes on its next lookup");
     }
 }

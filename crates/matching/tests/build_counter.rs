@@ -39,15 +39,15 @@ fn prebuilt_space_is_built_exactly_once_across_all_orders() {
     let filter = GqlFilter::default();
     let cache = SpaceCache::new();
     let key = QueryKey::of(&q);
+    // One build, by the lookup that filters…
+    let before = CandidateSpace::build_count();
     let (entry, _) = cache.entry_keyed(&key, &q, &g, &filter);
     assert!(!entry.cand().any_empty(), "fixture must have candidates");
-
-    // One build, by the first run that needs the space…
-    let before = CandidateSpace::build_count();
+    assert_eq!(CandidateSpace::build_count(), before + 1);
     let pipeline =
         |ordering, engine| Pipeline { filter: &filter, ordering, config: EnumConfig::find_all().with_engine(engine) };
     let first = run_in_entry(&q, &g, &entry, &pipeline(&RiOrdering, EnumEngine::CandidateSpace), None).0;
-    assert_eq!(CandidateSpace::build_count(), before + 1);
+    assert_eq!(CandidateSpace::build_count(), before + 1, "run_in_entry never builds");
 
     // …then every compared order enumerates in it without rebuilding:
     // the Fig. 5/6 pattern (N orderings, one (query, data) pair).
@@ -62,13 +62,12 @@ fn prebuilt_space_is_built_exactly_once_across_all_orders() {
     assert_eq!(CandidateSpace::build_count(), before + 1, "run_in_entry must never rebuild");
 
     // The raw entry point is equally clean…
-    let direct = enumerate_in_space(&q, entry.space(&q, &g), &[0, 1, 2, 3], EnumConfig::find_all());
+    let direct = enumerate_in_space(&q, entry.space().expect("built"), &[0, 1, 2, 3], EnumConfig::find_all());
     assert_eq!(direct.match_count, counts[0]);
     assert_eq!(CandidateSpace::build_count(), before + 1);
 
-    // …and so is the whole warm path, lookups included: the Auto engine
-    // against a built space has nothing to build, the probe oracle never
-    // builds, and replayed rounds are served the resident entry.
+    // …and so is the whole warm path, lookups included: replayed rounds
+    // are served the resident entry, whatever the engine.
     let orders = OrderCache::new();
     for engine in [EnumEngine::Auto, EnumEngine::Probe, EnumEngine::CandidateSpace] {
         for _round in 0..2 {

@@ -112,7 +112,7 @@ fn eviction_storm_is_bounded_deadlock_free_and_o1() {
     // The O(1) contract: victim selection examines at most one resident
     // (the list's tail) per eviction attempt. Attempts are bounded by one
     // per successful eviction plus one terminating failure per insert and
-    // per recharge (two per miss) — under an O(resident) scan this storm
+    // per charge (two per miss) — under an O(resident) scan this storm
     // would blow far through it (the reference-policy test below shows
     // exactly that).
     let attempts_ceiling = cache.evictions() + 2 * cache.misses();

@@ -189,7 +189,7 @@ fn cmd_match(args: &[String]) -> CliResult {
     println!("order cache : {}", if use_order_cache { "on" } else { "off" });
 
     // `--repeat` replays the query; with the caches on, round 1 filters,
-    // orders and (lazily) builds, rounds 2+ reuse the entry and the
+    // builds and orders, rounds 2+ reuse the entry and the
     // cached order and pay phase 3 only — the serving-loop shape. The
     // query is fingerprinted exactly once (`QueryKey`), not per round.
     let cache = SpaceCache::new();

@@ -70,7 +70,7 @@ fn amortized_space_and_auto_engine_agree_end_to_end() {
             }
         }
         let (entry, fresh) = cache.entry_keyed(&key, q, &g, &filter);
-        assert!(!fresh && entry.space_ready(), "nine runs, one resident entry with its one space");
+        assert!(!fresh && entry.space().is_some(), "nine runs, one resident entry with its one space");
     }
     assert_eq!(cache.misses() as usize, cache.len(), "one filter pass per query, however many runs");
 }

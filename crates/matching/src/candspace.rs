@@ -17,11 +17,15 @@
 //! membership tests, no `has_edge` calls.
 //!
 //! Everything is stored in flat CSR-style arenas (no `Vec<Vec<_>>` on the
-//! access path):
+//! access path), three allocations in all, each at its exact length:
 //!
-//! * `cand_offsets`/`cand_flat` — the candidate sets themselves;
-//! * `edge_seg`/`list_offsets`/`nbr_pos` — a two-level CSR: directed edge
-//!   → per-candidate segment → positions into the target candidate set.
+//! * the [`Candidates`] the space was built from, which it owns: one
+//!   buffer of their offsets and sets;
+//! * one index buffer of four arenas: the query CSR `q_offsets` /
+//!   `q_targets`, then `edge_seg` / `list_offsets`, the first two levels
+//!   of a CSR directed edge → per-candidate segment → list;
+//! * `nbr_pos`, the lists themselves: positions into the target candidate
+//!   set.
 //!
 //! The lists of `(u', u)` are the transpose of the lists of `(u, u')` —
 //! `G` is undirected, and [`rlqvo_graph::GraphBuilder`] symmetrizes `N` —
@@ -77,8 +81,9 @@ impl fmt::Display for ArenaOverflow {
 impl std::error::Error for ArenaOverflow {}
 
 /// Edge lists under construction: `off[i]` is where list `i` starts in
-/// `pos`. The arenas `list_offsets` / `nbr_pos` of a space being built,
-/// and the one-edge temp of [`CandidateSpace::try_build_with_limit`].
+/// `pos`. The index (its tail is `list_offsets`) and `nbr_pos` of a space
+/// being built, and the one-edge temp of
+/// [`CandidateSpace::try_build_with_limit`].
 #[derive(Default)]
 struct Lists {
     off: Vec<u32>,
@@ -153,99 +158,103 @@ impl Scanner<'_> {
 /// Edge-indexed candidate space (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CandidateSpace {
-    num_query_vertices: usize,
     num_data_vertices: usize,
-    /// `cand_flat[cand_offsets[u]..cand_offsets[u+1]]` = sorted `C(u)`.
-    cand_offsets: Vec<u32>,
-    cand_flat: Vec<VertexId>,
-    /// Query CSR (copied so the space is self-contained): directed edge
-    /// `e = q_offsets[u] + k` is `(u, q_targets[q_offsets[u] + k])`.
-    q_offsets: Vec<u32>,
-    q_targets: Vec<VertexId>,
-    /// Start of edge `e`'s offset segment inside `list_offsets`; the
-    /// segment holds `|C(u)| + 1` monotone offsets into `nbr_pos`.
-    edge_seg: Vec<u32>,
-    list_offsets: Vec<u32>,
+    cand: Candidates,
+    /// Four arenas in one buffer. The query CSR (copied so the space is
+    /// self-contained): `q_offsets` (`|V(q)| + 1` entries from 0), then
+    /// `q_targets`; directed edge `e = q_offsets[u] + k` is
+    /// `(u, q_targets[q_offsets[u] + k])`. Then `edge_seg`, at `seg_at`:
+    /// the start of edge `e`'s segment inside `list_offsets`, which comes
+    /// last, at `lists_at`; a segment holds `|C(u)| + 1` monotone offsets
+    /// into `nbr_pos`.
+    index: Box<[u32]>,
+    seg_at: usize,
+    lists_at: usize,
     /// Concatenated neighbour lists, as positions into the target `C(u')`.
-    nbr_pos: Vec<u32>,
+    nbr_pos: Box<[u32]>,
 }
 
 impl CandidateSpace {
-    /// Materializes the space for `(q, g, cand)`. Each undirected query
-    /// edge `{u, u'}` is scanned from its cheaper endpoint `x` (the other
-    /// being `y`) and transposed for the other direction:
-    /// `O(Σ_{u,u'}∈E(q) (Σ_{v∈C(x)} min(d(v), |C(y)|·log) + entries))`,
-    /// galloping where `d(v)` dwarfs `|C(y)|`. The result is reusable
-    /// across every matching order of the same query.
+    /// Materializes the space for `(q, g, cand)`: [`CandidateSpace::new`]
+    /// on a copy of `cand`.
     ///
     /// Panics on arena overflow — use [`CandidateSpace::try_build`] when
     /// the input may be large enough (≥ 2³² edge-list entries) to exceed
     /// the `u32` offset arenas.
     pub fn build(q: &Graph, g: &Graph, cand: &Candidates) -> Self {
-        Self::try_build(q, g, cand).unwrap_or_else(|e| panic!("CandidateSpace::build: {e}"))
+        Self::new(q, g, cand.clone())
+    }
+
+    /// Materializes the space for `(q, g, cand)` and keeps `cand`. Each
+    /// undirected query edge `{u, u'}` is scanned from its cheaper
+    /// endpoint `x` (the other being `y`) and transposed for the other
+    /// direction:
+    /// `O(Σ_{u,u'}∈E(q) (Σ_{v∈C(x)} min(d(v), |C(y)|·log) + entries))`,
+    /// galloping where `d(v)` dwarfs `|C(y)|`. The result is reusable
+    /// across every matching order of the same query. Panics on arena
+    /// overflow, like [`CandidateSpace::build`].
+    pub fn new(q: &Graph, g: &Graph, cand: Candidates) -> Self {
+        Self::try_build_with_limit(q, g, cand, u32::MAX as u64).unwrap_or_else(|e| panic!("CandidateSpace::build: {e}"))
     }
 
     /// Overflow-checked build: identical to [`CandidateSpace::build`] on
     /// every input that fits, and returns [`ArenaOverflow`] instead of
     /// silently truncating `u32` offsets when one would not.
     pub fn try_build(q: &Graph, g: &Graph, cand: &Candidates) -> Result<Self, ArenaOverflow> {
-        Self::try_build_with_limit(q, g, cand, u32::MAX as u64)
+        Self::try_build_with_limit(q, g, cand.clone(), u32::MAX as u64)
     }
 
-    /// [`CandidateSpace::try_build`] with an explicit arena-entry ceiling.
-    /// Exists so tests can exercise the overflow path without allocating
-    /// multi-gigabyte arenas; production callers want the `u32::MAX`
-    /// default of `try_build`.
+    /// [`CandidateSpace::new`] with an explicit arena-entry ceiling,
+    /// returning [`ArenaOverflow`] past it. Exists so tests can exercise
+    /// the overflow path without allocating multi-gigabyte arenas;
+    /// production callers want the `u32::MAX` default.
     #[doc(hidden)]
-    pub fn try_build_with_limit(q: &Graph, g: &Graph, cand: &Candidates, limit: u64) -> Result<Self, ArenaOverflow> {
+    pub fn try_build_with_limit(q: &Graph, g: &Graph, cand: Candidates, limit: u64) -> Result<Self, ArenaOverflow> {
         let n_q = q.num_vertices();
         assert_eq!(cand.num_query_vertices(), n_q, "candidates must cover the query");
 
         if cand.total() as u64 > limit {
             return Err(ArenaOverflow { arena: "cand_flat", required: cand.total() as u64, limit });
         }
-        let mut cand_offsets = Vec::with_capacity(n_q + 1);
-        cand_offsets.push(0u32);
-        let mut cand_flat = Vec::with_capacity(cand.total());
-        for u in q.vertices() {
-            cand_flat.extend_from_slice(cand.of(u));
-            cand_offsets.push(cand_flat.len() as u32);
+        let directed = 2 * q.num_edges();
+        if directed as u64 > limit {
+            return Err(ArenaOverflow { arena: "q_targets", required: directed as u64, limit });
         }
-
-        if 2 * q.num_edges() as u64 > limit {
-            return Err(ArenaOverflow { arena: "q_targets", required: 2 * q.num_edges() as u64, limit });
-        }
-        let mut q_offsets = Vec::with_capacity(n_q + 1);
-        q_offsets.push(0u32);
-        let mut q_targets = Vec::with_capacity(2 * q.num_edges());
-        for u in q.vertices() {
-            q_targets.extend_from_slice(q.neighbors(u));
-            q_offsets.push(q_targets.len() as u32);
-        }
-
-        let mut edge_seg: Vec<u32> = Vec::with_capacity(q_targets.len());
-        // `lists.off` / `lists.pos` become `list_offsets` / `nbr_pos`. Every
-        // directed edge `(u, up)` has one offset per candidate of `u`, and
-        // one closing offset ends the arena, so `off` is reserved exactly
+        // Every directed edge `(u, up)` has one list offset per candidate
+        // of `u`, and one closing offset ends the arena, so the index is
+        // allocated once at its exact length and written in place
         // (growing it by pushes and trimming it after raised the ledger's
-        // `findall-heavy` peak RSS); `pos` grows as the scans find entries
-        // and is trimmed at the end. A space past `limit` still fails
-        // below, offset by offset.
+        // `findall-heavy` peak RSS); `nbr_pos` grows as the scans find
+        // entries and is trimmed at the end. A space past `limit` still
+        // fails below, offset by offset.
+        let (seg_at, lists_at) = (n_q + 1 + directed, n_q + 1 + 2 * directed);
         let offsets = q.vertices().map(|u| q.degree(u) as usize * cand.len_of(u)).sum::<usize>() + 1;
-        let reserve = offsets.min((limit as usize).saturating_add(1));
-        let mut lists = Lists { off: Vec::with_capacity(reserve), pos: Vec::new() };
+        let mut index = Vec::with_capacity(lists_at + offsets.min((limit as usize).saturating_add(1)));
+        index.push(0u32);
+        for u in q.vertices() {
+            index.push(index[u as usize] + q.degree(u));
+        }
+        for u in q.vertices() {
+            index.extend_from_slice(q.neighbors(u));
+        }
+        // `edge_seg`, written edge by edge below.
+        index.resize(lists_at, 0);
+        let mut lists = Lists { off: index, pos: Vec::new() };
         // The one-edge temp: the lists of `(up, u)` and their closing
         // offset, when `up` is the cheap side of a first-seen `(u, up)`.
         let mut temp = Lists::default();
-        let mut scanner = Scanner { g, cand, pos_of: vec![UNMAPPED; g.num_vertices()], scratch: Vec::new() };
+        let mut scanner = Scanner { g, cand: &cand, pos_of: vec![UNMAPPED; g.num_vertices()], scratch: Vec::new() };
         let cost: Vec<u64> = q.vertices().map(|u| scan_cost(g, cand.of(u))).collect();
         let mut cursor: Vec<u32> = Vec::new();
+        let mut slot = seg_at;
         for u in q.vertices() {
             for &up in q.neighbors(u) {
-                if lists.off.len() as u64 > limit {
-                    return Err(ArenaOverflow { arena: "list_offsets", required: lists.off.len() as u64, limit });
+                let listed = lists.off.len() - lists_at;
+                if listed as u64 > limit {
+                    return Err(ArenaOverflow { arena: "list_offsets", required: listed as u64, limit });
                 }
-                edge_seg.push(lists.off.len() as u32);
+                lists.off[slot] = listed as u32;
+                slot += 1;
                 // `G` is undirected (`GraphBuilder` symmetrizes `N`), so the
                 // lists of `(u, up)` are the transpose of the lists of
                 // `(up, u)`. When `up < u` those are in the arena already,
@@ -257,7 +266,7 @@ impl CandidateSpace {
                 // strictly cheaper — from `up` into the temp.
                 let rev_seg = (up < u).then(|| {
                     let k = q.neighbors(up).binary_search(&u).expect("query adjacency is symmetric");
-                    edge_seg[q_offsets[up as usize] as usize + k] as usize
+                    lists_at + lists.off[seg_at + lists.off[up as usize] as usize + k] as usize
                 });
                 if rev_seg.is_none() && cost[u as usize] <= cost[up as usize] {
                     scanner.scan(u, up, &mut lists, limit)?;
@@ -308,20 +317,17 @@ impl CandidateSpace {
         }
         // Closing offset shared by the final edge segment.
         lists.mark(lists.pos.len(), limit)?;
-        // A cached space keeps its arenas and is charged their lengths.
-        lists.pos.shrink_to_fit();
+        debug_assert_eq!(lists.off.len(), lists.off.capacity(), "the index is allocated at its length");
         BUILD_COUNT.fetch_add(1, Ordering::Relaxed);
 
+        // A cached space keeps its arenas and is charged their lengths.
         Ok(CandidateSpace {
-            num_query_vertices: n_q,
             num_data_vertices: g.num_vertices(),
-            cand_offsets,
-            cand_flat,
-            q_offsets,
-            q_targets,
-            edge_seg,
-            list_offsets: lists.off,
-            nbr_pos: lists.pos,
+            cand,
+            index: lists.off.into_boxed_slice(),
+            seg_at,
+            lists_at,
+            nbr_pos: lists.pos.into_boxed_slice(),
         })
     }
 
@@ -335,7 +341,7 @@ impl CandidateSpace {
     /// Number of query vertices covered.
     #[inline]
     pub fn num_query_vertices(&self) -> usize {
-        self.num_query_vertices
+        self.cand.num_query_vertices()
     }
 
     /// `|V(G)|` of the data graph this space was built against.
@@ -344,27 +350,33 @@ impl CandidateSpace {
         self.num_data_vertices
     }
 
+    /// The candidate sets the space was built from.
+    #[inline]
+    pub fn candidates(&self) -> &Candidates {
+        &self.cand
+    }
+
     /// Sorted `C(u)`.
     #[inline]
     pub fn cand(&self, u: VertexId) -> &[VertexId] {
-        &self.cand_flat[self.cand_offsets[u as usize] as usize..self.cand_offsets[u as usize + 1] as usize]
+        self.cand.of(u)
     }
 
     /// `|C(u)|`.
     #[inline]
     pub fn cand_len(&self, u: VertexId) -> usize {
-        (self.cand_offsets[u as usize + 1] - self.cand_offsets[u as usize]) as usize
+        self.cand.len_of(u)
     }
 
     /// The candidate at `pos` in `C(u)`.
     #[inline]
     pub fn cand_vertex(&self, u: VertexId, pos: u32) -> VertexId {
-        self.cand_flat[self.cand_offsets[u as usize] as usize + pos as usize]
+        self.cand.vertex_at(u, pos)
     }
 
     /// True when some candidate set is empty (no match can exist).
     pub fn any_empty(&self) -> bool {
-        self.cand_offsets.windows(2).any(|w| w[0] == w[1])
+        self.cand.any_empty()
     }
 
     /// Directed-edge id of `(u, up)`, or `None` when the query edge does
@@ -372,9 +384,9 @@ impl CandidateSpace {
     /// the per-candidate loop.
     #[inline]
     pub fn edge_id(&self, u: VertexId, up: VertexId) -> Option<u32> {
-        let s = self.q_offsets[u as usize] as usize;
-        let t = self.q_offsets[u as usize + 1] as usize;
-        self.q_targets[s..t].binary_search(&up).ok().map(|k| (s + k) as u32)
+        let targets = &self.index[self.num_query_vertices() + 1..self.seg_at];
+        let (s, t) = (self.index[u as usize] as usize, self.index[u as usize + 1] as usize);
+        targets[s..t].binary_search(&up).ok().map(|k| (s + k) as u32)
     }
 
     /// For directed edge `e = (u, u')` and the candidate at `pos` in
@@ -382,8 +394,8 @@ impl CandidateSpace {
     /// inside `C(u')`.
     #[inline]
     pub fn edge_list(&self, e: u32, pos: u32) -> &[u32] {
-        let seg = self.edge_seg[e as usize] as usize + pos as usize;
-        &self.nbr_pos[self.list_offsets[seg] as usize..self.list_offsets[seg + 1] as usize]
+        let seg = self.lists_at + self.index[self.seg_at + e as usize] as usize + pos as usize;
+        &self.nbr_pos[self.index[seg] as usize..self.index[seg + 1] as usize]
     }
 
     /// Total entries across all edge lists (diagnostic; the dominant term
@@ -392,15 +404,11 @@ impl CandidateSpace {
         self.nbr_pos.len()
     }
 
-    /// Bytes held by the flat arenas (paper Table IV-style accounting).
+    /// Bytes held by the candidates and the flat arenas (paper Table
+    /// IV-style accounting): every allocation the space owns, at its
+    /// length.
     pub fn storage_bytes(&self) -> usize {
-        4 * (self.cand_offsets.len()
-            + self.cand_flat.len()
-            + self.q_offsets.len()
-            + self.q_targets.len()
-            + self.edge_seg.len()
-            + self.list_offsets.len()
-            + self.nbr_pos.len())
+        self.cand.storage_bytes() + std::mem::size_of_val(&*self.index) + std::mem::size_of_val(&*self.nbr_pos)
     }
 }
 
@@ -471,28 +479,28 @@ mod tests {
                 assert_eq!(cs.cand_vertex(u, i as u32), v);
             }
         }
+        assert_eq!(cs.candidates(), &cand);
+        assert_eq!(cs, CandidateSpace::new(&q, &g, cand), "build is the by-value build of a copy");
         assert!(!cs.any_empty());
         assert!(cs.storage_bytes() > 0);
         assert!(cs.total_edge_list_entries() > 0);
     }
 
-    /// What the space charges a cache is what it holds: every arena is
-    /// allocated at exactly its length, the push-grown ones included.
+    /// What the space charges a cache is what it holds: its three
+    /// allocations, each exactly as long as its arenas — the index
+    /// `|V(q)| + 1` query offsets, `2|E(q)|` targets, `2|E(q)|` edge
+    /// segments and one list offset per (directed edge, candidate) plus the
+    /// closing one, `nbr_pos` its entries.
     #[test]
     fn storage_bytes_are_the_arenas_capacities() {
         let (q, g) = case();
         for cand in [LdfFilter.filter(&q, &g), crate::GqlFilter::DEFAULT.filter(&q, &g)] {
             let cs = CandidateSpace::build(&q, &g, &cand);
-            let arenas = [
-                &cs.cand_offsets,
-                &cs.cand_flat,
-                &cs.q_offsets,
-                &cs.q_targets,
-                &cs.edge_seg,
-                &cs.list_offsets,
-                &cs.nbr_pos,
-            ];
-            assert_eq!(cs.storage_bytes(), 4 * arenas.iter().map(|a| a.capacity()).sum::<usize>());
+            let (n, directed) = (q.num_vertices(), 2 * q.num_edges());
+            let offsets: usize = q.vertices().map(|u| q.degree(u) as usize * cand.len_of(u)).sum::<usize>() + 1;
+            assert_eq!(cs.index.len(), n + 1 + 2 * directed + offsets);
+            assert_eq!(cs.nbr_pos.len(), cs.total_edge_list_entries());
+            assert_eq!(cs.storage_bytes(), cand.storage_bytes() + 4 * (cs.index.len() + cs.nbr_pos.len()));
         }
     }
 
@@ -527,7 +535,7 @@ mod tests {
         let cand = LdfFilter.filter(&q, &g);
         // A ceiling below what this space needs must surface as the typed
         // error — never as truncated offsets.
-        let err = CandidateSpace::try_build_with_limit(&q, &g, &cand, 1).expect_err("must refuse");
+        let err = CandidateSpace::try_build_with_limit(&q, &g, cand, 1).expect_err("must refuse");
         assert_eq!(err.limit, 1);
         assert!(err.required > err.limit);
         assert!(!err.arena.is_empty());
@@ -543,7 +551,7 @@ mod tests {
         let entries = full.total_edge_list_entries() as u64;
         assert!(entries > 1, "fixture must have edge-list entries");
         // Generous enough for the small arenas, too small for nbr_pos.
-        let err = CandidateSpace::try_build_with_limit(&q, &g, &cand, entries - 1).expect_err("must refuse");
+        let err = CandidateSpace::try_build_with_limit(&q, &g, cand, entries - 1).expect_err("must refuse");
         assert_eq!(err.arena, "nbr_pos");
     }
 

@@ -22,7 +22,8 @@
 //! * [`EnumEngine::Probe`] — the original adjacency-probing path, kept as
 //!   the differential oracle and run only when asked for by name: it scans
 //!   the data adjacency list of the smallest-degree mapped backward
-//!   neighbour and filters by candidate membership and edge tests.
+//!   neighbour and filters by candidate membership (a binary search of
+//!   `C(u)`) and edge tests.
 //!
 //! Because both engines enumerate `LC(u, M)` in ascending vertex order,
 //! their recursion trees — and therefore `#enum` (Definition II.6), the
@@ -88,9 +89,8 @@ impl QueryAdjBits {
         QueryAdjBits { n, words_per_row, bits }
     }
 
-    /// True when `(u, v) ∈ E(q)`; false for any out-of-range `v` (same
-    /// guard discipline as [`Candidates::contains`] — never a silent read
-    /// of a neighbouring row).
+    /// True when `(u, v) ∈ E(q)`; false for any out-of-range `v` — never
+    /// a silent read of a neighbouring row.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         let word = v as usize / 64;
@@ -560,7 +560,8 @@ fn early_exit(
 
 /// The probe-based reference engine (the seed implementation). Scans a
 /// mapped backward neighbour's adjacency list and filters with candidate
-/// membership + `has_edge` tests. Kept as the differential oracle for the
+/// membership ([`Candidates::contains`], a binary search of `C(u)`) +
+/// `has_edge` tests. Kept as the differential oracle for the
 /// CandidateSpace engine.
 pub fn enumerate_probe(q: &Graph, g: &Graph, cand: &Candidates, order: &[VertexId], config: EnumConfig) -> EnumResult {
     let start = Instant::now();
@@ -1365,8 +1366,10 @@ impl<'a> Engine<'a> for ProbeEngine<'a> {
     /// `LC(u, M)` — candidates of `u` adjacent to every already-mapped
     /// backward neighbour (Algorithm 2 line 6). Strategy: scan the
     /// adjacency list of the mapped backward neighbour with the smallest
-    /// degree and keep vertices that (a) are in `C(u)` and (b) are adjacent
-    /// to all remaining mapped backward neighbours.
+    /// degree and keep vertices that (a) are in `C(u)` (a binary search:
+    /// `Candidates` keeps no membership bitmap, since only this oracle
+    /// would read one) and (b) are adjacent to all remaining mapped
+    /// backward neighbours.
     fn local_candidates(&mut self, depth: usize, u: VertexId, mapping: &[VertexId], buf: &mut Vec<u32>) -> Slots<'a> {
         let backward = &self.backward[depth];
         // Pick the mapped image with the smallest adjacency list as the probe.

@@ -31,105 +31,98 @@
 //! near-trees, so that is most (query vertex, candidate) pairs, and each
 //! such decision is taken without a branch.
 //! `GqlFilter::filter_reference` is the naive version both are tested
-//! against, sets and bitmap, byte for byte.
+//! against, sets and membership, byte for byte.
 
 use rlqvo_graph::{Graph, VertexId};
 
 use crate::bipartite::{has_left_saturating_matching, MaskMatcher};
 
-/// Per-query-vertex candidate sets. Each set is sorted ascending (the
-/// enumeration engines rely on that for intersection), and membership is
-/// answered by a dense per-query-vertex bitmap — O(1) instead of a binary
-/// search. Only the probe oracle's enumeration and the naive semi-perfect
-/// check behind [`GqlFilter::filter_reference`] read it; the production
-/// GQL refinement reads its own `member` masks.
+/// Per-query-vertex candidate sets, in one `u32` buffer allocated at its
+/// exact length: the `|V(q)| + 1` offsets of the sets, then the sets. An
+/// offset indexes the whole buffer, so the first one, where `C(0)` starts,
+/// is `|V(q)| + 1`. Each set is sorted ascending (the enumeration engines
+/// rely on that for intersection). What [`Candidates::storage_bytes`]
+/// charges a cached entry is what it holds.
 ///
-/// The sets are one CSR, like the graph's label index: a flat array and
-/// `|V(q)| + 1` offsets, both allocated at their exact size, so what
-/// [`Candidates::storage_bytes`] charges a cached entry is what it holds.
-#[derive(Clone, Debug)]
+/// Membership ([`Candidates::contains`]) is a binary search of `C(u)`.
+/// Only the probe oracle's enumeration and the naive semi-perfect check
+/// behind [`GqlFilter::filter_reference`] ask it; the production GQL
+/// refinement reads its own `member` masks, and the space engine never
+/// asks.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Candidates {
-    /// `flat[offsets[u]..offsets[u + 1]]` = sorted `C(u)`.
-    flat: Vec<VertexId>,
-    offsets: Vec<usize>,
-    /// One bitmap row per query vertex, `words_per_row` u64 words each,
-    /// sized to the largest candidate id seen (`universe`).
-    bits: Vec<u64>,
-    words_per_row: usize,
+    /// `buf[buf[u]..buf[u + 1]]` = sorted `C(u)`.
+    buf: Box<[u32]>,
 }
 
 impl Candidates {
     /// Wraps raw candidate sets (each must be sorted).
     pub fn new(sets: Vec<Vec<VertexId>>) -> Self {
-        let mut flat = Vec::with_capacity(sets.iter().map(Vec::len).sum());
-        let mut offsets = Vec::with_capacity(sets.len() + 1);
-        offsets.push(0);
-        for set in &sets {
-            flat.extend_from_slice(set);
-            offsets.push(flat.len());
+        let mut buf = empty_buf(sets.len(), sets.iter().map(Vec::len).sum());
+        for (u, set) in sets.iter().enumerate() {
+            buf.extend_from_slice(set);
+            close_set(&mut buf, u as VertexId);
         }
-        Candidates::from_csr(flat, offsets)
+        Candidates::from_buf(buf)
     }
 
-    /// Wraps sets already in CSR form; trims `flat` to its length.
-    fn from_csr(mut flat: Vec<VertexId>, offsets: Vec<usize>) -> Self {
-        flat.shrink_to_fit();
-        let sets = offsets.windows(2).map(|w| &flat[w[0]..w[1]]);
-        debug_assert!(sets.clone().all(|s| s.windows(2).all(|w| w[0] < w[1])));
-        let universe = sets.clone().filter_map(|s| s.last()).map(|&v| v as usize + 1).max().unwrap_or(0);
-        let words_per_row = universe.div_ceil(64);
-        let mut bits = vec![0u64; (offsets.len() - 1) * words_per_row];
-        for (u, set) in sets.enumerate() {
-            let row = &mut bits[u * words_per_row..(u + 1) * words_per_row];
-            for &v in set {
-                row[v as usize / 64] |= 1u64 << (v % 64);
-            }
-        }
-        Candidates { flat, offsets, bits, words_per_row }
+    /// Wraps a buffer in the layout above, copied to its exact length. A
+    /// filter reserves its buffer for whole label classes; trimmed in
+    /// place, it would keep its address and leave the rest of that
+    /// reservation as a hole beside every cached entry (on the ledger's
+    /// `serve-churn`, peak RSS +29 %), where the copy is placed like any
+    /// small allocation.
+    fn from_buf(buf: Vec<u32>) -> Self {
+        let cand = Candidates { buf: buf[..].into() };
+        debug_assert!((0..cand.num_query_vertices() as VertexId).all(|u| cand.of(u).windows(2).all(|w| w[0] < w[1])));
+        cand
     }
 
     /// Candidate set `C(u)`.
     #[inline]
     pub fn of(&self, u: VertexId) -> &[VertexId] {
-        &self.flat[self.offsets[u as usize]..self.offsets[u as usize + 1]]
+        set_of(&self.buf, u)
     }
 
     /// `|C(u)|`.
     #[inline]
     pub fn len_of(&self, u: VertexId) -> usize {
-        self.offsets[u as usize + 1] - self.offsets[u as usize]
+        (self.buf[u as usize + 1] - self.buf[u as usize]) as usize
     }
 
-    /// True when `v ∈ C(u)` (bitmap test).
+    /// The candidate at `pos` in `C(u)`.
+    #[inline]
+    pub(crate) fn vertex_at(&self, u: VertexId, pos: u32) -> VertexId {
+        self.buf[self.buf[u as usize] as usize + pos as usize]
+    }
+
+    /// True when `v ∈ C(u)` (binary search).
     #[inline]
     pub fn contains(&self, u: VertexId, v: VertexId) -> bool {
-        let word = v as usize / 64;
-        word < self.words_per_row && self.bits[u as usize * self.words_per_row + word] & (1u64 << (v % 64)) != 0
+        self.of(u).binary_search(&v).is_ok()
     }
 
     /// Number of query vertices covered.
     pub fn num_query_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.buf[0] as usize - 1
     }
 
     /// True when some candidate set is empty — the query has no match and
     /// enumeration can be skipped entirely.
     pub fn any_empty(&self) -> bool {
-        self.offsets.windows(2).any(|w| w[0] == w[1])
+        self.buf[..self.buf[0] as usize].windows(2).any(|w| w[0] == w[1])
     }
 
     /// Total candidate count across query vertices.
     pub fn total(&self) -> usize {
-        self.flat.len()
+        self.buf.len() - self.buf[0] as usize
     }
 
-    /// Bytes held by the candidate sets and the membership bitmap — the
-    /// term a byte-bounded [`SpaceCache`][crate::SpaceCache] charges for a
-    /// resident entry before its `CandidateSpace` is (lazily) built.
+    /// Bytes held by the sets and their offsets — the term a byte-bounded
+    /// [`SpaceCache`][crate::SpaceCache] charges for the candidates of a
+    /// resident entry.
     pub fn storage_bytes(&self) -> usize {
-        std::mem::size_of_val(&self.flat[..])
-            + std::mem::size_of_val(&self.offsets[..])
-            + std::mem::size_of_val(&self.bits[..])
+        std::mem::size_of_val(&*self.buf)
     }
 }
 
@@ -165,29 +158,47 @@ impl CandidateFilter for LdfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        let (mut flat, mut offsets) = empty_csr(q, g);
+        let mut buf = empty_csr(q, g);
         for u in q.vertices() {
             let du = q.degree(u);
-            flat.extend(g.vertices_with_label(q.label(u)).iter().copied().filter(|&v| g.degree(v) >= du));
-            offsets.push(flat.len());
+            buf.extend(g.vertices_with_label(q.label(u)).iter().copied().filter(|&v| g.degree(v) >= du));
+            close_set(&mut buf, u);
         }
-        Candidates::from_csr(flat, offsets)
+        Candidates::from_buf(buf)
     }
 }
 
-/// An empty candidate CSR for `q`: the flat array reserved for every label
-/// class a query vertex draws from (no set outgrows its class), the
-/// offsets holding their leading 0.
-fn empty_csr(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
-    let bound = q.vertices().map(|u| g.label_frequency(q.label(u))).sum();
-    let mut offsets = Vec::with_capacity(q.num_vertices() + 1);
-    offsets.push(0);
-    (Vec::with_capacity(bound), offsets)
+/// A candidate buffer for `n` query vertices with room for `entries`
+/// candidates: its `n + 1` offsets, the first one `n + 1` and the others 0
+/// until [`close_set`] ends each set as it is appended.
+fn empty_buf(n: usize, entries: usize) -> Vec<u32> {
+    let mut buf = Vec::with_capacity(n + 1 + entries);
+    buf.push(offset(n + 1));
+    buf.resize(n + 1, 0);
+    buf
 }
 
-/// `C(u)` of a candidate CSR under construction.
-fn set_of<'a>(flat: &'a [VertexId], offsets: &[usize], u: VertexId) -> &'a [VertexId] {
-    &flat[offsets[u as usize]..offsets[u as usize + 1]]
+/// The buffer for `q`'s candidates, with room for every label class a
+/// query vertex draws from (no set outgrows its class).
+fn empty_csr(q: &Graph, g: &Graph) -> Vec<u32> {
+    empty_buf(q.num_vertices(), q.vertices().map(|u| g.label_frequency(q.label(u))).sum())
+}
+
+/// Ends `C(u)` at the buffer's current length.
+fn close_set(buf: &mut [u32], u: VertexId) {
+    buf[u as usize + 1] = offset(buf.len());
+}
+
+/// `len` as a candidate offset: a buffer past `u32::MAX` entries panics
+/// rather than wrap.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("Candidates: {len} entries overflow the u32 offsets"))
+}
+
+/// `C(u)` of a candidate buffer, complete or under construction.
+#[inline]
+fn set_of(buf: &[u32], u: VertexId) -> &[VertexId] {
+    &buf[buf[u as usize] as usize..buf[u as usize + 1] as usize]
 }
 
 /// Neighbour-label-frequency filter: LDF plus the requirement that for
@@ -205,14 +216,13 @@ impl CandidateFilter for NlfFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        let (flat, offsets) = nlf_sets(q, g);
-        Candidates::from_csr(flat, offsets)
+        Candidates::from_buf(nlf_sets(q, g))
     }
 }
 
-/// [`NlfFilter`]'s sorted candidate sets as a CSR (flat array, offsets),
+/// [`NlfFilter`]'s sorted candidate sets in the [`Candidates`] layout,
 /// before they are wrapped: what [`GqlFilter::filter`] refines.
-fn nlf_sets(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
+fn nlf_sets(q: &Graph, g: &Graph) -> Vec<u32> {
     // Scratch shared by the whole run: the current query vertex's
     // demands as (neighbour label, count), their table columns and the
     // class-wide survivor mask.
@@ -222,7 +232,7 @@ fn nlf_sets(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
     // Scan path only.
     let mut counts: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
-    let (mut flat, mut offsets) = empty_csr(q, g);
+    let mut buf = empty_csr(q, g);
     for u in q.vertices() {
         demands.clear();
         for &w in q.neighbors(u) {
@@ -246,7 +256,7 @@ fn nlf_sets(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
             let du = q.degree(u);
             let nlf_u = q.neighbor_label_frequency(u);
             counts.resize(g.num_labels().max(q.num_labels()) as usize, 0);
-            flat.extend(class.iter().copied().filter(|&v| {
+            buf.extend(class.iter().copied().filter(|&v| {
                 g.degree(v) >= du && nlf_dominates(g, v, &nlf_u, demands.len(), &mut counts, &mut touched)
             }));
         } else {
@@ -261,17 +271,17 @@ fn nlf_sets(q: &Graph, g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
             }
             // Branch-free compaction: every vertex is written, only a
             // survivor advances the cursor.
-            let mut len = flat.len();
-            flat.resize(len + class.len(), 0);
+            let mut len = buf.len();
+            buf.resize(len + class.len(), 0);
             for (&v, &m) in class.iter().zip(&mask) {
-                flat[len] = v;
+                buf[len] = v;
                 len += m as usize;
             }
-            flat.truncate(len);
+            buf.truncate(len);
         }
-        offsets.push(flat.len());
+        close_set(&mut buf, u);
     }
-    (flat, offsets)
+    buf
 }
 
 /// The exact scan [`NlfFilter`] falls back to where the data graph's table
@@ -356,9 +366,9 @@ impl CandidateFilter for GqlFilter {
     }
 
     fn filter(&self, q: &Graph, g: &Graph) -> Candidates {
-        let (mut flat, mut offsets) = nlf_sets(q, g);
+        let mut buf = nlf_sets(q, g);
         if self.refinement_rounds == 0 {
-            return Candidates::from_csr(flat, offsets);
+            return Candidates::from_buf(buf);
         }
         // The round's bipartite instances, as masks over query vertices
         // (`w` words): `member` row `v` has bit `u` ⇔ `v ∈ C(u)`, `nbr`
@@ -372,7 +382,7 @@ impl CandidateFilter for GqlFilter {
         let mut member = vec![0u64; g.num_vertices() * w];
         let mut nbr = vec![0u64; q.num_vertices() * w];
         for u in q.vertices() {
-            for &v in set_of(&flat, &offsets, u) {
+            for &v in set_of(&buf, u) {
                 let (word, mask) = bit(v, u);
                 member[word] |= mask;
             }
@@ -402,12 +412,12 @@ impl CandidateFilter for GqlFilter {
         for _ in 0..self.refinement_rounds {
             doomed.clear();
             for u in q.vertices() {
-                cost[u as usize] = scan_cost(g, set_of(&flat, &offsets, u));
+                cost[u as usize] = scan_cost(g, set_of(&buf, u));
             }
             reach.fill(0);
             for u2 in q.vertices() {
                 if q.neighbors(u2).iter().any(|&u| cost[u2 as usize] < cost[u as usize]) {
-                    for &v2 in set_of(&flat, &offsets, u2) {
+                    for &v2 in set_of(&buf, u2) {
                         for &v in g.neighbors(v2) {
                             let (word, mask) = bit(v, u2);
                             reach[word] |= mask;
@@ -416,7 +426,7 @@ impl CandidateFilter for GqlFilter {
                 }
             }
             for u in q.vertices() {
-                let set = set_of(&flat, &offsets, u);
+                let set = set_of(&buf, u);
                 cheaper.fill(0);
                 for &u2 in q.neighbors(u).iter().filter(|&&u2| cost[u2 as usize] < cost[u as usize]) {
                     let (word, mask) = bit(0, u2);
@@ -459,22 +469,23 @@ impl CandidateFilter for GqlFilter {
             }
             // Branch-free, like NLF's compaction: every vertex is written
             // back, only one still in `member` advances the cursor. One
-            // pass over the flat array compacts every set; `start` is
-            // where `C(u)` began before this round moved it.
-            let (mut len, mut start) = (0, 0);
+            // pass over the sets compacts them all; `start` is where
+            // `C(u)` began before this round moved it.
+            let (mut len, mut start) = (buf[0] as usize, buf[0] as usize);
             for u in q.vertices() {
-                let end = offsets[u as usize + 1];
+                let end = buf[u as usize + 1] as usize;
                 for i in start..end {
-                    let v = flat[i];
-                    flat[len] = v;
+                    let v = buf[i];
+                    buf[len] = v;
                     let (word, mask) = bit(v, u);
                     len += (member[word] & mask != 0) as usize;
                 }
-                (start, offsets[u as usize + 1]) = (end, len);
+                // `len` only shrinks, so it fits where `end` did.
+                (start, buf[u as usize + 1]) = (end, len as u32);
             }
-            flat.truncate(len);
+            buf.truncate(len);
         }
-        Candidates::from_csr(flat, offsets)
+        Candidates::from_buf(buf)
     }
 
     /// Folds `refinement_rounds` into the identity: `GQL/r1` and `GQL/r2`
@@ -490,7 +501,7 @@ impl GqlFilter {
     /// `Vec<Vec<_>>` bipartite reconstruction via
     /// [`semi_perfect_ok_reference`]. Kept solely as the differential
     /// oracle for the mask-based fast path (`tests/oracle.rs` checks
-    /// byte-identical surviving sets and bitmap).
+    /// byte-identical surviving sets and `contains`).
     #[doc(hidden)]
     pub fn filter_reference(&self, q: &Graph, g: &Graph) -> Candidates {
         let mut cand = NlfFilter.filter(q, g);
@@ -529,7 +540,7 @@ fn semi_perfect_ok_reference(q: &Graph, g: &Graph, cand: &Candidates, qu_neighbo
     for &uq in qu_neighbors {
         let mut row = Vec::new();
         for (ri, &vg) in gv_neighbors.iter().enumerate() {
-            // Cheap label pre-check before the bitmap test.
+            // Cheap label pre-check before the membership search.
             if g.label(vg) == q.label(uq) && cand.contains(uq, vg) {
                 row.push(ri);
             }
@@ -675,8 +686,8 @@ mod tests {
     }
 
     /// What a cached entry is charged is what it holds: after GQL
-    /// refinement has removed candidates, the sets, their offsets and the
-    /// bitmap are allocated at exactly the bytes `storage_bytes` counts.
+    /// refinement has removed candidates, the one buffer is allocated at
+    /// exactly its offsets and sets, the bytes `storage_bytes` counts.
     #[test]
     fn storage_bytes_are_the_allocations_capacities() {
         let (q, g, _) = arms_case(3);
@@ -684,11 +695,21 @@ mod tests {
         let gql = GqlFilter::default().filter(&q, &g);
         assert!(gql.total() < nlf.total(), "the fixture must refine");
         for c in [&nlf, &gql, &LdfFilter.filter(&q, &g), &Candidates::new(vec![vec![2, 9], vec![], vec![1]])] {
-            let capacity = std::mem::size_of::<VertexId>() * c.flat.capacity()
-                + std::mem::size_of::<usize>() * c.offsets.capacity()
-                + std::mem::size_of::<u64>() * c.bits.capacity();
-            assert_eq!(c.storage_bytes(), capacity);
+            let n = c.num_query_vertices();
+            let sets: usize = (0..n as VertexId).map(|u| c.of(u).len()).sum();
+            assert_eq!(c.buf.len(), n + 1 + sets, "offsets, then sets, nothing else");
+            assert_eq!(c.storage_bytes(), std::mem::size_of::<u32>() * c.buf.len());
         }
+    }
+
+    /// An offset past `u32::MAX` panics, naming the candidates, instead of
+    /// wrapping — checked on the conversion itself, since a buffer that
+    /// long is 16 GiB.
+    #[test]
+    #[should_panic(expected = "Candidates: 4294967296 entries overflow the u32 offsets")]
+    fn an_offset_past_u32_max_panics() {
+        assert_eq!(offset(u32::MAX as usize), u32::MAX);
+        offset(u32::MAX as usize + 1);
     }
 
     #[test]

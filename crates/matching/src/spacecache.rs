@@ -60,10 +60,13 @@ use crate::filter::{CandidateFilter, Candidates};
 /// One cached unit of filtered state: the candidates of a
 /// `(query, filter semantics)` key plus the candidate space built from
 /// them. Immutable and complete from the moment the cache inserts it.
+/// With its `Arc` it is at most four allocations: the `Arc`, the
+/// candidates' buffer, the space's index and its `nbr_pos`.
 pub struct SpaceEntry {
-    cand: Candidates,
-    /// `None` iff some candidate set is empty.
-    space: Option<CandidateSpace>,
+    /// The space, which owns the candidates it was built from, or — when
+    /// some set is empty and there is nothing to build — the bare
+    /// candidates.
+    filtered: Result<CandidateSpace, Candidates>,
     filter_time: Duration,
     build_time: Duration,
     /// Independent structural hash of the query this entry was filtered
@@ -87,7 +90,7 @@ impl SpaceEntry {
     /// The filtered candidate sets this entry snapshots.
     #[inline]
     pub fn cand(&self) -> &Candidates {
-        &self.cand
+        self.filtered.as_ref().map_or_else(|cand| cand, CandidateSpace::candidates)
     }
 
     /// The edge-indexed candidate space built from [`SpaceEntry::cand`];
@@ -95,7 +98,7 @@ impl SpaceEntry {
     /// was built).
     #[inline]
     pub fn space(&self) -> Option<&CandidateSpace> {
-        self.space.as_ref()
+        self.filtered.as_ref().ok()
     }
 
     /// Wall time of the single filter pass that created this entry.
@@ -116,10 +119,12 @@ impl SpaceEntry {
         self.checksum.load(Ordering::Relaxed) == SpaceCache::query_checksum(q)
     }
 
-    /// Bytes this entry pins: candidates + candidate space — what a
-    /// bounded cache charges.
+    /// Bytes this entry pins: the struct, its candidates and candidate
+    /// space — what a bounded cache charges. The `Arc` around it adds its
+    /// two counts, and the allocator its own rounding.
     pub fn resident_bytes(&self) -> usize {
-        self.cand.storage_bytes() + self.space.as_ref().map_or(0, CandidateSpace::storage_bytes)
+        let held = self.filtered.as_ref().map_or_else(Candidates::storage_bytes, CandidateSpace::storage_bytes);
+        std::mem::size_of::<SpaceEntry>() + held
     }
 }
 
@@ -183,12 +188,14 @@ impl SpaceCache {
     }
 
     /// A cache that evicts least-recently-used entries once the bytes
-    /// charged for resident candidates and spaces exceed
-    /// `capacity_bytes` — the serving-layer configuration, where millions
-    /// of distinct queries must not grow memory without bound. A single
-    /// entry larger than the whole budget is admitted uncached (served
-    /// standalone, quarantined) instead of thrashing the residents; the
-    /// charged total never exceeds the bound.
+    /// charged for resident entries ([`SpaceEntry::resident_bytes`]: the
+    /// struct, its candidates and its space, each allocation at its exact
+    /// length) exceed `capacity_bytes` — the serving-layer configuration,
+    /// where millions of distinct queries must not grow memory without
+    /// bound. A single entry larger than the whole budget is admitted
+    /// uncached (served standalone, quarantined) instead of thrashing the
+    /// residents; the charged total never exceeds the bound. What the
+    /// cache's own map and list keep per resident is not charged.
     pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         SpaceCache::with_config(CacheConfig { max_bytes: Some(capacity_bytes), ..CacheConfig::default() })
     }
@@ -276,9 +283,9 @@ impl SpaceCache {
             let cand = filter.filter(q, g);
             let filter_time = t.elapsed();
             let t = Instant::now();
-            let space = (!cand.any_empty()).then(|| CandidateSpace::build(q, g, &cand));
-            let build_time = if space.is_some() { t.elapsed() } else { Duration::ZERO };
-            Arc::new(SpaceEntry { cand, space, filter_time, build_time, checksum: AtomicU64::new(key.checksum) })
+            let filtered = if cand.any_empty() { Err(cand) } else { Ok(CandidateSpace::new(q, g, cand)) };
+            let build_time = if filtered.is_ok() { t.elapsed() } else { Duration::ZERO };
+            Arc::new(SpaceEntry { filtered, filter_time, build_time, checksum: AtomicU64::new(key.checksum) })
         })
     }
 }
@@ -388,9 +395,10 @@ mod tests {
         assert_eq!(*space, CandidateSpace::build(&q, &g, e.cand()), "the space is the build of the entry's candidates");
         assert_eq!(
             cache.storage_bytes(),
-            e.cand().storage_bytes() + space.storage_bytes(),
-            "candidates and space are charged together at insert"
+            std::mem::size_of::<SpaceEntry>() + space.storage_bytes(),
+            "the entry and its space, which holds the candidates, are charged together at insert"
         );
+        assert!(std::ptr::eq(e.cand(), space.candidates()), "the entry holds its candidates once");
         let (e2, fresh) = entry_for(&cache, &q, &g, &LdfFilter);
         assert!(!fresh);
         assert!(std::ptr::eq(space, e2.space().expect("built")), "a hit serves the same space, never rebuilt");

@@ -1198,7 +1198,7 @@ fn try_build_with_limit_refuses_or_returns_the_same_space_at_every_limit() {
         let need = (0..).find(|&limit| build_by_direction(&q, &g, &cand, limit).is_ok()).unwrap();
         assert!(need >= full.total_edge_list_entries() as u64 && need > 0);
         for limit in 0..=need + 1 {
-            let got = CandidateSpace::try_build_with_limit(&q, &g, &cand, limit);
+            let got = CandidateSpace::try_build_with_limit(&q, &g, cand.clone(), limit);
             match (got, build_by_direction(&q, &g, &cand, limit)) {
                 (Ok(space), Ok(_)) => assert!(limit >= need && space == full, "limit {limit}"),
                 (Err(got), Err(want)) => assert!(limit < need && got == want, "limit {limit}: {got:?} vs {want:?}"),

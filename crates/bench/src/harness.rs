@@ -66,15 +66,6 @@ impl RunStats {
         mean_secs(&self.order_times)
     }
 
-    /// Mean `#enum`.
-    pub fn mean_enumerations(&self) -> f64 {
-        if self.enumerations.is_empty() {
-            0.0
-        } else {
-            self.enumerations.iter().sum::<u64>() as f64 / self.enumerations.len() as f64
-        }
-    }
-
     /// `p`-th percentile (0–100) of total time, in seconds.
     pub fn percentile_total_secs(&self, p: f64) -> f64 {
         percentile_secs(&self.total_times, p)
@@ -451,7 +442,7 @@ mod tests {
         // one fingerprint, one cache entry between them.
         let q1 = build_query_set(&g, 5, 1, 7).queries.pop().expect("one query");
         let q2 = build_query_set(&g, 5, 1, 7).queries.pop().expect("one query");
-        assert_eq!(SpaceCache::query_fingerprint(&q1), SpaceCache::query_fingerprint(&q2));
+        assert_eq!(QueryKey::of(&q1).fingerprint(), QueryKey::of(&q2).fingerprint());
         let queries = vec![q1, q2];
         let methods = [Method::hybrid()];
 

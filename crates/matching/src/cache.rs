@@ -6,8 +6,8 @@
 //! evict-and-recompute degradation, poison recovery, and
 //! hit/miss/eviction counters — lives here once, parameterized over the
 //! entry type ([`CacheWeight`]). All of a cache's state sits behind **one
-//! lock**: a lookup holds it for a map probe and a list relink, and every
-//! compute runs outside it.
+//! lock**: a lookup holds it for a map probe, a checksum compare and a
+//! list relink, and every compute runs outside it.
 //!
 //! * the residents are threaded through an intrusive LRU list (doubly
 //!   linked through a resident slab): a hit re-heads its node, so the
@@ -23,10 +23,10 @@
 //!   when its compute returns, and its [`CacheWeight::weight`] is charged
 //!   **once per residency**, under the lock, right then — only while the
 //!   key's slot is still the one that compute filled, since the compute
-//!   ran outside the lock. An insert, that charge and a checksum eviction
-//!   each evict inside the critical section that made it necessary, so
-//!   both bounds hold at every unlock (the key being filled is never its
-//!   own victim, so a zero entry bound still holds that one key);
+//!   ran outside the lock. An insert and that charge each evict inside
+//!   the critical section that made it necessary, so both bounds hold at
+//!   every unlock (the key being filled is never its own victim, so a
+//!   zero entry bound still holds that one key);
 //! * an entry bigger than the whole byte budget is **admitted uncached**:
 //!   it is served as a standalone handle, never charged (its one charge
 //!   drops it from residency instead), and its key is quarantined so
@@ -34,10 +34,13 @@
 //!   evicting every other resident per lookup and then being evicted
 //!   themselves — the thrash-to-empty failure mode
 //!   ([`Cache::oversize_serves`] counts these);
-//! * every lookup carries its [`QueryKey`], so **every hit verifies** the
-//!   entry's stored structural checksum — one relaxed load and a compare,
-//!   in every build profile; a mismatch degrades to an evict-and-recompute
-//!   miss, counted, never a panic;
+//! * every lookup carries its [`QueryKey`]: the fingerprint finds the
+//!   resident and the independent checksum, stored in the resident's node
+//!   at insert, **verifies every hit** in the critical section that finds
+//!   it, in every build profile. A mismatch (a 64-bit fingerprint
+//!   collision, or a `cache.checksum_corrupt` fire) counts one checksum
+//!   failure and one eviction and replaces the resident with a fresh slot
+//!   this lookup computes — never a panic, never a second count;
 //! * a poisoned lock recovers by dropping every resident (their keys
 //!   recompute on their next lookup — the eviction contract) and the
 //!   quarantine set, refunding every charged byte, and clearing the
@@ -50,12 +53,67 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use crate::spacecache::QueryKey;
+use rlqvo_graph::Graph;
 
 /// Cache key: `(query id, variant)` — the query's structural fingerprint
 /// (or a caller-supplied id) plus a string naming the semantics of the
 /// cached computation (filter `cache_key`, ordering `cache_key@context`).
 pub type CacheKey = (u64, String);
+
+/// Both structural hashes of a query, from one walk of it — what every
+/// cache lookup takes ([`SpaceCache::entry_keyed`][crate::SpaceCache::entry_keyed],
+/// [`OrderCache::get_or_compute_keyed`][crate::OrderCache::get_or_compute_keyed]).
+/// A caller that replays one query many times builds the `QueryKey` once,
+/// so no lookup pays the `O(|V|+|E|)` walk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueryKey {
+    fingerprint: u64,
+    checksum: u64,
+}
+
+impl QueryKey {
+    /// Hashes `q` once. The fingerprint is FNV-1a over the vertex count,
+    /// the labels and the directed edge list: identical structures — and
+    /// only those, up to 64-bit collisions — share it. The checksum mixes
+    /// the same information, plus the degree sequence, through an
+    /// unrelated function (golden-ratio multiply + xor-rotate): for two
+    /// distinct queries to be served each other's entries, *both* hashes
+    /// would have to collide.
+    pub fn of(q: &Graph) -> Self {
+        const OFFSET: u64 = 0xcbf29ce484222325;
+        const PRIME: u64 = 0x100000001b3;
+        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut key = QueryKey { fingerprint: OFFSET, checksum: 0x243F_6A88_85A3_08D3 }; // pi digits
+        let mut mix = |fingerprint: u64, checksum: u64| {
+            for b in fingerprint.to_le_bytes() {
+                key.fingerprint = (key.fingerprint ^ b as u64).wrapping_mul(PRIME);
+            }
+            key.checksum = (key.checksum ^ checksum).wrapping_mul(GOLDEN);
+            key.checksum ^= key.checksum.rotate_right(29);
+        };
+        let n = q.num_vertices() as u64;
+        mix(n, n);
+        for u in q.vertices() {
+            mix(q.label(u) as u64, ((q.label(u) as u64) << 32) | q.degree(u) as u64);
+        }
+        for u in q.vertices() {
+            for &v in q.neighbors(u) {
+                mix(((u as u64) << 32) | v as u64, ((v as u64) << 32) | u as u64);
+            }
+        }
+        key
+    }
+
+    /// The cache id.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The collision-guard hash every hit is verified against.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
+    }
+}
 
 /// Oversize-quarantine high-water mark: the set of keys known to exceed
 /// the whole byte budget is reset when it outgrows this, so a hostile
@@ -66,16 +124,11 @@ const OVERSIZE_QUARANTINE_MAX: usize = 4096;
 /// Intrusive-list null index.
 const NIL: u32 = u32::MAX;
 
-/// What the generic cache needs from an entry type: its byte weight
-/// (charged once, when the entry is computed) and the stored structural
-/// checksum verified on hits.
+/// What the generic cache needs from an entry type: its byte weight,
+/// charged once, when the entry is computed.
 pub trait CacheWeight: Send + Sync {
     /// Bytes this entry pins.
     fn weight(&self) -> usize;
-    /// The collision-guard checksum written at insert. Atomic only so
-    /// the `cache.checksum_corrupt` failpoint can flip it in place on a
-    /// shared entry.
-    fn checksum_cell(&self) -> &AtomicU64;
 }
 
 /// Victim-selection policy.
@@ -107,11 +160,14 @@ pub struct CacheConfig {
 /// workers race on it, and a long compute never blocks unrelated keys.
 type Slot<E> = OnceLock<Arc<E>>;
 
-/// One resident: its slot, byte charge, recency tick, and the intrusive
-/// LRU links threading it into the recency list.
+/// One resident: its slot, the checksum its hits are verified against,
+/// byte charge, recency tick, and the intrusive LRU links threading it
+/// into the recency list.
 struct Node<E> {
     key: CacheKey,
     slot: Arc<Slot<E>>,
+    /// The [`QueryKey::checksum`] of the lookup that inserted this node.
+    checksum: u64,
     /// Bytes currently charged against the byte bound for this key.
     charged: usize,
     /// The tick of the last lookup — what the reference scan compares.
@@ -195,8 +251,8 @@ impl<E> Inner<E> {
         self.head = i;
     }
 
-    fn insert(&mut self, key: CacheKey, slot: Arc<Slot<E>>) {
-        let node = Node { key: key.clone(), slot, charged: 0, last_used: 0, prev: NIL, next: NIL };
+    fn insert(&mut self, key: CacheKey, checksum: u64, slot: Arc<Slot<E>>) {
+        let node = Node { key: key.clone(), slot, checksum, charged: 0, last_used: 0, prev: NIL, next: NIL };
         let i = match self.free.pop() {
             Some(i) => {
                 self.slab[i as usize] = Some(node);
@@ -222,8 +278,8 @@ impl<E> Inner<E> {
 
     /// The index of `key`'s resident when its map slot is exactly `slot`
     /// — the identity check that keeps a lookup whose key was evicted
-    /// (and perhaps recomputed into a new resident) while it computed or
-    /// verified outside the lock from touching the new resident.
+    /// (and perhaps recomputed into a new resident) while it computed
+    /// outside the lock from touching the new resident.
     fn resident_slot(&self, key: &CacheKey, slot: &Arc<Slot<E>>) -> Option<u32> {
         let &i = self.map.get(key)?;
         Arc::ptr_eq(&self.node(i).slot, slot).then_some(i)
@@ -313,17 +369,6 @@ impl<E: CacheWeight> Cache<E> {
         self.evict_to_capacity(&mut inner, key);
     }
 
-    /// Removes `key` only while its map slot is still `slot` — the
-    /// checksum-degrade path. The identity check keeps a stale verdict
-    /// from evicting a concurrent recompute's fresh entry.
-    fn evict_exact(&self, key: &CacheKey, slot: &Arc<Slot<E>>) {
-        let mut inner = self.lock();
-        if let Some(i) = inner.resident_slot(key, slot) {
-            inner.remove(i);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Evicts least-recently-used residents other than `protect` until
     /// both bounds hold (or only `protect` is left). Every round removes a
     /// resident, so the loop terminates.
@@ -355,101 +400,94 @@ impl<E: CacheWeight> Cache<E> {
         }
     }
 
+    /// The slot for `key` under the held lock. A resident is verified
+    /// here, in the critical section that found it: a matching checksum
+    /// re-heads it; a mismatch counts one checksum failure and one
+    /// eviction and replaces it with a fresh slot, as an absent key gets.
+    fn find_or_insert(&self, inner: &mut Inner<E>, key: &CacheKey, checksum: u64) -> Arc<Slot<E>> {
+        if let Some(&i) = inner.map.get(key) {
+            let node = inner.node_mut(i);
+            // A fire flips the node's copy before the compare, so the
+            // corruption takes the path real bit-rot would: one fire, one
+            // failure, one eviction.
+            if rlqvo_fault::failpoint!("cache.checksum_corrupt").is_some() {
+                node.checksum ^= u64::MAX;
+            }
+            if node.checksum == checksum {
+                inner.unlink(i);
+                inner.push_front(i);
+                return Arc::clone(&inner.node(i).slot);
+            }
+            self.checksum_failures.fetch_add(1, Ordering::Relaxed);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            inner.remove(i);
+        }
+        let slot = Arc::new(OnceLock::new());
+        inner.insert(key.clone(), checksum, Arc::clone(&slot));
+        self.evict_to_capacity(inner, key);
+        slot
+    }
+
     /// The entry for `(key.fingerprint(), variant)`, building it on first
     /// use. Returns the shared entry and whether this call built it
     /// (`true` = a compute pass just ran). Exactly one compute pass
     /// happens per *residency* of a key, however many threads race; an
-    /// evicted key recomputes once on its next lookup.
-    /// Oversize-quarantined keys recompute per lookup (each counted as a
-    /// miss + oversize serve).
+    /// evicted key — by a bound or by a failed checksum — recomputes once
+    /// on its next lookup. Oversize-quarantined keys recompute per lookup
+    /// (each counted as a miss + oversize serve).
     ///
-    /// `build` must store `key.checksum()` in the entry it constructs:
-    /// every hit compares the two. The entry is complete when `build`
-    /// returns: its [`weight`][CacheWeight::weight] is charged once, under
-    /// the lock, and never again.
+    /// The entry is complete when `build` returns: its
+    /// [`weight`][CacheWeight::weight] is charged once, under the lock,
+    /// and never again.
     ///
-    /// Hot path: one lock (find + LRU re-head + `Arc` clone), a lock-free
-    /// `OnceLock` read, one relaxed load and a compare.
+    /// Hot path: one lock (find + checksum compare + LRU re-head + `Arc`
+    /// clone) and a lock-free `OnceLock` read.
     pub(crate) fn get_or_insert(
         &self,
         key: &QueryKey,
         variant: &str,
         build: impl FnOnce() -> Arc<E>,
     ) -> (Arc<E>, bool) {
-        let expect = key.checksum();
-        let key: CacheKey = (key.fingerprint(), variant.to_string());
-        // `build` is needed at most once across the retry loop: a miss
-        // consumes it and returns; a retry after a checksum-degrade
-        // eviction either hits an entry a concurrent recompute built
-        // (fresh checksum — verifies) or re-enters as the initializer of
-        // the replacement residency.
-        let mut build = Some(build);
-        loop {
-            let slot = {
-                let mut inner = self.lock();
-                // A known-oversize key skips residency entirely: build and
-                // serve standalone, leaving every resident untouched
-                // (admit-uncached). The failpoint forces the same path for
-                // an arbitrary key, bound or no bound.
-                if (self.max_bytes.is_some() && inner.oversize.contains(&key))
-                    || rlqvo_fault::failpoint!("cache.oversize").is_some()
-                {
-                    None
-                } else {
-                    // A fire here dies holding the freshly acquired lock —
-                    // the worker-died-mid-operation scenario. The panic
-                    // unwinds to the caller; the next `lock` recovers the
-                    // cache (counted in `poison_recoveries`).
-                    if rlqvo_fault::failpoint!("cache.lock.poison").is_some() {
-                        panic!("failpoint cache.lock.poison: dying while holding the cache lock");
-                    }
-                    Some(match inner.map.get(&key) {
-                        Some(&i) => {
-                            inner.unlink(i);
-                            inner.push_front(i);
-                            Arc::clone(&inner.node(i).slot)
-                        }
-                        None => {
-                            let slot = Arc::new(OnceLock::new());
-                            inner.insert(key.clone(), Arc::clone(&slot));
-                            self.evict_to_capacity(&mut inner, &key);
-                            slot
-                        }
-                    })
+        let checksum = key.checksum;
+        let key: CacheKey = (key.fingerprint, variant.to_string());
+        let slot = {
+            let mut inner = self.lock();
+            // A known-oversize key skips residency entirely: build and
+            // serve standalone, leaving every resident untouched
+            // (admit-uncached). The failpoint forces the same path for an
+            // arbitrary key, bound or no bound.
+            if (self.max_bytes.is_some() && inner.oversize.contains(&key))
+                || rlqvo_fault::failpoint!("cache.oversize").is_some()
+            {
+                None
+            } else {
+                // A fire here dies holding the freshly acquired lock — the
+                // worker-died-mid-operation scenario. The panic unwinds to
+                // the caller; the next `lock` recovers the cache (counted
+                // in `poison_recoveries`).
+                if rlqvo_fault::failpoint!("cache.lock.poison").is_some() {
+                    panic!("failpoint cache.lock.poison: dying while holding the cache lock");
                 }
-            };
-            let Some(slot) = slot else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.oversize_serves.fetch_add(1, Ordering::Relaxed);
-                return ((build.take().expect("one compute pass per call"))(), true);
-            };
-            let mut fresh = false;
-            let entry = slot.get_or_init(|| {
-                fresh = true;
-                (build.take().expect("one compute pass per call"))()
-            });
-            if fresh {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.charge(&key, &slot, entry.weight());
-                return (Arc::clone(entry), true);
+                Some(self.find_or_insert(&mut inner, &key, checksum))
             }
-            // A fire flips the resident's stored checksum *before* the
-            // comparison below, so the corruption is observed by the same
-            // machinery real bit-rot would hit: one fire = one counted
-            // checksum failure = one degrade eviction.
-            if rlqvo_fault::failpoint!("cache.checksum_corrupt").is_some() {
-                entry.checksum_cell().fetch_xor(u64::MAX, Ordering::Relaxed);
-            }
-            if entry.checksum_cell().load(Ordering::Relaxed) != expect {
-                // Degrade, don't panic: count it, evict exactly this
-                // resident, and retry as a recompute miss.
-                self.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                self.evict_exact(&key, &slot);
-                continue;
-            }
+        };
+        let Some(slot) = slot else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.oversize_serves.fetch_add(1, Ordering::Relaxed);
+            return (build(), true);
+        };
+        let mut fresh = false;
+        let entry = Arc::clone(slot.get_or_init(|| {
+            fresh = true;
+            build()
+        }));
+        if fresh {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.charge(&key, &slot, entry.weight());
+        } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (Arc::clone(entry), false);
         }
+        (entry, fresh)
     }
 
     /// Pure residency probe: true when `(key.fingerprint(), variant)`
@@ -472,13 +510,14 @@ impl<E: CacheWeight> Cache<E> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped by the bounds (or checksum degradation) so far.
+    /// Entries dropped by the bounds or by failed checksums so far.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Verified hits whose stored checksum disagreed with the query —
-    /// each degraded to an evict-and-recompute miss instead of panicking.
+    /// Lookups whose resident's stored checksum disagreed with the query's
+    /// — each degraded to an evict-and-recompute miss instead of
+    /// panicking.
     pub fn checksum_failures(&self) -> u64 {
         self.checksum_failures.load(Ordering::Relaxed)
     }
@@ -534,5 +573,63 @@ impl<E: CacheWeight> Cache<E> {
     /// changed).
     pub fn clear(&self) {
         *self.lock() = Inner::default();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rlqvo_graph::GraphBuilder;
+
+    /// An entry that weighs what it says.
+    struct Blob(usize);
+
+    impl CacheWeight for Blob {
+        fn weight(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Both hashes keep the mixing they have always had: the values are
+    /// those of the two separate walks this one replaced.
+    #[test]
+    fn query_key_hashes_are_pinned() {
+        let mut qb = GraphBuilder::new(2);
+        let (a, b, c) = (qb.add_vertex(0), qb.add_vertex(1), qb.add_vertex(0));
+        qb.add_edge(a, b);
+        qb.add_edge(b, c);
+        let key = QueryKey::of(&qb.build());
+        assert_eq!((key.fingerprint(), key.checksum()), (0xb9cc4509a2f4d447, 0x97d2ec430d47a94e));
+        let mut qb = GraphBuilder::new(8);
+        let v: Vec<_> = (0..5).map(|i| qb.add_vertex(i * 3 % 8)).collect();
+        for (x, y) in [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)] {
+            qb.add_edge(v[x], v[y]);
+        }
+        let key = QueryKey::of(&qb.build());
+        assert_eq!((key.fingerprint(), key.checksum()), (0x5aee01fc10e3a840, 0xbcb5868a65487b33));
+    }
+
+    /// Two keys that share a fingerprint and differ in checksum — a 64-bit
+    /// collision — are never served each other's entry: each lookup of
+    /// the other key replaces the resident, counted once.
+    #[test]
+    fn a_fingerprint_collision_is_caught_by_the_lookup() {
+        const BYTES: usize = 100;
+        let cache = Cache::<Blob>::new(CacheConfig::default());
+        let first = QueryKey { fingerprint: 7, checksum: 1 };
+        let second = QueryKey { fingerprint: 7, checksum: 2 };
+        let (a, fresh) = cache.get_or_insert(&first, "v", || Arc::new(Blob(BYTES)));
+        assert!(fresh);
+        let (b, fresh) = cache.get_or_insert(&second, "v", || Arc::new(Blob(BYTES)));
+        assert!(fresh, "the colliding key gets its own entry");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!((cache.checksum_failures(), cache.evictions(), cache.len()), (1, 1, 1));
+        let (hit, fresh) = cache.get_or_insert(&second, "v", || unreachable!("the replacement is resident"));
+        assert!(!fresh && Arc::ptr_eq(&b, &hit));
+        let (_, fresh) = cache.get_or_insert(&first, "v", || Arc::new(Blob(BYTES)));
+        assert!(fresh, "the first key recomputes");
+        assert_eq!((cache.checksum_failures(), cache.evictions(), cache.len()), (2, 2, 1));
+        assert_eq!(cache.storage_bytes(), BYTES, "one resident, charged once");
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
     }
 }

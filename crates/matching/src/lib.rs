@@ -38,8 +38,10 @@
 //! ordering semantics)`, so a serving loop replaying a query skips the
 //! ordering phase — including a learned policy's whole GNN inference —
 //! entirely. Both are thin instantiations of [`cache`], the one generic
-//! bounded cache behind one lock whose every hit is checksum-verified
-//! (exact LRU eviction, degradation, poison recovery). [`naive`] holds a
+//! bounded cache behind one lock. A lookup takes a [`QueryKey`], both
+//! structural hashes of the query, and the cache verifies every hit
+//! against the key's checksum under that lock (exact LRU eviction,
+//! degradation, poison recovery). [`naive`] holds a
 //! brute-force enumerator used as a correctness oracle in tests.
 
 pub mod bipartite;
@@ -57,7 +59,7 @@ pub mod pipeline;
 pub mod scheduler;
 pub mod spacecache;
 
-pub use cache::{Cache, CacheConfig, CacheKey, CacheWeight, EvictPolicy};
+pub use cache::{Cache, CacheConfig, CacheKey, CacheWeight, EvictPolicy, QueryKey};
 pub use candspace::{ArenaOverflow, CandidateSpace};
 pub use enumerate::{
     auto_decide, effective_threads, enumerate, enumerate_in_space, enumerate_probe, enumerate_probe_prepared,
@@ -72,4 +74,4 @@ pub use ordercache::{order_variant, OrderCache, OrderEntry};
 pub use parallel::{peak_parallel_workers, reset_peak_parallel_workers};
 pub use pipeline::{run_cached, run_in_entry, run_pipeline, Pipeline, PipelineResult};
 pub use scheduler::{reset_scheduler_counters, scheduler_stats, SchedulerStats, TokenBudget};
-pub use spacecache::{QueryKey, SpaceCache, SpaceEntry};
+pub use spacecache::{SpaceCache, SpaceEntry};

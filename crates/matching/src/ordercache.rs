@@ -1,12 +1,12 @@
 //! Cross-round amortization of the *ordering* phase: a keyed, bounded
 //! cache of matching orders.
 //!
-//! [`SpaceCache`] lets a serving loop replaying the same queries pay
-//! phase 1 (filtering + `CandidateSpace` build) once. [`OrderCache`] is
-//! its phase-2 sibling: deterministic ordering methods — every heuristic
-//! baseline and RL-QVO's greedy inference — produce the same order every
-//! time for the same `(query, data graph, candidates)` input, so a
-//! repeated query can skip ordering entirely. For a learned policy that
+//! [`SpaceCache`][crate::SpaceCache] lets a serving loop replaying the
+//! same queries pay phase 1 (filtering + `CandidateSpace` build) once.
+//! [`OrderCache`] is its phase-2 sibling: deterministic ordering methods
+//! — every heuristic baseline and RL-QVO's greedy inference — produce the
+//! same order every time for the same `(query, data graph, candidates)`
+//! input, so a repeated query can skip ordering entirely. For a learned policy that
 //! is the *entire* inference cost: a hit replaces `|V(q)|` GNN forward
 //! passes with one fingerprint lookup.
 //!
@@ -17,7 +17,7 @@
 //!
 //! * the one lookup, [`OrderCache::get_or_compute_keyed`], keys entries by
 //!   `(query fingerprint, variant)`: the caller's [`QueryKey`] (whose
-//!   checksum every hit is verified against) plus a *variant* string
+//!   checksum the cache verifies every hit against) plus a *variant* string
 //!   naming the ordering semantics and the candidates they ran on —
 //!   [`order_variant`], the one place that composes it, since
 //!   candidate-driven methods order differently on different candidate
@@ -35,24 +35,18 @@
 //! uncached call would produce requires [`OrderCache::clear`][Cache::clear] (or a fresh
 //! cache).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::{Graph, VertexId};
 
-use crate::cache::{Cache, CacheConfig, CacheWeight};
+use crate::cache::{Cache, CacheConfig, CacheWeight, QueryKey};
 use crate::filter::CandidateFilter;
 use crate::order::OrderingMethod;
-use crate::spacecache::{QueryKey, SpaceCache};
 
-/// One cached order plus its collision guard and timing.
+/// One cached order plus its timing.
 pub struct OrderEntry {
     order: Vec<VertexId>,
-    /// Structural checksum of the query this order was computed for.
-    /// Atomic only so the `cache.checksum_corrupt` failpoint can flip it
-    /// in place; the cache writes it once at insert.
-    checksum: AtomicU64,
     /// Wall time of the single ordering pass that created this entry.
     order_time: Duration,
 }
@@ -60,10 +54,6 @@ pub struct OrderEntry {
 impl CacheWeight for OrderEntry {
     fn weight(&self) -> usize {
         std::mem::size_of::<OrderEntry>() + self.order.capacity() * std::mem::size_of::<VertexId>()
-    }
-
-    fn checksum_cell(&self) -> &AtomicU64 {
-        &self.checksum
     }
 }
 
@@ -77,11 +67,6 @@ impl OrderEntry {
     /// Wall time of the ordering pass that filled this entry.
     pub fn order_time(&self) -> Duration {
         self.order_time
-    }
-
-    /// True when `q` hashes to the checksum stored at insert.
-    pub fn verify_checksum(&self, q: &Graph) -> bool {
-        self.checksum.load(Ordering::Relaxed) == SpaceCache::query_checksum(q)
     }
 }
 
@@ -140,9 +125,9 @@ impl OrderCache {
     /// The order for `(key.fingerprint(), variant)`, computing it on first
     /// use via `compute`. Returns the shared entry and whether this call
     /// ran the ordering pass (`true` = miss). Exactly one ordering pass
-    /// happens per residency of a key, however many threads race; a hit
-    /// whose stored checksum disagrees with `key` evicts the liar and
-    /// recomputes (counted in `checksum_failures`). `_q` is the graph
+    /// happens per residency of a key, however many threads race; a
+    /// resident whose stored checksum disagrees with `key` is evicted and
+    /// recomputed (counted in `checksum_failures`). `_q` is the graph
     /// `key` was hashed from; nothing reads it now that the key carries
     /// the checksum, but the benchmark ledger pins this signature.
     pub fn get_or_compute_keyed(
@@ -155,7 +140,7 @@ impl OrderCache {
         self.cache.get_or_insert(key, variant, || {
             let t = Instant::now();
             let order = compute();
-            Arc::new(OrderEntry { order, checksum: AtomicU64::new(key.checksum()), order_time: t.elapsed() })
+            Arc::new(OrderEntry { order, order_time: t.elapsed() })
         })
     }
 }
@@ -248,17 +233,17 @@ mod tests {
         let (q, g) = case();
         let cache = OrderCache::new();
         let key = QueryKey::of(&q);
-        assert_eq!(key.fingerprint(), SpaceCache::query_fingerprint(&q));
-        assert_eq!(key.checksum(), SpaceCache::query_checksum(&q));
         let (a, fresh) = ri_lookup(&cache, &q, &g);
         assert!(fresh);
         // A key hashed from a separately built, structurally identical
-        // graph must land on the same entry, and that entry verify.
+        // graph is the same key, so it lands on the same entry and
+        // verifies.
         let (twin, _) = case();
+        assert_eq!(QueryKey::of(&twin), key);
         let (b, fresh2) = cache.get_or_compute_keyed(&QueryKey::of(&twin), "RI", &twin, || unreachable!("must hit"));
         assert!(!fresh2);
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.verify_checksum(&q));
+        assert_eq!(cache.checksum_failures(), 0);
         assert!(cache.contains(&key, "RI") && !cache.contains(&key, "GQL"));
     }
 
@@ -292,11 +277,7 @@ mod tests {
         let probe = {
             let q = distinct_query(192);
             let cand = LdfFilter.filter(&q, &g);
-            let e = Arc::new(OrderEntry {
-                order: RiOrdering.order(&q, &g, &cand),
-                checksum: AtomicU64::new(0),
-                order_time: Duration::ZERO,
-            });
+            let e = Arc::new(OrderEntry { order: RiOrdering.order(&q, &g, &cand), order_time: Duration::ZERO });
             e.weight()
         };
         let bound = probe * 12;

@@ -26,11 +26,12 @@ use std::time::{Duration, Instant};
 
 use rlqvo_graph::{Graph, VertexId};
 
+use crate::cache::QueryKey;
 use crate::enumerate::{enumerate, enumerate_in_space, enumerate_probe, EnumConfig, EnumEngine, EnumResult};
 use crate::filter::CandidateFilter;
 use crate::order::OrderingMethod;
 use crate::ordercache::{order_variant, OrderCache};
-use crate::spacecache::{QueryKey, SpaceCache, SpaceEntry};
+use crate::spacecache::{SpaceCache, SpaceEntry};
 
 /// A configured matching algorithm: filter + ordering + enumeration knobs.
 /// `Hybrid` of the paper = `Pipeline::hybrid()`; RL-QVO = the same filter

@@ -21,13 +21,11 @@
 //! instantiation of it over [`SpaceEntry`]). What this module adds on top:
 //!
 //! * the one lookup, [`SpaceCache::entry_keyed`], takes a [`QueryKey`]:
-//!   the query's structural fingerprint
-//!   ([`SpaceCache::query_fingerprint`]: labels + edge list) is the cache
-//!   id, so callers need no id bookkeeping and distinct queries never
-//!   alias, and its independent structural **checksum**
-//!   ([`SpaceCache::query_checksum`]) is stored in the entry and compared
-//!   on every hit, so a 64-bit fingerprint collision is detected instead
-//!   of silently serving another query's candidates;
+//!   the query's structural fingerprint is the cache id, so callers need
+//!   no id bookkeeping and distinct queries never alias, and the cache
+//!   verifies every hit against the key's independent checksum, so a
+//!   64-bit fingerprint collision is detected instead of silently serving
+//!   another query's candidates;
 //! * the *filter semantics* come from [`CandidateFilter::cache_key`],
 //!   which parameterized filters specialize (`"GQL/r2"` vs `"GQL/r1"`) —
 //!   two configurations that could disagree on candidates never share an
@@ -47,13 +45,12 @@
 //!   they are immutable snapshots — and an evicted key simply refilters on
 //!   its next lookup (counted as a miss).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rlqvo_graph::Graph;
 
-use crate::cache::{Cache, CacheConfig, CacheWeight};
+use crate::cache::{Cache, CacheConfig, CacheWeight, QueryKey};
 use crate::candspace::CandidateSpace;
 use crate::filter::{CandidateFilter, Candidates};
 
@@ -69,20 +66,11 @@ pub struct SpaceEntry {
     filtered: Result<CandidateSpace, Candidates>,
     filter_time: Duration,
     build_time: Duration,
-    /// Independent structural hash of the query this entry was filtered
-    /// from — the collision guard verified on hits. Atomic only so the
-    /// `cache.checksum_corrupt` failpoint can flip it in place on a
-    /// shared entry; the cache itself writes it once at insert.
-    checksum: AtomicU64,
 }
 
 impl CacheWeight for SpaceEntry {
     fn weight(&self) -> usize {
         self.resident_bytes()
-    }
-
-    fn checksum_cell(&self) -> &AtomicU64 {
-        &self.checksum
     }
 }
 
@@ -112,48 +100,12 @@ impl SpaceEntry {
         self.build_time
     }
 
-    /// True when `q` hashes to the structural checksum stored at insert —
-    /// the fingerprint-collision guard. A hit serving a *different*
-    /// query's entry (a 64-bit fingerprint collision) returns false.
-    pub fn verify_checksum(&self, q: &Graph) -> bool {
-        self.checksum.load(Ordering::Relaxed) == SpaceCache::query_checksum(q)
-    }
-
     /// Bytes this entry pins: the struct, its candidates and candidate
     /// space — what a bounded cache charges. The `Arc` around it adds its
     /// two counts, and the allocator its own rounding.
     pub fn resident_bytes(&self) -> usize {
         let held = self.filtered.as_ref().map_or_else(Candidates::storage_bytes, CandidateSpace::storage_bytes);
         std::mem::size_of::<SpaceEntry>() + held
-    }
-}
-
-/// Both structural hashes of a query, computed once — what every cache
-/// lookup takes ([`SpaceCache::entry_keyed`],
-/// [`OrderCache::get_or_compute_keyed`][crate::OrderCache::get_or_compute_keyed]).
-/// A caller that replays one query many times builds the `QueryKey` once,
-/// so no lookup pays either `O(|V|+|E|)` walk: not the fingerprint hash,
-/// and not the checksum hash every hit is verified against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueryKey {
-    fingerprint: u64,
-    checksum: u64,
-}
-
-impl QueryKey {
-    /// Hashes `q` once (fingerprint + independent checksum).
-    pub fn of(q: &Graph) -> Self {
-        QueryKey { fingerprint: SpaceCache::query_fingerprint(q), checksum: SpaceCache::query_checksum(q) }
-    }
-
-    /// The cache id ([`SpaceCache::query_fingerprint`]).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// The collision-guard hash ([`SpaceCache::query_checksum`]).
-    pub fn checksum(&self) -> u64 {
-        self.checksum
     }
 }
 
@@ -207,70 +159,18 @@ impl SpaceCache {
         SpaceCache { cache: Cache::new(config) }
     }
 
-    /// Structural fingerprint of a query graph (FNV-1a over vertex count,
-    /// labels, and the directed edge list): the cache id. Identical
-    /// structures — and only those, up to 64-bit collisions — map to the
-    /// same id.
-    pub fn query_fingerprint(q: &Graph) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(q.num_vertices() as u64);
-        for u in q.vertices() {
-            mix(q.label(u) as u64);
-        }
-        for u in q.vertices() {
-            for &v in q.neighbors(u) {
-                mix(((u as u64) << 32) | v as u64);
-            }
-        }
-        h
-    }
-
-    /// Independent structural checksum over the same information as
-    /// [`SpaceCache::query_fingerprint`] but through an unrelated mixing
-    /// function (golden-ratio multiply + xor-rotate), plus the degree
-    /// sequence. Stored in every entry at insert and compared on hits:
-    /// for two distinct queries to be silently conflated, *both* 64-bit
-    /// hashes would have to collide simultaneously.
-    pub fn query_checksum(q: &Graph) -> u64 {
-        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut h: u64 = 0x243F_6A88_85A3_08D3; // pi digits, nothing up the sleeve
-        let mut mix = |x: u64| {
-            h = (h ^ x).wrapping_mul(GOLDEN);
-            h ^= h.rotate_right(29);
-        };
-        mix(q.num_vertices() as u64);
-        for u in q.vertices() {
-            mix(((q.label(u) as u64) << 32) | q.degree(u) as u64);
-        }
-        for u in q.vertices() {
-            for &v in q.neighbors(u) {
-                mix(((v as u64) << 32) | u as u64);
-            }
-        }
-        h
-    }
-
     /// The entry for `(key.fingerprint(), filter.cache_key())`, filtering
     /// and building on first use. Returns the shared entry and whether
     /// this call created it (`true` = a filter pass and, unless a set came
     /// out empty, a build just ran — whatever engine the caller will
     /// enumerate with). Exactly one filter pass and one build happen per
     /// *residency* of a key, however many threads race; a key evicted by
-    /// the byte bound recomputes once on its next lookup, and a hit whose
-    /// stored checksum disagrees with `key` evicts the liar and recomputes
-    /// (the generic cache's retry loop).
+    /// the byte bound, or by a resident whose stored checksum disagrees
+    /// with `key`, recomputes once on its next lookup.
     ///
-    /// Hot path: one lock (find + LRU re-head + `Arc` clone), a
-    /// lock-free `OnceLock` read and the checksum compare — the query is
-    /// hashed exactly once, when the caller built the key.
+    /// Hot path: one lock (find + checksum compare + LRU re-head + `Arc`
+    /// clone) and a lock-free `OnceLock` read — the query is hashed
+    /// exactly once, when the caller built the key.
     pub fn entry_keyed(
         &self,
         key: &QueryKey,
@@ -285,7 +185,7 @@ impl SpaceCache {
             let t = Instant::now();
             let filtered = if cand.any_empty() { Err(cand) } else { Ok(CandidateSpace::new(q, g, cand)) };
             let build_time = if filtered.is_ok() { t.elapsed() } else { Duration::ZERO };
-            Arc::new(SpaceEntry { filtered, filter_time, build_time, checksum: AtomicU64::new(key.checksum) })
+            Arc::new(SpaceEntry { filtered, filter_time, build_time })
         })
     }
 }
@@ -295,7 +195,7 @@ mod tests {
     use super::*;
     use crate::filter::{GqlFilter, LdfFilter, NlfFilter};
     use rlqvo_graph::GraphBuilder;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn entry_for(cache: &SpaceCache, q: &Graph, g: &Graph, filter: &dyn CandidateFilter) -> (Arc<SpaceEntry>, bool) {
         cache.entry_keyed(&QueryKey::of(q), q, g, filter)
@@ -361,29 +261,14 @@ mod tests {
         qb.add_edge(a, b);
         qb.add_edge(b, c);
         let q2 = qb.build();
-        assert_ne!(SpaceCache::query_fingerprint(&q), SpaceCache::query_fingerprint(&q2));
-        assert_ne!(SpaceCache::query_checksum(&q), SpaceCache::query_checksum(&q2));
+        let (k, k2) = (QueryKey::of(&q), QueryKey::of(&q2));
+        assert_ne!(k.fingerprint(), k2.fingerprint());
+        assert_ne!(k.checksum(), k2.checksum());
         let cache = SpaceCache::new();
         let (_, f1) = entry_for(&cache, &q, &g, &LdfFilter);
         let (_, f2) = entry_for(&cache, &q2, &g, &LdfFilter);
         assert!(f1 && f2);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn checksum_guards_against_fingerprint_collisions() {
-        let (q, g) = case();
-        let cache = SpaceCache::new();
-        let (entry, _) = entry_for(&cache, &q, &g, &LdfFilter);
-        assert!(entry.verify_checksum(&q), "honest hit must verify");
-        // A different structure must fail verification — this is what a
-        // fingerprint collision would look like to the hit path.
-        let mut qb = GraphBuilder::new(2);
-        let a = qb.add_vertex(1);
-        let b = qb.add_vertex(0);
-        qb.add_edge(a, b);
-        let other = qb.build();
-        assert!(!entry.verify_checksum(&other));
     }
 
     #[test]
@@ -408,7 +293,7 @@ mod tests {
     fn invalidation_drops_all_variants_of_a_query() {
         let (q, g) = case();
         let cache = SpaceCache::new();
-        let qid = SpaceCache::query_fingerprint(&q);
+        let qid = QueryKey::of(&q).fingerprint();
         entry_for(&cache, &q, &g, &LdfFilter);
         entry_for(&cache, &q, &g, &NlfFilter);
         assert_eq!(cache.len(), 2);

@@ -10,9 +10,9 @@
 //! evaluate `cache.*` sites while another test's `once` schedule is armed,
 //! and spend its fire. So every test holds `GLOBALS` for its whole body.
 //!
-//! Every cache hit is verified, in every build profile, so the corruption
-//! fires are observed on the very next lookup — CI runs this binary under
-//! `--release` too.
+//! Every cache hit is verified under the cache lock, in every build
+//! profile, so a corruption fire is observed by the lookup that draws it
+//! — CI runs this binary under `--release` too.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -74,20 +74,19 @@ fn corrupted_space_checksum_degrades_to_a_counted_refilter() {
     let cache = SpaceCache::new();
     let (bad, fresh) = space_lookup(&cache, &q, &g);
     assert!(fresh);
-    // Armed *after* the fill: the first verified hit fires once,
-    // flipping the resident's checksum right before the comparison.
+    // Armed *after* the fill: the next lookup fires once, flipping the
+    // resident node's checksum right before the comparison.
     let guard = rlqvo_fault::arm_scoped("cache.checksum_corrupt=once", 1).unwrap();
     let (good, fresh) = space_lookup(&cache, &q, &g);
     assert_eq!(rlqvo_fault::fired("cache.checksum_corrupt"), 1);
     assert!(fresh, "the corrupted resident must be replaced, not served");
     assert!(!Arc::ptr_eq(&bad, &good), "degrade produces a new entry");
-    assert!(good.verify_checksum(&q), "the replacement is trustworthy");
     assert_eq!(cache.checksum_failures(), 1);
     assert_eq!(cache.evictions(), 1, "the corrupted entry was evicted, not leaked");
     // Steady state again: the replacement serves hits (the `once`
     // trigger is spent, so the verify passes).
     let (again, fresh) = space_lookup(&cache, &q, &g);
-    assert!(!fresh);
+    assert!(!fresh, "the replacement is trustworthy");
     assert!(Arc::ptr_eq(&good, &again));
     assert_eq!(cache.checksum_failures(), 1, "one fire, one degrade");
     drop(guard);
@@ -108,12 +107,14 @@ fn corrupted_order_checksum_degrades_to_a_counted_recompute() {
     });
     assert!(fresh && recomputed, "degrade recomputes the order");
     assert!(!Arc::ptr_eq(&bad, &good));
-    assert!(good.verify_checksum(&q));
     assert_eq!(cache.checksum_failures(), 1);
     assert_eq!(cache.evictions(), 1);
-    drop(guard);
-    let (_, fresh2) = order_lookup(&cache, &q, &g);
+    // The `once` trigger is spent: the replacement verifies and serves.
+    let (again, fresh2) = order_lookup(&cache, &q, &g);
     assert!(!fresh2, "resident again");
+    assert!(Arc::ptr_eq(&good, &again));
+    assert_eq!(cache.checksum_failures(), 1, "one fire, one degrade");
+    drop(guard);
 }
 
 #[test]

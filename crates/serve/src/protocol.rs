@@ -36,7 +36,7 @@
 //! payload is never read and the stream is no longer in sync).
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 
 /// Hard ceiling on a frame's declared payload length. Frames above the
 /// server's configured limit (≤ this) are rejected without allocating.
@@ -79,23 +79,55 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one length-prefixed frame, enforcing `max_len`.
+/// Reads one length-prefixed frame, enforcing `max_len`. A read that
+/// times out fails at once: [`read_frame_until`] that always gives up.
 pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> std::io::Result<Frame> {
+    read_frame_until(r, max_len, || true)
+}
+
+/// Reads one length-prefixed frame, enforcing `max_len`, from a reader
+/// whose reads may time out (a socket with a read timeout). On such a
+/// poll tick — between frames or inside one — it keeps waiting unless
+/// `give_up()` returns true, and then returns the tick's error.
+/// `Interrupted` reads are retried.
+pub fn read_frame_until<R: Read>(r: &mut R, max_len: u32, mut give_up: impl FnMut() -> bool) -> std::io::Result<Frame> {
     let mut len_buf = [0u8; 4];
     // EOF before any length byte is a clean close; EOF mid-prefix is an
     // error like any other truncated read.
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(Frame::Eof),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(e),
+    match read_until(r, &mut len_buf, &mut give_up)? {
+        0 => return Ok(Frame::Eof),
+        n => read_exact_until(r, &mut len_buf[n..], &mut give_up)?,
     }
     let len = u32::from_le_bytes(len_buf);
     if len > max_len {
         return Ok(Frame::Oversized(len));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    read_exact_until(r, &mut payload, &mut give_up)?;
     Ok(Frame::Msg(payload))
+}
+
+/// One `read`, retried on `Interrupted` and on poll ticks `give_up`
+/// declines.
+fn read_until<R: Read>(r: &mut R, buf: &mut [u8], give_up: &mut impl FnMut() -> bool) -> std::io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) && !give_up() => {}
+            res => return res,
+        }
+    }
+}
+
+fn read_exact_until<R: Read>(r: &mut R, buf: &mut [u8], give_up: &mut impl FnMut() -> bool) -> std::io::Result<()> {
+    let mut n = 0;
+    while n < buf.len() {
+        match read_until(r, &mut buf[n..], give_up)? {
+            0 => return Err(std::io::Error::new(ErrorKind::UnexpectedEof, "eof mid-frame")),
+            k => n += k,
+        }
+    }
+    Ok(())
 }
 
 /// A parsed request.
@@ -322,6 +354,47 @@ mod tests {
         assert!(matches!(read_frame(&mut r, 1024).unwrap(), Frame::Msg(m) if m == b"hello"));
         assert!(matches!(read_frame(&mut r, 1024).unwrap(), Frame::Msg(m) if m.is_empty()));
         assert!(matches!(read_frame(&mut r, 1024).unwrap(), Frame::Eof));
+    }
+
+    /// A reader that fails each listed read with the given kind and
+    /// otherwise hands out one byte of `data` per read.
+    struct Stutter {
+        data: Vec<u8>,
+        at: usize,
+        fails: Vec<Option<ErrorKind>>,
+    }
+
+    impl Read for Stutter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if let Some(kind) = self.fails.pop().flatten() {
+                return Err(kind.into());
+            }
+            let Some(&b) = self.data.get(self.at) else { return Ok(0) };
+            buf[0] = b;
+            self.at += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn poll_ticks_wait_until_given_up_and_interrupts_retry() {
+        let mut data = Vec::new();
+        write_frame(&mut data, b"hi").unwrap();
+        // Popped from the back: an interrupt, a read, then a tick mid-frame.
+        let stutter = || Stutter {
+            data: data.clone(),
+            at: 0,
+            fails: vec![Some(ErrorKind::WouldBlock), None, Some(ErrorKind::Interrupted)],
+        };
+        let err = read_frame(&mut stutter(), 1024).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock, "the plain read gives up at the first tick");
+        let mut asked = 0;
+        let frame = read_frame_until(&mut stutter(), 1024, || {
+            asked += 1;
+            false
+        });
+        assert!(matches!(frame.unwrap(), Frame::Msg(m) if m == b"hi"), "the patient read rides the tick out");
+        assert_eq!(asked, 1, "only the tick asks to give up; the interrupt is retried");
     }
 
     #[test]

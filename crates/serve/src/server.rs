@@ -42,11 +42,12 @@
 //!    drop every resident, which refills on its next lookup), so even a
 //!    panic while a cache lock is held is survivable.
 //! 4. **Graceful degradation.** A cache miss falls back to on-the-fly
-//!    filtering/ordering; every hit is checksum-verified, in every build
-//!    profile, and a mismatch evicts the liar and recomputes (counted in
-//!    the `degraded` metric). `use_cache = false` serves every request
-//!    down the fully cold path — the flag that *proves* the degraded path
-//!    works end to end.
+//!    filtering/ordering; every hit is checksum-verified under the cache
+//!    lock that finds it, in every build profile, and a mismatch evicts
+//!    the resident and recomputes — one failure and one eviction per
+//!    mismatch, counted in the `degraded` metric. `use_cache = false`
+//!    serves every request down the fully cold path — the flag that
+//!    *proves* the degraded path works end to end.
 //! 5. **Self-healing.** With [`ServeConfig::stall_timeout`] set, a
 //!    watchdog thread watches the heartbeat of every running request. The
 //!    heartbeat is a counter ticked at pickup, through the token wait, and
@@ -85,7 +86,7 @@ use rlqvo_matching::{
     Pipeline, QueryKey, SpaceCache, TokenBudget,
 };
 
-use crate::protocol::{read_frame, write_frame, Frame, Request, Response};
+use crate::protocol::{read_frame, read_frame_until, write_frame, Frame, Request, Response};
 
 /// Server configuration. `threads` is the total core budget, enforced
 /// by one [`TokenBudget`] shared between request-level concurrency and
@@ -297,11 +298,15 @@ impl ServerState {
         let _ = TcpStream::connect(self.addr);
     }
 
-    fn snapshot(&self) -> BTreeMap<String, u64> {
-        let degraded = self.space.checksum_failures()
+    /// Checksum failures and poison recoveries of both caches.
+    fn degraded(&self) -> u64 {
+        self.space.checksum_failures()
             + self.space.poison_recoveries()
             + self.orders.checksum_failures()
-            + self.orders.poison_recoveries();
+            + self.orders.poison_recoveries()
+    }
+
+    fn snapshot(&self) -> BTreeMap<String, u64> {
         let mut m = BTreeMap::new();
         m.insert("served".into(), self.metrics.served.load(Ordering::Relaxed));
         m.insert("shed".into(), self.metrics.shed.load(Ordering::Relaxed));
@@ -312,7 +317,7 @@ impl ServerState {
         m.insert("worker_restarts".into(), self.metrics.worker_restarts.load(Ordering::Relaxed));
         m.insert("workers_alive".into(), self.workers_alive());
         m.insert("conn_threads".into(), self.lanes().len() as u64);
-        m.insert("degraded".into(), degraded);
+        m.insert("degraded".into(), self.degraded());
         let sched = scheduler_stats();
         m.insert("steals".into(), sched.steals);
         m.insert("steal_failures".into(), sched.steal_failures);
@@ -336,16 +341,12 @@ impl ServerState {
     /// The `health` report: liveness only, cheap enough to answer while
     /// every token is held or every request is wedged.
     fn health_snapshot(&self) -> BTreeMap<String, u64> {
-        let degraded = self.space.checksum_failures()
-            + self.space.poison_recoveries()
-            + self.orders.checksum_failures()
-            + self.orders.poison_recoveries();
         let mut m = BTreeMap::new();
         m.insert("uptime_ms".into(), self.start.elapsed().as_millis() as u64);
         m.insert("workers_total".into(), self.workers_total);
         m.insert("workers_alive".into(), self.workers_alive());
         m.insert("worker_restarts".into(), self.metrics.worker_restarts.load(Ordering::Relaxed));
-        m.insert("degraded".into(), degraded);
+        m.insert("degraded".into(), self.degraded());
         m.insert("shed".into(), self.metrics.shed.load(Ordering::Relaxed));
         m.insert("errors".into(), self.metrics.errors.load(Ordering::Relaxed));
         m
@@ -575,57 +576,6 @@ fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener, max_frame: u32)
     threads
 }
 
-fn is_poll_tick(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// `read_exact` that rides out the connection's 100ms poll timeout once
-/// a frame has started arriving: mid-frame, a timeout means the sender
-/// is slow, not idle — only `stop` abandons it.
-fn read_exact_patient(state: &ServerState, stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
-    let mut n = 0;
-    while n < buf.len() {
-        match stream.read(&mut buf[n..]) {
-            Ok(0) => return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof mid-frame")),
-            Ok(k) => n += k,
-            Err(e) if is_poll_tick(&e) => {
-                if state.stopping() {
-                    return Err(e);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Server-side frame read over a socket with a poll timeout: *between*
-/// frames a timeout is an idle tick (checked against `stop`); *inside* a
-/// frame it defers to [`read_exact_patient`].
-fn read_frame_patient(state: &ServerState, stream: &mut TcpStream, max_len: u32) -> std::io::Result<Frame> {
-    let mut len_buf = [0u8; 4];
-    let first = loop {
-        match stream.read(&mut len_buf) {
-            Ok(0) => return Ok(Frame::Eof),
-            Ok(k) => break k,
-            Err(e) if is_poll_tick(&e) => {
-                if state.stopping() {
-                    return Err(e);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    read_exact_patient(state, stream, &mut len_buf[first..])?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > max_len {
-        return Ok(Frame::Oversized(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_patient(state, stream, &mut payload)?;
-    Ok(Frame::Msg(payload))
-}
-
 /// One connection, lockstep: read a frame, answer it, repeat — control
 /// verbs and `match` requests alike, on this thread.
 fn serve_connection(
@@ -637,7 +587,9 @@ fn serve_connection(
     // The idle read times out so the thread can notice `stop`.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     loop {
-        let payload = match read_frame_patient(state, stream, max_frame)? {
+        // A timeout is an idle tick between frames and a slow sender
+        // inside one: either way only `stop` abandons the read.
+        let payload = match read_frame_until(stream, max_frame, || state.stopping())? {
             Frame::Msg(p) => p,
             Frame::Eof => return Ok(()),
             Frame::Oversized(len) => {

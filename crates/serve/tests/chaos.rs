@@ -133,7 +133,11 @@ fn schedule_cache_chaos() {
         "the poisoned cache must have recovered: {m:?}"
     );
     let failures = m["space_checksum_failures"] + m["order_checksum_failures"];
-    assert!(failures >= 1, "corrupted hits must be caught: {m:?}");
+    assert_eq!(
+        failures,
+        rlqvo_fault::fired("cache.checksum_corrupt"),
+        "each corruption fire is exactly one caught failure: {m:?}"
+    );
     assert!(m["space_evictions"] >= m["space_checksum_failures"], "each degrade evicts: {m:?}");
     assert!(m["order_evictions"] >= m["order_checksum_failures"], "each degrade evicts: {m:?}");
     assert!(m["space_bytes"] <= SPACE_BOUND as u64, "space bound must hold under chaos: {m:?}");
@@ -331,14 +335,13 @@ fn concurrent_mix(spec: &str, seed: u64, threads: usize, enum_threads: usize) {
     assert!(panics <= injected, "typed errors come only from the {injected} injected panics: {panics}");
     assert_eq!(m["flushes"], 1, "the mid-run flush must have landed");
     assert_degrade_conservation(&m);
-    // Concurrent hits on one corrupted entry can count its failure twice
-    // before the evict lands, so failures bound fires from above; each
-    // fire evicts the liar it made (the caches are unbounded and a flush
-    // counts no evictions, so nothing else evicts).
+    // A fire is verified in the critical section that draws it, so it is
+    // exactly one failure and one eviction (the caches are unbounded and
+    // a flush counts no evictions, so nothing else evicts).
     let failures = m["space_checksum_failures"] + m["order_checksum_failures"];
-    assert!(failures >= corruptions, "each corruption must be caught: {failures} failures < {corruptions} fires");
+    assert_eq!(failures, corruptions, "each corruption fire is exactly one caught failure");
     let evictions = m["space_evictions"] + m["order_evictions"];
-    assert!(evictions >= corruptions, "each degrade evicts: {evictions} evictions < {corruptions} fires");
+    assert_eq!(evictions, corruptions, "each corruption fire is exactly one eviction");
     if kills > 0 {
         assert_eq!(m["worker_restarts"], kills, "every kill must count one restart: {m:?}");
         assert!(m["workers_alive"] >= 1, "the token budget must be whole after the schedule: {m:?}");

@@ -3,12 +3,16 @@
 //! (edge when `v' ∈ C(u')`) has a matching saturating `N(u)` — the paper's
 //! "semi-perfect matching" check (§II-C).
 //!
-//! The filter runs that check once per (query vertex, candidate) pair per
-//! round through `MaskMatcher`: the left side is a set of bits, every
-//! right vertex is the bitmask of the lefts it can serve, and nearly all
-//! checks are decided while the rights stream by (a greedy matching
-//! completes, or some left was never seen). Only the rest runs
-//! augmenting paths (Kuhn's algorithm, driven from the free rights).
+//! Candidate sets are label-pure, so the instance splits into one part
+//! per label of `N(u)`, and a part with one left saturates iff some right
+//! serves it. The filter decides the one-left parts by coverage (which
+//! `C(u')` meet `N(v)`) and runs `MaskMatcher` only on the lefts that
+//! share a label with another one, passing them as `need`: the left side
+//! is a set of bits, every right vertex is the bitmask of the lefts it can
+//! serve (bits outside `need` are ignored), and nearly all checks are
+//! decided while the rights stream by (a greedy matching completes, or
+//! some left was never seen). Only the rest runs augmenting paths (Kuhn's
+//! algorithm, driven from the free rights).
 //!
 //! [`max_bipartite_matching`] / [`has_left_saturating_matching`] are the
 //! plain adjacency-list version, kept as the oracle the mask kernel and
@@ -271,6 +275,50 @@ mod tests {
             let words = adj.len().div_ceil(64).max(1);
             assert_eq!(saturates(&mut m, &adj, right, words), has_left_saturating_matching(&adj, right), "{adj:?}");
         }
+    }
+
+    /// The filter asks about a strict subset of the lefts a row table
+    /// serves (the query neighbours that share a label). Row bits outside
+    /// `need` must be ignored: the answer is the one for the instance
+    /// restricted to the lefts in `need`, at one and two words, and here
+    /// it is often yes where the whole instance's is no.
+    #[test]
+    fn a_strict_subset_of_the_lefts_is_the_restricted_instance() {
+        let mut x = 0x2545_f491u32;
+        let mut next = move |n: u32| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x % n
+        };
+        let mut m = MaskMatcher::default();
+        let (mut verdicts, mut differs) = ([0usize; 2], 0);
+        for case in 0..3000 {
+            let lefts = 2 + next(if case % 4 == 0 { 90 } else { 9 }) as usize;
+            let right_count = next(lefts as u32 + 2) as usize;
+            let adj: Vec<Vec<usize>> =
+                (0..lefts).map(|_| (0..right_count).filter(|_| next(3) == 0).collect()).collect();
+            let words = lefts.div_ceil(64);
+            let (_, rows) = to_masks(&adj, right_count, words);
+            let kept: Vec<usize> = (0..lefts).filter(|_| next(2) == 0).collect();
+            if kept.len() == lefts {
+                continue;
+            }
+            let mut need = vec![0u64; words];
+            for &l in &kept {
+                need[l / 64] |= 1 << (l % 64);
+            }
+            let restricted: Vec<Vec<usize>> = kept.iter().map(|&l| adj[l].clone()).collect();
+            let expected = has_left_saturating_matching(&restricted, right_count);
+            let mut rights: Vec<u32> = (0..right_count as u32).collect();
+            if case % 2 == 1 {
+                rights.reverse();
+            }
+            assert_eq!(m.saturates(&need, &rows, &rights), expected, "{adj:?} kept {kept:?}");
+            verdicts[expected as usize] += 1;
+            differs += (has_left_saturating_matching(&adj, right_count) != expected) as usize;
+        }
+        assert!(verdicts[0] > 100 && verdicts[1] > 100 && differs > 100, "{verdicts:?} {differs}");
     }
 
     #[test]

@@ -17,19 +17,20 @@
 //! (degree test, then `N(v)` counted with an early exit) still runs where
 //! the table cannot answer: a demand of 255 or more, a neighbour label
 //! outside `G`'s universe, a graph that built no table. [`GqlFilter`]
-//! checks a candidate in one pass over `N(v)` against per-data-vertex
-//! membership masks ([`crate::bipartite`]) — after asking, per query edge
-//! `(u, u')`, the side that is cheaper to ask: with `cost(x) = Σ_{v ∈
-//! C(x)} d(v)` over the start-of-round sets, every `u'` strictly cheaper
-//! than a neighbour marks `N(C(u'))` once per round in `reach`, a mask
-//! over query vertices per data vertex laid out like the membership
-//! masks. A candidate `v` of `u` outside the reach of any of `u`'s cheaper
-//! neighbours is removed without `N(v)` being read, since `N` is
-//! symmetric, and one row load asks all of them. A degree-1 `u` whose
-//! neighbour is the cheap side is decided by that test alone: a matching
-//! saturating one left is exactly `N(v) ∩ C(u') ≠ ∅`. Sampled queries are
-//! near-trees, so that is most (query vertex, candidate) pairs, and each
-//! such decision is taken without a branch.
+//! reads `N(v)` once per candidate and round, or not at all, unless two
+//! neighbours of the query vertex share a label. With `cost(x) =
+//! Σ_{v ∈ C(x)} d(v)` over the start-of-round sets, a query vertex with a
+//! neighbour at least as dear is *scanned*: one pass over `N(v)` per
+//! candidate ORs the per-data-vertex membership masks of `N(v)` into the
+//! candidate's coverage (which `C(u')` it touches) and marks `reach`, a
+//! mask over query vertices per data vertex laid out like the membership
+//! masks. Every neighbour of an unscanned vertex is strictly cheaper,
+//! hence scanned, so `N` being symmetric, one row of `reach` is its
+//! candidate's coverage. Candidates are label-pure, so the bipartite check
+//! splits per label: a neighbour alone in its label within `N(u)` is
+//! decided by coverage, and the matcher ([`crate::bipartite`]) runs only
+//! for the neighbours that share a label. A verdict advances the round's
+//! removal cursor by 0 or 1, so no verdict is a branch.
 //! `GqlFilter::filter_reference` is the naive version both are tested
 //! against, sets and membership, byte for byte.
 
@@ -329,9 +330,11 @@ fn nlf_dominates(
 /// `cost(x) = Σ_{v ∈ C(x)} d(v)`: the adjacency entries read when every
 /// candidate of `x` has its `N(v)` scanned. A query edge `(u, u')` asks the
 /// same thing of either endpoint — which pairs of `C(u) × C(u')` are
-/// adjacent — and `N` is symmetric, so [`GqlFilter::filter`] and
-/// [`crate::CandidateSpace::build`] answer it from the endpoint with the
-/// strictly smaller cost. Both sums are exact; no constant is involved.
+/// adjacent — and `N` is symmetric, so [`crate::CandidateSpace::build`]
+/// answers it from the cheaper endpoint, and [`GqlFilter::filter`] scans a
+/// query vertex only when some neighbour is at least as dear: each edge
+/// from an endpoint no dearer than the other, and a tied edge from both.
+/// Both sums are exact; no constant is involved.
 pub(crate) fn scan_cost(g: &Graph, set: &[VertexId]) -> u64 {
     set.iter().map(|&v| u64::from(g.degree(v))).sum()
 }
@@ -370,120 +373,22 @@ impl CandidateFilter for GqlFilter {
         if self.refinement_rounds == 0 {
             return Candidates::from_buf(buf);
         }
-        // The round's bipartite instances, as masks over query vertices
-        // (`w` words): `member` row `v` has bit `u` ⇔ `v ∈ C(u)`, `nbr`
-        // row `u` is `N(u)`. The instance for `(u, v)` is then left =
-        // `nbr[u]`, rights = `N(v)` with `member` as the row table — one
-        // load per data neighbour. (`v' ∈ C(u')` already implies equal
-        // labels, so no label routing is needed.)
-        let w = q.num_vertices().div_ceil(64);
-        // (word index, mask) of bit `u` in row `x`.
-        let bit = |x: VertexId, u: VertexId| (x as usize * w + u as usize / 64, 1u64 << (u % 64));
-        let mut member = vec![0u64; g.num_vertices() * w];
-        let mut nbr = vec![0u64; q.num_vertices() * w];
-        for u in q.vertices() {
-            for &v in set_of(&buf, u) {
-                let (word, mask) = bit(v, u);
-                member[word] |= mask;
-            }
-            for &u2 in q.neighbors(u) {
-                let (word, mask) = bit(u, u2);
-                nbr[word] |= mask;
-            }
-        }
-        let mut matcher = MaskMatcher::default();
-        // `reach` is laid out like `member`: row `v` has bit `u'` ⇔
-        // `v ∈ N(C(u'))`, for the query vertices that are the cheap side
-        // of some edge this round ([`scan_cost`]). `N` is symmetric
-        // (`GraphBuilder` symmetrizes it), so that is `N(v) ∩ C(u') ≠ ∅`
-        // — and `v` passes `u`'s test iff `reach[v] ⊇ cheaper`, the mask
-        // of `u`'s strictly cheaper neighbours.
-        let mut reach = vec![0u64; g.num_vertices() * w];
-        let mut cost = vec![0u64; q.num_vertices()];
-        let mut cheaper = vec![0u64; w];
-        // Removals are buffered and applied only at the end of each round
-        // (the bits cleared in `member`, then every set compacted by
-        // them), so every check within a round — `reach` included, which
-        // is built before the round's first check — sees the unmodified
-        // start-of-round sets: the semantics of the rebuild reference.
-        // `pass` holds the current `u`'s candidates inside its `reach`.
-        let mut doomed: Vec<(VertexId, VertexId)> = Vec::new();
-        let mut pass: Vec<VertexId> = Vec::new();
+        let mut state = Refinement::new(q, g, &buf);
+        let mut wide = vec![0u64; state.w];
         for _ in 0..self.refinement_rounds {
-            doomed.clear();
-            for u in q.vertices() {
-                cost[u as usize] = scan_cost(g, set_of(&buf, u));
+            // One code path for every width. The one-word case (queries of
+            // up to 64 vertices: every query set of the paper) is
+            // instantiated with the width as a constant and its coverage
+            // row on the stack, as `MaskMatcher::saturates` does.
+            if state.w == 1 {
+                state.round(&buf, &mut [0]);
+            } else {
+                state.round(&buf, &mut wide);
             }
-            reach.fill(0);
-            for u2 in q.vertices() {
-                if q.neighbors(u2).iter().any(|&u| cost[u2 as usize] < cost[u as usize]) {
-                    for &v2 in set_of(&buf, u2) {
-                        for &v in g.neighbors(v2) {
-                            let (word, mask) = bit(v, u2);
-                            reach[word] |= mask;
-                        }
-                    }
-                }
-            }
-            for u in q.vertices() {
-                let set = set_of(&buf, u);
-                cheaper.fill(0);
-                for &u2 in q.neighbors(u).iter().filter(|&&u2| cost[u2 as usize] < cost[u as usize]) {
-                    let (word, mask) = bit(0, u2);
-                    cheaper[word] |= mask;
-                }
-                // Outside the reach of one cheaper neighbour, that left has
-                // no right at all: doomed whatever the others say. Every
-                // pair is written to both buffers and the test only moves
-                // the cursors — it goes either way too often to predict, so
-                // it folds every word rather than stop at the first miss.
-                let mut dead = doomed.len();
-                doomed.resize(dead + set.len(), (0, 0));
-                pass.resize(set.len(), 0);
-                let mut live = 0;
-                for &v in set {
-                    let row = &reach[v as usize * w..][..w];
-                    let missed = cheaper.iter().zip(row).fold(0, |acc, (&c, &r)| acc | c & !r) != 0;
-                    doomed[dead] = (u, v);
-                    dead += missed as usize;
-                    pass[live] = v;
-                    live += !missed as usize;
-                }
-                doomed.truncate(dead);
-                // A saturating matching of one left `u'` is exactly
-                // `N(v) ∩ C(u') ≠ ∅`: a leaf whose parent is the cheap side
-                // is done, and never touches `N(v)`.
-                if q.degree(u) == 1 && cheaper.iter().any(|&c| c != 0) {
-                    continue;
-                }
-                let need = &nbr[u as usize * w..][..w];
-                let rejected = pass[..live].iter().filter(|&&v| !matcher.saturates(need, &member, g.neighbors(v)));
-                doomed.extend(rejected.map(|&v| (u, v)));
-            }
-            if doomed.is_empty() {
+            if state.doomed.is_empty() {
                 break;
             }
-            for &(u, v) in &doomed {
-                let (word, mask) = bit(v, u);
-                member[word] &= !mask;
-            }
-            // Branch-free, like NLF's compaction: every vertex is written
-            // back, only one still in `member` advances the cursor. One
-            // pass over the sets compacts them all; `start` is where
-            // `C(u)` began before this round moved it.
-            let (mut len, mut start) = (buf[0] as usize, buf[0] as usize);
-            for u in q.vertices() {
-                let end = buf[u as usize + 1] as usize;
-                for i in start..end {
-                    let v = buf[i];
-                    buf[len] = v;
-                    let (word, mask) = bit(v, u);
-                    len += (member[word] & mask != 0) as usize;
-                }
-                // `len` only shrinks, so it fits where `end` did.
-                (start, buf[u as usize + 1]) = (end, len as u32);
-            }
-            buf.truncate(len);
+            state.remove_doomed(&mut buf);
         }
         Candidates::from_buf(buf)
     }
@@ -493,6 +398,169 @@ impl CandidateFilter for GqlFilter {
     fn cache_key(&self) -> String {
         format!("GQL/r{}", self.refinement_rounds)
     }
+}
+
+/// What [`GqlFilter::filter`] carries from round to round. Query vertex
+/// sets are masks of `w` words, and every table is `w` words a row.
+///
+/// The instance for `(u, v)` has lefts `N(u)` (`nbr` row `u`), rights
+/// `N(v)`, and the row of right `x` is `member` row `x`. (`x ∈ C(u')`
+/// already implies equal labels, so no label routing is needed.)
+struct Refinement<'a> {
+    q: &'a Graph,
+    g: &'a Graph,
+    /// `⌈|V(q)| / 64⌉`.
+    w: usize,
+    /// Row `x` has bit `u` ⇔ `x ∈ C(u)`, over the round's starting sets
+    /// until [`Refinement::remove_doomed`] clears the removals at its end.
+    member: Vec<u64>,
+    /// Row `u` is `N(u)`.
+    nbr: Vec<u64>,
+    /// Row `u` is the part of `N(u)` whose label another vertex of `N(u)`
+    /// carries: the lefts the matcher is asked about.
+    shared: Vec<u64>,
+    /// Row `x` has bit `u` ⇔ `x ∈ N(C(u))`, for the round's scanned `u`.
+    reach: Vec<u64>,
+    /// [`scan_cost`] of each starting set of the round.
+    cost: Vec<u64>,
+    /// The round's removals, `(u, v)`.
+    doomed: Vec<(VertexId, VertexId)>,
+    matcher: MaskMatcher,
+}
+
+impl<'a> Refinement<'a> {
+    fn new(q: &'a Graph, g: &'a Graph, buf: &[u32]) -> Self {
+        let w = q.num_vertices().div_ceil(64);
+        let mut member = vec![0u64; g.num_vertices() * w];
+        let mut nbr = vec![0u64; q.num_vertices() * w];
+        let mut shared = vec![0u64; q.num_vertices() * w];
+        for u in q.vertices() {
+            for &v in set_of(buf, u) {
+                let (word, mask) = bit(w, v, u);
+                member[word] |= mask;
+            }
+            let nu = q.neighbors(u);
+            for &u2 in nu {
+                let (word, mask) = bit(w, u, u2);
+                nbr[word] |= mask;
+                if nu.iter().any(|&u3| u3 != u2 && q.label(u3) == q.label(u2)) {
+                    shared[word] |= mask;
+                }
+            }
+        }
+        Refinement {
+            q,
+            g,
+            w,
+            member,
+            nbr,
+            shared,
+            reach: vec![0u64; g.num_vertices() * w],
+            cost: vec![0u64; q.num_vertices()],
+            doomed: Vec::new(),
+            matcher: MaskMatcher::default(),
+        }
+    }
+
+    /// Decides every candidate of `buf`'s sets, the round's starting sets,
+    /// and leaves the losers in `doomed`. `cover` is `w` words of scratch.
+    ///
+    /// A query vertex `u` with a neighbour at least as dear ([`scan_cost`])
+    /// is *scanned*: one pass over `N(v)` per `v ∈ C(u)` ORs the `member`
+    /// rows of `N(v)` into `cover` — bit `u'` ⇔ `N(v) ∩ C(u') ≠ ∅` — and
+    /// bit `u` into `reach[x]` for each `x ∈ N(v)`. Every neighbour of an
+    /// unscanned `u` is strictly cheaper, hence scanned, so once the
+    /// scanned vertices are done `reach[v]` answers the same question for
+    /// `v ∈ C(u)` without `N(v)` being read (`N` is symmetric:
+    /// `GraphBuilder` symmetrizes it). Candidates are label-pure, so the
+    /// instance splits into one part per label of `N(u)`, and a part of
+    /// one left saturates iff that left is covered: a `v` whose coverage
+    /// misses a bit of `N(u)` loses, and the matcher runs, on the surviving
+    /// `v` only, for the lefts in `shared` alone.
+    #[inline(always)]
+    fn round(&mut self, buf: &[u32], cover: &mut [u64]) {
+        let Refinement { q, g, member, nbr, shared, reach, cost, doomed, matcher, .. } = self;
+        let w = cover.len();
+        doomed.clear();
+        for u in q.vertices() {
+            cost[u as usize] = scan_cost(g, set_of(buf, u));
+        }
+        reach.fill(0);
+        let scans = |u: VertexId| q.neighbors(u).iter().any(|&u2| cost[u2 as usize] >= cost[u as usize]);
+        // The scanned vertices first: they complete `reach` before an
+        // unscanned one reads it.
+        for scanned in [true, false] {
+            for u in q.vertices().filter(|&u| scans(u) == scanned) {
+                let set = set_of(buf, u);
+                let need = &nbr[u as usize * w..][..w];
+                let split = &shared[u as usize * w..][..w];
+                let any_split = split.iter().any(|&s| s != 0);
+                let (word, mask) = bit(w, 0, u);
+                // Every pair is written and its verdict only advances the
+                // cursor: the verdict goes either way too often to predict,
+                // so the coverage test folds every word rather than stop
+                // at the first miss.
+                let mut dead = doomed.len();
+                doomed.resize(dead + set.len(), (0, 0));
+                for &v in set {
+                    let rights = g.neighbors(v);
+                    let row: &[u64] = if scanned {
+                        cover.fill(0);
+                        for &x in rights {
+                            let x = x as usize * w;
+                            for (c, &m) in cover.iter_mut().zip(&member[x..x + w]) {
+                                *c |= m;
+                            }
+                            reach[x + word] |= mask;
+                        }
+                        cover
+                    } else {
+                        &reach[v as usize * w..][..w]
+                    };
+                    let mut missed = need.iter().zip(row).fold(0, |acc, (&n, &c)| acc | n & !c) != 0;
+                    if any_split && !missed {
+                        missed = !matcher.saturates(split, member, rights);
+                    }
+                    doomed[dead] = (u, v);
+                    dead += missed as usize;
+                }
+                doomed.truncate(dead);
+            }
+        }
+    }
+
+    /// Clears the round's removals from `member`, then compacts every set
+    /// of `buf` by those bits.
+    fn remove_doomed(&mut self, buf: &mut Vec<u32>) {
+        let (w, member) = (self.w, &mut self.member);
+        for &(u, v) in &self.doomed {
+            let (word, mask) = bit(w, v, u);
+            member[word] &= !mask;
+        }
+        // Branch-free, like NLF's compaction: every vertex is written back,
+        // only one still in `member` advances the cursor. One pass over the
+        // sets compacts them all; `start` is where `C(u)` began before this
+        // round moved it.
+        let (mut len, mut start) = (buf[0] as usize, buf[0] as usize);
+        for u in self.q.vertices() {
+            let end = buf[u as usize + 1] as usize;
+            for i in start..end {
+                let v = buf[i];
+                buf[len] = v;
+                let (word, mask) = bit(w, v, u);
+                len += (member[word] & mask != 0) as usize;
+            }
+            // `len` only shrinks, so it fits where `end` did.
+            (start, buf[u as usize + 1]) = (end, len as u32);
+        }
+        buf.truncate(len);
+    }
+}
+
+/// (word index, mask) of bit `u` in row `x` of a table `w` words a row.
+#[inline(always)]
+fn bit(w: usize, x: VertexId, u: VertexId) -> (usize, u64) {
+    (x as usize * w + u as usize / 64, 1u64 << (u % 64))
 }
 
 impl GqlFilter {
@@ -770,8 +838,9 @@ mod tests {
     fn a_decided_leaf_outside_reach_ends_empty() {
         // q: x(0) - y(1) - z(2). No label-1 data vertex has both a label-0
         // and a label-2 neighbour, so NLF leaves `C(y)` empty: `y` is the
-        // cheap side of both edges, the leaves `x` and `z` are decided by
-        // `reach` alone, and none of their candidates lies in it.
+        // cheap side of both edges and the only scanned vertex, the leaves
+        // `x` and `z` are decided by `reach` alone, and none of their
+        // candidates lies in it.
         let mut qb = GraphBuilder::new(3);
         let (x, y, z) = (qb.add_vertex(0), qb.add_vertex(1), qb.add_vertex(2));
         qb.add_edge(x, y);
@@ -793,8 +862,9 @@ mod tests {
     #[test]
     fn a_non_leaf_sends_every_reached_candidate_to_the_matcher() {
         // With pendants the centre's candidates are the dearest set, so the
-        // arms are the cheap side of both centre edges. Both centres lie
-        // in the arms' reach; the matcher alone rejects `bad`.
+        // arms are scanned and the centre is not. Both centres lie in the
+        // arms' reach, and the arms share a label, so the matcher alone
+        // rejects `bad`.
         let (q, g, [good, bad, _]) = arms_case(8);
         let (c, x, y) = (0, 1, 2);
         let nlf = NlfFilter.filter(&q, &g);

@@ -243,6 +243,23 @@ proptest! {
         }
     }
 
+    /// Every candidate carries its query vertex's label, under every
+    /// filter. The refinement splits each bipartite check into one part
+    /// per label on the strength of it.
+    #[test]
+    fn candidates_are_label_pure(g in arb_graph(10, 3), seed in 0u64..500) {
+        let Some(q) = query_of(&g, seed, 5) else { return Ok(()) };
+        let filters: [&dyn CandidateFilter; 3] = [&LdfFilter, &NlfFilter, &GqlFilter::DEFAULT];
+        for f in filters {
+            let cand = f.filter(&q, &g);
+            for u in q.vertices() {
+                for &v in cand.of(u) {
+                    prop_assert_eq!(g.label(v), q.label(u), "{}: {} in C({})", f.name(), v, u);
+                }
+            }
+        }
+    }
+
     /// The warm path must be invisible to results: `run_cached` is
     /// byte-identical to the cold `run_pipeline` (match count, `#enum`,
     /// order, match stream) for every filter and engine (probe,
@@ -734,6 +751,71 @@ fn filters_match_references_on_a_query_wider_than_one_mask_word() {
     assert_filters_match_references(&q, &g);
 }
 
+/// Which query vertices a refinement round starting from `cand` scans:
+/// those with a neighbour whose set costs at least as much as their own.
+fn scanned(q: &Graph, g: &Graph, cand: &Candidates) -> Vec<bool> {
+    let cost: Vec<u64> = q.vertices().map(|u| scan_cost(g, cand.of(u))).collect();
+    q.vertices().map(|u| q.neighbors(u).iter().any(|&u2| cost[u2 as usize] >= cost[u as usize])).collect()
+}
+
+/// True when `u` has two neighbours of one label, so the matcher is asked.
+fn shares_a_label(q: &Graph, u: u32) -> bool {
+    let nu = q.neighbors(u);
+    nu.iter().enumerate().any(|(i, &a)| nu[i + 1..].iter().any(|&b| q.label(a) == q.label(b)))
+}
+
+/// A query of 120 vertices, so its masks are two words, with every kind
+/// of decision in the second word: past bit 63 there are scanned and
+/// unscanned vertices, with and without two neighbours of one label, and
+/// round 1 removes candidates of each kind. Query edges cross the word
+/// edge, so an unscanned vertex reads `reach` bits in the word it is not in.
+#[test]
+fn filters_match_references_on_a_two_word_query_with_every_kind_of_decision() {
+    let g = chorded_ring(200, 3, 3);
+    let (q, _) = g.induced_subgraph(&(0..120).collect::<Vec<u32>>());
+    let nlf = NlfFilter.filter(&q, &g);
+    let one = GqlFilter { refinement_rounds: 1 }.filter(&q, &g);
+    let scans = scanned(&q, &g, &nlf);
+    for scan in [true, false] {
+        for shared in [true, false] {
+            let pruned = (64..120u32)
+                .filter(|&u| scans[u as usize] == scan && shares_a_label(&q, u) == shared)
+                .any(|u| one.len_of(u) < nlf.len_of(u));
+            assert!(pruned, "no vertex past bit 63 with scanned {scan}, shared {shared} loses a candidate");
+        }
+    }
+    let crosses = |u: u32| q.neighbors(u).iter().any(|&u2| (u2 < 64) != (u < 64));
+    assert!(q.vertices().filter(|&u| !scans[u as usize]).any(crosses));
+    assert!(!GqlFilter::default().filter(&q, &g).any_empty(), "the embedding survives");
+    assert_filters_match_references(&q, &g);
+}
+
+/// Two adjacent query vertices whose sets cost the same, the tie at which
+/// the scan rule is decided: both are scanned, as a neighbour at least as
+/// dear makes a vertex scanned. `u` (label 0) and `u'` (label 1) each
+/// carry a leaf, `x` (2) and `y` (3). `A'` is in `C(u)` only through the
+/// labels of its neighbours, and its label-1 neighbour is in no set, so it
+/// falls in round 1 on the tied edge; `B''` likewise from the other side;
+/// the leaves they held fall in round 2. Mutation check: with `>` in
+/// place of the rule's `≥`, neither tied vertex is scanned, no `reach` bit
+/// of either is set, and `C(u)` empties.
+#[test]
+fn filters_match_references_across_a_tied_query_edge() {
+    let q = query(4, &[0, 1, 2, 3], &[(0, 1), (0, 2), (1, 3)]);
+    let (u, u2, x, y) = (0u32, 1u32, 2u32, 3u32);
+    // A B X Y, then A' B' X', then B'' A'' Y''.
+    let g = query(4, &[0, 1, 2, 3, 0, 1, 2, 1, 0, 3], &[(0, 1), (0, 2), (1, 3), (4, 5), (4, 6), (7, 8), (7, 9)]);
+    let nlf = NlfFilter.filter(&q, &g);
+    assert_eq!((nlf.of(u), nlf.of(u2)), (&[0, 4][..], &[1, 7][..]));
+    assert_eq!(scan_cost(&g, nlf.of(u)), scan_cost(&g, nlf.of(u2)), "the edge (u, u') must be tied");
+    assert!(scanned(&q, &g, &nlf).iter().all(|&s| s));
+    let one = GqlFilter { refinement_rounds: 1 }.filter(&q, &g);
+    assert_eq!((one.of(u), one.of(u2), one.of(x), one.of(y)), (&[0][..], &[1][..], &[2, 6][..], &[3, 9][..]));
+    let two = GqlFilter { refinement_rounds: 2 }.filter(&q, &g);
+    assert_eq!((two.of(x), two.of(y)), (&[2][..], &[3][..]));
+    assert_filters_match_references(&q, &g);
+}
+
 /// `Σ d(v)` over a candidate set: the cost `GqlFilter::filter` and
 /// `CandidateSpace::build` compare to pick the side a query edge is
 /// scanned from.
@@ -753,18 +835,16 @@ fn query(num_labels: u32, labels: &[u32], edges: &[(u32, u32)]) -> Graph {
     b.build()
 }
 
-/// Both sides of the cheaper-side rule. A round answers each query edge
-/// from the endpoint with the strictly smaller `scan_cost`, through
-/// `reach = N(C(cheap side))`, and a degree-1 query vertex with a cheaper
-/// neighbour is decided by that bit alone. The shapes below put the cheap
-/// side at the hub and at the leaves, hang several leaves off one `reach`,
-/// tie the costs (K2 with equal labels: `C(u) = C(u')`, so neither side is
-/// cheaper and both go to the matcher), add a vertex with no edge at all,
-/// and run on data graphs whose `|V|` sits on every side of a bitmap word
-/// edge. The 70-vertex query above covers two-word masks next to the
-/// one-word reach tests. A `≤` in place of the rule's `<` would mark both
-/// sides of a tie in `reach` and answer the same — `reach` is exact from
-/// either side — so what the tie rows pin is that no side is *required*.
+/// Both sides of the scan rule. A round scans every query vertex with a
+/// neighbour whose set costs at least as much (`scan_cost`) and decides
+/// the others, whose neighbours are all strictly cheaper, from `reach`.
+/// The shapes below put the cheap side at the hub and at the leaves, hang
+/// several leaves off one scanned hub, tie the costs (K2 with equal
+/// labels: `C(u) = C(u')`, so both sides are scanned), give a vertex two
+/// neighbours of one label and two of different labels, add a vertex with
+/// no edge at all, and run on data graphs whose `|V|` sits on every side
+/// of a bitmap word edge. The 70- and 120-vertex queries cover two-word
+/// masks next to these one-word ones.
 #[test]
 fn filters_match_references_on_both_sides_of_the_cheaper_side_rule() {
     let (mut hub_cheaper, mut leaf_cheaper, mut tied, mut pruned) = (0, 0, 0, 0);
